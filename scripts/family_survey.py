@@ -35,7 +35,7 @@ def survey(preset: str, p: int, n: int, budget: int) -> None:
     while not vd > need:
         vd += 1
     d = Series.monomial(K.ctx, vd)
-    certs = as_family(eta, K, d, n, budget)
+    certs = as_family(eta, K, d, n, budget, sample_eta=sample)
     for i, cert in enumerate(certs, start=1):
         print(f"  member {i}: upper {cert.sample.upper}, defect {cert.claims.defect} "
               f"({cert.claims.defect_rule})")

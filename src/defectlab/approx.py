@@ -145,13 +145,8 @@ def value_set(
 
     # enumeration witnesses
     for c in enumerate_elements(K, budget):
-        d = a - c
-        if d.is_zero:
-            if not d.precision.is_finite:
-                found.setdefault(PLUS_INF, c)
-            continue
-        v = d.valuation()
-        if v < horizon:
+        v = a.diff_valuation(c)
+        if v is not None and (not v.is_finite or v < horizon):
             found.setdefault(v, c)
 
     realized = tuple(sorted(found.items(), key=lambda kv: kv[0]._key()))
@@ -224,11 +219,11 @@ def translate_sample(
         target = ExtRat.of(v.fraction + shift)
         if horizon is not None and not (target < horizon):
             continue
-        d = a_new - w2
-        if d.is_zero or d.valuation() != target:
+        got = a_new.diff_valuation(w2)
+        if got is None or got != target:
             raise ValueError(
                 f"translated witness fails: expected value {target}, "
-                f"got {'zero' if d.is_zero else d.valuation()}"
+                f"got {'zero' if got is None or not got.is_finite else got}"
             )
         out.append((target, w2))
     ub = sample.upper

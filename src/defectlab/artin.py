@@ -268,6 +268,7 @@ def transform_inseparable(
     budget: int,
     eta_tail: Optional[TailSchema] = None,
     insep_witness_immediate: bool = False,
+    sample_eta: Optional[InitialSegmentSample] = None,
 ) -> InsepTransform:
     """Turn the inseparable relation eta^p in K into an Artin-Schreier
     extension whose value set is the translate of v(eta - K).
@@ -278,6 +279,9 @@ def transform_inseparable(
     v(d theta) = v(eta), v(eta - d theta) = ((p-1)v(d) + v(eta))/p above
     the sample, v(d theta - c) = v(eta - c) witness by witness, and
     v(theta - c/d) = v(eta - c) - v(d) witness by witness.
+
+    ``sample_eta``, when given, must be ``value_set(eta, K, budget,
+    eta_tail)``; callers that already hold it pass it to skip the repeat.
     """
     ctx = eta.ctx
     if ctx.mode != EQUAL:
@@ -291,7 +295,8 @@ def transform_inseparable(
     if d.is_zero:
         raise ZeroDivisionError("d must be nonzero")
 
-    sample_eta = value_set(eta, K, budget, eta_tail)
+    if sample_eta is None:
+        sample_eta = value_set(eta, K, budget, eta_tail)
     upper = sample_eta.upper
     if not upper.bound.is_finite:
         raise ValueError("v(eta - K) has no certified finite upper bound")
@@ -419,13 +424,19 @@ def as_family(
     budget: int,
     eta_tail: Optional[TailSchema] = None,
     insep_witness_immediate: bool = False,
+    sample_eta: Optional[InitialSegmentSample] = None,
 ) -> List[ExtensionCert]:
     """Certificates for the extensions generated by roots of
     X^p - X - eta^p/d^(np), n = 1..n_members, with exact pairwise
-    distinctness of the translated value-set samples."""
+    distinctness of the translated value-set samples.
+
+    The sample of v(eta - K) is taken once (or passed in as
+    ``sample_eta``, see ``transform_inseparable``) and shared by every
+    member."""
     if n_members < 1:
         raise ValueError("need at least one family member")
-    sample_eta = value_set(eta, K, budget, eta_tail)
+    if sample_eta is None:
+        sample_eta = value_set(eta, K, budget, eta_tail)
     if not sample_eta.upper.bound.is_finite:
         raise ValueError("v(eta - K) has no certified finite upper bound")
     vd = d.valuation().fraction
@@ -442,7 +453,7 @@ def as_family(
     for n in range(1, n_members + 1):
         dn = d.pow_int(n)
         result = transform_inseparable(
-            eta, K, dn, budget, eta_tail, insep_witness_immediate
+            eta, K, dn, budget, eta_tail, insep_witness_immediate, sample_eta
         )
         certs.append(defect_criteria(result.cert))
 

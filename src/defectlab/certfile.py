@@ -20,7 +20,7 @@ from typing import List, Tuple
 
 from .approx import InitialSegmentSample, TailSchema, distance
 from .artin import Claims, ExtensionCert, KUMMER, defect_criteria
-from .cuts import Cut, CutEnclosure, ExtRat
+from .cuts import Cut, CutEnclosure, ExtRat, PLUS_INF
 from .fields import FieldDesc, field_from_json
 from .kummer import classify_kummer_defect
 from .series import Polynomial, Series, SeriesContext
@@ -246,15 +246,14 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     # 1. witness re-evaluation
     horizon = min(gen.precision, ExtRat.of(tail.low)) if tail else gen.precision
     for v, w in cert.sample.realized:
-        d = gen - w
+        got = gen.diff_valuation(w)
         if not v.is_finite:
-            if not (d.is_zero and not d.precision.is_finite):
+            if got is None or got.is_finite:
                 report.add(f"{tag}: witness for +inf does not reproduce an exact zero")
             continue
-        if d.is_zero:
+        if got is None or not got.is_finite:
             report.add(f"{tag}: witness for {v} gives a zero difference")
             continue
-        got = d.valuation()
         if got != v or not got < horizon:
             report.add(f"{tag}: witness re-evaluation gives {got}, stored {v}")
 
@@ -271,8 +270,6 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
             candidates.append(Cut(ExtRat.of(min(outside)), True))
     if tail is not None and tail.denominators_unbounded and cert.base.leveled:
         candidates.append(Cut(ExtRat.of(tail.sup), False))
-    from .cuts import PLUS_INF
-
     upper = min(candidates) if candidates else Cut(PLUS_INF, False)
     if upper != cert.sample.upper:
         report.add(f"{tag}: upper cut re-derivation gives {upper}, stored {cert.sample.upper}")

@@ -162,7 +162,7 @@ def cmd_asfamily(args) -> int:
     need = (p * upper - veta) / (p - 1)
     d = Series.monomial(K.ctx, _first_admissible_value(need))
     print(f"twist element d with v(d) = {d.valuation()}")
-    certs = as_family(eta, K, d, args.n, args.budget)
+    certs = as_family(eta, K, d, args.n, args.budget, sample_eta=sample)
     _print_cert_table(certs)
     if args.out:
         cf = make_certificate_file(K, _session(K, args), certs)

@@ -411,6 +411,40 @@ class Series:
         if self.ctx != other.ctx:
             raise ValueError("series from different sessions cannot be combined")
 
+    def diff_valuation(self, other: "Series") -> Optional[ExtRat]:
+        """v(self - other), read off the first differing term.
+
+        Walks the two sorted term tuples together and returns the first
+        exponent below the common precision where the coefficients differ;
+        ``PLUS_INF`` when the terms agree and both precisions are infinite;
+        ``None`` when they agree only up to a finite precision (the
+        difference is zero to that precision, its valuation uncertified).
+
+        In equal characteristic this is the valuation of ``self - other``
+        term by term.  In mixed characteristic it is too: the terms below
+        the first differing exponent e cancel exactly, every carry only
+        moves upward, and two Teichmueller digits that differ mod p differ
+        by a unit, so ``tau(a_e) - tau(c_e)`` has valuation 0 and
+        v(self - other) = e whenever e lies below the precision.
+        """
+        if self.ctx is not other.ctx:
+            self._require_same_mode(other)
+        prec = min(self.precision, other.precision)
+        ta, tc = self.terms, other.terms
+        for x, y in zip(ta, tc):
+            if x != y:
+                e = min(x[0], y[0])
+                break
+        else:
+            if len(ta) == len(tc):
+                return None if prec.is_finite else PLUS_INF
+            # one term tuple is a prefix of the other; the longer one's
+            # next term is the first difference
+            e = (ta[len(tc):] or tc[len(ta):])[0][0]
+        if prec.is_finite and e >= prec.fraction:
+            return None
+        return ExtRat(e)
+
     def __add__(self, other: "Series") -> "Series":
         self._require_same_mode(other)
         prec = min(self.precision, other.precision)
@@ -558,15 +592,6 @@ def _product_precision(a: Series, b: Series) -> ExtRat:
     if pa.is_finite and pb.is_finite:
         cands.append(pa + pb)
     return min(cands)
-
-
-def arith(a: Series, b: Series, op: str) -> Series:
-    """Named entry point for the two ring operations."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def valuation_residue(a: Series) -> Tuple[ExtRat, int]:

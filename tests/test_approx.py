@@ -10,10 +10,13 @@ from defectlab.approx import (
     distance,
     in_completion,
     semitame_report,
+    translate_sample,
     value_set,
 )
+from defectlab.artin import as_root
 from defectlab.cuts import Cut, ExtRat, PLUS_INF
-from defectlab.fields import preset_field
+from defectlab.fields import enumerate_elements, member_witness, preset_field
+from defectlab.kummer import lab_superdependent_unit
 from defectlab.series import Series
 
 
@@ -24,6 +27,7 @@ def q(n, d=1):
 K2 = preset_field("fp_t", 2)
 T2 = preset_field("pdiv_tower", 2)
 L2 = preset_field("laurent", 2)
+QT2 = preset_field("qp_pdiv_tower", 2, D=2 ** 16)
 
 
 def test_value_set_sqrt_t_over_fp_t():
@@ -122,3 +126,66 @@ def test_defect_of():
         defect_of(12, 2, 3, 5)  # quotient 2 is not a power of 5
     with pytest.raises(ValueError):
         defect_of(0, 1, 1, 2)
+
+
+def _reference_realized(a, K, budget, tail=None):
+    """value_set's realized tuple, with v(a - c) from the full subtraction."""
+    horizon = a.precision if tail is None else min(a.precision, ExtRat.of(tail.low))
+    found = {}
+    prefix = {}
+    for e, c in a.terms:
+        if ExtRat.of(e) < horizon:
+            partial = Series.make(a.ctx, dict(prefix), a.precision)
+            if member_witness(K, partial):
+                found.setdefault(ExtRat.of(e), partial)
+        prefix[e] = c
+    for c in enumerate_elements(K, budget):
+        d = a - c
+        if d.is_zero:
+            if not d.precision.is_finite:
+                found.setdefault(PLUS_INF, c)
+            continue
+        if d.valuation() < horizon:
+            found.setdefault(d.valuation(), c)
+    return tuple(sorted(found.items(), key=lambda kv: kv[0]._key()))
+
+
+def _tower_root(budget):
+    root = as_root(Series.monomial(T2.ctx, -1), ExtRat.of(q(budget + 6)))
+    return root.theta, root.tail
+
+
+_CALL_SITE_CASES = {
+    "fp_t-sqrt": lambda: (K2, Series.monomial(K2.ctx, q(1, 2)), None, 3),
+    "fp_t-member": lambda: (K2, Series.monomial(K2.ctx, 1), None, 2),
+    "fp_t-finite-precision": lambda: (
+        K2, Series.make(K2.ctx, {q(-1): 1, q(1, 2): 1, q(1): 1}, ExtRat.of(q(2))), None, 2),
+    "laurent": lambda: (L2, Series.make(L2.ctx, {q(-1): 1, q(1, 2): 1}), None, 3),
+    "pdiv_tower-root": lambda: (T2,) + _tower_root(2) + (2,),
+    "qp_pdiv_tower-unit": lambda: (QT2,) + lab_superdependent_unit(QT2) + (5,),
+    "qp_pdiv_tower-finite-precision": lambda: (
+        QT2, Series.make(QT2.ctx, {q(0): 1, q(1, 2): 1, q(3): 1}, ExtRat.of(q(4))), None, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CALL_SITE_CASES))
+def test_value_set_matches_subtraction_reference(case):
+    K, a, tail, budget = _CALL_SITE_CASES[case]()
+    got = value_set(a, K, budget, tail).realized
+    want = _reference_realized(a, K, budget, tail)
+    assert [v for v, _ in got] == [v for v, _ in want]
+    enumerated = {id(c) for c in enumerate_elements(K, budget)}
+    for (_, w), (_, rw) in zip(got, want):
+        if id(rw) in enumerated:
+            assert w is rw
+        else:  # a partial-sum witness, rebuilt on every call
+            assert w == rw
+
+
+def test_translate_sample_failure_messages():
+    a = Series.monomial(K2.ctx, q(1, 2))
+    sample = value_set(a, K2, 2)
+    with pytest.raises(ValueError, match="got zero"):
+        translate_sample(sample, a, q(0), lambda w: a)
+    with pytest.raises(ValueError, match=r"expected value -1/1, got -2/1"):
+        translate_sample(sample, a, q(1), lambda w: w)

@@ -88,6 +88,39 @@ def test_tamper_detection_value(tmp_path):
     assert any("witness re-evaluation" in d for d in report.diffs)
 
 
+def _set_value(value):
+    def tamper(cert):
+        cert["sample"]["realized"][0]["value"] = value
+    return tamper
+
+
+def _witness_is_generator(cert):
+    cert["sample"]["realized"][0]["witness"] = cert["generator"]
+
+
+@pytest.mark.parametrize(
+    "tamper, diff",
+    [
+        (_set_value("+inf"), "witness for +inf does not reproduce an exact zero"),
+        (_witness_is_generator, "gives a zero difference"),
+        (_set_value("-77/1"), "witness re-evaluation gives"),
+    ],
+    ids=["plus-inf", "zero-difference", "re-evaluation"],
+)
+def test_witness_step_named_diffs(tmp_path, tamper, diff):
+    certs = _as_certs()
+    cf = make_certificate_file(K2, SessionConfig.for_field(K2, 3), certs)
+    path = tmp_path / "out.json"
+    write_certificate_file(str(path), cf)
+    obj = json.loads(path.read_text())
+    tamper(obj["certs"][0])
+    path.write_text(json.dumps(obj))
+    report = verify_certificate(read_certificate_file(str(path)))
+    assert not report.ok
+    assert any(d.startswith("cert[0]: ") and diff in d for d in report.diffs), report.diffs
+    assert not any("verification error" in d for d in report.diffs), report.diffs
+
+
 def test_tamper_detection_claim(tmp_path):
     certs = _as_certs()
     cf = make_certificate_file(K2, SessionConfig.for_field(K2, 3), certs)

@@ -1,0 +1,123 @@
+"""Series.diff_valuation: v(a - c) from the first differing term, checked
+against the full subtraction a - c in both modes."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from defectlab.cuts import ExtRat, PLUS_INF
+from defectlab.series import (
+    EQUAL,
+    MIXED,
+    PrecisionError,
+    Series,
+    make_context,
+    make_equal_context,
+    make_mixed_context,
+)
+
+
+def q(n, d=1):
+    return Fraction(n, d)
+
+
+CONTEXTS = {
+    (mode, p, m): make_context(mode, p, m)
+    for mode in (EQUAL, MIXED)
+    for p in (2, 3, 5)
+    for m in (1, 2)
+}
+
+
+def reference(a, c):
+    """v(a - c) by building the difference, in diff_valuation's encoding."""
+    d = a - c
+    if d.is_zero:
+        return None if d.precision.is_finite else PLUS_INF
+    return d.valuation()
+
+
+@st.composite
+def _terms(draw, ctx):
+    p = ctx.p
+    out = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = Fraction(draw(st.integers(-6, 10)), draw(st.sampled_from([1, p])))
+        out[e] = draw(st.integers(1, ctx.q - 1))
+    return out
+
+
+_PRECISIONS = st.sampled_from([PLUS_INF, ExtRat.of(q(2)), ExtRat.of(q(4)), ExtRat.of(q(8))])
+
+
+@st.composite
+def _pairs(draw):
+    """(a, c) in one context; c keeps a prefix of a's terms, so the walk
+    often runs past several equal terms before the first difference."""
+    ctx = draw(st.sampled_from(list(CONTEXTS.values())))
+    a = Series.make(ctx, draw(_terms(ctx)), draw(_PRECISIONS))
+    keep = draw(st.integers(0, len(a.terms)))
+    c_terms = dict(a.terms[:keep])
+    if draw(st.booleans()):
+        c_terms.update(draw(_terms(ctx)))
+    c = Series.make(ctx, c_terms, draw(_PRECISIONS))
+    return a, c
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pairs())
+def test_diff_valuation_matches_subtraction(pair):
+    a, c = pair
+    try:
+        want = reference(a, c)
+    except PrecisionError:
+        # infinite-precision mixed mode has exact carries only for prime
+        # fields with p in {2, 3}, and no terminating 2-adic expansion of a
+        # negative difference: a - c is undefined there, so there is
+        # nothing to compare against
+        assume(False)
+    assert a.diff_valuation(c) == want
+    assert c.diff_valuation(a) == want
+
+
+@pytest.mark.parametrize("ctx", [make_equal_context(3), make_mixed_context(3)])
+def test_identical_at_infinite_precision_is_plus_inf(ctx):
+    a = Series.make(ctx, {q(-1): 1, q(1, 3): 2, q(2): 1})
+    b = Series.make(ctx, dict(a.terms))
+    assert a.diff_valuation(b) is PLUS_INF
+    assert Series.zero(ctx).diff_valuation(Series.zero(ctx)) is PLUS_INF
+
+
+@pytest.mark.parametrize("ctx", [make_equal_context(2), make_mixed_context(2)])
+def test_identical_to_finite_precision_is_none(ctx):
+    a = Series.make(ctx, {q(0): 1, q(1, 2): 1}, q(3))
+    assert a.diff_valuation(Series.make(ctx, dict(a.terms))) is None
+    assert a.diff_valuation(a) is None
+
+
+@pytest.mark.parametrize("ctx", [make_equal_context(2), make_mixed_context(2)])
+def test_first_difference_at_or_beyond_precision_is_none(ctx):
+    a = Series.make(ctx, {q(0): 1, q(3): 1, q(5): 1})
+    assert a.diff_valuation(Series.make(ctx, {q(0): 1}, q(3))) is None
+    assert a.diff_valuation(Series.make(ctx, {q(0): 1}, q(2))) is None
+    assert Series.make(ctx, {q(0): 1}, q(3)).diff_valuation(a) is None
+    # one step below the precision the difference is certified
+    assert a.diff_valuation(Series.make(ctx, {q(0): 1}, q(4))) == ExtRat.of(q(3))
+
+
+def test_prefix_walk_reports_the_longer_tail():
+    ctx = make_equal_context(2)
+    a = Series.make(ctx, {q(-2): 1, q(0): 1, q(3, 2): 1})
+    assert a.diff_valuation(Series.make(ctx, {q(-2): 1, q(0): 1})) == ExtRat.of(q(3, 2))
+    assert Series.make(ctx, {q(-2): 1}).diff_valuation(a) == ExtRat.of(q(0))
+
+
+def test_context_mismatch_raises():
+    a = Series.one(make_equal_context(2))
+    with pytest.raises(ValueError, match="different sessions"):
+        a.diff_valuation(Series.one(make_equal_context(3)))
+    with pytest.raises(ValueError, match="different sessions"):
+        a.diff_valuation(Series.one(make_mixed_context(2)))
+    # an equal context built separately is the same session
+    assert a.diff_valuation(Series.one(make_equal_context(2))) is PLUS_INF
