@@ -8,12 +8,10 @@ yields no witness and no family.
 """
 
 import argparse
-from fractions import Fraction
 
 from defectlab.approx import semitame_report, value_set
-from defectlab.artin import as_family, imperfection_witness
+from defectlab.artin import admissible_twist, as_family
 from defectlab.fields import preset_field
-from defectlab.series import Series
 
 
 def survey(preset: str, p: int, n: int, budget: int) -> None:
@@ -23,19 +21,14 @@ def survey(preset: str, p: int, n: int, budget: int) -> None:
     line = ", ".join(f"({k}) {rep[k].status}" for k in ("a", "c", "d", "e", "f"))
     print(f"conditions: {line}")
 
-    eta = imperfection_witness(K, budget)
+    # condition (e) carries the imperfection witness when one was found
+    eta = rep["e"].witness
     if eta is None:
         print("imperfection witness: none" + (" (perfect)" if K.perfect else ""))
         return
     print(f"imperfection witness: {eta}")
     sample = value_set(eta, K, budget)
-    upper = sample.upper.bound.fraction
-    need = (p * upper - eta.valuation().fraction) / (p - 1)
-    vd = Fraction(max(1, int(need) + 1))
-    while not vd > need:
-        vd += 1
-    d = Series.monomial(K.ctx, vd)
-    certs = as_family(eta, K, d, n, budget, sample_eta=sample)
+    certs = as_family(eta, K, admissible_twist(eta, sample), n, budget, sample_eta=sample)
     for i, cert in enumerate(certs, start=1):
         print(f"  member {i}: upper {cert.sample.upper}, defect {cert.claims.defect} "
               f"({cert.claims.defect_rule})")

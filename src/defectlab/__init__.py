@@ -12,6 +12,7 @@ from .approx import (
     TailSchema,
     defect_of,
     distance,
+    imperfection_witness,
     in_completion,
     semitame_report,
     value_set,
@@ -20,12 +21,12 @@ from .artin import (
     Claims,
     ExtensionCert,
     SigmaSample,
+    admissible_twist,
     as_extension,
     as_family,
     as_generator_transform,
     as_root,
     defect_criteria,
-    imperfection_witness,
     sigma_sample,
     transform_inseparable,
 )

@@ -108,10 +108,36 @@ class InitialSegmentSample:
         return self.realized[-1][0] if self.realized else None
 
 
-def _difference_horizon(a: Series, tail: Optional[TailSchema]) -> ExtRat:
+def difference_horizon(a: Series, tail: Optional[TailSchema]) -> ExtRat:
+    """Exponent below which v(a - c) is certified: the precision of a,
+    lowered to the tail floor when a truncates an exact object."""
     if tail is None:
         return a.precision
     return min(a.precision, ExtRat.of(tail.low))
+
+
+def support_upper_cut(a: Series, K: FieldDesc, tail: Optional[TailSchema]) -> Cut:
+    """The certified upper cut on v(a - K) from support-lattice reasoning.
+
+    An exponent of a outside the support lattice of K bounds v(a - K) by
+    that exponent (attained); unbounded tail denominators bound it by the
+    tail's sup over a leveled union.  With a tail present, only stored
+    exponents below tail.low count, since stored terms inside the tail
+    region may be corrected by the un-materialized tail.
+    """
+    candidates: List[Cut] = []
+    if K.support_lattice is not None:
+        outside = [
+            e
+            for e in a.support()
+            if not K.support_lattice.contains(e)
+            and (tail is None or e < tail.low)
+        ]
+        if outside:
+            candidates.append(Cut(ExtRat.of(min(outside)), True))
+    if tail is not None and tail.denominators_unbounded and K.leveled:
+        candidates.append(Cut(ExtRat.of(tail.sup), False))
+    return min(candidates) if candidates else Cut(PLUS_INF, False)
 
 
 def value_set(
@@ -129,7 +155,7 @@ def value_set(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    horizon = _difference_horizon(a, tail)
+    horizon = difference_horizon(a, tail)
     found: Dict[ExtRat, Series] = {}
 
     # partial-sum witnesses at the element's own support exponents
@@ -151,23 +177,7 @@ def value_set(
 
     realized = tuple(sorted(found.items(), key=lambda kv: kv[0]._key()))
 
-    # certified upper bound; with a tail present, only stored exponents in
-    # the certified region below tail.low may be used for the support
-    # argument, since stored terms inside the tail region may be corrected
-    # by the un-materialized tail
-    candidates: List[Cut] = []
-    if K.support_lattice is not None:
-        outside = [
-            e
-            for e in a.support()
-            if not K.support_lattice.contains(e)
-            and (tail is None or e < tail.low)
-        ]
-        if outside:
-            candidates.append(Cut(ExtRat.of(min(outside)), True))
-    if tail is not None and tail.denominators_unbounded and K.leveled:
-        candidates.append(Cut(ExtRat.of(tail.sup), False))
-    upper = min(candidates) if candidates else Cut(PLUS_INF, False)
+    upper = support_upper_cut(a, K, tail)
 
     # realized values must respect the certified upper cut
     for v, _ in realized:
@@ -334,12 +344,12 @@ def semitame_report(K: FieldDesc, budget: int) -> Dict[str, ConditionVerdict]:
         for key in ("c", "d", "e", "f"):
             out[key] = ConditionVerdict(PROVED, None, note)
     else:
-        hull_wit = _imperfection_search(K, budget)
-        if hull_wit is None:
+        root = imperfection_witness(K, budget)
+        if root is None:
             for key in ("c", "d", "e", "f"):
                 out[key] = ConditionVerdict(UNKNOWN, None, "no witness at this budget")
         else:
-            a0, root = hull_wit
+            a0 = root.frobenius()
             lattice_note = (
                 "the p-th root's exponent lies outside the support lattice, so "
                 "v(root - K) is bounded and the root misses the completion"
@@ -366,16 +376,25 @@ def semitame_report(K: FieldDesc, budget: int) -> Dict[str, ConditionVerdict]:
     return out
 
 
-def _imperfection_search(K: FieldDesc, budget: int) -> Optional[Tuple[Series, Series]]:
-    """First enumerated element whose p-th root provably escapes K: its
-    root has an exponent outside the support lattice of K."""
+def imperfection_witness(K: FieldDesc, budget: int) -> Optional[Series]:
+    """First enumerated eta with eta^p in K and v(eta - K) certifiably
+    bounded (hence eta outside the completion); None when the field is
+    certified perfect or the budget finds nothing.
+
+    The root of an enumerated element escapes K when it has an exponent
+    outside the support lattice of K.  The candidates have eta^p in K on
+    the nose, so the replacement step (trading a near-miss for an exact
+    p-th power) is built into the search.
+    """
+    if K.perfect:
+        return None
     assert K.support_lattice is not None
     for c in enumerate_elements(K, budget):
         if c.is_zero:
             continue
         root = pth_root(c)
         if any(not K.support_lattice.contains(e) for e in root.support()):
-            return c, root
+            return root
     return None
 
 

@@ -17,6 +17,7 @@ sampling stays sound.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -457,6 +458,14 @@ def as_family(
         )
         certs.append(defect_criteria(result.cert))
 
+    check_pairwise_distinct(certs)
+    return certs
+
+
+def check_pairwise_distinct(certs: List[ExtensionCert]) -> None:
+    """Raise AssertionError unless the family members are pairwise
+    distinct: no two share a value-set sample or the constant term of
+    their minimal polynomial."""
     value_sets = [frozenset(c.sample.finite_values()) for c in certs]
     for i in range(len(certs)):
         for j in range(i + 1, len(certs)):
@@ -464,28 +473,18 @@ def as_family(
                 raise AssertionError(f"members {i + 1} and {j + 1} have equal samples")
             if certs[i].min_poly.coeffs[0].terms == certs[j].min_poly.coeffs[0].terms:
                 raise AssertionError(f"members {i + 1} and {j + 1} share a minimal polynomial")
-    return certs
 
 
-def imperfection_witness(K: FieldDesc, budget: int) -> Optional[Series]:
-    """First enumerated eta with eta^p in K and v(eta - K) certifiably
-    bounded (hence eta outside the completion); None when the field is
-    certified perfect or the budget finds nothing.
-
-    The enumerated candidates have eta^p in K on the nose, so the
-    replacement step (trading a near-miss for an exact p-th power) is
-    built into the search.
-    """
-    if K.perfect:
-        return None
-    assert K.support_lattice is not None
-    for c in enumerate_elements(K, budget):
-        if c.is_zero:
-            continue
-        root = pth_root(c)
-        if any(not K.support_lattice.contains(e) for e in root.support()):
-            return root
-    return None
+def admissible_twist(eta: Series, sample_eta: InitialSegmentSample) -> Series:
+    """The twist element d = t^v for ``as_family``: v is the least
+    positive integer strictly above (p u - v(eta))/(p - 1), where u is the
+    certified upper bound of v(eta - K), so that (p-1) v(d) > p u - v(eta)
+    as ``transform_inseparable`` requires."""
+    if not sample_eta.upper.bound.is_finite:
+        raise ValueError("v(eta - K) has no certified finite upper bound")
+    p = eta.ctx.p
+    need = (p * sample_eta.upper.bound.fraction - eta.valuation().fraction) / (p - 1)
+    return Series.monomial(eta.ctx, Fraction(max(1, math.floor(need) + 1)))
 
 
 @dataclass(frozen=True)

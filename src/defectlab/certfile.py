@@ -18,9 +18,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Tuple
 
-from .approx import InitialSegmentSample, TailSchema, distance
+from .approx import (
+    InitialSegmentSample,
+    TailSchema,
+    difference_horizon,
+    distance,
+    support_upper_cut,
+)
 from .artin import Claims, ExtensionCert, KUMMER, defect_criteria
-from .cuts import Cut, CutEnclosure, ExtRat, PLUS_INF
+from .cuts import Cut, CutEnclosure, ExtRat
 from .fields import FieldDesc, field_from_json
 from .kummer import classify_kummer_defect
 from .series import Polynomial, Series, SeriesContext
@@ -244,7 +250,7 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
             return
 
     # 1. witness re-evaluation
-    horizon = min(gen.precision, ExtRat.of(tail.low)) if tail else gen.precision
+    horizon = difference_horizon(gen, tail)
     for v, w in cert.sample.realized:
         got = gen.diff_valuation(w)
         if not v.is_finite:
@@ -258,19 +264,7 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
             report.add(f"{tag}: witness re-evaluation gives {got}, stored {v}")
 
     # 2. upper cut from the stored support and tail flags
-    candidates = []
-    lattice = cert.base.support_lattice
-    if lattice is not None:
-        outside = [
-            e
-            for e in gen.support()
-            if not lattice.contains(e) and (tail is None or e < tail.low)
-        ]
-        if outside:
-            candidates.append(Cut(ExtRat.of(min(outside)), True))
-    if tail is not None and tail.denominators_unbounded and cert.base.leveled:
-        candidates.append(Cut(ExtRat.of(tail.sup), False))
-    upper = min(candidates) if candidates else Cut(PLUS_INF, False)
+    upper = support_upper_cut(gen, cert.base, tail)
     if upper != cert.sample.upper:
         report.add(f"{tag}: upper cut re-derivation gives {upper}, stored {cert.sample.upper}")
 

@@ -14,8 +14,14 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .approx import distance, semitame_report, value_set
-from .artin import as_extension, as_family, imperfection_witness, sigma_sample
+from .approx import (
+    CONDITION_NAMES,
+    distance,
+    imperfection_witness,
+    semitame_report,
+    value_set,
+)
+from .artin import admissible_twist, as_extension, as_family, as_root, sigma_sample
 from .certfile import (
     SessionConfig,
     make_certificate_file,
@@ -24,7 +30,7 @@ from .certfile import (
     write_certificate_file,
 )
 from .cuts import ExtRat
-from .fields import PRESET_NAMES, FieldDesc, preset_field
+from .fields import PRESET_NAMES, FieldDesc, enumerate_elements, preset_field
 from .kummer import kummer_family, lab_superdependent_unit
 from .series import ConvergenceError, PrecisionError, Series
 
@@ -46,8 +52,6 @@ def _canonical_element(K: FieldDesc, budget: int):
     """The preset's standard demonstration element with its tail data."""
     if K.ctx.mode == "equal":
         if K.perfect:
-            from .artin import as_root
-
             b = Series.monomial(K.ctx, -1)
             root = as_root(b, ExtRat.of(Fraction(budget + 6)))
             return root.theta, root.tail, "root of X^p - X - t^(-1)"
@@ -66,8 +70,6 @@ def cmd_field(args) -> int:
     print(f"  value group: generated by {[str(g) for g in K.value_group.generators]}"
           f"{' (p-divisible closure)' if K.value_group.p_divisible_closure else ''}")
     print(f"  flags: leveled={K.leveled} perfect={K.perfect} complete={K.complete}")
-    from .fields import enumerate_elements
-
     els = enumerate_elements(K, 1)
     shown = ", ".join(str(e) for e in els[:6])
     print(f"  first elements at height 1: {shown}")
@@ -104,8 +106,6 @@ def cmd_semitame(args) -> int:
     K = _build_field(args)
     report = semitame_report(K, args.budget)
     order = ["drst", "residue_perfect", "a", "b", "c", "d", "e", "f"]
-    from .approx import CONDITION_NAMES
-
     refuted = False
     unknown = False
     for key in order:
@@ -154,13 +154,8 @@ def cmd_asfamily(args) -> int:
         print("no imperfection witness at this budget")
         return EX_INCONCLUSIVE
     print(f"imperfection witness: {eta}")
-    # the first enumerated element of K with large enough value
-    veta = eta.valuation().fraction
     sample = value_set(eta, K, args.budget)
-    upper = sample.upper.bound.fraction
-    p = K.ctx.p
-    need = (p * upper - veta) / (p - 1)
-    d = Series.monomial(K.ctx, _first_admissible_value(need))
+    d = admissible_twist(eta, sample)
     print(f"twist element d with v(d) = {d.valuation()}")
     certs = as_family(eta, K, d, args.n, args.budget, sample_eta=sample)
     _print_cert_table(certs)
@@ -169,13 +164,6 @@ def cmd_asfamily(args) -> int:
         write_certificate_file(args.out, cf)
         print(f"wrote {args.out}")
     return EX_OK
-
-
-def _first_admissible_value(strict_above: Fraction) -> Fraction:
-    v = Fraction(max(1, int(strict_above) + 1))
-    while not v > strict_above:
-        v += 1
-    return v
 
 
 def cmd_kummerfamily(args) -> int:
@@ -248,19 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, default=2, dest="p")
         sp.add_argument("--q", type=int, default=None,
                         help="residue field size p^m (default p)")
-        sp.add_argument("--mode", choices=["equal", "mixed"], default=None,
-                        help="informational; the preset fixes the mode")
         sp.add_argument("--base", choices=PRESET_NAMES, default="fp_t")
         sp.add_argument("--precision", type=str, default="8")
-        sp.add_argument("--height", type=int, default=None,
-                        help="enumeration height (defaults to budget)")
-        sp.add_argument("--budget", type=int, default=3)
+        sp.add_argument("--budget", type=int, default=3,
+                        help="enumeration height")
         sp.add_argument("--n", type=int, default=5)
         sp.add_argument("--D", type=int, default=None,
                         help="exponent denominator bound")
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property surveys")
 
     for name, fn in [
         ("field", cmd_field),
@@ -297,8 +280,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.q_power = m
     elif hasattr(args, "p"):
         args.q_power = 1
-    if hasattr(args, "height") and args.height is not None:
-        args.budget = args.height
     try:
         return args.func(args)
     except (ConvergenceError, PrecisionError) as exc:

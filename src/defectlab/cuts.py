@@ -163,11 +163,6 @@ PLUS_INF = ExtRat(None, 1)
 MINUS_INF = ExtRat(None, -1)
 
 
-def rat(num, den: int = 1) -> Fraction:
-    """Shorthand for building reduced fractions in client code and tests."""
-    return Fraction(num, den)
-
-
 @dataclass(frozen=True)
 class Cut:
     """A cut in the divisible hull of a rank-1 value group.

@@ -17,6 +17,7 @@ re-checked without repeating the search.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional
@@ -158,9 +159,7 @@ def _ratfunc_elements(ctx: SeriesContext, height: int, scale: Fraction, precisio
             yield num * den_inv
 
 
-_ENUM_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=16)
 def enumerate_elements(K: FieldDesc, height: int, precision: Optional[ExtRat] = None) -> List[Series]:
     """Deterministic, monotone-in-height element enumeration.
 
@@ -170,19 +169,12 @@ def enumerate_elements(K: FieldDesc, height: int, precision: Optional[ExtRat] = 
     [-height, height]; p-adic shapes list small rationals and digit
     monomials per tower level.  Duplicates are allowed and zero is
     always included.
+
+    Results are cached (the 16 most recent argument tuples); a repeated
+    call returns the same list object, which callers must not mutate.
     """
     if height < 0:
         raise ValueError("height must be >= 0")
-    key = (K, height, precision)
-    cached = _ENUM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = _enumerate_uncached(K, height, precision)
-    _ENUM_CACHE[key] = out
-    return out
-
-
-def _enumerate_uncached(K: FieldDesc, height: int, precision: Optional[ExtRat]) -> List[Series]:
     ctx = K.ctx
     if precision is None:
         precision = ExtRat.of(Fraction(height + 4))
@@ -254,21 +246,3 @@ def member_witness(K: FieldDesc, s: Series) -> bool:
     if K.support_lattice is None:
         return False
     return all(K.support_lattice.contains(e) for e in s.support())
-
-
-def element_level(K: FieldDesc, s: Series) -> Optional[int]:
-    """Least tower level whose lattice supports s, for leveled unions."""
-    if not K.leveled:
-        return None
-    p = K.ctx.p
-    lvl = 0
-    for e in s.support():
-        d = e.denominator
-        k = 0
-        while d % p == 0:
-            d //= p
-            k += 1
-        if d != 1:
-            return None
-        lvl = max(lvl, k)
-    return lvl

@@ -32,7 +32,14 @@ from .approx import (
     translate_sample,
     value_set,
 )
-from .artin import KUMMER, Claims, ExtensionCert, _short_hash, defect_criteria
+from .artin import (
+    KUMMER,
+    Claims,
+    ExtensionCert,
+    _short_hash,
+    check_pairwise_distinct,
+    defect_criteria,
+)
 from .cuts import Cut, ExtRat, segment_affine
 from .fields import FieldDesc, enumerate_elements, member_witness
 from .series import (
@@ -366,11 +373,7 @@ def kummer_family(
         cert = defect_criteria(cert)
         certs.append(classify_kummer_defect(cert))
 
-    sets = [frozenset(c.sample.finite_values()) for c in certs]
-    for i in range(len(certs)):
-        for j in range(i + 1, len(certs)):
-            if sets[i] == sets[j]:
-                raise AssertionError(f"members {i + 1} and {j + 1} have equal samples")
+    check_pairwise_distinct(certs)
     return certs
 
 

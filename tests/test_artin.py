@@ -1,21 +1,25 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from defectlab.approx import imperfection_witness, value_set
 from defectlab.artin import (
+    admissible_twist,
     as_extension,
     as_family,
     as_generator_transform,
     as_root,
     as_root_residual,
     check_as_root_identity,
-    imperfection_witness,
+    check_pairwise_distinct,
     sigma_sample,
     transform_inseparable,
 )
 from defectlab.cuts import Cut, ExtRat
 from defectlab.fields import preset_field
+from defectlab.kummer import kummer_family, lab_superdependent_unit
 from defectlab.series import Series, invert, make_equal_context
 
 
@@ -175,6 +179,53 @@ class TestImperfectionWitness:
 
     def test_perfect_tower(self):
         assert imperfection_witness(T2, 3) is None
+
+
+class TestAdmissibleTwist:
+    @pytest.mark.parametrize(
+        "preset, p",
+        [("fp_t", 2), ("fp_t", 3), ("laurent", 2), ("laurent", 3)],
+    )
+    def test_matches_cli_choice(self, preset, p):
+        # asfamily --budget 2 prints "v(d) = 1/1" for all four presets
+        K = preset_field(preset, p)
+        eta = imperfection_witness(K, 2)
+        d = admissible_twist(eta, value_set(eta, K, 2))
+        assert d.terms == ((q(1), 1),)
+
+    @pytest.mark.parametrize(
+        "preset, p, terms",
+        [("fp_t", 2, {q(0): 1, q(1, 2): 1}), ("laurent", 3, {q(-1): 1, q(1, 3): 1})],
+    )
+    def test_integer_bound_steps_strictly_above(self, preset, p, terms):
+        # (p u - v(eta)) / (p - 1) = 1 exactly, so v(d) = 1 fails the twist
+        # condition and the choice must be 2
+        K = preset_field(preset, p)
+        eta = Series.make(K.ctx, terms)
+        sample = value_set(eta, K, 2)
+        d = admissible_twist(eta, sample)
+        assert d.terms == ((q(2), 1),)
+        transform_inseparable(eta, K, d, 2, sample_eta=sample)
+        with pytest.raises(ValueError, match="twist condition fails"):
+            transform_inseparable(eta, K, Series.monomial(K.ctx, q(1)), 2, sample_eta=sample)
+
+
+class TestPairwiseDistinct:
+    def test_as_family_duplicates(self):
+        certs = as_family(Series.monomial(K2.ctx, q(1, 2)), K2, Series.monomial(K2.ctx, 1), 2, 2)
+        check_pairwise_distinct(certs)
+        with pytest.raises(AssertionError, match="members 1 and 2 have equal samples"):
+            check_pairwise_distinct([certs[0], certs[0]])
+        same_poly = replace(certs[1], min_poly=certs[0].min_poly)
+        with pytest.raises(AssertionError, match="members 1 and 2 share a minimal polynomial"):
+            check_pairwise_distinct([certs[0], same_poly])
+
+    def test_kummer_shared_minimal_polynomial(self):
+        QT2 = preset_field("qp_pdiv_tower", 2, D=2 ** 16)
+        eta, tail = lab_superdependent_unit(QT2)
+        certs = kummer_family(eta, QT2, 2, 5, tail)
+        with pytest.raises(AssertionError, match="members 1 and 2 share a minimal polynomial"):
+            check_pairwise_distinct([certs[0], replace(certs[1], min_poly=certs[0].min_poly)])
 
 
 class TestClassicalDefectExtension:

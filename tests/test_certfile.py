@@ -176,3 +176,34 @@ def test_unsupported_version(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(ValueError):
         read_certificate_file(str(path))
+
+
+def _flip_upper_attained(cert):
+    cert["sample"]["upper"]["attained"] = not cert["sample"]["upper"]["attained"]
+
+
+def _flip_denominators_unbounded(cert):
+    tail = cert["generator_tail"]
+    tail["denominators_unbounded"] = not tail["denominators_unbounded"]
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_flip_upper_attained, _flip_denominators_unbounded],
+    ids=["upper-attained", "tail-denominators-unbounded"],
+)
+def test_kummer_upper_cut_named_diff(tmp_path, tamper):
+    eta, tail = lab_superdependent_unit(QT2)
+    certs = kummer_family(eta, QT2, 2, 5, tail)
+    cf = make_certificate_file(QT2, SessionConfig.for_field(QT2, 5), certs)
+    path = tmp_path / "ku.json"
+    write_certificate_file(str(path), cf)
+    obj = json.loads(path.read_text())
+    tamper(obj["certs"][0])
+    path.write_text(json.dumps(obj))
+    report = verify_certificate(read_certificate_file(str(path)))
+    assert not report.ok
+    assert any(
+        d.startswith("cert[0]: ") and "upper cut re-derivation gives" in d for d in report.diffs
+    ), report.diffs
+    assert not any("verification error" in d for d in report.diffs), report.diffs

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import defectlab
 from defectlab.cli import main
 
 
@@ -76,12 +78,23 @@ def test_usage_error():
     assert run(["nope"]) == 64
 
 
+@pytest.mark.parametrize(
+    "flag", [["--seed", "1"], ["--mode", "equal"], ["--height", "2"]],
+    ids=["seed", "mode", "height"],
+)
+def test_removed_flags_are_usage_errors(flag, capsys):
+    assert run(["field", "--base", "fp_t", "--p", "2", *flag]) == 64
+
+
 def test_subprocess_entry(tmp_path):
+    # run from the directory holding the package under test, so that the
+    # child imports it without an installed copy or PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "defectlab", "semitame", "--base", "fp_t", "--p", "2"],
         capture_output=True,
         text=True,
         timeout=120,
+        cwd=Path(defectlab.__file__).resolve().parents[1],
     )
     assert proc.returncode == 2
     assert "refuted" in proc.stdout

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from defectlab.fields import (
-    element_level,
     enumerate_elements,
     member_witness,
     preset_field,
@@ -83,13 +82,6 @@ def test_member_witness():
     T = preset_field("pdiv_tower", 2, D=3 * 2 ** 8)
     assert member_witness(T, Series.monomial(T.ctx, q(3, 8)))
     assert not member_witness(T, Series.monomial(T.ctx, q(1, 3)))
-
-
-def test_element_level():
-    T = preset_field("pdiv_tower", 2)
-    s = Series.make(T.ctx, {q(1, 8): 1, q(1): 1})
-    assert element_level(T, s) == 3
-    assert element_level(preset_field("fp_t", 2), s) is None
 
 
 def test_tower_field():
