@@ -16,11 +16,11 @@ from defectlab.fields import preset_field
 from defectlab.series import Series, make_mixed_context, zeta_p
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=5)
     ap.add_argument("--budget", type=int, default=5)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print("p-th roots of unity")
     ctx2 = make_mixed_context(2)

@@ -170,11 +170,8 @@ def as_root(b: Series, precision=None) -> ASRoot:
     if not b_neg.is_zero:
         parts: List[Series] = []
         x = b_neg
-        while True:
-            try:
-                x = pth_root(x)
-            except DenominatorBoundError:
-                break
+        while all(ctx.on_grid(e / p) for e in x.support()):
+            x = pth_root(x)
             parts.append(x)
         if not parts:
             raise DenominatorBoundError(

@@ -167,8 +167,8 @@ def enumerate_elements(K: FieldDesc, height: int, precision: Optional[ExtRat] = 
     ``height`` (in the deepest generator available at that height);
     Laurent shapes list Laurent polynomials with exponents in
     [-height, height]; p-adic shapes list small rationals and digit
-    monomials per tower level.  Duplicates are allowed and zero is
-    always included.
+    monomials per tower level.  Zero is always included, and each
+    element is listed once, at its first occurrence in that order.
 
     Results are cached (the 16 most recent argument tuples); a repeated
     call returns the same list object, which callers must not mutate.
@@ -222,7 +222,7 @@ def enumerate_elements(K: FieldDesc, height: int, precision: Optional[ExtRat] = 
                     out.append(Series.monomial(ctx, j * scale, c))
     else:
         raise ValueError(f"unknown field kind {K.kind!r}")
-    return out
+    return list(dict.fromkeys(out))
 
 
 def _padic_rationals(ctx: SeriesContext, height: int, precision: ExtRat) -> Iterator[Series]:

@@ -10,8 +10,9 @@ exponents to finite-field coefficient codes, plus a precision horizon):
 * ``mixed``: a p-adic ambient with rational exponents of p.  A term with
   coefficient code c at exponent e stands for ``tau(c) * p^e`` where
   ``tau`` is the multiplicative (Teichmueller) lift of the residue digit.
-  Addition expands digit sums p-adically and propagates carries to
-  exponent e+1 (the normalization fixes v(p) = 1).
+  Sums are normalized per exponent class mod 1: the class is summed
+  into one p-adic integer and its digits are read off, so carries move
+  from e to e+1 (the normalization fixes v(p) = 1).
 
 Every operation computes the exact precision of its result; nothing is
 ever rounded, and comparisons are only meaningful up to the common
@@ -69,8 +70,12 @@ class SeriesContext:
     def q(self) -> int:
         return self.p ** self.m
 
+    def on_grid(self, e: Fraction) -> bool:
+        """Whether e lies on the exponent grid (1/D)Z."""
+        return self.D % e.denominator == 0
+
     def check_exponent(self, e: Fraction) -> Fraction:
-        if self.D % e.denominator != 0:
+        if not self.on_grid(e):
             raise DenominatorBoundError(
                 f"exponent {e} needs denominator {e.denominator}, bound is D={self.D}"
             )
@@ -159,10 +164,46 @@ def _tau_poly(p: int, m: int, modulus: Tuple[int, ...], code: int, k: int) -> Tu
     return acc
 
 
-def _ceil_levels(lo: Fraction, hi: ExtRat) -> int:
-    if not hi.is_finite:
-        raise PrecisionError("cannot enumerate digit levels to infinity")
-    return max(0, math.ceil(hi.fraction - lo)) + 1
+def _teichmueller_digits(ctx: SeriesContext, u, e0: Fraction, n: Optional[int]) -> Dict[Fraction, int]:
+    """The canonical Teichmueller digits of the p-adic integer ``u``, the
+    i-th at exponent e0 + i.
+
+    With a digit count ``n``, ``u`` need only be right modulo p^n: an int,
+    or for m > 1 a coefficient list in the unramified ring.  The remainder
+    is kept reduced, so the walk stops once the remaining digits are zero.
+    With ``n`` None the expansion is exact (an int, p in {2, 3}, lifts
+    ``_EXACT_LIFTS``): the balanced lifts for p = 3 shrink |u| to 0, and
+    for p = 2 a negative u never reaches 0 and is refused.
+    """
+    p = ctx.p
+    out: Dict[Fraction, int] = {}
+    i = 0
+    if isinstance(u, int):
+        if n is None and p == 2 and u < 0:
+            raise PrecisionError(
+                "negative values have non-terminating 2-adic expansions; "
+                "pass a finite precision"
+            )
+        while u:
+            d = u % p
+            if d:
+                out[e0 + i] = d
+                u -= _EXACT_LIFTS[p][d] if n is None else _tau_int(p, d, n - 1)
+            i += 1
+            u //= p
+            if n is not None:
+                u %= p ** (n - i)
+        return out
+    fld = ctx.field
+    while any(u):
+        d = fld.parse_code(u)
+        if d:
+            out[e0 + i] = d
+            u = [x - y for x, y in zip(u, _tau_poly(p, ctx.m, fld.modulus, d, n - 1))]
+        i += 1
+        mod = p ** (n - i)
+        u = [x // p % mod for x in u]
+    return out
 
 
 def _combine_mixed(
@@ -174,92 +215,56 @@ def _combine_mixed(
 
     ``parts`` yields (exponent, digit code, sign).  Signs other than +1
     are folded into the code for odd p (where -tau(c) = tau(-c) exactly);
-    for p = 2 they are handled by signed integer lifts and borrows.
-    Digits at or beyond ``precision`` are dropped.  With infinite
-    precision the carry chains must terminate, otherwise the expansion is
-    genuinely infinite and a PrecisionError is raised.
+    for p = 2 they stay on the integer lifts.  Only exponents in one class
+    mod 1 carry into each other: per class, ``sum sign * tau(code) *
+    p^(e - e0)`` (e0 the least exponent) is one ring element, whose digits
+    ``_teichmueller_digits`` reads off once, up to ``precision``.  With
+    infinite precision that sum must be exact, which needs m = 1 and p in
+    {2, 3}; otherwise terms are merged only where no carry arises.
     """
     fld = ctx.field
     p = ctx.p
-    grouped: Dict[Fraction, Dict[Fraction, List[Tuple[int, int]]]] = {}
+    exact = not precision.is_finite
+    merge_only = exact and not (ctx.m == 1 and p in _EXACT_LIFTS)
+    out: Dict[Fraction, int] = {}
+    # class of e = num/den mod 1 -> [(floor(e), code, sign)]
+    classes: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
     for e, code, sign in parts:
         if code == 0:
             continue
-        if precision.is_finite and e >= precision.fraction:
-            continue
         if p != 2 and sign < 0:
             code, sign = fld.neg(code), 1
-        cls = e % 1
-        grouped.setdefault(cls, {}).setdefault(e, []).append((code, sign))
+        if merge_only:
+            if sign < 0 or e in out:
+                raise PrecisionError(
+                    "exact (infinite-precision) digit carries are only "
+                    "available for prime fields with p in {2, 3}; pass a "
+                    "finite precision"
+                )
+            out[e] = code
+        else:
+            fl, r = divmod(e.numerator, e.denominator)
+            classes.setdefault((r, e.denominator), []).append((fl, code, sign))
 
-    exact_mode = not precision.is_finite
-    use_poly = ctx.m > 1
-    if exact_mode and not (ctx.m == 1 and p in _EXACT_LIFTS):
-        # no exact carry arithmetic available; plain merging is still fine
-        out: Dict[Fraction, int] = {}
-        for cls_exps in grouped.values():
-            for e, contribs in cls_exps.items():
-                if len(contribs) > 1 or contribs[0][1] < 0:
-                    raise PrecisionError(
-                        "exact (infinite-precision) digit carries are only "
-                        "available for prime fields with p in {2, 3}; pass a "
-                        "finite precision"
-                    )
-                out[e] = contribs[0][0]
-        return out
-
-    out = {}
-    for cls_exps in grouped.values():
-        exps = sorted(cls_exps)
-        levels = 0 if exact_mode else _ceil_levels(exps[0], precision)
-        carry = (0,) * ctx.m if use_poly else 0
-        e = exps[0]
-        idx = 0
-        guard = 0
-        while True:
-            total = carry
-            while idx < len(exps) and exps[idx] == e:
-                for code, sign in cls_exps[exps[idx]]:
-                    if use_poly:
-                        tau = _tau_poly(p, ctx.m, ctx.field.modulus, code, levels)
-                        total = tuple(x + sign * y for x, y in zip(total, tau))
-                    else:
-                        lift = _EXACT_LIFTS[p][code] if exact_mode else _tau_int(p, code, levels)
-                        total = total + sign * lift
-                idx += 1
-            if use_poly:
-                digit = fld.parse_code([c % p for c in total])
-                tau_d = _tau_poly(p, ctx.m, ctx.field.modulus, digit, levels) if digit else (0,) * ctx.m
-                carry = tuple((x - y) // p for x, y in zip(total, tau_d))
-                carry_zero = all(c == 0 for c in carry)
+    for (r, den), group in classes.items():
+        fl0 = min(fl for fl, _, _ in group)
+        e0 = Fraction(r, den) + fl0
+        if exact:
+            n = None
+            total = sum(sign * _EXACT_LIFTS[p][code] * p ** (fl - fl0) for fl, code, sign in group)
+        else:
+            n = math.ceil(precision.fraction - e0)
+            if n <= 0:
+                continue
+            terms = [(sign * p ** (fl - fl0), code) for fl, code, sign in group if fl - fl0 < n]
+            if ctx.m == 1:
+                total = sum(s * _tau_int(p, code, n - 1) for s, code in terms)
             else:
-                digit = total % p
-                if digit:
-                    lift_d = _EXACT_LIFTS[p][digit] if exact_mode else _tau_int(p, digit, levels)
-                else:
-                    lift_d = 0
-                carry = (total - lift_d) // p
-                carry_zero = carry == 0
-            if digit != 0 and (exact_mode or e < precision.fraction):
-                out[e] = digit
-            e = e + 1
-            guard += 1
-            if precision.is_finite and e >= precision.fraction and idx >= len(exps):
-                break
-            if carry_zero and idx >= len(exps):
-                break
-            if carry_zero and idx < len(exps) and exps[idx] > e:
-                e = exps[idx]
-                if not exact_mode:
-                    levels = _ceil_levels(e, precision)
-            if exact_mode:
-                if p == 2 and idx >= len(exps) and (carry if not use_poly else 0) < 0:
-                    raise PrecisionError(
-                        "negative values have non-terminating 2-adic expansions; "
-                        "pass a finite precision"
-                    )
-                if guard > 20000:
-                    raise PrecisionError("non-terminating digit expansion at infinite precision")
+                total = [0] * ctx.m
+                for s, code in terms:
+                    tau = _tau_poly(p, ctx.m, fld.modulus, code, n - 1)
+                    total = [x + s * y for x, y in zip(total, tau)]
+        out.update(_teichmueller_digits(ctx, total, e0, n))
     return out
 
 
@@ -347,26 +352,12 @@ class Series:
                 raise PrecisionError(
                     f"{r} has a non-terminating digit expansion; pass a finite precision"
                 )
-            lifts = _EXACT_LIFTS[p]
-            digits: Dict[Fraction, int] = {}
-            n, level = num, 0
-            while n != 0:
-                d = n % p
-                if d:
-                    digits[Fraction(v + level)] = d
-                n = (n - lifts[d]) // p
-                level += 1
-            return Series.make(ctx, digits, precision)
-        levels = _ceil_levels(Fraction(v), precision)
-        mod = p ** (levels + 1)
-        u = num * pow(den, -1, mod) % mod
-        digits = {}
-        for i in range(levels):
-            d = u % p
-            if d:
-                digits[Fraction(v + i)] = d
-            u = (u - _tau_int(p, d, levels)) // p
-        return Series.make(ctx, digits, precision)
+            return Series.make(ctx, _teichmueller_digits(ctx, num, Fraction(v), None), precision)
+        n = math.ceil(precision.fraction - v)
+        if n <= 0:
+            return Series.zero(ctx, precision)
+        u = num * pow(den, -1, p ** n)
+        return Series.make(ctx, _teichmueller_digits(ctx, u, Fraction(v), n), precision)
 
     # --- inspection ---
 

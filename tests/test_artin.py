@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import defectlab.artin as artin_mod
 from defectlab.approx import imperfection_witness, value_set
 from defectlab.artin import (
     admissible_twist,
@@ -49,6 +50,28 @@ class TestAsRoot:
         assert res.residual_floor == ExtRat.of(q(-1, 256))
         assert res.tail is not None and res.tail.sup == 0
         assert res.tail.low == q(-1, 512)
+
+    def test_negative_part_stops_at_grid_without_raising(self, monkeypatch):
+        calls, raised = [], []
+        real = artin_mod.pth_root
+
+        def recording(x):
+            calls.append(x)
+            try:
+                return real(x)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(artin_mod, "pth_root", recording)
+        res = as_root(Series.monomial(K2.ctx, -1))
+        assert K2.ctx.D == 256
+        # one part per root t^(-1/2), ..., t^(-1/256)
+        assert len(calls) == 8
+        assert len(res.theta.terms) == 8
+        assert res.tail.low == q(-1, 512)
+        assert res.residual_floor == ExtRat.of(q(-1, 256))
+        assert raised == []
 
     def test_positive_part(self):
         b = Series.monomial(K2.ctx, 1)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from defectlab.fields import (
+    PRESET_NAMES,
     enumerate_elements,
     member_witness,
     preset_field,
@@ -108,3 +109,10 @@ def test_json_roundtrip():
 def test_bad_preset():
     with pytest.raises(ValueError):
         preset_field("nope", 2)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_enumeration_lists_each_element_once(name):
+    els = enumerate_elements(preset_field(name, 2), 2)
+    assert len(set(els)) == len(els)
+    assert any(x.is_zero for x in els)

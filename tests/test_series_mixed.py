@@ -150,26 +150,117 @@ def test_newton_sqrt_one_plus_p_cubed():
     assert (r - Series.one(M2)).valuation() >= ExtRat.of(q(1))
 
 
+M4 = make_mixed_context(2, 2)
+
+
 @st.composite
-def _mixed_series(draw, ctx=M2):
+def _mixed_series(draw, ctx):
     n = draw(st.integers(0, 3))
     terms = {}
     for _ in range(n):
         num = draw(st.integers(-8, 12))
-        den = draw(st.sampled_from([1, 2, 4]))
-        terms[Fraction(num, den)] = draw(st.integers(1, ctx.p - 1))
+        den = draw(st.sampled_from([1, ctx.p, ctx.p ** 2]))
+        terms[Fraction(num, den)] = draw(st.integers(1, ctx.q - 1))
     return Series.make(ctx, terms, ExtRat.of(q(8)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_mixed_series(), _mixed_series(), _mixed_series())
-def test_mixed_ring_laws(a, b, c):
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from([M2, M4, M9]).flatmap(lambda ctx: st.tuples(*[_mixed_series(ctx)] * 3)))
+def test_mixed_ring_laws(abc):
+    a, b, c = abc
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
     prod = a * (b + c)
     both = a * b + a * c
     assert prod.truncate(both.precision) == both.truncate(prod.precision)
+
+
+# --- differential oracles: integer exponents against Python integers ---
+
+PRIME_CTXS = {p: make_mixed_context(p) for p in (2, 3, 5, 7)}
+
+
+def _value_mod(s, n):
+    """sum tau(c) p^e mod p^n for integer exponents e >= 0, each digit
+    lifted on its own as c^(p^n), which is tau(c) mod p^(n+1)."""
+    p = s.ctx.p
+    mod = p ** n
+    assert all(e.denominator == 1 and e >= 0 for e in s.support())
+    return sum(pow(c, p ** n, mod) * p ** int(e) for e, c in s.terms) % mod
+
+
+@st.composite
+def _digits_mod(draw, ctx, n, prec):
+    digits = draw(st.lists(st.integers(0, ctx.p - 1), min_size=n, max_size=n))
+    return Series.make(ctx, {q(i): d for i, d in enumerate(digits)}, prec)
+
+
+@st.composite
+def _finite_pair(draw):
+    ctx = PRIME_CTXS[draw(st.sampled_from(sorted(PRIME_CTXS)))]
+    n = draw(st.integers(1, 10))
+    prec = ExtRat.of(q(n))
+    return ctx, n, draw(_digits_mod(ctx, n, prec)), draw(_digits_mod(ctx, n, prec))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite_pair())
+def test_finite_precision_matches_integers_mod_pn(case):
+    ctx, n, a, b = case
+    mod = ctx.p ** n
+    x, y = _value_mod(a, n), _value_mod(b, n)
+    for got, want in ((a + b, x + y), (a - b, x - y), (a * b, x * y)):
+        assert got.precision >= ExtRat.of(q(n))
+        assert _value_mod(got, n) == want % mod
+
+
+def _exact_value(s):
+    lift = {2: {1: 1}, 3: {1: 1, 2: -1}}[s.ctx.p]
+    assert all(e.denominator == 1 and e >= 0 for e in s.support())
+    return sum(lift[c] * s.ctx.p ** int(e) for e, c in s.terms)
+
+
+@st.composite
+def _exact_pair(draw):
+    ctx = PRIME_CTXS[draw(st.sampled_from([2, 3]))]
+    return ctx, draw(_digits_mod(ctx, 8, PLUS_INF)), draw(_digits_mod(ctx, 8, PLUS_INF))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exact_pair())
+def test_exact_mode_matches_integers(case):
+    ctx, a, b = case
+    x, y = _exact_value(a), _exact_value(b)
+    assert _exact_value(a + b) == x + y
+    assert _exact_value(a * b) == x * y
+    if ctx.p == 2 and x < y:
+        with pytest.raises(PrecisionError, match="negative values have non-terminating"):
+            a - b
+    else:
+        assert (a - b).precision == PLUS_INF
+        assert _exact_value(a - b) == x - y
+
+
+# --- exact-mode edges: which sums carry, merge or refuse ---
+
+M5 = PRIME_CTXS[5]
+
+
+def test_exact_p2_negative_difference_is_refused():
+    with pytest.raises(PrecisionError, match="negative values have non-terminating 2-adic expansions"):
+        Series.one(M2) - Series.monomial(M2, 1)
+
+
+def test_exact_p5_carry_is_refused():
+    with pytest.raises(PrecisionError, match=r"only available for prime fields with p in \{2, 3\}"):
+        Series.monomial(M5, 0, 3) + Series.monomial(M5, 0, 4)
+
+
+def test_exact_p5_difference_without_carry_merges():
+    # -tau(2) = tau(-2) = tau(3), so 1 - 2p needs no carry
+    d = Series.one(M5) - Series.monomial(M5, 1, 2)
+    assert str(d) == "1 + 3*p^1 [prec +inf]"
 
 
 def test_extension_field_carries():
