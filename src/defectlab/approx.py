@@ -160,14 +160,14 @@ def value_set(
 
     # partial-sum witnesses at the element's own support exponents
     partial_values: List[ExtRat] = []
-    prefix: Dict[Fraction, int] = {}
-    for e, c in a.terms:
-        if ExtRat.of(e) < horizon:
-            partial = Series.make(a.ctx, dict(prefix), a.precision)
+    kcap = a.ctx.kcap(horizon)
+    for i, (k, _) in enumerate(a.kterms):
+        if k < kcap:
+            partial = Series(a.ctx, a.kterms[:i], a.precision)
             if member_witness(K, partial):
-                found.setdefault(ExtRat.of(e), partial)
-                partial_values.append(ExtRat.of(e))
-        prefix[e] = c
+                v = ExtRat(Fraction(k, a.ctx.D))
+                found.setdefault(v, partial)
+                partial_values.append(v)
 
     # enumeration witnesses
     for c in enumerate_elements(K, budget):

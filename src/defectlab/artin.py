@@ -20,7 +20,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .approx import (
     InitialSegmentSample,
@@ -146,9 +146,7 @@ def as_root(b: Series, precision=None) -> ASRoot:
         if b.precision.is_finite:
             precision = min(precision, b.precision)
 
-    neg_terms = {e: c for e, c in b.terms if e < 0}
     r0 = b.coeff_at(0)
-    pos_terms = {e: c for e, c in b.terms if e > 0}
 
     roots = ctx.field.artin_schreier_roots(r0)
     if not roots:
@@ -159,8 +157,8 @@ def as_root(b: Series, precision=None) -> ASRoot:
     rho = roots[0]
 
     # the stored negative terms are exact regardless of b's horizon
-    b_neg = Series.make(ctx, neg_terms, PLUS_INF)
-    b_pos = Series.make(ctx, pos_terms, b.precision)
+    b_neg = Series(ctx, tuple(t for t in b.kterms if t[0] < 0), PLUS_INF)
+    b_pos = Series(ctx, tuple(t for t in b.kterms if t[0] > 0), b.precision)
 
     acc = {Fraction(0): rho} if rho else {}
     theta = Series.make(ctx, acc, precision)
@@ -170,7 +168,8 @@ def as_root(b: Series, precision=None) -> ASRoot:
     if not b_neg.is_zero:
         parts: List[Series] = []
         x = b_neg
-        while all(ctx.on_grid(e / p) for e in x.support()):
+        # x^(1/p) stays on the grid while p divides every numerator
+        while all(k % p == 0 for k, _ in x.kterms):
             x = pth_root(x)
             parts.append(x)
         if not parts:
@@ -217,10 +216,10 @@ def check_as_root_identity(res: ASRoot, b: Series) -> bool:
     """
     resid = as_root_residual(res, b)
     floor = res.residual_floor
-    for e, _ in resid.terms:
-        if not (floor.is_finite and floor.fraction <= e < 0):
-            return False
-    return True
+    if not floor.is_finite:
+        return resid.is_zero
+    kfloor = resid.ctx.kcap(floor)
+    return all(kfloor <= k < 0 for k, _ in resid.kterms)
 
 
 def as_generator_transform(theta: Series, i_code: int, c: Series) -> Series:
@@ -459,7 +458,7 @@ def as_family(
     return certs
 
 
-def check_pairwise_distinct(certs: List[ExtensionCert]) -> None:
+def check_pairwise_distinct(certs: Sequence[ExtensionCert]) -> None:
     """Raise AssertionError unless the family members are pairwise
     distinct: no two share a value-set sample or the constant term of
     their minimal polynomial."""
@@ -468,7 +467,7 @@ def check_pairwise_distinct(certs: List[ExtensionCert]) -> None:
         for j in range(i + 1, len(certs)):
             if value_sets[i] == value_sets[j]:
                 raise AssertionError(f"members {i + 1} and {j + 1} have equal samples")
-            if certs[i].min_poly.coeffs[0].terms == certs[j].min_poly.coeffs[0].terms:
+            if certs[i].min_poly.coeffs[0].kterms == certs[j].min_poly.coeffs[0].kterms:
                 raise AssertionError(f"members {i + 1} and {j + 1} share a minimal polynomial")
 
 

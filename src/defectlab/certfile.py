@@ -12,6 +12,7 @@ any divergence is reported as a structured diff.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -25,7 +26,7 @@ from .approx import (
     distance,
     support_upper_cut,
 )
-from .artin import Claims, ExtensionCert, KUMMER, defect_criteria
+from .artin import Claims, ExtensionCert, KUMMER, check_pairwise_distinct, defect_criteria
 from .cuts import Cut, CutEnclosure, ExtRat
 from .fields import FieldDesc, field_from_json
 from .kummer import classify_kummer_defect
@@ -67,14 +68,12 @@ class SessionConfig:
 
 
 def series_to_json(s: Series) -> dict:
-    return {
-        "mode": s.ctx.mode,
-        "terms": [
-            {"exp": f"{e.numerator}/{e.denominator}", "coeff": s.ctx.field.repr_code(c)}
-            for e, c in s.terms
-        ],
-        "precision": s.precision.to_json(),
-    }
+    D = s.ctx.D
+    terms = []
+    for k, c in s.kterms:
+        g = math.gcd(k, D)  # the exponent k/D as a reduced fraction
+        terms.append({"exp": f"{k // g}/{D // g}", "coeff": s.ctx.field.repr_code(c)})
+    return {"mode": s.ctx.mode, "terms": terms, "precision": s.precision.to_json()}
 
 
 def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
@@ -217,7 +216,8 @@ def verify_certificate(cf: CertificateFile) -> VerifyReport:
     stored witness differences, the upper cut from the recorded support
     and tail data, the residual from re-evaluating the stored minimal
     polynomial, and the claims from re-running the (pure) rule functions
-    on the reconstructed sample.
+    on the reconstructed sample.  A file with several certificates is a
+    family, whose members must be pairwise distinct.
     """
     report = VerifyReport(True, [])
     for idx, cert in enumerate(cf.certs):
@@ -235,6 +235,12 @@ def verify_certificate(cf: CertificateFile) -> VerifyReport:
             _verify_one(cert, report, tag)
         except Exception as exc:  # a broken certificate must not crash the run
             report.add(f"{tag}: verification error: {exc}")
+    # only family commands write more than one certificate per file
+    if len(cf.certs) >= 2:
+        try:
+            check_pairwise_distinct(cf.certs)
+        except AssertionError as exc:
+            report.add(f"family: {exc}")
     return report
 
 
@@ -242,12 +248,6 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     ctx = cert.base.ctx
     gen = cert.generator
     tail = cert.generator_tail
-
-    # exponent denominators must respect the session bound (tamper check)
-    for e in gen.support():
-        if ctx.D % e.denominator != 0:
-            report.add(f"{tag}: config-mismatch: generator exponent {e} exceeds D={ctx.D}")
-            return
 
     # 1. witness re-evaluation
     horizon = difference_horizon(gen, tail)
@@ -273,11 +273,13 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     # tail); otherwise the residual must vanish below the floor
     resid = cert.min_poly.evaluate(gen)
     floor = cert.residual_floor
+    kfloor = ctx.kcap(floor)
     if floor.is_finite and floor.fraction < 0:
-        bad = [e for e, _ in resid.terms if not (floor.fraction <= e < 0)]
+        bad = [k for k, _ in resid.kterms if not (kfloor <= k < 0)]
     else:
-        bad = [e for e, _ in resid.terms if ExtRat.of(e) < floor]
+        bad = [k for k, _ in resid.kterms if k < kfloor]
     if bad:
+        bad = [Fraction(k, ctx.D) for k in bad]
         report.add(f"{tag}: residual terms at {bad} violate the recorded floor {floor}")
 
     # 4. distance enclosure re-derivation

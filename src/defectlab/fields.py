@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional
 
-from .cuts import ExtRat, ValueGroupDesc
+from .cuts import ExtRat, PLUS_INF, ValueGroupDesc
 from .series import (
     EQUAL,
     Series,
@@ -127,32 +127,33 @@ def field_from_json(obj: dict) -> FieldDesc:
 # enumeration
 
 
-def _poly_series(ctx: SeriesContext, code: int, height: int, scale: Fraction) -> Series:
-    """Decode a base-q integer into sum coeff_i * t^(i*scale)."""
+def _poly_series(ctx: SeriesContext, code: int, height: int, kstep: int) -> Series:
+    """Decode a base-q integer into sum coeff_i * t^(i*kstep/D)."""
     q = ctx.q
-    terms = {}
+    terms = []
     for i in range(height + 1):
         d = code % q
         code //= q
         if d:
-            terms[i * scale] = d
-    return Series.make(ctx, terms)
+            terms.append((i * kstep, d))
+    return Series(ctx, tuple(terms), PLUS_INF)
 
 
 def _ratfunc_elements(ctx: SeriesContext, height: int, scale: Fraction, precision: ExtRat) -> Iterator[Series]:
     q = ctx.q
     n_polys = q ** (height + 1)
+    kstep = ctx.grid_k(scale)
     for den_code in range(1, n_polys):
-        den = _poly_series(ctx, den_code, height, scale)
+        den = _poly_series(ctx, den_code, height, kstep)
         if den.is_zero:
             continue
-        is_one = den.terms == ((Fraction(0), 1),)
+        is_one = den.kterms == ((0, 1),)
         den_inv = None
         if not is_one:
             vden = den.valuation().fraction
             den_inv = invert(den, ExtRat.of(precision.fraction + 2 * vden + 1))
         for num_code in range(n_polys):
-            num = _poly_series(ctx, num_code, height, scale)
+            num = _poly_series(ctx, num_code, height, kstep)
             if num.is_zero or is_one:
                 yield num
                 continue
@@ -186,10 +187,10 @@ def enumerate_elements(K: FieldDesc, height: int, precision: Optional[ExtRat] = 
         width = 2 * height + 1
         # digit positions ordered 0, 1, -1, 2, -2, ... so that small
         # polynomial elements come first in the enumeration
-        exps = [Fraction(0)]
+        exps = [0]
         for k in range(1, height + 1):
-            exps.append(Fraction(k))
-            exps.append(Fraction(-k))
+            exps.append(k)
+            exps.append(-k)
         for code in range(q ** width):
             terms = {}
             c = code
@@ -200,14 +201,10 @@ def enumerate_elements(K: FieldDesc, height: int, precision: Optional[ExtRat] = 
                     terms[exps[i]] = d
             out.append(Series.make(ctx, terms))
     elif K.kind == TOWER:
-        scale = Fraction(1, ctx.p ** K.level)
-        ctx.check_exponent(scale)
-        out.extend(_ratfunc_elements(ctx, height, scale, precision))
+        out.extend(_ratfunc_elements(ctx, height, Fraction(1, ctx.p ** K.level), precision))
     elif K.kind == DIRECTED_UNION:
         for lvl in range(height + 1):
-            scale = Fraction(1, ctx.p ** lvl)
-            ctx.check_exponent(scale)
-            out.extend(_ratfunc_elements(ctx, height, scale, precision))
+            out.extend(_ratfunc_elements(ctx, height, Fraction(1, ctx.p ** lvl), precision))
     elif K.kind == PADIC_BASE:
         out.extend(_padic_rationals(ctx, height, precision))
     elif K.kind == PADIC_TOWER:

@@ -1,7 +1,10 @@
 """Truncated generalized power series with exact, certified arithmetic.
 
-Two ambient modes share one term representation (finite map from rational
-exponents to finite-field coefficient codes, plus a precision horizon):
+Two ambient modes share one term representation: a sorted tuple of
+(k, code) pairs, the exponent k/D on the grid (1/D)Z of the session bound
+D and the code a nonzero finite-field element, plus a precision horizon.
+Exponents leave this layer as reduced fractions (``terms``, ``support``,
+``valuation``, ``str``).
 
 * ``equal``: coefficients in F_q, characteristic p; addition is
   coefficient-wise (no carries) and ``(a+b)^p = a^p + b^p`` holds on the
@@ -10,13 +13,13 @@ exponents to finite-field coefficient codes, plus a precision horizon):
 * ``mixed``: a p-adic ambient with rational exponents of p.  A term with
   coefficient code c at exponent e stands for ``tau(c) * p^e`` where
   ``tau`` is the multiplicative (Teichmueller) lift of the residue digit.
-  Sums are normalized per exponent class mod 1: the class is summed
-  into one p-adic integer and its digits are read off, so carries move
-  from e to e+1 (the normalization fixes v(p) = 1).
+  Sums are normalized per exponent class mod 1 (``teichmueller``): the
+  class is summed into one p-adic integer and its digits are read off,
+  so carries move from e to e+1 (the normalization fixes v(p) = 1).
 
 Every operation computes the exact precision of its result; nothing is
 ever rounded, and comparisons are only meaningful up to the common
-precision of their operands.  Exponent denominators are capped by a
+precision of their operands.  Exponent denominators are capped by the
 session bound D so that all supports stay finite; operations that would
 need finer exponents fail loudly rather than silently truncate.
 """
@@ -24,11 +27,12 @@ need finer exponents fail loudly rather than silently truncate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import teichmueller
 from .cuts import ExtRat, PLUS_INF
 from .ffield import FiniteField, finite_field
 
@@ -52,13 +56,13 @@ MIXED = "mixed"
 @dataclass(frozen=True)
 class SeriesContext:
     """Immutable session parameters: mode, residue field F_{p^m}, and the
-    exponent denominator bound D."""
+    exponent denominator bound D.  Compared and hashed by (mode, p, m, D)."""
 
     mode: str
     p: int
     m: int
     D: int
-    field: FiniteField
+    field: FiniteField = dataclass_field(compare=False)
 
     def __post_init__(self):
         if self.mode not in (EQUAL, MIXED):
@@ -70,16 +74,25 @@ class SeriesContext:
     def q(self) -> int:
         return self.p ** self.m
 
-    def on_grid(self, e: Fraction) -> bool:
-        """Whether e lies on the exponent grid (1/D)Z."""
-        return self.D % e.denominator == 0
-
     def check_exponent(self, e: Fraction) -> Fraction:
-        if not self.on_grid(e):
+        if self.D % e.denominator:
             raise DenominatorBoundError(
                 f"exponent {e} needs denominator {e.denominator}, bound is D={self.D}"
             )
         return e
+
+    def grid_k(self, e) -> int:
+        """The k with e = k/D."""
+        e = self.check_exponent(Fraction(e))
+        return e.numerator * (self.D // e.denominator)
+
+    def kcap(self, x: ExtRat):
+        """ceil(x*D), so that k/D < x exactly when k < kcap(x); +-inf for
+        an infinite x."""
+        if x.sign:
+            return math.inf if x.sign > 0 else -math.inf
+        f = x.num
+        return -(-f.numerator * self.D // f.denominator)
 
     def to_json(self) -> dict:
         return {"mode": self.mode, "p": self.p, "m": self.m, "D": self.D}
@@ -103,200 +116,43 @@ def make_mixed_context(p: int, m: int = 1, D: Optional[int] = None) -> SeriesCon
 
 
 # --------------------------------------------------------------------------
-# Teichmueller digit machinery for the mixed ambient.
-#
-# For the prime field the lift of a digit c is the (p-1)-th root of unity
-# congruent to c, computed modulo p^(K+1) as c^(p^K).  For F_{p^m} the same
-# iteration runs in the unramified ring (Z/p^N)[y]/(G) where G is the
-# integer lift of the field modulus.
 
 
-@lru_cache(maxsize=None)
-def _tau_int(p: int, c: int, k: int) -> int:
-    if c == 0:
-        return 0
-    return pow(c, p ** k, p ** (k + 1))
-
-
-_EXACT_LIFTS = {2: {0: 0, 1: 1}, 3: {0: 0, 1: 1, 2: -1}}
-
-
-def _o_mul(a: Tuple[int, ...], b: Tuple[int, ...], g: Tuple[int, ...], pk: int) -> Tuple[int, ...]:
-    m = len(g) - 1
-    prod = [0] * (2 * m - 1) if m > 1 else [0]
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % pk
-    for i in range(len(prod) - 1, m - 1, -1):
-        c = prod[i]
-        if c == 0:
-            continue
-        prod[i] = 0
-        for j in range(m):
-            prod[i - m + j] = (prod[i - m + j] - c * g[j]) % pk
-    return tuple(prod[:m])
-
-
-@lru_cache(maxsize=None)
-def _tau_poly(p: int, m: int, modulus: Tuple[int, ...], code: int, k: int) -> Tuple[int, ...]:
-    """Teichmueller lift of a digit of F_{p^m}, modulo p^(k+1), as a
-    coefficient tuple in the unramified ring."""
-    if code == 0:
-        return (0,) * m
-    pk1 = p ** (k + 1)
-    g = tuple(int(c) for c in modulus)
-    x = tuple(code // (p ** i) % p for i in range(m))
-    acc = x
-    for _ in range(k * m):
-        # raise to the p-th power
-        r = acc
-        out = (1,) + (0,) * (m - 1)
-        e = p
-        base = r
-        while e:
-            if e & 1:
-                out = _o_mul(out, base, g, pk1)
-            base = _o_mul(base, base, g, pk1)
-            e >>= 1
-        acc = out
-    return acc
-
-
-def _teichmueller_digits(ctx: SeriesContext, u, e0: Fraction, n: Optional[int]) -> Dict[Fraction, int]:
-    """The canonical Teichmueller digits of the p-adic integer ``u``, the
-    i-th at exponent e0 + i.
-
-    With a digit count ``n``, ``u`` need only be right modulo p^n: an int,
-    or for m > 1 a coefficient list in the unramified ring.  The remainder
-    is kept reduced, so the walk stops once the remaining digits are zero.
-    With ``n`` None the expansion is exact (an int, p in {2, 3}, lifts
-    ``_EXACT_LIFTS``): the balanced lifts for p = 3 shrink |u| to 0, and
-    for p = 2 a negative u never reaches 0 and is refused.
-    """
-    p = ctx.p
-    out: Dict[Fraction, int] = {}
-    i = 0
-    if isinstance(u, int):
-        if n is None and p == 2 and u < 0:
-            raise PrecisionError(
-                "negative values have non-terminating 2-adic expansions; "
-                "pass a finite precision"
-            )
-        while u:
-            d = u % p
-            if d:
-                out[e0 + i] = d
-                u -= _EXACT_LIFTS[p][d] if n is None else _tau_int(p, d, n - 1)
-            i += 1
-            u //= p
-            if n is not None:
-                u %= p ** (n - i)
-        return out
-    fld = ctx.field
-    while any(u):
-        d = fld.parse_code(u)
-        if d:
-            out[e0 + i] = d
-            u = [x - y for x, y in zip(u, _tau_poly(p, ctx.m, fld.modulus, d, n - 1))]
-        i += 1
-        mod = p ** (n - i)
-        u = [x // p % mod for x in u]
-    return out
-
-
-def _combine_mixed(
-    ctx: SeriesContext,
-    parts: Iterable[Tuple[Fraction, int, int]],
-    precision: ExtRat,
-) -> Dict[Fraction, int]:
-    """Normalize signed Teichmueller contributions into canonical digits.
-
-    ``parts`` yields (exponent, digit code, sign).  Signs other than +1
-    are folded into the code for odd p (where -tau(c) = tau(-c) exactly);
-    for p = 2 they stay on the integer lifts.  Only exponents in one class
-    mod 1 carry into each other: per class, ``sum sign * tau(code) *
-    p^(e - e0)`` (e0 the least exponent) is one ring element, whose digits
-    ``_teichmueller_digits`` reads off once, up to ``precision``.  With
-    infinite precision that sum must be exact, which needs m = 1 and p in
-    {2, 3}; otherwise terms are merged only where no carry arises.
-    """
-    fld = ctx.field
-    p = ctx.p
-    exact = not precision.is_finite
-    merge_only = exact and not (ctx.m == 1 and p in _EXACT_LIFTS)
-    out: Dict[Fraction, int] = {}
-    # class of e = num/den mod 1 -> [(floor(e), code, sign)]
-    classes: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-    for e, code, sign in parts:
-        if code == 0:
-            continue
-        if p != 2 and sign < 0:
-            code, sign = fld.neg(code), 1
-        if merge_only:
-            if sign < 0 or e in out:
-                raise PrecisionError(
-                    "exact (infinite-precision) digit carries are only "
-                    "available for prime fields with p in {2, 3}; pass a "
-                    "finite precision"
-                )
-            out[e] = code
-        else:
-            fl, r = divmod(e.numerator, e.denominator)
-            classes.setdefault((r, e.denominator), []).append((fl, code, sign))
-
-    for (r, den), group in classes.items():
-        fl0 = min(fl for fl, _, _ in group)
-        e0 = Fraction(r, den) + fl0
-        if exact:
-            n = None
-            total = sum(sign * _EXACT_LIFTS[p][code] * p ** (fl - fl0) for fl, code, sign in group)
-        else:
-            n = math.ceil(precision.fraction - e0)
-            if n <= 0:
-                continue
-            terms = [(sign * p ** (fl - fl0), code) for fl, code, sign in group if fl - fl0 < n]
-            if ctx.m == 1:
-                total = sum(s * _tau_int(p, code, n - 1) for s, code in terms)
-            else:
-                total = [0] * ctx.m
-                for s, code in terms:
-                    tau = _tau_poly(p, ctx.m, fld.modulus, code, n - 1)
-                    total = [x + s * y for x, y in zip(total, tau)]
-        out.update(_teichmueller_digits(ctx, total, e0, n))
-    return out
-
-
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Series:
     """A truncated generalized power series (immutable value).
 
-    ``terms`` is sorted by exponent; all stored coefficients are nonzero
-    and all exponents lie strictly below ``precision``.
+    ``kterms`` holds (k, code) pairs for the terms code * t^(k/D): sorted
+    by k, codes nonzero, exponents below ``precision``.
     """
 
     ctx: SeriesContext
-    terms: Tuple[Tuple[Fraction, int], ...]
+    kterms: Tuple[Tuple[int, int], ...]
     precision: ExtRat
 
     # --- constructors ---
 
     @staticmethod
     def make(ctx: SeriesContext, mapping: Dict[Fraction, int], precision: ExtRat = PLUS_INF) -> "Series":
+        """From exponent -> code; zero codes and exponents at or beyond
+        ``precision`` are dropped, others must lie on the grid (1/D)Z."""
         precision = ExtRat.of(precision)
+        D = ctx.D
+        kcap = ctx.kcap(precision)
         items = []
         for e, c in mapping.items():
-            e = Fraction(e)
             if c == 0:
                 continue
-            if precision.is_finite and e >= precision.fraction:
-                continue
-            ctx.check_exponent(e)
-            items.append((e, c))
+            if type(e) is not int and type(e) is not Fraction:
+                e = Fraction(e)
+            q, r = divmod(D, e.denominator)
+            if r:
+                if precision.is_finite and e >= precision.fraction:
+                    continue
+                ctx.check_exponent(e)
+            k = e.numerator * q
+            if k < kcap:
+                items.append((k, c))
         items.sort()
         return Series(ctx, tuple(items), precision)
 
@@ -306,7 +162,7 @@ class Series:
 
     @staticmethod
     def monomial(ctx: SeriesContext, exp, code: int = 1, precision: ExtRat = PLUS_INF) -> "Series":
-        return Series.make(ctx, {Fraction(exp): code}, precision)
+        return Series.make(ctx, {exp: code}, precision)
 
     @staticmethod
     def one(ctx: SeriesContext, precision: ExtRat = PLUS_INF) -> "Series":
@@ -333,7 +189,7 @@ class Series:
             num = r.numerator % ctx.p
             den_inv = pow(r.denominator % ctx.p, -1, ctx.p) if r.denominator % ctx.p != 1 else 1
             code = ctx.field.from_int(num * den_inv)
-            return Series.make(ctx, {Fraction(0): code}, precision)
+            return Series.make(ctx, {0: code}, precision)
         if r == 0:
             return Series.zero(ctx, precision)
         p = ctx.p
@@ -348,33 +204,39 @@ class Series:
         if not precision.is_finite:
             # integer lifts are exact for p in {2, 3}; the digits land in
             # the prime subfield, so any m is fine
-            if den != 1 or ctx.p not in _EXACT_LIFTS or (p == 2 and num < 0):
+            if den != 1 or ctx.p not in teichmueller.EXACT_LIFTS or (p == 2 and num < 0):
                 raise PrecisionError(
                     f"{r} has a non-terminating digit expansion; pass a finite precision"
                 )
-            return Series.make(ctx, _teichmueller_digits(ctx, num, Fraction(v), None), precision)
+            return Series(ctx, tuple(teichmueller.digits(ctx, num, v * ctx.D, None)), precision)
         n = math.ceil(precision.fraction - v)
         if n <= 0:
             return Series.zero(ctx, precision)
         u = num * pow(den, -1, p ** n)
-        return Series.make(ctx, _teichmueller_digits(ctx, u, Fraction(v), n), precision)
+        return Series(ctx, tuple(teichmueller.digits(ctx, u, v * ctx.D, n)), precision)
 
     # --- inspection ---
 
     @property
+    def terms(self) -> Tuple[Tuple[Fraction, int], ...]:
+        """``kterms`` with the exponents as reduced fractions."""
+        D = self.ctx.D
+        return tuple((Fraction(k, D), c) for k, c in self.kterms)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.kterms
 
     def vlow(self) -> ExtRat:
         """Certified lower bound for the valuation: the least certified
         exponent, or the precision horizon for a term-free series."""
-        if self.terms:
-            return ExtRat(self.terms[0][0])
+        if self.kterms:
+            return ExtRat(Fraction(self.kterms[0][0], self.ctx.D))
         return self.precision
 
     def valuation(self) -> ExtRat:
-        if self.terms:
-            return ExtRat(self.terms[0][0])
+        if self.kterms:
+            return ExtRat(Fraction(self.kterms[0][0], self.ctx.D))
         if not self.precision.is_finite:
             return PLUS_INF
         raise PrecisionError(
@@ -382,24 +244,29 @@ class Series:
         )
 
     def leading_coeff(self) -> int:
-        return self.terms[0][1] if self.terms else 0
+        return self.kterms[0][1] if self.kterms else 0
 
     def coeff_at(self, e) -> int:
         e = Fraction(e)
-        for ee, c in self.terms:
-            if ee == e:
+        q, r = divmod(self.ctx.D, e.denominator)
+        if r:
+            return 0
+        k = e.numerator * q
+        for kk, c in self.kterms:
+            if kk == k:
                 return c
-            if ee > e:
+            if kk > k:
                 break
         return 0
 
     def support(self) -> Tuple[Fraction, ...]:
-        return tuple(e for e, _ in self.terms)
+        D = self.ctx.D
+        return tuple(Fraction(k, D) for k, _ in self.kterms)
 
     # --- arithmetic ---
 
     def _require_same_mode(self, other: "Series"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("series from different sessions cannot be combined")
 
     def diff_valuation(self, other: "Series") -> Optional[ExtRat]:
@@ -418,52 +285,54 @@ class Series:
         by a unit, so ``tau(a_e) - tau(c_e)`` has valuation 0 and
         v(self - other) = e whenever e lies below the precision.
         """
-        if self.ctx is not other.ctx:
-            self._require_same_mode(other)
-        prec = min(self.precision, other.precision)
-        ta, tc = self.terms, other.terms
+        ctx = self.ctx
+        self._require_same_mode(other)
+        ta, tc = self.kterms, other.kterms
         for x, y in zip(ta, tc):
             if x != y:
-                e = min(x[0], y[0])
+                k = min(x[0], y[0])
                 break
         else:
             if len(ta) == len(tc):
-                return None if prec.is_finite else PLUS_INF
+                if self.precision.is_finite or other.precision.is_finite:
+                    return None
+                return PLUS_INF
             # one term tuple is a prefix of the other; the longer one's
             # next term is the first difference
-            e = (ta[len(tc):] or tc[len(ta):])[0][0]
-        if prec.is_finite and e >= prec.fraction:
+            k = (ta[len(tc):] or tc[len(ta):])[0][0]
+        if k >= ctx.kcap(self.precision) or k >= ctx.kcap(other.precision):
             return None
-        return ExtRat(e)
+        return ExtRat(Fraction(k, ctx.D))
 
     def __add__(self, other: "Series") -> "Series":
         self._require_same_mode(other)
+        ctx = self.ctx
         prec = min(self.precision, other.precision)
-        if self.ctx.mode == EQUAL:
-            fld = self.ctx.field
-            acc = dict(self.terms)
-            for e, c in other.terms:
-                r = fld.add(acc.get(e, 0), c)
+        if ctx.mode == EQUAL:
+            add = ctx.field.add
+            acc = dict(self.kterms)
+            for k, c in other.kterms:
+                r = add(acc.get(k, 0), c)
                 if r:
-                    acc[e] = r
-                elif e in acc:
-                    del acc[e]
-            return Series.make(self.ctx, acc, prec)
-        parts = [(e, c, 1) for e, c in self.terms] + [(e, c, 1) for e, c in other.terms]
-        return Series(self.ctx, _sorted_terms(_combine_mixed(self.ctx, parts, prec)), prec)
+                    acc[k] = r
+                elif k in acc:
+                    del acc[k]
+            return Series(ctx, _below(sorted(acc.items()), ctx.kcap(prec)), prec)
+        parts = [(k, c, 1) for k, c in self.kterms] + [(k, c, 1) for k, c in other.kterms]
+        return Series(ctx, teichmueller.normalize(ctx, parts, prec), prec)
 
     def __sub__(self, other: "Series") -> "Series":
         self._require_same_mode(other)
         prec = min(self.precision, other.precision)
         if self.ctx.mode == EQUAL:
             return self + other.neg()
-        parts = [(e, c, 1) for e, c in self.terms] + [(e, c, -1) for e, c in other.terms]
-        return Series(self.ctx, _sorted_terms(_combine_mixed(self.ctx, parts, prec)), prec)
+        parts = [(k, c, 1) for k, c in self.kterms] + [(k, c, -1) for k, c in other.kterms]
+        return Series(self.ctx, teichmueller.normalize(self.ctx, parts, prec), prec)
 
     def neg(self) -> "Series":
         if self.ctx.mode == EQUAL or self.ctx.p != 2:
-            fld = self.ctx.field
-            return Series(self.ctx, tuple((e, fld.neg(c)) for e, c in self.terms), self.precision)
+            neg = self.ctx.field.neg
+            return Series(self.ctx, tuple((k, neg(c)) for k, c in self.kterms), self.precision)
         return Series.zero(self.ctx, self.precision) - self
 
     def __neg__(self) -> "Series":
@@ -471,40 +340,47 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         self._require_same_mode(other)
+        ctx = self.ctx
         prec = _product_precision(self, other)
-        fld = self.ctx.field
-        if self.ctx.mode == EQUAL:
-            acc: Dict[Fraction, int] = {}
-            for e1, c1 in self.terms:
-                for e2, c2 in other.terms:
-                    e = e1 + e2
-                    if prec.is_finite and e >= prec.fraction:
-                        continue
-                    r = fld.add(acc.get(e, 0), fld.mul(c1, c2))
+        kcap = ctx.kcap(prec)
+        mul = ctx.field.mul
+        tb = other.kterms
+        if ctx.mode == EQUAL:
+            add = ctx.field.add
+            acc: Dict[int, int] = {}
+            for k1, c1 in self.kterms:
+                for k2, c2 in tb:
+                    k = k1 + k2
+                    if k >= kcap:
+                        break
+                    r = add(acc.get(k, 0), mul(c1, c2))
                     if r:
-                        acc[e] = r
-                    elif e in acc:
-                        del acc[e]
-            return Series.make(self.ctx, acc, prec)
+                        acc[k] = r
+                    elif k in acc:
+                        del acc[k]
+            return Series(ctx, tuple(sorted(acc.items())), prec)
         parts = []
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                parts.append((e1 + e2, fld.mul(c1, c2), 1))
-        return Series(self.ctx, _sorted_terms(_combine_mixed(self.ctx, parts, prec)), prec)
+        for k1, c1 in self.kterms:
+            for k2, c2 in tb:
+                k = k1 + k2
+                if k >= kcap:
+                    break
+                parts.append((k, mul(c1, c2), 1))
+        return Series(ctx, teichmueller.normalize(ctx, parts, prec), prec)
 
     def scale(self, code: int) -> "Series":
         """Multiply by a single coefficient (a Teichmueller digit in mixed
         mode); exact, no carries."""
         if code == 0:
             return Series.zero(self.ctx, self.precision)
-        fld = self.ctx.field
-        return Series(self.ctx, tuple((e, fld.mul(c, code)) for e, c in self.terms), self.precision)
+        mul = self.ctx.field.mul
+        return Series(self.ctx, tuple((k, mul(c, code)) for k, c in self.kterms), self.precision)
 
     def shift(self, delta) -> "Series":
         """Multiply by the exponent-delta monomial."""
         delta = Fraction(delta)
-        self.ctx.check_exponent(delta)
-        terms = tuple((self.ctx.check_exponent(e + delta), c) for e, c in self.terms)
+        dk = self.ctx.grid_k(delta)
+        terms = tuple((k + dk, c) for k, c in self.kterms)
         prec = self.precision if not self.precision.is_finite else ExtRat(self.precision.fraction + delta)
         return Series(self.ctx, terms, prec)
 
@@ -525,8 +401,7 @@ class Series:
         prec = min(self.precision, ExtRat.of(new_precision))
         if not prec.is_finite:
             return self
-        terms = tuple((e, c) for e, c in self.terms if e < prec.fraction)
-        return Series(self.ctx, terms, prec)
+        return Series(self.ctx, _below(self.kterms, self.ctx.kcap(prec)), prec)
 
     # --- mode-specific ---
 
@@ -535,23 +410,27 @@ class Series:
         coefficients pass through the field Frobenius)."""
         if self.ctx.mode != EQUAL:
             raise ValueError("frobenius shortcut is an equal-characteristic identity")
-        fld = self.ctx.field
+        frob = self.ctx.field.frob
         p = self.ctx.p
-        terms = tuple((self.ctx.check_exponent(e * p), fld.frob(c)) for e, c in self.terms)
+        terms = tuple((k * p, frob(c)) for k, c in self.kterms)
         prec = self.precision if not self.precision.is_finite else ExtRat(self.precision.fraction * p)
         return Series(self.ctx, terms, prec)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (self.ctx, self.terms, self.precision) == (other.ctx, other.terms, other.precision)
+        return (
+            self.kterms == other.kterms
+            and self.precision == other.precision
+            and (self.ctx is other.ctx or self.ctx == other.ctx)
+        )
 
     def __hash__(self):
-        return hash((self.ctx, self.terms, self.precision))
+        return hash((self.kterms, self.precision))
 
     def __str__(self):
         sym = "t" if self.ctx.mode == EQUAL else "p"
-        if not self.terms:
+        if not self.kterms:
             body = "0"
         else:
             pieces = []
@@ -567,11 +446,13 @@ class Series:
         return f"{body} [prec {self.precision}]"
 
 
-def _sorted_terms(mapping: Dict[Fraction, int]) -> Tuple[Tuple[Fraction, int], ...]:
-    return tuple(sorted(mapping.items()))
+def _below(kterms, kcap) -> Tuple[Tuple[int, int], ...]:
+    """The sorted terms whose numerator lies below ``kcap``."""
+    return tuple(kterms[:bisect_left(kterms, (kcap,))])
 
 
 def _product_precision(a: Series, b: Series) -> ExtRat:
+    # prec(a) + prec(b) is never the least: vlow(a) <= prec(a)
     pa, pb = a.precision, b.precision
     if not pa.is_finite and not pb.is_finite:
         return PLUS_INF
@@ -580,8 +461,6 @@ def _product_precision(a: Series, b: Series) -> ExtRat:
         cands.append(a.vlow() + pb)
     if pa.is_finite:
         cands.append(b.vlow() + pa)
-    if pa.is_finite and pb.is_finite:
-        cands.append(pa + pb)
     return min(cands)
 
 
@@ -599,10 +478,14 @@ def pth_root(a: Series) -> Series:
     if a.ctx.mode != EQUAL:
         raise ValueError("p-th roots in mixed characteristic go through newton_root")
     ctx = a.ctx
-    fld = ctx.field
-    terms = tuple((ctx.check_exponent(e / ctx.p), fld.ifrob(c)) for e, c in a.terms)
-    prec = a.precision if not a.precision.is_finite else ExtRat(a.precision.fraction / ctx.p)
-    return Series(ctx, terms, prec)
+    p, ifrob = ctx.p, ctx.field.ifrob
+    terms = []
+    for k, c in a.kterms:
+        if k % p:
+            ctx.check_exponent(Fraction(k, ctx.D * p))
+        terms.append((k // p, ifrob(c)))
+    prec = a.precision if not a.precision.is_finite else ExtRat(a.precision.fraction / p)
+    return Series(ctx, tuple(terms), prec)
 
 
 def invert(a: Series, target_precision: ExtRat) -> Series:
@@ -617,7 +500,7 @@ def invert(a: Series, target_precision: ExtRat) -> Series:
     if not target_precision.is_finite:
         raise PrecisionError("inversion needs a finite target precision")
     ctx = a.ctx
-    va = a.valuation().fraction
+    va = Fraction(a.kterms[0][0], ctx.D)
     rel = target_precision.fraction - va
     if a.precision.is_finite:
         # cannot certify beyond what is known of a
@@ -629,13 +512,14 @@ def invert(a: Series, target_precision: ExtRat) -> Series:
     y = w - Series.one(ctx, ExtRat(rel))
     if y.is_zero:
         return Series.monomial(ctx, -va, lc_inv, ExtRat(rel - va))
-    vy = y.valuation().fraction
+    vy = y.kterms[0][0]
     if vy <= 0:
         raise PrecisionError("inversion requires a dominant leading term")
     s = Series.one(ctx, ExtRat(rel))
     power = Series.one(ctx, ExtRat(rel))
+    rel_cap = ctx.kcap(ExtRat(rel))
     k = 1
-    while k * vy < rel:
+    while k * vy < rel_cap:
         power = power * y.neg()
         s = s + power
         k += 1
@@ -703,9 +587,6 @@ class Polynomial:
                     apow = apow * a
         return tuple(out)
 
-    def to_strs(self) -> List[str]:
-        return [str(c) for c in self.coeffs]
-
 
 def int_scale(a: Series, n: int) -> Series:
     """n*a for an ordinary nonnegative integer n."""
@@ -741,9 +622,10 @@ def newton_root(
     if not target_precision.is_finite:
         raise PrecisionError("newton_root needs a finite target precision")
     ctx = f.ctx
+    D = ctx.D
     x = start
     fprime = f.derivative()
-    last_vf: Optional[Fraction] = None
+    last_vf: Optional[int] = None
     for _ in range(max_steps):
         fx = f.evaluate(x)
         if fx.vlow() >= target_precision:
@@ -756,49 +638,51 @@ def newton_root(
                 f"residual is zero only to precision {fx.precision}, below the "
                 f"target {target_precision}; supply more input precision"
             )
-        vf = fx.valuation().fraction
+        vf = fx.kterms[0][0]
         if last_vf is not None and vf <= last_vf:
             raise ConvergenceError("no certified progress in root refinement")
         last_vf = vf
         fpx = fprime.evaluate(x)
         if fpx.is_zero:
             raise ConvergenceError("derivative vanishes to precision at the iterate")
-        vfp = fpx.valuation().fraction
+        vfp = fpx.kterms[0][0]
         # The iterate is only a candidate digit string: its terms are an
         # exact finite series, and only the final residual certifies how
         # well it approximates the root.  Working at a fixed horizon W
         # keeps precision bookkeeping from eroding along the orbit.
-        work = ExtRat(target_precision.fraction + 2 * abs(vfp) + 4)
+        work = ExtRat(target_precision.fraction + Fraction(2 * abs(vfp), D) + 4)
         if vf > 2 * vfp:
             step = fx * invert(fpx, work)
             x = _declare(x - step, work)
         else:
             shifted = f.shifted(x)
             c0 = shifted[0]
-            v0 = c0.valuation().fraction
+            v0 = c0.kterms[0][0] if c0.kterms else c0.valuation().fraction
+            # slopes in grid units: the exponent of the correction is slope/D
             slope: Optional[Fraction] = None
             for i in range(1, len(shifted)):
                 ci = shifted[i]
                 if ci.is_zero:
                     continue
-                s = (v0 - ci.valuation().fraction) / i
+                s = Fraction(v0 - ci.kterms[0][0], i)
                 if slope is None or s > slope:
                     slope = s
             if slope is None:
                 raise ConvergenceError("degenerate polygon: no higher coefficients")
-            ctx.check_exponent(slope)
+            if slope.denominator != 1:
+                ctx.check_exponent(slope / D)
+            ks = slope.numerator
             # residue equation along the initial segment
             res_coeffs = [0] * (len(shifted))
             for i, ci in enumerate(shifted):
                 if ci.is_zero:
                     continue
-                vi = ci.valuation().fraction
-                if vi + i * slope == v0:
+                if ci.kterms[0][0] + i * ks == v0:
                     res_coeffs[i] = ci.leading_coeff()
             roots = [r for r in ctx.field.roots_of(res_coeffs) if r != 0]
             if not roots:
                 raise ConvergenceError("residue equation has no root in F_q")
-            x = _declare(x + Series.monomial(ctx, slope, roots[0], work), work)
+            x = _declare(x + Series.monomial(ctx, Fraction(ks, D), roots[0], work), work)
     raise ConvergenceError("iteration budget exhausted")
 
 
@@ -809,8 +693,7 @@ def _declare(s: Series, precision: ExtRat) -> Series:
     candidate is treated as the exact finite sum of its terms and the
     returned claim is established by the residual check alone.
     """
-    terms = tuple((e, c) for e, c in s.terms if e < precision.fraction)
-    return Series(s.ctx, terms, precision)
+    return Series(s.ctx, _below(s.kterms, s.ctx.kcap(precision)), precision)
 
 
 def zeta_p(ctx: SeriesContext, target_precision: ExtRat) -> Series:
@@ -831,7 +714,7 @@ def zeta_p(ctx: SeriesContext, target_precision: ExtRat) -> Series:
     p = ctx.p
     if p == 2:
         n = math.ceil(target_precision.fraction)
-        return Series.make(ctx, {Fraction(k): 1 for k in range(max(n, 1))}, target_precision)
+        return Series.make(ctx, {k: 1 for k in range(max(n, 1))}, target_precision)
     fld = ctx.field
     minus_one = fld.neg(1)
     c = next((a for a in range(1, fld.q) if fld.pow_(a, p - 1) == minus_one), None)
@@ -843,7 +726,7 @@ def zeta_p(ctx: SeriesContext, target_precision: ExtRat) -> Series:
     e0 = Fraction(1, p - 1)
     ctx.check_exponent(e0)
     work = ExtRat(target_precision.fraction + 2)
-    x0 = Series.make(ctx, {Fraction(0): 1, e0: c}, work)
+    x0 = Series.make(ctx, {0: 1, e0: c}, work)
     one = Series.one(ctx)
     f = Polynomial.make(tuple(one for _ in range(p)))
     target_f = ExtRat(target_precision.fraction + Fraction(p - 2, p - 1))

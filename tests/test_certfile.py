@@ -15,6 +15,7 @@ from defectlab.certfile import (
     verify_certificate,
     write_certificate_file,
 )
+from defectlab.cli import main
 from defectlab.fields import preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
 from defectlab.series import Series, make_equal_context
@@ -207,3 +208,29 @@ def test_kummer_upper_cut_named_diff(tmp_path, tamper):
         d.startswith("cert[0]: ") and "upper cut re-derivation gives" in d for d in report.diffs
     ), report.diffs
     assert not any("verification error" in d for d in report.diffs), report.diffs
+
+
+def _kummer_certs():
+    eta, tail = lab_superdependent_unit(QT2)
+    return QT2, 5, kummer_family(eta, QT2, 2, 5, tail)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [lambda: (K2, 3, _as_certs()), _kummer_certs],
+    ids=["artin-schreier", "kummer"],
+)
+def test_duplicated_family_member_named_diff(tmp_path, capsys, family):
+    K, budget, certs = family()
+    cf = make_certificate_file(K, SessionConfig.for_field(K, budget), certs)
+    path = tmp_path / "fam.json"
+    write_certificate_file(str(path), cf)
+    assert main(["verify", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    obj["certs"][1] = obj["certs"][0]
+    path.write_text(json.dumps(obj))
+    report = verify_certificate(read_certificate_file(str(path)))
+    assert report.diffs == ["family: members 1 and 2 have equal samples"]
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert "  family: members 1 and 2 have equal samples" in capsys.readouterr().out

@@ -1,0 +1,36 @@
+"""Byte-identical certificates for a few cheap jobs.
+
+Each job runs in-process through ``cli.main(argv + ["--out", path])`` and
+must give the exit code and the certificate sha256 recorded in the
+benchmark's ``perfbench/golden.json`` (read here, never written).  A change
+of representation that moves one byte of a certificate fails here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from defectlab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+
+JOBS = (
+    "asfamily --base fp_t --p 2 --n 2 --budget 2",
+    "kummerfamily --base qp_pdiv_tower --p 2 --q 2 --n 1 --budget 5",
+    "sigma --base pdiv_tower --p 2 --budget 2",
+)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())["jobs"]
+
+
+@pytest.mark.parametrize("job", JOBS)
+def test_certificate_matches_golden(job, golden, tmp_path, capsys):
+    want = golden[job]
+    out = tmp_path / "cert.json"
+    assert main(job.split() + ["--out", str(out)]) == want["rc"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectlab.cuts import ExtRat, PLUS_INF
 from defectlab.series import (
@@ -137,3 +138,104 @@ def test_newton_linear_and_exact_root():
     f2 = Polynomial.make(((t * t).neg(), Series.zero(CTX2), Series.one(CTX2)))
     r = newton_root(f2, t, ExtRat.of(q(9)))
     assert (r * r - t * t).vlow() >= ExtRat.of(q(9))
+
+
+# --- differential oracles: integer exponents against GF(p)[t] ---
+
+
+def _poly_add(f, g, p):
+    n = max(len(f), len(g))
+    f, g = f + [0] * (n - len(f)), g + [0] * (n - len(g))
+    return [(x + y) % p for x, y in zip(f, g)]
+
+
+def _poly_mul(f, g, p):
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _series_inverse(f, n, p):
+    """The first n coefficients of 1/f in GF(p)[[t]], f(0) != 0."""
+    f0_inv = pow(f[0], -1, p)
+    g = []
+    for k in range(n):
+        acc = 1 if k == 0 else 0
+        acc -= sum(f[i] * g[k - i] for i in range(1, min(k, len(f) - 1) + 1))
+        g.append(acc * f0_inv % p)
+    return g
+
+
+def _as_series(ctx, coeffs, shift=0):
+    return Series.make(ctx, {i + shift: c for i, c in enumerate(coeffs)})
+
+
+def _as_dict(coeffs, shift=0):
+    return {q(i + shift): c for i, c in enumerate(coeffs) if c}
+
+
+@st.composite
+def _gfp_polys(draw):
+    p = draw(st.sampled_from([2, 3]))
+    poly = st.lists(st.integers(0, p - 1), min_size=0, max_size=7)
+    horizon = st.one_of(st.none(), st.integers(1, 8))
+    return p, draw(poly), draw(poly), draw(horizon), draw(horizon)
+
+
+def _known(coeffs, n):
+    """The polynomial known below t^n (None: exactly), and its vlow."""
+    if n is not None:
+        coeffs = coeffs[:n]
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    return coeffs, nonzero[0] if nonzero else n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gfp_polys())
+def test_add_mul_match_gfp_polynomials(case):
+    # a is f known below t^na, b is g known below t^nb (None: exact); the
+    # sum is known below min(na, nb), the product below
+    # min(vlow(a) + nb, vlow(b) + na)
+    p, f, g, na, nb = case
+    ctx = {2: CTX2, 3: CTX3}[p]
+    f, va = _known(f, na)
+    g, vb = _known(g, nb)
+    a = Series.make(ctx, _as_dict(f), PLUS_INF if na is None else ExtRat.of(q(na)))
+    b = Series.make(ctx, _as_dict(g), PLUS_INF if nb is None else ExtRat.of(q(nb)))
+    bounds = [n for n in (na, nb) if n is not None]
+    s = a + b
+    assert s.precision == (ExtRat.of(q(min(bounds))) if bounds else PLUS_INF)
+    want = _poly_add(f, g, p)
+    assert dict(s.terms) == _as_dict(want[:min(bounds)] if bounds else want)
+    # an exact zero (vlow None) times anything is exact
+    caps = [v + n for v, n in ((va, nb), (vb, na)) if n is not None and v is not None]
+    prod = a * b
+    want = _poly_mul(f, g, p)
+    if caps:
+        assert prod.precision == ExtRat.of(q(min(caps)))
+        want = want[:min(caps)]
+    else:
+        assert prod.precision == PLUS_INF
+    assert dict(prod.terms) == _as_dict(want)
+
+
+@st.composite
+def _gfp_units(draw):
+    p = draw(st.sampled_from([2, 3]))
+    f = [draw(st.integers(1, p - 1))] + draw(st.lists(st.integers(0, p - 1), max_size=6))
+    return p, f, draw(st.integers(0, 3)), draw(st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gfp_units())
+def test_invert_matches_truncated_power_series(case):
+    # a = t^v * f with f(0) != 0; 1/a = t^-v * (1/f), certified below
+    # target - 2v
+    p, f, v, n = case
+    ctx = {2: CTX2, 3: CTX3}[p]
+    target = n + v
+    s = invert(_as_series(ctx, f, v), ExtRat.of(q(target)))
+    assert s.precision == ExtRat.of(q(n - v))
+    assert dict(s.terms) == _as_dict(_series_inverse(f, n, p), -v)

@@ -215,6 +215,28 @@ def test_finite_precision_matches_integers_mod_pn(case):
         assert _value_mod(got, n) == want % mod
 
 
+@st.composite
+def _unit_case(draw):
+    ctx = PRIME_CTXS[draw(st.sampled_from([2, 3, 5]))]
+    n = draw(st.integers(1, 10))
+    lead = draw(st.integers(1, ctx.p - 1))
+    rest = draw(st.lists(st.integers(0, ctx.p - 1), min_size=n - 1, max_size=n - 1))
+    unit = Series.make(ctx, {q(i): d for i, d in enumerate([lead] + rest)}, ExtRat.of(q(n)))
+    return ctx, n, unit, draw(st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unit_case())
+def test_invert_matches_inverse_mod_pn(case):
+    # a = p^v * u with u a unit known mod p^n; 1/a = p^-v * (1/u)
+    ctx, n, u, v = case
+    mod = ctx.p ** n
+    a = u.shift(v)
+    s = invert(a, ExtRat.of(q(n + v)))
+    assert s.precision == ExtRat.of(q(n - v))
+    assert _value_mod(s.shift(v), n) == pow(_value_mod(u, n), -1, mod)
+
+
 def _exact_value(s):
     lift = {2: {1: 1}, 3: {1: 1, 2: -1}}[s.ctx.p]
     assert all(e.denominator == 1 and e >= 0 for e in s.support())
