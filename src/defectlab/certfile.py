@@ -63,8 +63,10 @@ class SessionConfig:
         )
 
     @staticmethod
-    def for_field(K: FieldDesc, budget: int, precision: Fraction = Fraction(8)) -> "SessionConfig":
-        return SessionConfig(K.ctx.mode, K.ctx.p, K.ctx.m, K.ctx.D, precision, budget)
+    def for_field(K: FieldDesc, budget: int) -> "SessionConfig":
+        # ``precision`` is a schema v1 field that nothing reads back; it
+        # is always written as 8/1
+        return SessionConfig(K.ctx.mode, K.ctx.p, K.ctx.m, K.ctx.D, Fraction(8), budget)
 
 
 def series_to_json(s: Series) -> dict:
@@ -144,10 +146,6 @@ def cert_from_json(obj: dict) -> ExtensionCert:
         Claims.from_json(obj["claims"]),
         tuple(obj["provenance"]),
     )
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

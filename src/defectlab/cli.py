@@ -77,7 +77,7 @@ def cmd_field(args) -> int:
 
 
 def _session(K: FieldDesc, args) -> SessionConfig:
-    return SessionConfig.for_field(K, args.budget, Fraction(args.precision))
+    return SessionConfig.for_field(K, args.budget)
 
 
 def cmd_distance(args) -> int:
@@ -237,10 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--q", type=int, default=None,
                         help="residue field size p^m (default p)")
         sp.add_argument("--base", choices=PRESET_NAMES, default="fp_t")
-        sp.add_argument("--precision", type=str, default="8")
         sp.add_argument("--budget", type=int, default=3,
                         help="enumeration height")
-        sp.add_argument("--n", type=int, default=5)
         sp.add_argument("--D", type=int, default=None,
                         help="exponent denominator bound")
         sp.add_argument("--out", type=str, default=None)
@@ -255,6 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         sp = sub.add_parser(name)
         common(sp)
+        if name in ("asfamily", "kummerfamily"):
+            sp.add_argument("--n", type=int, default=5, help="family size")
         sp.set_defaults(func=fn)
 
     vp = sub.add_parser("verify")

@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from . import teichmueller
 from .cuts import ExtRat, PLUS_INF
@@ -519,8 +519,9 @@ def invert(a: Series, target_precision: ExtRat) -> Series:
     power = Series.one(ctx, ExtRat(rel))
     rel_cap = ctx.kcap(ExtRat(rel))
     k = 1
+    neg_y = y.neg()
     while k * vy < rel_cap:
-        power = power * y.neg()
+        power = power * neg_y
         s = s + power
         k += 1
     return s.scale(lc_inv).shift(-va)
@@ -561,31 +562,18 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
-    def derivative(self) -> "Polynomial":
-        ctx = self.ctx
-        if self.degree == 0:
-            return Polynomial((Series.zero(ctx),))
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(int_scale(self.coeffs[i], i))
-        return Polynomial(tuple(out))
-
     def shifted(self, a: Series) -> Tuple[Series, ...]:
-        """Coefficients of f(a + X), by exact binomial expansion."""
+        """Coefficients of f(a + X), by repeated Horner division.
+
+        Pass i divides by X - a and leaves the i-th Taylor coefficient in
+        place; the first pass runs exactly the operations of
+        ``evaluate``, so coefficient 0 is ``self.evaluate(a)``."""
+        c = list(self.coeffs)
         n = self.degree
-        out: List[Series] = [Series.zero(self.ctx, PLUS_INF) for _ in range(n + 1)]
-        for j, cj in enumerate(self.coeffs):
-            if cj.is_zero and not cj.precision.is_finite:
-                continue
-            apow = Series.one(self.ctx, PLUS_INF)
-            # binomial(j, i) * c_j * a^(j-i) contributes to X^i; walk i downward
-            for i in range(j, -1, -1):
-                b = math.comb(j, i)
-                term = int_scale(cj, b) * apow if b != 1 else cj * apow
-                out[i] = out[i] + term
-                if i > 0:
-                    apow = apow * a
-        return tuple(out)
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                c[j] = c[j + 1] * a + c[j]
+        return tuple(c)
 
 
 def int_scale(a: Series, n: int) -> Series:
@@ -610,26 +598,30 @@ def newton_root(
 ) -> Series:
     """Refine a root of f from ``start`` until v(f(x)) >= target_precision.
 
-    When the classical Hensel condition v(f(x)) > 2 v(f'(x)) holds the
-    iteration is the quadratic Newton step.  Otherwise the leading branch
-    is peeled off with a Newton-polygon step: the next correction is a
-    monomial whose exponent is the steepest initial slope of f(x + X) and
-    whose coefficient solves the associated residue equation in F_q.  The
-    reported precision of the result accounts for the derivative's
-    valuation (a root is only determined modulo target - v(f'(root))).
+    Each step computes one Taylor shift f(x + X) (``Polynomial.shifted``);
+    its coefficients 0 and 1 are f(x) and f'(x), and all of them give the
+    Newton polygon.  When the classical Hensel condition
+    v(f(x)) > 2 v(f'(x)) holds the iteration is the quadratic Newton step.
+    Otherwise the leading branch is peeled off with a Newton-polygon step:
+    the next correction is a monomial whose exponent is the steepest
+    initial slope of f(x + X) and whose coefficient solves the associated
+    residue equation in F_q.  The reported precision of the result
+    accounts for the derivative's valuation (a root is only determined
+    modulo target - v(f'(root))).
     """
     target_precision = ExtRat.of(target_precision)
     if not target_precision.is_finite:
         raise PrecisionError("newton_root needs a finite target precision")
+    if f.degree == 0:
+        raise ValueError("newton_root needs a polynomial of degree at least 1")
     ctx = f.ctx
     D = ctx.D
     x = start
-    fprime = f.derivative()
     last_vf: Optional[int] = None
     for _ in range(max_steps):
-        fx = f.evaluate(x)
+        shifted = f.shifted(x)
+        fx, fpx = shifted[0], shifted[1]
         if fx.vlow() >= target_precision:
-            fpx = fprime.evaluate(x)
             loss = fpx.vlow()
             cap = target_precision - loss if loss.is_finite else target_precision
             return x.truncate(min(x.precision, cap))
@@ -642,7 +634,6 @@ def newton_root(
         if last_vf is not None and vf <= last_vf:
             raise ConvergenceError("no certified progress in root refinement")
         last_vf = vf
-        fpx = fprime.evaluate(x)
         if fpx.is_zero:
             raise ConvergenceError("derivative vanishes to precision at the iterate")
         vfp = fpx.kterms[0][0]
@@ -655,16 +646,13 @@ def newton_root(
             step = fx * invert(fpx, work)
             x = _declare(x - step, work)
         else:
-            shifted = f.shifted(x)
-            c0 = shifted[0]
-            v0 = c0.kterms[0][0] if c0.kterms else c0.valuation().fraction
             # slopes in grid units: the exponent of the correction is slope/D
             slope: Optional[Fraction] = None
             for i in range(1, len(shifted)):
                 ci = shifted[i]
                 if ci.is_zero:
                     continue
-                s = Fraction(v0 - ci.kterms[0][0], i)
+                s = Fraction(vf - ci.kterms[0][0], i)
                 if slope is None or s > slope:
                     slope = s
             if slope is None:
@@ -677,7 +665,7 @@ def newton_root(
             for i, ci in enumerate(shifted):
                 if ci.is_zero:
                     continue
-                if ci.kterms[0][0] + i * ks == v0:
+                if ci.kterms[0][0] + i * ks == vf:
                     res_coeffs[i] = ci.leading_coeff()
             roots = [r for r in ctx.field.roots_of(res_coeffs) if r != 0]
             if not roots:

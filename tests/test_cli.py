@@ -86,6 +86,21 @@ def test_removed_flags_are_usage_errors(flag, capsys):
     assert run(["field", "--base", "fp_t", "--p", "2", *flag]) == 64
 
 
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, ["--precision", "8"]) for c in
+     ("field", "distance", "semitame", "asfamily", "kummerfamily", "sigma")]
+    + [(c, ["--n", "3"]) for c in ("field", "distance", "semitame", "sigma")],
+    ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"),
+)
+def test_removed_options_are_usage_errors(command, flag, capsys):
+    # each argv is valid without the flag and fails in parsing with it
+    argv = [command, "--base", "fp_t", "--p", "2", "--budget", "2"]
+    if command == "kummerfamily":
+        argv = [command, "--base", "qp_pdiv_tower", "--p", "2", "--n", "1", "--budget", "5"]
+    assert run(argv + flag) == 64
+
+
 def test_subprocess_entry(tmp_path):
     # run from the directory holding the package under test, so that the
     # child imports it without an installed copy or PYTHONPATH

@@ -131,6 +131,17 @@ def test_zeta_3_valuation_and_order():
     assert (z2 - one).valuation() == ExtRat.of(q(1, 2))
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_zeta_p_beyond_exact_lifts(p):
+    # p >= 5 has no exact integer lifts; the Newton steps must not need them
+    ctx = make_mixed_context(p, 2)
+    z = zeta_p(ctx, ExtRat.of(q(3)))
+    one = Series.one(ctx)
+    assert (z - one).valuation() == ExtRat.of(q(1, p - 1))
+    f = Polynomial.make(tuple(one for _ in range(p)))  # 1 + X + ... + X^(p-1)
+    assert f.evaluate(z).vlow() >= z.precision
+
+
 def test_newton_sqrt_of_nine():
     # X^2 - 9 from start 1 converges to the odd square root 3 or -3;
     # the reported precision loses v(f') = v(2x) = 1
