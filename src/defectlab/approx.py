@@ -16,6 +16,7 @@ flag says so.  Differences v(a - c) are certified only below ``low``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -140,6 +141,25 @@ def support_upper_cut(a: Series, K: FieldDesc, tail: Optional[TailSchema]) -> Cu
     return min(candidates) if candidates else Cut(PLUS_INF, False)
 
 
+def sample_shape_error(realized, upper: Cut) -> Optional[str]:
+    """Why ``realized`` is not a well-formed sample under the certified
+    upper cut, or None: the values must be strictly increasing, a +inf
+    value (an exact member) needs an infinite bound, and every finite
+    value must lie in the cut's lower set."""
+    prev = None
+    for v, _ in realized:
+        if prev is not None and not prev < v:
+            return f"realized values are not strictly increasing: {prev} then {v}"
+        prev = v
+        if not v.is_finite:
+            if upper.bound.is_finite:
+                return "a witnessed exact member contradicts the finite upper bound"
+            continue
+        if v > upper.bound or (v == upper.bound and not upper.attained):
+            return f"realized value {v} escapes the certified upper cut {upper}"
+    return None
+
+
 def value_set(
     a: Series,
     K: FieldDesc,
@@ -152,45 +172,42 @@ def value_set(
     its own support exponents (when those truncations are members of K),
     and the deterministic element enumeration at height ``budget``.  The
     upper cut comes from support-lattice reasoning only.
+
+    The scan stays on the grid: witnesses are keyed by the grid index k
+    of the value k/D (``math.inf`` for an exact zero, see
+    ``Series.diff_k``), and an ``ExtRat`` is built only for the values
+    realized.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    horizon = difference_horizon(a, tail)
-    found: Dict[ExtRat, Series] = {}
+    ctx = a.ctx
+    khorizon = ctx.kcap(difference_horizon(a, tail))
+    kprec = ctx.kcap(a.precision)
+    found: Dict[int, Series] = {}
 
     # partial-sum witnesses at the element's own support exponents
-    partial_values: List[ExtRat] = []
-    kcap = a.ctx.kcap(horizon)
+    partial_ks: List[int] = []
     for i, (k, _) in enumerate(a.kterms):
-        if k < kcap:
-            partial = Series(a.ctx, a.kterms[:i], a.precision)
+        if k < khorizon:
+            partial = Series(ctx, a.kterms[:i], a.precision)
             if member_witness(K, partial):
-                v = ExtRat(Fraction(k, a.ctx.D))
-                found.setdefault(v, partial)
-                partial_values.append(v)
+                found.setdefault(k, partial)
+                partial_ks.append(k)
 
     # enumeration witnesses
     for c in enumerate_elements(K, budget):
-        v = a.diff_valuation(c)
-        if v is not None and (not v.is_finite or v < horizon):
-            found.setdefault(v, c)
+        k = a.diff_k(c, kprec)
+        if k is not None and (k == math.inf or k < khorizon):
+            found.setdefault(k, c)
 
-    realized = tuple(sorted(found.items(), key=lambda kv: kv[0]._key()))
+    realized = tuple((ctx.value_of(k), found[k]) for k in sorted(found))
 
     upper = support_upper_cut(a, K, tail)
 
-    # realized values must respect the certified upper cut
-    for v, _ in realized:
-        if not v.is_finite:
-            if upper.bound.is_finite:
-                raise AssertionError(
-                    "a witnessed exact member contradicts the finite upper bound"
-                )
-            continue
-        if v > upper.bound or (v == upper.bound and not upper.attained):
-            raise AssertionError(
-                f"realized value {v} escapes the certified upper cut {upper}"
-            )
+    # realized values must be increasing and respect the certified upper cut
+    err = sample_shape_error(realized, upper)
+    if err is not None:
+        raise AssertionError(err)
 
     # no-maximum verdict: proved only from accepted truncation witnesses
     # over a leveled union, where the schema guarantees strictly better
@@ -205,7 +222,7 @@ def value_set(
         and tail.cofinal_at_sup
         and tail.partials_in_field
         and K.leveled
-        and any(v.is_finite and v.fraction < tail.sup for v in partial_values)
+        and any(Fraction(k, ctx.D) < tail.sup for k in partial_ks)
     ):
         no_max = PROVED
 
@@ -221,6 +238,8 @@ def translate_sample(
 ) -> InitialSegmentSample:
     """Re-witness a sample for a_new = (transform of a), checking each
     translated witness exactly: v(a_new - map(c)) must equal v + shift."""
+    ctx = a_new.ctx
+    kprec = ctx.kcap(a_new.precision)
     out = []
     for v, w in sample.realized:
         if not v.is_finite:
@@ -229,11 +248,11 @@ def translate_sample(
         target = ExtRat.of(v.fraction + shift)
         if horizon is not None and not (target < horizon):
             continue
-        got = a_new.diff_valuation(w2)
-        if got is None or got != target:
+        got = a_new.diff_k(w2, kprec)
+        if got is None or got != ctx.grid_index(target):
             raise ValueError(
                 f"translated witness fails: expected value {target}, "
-                f"got {'zero' if got is None or not got.is_finite else got}"
+                f"got {'zero' if got is None or got == math.inf else ctx.value_of(got)}"
             )
         out.append((target, w2))
     ub = sample.upper

@@ -24,6 +24,7 @@ from .approx import (
     TailSchema,
     difference_horizon,
     distance,
+    sample_shape_error,
     support_upper_cut,
 )
 from .artin import Claims, ExtensionCert, KUMMER, check_pairwise_distinct, defect_criteria
@@ -247,24 +248,30 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     gen = cert.generator
     tail = cert.generator_tail
 
-    # 1. witness re-evaluation
-    horizon = difference_horizon(gen, tail)
+    # 1. witness re-evaluation, on the grid: a stored value off the grid
+    # has no index and so never matches
+    khorizon = ctx.kcap(difference_horizon(gen, tail))
+    kprec = ctx.kcap(gen.precision)
     for v, w in cert.sample.realized:
-        got = gen.diff_valuation(w)
+        got = gen.diff_k(w, kprec)
         if not v.is_finite:
-            if got is None or got.is_finite:
+            if got != math.inf:
                 report.add(f"{tag}: witness for +inf does not reproduce an exact zero")
             continue
-        if got is None or not got.is_finite:
+        if got is None or got == math.inf:
             report.add(f"{tag}: witness for {v} gives a zero difference")
             continue
-        if got != v or not got < horizon:
-            report.add(f"{tag}: witness re-evaluation gives {got}, stored {v}")
+        if got != ctx.grid_index(v) or not got < khorizon:
+            report.add(f"{tag}: witness re-evaluation gives {ctx.value_of(got)}, stored {v}")
 
-    # 2. upper cut from the stored support and tail flags
+    # 2. upper cut from the stored support and tail flags, and the shape
+    # of the sample under it
     upper = support_upper_cut(gen, cert.base, tail)
     if upper != cert.sample.upper:
         report.add(f"{tag}: upper cut re-derivation gives {upper}, stored {cert.sample.upper}")
+    err = sample_shape_error(cert.sample.realized, upper)
+    if err is not None:
+        report.add(f"{tag}: sample shape: {err}")
 
     # 3. minimal polynomial residual within the recorded exception window:
     # a negative floor allows terms in [floor, 0) only (the telescoping
@@ -292,9 +299,13 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     blank = replace(cert, claims=replace(cert.claims,
                                          immediate="unknown", immediate_rule="none",
                                          defect=None, defect_rule="none"))
-    rederived = defect_criteria(blank)
-    if cert.kind == KUMMER and cert.claims.classification != "unknown":
-        rederived = classify_kummer_defect(rederived)
+    try:
+        rederived = defect_criteria(blank)
+        if cert.kind == KUMMER and cert.claims.classification != "unknown":
+            rederived = classify_kummer_defect(rederived)
+    except (ValueError, AssertionError) as exc:
+        report.add(f"{tag}: claim re-derivation failed: {exc}")
+        return
     got, want = rederived.claims, cert.claims
     for fieldname in ("immediate", "defect", "defect_rule", "classification"):
         if getattr(got, fieldname) != getattr(want, fieldname):

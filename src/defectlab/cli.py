@@ -30,7 +30,7 @@ from .certfile import (
     write_certificate_file,
 )
 from .cuts import ExtRat
-from .fields import PRESET_NAMES, FieldDesc, enumerate_elements, preset_field
+from .fields import PRESET_NAMES, BudgetTooSmall, FieldDesc, enumerate_elements, preset_field
 from .kummer import kummer_family, lab_superdependent_unit
 from .series import ConvergenceError, PrecisionError, Series
 
@@ -282,7 +282,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.q_power = 1
     try:
         return args.func(args)
-    except (ConvergenceError, PrecisionError) as exc:
+    except (BudgetTooSmall, ConvergenceError, PrecisionError) as exc:
         print(f"inconclusive at this budget: {exc}", file=sys.stderr)
         return EX_INCONCLUSIVE
     except ValueError as exc:

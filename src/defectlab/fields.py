@@ -42,6 +42,11 @@ PADIC_TOWER = "padic_tower"
 PRESET_NAMES = ("fp_t", "laurent", "pdiv_tower", "qp", "qp_pdiv_tower")
 
 
+class BudgetTooSmall(RuntimeError):
+    """The enumeration at this budget lists too few elements of the kind
+    a construction needs; a larger budget may succeed."""
+
+
 @dataclass(frozen=True)
 class FieldDesc:
     kind: str

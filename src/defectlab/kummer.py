@@ -41,7 +41,7 @@ from .artin import (
     defect_criteria,
 )
 from .cuts import Cut, ExtRat, segment_affine
-from .fields import FieldDesc, enumerate_elements, member_witness
+from .fields import BudgetTooSmall, FieldDesc, enumerate_elements, member_witness
 from .series import (
     MIXED,
     Polynomial,
@@ -309,7 +309,7 @@ def kummer_family(
             candidates.append((v, x))
     candidates.sort(key=lambda t: -t[0])  # increasing |v(td)|
     if len(candidates) < n_members:
-        raise ValueError(
+        raise BudgetTooSmall(
             f"only {len(candidates)} admissible deep elements at budget {budget}, "
             f"need {n_members}"
         )

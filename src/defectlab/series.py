@@ -94,6 +94,18 @@ class SeriesContext:
         f = x.num
         return -(-f.numerator * self.D // f.denominator)
 
+    def grid_index(self, x: ExtRat):
+        """The k with x = k/D: ``math.inf`` for +inf, None for -inf or a
+        finite x off the grid (1/D)Z."""
+        if x.sign:
+            return math.inf if x.sign > 0 else None
+        q, r = divmod(self.D, x.num.denominator)
+        return None if r else x.num.numerator * q
+
+    def value_of(self, k) -> ExtRat:
+        """The value k/D of a grid index; ``PLUS_INF`` for ``math.inf``."""
+        return PLUS_INF if k == math.inf else ExtRat(Fraction(k, self.D))
+
     def to_json(self) -> dict:
         return {"mode": self.mode, "p": self.p, "m": self.m, "D": self.D}
 
@@ -269,14 +281,17 @@ class Series:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("series from different sessions cannot be combined")
 
-    def diff_valuation(self, other: "Series") -> Optional[ExtRat]:
-        """v(self - other), read off the first differing term.
+    def diff_k(self, other: "Series", kcap=None):
+        """v(self - other) on the grid, read off the first differing term.
 
-        Walks the two sorted term tuples together and returns the first
-        exponent below the common precision where the coefficients differ;
-        ``PLUS_INF`` when the terms agree and both precisions are infinite;
-        ``None`` when they agree only up to a finite precision (the
-        difference is zero to that precision, its valuation uncertified).
+        Walks the two sorted term tuples together and returns the grid
+        index k of the first exponent k/D below both precisions where the
+        coefficients differ; ``math.inf`` when the terms agree and both
+        precisions are infinite (an exact zero); ``None`` when they agree
+        only up to a finite precision, or first differ at or beyond one
+        (the difference is zero to that precision, its valuation
+        uncertified).  ``kcap``, when given, must be
+        ``ctx.kcap(self.precision)``, so that a scan computes it once.
 
         In equal characteristic this is the valuation of ``self - other``
         term by term.  In mixed characteristic it is too: the terms below
@@ -296,13 +311,21 @@ class Series:
             if len(ta) == len(tc):
                 if self.precision.is_finite or other.precision.is_finite:
                     return None
-                return PLUS_INF
+                return math.inf
             # one term tuple is a prefix of the other; the longer one's
             # next term is the first difference
             k = (ta[len(tc):] or tc[len(ta):])[0][0]
-        if k >= ctx.kcap(self.precision) or k >= ctx.kcap(other.precision):
+        if kcap is None:
+            kcap = ctx.kcap(self.precision)
+        if k >= kcap or k >= ctx.kcap(other.precision):
             return None
-        return ExtRat(Fraction(k, ctx.D))
+        return k
+
+    def diff_valuation(self, other: "Series") -> Optional[ExtRat]:
+        """``diff_k`` as a value: k/D, ``PLUS_INF`` for an exact zero, or
+        None when the difference is uncertified."""
+        k = self.diff_k(other)
+        return None if k is None else self.ctx.value_of(k)
 
     def __add__(self, other: "Series") -> "Series":
         self._require_same_mode(other)

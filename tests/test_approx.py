@@ -150,9 +150,14 @@ def _reference_realized(a, K, budget, tail=None):
     return tuple(sorted(found.items(), key=lambda kv: kv[0]._key()))
 
 
-def _tower_root(budget):
-    root = as_root(Series.monomial(T2.ctx, -1), ExtRat.of(q(budget + 6)))
+def _tower_root(budget, K=T2):
+    root = as_root(Series.monomial(K.ctx, -1), ExtRat.of(q(budget + 6)))
     return root.theta, root.tail
+
+
+K3 = preset_field("fp_t", 3)
+L3 = preset_field("laurent", 3)
+T3 = preset_field("pdiv_tower", 3)
 
 
 _CALL_SITE_CASES = {
@@ -162,6 +167,13 @@ _CALL_SITE_CASES = {
         K2, Series.make(K2.ctx, {q(-1): 1, q(1, 2): 1, q(1): 1}, ExtRat.of(q(2))), None, 2),
     "laurent": lambda: (L2, Series.make(L2.ctx, {q(-1): 1, q(1, 2): 1}), None, 3),
     "pdiv_tower-root": lambda: (T2,) + _tower_root(2) + (2,),
+    "pdiv_tower-root-budget-3": lambda: (T2,) + _tower_root(3) + (3,),
+    "fp_t-p3-cube-root": lambda: (K3, Series.monomial(K3.ctx, q(1, 3)), None, 2),
+    "fp_t-p3-finite-precision": lambda: (
+        K3, Series.make(K3.ctx, {q(-1): 2, q(1, 3): 1, q(1): 1}, ExtRat.of(q(2))), None, 2),
+    "laurent-p3": lambda: (L3, Series.make(L3.ctx, {q(-1): 1, q(2, 3): 2}), None, 2),
+    "laurent-p3-root": lambda: (L3,) + _tower_root(2, L3) + (2,),
+    "pdiv_tower-p3-root": lambda: (T3,) + _tower_root(2, T3) + (2,),
     "qp_pdiv_tower-unit": lambda: (QT2,) + lab_superdependent_unit(QT2) + (5,),
     "qp_pdiv_tower-finite-precision": lambda: (
         QT2, Series.make(QT2.ctx, {q(0): 1, q(1, 2): 1, q(3): 1}, ExtRat.of(q(4))), None, 3),

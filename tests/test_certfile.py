@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -105,8 +106,10 @@ def _witness_is_generator(cert):
         (_set_value("+inf"), "witness for +inf does not reproduce an exact zero"),
         (_witness_is_generator, "gives a zero difference"),
         (_set_value("-77/1"), "witness re-evaluation gives"),
+        # off the grid (1/D)Z and outside the value group
+        (_set_value("1/3"), "witness re-evaluation gives"),
     ],
-    ids=["plus-inf", "zero-difference", "re-evaluation"],
+    ids=["plus-inf", "zero-difference", "re-evaluation", "off-grid"],
 )
 def test_witness_step_named_diffs(tmp_path, tamper, diff):
     certs = _as_certs()
@@ -234,3 +237,40 @@ def test_duplicated_family_member_named_diff(tmp_path, capsys, family):
     capsys.readouterr()
     assert main(["verify", str(path)]) == 2
     assert "  family: members 1 and 2 have equal samples" in capsys.readouterr().out
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+
+
+def _swap_first_two(realized):
+    realized[0], realized[1] = realized[1], realized[0]
+
+
+def _repeat_last(realized):
+    realized.append(dict(realized[-1]))
+
+
+def _append_above_cut(realized):
+    realized.append({"value": "0/1", "witness": realized[-1]["witness"]})
+
+
+@pytest.mark.parametrize(
+    "forge, diff",
+    [
+        (_swap_first_two, "realized values are not strictly increasing: -3/1 then -4/1"),
+        (_repeat_last, "realized values are not strictly increasing: -1/2 then -1/2"),
+        (_append_above_cut, "realized value 0/1 escapes the certified upper cut -1/2+"),
+    ],
+    ids=["swapped", "duplicated", "above-cut"],
+)
+def test_sample_shape_named_diff(tmp_path, capsys, forge, diff):
+    # the stored witnesses stay valid, so only the shape check can refuse
+    # the first two forgeries
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-3.json").read_text())
+    forge(obj["certs"][0]["sample"]["realized"])
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert f"  cert[0]: sample shape: {diff}" in out, out
+    assert "verification error" not in out, out

@@ -78,6 +78,15 @@ def test_usage_error():
     assert run(["nope"]) == 64
 
 
+def test_kummerfamily_budget_shortfall_is_inconclusive(capsys):
+    # three admissible deep elements at budget 4: a larger budget may
+    # find a fourth, so this is exit 3, not a usage error
+    argv = ["kummerfamily", "--base", "qp_pdiv_tower", "--p", "2", "--budget", "4"]
+    assert run(argv + ["--n", "4"]) == 3
+    assert "only 3 admissible deep elements at budget 4, need 4" in capsys.readouterr().err
+    assert run(argv + ["--n", "0"]) == 64
+
+
 @pytest.mark.parametrize(
     "flag", [["--seed", "1"], ["--mode", "equal"], ["--height", "2"]],
     ids=["seed", "mode", "height"],

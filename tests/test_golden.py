@@ -18,6 +18,8 @@ GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 JOBS = (
     "asfamily --base fp_t --p 2 --n 2 --budget 2",
+    "asfamily --base fp_t --p 3 --n 2 --budget 2",
+    "asfamily --base laurent --p 3 --n 2 --budget 2",
     "kummerfamily --base qp_pdiv_tower --p 2 --q 2 --n 1 --budget 5",
     "kummerfamily --base qp_pdiv_tower --p 2 --q 4 --n 1 --budget 7",
     "sigma --base pdiv_tower --p 2 --budget 2",

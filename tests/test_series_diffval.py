@@ -1,6 +1,8 @@
-"""Series.diff_valuation: v(a - c) from the first differing term, checked
-against the full subtraction a - c in both modes."""
+"""Series.diff_k and its value wrapper diff_valuation: v(a - c) from the
+first differing term, checked against the full subtraction a - c in both
+modes."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -36,6 +38,14 @@ def reference(a, c):
     if d.is_zero:
         return None if d.precision.is_finite else PLUS_INF
     return d.valuation()
+
+
+def reference_k(a, c):
+    """v(a - c) by building the difference, in diff_k's encoding."""
+    d = a - c
+    if d.is_zero:
+        return None if d.precision.is_finite else math.inf
+    return a.ctx.grid_k(d.valuation().fraction)
 
 
 @st.composite
@@ -79,6 +89,15 @@ def test_diff_valuation_matches_subtraction(pair):
         assume(False)
     assert a.diff_valuation(c) == want
     assert c.diff_valuation(a) == want
+    want_k = reference_k(a, c)
+    ctx = a.ctx
+    for x, y in ((a, c), (c, a)):
+        assert x.diff_k(y) == want_k
+        assert x.diff_k(y, ctx.kcap(x.precision)) == want_k
+    assert type(want_k) is int or want_k is None or want_k == math.inf
+    if want_k is not None:
+        assert ctx.value_of(want_k) == want
+        assert ctx.grid_index(want) == want_k
 
 
 @pytest.mark.parametrize("ctx", [make_equal_context(3), make_mixed_context(3)])
@@ -121,3 +140,42 @@ def test_context_mismatch_raises():
         a.diff_valuation(Series.one(make_mixed_context(2)))
     # an equal context built separately is the same session
     assert a.diff_valuation(Series.one(make_equal_context(2))) is PLUS_INF
+
+
+@pytest.mark.parametrize("ctx", [make_equal_context(3), make_mixed_context(3)])
+def test_diff_k_exact_zero_sentinel(ctx):
+    a = Series.make(ctx, {q(-1): 1, q(1, 3): 2, q(2): 1})
+    b = Series.make(ctx, dict(a.terms))
+    assert a.diff_k(b) == math.inf
+    assert a.diff_k(b, ctx.kcap(a.precision)) == math.inf
+    assert Series.zero(ctx).diff_k(Series.zero(ctx)) == math.inf
+    assert ctx.value_of(math.inf) is PLUS_INF
+
+
+@pytest.mark.parametrize("ctx", [make_equal_context(2), make_mixed_context(2)])
+def test_diff_k_uncertified_is_none(ctx):
+    D = ctx.D
+    a = Series.make(ctx, {q(0): 1, q(3): 1, q(5): 1})
+    # equal only up to a finite precision
+    b = Series.make(ctx, {q(0): 1, q(1, 2): 1}, q(3))
+    assert b.diff_k(Series.make(ctx, dict(b.terms))) is None
+    assert b.diff_k(b, ctx.kcap(b.precision)) is None
+    # first difference at or beyond either precision
+    for prec in (q(3), q(2)):
+        c = Series.make(ctx, {q(0): 1}, prec)
+        assert a.diff_k(c) is None
+        assert c.diff_k(a) is None
+        assert c.diff_k(a, ctx.kcap(c.precision)) is None
+    # one step below the precision the grid index is certified
+    assert a.diff_k(Series.make(ctx, {q(0): 1}, q(4))) == 3 * D
+    assert a.diff_k(Series.make(ctx, {q(0): 1, q(3): 1})) == 5 * D
+
+
+def test_grid_index_round_trip_and_off_grid():
+    ctx = make_equal_context(2)
+    for k in (-3 * ctx.D, -1, 0, 7, ctx.D):
+        assert ctx.grid_index(ctx.value_of(k)) == k
+    assert ctx.grid_index(PLUS_INF) == math.inf
+    assert ctx.grid_index(-PLUS_INF) is None
+    assert ctx.grid_index(ExtRat.of(q(1, 3))) is None
+    assert ctx.grid_index(ExtRat.of(q(1, 2 * ctx.D))) is None
