@@ -128,14 +128,13 @@ def support_upper_cut(a: Series, K: FieldDesc, tail: Optional[TailSchema]) -> Cu
     """
     candidates: List[Cut] = []
     if K.support_lattice is not None:
-        outside = [
-            e
-            for e in a.support()
-            if not K.support_lattice.contains(e)
-            and (tail is None or e < tail.low)
-        ]
-        if outside:
-            candidates.append(Cut(ExtRat.of(min(outside)), True))
+        ctx = a.ctx
+        step = K.support_lattice.grid_step(ctx.D)
+        klow = math.inf if tail is None else ctx.kcap(ExtRat.of(tail.low))
+        # kterms are sorted, so the first index off the lattice is the least
+        k = next((k for k, _ in a.kterms if k % step), None)
+        if k is not None and k < klow:
+            candidates.append(Cut(ctx.value_of(k), True))
     if tail is not None and tail.denominators_unbounded and K.leveled:
         candidates.append(Cut(ExtRat.of(tail.sup), False))
     return min(candidates) if candidates else Cut(PLUS_INF, False)
@@ -412,7 +411,7 @@ def imperfection_witness(K: FieldDesc, budget: int) -> Optional[Series]:
         if c.is_zero:
             continue
         root = pth_root(c)
-        if any(not K.support_lattice.contains(e) for e in root.support()):
+        if not member_witness(K, root):
             return root
     return None
 

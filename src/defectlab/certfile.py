@@ -28,8 +28,8 @@ from .approx import (
     support_upper_cut,
 )
 from .artin import Claims, ExtensionCert, KUMMER, check_pairwise_distinct, defect_criteria
-from .cuts import Cut, CutEnclosure, ExtRat
-from .fields import FieldDesc, field_from_json
+from .cuts import Cut, CutEnclosure, ExtRat, parse_ratio
+from .fields import FieldDesc, field_from_json, member_witness
 from .kummer import classify_kummer_defect
 from .series import Polynomial, Series, SeriesContext
 
@@ -80,12 +80,21 @@ def series_to_json(s: Series) -> dict:
 
 
 def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
+    """The series of a stored object, read on the grid: each exponent n/d
+    is the index k = n*(D/d), a repeated exponent keeps its last code, and
+    zero codes and indices at or beyond the precision are dropped.  An
+    exponent off the grid sends the whole series through ``Series.make``,
+    which drops it at or beyond the precision and refuses it below."""
     if obj["mode"] != ctx.mode:
         raise ValueError(f"series mode {obj['mode']!r} does not match the session")
-    terms = {
-        Fraction(t["exp"]): ctx.field.parse_code(t["coeff"]) for t in obj["terms"]
-    }
-    return Series.make(ctx, terms, ExtRat.parse(obj["precision"]))
+    D = ctx.D
+    terms = [(parse_ratio(t["exp"]), ctx.field.parse_code(t["coeff"])) for t in obj["terms"]]
+    precision = ExtRat.parse(obj["precision"])
+    if any(D % d for (_, d), _ in terms):
+        return Series.make(ctx, {Fraction(n, d): c for (n, d), c in terms}, precision)
+    kcap = ctx.kcap(precision)
+    kcodes = {n * (D // d): c for (n, d), c in terms}
+    return Series(ctx, tuple(sorted((k, c) for k, c in kcodes.items() if c and k < kcap)), precision)
 
 
 def poly_to_json(f: Polynomial) -> list:
@@ -248,11 +257,13 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     gen = cert.generator
     tail = cert.generator_tail
 
-    # 1. witness re-evaluation, on the grid: a stored value off the grid
-    # has no index and so never matches
+    # 1. witness membership and re-evaluation, on the grid: a stored value
+    # off the grid has no index and so never matches
     khorizon = ctx.kcap(difference_horizon(gen, tail))
     kprec = ctx.kcap(gen.precision)
     for v, w in cert.sample.realized:
+        if not member_witness(cert.base, w):
+            report.add(f"{tag}: witness for {v} is not in K")
         got = gen.diff_k(w, kprec)
         if not v.is_finite:
             if got != math.inf:

@@ -10,6 +10,7 @@ inconclusive at the given budget, 64 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -225,7 +226,10 @@ def cmd_verify(args) -> int:
     return EX_REFUTED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; ``parse_args``
+    leaves it unchanged, so ``main`` may be called any number of times."""
     ap = argparse.ArgumentParser(
         prog="defectlab",
         description="exact-arithmetic laboratory for valued-field extension certificates",
@@ -243,23 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exponent denominator bound")
         sp.add_argument("--out", type=str, default=None)
 
-    for name, fn in [
-        ("field", cmd_field),
-        ("distance", cmd_distance),
-        ("semitame", cmd_semitame),
-        ("asfamily", cmd_asfamily),
-        ("kummerfamily", cmd_kummerfamily),
-        ("sigma", cmd_sigma),
-    ]:
+    for name in ("field", "distance", "semitame", "asfamily", "kummerfamily", "sigma"):
         sp = sub.add_parser(name)
         common(sp)
         if name in ("asfamily", "kummerfamily"):
             sp.add_argument("--n", type=int, default=5, help="family size")
-        sp.set_defaults(func=fn)
 
     vp = sub.add_parser("verify")
     vp.add_argument("file")
-    vp.set_defaults(func=cmd_verify)
     return ap
 
 
@@ -281,7 +276,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif hasattr(args, "p"):
         args.q_power = 1
     try:
-        return args.func(args)
+        # looked up per call, not stored in the cached parser, so that a
+        # command patched after the first call (a tracer, a test) is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except (BudgetTooSmall, ConvergenceError, PrecisionError) as exc:
         print(f"inconclusive at this budget: {exc}", file=sys.stderr)
         return EX_INCONCLUSIVE

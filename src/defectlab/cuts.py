@@ -11,9 +11,10 @@ inclusion of lower sets, which makes the order total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from math import gcd, lcm
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 
 RatLike = Union[int, Fraction, "ExtRat"]
@@ -21,6 +22,24 @@ RatLike = Union[int, Fraction, "ExtRat"]
 
 class InfinityArithmeticError(ArithmeticError):
     """Raised on undefined expressions such as (+inf) + (-inf)."""
+
+
+def parse_ratio(s) -> Tuple[int, int]:
+    """A numerator and a positive denominator of a rational read from a file.
+
+    The form ``"n/d"`` that the writers produce (``n`` an optional minus
+    sign and ASCII digits, ``d`` positive ASCII digits) is read with int
+    operations and need not be reduced; anything else goes through
+    ``Fraction(s)``, with its value and its errors.
+    """
+    if type(s) is str and s.isascii():
+        num, _, den = s.partition("/")
+        if den.isdigit() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()):
+            d = int(den)
+            if d:
+                return int(num), d
+    f = Fraction(s)
+    return f.numerator, f.denominator
 
 
 @dataclass(frozen=True, order=False)
@@ -156,7 +175,7 @@ class ExtRat:
             return PLUS_INF
         if s == "-inf":
             return MINUS_INF
-        return ExtRat(Fraction(s))
+        return ExtRat(Fraction(*parse_ratio(s)))
 
 
 PLUS_INF = ExtRat(None, 1)
@@ -313,12 +332,14 @@ class ValueGroupDesc:
     The group is generated by ``generators``; with ``p_divisible_closure``
     set it is additionally closed under division by ``p``.  Membership is
     decidable: the base group is cyclic, generated by the gcd of the
-    generators.
+    generators, which is computed once.
     """
 
     generators: tuple
     p_divisible_closure: bool = False
     p: Optional[int] = None
+    _g0: Fraction = field(init=False, repr=False, compare=False)
+    _steps: Dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(Fraction(g) for g in self.generators)
@@ -327,25 +348,41 @@ class ValueGroupDesc:
         object.__setattr__(self, "generators", gens)
         if self.p_divisible_closure and (self.p is None or self.p < 2):
             raise ValueError("p-divisible closure needs the prime p")
-
-    def base_generator(self) -> Fraction:
         # gcd of fractions: gcd of numerators over a common denominator
-        from math import gcd, lcm
-
         l = 1
-        for g in self.generators:
+        for g in gens:
             l = lcm(l, g.denominator)
         n = 0
-        for g in self.generators:
+        for g in gens:
             n = gcd(n, g.numerator * (l // g.denominator))
-        return Fraction(n, l)
+        object.__setattr__(self, "_g0", Fraction(n, l))
+        object.__setattr__(self, "_steps", {})
+
+    def base_generator(self) -> Fraction:
+        return self._g0
+
+    def grid_step(self, D: int) -> int:
+        """The step s with k/D in the group exactly when ``k % s == 0``.
+
+        With g0 = n/l, k/D is in g0*Z iff D*n divides k*l, iff
+        s = D*n / gcd(D*n, l) divides k; the p-divisible closure admits
+        every power of p in the quotient, so p leaves s.
+        """
+        s = self._steps.get(D)
+        if s is None:
+            dn = D * self._g0.numerator
+            s = dn // gcd(dn, self._g0.denominator)
+            if self.p_divisible_closure:
+                while s % self.p == 0:
+                    s //= self.p
+            self._steps[D] = s
+        return s
 
     def contains(self, q) -> bool:
         q = Fraction(q)
         if q == 0:
             return True
-        g0 = self.base_generator()
-        r = q / g0
+        r = q / self._g0
         if not self.p_divisible_closure:
             return r.denominator == 1
         # allow denominator to be a power of p

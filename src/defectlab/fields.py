@@ -243,8 +243,10 @@ def member_witness(K: FieldDesc, s: Series) -> bool:
     lattice-supported sum is a member: Laurent polynomials lie in F_q(t),
     level-n root polynomials lie in the level-n tower field, and finite
     digit sums are rationals.)  False only means this certificate does
-    not apply.
+    not apply.  The test runs on the grid: k/D is in the lattice exactly
+    when k is a multiple of its ``grid_step(D)``.
     """
     if K.support_lattice is None:
         return False
-    return all(K.support_lattice.contains(e) for e in s.support())
+    step = K.support_lattice.grid_step(s.ctx.D)
+    return all(k % step == 0 for k, _ in s.kterms)

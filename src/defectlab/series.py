@@ -645,6 +645,10 @@ def newton_root(
         shifted = f.shifted(x)
         fx, fpx = shifted[0], shifted[1]
         if fx.vlow() >= target_precision:
+            # a term-free f'(x) at finite precision has no certified
+            # valuation, so the loss is unknown; an exact zero loses nothing
+            if fpx.is_zero and fpx.precision.is_finite:
+                raise ConvergenceError("derivative vanishes to precision at the root")
             loss = fpx.vlow()
             cap = target_precision - loss if loss.is_finite else target_precision
             return x.truncate(min(x.precision, cap))

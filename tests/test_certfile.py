@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from defectlab.artin import as_extension, as_family
 from defectlab.certfile import (
@@ -17,9 +18,10 @@ from defectlab.certfile import (
     write_certificate_file,
 )
 from defectlab.cli import main
+from defectlab.cuts import MINUS_INF, PLUS_INF, ExtRat
 from defectlab.fields import preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
-from defectlab.series import Series, make_equal_context
+from defectlab.series import Series, make_equal_context, make_mixed_context
 
 
 def q(n, d=1):
@@ -274,3 +276,88 @@ def test_sample_shape_named_diff(tmp_path, capsys, forge, diff):
     out = capsys.readouterr().out
     assert f"  cert[0]: sample shape: {diff}" in out, out
     assert "verification error" not in out, out
+
+
+def test_witness_outside_k_named_diff(tmp_path, capsys):
+    # t^(-4) + t^(7/2) differs from the generator where t^(-4) alone does,
+    # so the re-evaluation still gives the stored value; only the
+    # membership check sees that t^(7/2) is not in F_2(t)
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-3.json").read_text())
+    realized = obj["certs"][0]["sample"]["realized"]
+    realized[0]["witness"]["terms"].append({"coeff": 1, "exp": "7/2"})
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert f"  cert[0]: witness for {realized[0]['value']} is not in K" in out, out
+    assert "verification error" not in out, out
+
+
+# --- the reader against the string-parsing reader it replaced -------------
+
+
+def _oracle_extrat_parse(s):
+    s = s.strip()
+    if s == "+inf":
+        return PLUS_INF
+    if s == "-inf":
+        return MINUS_INF
+    return ExtRat(Fraction(s))
+
+
+def _oracle_series_from_json(obj, ctx):
+    if obj["mode"] != ctx.mode:
+        raise ValueError(f"series mode {obj['mode']!r} does not match the session")
+    terms = {Fraction(t["exp"]): ctx.field.parse_code(t["coeff"]) for t in obj["terms"]}
+    return Series.make(ctx, terms, _oracle_extrat_parse(obj["precision"]))
+
+
+def _outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except Exception as exc:
+        return ("raises", type(exc), str(exc))
+    if isinstance(r, Series):
+        return ("series", r.kterms, str(r.precision))
+    return ("value", str(r))
+
+
+READER_CTXS = [make_equal_context(2), make_equal_context(3), make_mixed_context(2)]
+ODD_RATIOS = ["2/4", "-0/3", "0.5", " 1/2", "1/0", "7", "1/3", "-1/3", "+1/2", "1/-2",
+              "01/2", "-", "/2", "1/", "", "abc", "1 /2", "1/ 2", "1/2 ", "1/+2", "1_0/3",
+              "\u0661/2", "\u00b2/3", "2/512", 7, 0.5, None]
+
+
+@st.composite
+def _ratio(draw, D):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(ODD_RATIOS))
+    f = Fraction(draw(st.integers(-3 * D, 3 * D)), draw(st.sampled_from([1, 2, 3, D, 5 * D])))
+    return f"{f.numerator}/{f.denominator}"
+
+
+@st.composite
+def _stored_series(draw):
+    ctx = draw(st.sampled_from(READER_CTXS))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        exp = draw(_ratio(ctx.D))
+        if terms and draw(st.integers(0, 3)) == 0:
+            exp = draw(st.sampled_from(terms))["exp"]  # a repeated exponent
+        terms.append({"exp": exp, "coeff": draw(st.integers(0, ctx.p))})
+    prec = draw(st.one_of(st.sampled_from(["+inf", "-inf", " +inf ", "5/1", "1/3"]), _ratio(ctx.D)))
+    mode = draw(st.sampled_from([ctx.mode, ctx.mode, ctx.mode, "other"]))
+    return ctx, {"mode": mode, "terms": terms, "precision": prec}
+
+
+@settings(max_examples=400, deadline=None)
+@given(_stored_series())
+def test_series_from_json_matches_fraction_reader(case):
+    ctx, obj = case
+    assert _outcome(series_from_json, obj, ctx) == _outcome(_oracle_series_from_json, obj, ctx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_ratio(2 ** 8), st.sampled_from(["+inf", "-inf", " -inf", "inf", "+inf/1"])))
+def test_extrat_parse_matches_fraction_reader(s):
+    assert _outcome(ExtRat.parse, s) == _outcome(_oracle_extrat_parse, s)

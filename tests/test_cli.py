@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import defectlab
-from defectlab.cli import main
+from defectlab.cli import build_parser, main
 
 
 def run(argv):
@@ -110,6 +110,40 @@ def test_removed_options_are_usage_errors(command, flag, capsys):
     assert run(argv + flag) == 64
 
 
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+
+
+def test_parser_reuse_keeps_each_call_independent(capsys):
+    # usage errors and --help exit inside argparse; the parser built by the
+    # first call must serve the later ones exactly as a fresh one would
+    cert = str(CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json")
+    tampered = str(CORPUS / "tampered-config.D-sigma-base-pdiv_tower-p-2-budget-2.json")
+    calls = [
+        ["verify", cert],
+        ["asfamily", "--bogus"],
+        ["field", "--base", "fp_t", "--p", "2"],
+        ["--help"],
+        ["verify", tampered],
+        ["verify"],
+        ["verify", "--help"],
+        ["field", "--base", "laurent", "--p", "3"],
+        ["nope"],
+        ["verify", cert],
+    ]
+    build_parser.cache_clear()
+    runs = []
+    for _ in range(2):
+        seen = []
+        for argv in calls:
+            rc = run(argv)
+            out = capsys.readouterr()
+            seen.append((rc, out.out, out.err))
+        runs.append(seen)
+    assert runs[0] == runs[1]
+    assert [rc for rc, _, _ in runs[0]] == [0, 64, 0, 0, 2, 64, 0, 0, 64, 0]
+    assert build_parser.cache_info().misses == 1
+
+
 def test_subprocess_entry(tmp_path):
     # run from the directory holding the package under test, so that the
     # child imports it without an installed copy or PYTHONPATH
@@ -122,3 +156,10 @@ def test_subprocess_entry(tmp_path):
     )
     assert proc.returncode == 2
     assert "refuted" in proc.stdout
+
+
+def test_command_patched_after_first_call_is_run(monkeypatch, capsys):
+    # the cached parser names the command; the function is looked up per call
+    assert run(["field", "--base", "fp_t", "--p", "2"]) == 0
+    monkeypatch.setattr("defectlab.cli.cmd_field", lambda args: 7)
+    assert run(["field", "--base", "fp_t", "--p", "2"]) == 7

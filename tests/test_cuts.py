@@ -17,6 +17,7 @@ from defectlab.cuts import (
     dist_translate,
     segment_affine,
 )
+from defectlab.fields import PRESET_NAMES, preset_field, tower_field
 
 
 def q(n, d=1):
@@ -181,3 +182,38 @@ class TestValueGroupDesc:
     def test_json_roundtrip(self):
         g = ValueGroupDesc((q(1, 4),), True, 3)
         assert ValueGroupDesc.from_json(g.to_json()) == g
+
+
+def _grid_ks(D, p):
+    """Every k with |k| <= 3D for the small grid; for the large one the
+    multiples of D/p^i (i <= 16) and their neighbours, plus a seeded
+    sample."""
+    if D <= p ** 8:
+        return range(-3 * D, 3 * D + 1)
+    ks = {m * D // p ** i + off for i in range(17) for m in range(-3, 4) for off in (-1, 0, 1)}
+    rng = random.Random(D)
+    ks.update(rng.randint(-3 * D, 3 * D) for _ in range(3000))
+    return sorted(ks)
+
+
+def _groups(p, D):
+    fields = [preset_field(name, p, D=D) for name in PRESET_NAMES]
+    fields += [tower_field(p, level, D=D) for level in range(4)]
+    groups = {}  # equal groups are checked once, under their first name
+    for K in fields:
+        groups.setdefault(K.value_group, f"{K.name}.value_group")
+        groups.setdefault(K.support_lattice, f"{K.name}.support_lattice")
+    groups[ValueGroupDesc((q(2, 3), q(1, 2)))] = "gcd"
+    groups[ValueGroupDesc((q(2, 3), q(1, 2)), True, p)] = "gcd-closure"
+    return [(name, g) for g, name in groups.items()]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("e", [8, 16])
+def test_grid_step_matches_contains(p, e):
+    D = p ** e
+    ks = _grid_ks(D, p)
+    for name, g in _groups(p, D):
+        step = g.grid_step(D)
+        bad = [k for k in ks if (k % step == 0) != g.contains(Fraction(k, D))]
+        assert not bad, (name, D, step, bad[:5])

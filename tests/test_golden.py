@@ -37,3 +37,21 @@ def test_certificate_matches_golden(job, golden, tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(job.split() + ["--out", str(out)]) == want["rc"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
+
+
+CORPUS = GOLDEN.parent / "corpus"
+
+
+def test_corpus_verifies_twice_in_one_process(capsys):
+    # one process, one parser, every corpus file twice: each call gives the
+    # golden exit code, and each tampered copy names its recorded diff
+    corpus = json.loads(GOLDEN.read_text())["corpus"]
+    assert len(corpus) == len(list(CORPUS.glob("*.json")))
+    for _ in range(2):
+        for name, want in sorted(corpus.items()):
+            assert main(["verify", str(CORPUS / name)]) == want["rc"], name
+            out = capsys.readouterr().out
+            if want["diff"] is None:
+                assert out.startswith("verified: "), (name, out)
+            else:
+                assert "verification FAILED:" in out and want["diff"] in out, (name, out)

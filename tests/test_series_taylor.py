@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from defectlab.cuts import ExtRat, PLUS_INF
 from defectlab.series import (
+    ConvergenceError,
     Polynomial,
     Series,
     int_scale,
@@ -72,3 +73,13 @@ def test_newton_root_needs_positive_degree():
     f = Polynomial.make((Series.one(ctx),))
     with pytest.raises(ValueError, match="degree at least 1"):
         newton_root(f, Series.one(ctx, ExtRat.of(Fraction(4))), ExtRat.of(Fraction(2)))
+
+
+def test_newton_root_refuses_an_uncertified_derivative_at_the_root():
+    # f'(x) = 2x + c1 is zero only to precision 3 (c1 = 0 to precision 3 and
+    # 2x = 0 in characteristic 2), so its vlow is that precision, not a
+    # valuation, and the precision of the root cannot be certified
+    ctx = CTXS[0]
+    f = Polynomial.make((Series.monomial(ctx, 20), Series.zero(ctx, ExtRat.of(3)), Series.one(ctx)))
+    with pytest.raises(ConvergenceError, match="derivative vanishes to precision at the root"):
+        newton_root(f, Series.monomial(ctx, 10), ExtRat.of(12))
