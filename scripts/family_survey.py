@@ -28,7 +28,7 @@ def survey(preset: str, p: int, n: int, budget: int) -> None:
         return
     print(f"imperfection witness: {eta}")
     sample = value_set(eta, K, budget)
-    certs = as_family(eta, K, admissible_twist(eta, sample), n, budget, sample_eta=sample)
+    certs = as_family(eta, K, admissible_twist(eta, sample), n, sample)
     for i, cert in enumerate(certs, start=1):
         print(f"  member {i}: upper {cert.sample.upper}, defect {cert.claims.defect} "
               f"({cert.claims.defect_rule})")

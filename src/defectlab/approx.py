@@ -12,6 +12,12 @@ produced by the solvers, laboratory witnesses) carry a TailSchema: the
 exact object is the stored series plus a tail whose exponents lie in
 [low, sup), accumulate at sup, and have unbounded denominators when the
 flag says so.  Differences v(a - c) are certified only below ``low``.
+
+The sample contract: ``value_set`` is the one place that samples
+v(a - K).  Everything downstream that needs v(a - K) (distances, the
+transformations, the families) takes that sample as an argument and
+reads the enumeration budget from ``sample.budget``; nothing samples
+the same element twice.
 """
 
 from __future__ import annotations
@@ -260,16 +266,12 @@ def translate_sample(
 
 
 def distance(
-    a: Series,
-    K: FieldDesc,
-    budget: int,
+    sample: InitialSegmentSample,
     tail: Optional[TailSchema] = None,
-    sample: Optional[InitialSegmentSample] = None,
 ) -> CutEnclosure:
-    """Certified enclosure of dist(a, K), collapsing to an exact cut when
-    the sample is provably cofinal in it."""
-    if sample is None:
-        sample = value_set(a, K, budget, tail)
+    """Certified enclosure of dist(a, K) from a sample of v(a - K) and the
+    tail of a, collapsing to an exact cut when the sample is provably
+    cofinal in it."""
     if any(not v.is_finite for v, _ in sample.realized):
         top = Cut(PLUS_INF, False)
         return CutEnclosure(top, top)

@@ -47,7 +47,6 @@ from .series import (
 
 ARTIN_SCHREIER = "artin_schreier"
 KUMMER = "kummer"
-PURELY_INSEPARABLE = "purely_inseparable"
 
 
 def _short_hash(*parts) -> str:
@@ -249,36 +248,28 @@ def artin_schreier_poly(b: Series) -> Polynomial:
 
 @dataclass(frozen=True)
 class InsepTransform:
-    separable_poly: Polynomial  # Y^p - d^(p-1) Y - eta^p
-    as_poly: Polynomial  # X^p - X - eta^p / d^p
-    theta_tilde: Series
-    theta: Series
-    theta_tail: Optional[TailSchema]
-    cert: ExtensionCert
-    checks: Tuple[Tuple[str, str], ...]
+    theta_tilde: Series  # d theta, at the value of eta
+    cert: ExtensionCert  # generator theta, minimal polynomial X^p - X - eta^p / d^p
 
 
 def transform_inseparable(
     eta: Series,
     K: FieldDesc,
     d: Series,
-    budget: int,
-    eta_tail: Optional[TailSchema] = None,
-    insep_witness_immediate: bool = False,
-    sample_eta: Optional[InitialSegmentSample] = None,
+    sample_eta: InitialSegmentSample,
 ) -> InsepTransform:
     """Turn the inseparable relation eta^p in K into an Artin-Schreier
     extension whose value set is the translate of v(eta - K).
 
     Requires v(eta - K) certifiably bounded and the twist condition
     (p-1) v(d) > p sup v(eta - K) - v(eta), checked on the certified
-    upper cut.  Verifies and records the full chain of equalities:
+    upper cut.  Verifies the full chain of equalities:
     v(d theta) = v(eta), v(eta - d theta) = ((p-1)v(d) + v(eta))/p above
     the sample, v(d theta - c) = v(eta - c) witness by witness, and
     v(theta - c/d) = v(eta - c) - v(d) witness by witness.
 
-    ``sample_eta``, when given, must be ``value_set(eta, K, budget,
-    eta_tail)``; callers that already hold it pass it to skip the repeat.
+    ``sample_eta`` is the sample of v(eta - K); its budget is the one
+    used to sample theta.
     """
     ctx = eta.ctx
     if ctx.mode != EQUAL:
@@ -292,8 +283,7 @@ def transform_inseparable(
     if d.is_zero:
         raise ZeroDivisionError("d must be nonzero")
 
-    if sample_eta is None:
-        sample_eta = value_set(eta, K, budget, eta_tail)
+    budget = sample_eta.budget
     upper = sample_eta.upper
     if not upper.bound.is_finite:
         raise ValueError("v(eta - K) has no certified finite upper bound")
@@ -311,43 +301,36 @@ def transform_inseparable(
     ratio = eta * d_inv
     b = ratio.pow_int(p)
     root = as_root(b, work)
-    theta = root.theta
-    theta_tail = root.tail
+    theta, tail = root.theta, root.tail
     theta_tilde = theta * d
-    tilde_tail = theta_tail.shift(vd) if theta_tail is not None else None
-
-    checks: List[Tuple[str, str]] = []
+    tilde_tail = tail.shift(vd) if tail is not None else None
 
     v_tilde = theta_tilde.valuation().fraction
     if v_tilde != veta:
         raise AssertionError(f"v(d theta) = {v_tilde} differs from v(eta) = {veta}")
-    checks.append(("v_theta_tilde", str(v_tilde)))
 
     gap = (eta - theta_tilde).valuation().fraction
     if gap != threshold:
         raise AssertionError(
             f"v(eta - d theta) = {gap}, expected ((p-1)v(d)+v(eta))/p = {threshold}"
         )
-    checks.append(("v_eta_minus_theta_tilde", str(gap)))
 
     # witness-by-witness equality of the two value sets
     tilde_horizon = ExtRat.of(tilde_tail.low) if tilde_tail else theta_tilde.precision
-    sample_tilde = translate_sample(sample_eta, theta_tilde, Fraction(0), lambda w: w, tilde_horizon)
-    checks.append(("value_set_tilde_matches", f"{len(sample_tilde.realized)} witnesses"))
+    translate_sample(sample_eta, theta_tilde, Fraction(0), lambda w: w, tilde_horizon)
 
-    theta_horizon = ExtRat.of(theta_tail.low) if theta_tail else theta.precision
+    theta_horizon = ExtRat.of(tail.low) if tail else theta.precision
     sample_theta_tr = translate_sample(
         sample_eta, theta, -vd, lambda w: w * d_inv, theta_horizon
     )
-    checks.append(("value_set_theta_translated", f"{len(sample_theta_tr.realized)} witnesses"))
 
-    fresh = value_set(theta, K, budget, theta_tail)
+    fresh = value_set(theta, K, budget, tail)
     if fresh.upper != sample_theta_tr.upper:
         raise AssertionError(
             f"upper cuts disagree: fresh {fresh.upper} vs translated {sample_theta_tr.upper}"
         )
     merged = _merge_samples(fresh, sample_theta_tr)
-    dist_enc = distance(theta, K, budget, theta_tail, merged)
+    dist_enc = distance(merged, tail)
 
     # uniqueness of the extension of v via the purely inseparable comparison:
     # eta/d is purely inseparable over K and sits strictly closer to theta
@@ -355,7 +338,6 @@ def transform_inseparable(
     ratio_gap = (ratio - theta).valuation().fraction
     if not Cut(ExtRat.of(ratio_gap), True) > merged.upper:
         raise AssertionError("comparison element is not strictly closer than K")
-    checks.append(("v_ratio_minus_theta", str(ratio_gap)))
 
     claims = Claims(
         unique_extension=PROVED,
@@ -366,21 +348,12 @@ def transform_inseparable(
             ("v_eta_minus_theta_tilde", str(gap)),
         ),
     )
-    if insep_witness_immediate and sample_eta.no_max == PROVED:
-        claims = replace(
-            claims,
-            classification="dependent",
-            classification_rule="insep_provenance",
-        )
-
-    sep_poly = _separable_poly(eta, d, b_eta)
-    as_poly = artin_schreier_poly(b)
     cert = ExtensionCert(
         ARTIN_SCHREIER,
         K,
         theta,
-        theta_tail,
-        as_poly,
+        tail,
+        artin_schreier_poly(b),
         root.residual_floor,
         merged,
         dist_enc,
@@ -390,18 +363,7 @@ def transform_inseparable(
             f"budget={budget}",
         ),
     )
-    return InsepTransform(sep_poly, as_poly, theta_tilde, theta, theta_tail, cert, tuple(checks))
-
-
-def _separable_poly(eta: Series, d: Series, b_eta: Series) -> Polynomial:
-    ctx = eta.ctx
-    p = ctx.p
-    neg = ctx.field.neg(1)
-    dp1 = d.pow_int(p - 1)
-    coeffs = [b_eta.scale(neg), dp1.scale(neg)]
-    coeffs += [Series.zero(ctx) for _ in range(p - 2)]
-    coeffs.append(Series.one(ctx))
-    return Polynomial.make(tuple(coeffs))
+    return InsepTransform(theta_tilde, cert)
 
 
 def _merge_samples(a: InitialSegmentSample, b: InitialSegmentSample) -> InitialSegmentSample:
@@ -418,22 +380,16 @@ def as_family(
     K: FieldDesc,
     d: Series,
     n_members: int,
-    budget: int,
-    eta_tail: Optional[TailSchema] = None,
-    insep_witness_immediate: bool = False,
-    sample_eta: Optional[InitialSegmentSample] = None,
+    sample_eta: InitialSegmentSample,
 ) -> List[ExtensionCert]:
     """Certificates for the extensions generated by roots of
     X^p - X - eta^p/d^(np), n = 1..n_members, with exact pairwise
     distinctness of the translated value-set samples.
 
-    The sample of v(eta - K) is taken once (or passed in as
-    ``sample_eta``, see ``transform_inseparable``) and shared by every
+    The one sample ``sample_eta`` of v(eta - K) is shared by every
     member."""
     if n_members < 1:
         raise ValueError("need at least one family member")
-    if sample_eta is None:
-        sample_eta = value_set(eta, K, budget, eta_tail)
     if not sample_eta.upper.bound.is_finite:
         raise ValueError("v(eta - K) has no certified finite upper bound")
     vd = d.valuation().fraction
@@ -448,10 +404,7 @@ def as_family(
 
     certs: List[ExtensionCert] = []
     for n in range(1, n_members + 1):
-        dn = d.pow_int(n)
-        result = transform_inseparable(
-            eta, K, dn, budget, eta_tail, insep_witness_immediate, sample_eta
-        )
+        result = transform_inseparable(eta, K, d.pow_int(n), sample_eta)
         certs.append(defect_criteria(result.cert))
 
     check_pairwise_distinct(certs)
@@ -491,9 +444,6 @@ class SigmaSample:
     values: Tuple[Tuple[ExtRat, Series], ...]
     verdict: str  # independent_consistent | dependent_evidence | unknown
 
-    def value_set(self) -> Tuple[ExtRat, ...]:
-        return tuple(v for v, _ in self.values)
-
 
 def sigma_sample(cert: ExtensionCert, budget: int) -> SigmaSample:
     """Sample the Galois-twist values of the extension.
@@ -516,13 +466,15 @@ def sigma_sample(cert: ExtensionCert, budget: int) -> SigmaSample:
                 continue
             f = theta - w
             found.setdefault(-v, f)
-        one = Series.one(ctx)
+        shifted = theta + Series.one(ctx)
+        # (theta^j, (sigma theta)^j) for j = 1..p-1, shared by every c
+        powers = [(theta.pow_int(j), shifted.pow_int(j)) for j in range(1, p)]
         for c in enumerate_elements(cert.base, min(budget, 1)):
             if c.is_zero:
                 continue
-            for j in range(1, p):
-                f = c * theta.pow_int(j)
-                sf = c * (theta + one).pow_int(j)
+            for tj, sj in powers:
+                f = c * tj
+                sf = c * sj
                 num = sf - f
                 if num.is_zero:
                     continue
@@ -622,7 +574,7 @@ def as_extension(b: Series, K: FieldDesc, budget: int) -> ExtensionCert:
     """Certificate for the extension generated by a root of X^p - X - b."""
     root = as_root(b, ExtRat.of(Fraction(budget + 6)))
     sample = value_set(root.theta, K, budget, root.tail)
-    dist_enc = distance(root.theta, K, budget, root.tail, sample)
+    dist_enc = distance(sample, root.tail)
     cert = ExtensionCert(
         ARTIN_SCHREIER,
         K,

@@ -300,7 +300,7 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
 
     # 4. distance enclosure re-derivation
     try:
-        dist = distance(gen, cert.base, cert.sample.budget, tail, cert.sample)
+        dist = distance(cert.sample, tail)
         if dist != cert.dist:
             report.add(f"{tag}: distance enclosure differs: {dist.to_json()} vs stored")
     except ValueError as exc:

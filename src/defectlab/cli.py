@@ -42,10 +42,8 @@ EX_USAGE = 64
 
 
 def _build_field(args) -> FieldDesc:
-    D = args.D if getattr(args, "D", None) else None
-    if args.base == "qp_pdiv_tower" and D is None:
-        # deep root refinement needs a finer exponent grid
-        D = args.p ** 16
+    # deep root refinement over qp_pdiv_tower needs a finer exponent grid
+    D = args.p ** 16 if args.base == "qp_pdiv_tower" else None
     return preset_field(args.base, args.p, args.q_power, D)
 
 
@@ -77,8 +75,12 @@ def cmd_field(args) -> int:
     return EX_OK
 
 
-def _session(K: FieldDesc, args) -> SessionConfig:
-    return SessionConfig.for_field(K, args.budget)
+def _write_out(args, K: FieldDesc, certs, log=()) -> None:
+    """Write the run's certificate file to ``--out``, when one is given."""
+    if args.out:
+        cf = make_certificate_file(K, SessionConfig.for_field(K, args.budget), certs, log=log)
+        write_certificate_file(args.out, cf)
+        print(f"wrote {args.out}")
 
 
 def cmd_distance(args) -> int:
@@ -88,18 +90,14 @@ def cmd_distance(args) -> int:
         print("no canonical element available (field is perfect); nothing to measure")
         return EX_INCONCLUSIVE
     sample = value_set(a, K, args.budget, tail)
-    enc = distance(a, K, args.budget, tail, sample)
+    enc = distance(sample, tail)
     print(f"element: {desc}")
     vals = ", ".join(str(v) for v in sample.values())
     print(f"realized values ({len(sample.realized)}): {vals}")
     print(f"upper cut: {sample.upper}, no_max: {sample.no_max}")
     print(f"distance enclosure: [{enc.lo}, {enc.hi}]"
           + ("  (exact)" if enc.is_exact else ""))
-    if args.out:
-        cf = make_certificate_file(K, _session(K, args), [],
-                                   log=[f"distance {desc}: [{enc.lo}, {enc.hi}]"])
-        write_certificate_file(args.out, cf)
-        print(f"wrote {args.out}")
+    _write_out(args, K, [], log=[f"distance {desc}: [{enc.lo}, {enc.hi}]"])
     return EX_OK if enc.is_exact or sample.upper.bound.is_finite else EX_INCONCLUSIVE
 
 
@@ -117,11 +115,7 @@ def cmd_semitame(args) -> int:
         print(f"({key}) {CONDITION_NAMES[key]}: {v.status}{witness}")
         if v.note:
             print(f"      {v.note}")
-    if args.out:
-        log = [f"({k}) {report[k].status}" for k in order]
-        cf = make_certificate_file(K, _session(K, args), [], log=log)
-        write_certificate_file(args.out, cf)
-        print(f"wrote {args.out}")
+    _write_out(args, K, [], log=[f"({k}) {report[k].status}" for k in order])
     if refuted:
         return EX_REFUTED
     if unknown:
@@ -158,12 +152,9 @@ def cmd_asfamily(args) -> int:
     sample = value_set(eta, K, args.budget)
     d = admissible_twist(eta, sample)
     print(f"twist element d with v(d) = {d.valuation()}")
-    certs = as_family(eta, K, d, args.n, args.budget, sample_eta=sample)
+    certs = as_family(eta, K, d, args.n, sample)
     _print_cert_table(certs)
-    if args.out:
-        cf = make_certificate_file(K, _session(K, args), certs)
-        write_certificate_file(args.out, cf)
-        print(f"wrote {args.out}")
+    _write_out(args, K, certs)
     return EX_OK
 
 
@@ -180,10 +171,7 @@ def cmd_kummerfamily(args) -> int:
         for name, val in cert.claims.bounds:
             if name == "super_dependent_bound":
                 print(f"  recorded bound v(eta_td - K) < {val}")
-    if args.out:
-        cf = make_certificate_file(K, _session(K, args), certs)
-        write_certificate_file(args.out, cf)
-        print(f"wrote {args.out}")
+    _write_out(args, K, certs)
     return EX_OK
 
 
@@ -200,11 +188,7 @@ def cmd_sigma(args) -> int:
     print(f"extension: X^{K.ctx.p} - X - t^(-1) over {K.name}")
     print(f"sigma values: {vals}")
     print(f"verdict: {sig.verdict}")
-    if args.out:
-        cf = make_certificate_file(K, _session(K, args), [cert],
-                                   log=[f"sigma verdict: {sig.verdict}"])
-        write_certificate_file(args.out, cf)
-        print(f"wrote {args.out}")
+    _write_out(args, K, [cert], log=[f"sigma verdict: {sig.verdict}"])
     if sig.verdict == "unknown":
         return EX_INCONCLUSIVE
     return EX_OK if sig.verdict == "independent_consistent" else EX_REFUTED
@@ -243,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--base", choices=PRESET_NAMES, default="fp_t")
         sp.add_argument("--budget", type=int, default=3,
                         help="enumeration height")
-        sp.add_argument("--D", type=int, default=None,
-                        help="exponent denominator bound")
         sp.add_argument("--out", type=str, default=None)
 
     for name in ("field", "distance", "semitame", "asfamily", "kummerfamily", "sigma"):

@@ -15,6 +15,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> Tuple[int, ...]:
+    """a * b reduced by the monic ``modulus`` and with coefficients mod
+    ``p``: a prime for F_q, a prime power for the unramified ring."""
     m = len(modulus) - 1
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -86,7 +88,7 @@ def find_irreducible(p: int, m: int) -> Tuple[int, ...]:
 class FiniteField:
     """F_{p^m} with element codes 0..q-1 and precomputed tables."""
 
-    def __init__(self, p: int, m: int = 1, modulus: Optional[Tuple[int, ...]] = None):
+    def __init__(self, p: int, m: int = 1):
         if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
             raise ValueError(f"p = {p} is not prime")
         if m < 1:
@@ -94,9 +96,7 @@ class FiniteField:
         self.p = p
         self.m = m
         self.q = p ** m
-        self.modulus = tuple(modulus) if modulus else find_irreducible(p, m)
-        if len(self.modulus) != m + 1 or self.modulus[-1] % p != 1:
-            raise ValueError("modulus must be monic of degree m")
+        self.modulus = find_irreducible(p, m)
         self._build_tables()
 
     def _build_tables(self):

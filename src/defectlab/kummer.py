@@ -172,9 +172,7 @@ def pth_power_difference_check(eta: Series, a: Series) -> PthPowerReport:
 
 @dataclass(frozen=True)
 class MixedTransform:
-    poly: Polynomial  # X^p + h_d(X) - eta^p
-    theta_tilde: Series
-    tail: Optional[TailSchema]
+    theta_tilde: Series  # the root of X^p + h_d(X) - eta^p near eta
     sample: InitialSegmentSample
     checks: Tuple[Tuple[str, str], ...]
 
@@ -183,9 +181,8 @@ def transform_mixed(
     eta: Series,
     K: FieldDesc,
     d: Series,
-    budget: int,
+    sample: InitialSegmentSample,
     tail: Optional[TailSchema] = None,
-    sample: Optional[InitialSegmentSample] = None,
 ) -> MixedTransform:
     """Solve X^p + h_d(X) = eta^p near eta and verify the value-set
     transfer witness by witness.
@@ -194,6 +191,8 @@ def transform_mixed(
     (v(p) + (p-1) v(d)) / p.  Records the coefficient-depth inequalities
     v(binom(p,i) d^(p-i)) >= v(p) + (p-1)v(d) > p v(eta - K) and the
     root's distance v(root - eta) above the sample.
+
+    ``sample`` is the sample of v(eta - K) and ``tail`` the tail of eta.
     """
     ctx = eta.ctx
     _require_mixed(ctx)
@@ -205,8 +204,6 @@ def transform_mixed(
     vd = d.valuation().fraction
     if vd >= 0:
         raise ValueError("d must have negative value")
-    if sample is None:
-        sample = value_set(eta, K, budget, tail)
     upper = sample.upper
     if not upper.bound.is_finite:
         raise ValueError("v(eta - K) has no certified finite upper bound")
@@ -234,7 +231,6 @@ def transform_mixed(
         coeffs.append(ci)
         checks.append((f"v_h_coeff_{i}", str(vci)))
     coeffs.append(Series.one(ctx))
-    poly = Polynomial.make(tuple(coeffs))
 
     # The exact root has unbounded exponent denominators (it generates a
     # defect extension), so it can only be materialized to modest depth on
@@ -247,7 +243,7 @@ def transform_mixed(
     target = ExtRat.of(base + Fraction(base, p) + margin)
     if b_eta.precision.is_finite and b_eta.precision.fraction <= target.fraction:
         raise ValueError("eta is too imprecise for the requested transformation")
-    theta_tilde = newton_root(poly, eta, target)
+    theta_tilde = newton_root(Polynomial.make(tuple(coeffs)), eta, target)
 
     vtt = theta_tilde.valuation()
     if vtt != ExtRat.of(0):
@@ -260,7 +256,7 @@ def transform_mixed(
     horizon = ExtRat.of(tail.low) if tail is not None else min(eta.precision, theta_tilde.precision)
     sample_tilde = translate_sample(sample, theta_tilde, Fraction(0), lambda w: w, horizon)
     checks.append(("value_set_transfer", f"{len(sample_tilde.realized)} witnesses"))
-    return MixedTransform(poly, theta_tilde, tail, sample_tilde, tuple(checks))
+    return MixedTransform(theta_tilde, sample_tilde, tuple(checks))
 
 
 def kummer_family(
@@ -318,7 +314,7 @@ def kummer_family(
     work = ExtRat.of(Fraction(budget + 6))
     certs: List[ExtensionCert] = []
     for vt, td in candidates[:n_members]:
-        tm = transform_mixed(eta, K, td, budget, tail, sample)
+        tm = transform_mixed(eta, K, td, sample, tail)
         td_inv = invert(td, work)
         theta = tm.theta_tilde * td_inv
         eta_new = theta + Series.one(ctx)
@@ -345,7 +341,7 @@ def kummer_family(
         if not sample_new.upper <= Cut(ExtRat.of(bound_new), False):
             raise AssertionError("super-dependent bound fails after translation")
 
-        dist_enc = distance(eta_new, K, budget, tail_new, sample_new)
+        dist_enc = distance(sample_new, tail_new)
         min_poly = _kummer_poly(power_formula)
         resid_floor = resid.vlow()
         claims = Claims(

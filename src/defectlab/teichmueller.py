@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .cuts import ExtRat
+from .ffield import _poly_mul_mod
 
 if TYPE_CHECKING:
     from .series import SeriesContext
@@ -36,24 +37,6 @@ def tau_int(p: int, c: int, k: int) -> int:
 EXACT_LIFTS = {2: {0: 0, 1: 1}, 3: {0: 0, 1: 1, 2: -1}}
 
 
-def _o_mul(a: Tuple[int, ...], b: Tuple[int, ...], g: Tuple[int, ...], pk: int) -> Tuple[int, ...]:
-    m = len(g) - 1
-    prod = [0] * (2 * m - 1) if m > 1 else [0]
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % pk
-    for i in range(len(prod) - 1, m - 1, -1):
-        c = prod[i]
-        if c == 0:
-            continue
-        prod[i] = 0
-        for j in range(m):
-            prod[i - m + j] = (prod[i - m + j] - c * g[j]) % pk
-    return tuple(prod[:m])
-
-
 @lru_cache(maxsize=None)
 def tau_poly(p: int, m: int, modulus: Tuple[int, ...], code: int, k: int) -> Tuple[int, ...]:
     """Teichmueller lift of a digit of F_{p^m}, modulo p^(k+1), as a
@@ -61,7 +44,6 @@ def tau_poly(p: int, m: int, modulus: Tuple[int, ...], code: int, k: int) -> Tup
     if code == 0:
         return (0,) * m
     pk1 = p ** (k + 1)
-    g = tuple(int(c) for c in modulus)
     x = tuple(code // (p ** i) % p for i in range(m))
     acc = x
     for _ in range(k * m):
@@ -71,8 +53,8 @@ def tau_poly(p: int, m: int, modulus: Tuple[int, ...], code: int, k: int) -> Tup
         base = acc
         while e:
             if e & 1:
-                out = _o_mul(out, base, g, pk1)
-            base = _o_mul(base, base, g, pk1)
+                out = _poly_mul_mod(out, base, modulus, pk1)
+            base = _poly_mul_mod(base, base, modulus, pk1)
             e >>= 1
         acc = out
     return acc

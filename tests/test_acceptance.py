@@ -215,7 +215,7 @@ def test_c05_transform_chain():
         veta, gap_expected, upper_expected = exps
         eta = Series.monomial(K.ctx, veta)
         d = Series.monomial(K.ctx, 1)
-        result = transform_inseparable(eta, K, d, 2)
+        result = transform_inseparable(eta, K, d, value_set(eta, K, 2))
         assert result.theta_tilde.valuation() == ExtRat.of(veta)
         assert (eta - result.theta_tilde).valuation() == ExtRat.of(gap_expected)
         assert result.cert.sample.upper == Cut(ExtRat.of(upper_expected), True)

@@ -56,14 +56,14 @@ def test_value_set_rejects_zero_budget():
 
 def test_distance_sqrt_t_exact():
     a = Series.monomial(K2.ctx, q(1, 2))
-    enc = distance(a, K2, 3)
+    enc = distance(value_set(a, K2, 3))
     assert enc.is_exact
     assert enc.lo == Cut(ExtRat.of(q(1, 2)), True)
 
 
 def test_distance_element_degenerate():
     a = Series.monomial(K2.ctx, 1)
-    enc = distance(a, K2, 2)
+    enc = distance(value_set(a, K2, 2))
     assert enc.lo == Cut(PLUS_INF, False) and enc.is_exact
 
 
@@ -78,7 +78,7 @@ def test_tailed_value_set_partial_sums():
     assert {q(-1, 2), q(-1, 4), q(-1, 8), q(-1, 16), q(-1, 32)} <= vals
     assert s.no_max == "proved"
     assert s.upper == Cut(ExtRat.of(0), False)
-    enc = distance(a, T2, 2, tail)
+    enc = distance(s, tail)
     assert enc.is_exact and enc.lo == Cut(ExtRat.of(0), False)
     assert in_completion(a, T2, 2, tail) == "no"
 

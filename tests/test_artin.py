@@ -138,7 +138,7 @@ class TestTransformInseparable:
     def test_canonical_p2(self):
         eta = Series.monomial(K2.ctx, q(1, 2))
         d = Series.monomial(K2.ctx, 1)
-        result = transform_inseparable(eta, K2, d, 3)
+        result = transform_inseparable(eta, K2, d, value_set(eta, K2, 3))
         assert result.theta_tilde.valuation() == ExtRat.of(q(1, 2))
         assert (eta - result.theta_tilde).valuation() == ExtRat.of(q(3, 4))
         cert = result.cert
@@ -151,8 +151,8 @@ class TestTransformInseparable:
     def test_canonical_p3(self):
         eta = Series.monomial(K3.ctx, q(1, 3))
         d = Series.monomial(K3.ctx, 1)
-        result = transform_inseparable(eta, K3, d, 2)
-        assert result.theta.valuation() == ExtRat.of(q(-2, 3))
+        result = transform_inseparable(eta, K3, d, value_set(eta, K3, 2))
+        assert result.cert.generator.valuation() == ExtRat.of(q(-2, 3))
         assert (eta - result.theta_tilde).valuation() == ExtRat.of(q(2 + 1, 3) * q(1, 3) * 3) or True
         # v(eta - d theta) = ((p-1) v(d) + v(eta)) / p = (2 + 1/3)/3 = 7/9
         assert (eta - result.theta_tilde).valuation() == ExtRat.of(q(7, 9))
@@ -160,21 +160,23 @@ class TestTransformInseparable:
     def test_guard_violated(self):
         eta = Series.monomial(K2.ctx, q(1, 2))
         d = Series.one(K2.ctx)  # v(d) = 0 < 1/2
+        sample = value_set(eta, K2, 2)
         with pytest.raises(ValueError):
-            transform_inseparable(eta, K2, d, 2)
+            transform_inseparable(eta, K2, d, sample)
 
     def test_eta_p_must_be_in_K(self):
         eta = Series.monomial(K2.ctx, q(1, 4))  # eta^2 = t^(1/2) not in K
         d = Series.monomial(K2.ctx, 1)
+        sample = value_set(eta, K2, 2)
         with pytest.raises(ValueError):
-            transform_inseparable(eta, K2, d, 2)
+            transform_inseparable(eta, K2, d, sample)
 
 
 class TestAsFamily:
     def test_five_members_p2(self):
         eta = Series.monomial(K2.ctx, q(1, 2))
         d = Series.monomial(K2.ctx, 1)
-        certs = as_family(eta, K2, d, 5, 3)
+        certs = as_family(eta, K2, d, 5, value_set(eta, K2, 3))
         assert len(certs) == 5
         for n, cert in enumerate(certs, start=1):
             assert cert.sample.upper == Cut(ExtRat.of(q(1, 2) - n), True)
@@ -186,7 +188,7 @@ class TestAsFamily:
     def test_three_members_p3(self):
         eta = Series.monomial(K3.ctx, q(1, 3))
         d = Series.monomial(K3.ctx, 1)
-        certs = as_family(eta, K3, d, 3, 2)
+        certs = as_family(eta, K3, d, 3, value_set(eta, K3, 2))
         for n, cert in enumerate(certs, start=1):
             assert cert.sample.upper == Cut(ExtRat.of(q(1, 3) - n), True)
 
@@ -228,14 +230,15 @@ class TestAdmissibleTwist:
         sample = value_set(eta, K, 2)
         d = admissible_twist(eta, sample)
         assert d.terms == ((q(2), 1),)
-        transform_inseparable(eta, K, d, 2, sample_eta=sample)
+        transform_inseparable(eta, K, d, sample)
         with pytest.raises(ValueError, match="twist condition fails"):
-            transform_inseparable(eta, K, Series.monomial(K.ctx, q(1)), 2, sample_eta=sample)
+            transform_inseparable(eta, K, Series.monomial(K.ctx, q(1)), sample)
 
 
 class TestPairwiseDistinct:
     def test_as_family_duplicates(self):
-        certs = as_family(Series.monomial(K2.ctx, q(1, 2)), K2, Series.monomial(K2.ctx, 1), 2, 2)
+        eta = Series.monomial(K2.ctx, q(1, 2))
+        certs = as_family(eta, K2, Series.monomial(K2.ctx, 1), 2, value_set(eta, K2, 2))
         check_pairwise_distinct(certs)
         with pytest.raises(AssertionError, match="members 1 and 2 have equal samples"):
             check_pairwise_distinct([certs[0], certs[0]])
@@ -327,7 +330,8 @@ class TestDefectCriteriaEdges:
     def test_family_of_one_matches_transform(self):
         eta = Series.monomial(K2.ctx, q(1, 2))
         d = Series.monomial(K2.ctx, 1)
-        certs = as_family(eta, K2, d, 1, 3)
-        single = transform_inseparable(eta, K2, d, 3).cert
+        sample = value_set(eta, K2, 3)
+        certs = as_family(eta, K2, d, 1, sample)
+        single = transform_inseparable(eta, K2, d, sample).cert
         assert certs[0].sample.realized == single.sample.realized
         assert certs[0].min_poly.coeffs[0] == single.min_poly.coeffs[0]

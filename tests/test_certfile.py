@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defectlab.approx import value_set
 from defectlab.artin import as_extension, as_family
 from defectlab.certfile import (
     SessionConfig,
@@ -36,7 +37,7 @@ QT2 = preset_field("qp_pdiv_tower", 2, D=2 ** 16)
 def _as_certs():
     eta = Series.monomial(K2.ctx, q(1, 2))
     d = Series.monomial(K2.ctx, 1)
-    return as_family(eta, K2, d, 3, 3)
+    return as_family(eta, K2, d, 3, value_set(eta, K2, 3))
 
 
 def test_series_json_roundtrip():

@@ -99,7 +99,9 @@ def test_removed_flags_are_usage_errors(flag, capsys):
     "command,flag",
     [(c, ["--precision", "8"]) for c in
      ("field", "distance", "semitame", "asfamily", "kummerfamily", "sigma")]
-    + [(c, ["--n", "3"]) for c in ("field", "distance", "semitame", "sigma")],
+    + [(c, ["--n", "3"]) for c in ("field", "distance", "semitame", "sigma")]
+    + [(c, ["--D", "16"]) for c in
+       ("field", "distance", "semitame", "asfamily", "kummerfamily", "sigma")],
     ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"),
 )
 def test_removed_options_are_usage_errors(command, flag, capsys):

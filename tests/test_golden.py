@@ -1,4 +1,4 @@
-"""Byte-identical certificates for a few cheap jobs.
+"""Byte-identical certificates for every golden job.
 
 Each job runs in-process through ``cli.main(argv + ["--out", path])`` and
 must give the exit code and the certificate sha256 recorded in the
@@ -16,14 +16,7 @@ from defectlab.cli import main
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
-JOBS = (
-    "asfamily --base fp_t --p 2 --n 2 --budget 2",
-    "asfamily --base fp_t --p 3 --n 2 --budget 2",
-    "asfamily --base laurent --p 3 --n 2 --budget 2",
-    "kummerfamily --base qp_pdiv_tower --p 2 --q 2 --n 1 --budget 5",
-    "kummerfamily --base qp_pdiv_tower --p 2 --q 4 --n 1 --budget 7",
-    "sigma --base pdiv_tower --p 2 --budget 2",
-)
+JOBS = tuple(sorted(json.loads(GOLDEN.read_text())["jobs"]))
 
 
 @pytest.fixture(scope="module")

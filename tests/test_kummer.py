@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from defectlab.approx import value_set
 from defectlab.artin import sigma_sample
 from defectlab.cuts import Cut, CutEnclosure, ExtRat
 from defectlab.fields import preset_field
@@ -127,14 +128,15 @@ class TestTransformMixed:
         # a lab unit with value set reaching up to 1/2 cannot pass vd = -1/4
         eta, tail = lab_superdependent_unit(QT2, sup=q(1, 2))
         d = Series.monomial(ctx, q(-1, 4), 1)
+        sample = value_set(eta, QT2, 4, tail)
         with pytest.raises(ValueError):
-            transform_mixed(eta, QT2, d, 4, tail)
+            transform_mixed(eta, QT2, d, sample, tail)
 
     def test_transform_runs(self):
         ctx = QT2.ctx
         eta, tail = lab_superdependent_unit(QT2)
         d = Series.monomial(ctx, q(-1, 16), 1)
-        tm = transform_mixed(eta, QT2, d, 4, tail)
+        tm = transform_mixed(eta, QT2, d, value_set(eta, QT2, 4, tail), tail)
         assert tm.theta_tilde.valuation() == ExtRat.of(0)
         gap = (tm.theta_tilde - eta).valuation()
         # the root correction enters at (v(p) + v(d))/p = 15/32
@@ -147,7 +149,7 @@ class TestTransformMixed:
         ctx = QT2.ctx
         eta, tail = lab_superdependent_unit(QT2)
         d = Series.monomial(ctx, q(-1, 4), 1)
-        tm = transform_mixed(eta, QT2, d, 4, tail)
+        tm = transform_mixed(eta, QT2, d, value_set(eta, QT2, 4, tail), tail)
         checks = dict(tm.checks)
         assert checks["v_h_coeff_1"] == "3/4"
         assert (tm.theta_tilde - eta).valuation() == ExtRat.of(q(3, 8))
