@@ -290,18 +290,13 @@ def distance(
     return CutEnclosure(lo, hi)
 
 
-def in_completion(
-    a: Series,
-    K: FieldDesc,
-    budget: int,
-    tail: Optional[TailSchema] = None,
-) -> str:
-    """yes / no / unknown membership in the completion of K.
+def in_completion(sample: InitialSegmentSample) -> str:
+    """yes / no / unknown membership of the sampled element a in the
+    completion of K, read off its sample of v(a - K).
 
     ``no`` requires a certified finite upper bound on v(a - K); ``yes``
     requires an exact witness (the difference vanishes identically).
     """
-    sample = value_set(a, K, budget, tail)
     if any(not v.is_finite for v, _ in sample.realized):
         return "yes"
     if sample.upper.bound.is_finite:

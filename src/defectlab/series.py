@@ -621,16 +621,26 @@ def newton_root(
 ) -> Series:
     """Refine a root of f from ``start`` until v(f(x)) >= target_precision.
 
-    Each step computes one Taylor shift f(x + X) (``Polynomial.shifted``);
+    Each step reads one Taylor shift f(x + X) (``Polynomial.shifted``);
     its coefficients 0 and 1 are f(x) and f'(x), and all of them give the
     Newton polygon.  When the classical Hensel condition
     v(f(x)) > 2 v(f'(x)) holds the iteration is the quadratic Newton step.
     Otherwise the leading branch is peeled off with a Newton-polygon step:
-    the next correction is a monomial whose exponent is the steepest
+    the next correction is a monomial m whose exponent is the steepest
     initial slope of f(x + X) and whose coefficient solves the associated
     residue equation in F_q.  The reported precision of the result
     accounts for the derivative's valuation (a root is only determined
     modulo target - v(f'(root))).
+
+    After a polygon step the next shift f(x + m + X) is the previous one
+    moved by m, whose constant term is the small residual f(x), rather
+    than f shifted by x + m from scratch.  The move is taken only when it
+    keeps the precision bookkeeping of the full shift, that is when all
+    three hold: (a) x already sat at the working horizon, and x + m sits
+    there too; (b) v(x + m) = v(x); (c) re-declaring x + m at the horizon
+    dropped no term.  Only (a) and (b) are tested: (c) follows from (a),
+    since a sum at precision ``work`` has no term at or beyond it.  The
+    first step and every step after a Hensel step shift f in full.
     """
     target_precision = ExtRat.of(target_precision)
     if not target_precision.is_finite:
@@ -641,8 +651,9 @@ def newton_root(
     D = ctx.D
     x = start
     last_vf: Optional[int] = None
+    move: Optional[Series] = None
     for _ in range(max_steps):
-        shifted = f.shifted(x)
+        shifted = f.shifted(x) if move is None else Polynomial(shifted).shifted(move)
         fx, fpx = shifted[0], shifted[1]
         if fx.vlow() >= target_precision:
             # a term-free f'(x) at finite precision has no certified
@@ -672,6 +683,7 @@ def newton_root(
         if vf > 2 * vfp:
             step = fx * invert(fpx, work)
             x = _declare(x - step, work)
+            move = None
         else:
             # slopes in grid units: the exponent of the correction is slope/D
             slope: Optional[Fraction] = None
@@ -697,7 +709,10 @@ def newton_root(
             roots = [r for r in ctx.field.roots_of(res_coeffs) if r != 0]
             if not roots:
                 raise ConvergenceError("residue equation has no root in F_q")
-            x = _declare(x + Series.monomial(ctx, Fraction(ks, D), roots[0], work), work)
+            mono = Series.monomial(ctx, Fraction(ks, D), roots[0], work)
+            nxt = _declare(x + mono, work)
+            move = mono if x.precision == work and nxt.vlow() == x.vlow() else None
+            x = nxt
     raise ConvergenceError("iteration budget exhausted")
 
 

@@ -10,10 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from defectlab.approx import distance, imperfection_witness, semitame_report, value_set
+from defectlab.approx import imperfection_witness, semitame_report, value_set
 from defectlab.artin import (
     as_extension,
-    as_family,
     as_root,
     as_root_residual,
     check_as_root_identity,

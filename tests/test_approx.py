@@ -3,8 +3,6 @@ from fractions import Fraction
 import pytest
 
 from defectlab.approx import (
-    ConditionVerdict,
-    InitialSegmentSample,
     TailSchema,
     defect_of,
     distance,
@@ -46,7 +44,7 @@ def test_value_set_element_of_K():
     a = Series.monomial(K2.ctx, 1)
     s = value_set(a, K2, 2)
     assert any(not v.is_finite for v in s.values())
-    assert in_completion(a, K2, 2) == "yes"
+    assert in_completion(s) == "yes"
 
 
 def test_value_set_rejects_zero_budget():
@@ -80,12 +78,12 @@ def test_tailed_value_set_partial_sums():
     assert s.upper == Cut(ExtRat.of(0), False)
     enc = distance(s, tail)
     assert enc.is_exact and enc.lo == Cut(ExtRat.of(0), False)
-    assert in_completion(a, T2, 2, tail) == "no"
+    assert in_completion(s) == "no"
 
 
 def test_in_completion_sqrt_t():
     a = Series.monomial(K2.ctx, q(1, 2))
-    assert in_completion(a, K2, 2) == "no"
+    assert in_completion(value_set(a, K2, 2)) == "no"
 
 
 def test_semitame_fp_t_all_refuted():

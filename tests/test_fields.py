@@ -10,7 +10,7 @@ from defectlab.fields import (
     tower_field,
     field_from_json,
 )
-from defectlab.series import Series, invert
+from defectlab.series import Series
 from defectlab.cuts import ExtRat
 
 
