@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List, Tuple
 
 from .approx import (
@@ -182,10 +182,67 @@ def make_certificate_file(
     return CertificateFile(SCHEMA_VERSION, config, K.to_json(), tuple(certs), tuple(log))
 
 
+def _dumps(obj) -> str:
+    """Canonical JSON text of ``obj``: byte-identical to
+    ``json.dumps(obj, sort_keys=True, indent=1)`` on the shapes ``to_json``
+    produces (dicts with str keys, lists, tuples, str, int, bool, None).
+
+    ``json.dumps`` cannot use CPython's C encoder when ``indent`` is set;
+    this writer keeps the C string escaper and drops the rest of the
+    pure-Python encoder's generality.  Any other type raises ``TypeError``.
+    """
+    chunks: List[str] = []
+    _emit(obj, chunks.append, "\n")
+    return "".join(chunks)
+
+
+def _emit(obj, write, nl: str) -> None:
+    # ``nl`` is a newline followed by the indent of the line ``obj`` ends on
+    t = type(obj)
+    if t is str:
+        write(encode_basestring_ascii(obj))
+    elif t is int:
+        write(int.__repr__(obj))  # never a bool: type(True) is bool
+    elif t is dict or t is list or t is tuple:
+        if not obj:
+            write("{}" if t is dict else "[]")
+            return
+        inner = nl + " "
+        sep = inner
+        if t is dict:
+            write("{")
+            for key, value in sorted(obj.items()):
+                if type(key) is not str:
+                    raise TypeError(f"certificate JSON keys must be str, not {type(key).__name__}")
+                write(f"{sep}{encode_basestring_ascii(key)}: ")
+                sep = "," + inner
+                _emit(value, write, inner)
+            write(nl + "}")
+        else:
+            write("[")
+            for value in obj:
+                write(sep)
+                sep = "," + inner
+                _emit(value, write, inner)
+            write(nl + "]")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif obj is None:
+        write("null")
+    else:
+        raise TypeError(f"cannot write {t.__name__} into a certificate file")
+
+
 def write_certificate_file(path: str, cf: CertificateFile) -> None:
-    payload = json.dumps(cf.to_json(), sort_keys=True, indent=1)
+    """Write ``cf`` to ``path`` atomically: a temporary file in the same
+    directory, created with mode 0666 less the umask (what a plain
+    ``open(path, "w")`` gives), renamed over ``path``."""
+    payload = _dumps(cf.to_json())
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cert-")
+    tmp = os.path.join(directory, f".cert-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(payload)

@@ -79,7 +79,13 @@ def _write_out(args, K: FieldDesc, certs, log=()) -> None:
     """Write the run's certificate file to ``--out``, when one is given."""
     if args.out:
         cf = make_certificate_file(K, SessionConfig.for_field(K, args.budget), certs, log=log)
-        write_certificate_file(args.out, cf)
+        try:
+            write_certificate_file(args.out, cf)
+        except OSError as exc:
+            # a ValueError, so that main reports it as a usage error (exit 64)
+            raise ValueError(
+                f"cannot write certificate file {args.out}: {exc.strerror or exc}"
+            ) from exc
         print(f"wrote {args.out}")
 
 

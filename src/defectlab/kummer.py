@@ -170,27 +170,21 @@ def pth_power_difference_check(eta: Series, a: Series) -> PthPowerReport:
     return PthPowerReport(pre, lhs == rhs, lhs, rhs, threshold)
 
 
-@dataclass(frozen=True)
-class MixedTransform:
-    theta_tilde: Series  # the root of X^p + h_d(X) - eta^p near eta
-    sample: InitialSegmentSample
-    checks: Tuple[Tuple[str, str], ...]
-
-
 def transform_mixed(
     eta: Series,
     K: FieldDesc,
     d: Series,
     sample: InitialSegmentSample,
     tail: Optional[TailSchema] = None,
-) -> MixedTransform:
-    """Solve X^p + h_d(X) = eta^p near eta and verify the value-set
-    transfer witness by witness.
+) -> Series:
+    """Solve X^p + h_d(X) = eta^p near eta, verify the value-set
+    transfer witness by witness, and return the root.
 
     Requires v(d) < 0 and the certified upper cut of v(eta - K) below
-    (v(p) + (p-1) v(d)) / p.  Records the coefficient-depth inequalities
-    v(binom(p,i) d^(p-i)) >= v(p) + (p-1)v(d) > p v(eta - K) and the
-    root's distance v(root - eta) above the sample.
+    (v(p) + (p-1) v(d)) / p.  Checks the coefficient-depth inequalities
+    v(binom(p,i) d^(p-i)) >= v(p) + (p-1)v(d) > p v(eta - K) and that the
+    root's distance v(root - eta) lies above the sample; a failed check
+    raises ``AssertionError``.
 
     ``sample`` is the sample of v(eta - K) and ``tail`` the tail of eta.
     """
@@ -214,7 +208,6 @@ def transform_mixed(
             f"(v(p) + (p-1)v(d))/p = {threshold}"
         )
 
-    checks: List[Tuple[str, str]] = []
     b_eta = eta.pow_int(p)
     coeff_bound = ExtRat.of(Fraction(1 + (p - 1) * vd))
     p_upper = segment_affine(upper, p, 0)
@@ -229,7 +222,6 @@ def transform_mixed(
                 f"coefficient {i} is not deeper than p * v(eta - K)"
             )
         coeffs.append(ci)
-        checks.append((f"v_h_coeff_{i}", str(vci)))
     coeffs.append(Series.one(ctx))
 
     # The exact root has unbounded exponent denominators (it generates a
@@ -251,12 +243,11 @@ def transform_mixed(
     gap = (theta_tilde - eta).vlow()
     if not Cut(gap, True) > upper:
         raise AssertionError("v(root - eta) does not clear the sample")
-    checks.append(("v_root_minus_eta", str(gap)))
 
     horizon = ExtRat.of(tail.low) if tail is not None else min(eta.precision, theta_tilde.precision)
-    sample_tilde = translate_sample(sample, theta_tilde, Fraction(0), lambda w: w, horizon)
-    checks.append(("value_set_transfer", f"{len(sample_tilde.realized)} witnesses"))
-    return MixedTransform(theta_tilde, sample_tilde, tuple(checks))
+    # raises unless every witness of the sample transfers to the root
+    translate_sample(sample, theta_tilde, Fraction(0), lambda w: w, horizon)
+    return theta_tilde
 
 
 def kummer_family(
@@ -314,9 +305,9 @@ def kummer_family(
     work = ExtRat.of(Fraction(budget + 6))
     certs: List[ExtensionCert] = []
     for vt, td in candidates[:n_members]:
-        tm = transform_mixed(eta, K, td, sample, tail)
+        theta_tilde = transform_mixed(eta, K, td, sample, tail)
         td_inv = invert(td, work)
-        theta = tm.theta_tilde * td_inv
+        theta = theta_tilde * td_inv
         eta_new = theta + Series.one(ctx)
 
         vnew = (eta_new - Series.one(ctx)).valuation()

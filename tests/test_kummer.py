@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from defectlab.approx import value_set
+from defectlab.approx import translate_sample, value_set
 from defectlab.artin import sigma_sample
 from defectlab.cuts import Cut, CutEnclosure, ExtRat
 from defectlab.fields import preset_field
@@ -136,12 +136,15 @@ class TestTransformMixed:
         ctx = QT2.ctx
         eta, tail = lab_superdependent_unit(QT2)
         d = Series.monomial(ctx, q(-1, 16), 1)
-        tm = transform_mixed(eta, QT2, d, value_set(eta, QT2, 4, tail), tail)
-        assert tm.theta_tilde.valuation() == ExtRat.of(0)
-        gap = (tm.theta_tilde - eta).valuation()
+        sample = value_set(eta, QT2, 4, tail)
+        root = transform_mixed(eta, QT2, d, sample, tail)
+        assert root.valuation() == ExtRat.of(0)
+        gap = (root - eta).valuation()
         # the root correction enters at (v(p) + v(d))/p = 15/32
         assert gap == ExtRat.of(q(15, 32))
-        assert len(tm.sample.realized) >= 2
+        # the sample's witnesses transfer to the root
+        transferred = translate_sample(sample, root, q(0), lambda w: w, ExtRat.of(tail.low))
+        assert len(transferred.realized) >= 2
 
     def test_quarter_depth_instance(self):
         # upper bound 1/8 sits below (v(p) + v(d))/p = 3/8 for v(d) = -1/4,
@@ -149,10 +152,9 @@ class TestTransformMixed:
         ctx = QT2.ctx
         eta, tail = lab_superdependent_unit(QT2)
         d = Series.monomial(ctx, q(-1, 4), 1)
-        tm = transform_mixed(eta, QT2, d, value_set(eta, QT2, 4, tail), tail)
-        checks = dict(tm.checks)
-        assert checks["v_h_coeff_1"] == "3/4"
-        assert (tm.theta_tilde - eta).valuation() == ExtRat.of(q(3, 8))
+        assert (d + d).valuation() == ExtRat.of(q(3, 4))
+        root = transform_mixed(eta, QT2, d, value_set(eta, QT2, 4, tail), tail)
+        assert (root - eta).valuation() == ExtRat.of(q(3, 8))
 
 
 class TestKummerFamily:
