@@ -13,7 +13,6 @@ from .approx import (
     defect_of,
     distance,
     imperfection_witness,
-    in_completion,
     semitame_report,
     value_set,
 )
@@ -37,17 +36,14 @@ from .cuts import (
     MINUS_INF,
     PLUS_INF,
     ValueGroupDesc,
-    cut_compare,
     cut_of_sample,
-    dist_translate,
     segment_affine,
 )
-from .fields import FieldDesc, enumerate_elements, preset_field, tower_field
+from .fields import FieldDesc, enumerate_elements, preset_field
 from .kummer import (
     classify_kummer_defect,
     kummer_family,
     lab_superdependent_unit,
-    normalize_to_1unit,
     pth_power_difference_check,
     transform_mixed,
 )
@@ -60,7 +56,6 @@ from .series import (
     make_mixed_context,
     newton_root,
     pth_root,
-    valuation_residue,
     zeta_p,
 )
 

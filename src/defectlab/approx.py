@@ -1,5 +1,5 @@
-"""Certified samples of v(a - K), distances, completion membership, and
-the numerical conditions for semitame / deeply ramified base fields.
+"""Certified samples of v(a - K), distances, and the numerical conditions
+for semitame / deeply ramified base fields.
 
 Soundness policy (one-sided): a realized value is only reported when an
 explicit witness c in K achieves it; an upper bound on v(a - K) is only
@@ -103,13 +103,6 @@ class InitialSegmentSample:
 
     def finite_values(self) -> Tuple[Fraction, ...]:
         return tuple(v.fraction for v, _ in self.realized if v.is_finite)
-
-    def witness_of(self, value) -> Optional[Series]:
-        value = ExtRat.of(value)
-        for v, w in self.realized:
-            if v == value:
-                return w
-        return None
 
     def max_realized(self) -> Optional[ExtRat]:
         return self.realized[-1][0] if self.realized else None
@@ -288,20 +281,6 @@ def distance(
     ):
         return CutEnclosure(hi, hi)
     return CutEnclosure(lo, hi)
-
-
-def in_completion(sample: InitialSegmentSample) -> str:
-    """yes / no / unknown membership of the sampled element a in the
-    completion of K, read off its sample of v(a - K).
-
-    ``no`` requires a certified finite upper bound on v(a - K); ``yes``
-    requires an exact witness (the difference vanishes identically).
-    """
-    if any(not v.is_finite for v, _ in sample.realized):
-        return "yes"
-    if sample.upper.bound.is_finite:
-        return "no"
-    return UNKNOWN
 
 
 # --------------------------------------------------------------------------

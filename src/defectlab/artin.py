@@ -119,17 +119,17 @@ class ASRoot:
     theta: Series
     tail: Optional[TailSchema]
     residual_floor: ExtRat
-    residue_root: int
 
 
-def as_root(b: Series, precision=None) -> ASRoot:
+def as_root(b: Series, precision) -> ASRoot:
     """A root of X^p - X - b in the ambient field, by telescoping sums.
 
     The fractional (negative-exponent) sum is truncated when the session
     denominator bound D is reached; the positive sum is truncated at
-    ``precision`` (default: b's own horizon, else exponent 12).  The
-    returned residual floor certifies v(theta^p - theta - b), and the
-    tail schema describes the dropped fractional terms.
+    ``precision``, or at b's own horizon when that is lower.  The
+    returned residual floor certifies v(theta^p - theta - b) (see
+    ``residual_window_violations``), and the tail schema describes the
+    dropped fractional terms.
 
     Raises ValueError when the residue equation x^p - x = b_0 has no
     root in F_q (a residue extension would be needed).
@@ -138,12 +138,9 @@ def as_root(b: Series, precision=None) -> ASRoot:
     if ctx.mode != EQUAL:
         raise ValueError("Artin-Schreier roots are an equal-characteristic construction")
     p = ctx.p
-    if precision is None:
-        precision = b.precision if b.precision.is_finite else ExtRat.of(Fraction(12))
-    else:
-        precision = ExtRat.of(precision)
-        if b.precision.is_finite:
-            precision = min(precision, b.precision)
+    precision = ExtRat.of(precision)
+    if b.precision.is_finite:
+        precision = min(precision, b.precision)
 
     r0 = b.coeff_at(0)
 
@@ -197,28 +194,26 @@ def as_root(b: Series, precision=None) -> ASRoot:
             y = y.frobenius()
 
     theta = theta.truncate(precision)
-    return ASRoot(theta, tail, floor, rho)
+    return ASRoot(theta, tail, floor)
 
 
-def as_root_residual(res: ASRoot, b: Series) -> Series:
-    """theta^p - theta - b, for checking the certified floor."""
-    theta = res.theta
-    return theta.pow_int(theta.ctx.p) - theta - b
+def residual_window_violations(resid: Series, floor: ExtRat) -> List[Fraction]:
+    """The exponents of the terms of a minimal-polynomial residual f(theta)
+    that lie outside the window its recorded floor allows, in order.
 
-
-def check_as_root_identity(res: ASRoot, b: Series) -> bool:
-    """Whether theta^p - theta - b vanishes on all certified terms.
-
-    The only admissible exceptions are the recorded fractional residual
-    -(b_-)^(1/p^I), supported in [residual_floor, 0).  Terms beyond the
-    computed residual's own precision are not certified either way.
+    A negative floor allows terms in [floor, 0) only: the fractional
+    residual -(b_-)^(1/p^I) of an Artin-Schreier root, which ``as_root``
+    records as a negative floor (or +inf when there is none).  Any other
+    floor allows no term below it.  Terms at or beyond the residual's own
+    precision are not stored, so they are certified neither way.
     """
-    resid = as_root_residual(res, b)
-    floor = res.residual_floor
-    if not floor.is_finite:
-        return resid.is_zero
-    kfloor = resid.ctx.kcap(floor)
-    return all(kfloor <= k < 0 for k, _ in resid.kterms)
+    ctx = resid.ctx
+    kfloor = ctx.kcap(floor)
+    if floor.is_finite and floor.fraction < 0:
+        bad = [k for k, _ in resid.kterms if not kfloor <= k < 0]
+    else:
+        bad = [k for k, _ in resid.kterms if k < kfloor]
+    return [Fraction(k, ctx.D) for k in bad]
 
 
 def as_generator_transform(theta: Series, i_code: int, c: Series) -> Series:
@@ -246,20 +241,16 @@ def artin_schreier_poly(b: Series) -> Polynomial:
     return Polynomial.make(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class InsepTransform:
-    theta_tilde: Series  # d theta, at the value of eta
-    cert: ExtensionCert  # generator theta, minimal polynomial X^p - X - eta^p / d^p
-
-
 def transform_inseparable(
     eta: Series,
     K: FieldDesc,
     d: Series,
     sample_eta: InitialSegmentSample,
-) -> InsepTransform:
+) -> ExtensionCert:
     """Turn the inseparable relation eta^p in K into an Artin-Schreier
-    extension whose value set is the translate of v(eta - K).
+    extension whose value set is the translate of v(eta - K), and return
+    its certificate: generator theta, minimal polynomial
+    X^p - X - eta^p / d^p.
 
     Requires v(eta - K) certifiably bounded and the twist condition
     (p-1) v(d) > p sup v(eta - K) - v(eta), checked on the certified
@@ -348,7 +339,7 @@ def transform_inseparable(
             ("v_eta_minus_theta_tilde", str(gap)),
         ),
     )
-    cert = ExtensionCert(
+    return ExtensionCert(
         ARTIN_SCHREIER,
         K,
         theta,
@@ -363,7 +354,6 @@ def transform_inseparable(
             f"budget={budget}",
         ),
     )
-    return InsepTransform(theta_tilde, cert)
 
 
 def _merge_samples(a: InitialSegmentSample, b: InitialSegmentSample) -> InitialSegmentSample:
@@ -404,8 +394,7 @@ def as_family(
 
     certs: List[ExtensionCert] = []
     for n in range(1, n_members + 1):
-        result = transform_inseparable(eta, K, d.pow_int(n), sample_eta)
-        certs.append(defect_criteria(result.cert))
+        certs.append(defect_criteria(transform_inseparable(eta, K, d.pow_int(n), sample_eta)))
 
     check_pairwise_distinct(certs)
     return certs

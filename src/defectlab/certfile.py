@@ -27,7 +27,14 @@ from .approx import (
     sample_shape_error,
     support_upper_cut,
 )
-from .artin import Claims, ExtensionCert, KUMMER, check_pairwise_distinct, defect_criteria
+from .artin import (
+    Claims,
+    ExtensionCert,
+    KUMMER,
+    check_pairwise_distinct,
+    defect_criteria,
+    residual_window_violations,
+)
 from .cuts import Cut, CutEnclosure, ExtRat, parse_ratio
 from .fields import FieldDesc, field_from_json, member_witness
 from .kummer import classify_kummer_defect
@@ -341,18 +348,10 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     if err is not None:
         report.add(f"{tag}: sample shape: {err}")
 
-    # 3. minimal polynomial residual within the recorded exception window:
-    # a negative floor allows terms in [floor, 0) only (the telescoping
-    # tail); otherwise the residual must vanish below the floor
-    resid = cert.min_poly.evaluate(gen)
+    # 3. minimal polynomial residual within the recorded exception window
     floor = cert.residual_floor
-    kfloor = ctx.kcap(floor)
-    if floor.is_finite and floor.fraction < 0:
-        bad = [k for k, _ in resid.kterms if not (kfloor <= k < 0)]
-    else:
-        bad = [k for k, _ in resid.kterms if k < kfloor]
+    bad = residual_window_violations(cert.min_poly.evaluate(gen), floor)
     if bad:
-        bad = [Fraction(k, ctx.D) for k in bad]
         report.add(f"{tag}: residual terms at {bad} violate the recorded floor {floor}")
 
     # 4. distance enclosure re-derivation

@@ -203,6 +203,11 @@ def cmd_sigma(args) -> int:
 def cmd_verify(args) -> int:
     try:
         cf = read_certificate_file(args.file)
+    except OSError as exc:
+        # no file to judge: a usage error, not a refuted claim
+        print(f"error: cannot read certificate file {args.file}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EX_USAGE
     except Exception as exc:
         print(f"cannot load certificate file: {exc}", file=sys.stderr)
         return EX_REFUTED
@@ -214,6 +219,18 @@ def cmd_verify(args) -> int:
     for d in report.diffs:
         print(f"  {d}")
     return EX_REFUTED
+
+
+def _positive_int(text: str) -> int:
+    """The argparse type of ``--n`` and ``--budget``: an integer >= 1, so
+    that a bad count is a usage error before any work is done."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 @functools.cache
@@ -231,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--q", type=int, default=None,
                         help="residue field size p^m (default p)")
         sp.add_argument("--base", choices=PRESET_NAMES, default="fp_t")
-        sp.add_argument("--budget", type=int, default=3,
+        sp.add_argument("--budget", type=_positive_int, default=3,
                         help="enumeration height")
         sp.add_argument("--out", type=str, default=None)
 
@@ -239,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         common(sp)
         if name in ("asfamily", "kummerfamily"):
-            sp.add_argument("--n", type=int, default=5, help="family size")
+            sp.add_argument("--n", type=_positive_int, default=5, help="family size")
 
     vp = sub.add_parser("verify")
     vp.add_argument("file")

@@ -227,20 +227,6 @@ class Cut:
         return Cut(ExtRat.parse(obj["bound"]), bool(obj["attained"]))
 
 
-def cut_compare(x: Cut, y: Cut) -> str:
-    """Total order on cuts by inclusion of lower sets.
-
-    Returns one of ``"less"``, ``"equal"``, ``"greater"``.  At equal
-    bounds, the non-attained cut (strict lower set) is the smaller one.
-    """
-    kx, ky = x._key(), y._key()
-    if kx < ky:
-        return "less"
-    if kx > ky:
-        return "greater"
-    return "equal"
-
-
 def segment_affine(s: Cut, n: int, alpha: RatLike) -> Cut:
     """Image of an initial segment under T -> nT + alpha.
 
@@ -278,27 +264,6 @@ def cut_of_sample(values: Iterable[RatLike], side: str) -> Cut:
     if side == "minus":
         return Cut(min(vals), False)
     raise ValueError(f"unknown side {side!r}")
-
-
-@dataclass(frozen=True)
-class DistRelation:
-    """How a distance cut sits relative to a finite threshold alpha.
-
-    ``lt_alpha``: every value below the cut is < alpha (cut <= alpha^-).
-    ``lt_strict_gap``: additionally bounded away from alpha by some
-    rational beta < alpha (cut < alpha^-).
-    """
-
-    lt_alpha: bool
-    lt_strict_gap: bool
-
-
-def dist_translate(d: Cut, alpha: RatLike) -> DistRelation:
-    alpha = ExtRat.of(alpha)
-    if not alpha.is_finite:
-        raise InfinityArithmeticError("threshold must be finite")
-    threshold = Cut(alpha, False)
-    return DistRelation(lt_alpha=d <= threshold, lt_strict_gap=d < threshold)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ polynomial of the requested degree, which keeps sessions reproducible.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> Tuple[int, ...]:
@@ -168,9 +168,6 @@ class FiniteField:
 
     def coeffs(self, a: int) -> Tuple[int, ...]:
         return self._coeffs[a]
-
-    def elements(self) -> Iterable[int]:
-        return range(self.q)
 
     def in_prime_field(self, a: int) -> bool:
         return self._frob[a] == a

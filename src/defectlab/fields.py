@@ -1,11 +1,11 @@
 """Finitely described base fields inside the ambient series field.
 
 A FieldDesc pins down a base field K by shape: rational functions F_q(t),
-truncated Laurent series F_q((t)), a fixed root tower F_q(t^(1/p^n)), the
-directed union F_q(t)(t^(1/p^i) : i >= 1), the p-adic base field, or the
-p-adic analogue of the directed union.  The description carries the value
-group, a certified support lattice (every element's expansion is
-supported there), and structural flags used by one-sided certificates:
+truncated Laurent series F_q((t)), the directed union
+F_q(t)(t^(1/p^i) : i >= 1), the p-adic base field, or the p-adic analogue
+of the directed union.  The description carries the value group, a
+certified support lattice (every element's expansion is supported
+there), and structural flags used by one-sided certificates:
 ``leveled`` means each single element lives at some finite denominator
 level even though the union is deep, ``perfect`` and ``complete`` record
 facts provable from the shape.
@@ -34,7 +34,6 @@ from .series import (
 
 RATIONAL_FUNCTION = "rational_function"
 LAURENT = "laurent"
-TOWER = "tower"
 DIRECTED_UNION = "directed_union"
 PADIC_BASE = "padic_base"
 PADIC_TOWER = "padic_tower"
@@ -57,7 +56,6 @@ class FieldDesc:
     leveled: bool
     perfect: bool
     complete: bool
-    level: int = 0  # fixed root depth for kind == tower
 
     @property
     def residue_q(self) -> int:
@@ -73,7 +71,7 @@ class FieldDesc:
             "leveled": self.leveled,
             "perfect": self.perfect,
             "complete": self.complete,
-            "level": self.level,
+            "level": 0,  # schema v1 field, always 0 for the preset shapes
         }
 
 
@@ -102,13 +100,6 @@ def preset_field(name: str, p: int, m: int = 1, D: Optional[int] = None) -> Fiel
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-def tower_field(p: int, level: int, m: int = 1, D: Optional[int] = None) -> FieldDesc:
-    """The fixed finite tower F_q(t^(1/p^level))."""
-    ctx = make_equal_context(p, m, D)
-    g = ValueGroupDesc((Fraction(1, p ** level),))
-    return FieldDesc(TOWER, f"tower{level}", ctx, g, g, False, False, False, level)
-
-
 def field_from_json(obj: dict) -> FieldDesc:
     ctx_obj = obj["ctx"]
     if ctx_obj["mode"] == EQUAL:
@@ -124,7 +115,6 @@ def field_from_json(obj: dict) -> FieldDesc:
         bool(obj["leveled"]),
         bool(obj["perfect"]),
         bool(obj["complete"]),
-        int(obj.get("level", 0)),
     )
 
 
@@ -166,7 +156,7 @@ def _ratfunc_elements(ctx: SeriesContext, height: int, scale: Fraction, precisio
 
 
 @functools.lru_cache(maxsize=16)
-def enumerate_elements(K: FieldDesc, height: int, precision: Optional[ExtRat] = None) -> List[Series]:
+def enumerate_elements(K: FieldDesc, height: int) -> List[Series]:
     """Deterministic, monotone-in-height element enumeration.
 
     Rational-function shapes list ratios of polynomials of degree up to
@@ -176,14 +166,16 @@ def enumerate_elements(K: FieldDesc, height: int, precision: Optional[ExtRat] = 
     monomials per tower level.  Zero is always included, and each
     element is listed once, at its first occurrence in that order.
 
-    Results are cached (the 16 most recent argument tuples); a repeated
-    call returns the same list object, which callers must not mutate.
+    Infinite expansions (inverted denominators, p-adic digits of
+    rationals) are computed to the working precision ``height + 4``.
+    Results are cached (the 16 most recent (K, height) pairs); a
+    repeated call returns the same list object, which callers must not
+    mutate.
     """
     if height < 0:
         raise ValueError("height must be >= 0")
     ctx = K.ctx
-    if precision is None:
-        precision = ExtRat.of(Fraction(height + 4))
+    precision = ExtRat.of(Fraction(height + 4))
     out: List[Series] = []
     if K.kind == RATIONAL_FUNCTION:
         out.extend(_ratfunc_elements(ctx, height, Fraction(1), precision))
@@ -205,8 +197,6 @@ def enumerate_elements(K: FieldDesc, height: int, precision: Optional[ExtRat] = 
                 if d:
                     terms[exps[i]] = d
             out.append(Series.make(ctx, terms))
-    elif K.kind == TOWER:
-        out.extend(_ratfunc_elements(ctx, height, Fraction(1, ctx.p ** K.level), precision))
     elif K.kind == DIRECTED_UNION:
         for lvl in range(height + 1):
             out.extend(_ratfunc_elements(ctx, height, Fraction(1, ctx.p ** lvl), precision))

@@ -1,6 +1,6 @@
-"""Mixed-characteristic degree-p pipeline: 1-unit normalization, the
-p-th power difference law, the separable twist of X^p - eta^p, and
-certified families of pairwise-distinct Kummer extensions.
+"""Mixed-characteristic degree-p pipeline: the p-th power difference
+law, the separable twist of X^p - eta^p, and certified families of
+pairwise-distinct Kummer extensions.
 
 The twist replaces X^p - eta^p by X^p + h_d(X) - eta^p with
 h_d(X) = sum_i binom(p, i) d^(p-i) X^i for a deep element d of negative
@@ -63,74 +63,6 @@ def is_one_unit(eta: Series) -> bool:
     if d.is_zero:
         return True
     return d.valuation() > ExtRat.of(0)
-
-
-@dataclass(frozen=True)
-class UnitNormalization:
-    unit: Series
-    tail: Optional[TailSchema]
-    c: Series
-    d: Series
-
-
-def normalize_to_1unit(
-    eta: Series,
-    K: FieldDesc,
-    budget: int,
-    tail: Optional[TailSchema] = None,
-) -> UnitNormalization:
-    """Replace eta by eta*c*d with v = 0 and residue 1, c and d from K.
-
-    c matches the value (possible when v(eta) is realized in vK by an
-    enumerated element) and d inverts the residue.  Failure to find
-    either within budget signals a non-immediate input.
-    """
-    _require_mixed(eta.ctx)
-    fld = eta.ctx.field
-    v = eta.valuation()
-    if not v.is_finite:
-        raise ValueError("zero input")
-    c = Series.one(eta.ctx)
-    work = eta
-    if v != ExtRat.of(0):
-        c = next(
-            (
-                x
-                for x in enumerate_elements(K, budget)
-                if not x.is_zero and x.valuation() == -v
-            ),
-            None,
-        )
-        if c is None:
-            raise ValueError(
-                f"no enumerated element of K has value {-v.fraction}; "
-                "the input does not look immediate at this budget"
-            )
-        work = work * c
-        if tail is not None:
-            tail = tail.shift(-v.fraction)
-    r = work.leading_coeff()
-    d = Series.one(eta.ctx)
-    if r != 1:
-        rinv = fld.inv(r)
-        d = next(
-            (
-                x
-                for x in enumerate_elements(K, budget)
-                if not x.is_zero
-                and x.valuation() == ExtRat.of(0)
-                and x.leading_coeff() == rinv
-            ),
-            None,
-        )
-        if d is None:
-            raise ValueError(
-                f"no enumerated element of K has residue {fld.repr_code(rinv)}"
-            )
-        work = work * d
-    if not is_one_unit(work):
-        raise AssertionError("normalization failed to produce a 1-unit")
-    return UnitNormalization(work, tail, c, d)
 
 
 @dataclass(frozen=True)
@@ -403,13 +335,11 @@ def classify_kummer_defect(cert: ExtensionCert) -> ExtensionCert:
     return replace(cert, claims=claims)
 
 
-def lab_superdependent_unit(
-    K: FieldDesc, n_terms: int = 6, precision=Fraction(8), sup: Optional[Fraction] = None
-) -> Tuple[Series, TailSchema]:
+def lab_superdependent_unit(K: FieldDesc, sup: Optional[Fraction] = None) -> Tuple[Series, TailSchema]:
     """A laboratory 1-unit whose value set is certifiably bounded by
     ``sup`` (default 1/(4p), strictly below v(p)/p): the truncation of
-    1 + sum_i p^(sup (1 - p^-i)), carrying the tail certificate for the
-    un-materialized terms.
+    1 + sum_i p^(sup (1 - p^-i)) after six terms, at precision 8,
+    carrying the tail certificate for the un-materialized terms.
 
     The super-dependent hypothesis (together with eta^p lying in K) is
     accepted as a certified input property of the laboratory object; the
@@ -419,13 +349,14 @@ def lab_superdependent_unit(
     _require_mixed(ctx)
     p = ctx.p
     s = Fraction(1, 4 * p) if sup is None else Fraction(sup)
+    stored = 6  # materialized terms; the tail schema describes the rest
     terms = {Fraction(0): 1}
-    for i in range(1, n_terms + 1):
+    for i in range(1, stored + 1):
         terms[s * (1 - Fraction(1, p ** i))] = 1
-    eta = Series.make(ctx, terms, ExtRat.of(Fraction(precision)))
+    eta = Series.make(ctx, terms, ExtRat.of(Fraction(8)))
     tail = TailSchema(
         s,
-        s * (1 - Fraction(1, p ** (n_terms + 1))),
+        s * (1 - Fraction(1, p ** (stored + 1))),
         True,
         True,
         True,

@@ -3,7 +3,7 @@
 Two ambient modes share one term representation: a sorted tuple of
 (k, code) pairs, the exponent k/D on the grid (1/D)Z of the session bound
 D and the code a nonzero finite-field element, plus a precision horizon.
-Exponents leave this layer as reduced fractions (``terms``, ``support``,
+Exponents leave this layer as reduced fractions (``terms``,
 ``valuation``, ``str``).
 
 * ``equal``: coefficients in F_q, characteristic p; addition is
@@ -271,17 +271,13 @@ class Series:
                 break
         return 0
 
-    def support(self) -> Tuple[Fraction, ...]:
-        D = self.ctx.D
-        return tuple(Fraction(k, D) for k, _ in self.kterms)
-
     # --- arithmetic ---
 
     def _require_same_mode(self, other: "Series"):
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("series from different sessions cannot be combined")
 
-    def diff_k(self, other: "Series", kcap=None):
+    def diff_k(self, other: "Series", kcap):
         """v(self - other) on the grid, read off the first differing term.
 
         Walks the two sorted term tuples together and returns the grid
@@ -290,8 +286,8 @@ class Series:
         precisions are infinite (an exact zero); ``None`` when they agree
         only up to a finite precision, or first differ at or beyond one
         (the difference is zero to that precision, its valuation
-        uncertified).  ``kcap``, when given, must be
-        ``ctx.kcap(self.precision)``, so that a scan computes it once.
+        uncertified).  ``kcap`` must be ``ctx.kcap(self.precision)``; a
+        scan computes it once and passes it to every call.
 
         In equal characteristic this is the valuation of ``self - other``
         term by term.  In mixed characteristic it is too: the terms below
@@ -315,17 +311,9 @@ class Series:
             # one term tuple is a prefix of the other; the longer one's
             # next term is the first difference
             k = (ta[len(tc):] or tc[len(ta):])[0][0]
-        if kcap is None:
-            kcap = ctx.kcap(self.precision)
         if k >= kcap or k >= ctx.kcap(other.precision):
             return None
         return k
-
-    def diff_valuation(self, other: "Series") -> Optional[ExtRat]:
-        """``diff_k`` as a value: k/D, ``PLUS_INF`` for an exact zero, or
-        None when the difference is uncertified."""
-        k = self.diff_k(other)
-        return None if k is None else self.ctx.value_of(k)
 
     def __add__(self, other: "Series") -> "Series":
         self._require_same_mode(other)
@@ -487,14 +475,6 @@ def _product_precision(a: Series, b: Series) -> ExtRat:
     return min(cands)
 
 
-def valuation_residue(a: Series) -> Tuple[ExtRat, int]:
-    """(min exponent of support, coefficient there); (+inf, 0) for the
-    exact zero series."""
-    if a.is_zero:
-        return a.valuation(), 0
-    return a.valuation(), a.leading_coeff()
-
-
 def pth_root(a: Series) -> Series:
     """The unique p-th root in equal characteristic: exponents divide by
     p and coefficients pass through the inverse Frobenius."""
@@ -613,12 +593,10 @@ def int_scale(a: Series, n: int) -> Series:
     return Series.from_int(ctx, n) * a
 
 
-def newton_root(
-    f: Polynomial,
-    start: Series,
-    target_precision: ExtRat,
-    max_steps: int = 200,
-) -> Series:
+NEWTON_MAX_STEPS = 200
+
+
+def newton_root(f: Polynomial, start: Series, target_precision: ExtRat) -> Series:
     """Refine a root of f from ``start`` until v(f(x)) >= target_precision.
 
     Each step reads one Taylor shift f(x + X) (``Polynomial.shifted``);
@@ -641,6 +619,9 @@ def newton_root(
     dropped no term.  Only (a) and (b) are tested: (c) follows from (a),
     since a sum at precision ``work`` has no term at or beyond it.  The
     first step and every step after a Hensel step shift f in full.
+
+    The iteration takes at most ``NEWTON_MAX_STEPS`` steps; running out
+    raises ``ConvergenceError`` (inconclusive), never a hang.
     """
     target_precision = ExtRat.of(target_precision)
     if not target_precision.is_finite:
@@ -652,7 +633,7 @@ def newton_root(
     x = start
     last_vf: Optional[int] = None
     move: Optional[Series] = None
-    for _ in range(max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         shifted = f.shifted(x) if move is None else Polynomial(shifted).shifted(move)
         fx, fpx = shifted[0], shifted[1]
         if fx.vlow() >= target_precision:

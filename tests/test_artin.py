@@ -8,17 +8,17 @@ import defectlab.artin as artin_mod
 from defectlab.approx import imperfection_witness, value_set
 from defectlab.artin import (
     admissible_twist,
+    artin_schreier_poly,
     as_extension,
     as_family,
     as_generator_transform,
     as_root,
-    as_root_residual,
-    check_as_root_identity,
     check_pairwise_distinct,
+    residual_window_violations,
     sigma_sample,
     transform_inseparable,
 )
-from defectlab.cuts import Cut, ExtRat
+from defectlab.cuts import PLUS_INF, Cut, ExtRat
 from defectlab.fields import preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
 from defectlab.series import Series, make_equal_context
@@ -26,6 +26,11 @@ from defectlab.series import Series, make_equal_context
 
 def q(n, d=1):
     return Fraction(n, d)
+
+
+def residual(res, b):
+    """theta^p - theta - b for an Artin-Schreier root of X^p - X - b."""
+    return artin_schreier_poly(b).evaluate(res.theta)
 
 
 K2 = preset_field("fp_t", 2)
@@ -44,8 +49,8 @@ class TestAsRoot:
         assert exps[0] == q(-1, 2)
         assert exps[-1] == q(-1, 256)
         assert all(e.numerator == -1 for e in exps)
-        assert check_as_root_identity(res, b)
-        resid = as_root_residual(res, b)
+        resid = residual(res, b)
+        assert residual_window_violations(resid, res.residual_floor) == []
         assert resid.terms == ((q(-1, 256), 1),)
         assert res.residual_floor == ExtRat.of(q(-1, 256))
         assert res.tail is not None and res.tail.sup == 0
@@ -64,7 +69,7 @@ class TestAsRoot:
                 raise
 
         monkeypatch.setattr(artin_mod, "pth_root", recording)
-        res = as_root(Series.monomial(K2.ctx, -1))
+        res = as_root(Series.monomial(K2.ctx, -1), ExtRat.of(q(12)))
         assert K2.ctx.D == 256
         # one part per root t^(-1/2), ..., t^(-1/256)
         assert len(calls) == 8
@@ -77,7 +82,7 @@ class TestAsRoot:
         b = Series.monomial(K2.ctx, 1)
         res = as_root(b, ExtRat.of(q(9)))
         assert res.theta.terms == ((q(1), 1), (q(2), 1), (q(4), 1), (q(8), 1))
-        resid = as_root_residual(res, b)
+        resid = residual(res, b)
         assert resid.vlow() >= ExtRat.of(q(9))
 
     def test_zero(self):
@@ -94,7 +99,7 @@ class TestAsRoot:
         for K in (K2, K3):
             ctx = K.ctx
             p = ctx.p
-            image = sorted({ctx.field.sub(ctx.field.frob(x), x) for x in ctx.field.elements()})
+            image = sorted({ctx.field.sub(ctx.field.frob(x), x) for x in range(ctx.q)})
             for _ in range(25):
                 terms = {}
                 for _ in range(rng.randint(1, 3)):
@@ -102,9 +107,22 @@ class TestAsRoot:
                 terms[Fraction(0)] = rng.choice(image)
                 b = Series.make(ctx, terms)
                 res = as_root(b, ExtRat.of(q(16)))
-                assert check_as_root_identity(res, b)
+                resid = residual(res, b)
+                assert residual_window_violations(resid, res.residual_floor) == []
                 # the residual window is fully visible at this precision
-                assert as_root_residual(res, b).precision >= ExtRat.of(q(0))
+                assert resid.precision >= ExtRat.of(q(0))
+
+
+def test_residual_window_rule():
+    resid = Series.make(K2.ctx, {q(-1, 4): 1, q(-1, 8): 1, q(0): 1, q(3): 1})
+    # a negative floor allows terms in [floor, 0) only
+    assert residual_window_violations(resid, ExtRat.of(q(-1, 4))) == [q(0), q(3)]
+    assert residual_window_violations(resid, ExtRat.of(q(-1, 8))) == [q(-1, 4), q(0), q(3)]
+    # any other floor allows no term below it
+    assert residual_window_violations(resid, ExtRat.of(q(0))) == [q(-1, 4), q(-1, 8)]
+    assert residual_window_violations(resid, ExtRat.of(q(1))) == [q(-1, 4), q(-1, 8), q(0)]
+    assert residual_window_violations(resid, PLUS_INF) == [q(-1, 4), q(-1, 8), q(0), q(3)]
+    assert residual_window_violations(Series.zero(K2.ctx), PLUS_INF) == []
 
 
 class TestGeneratorTransform:
@@ -138,10 +156,10 @@ class TestTransformInseparable:
     def test_canonical_p2(self):
         eta = Series.monomial(K2.ctx, q(1, 2))
         d = Series.monomial(K2.ctx, 1)
-        result = transform_inseparable(eta, K2, d, value_set(eta, K2, 3))
-        assert result.theta_tilde.valuation() == ExtRat.of(q(1, 2))
-        assert (eta - result.theta_tilde).valuation() == ExtRat.of(q(3, 4))
-        cert = result.cert
+        cert = transform_inseparable(eta, K2, d, value_set(eta, K2, 3))
+        theta_tilde = cert.generator * d
+        assert theta_tilde.valuation() == ExtRat.of(q(1, 2))
+        assert (eta - theta_tilde).valuation() == ExtRat.of(q(3, 4))
         assert cert.sample.upper == Cut(ExtRat.of(q(-1, 2)), True)
         vals = set(cert.sample.finite_values())
         assert q(-1, 2) in vals and q(-2) in vals
@@ -151,10 +169,10 @@ class TestTransformInseparable:
     def test_canonical_p3(self):
         eta = Series.monomial(K3.ctx, q(1, 3))
         d = Series.monomial(K3.ctx, 1)
-        result = transform_inseparable(eta, K3, d, value_set(eta, K3, 2))
-        assert result.cert.generator.valuation() == ExtRat.of(q(-2, 3))
+        cert = transform_inseparable(eta, K3, d, value_set(eta, K3, 2))
+        assert cert.generator.valuation() == ExtRat.of(q(-2, 3))
         # v(eta - d theta) = ((p-1) v(d) + v(eta)) / p = (2 + 1/3)/3 = 7/9
-        assert (eta - result.theta_tilde).valuation() == ExtRat.of(q(7, 9))
+        assert (eta - cert.generator * d).valuation() == ExtRat.of(q(7, 9))
 
     def test_guard_violated(self):
         eta = Series.monomial(K2.ctx, q(1, 2))
@@ -331,6 +349,6 @@ class TestDefectCriteriaEdges:
         d = Series.monomial(K2.ctx, 1)
         sample = value_set(eta, K2, 3)
         certs = as_family(eta, K2, d, 1, sample)
-        single = transform_inseparable(eta, K2, d, sample).cert
+        single = transform_inseparable(eta, K2, d, sample)
         assert certs[0].sample.realized == single.sample.realized
         assert certs[0].min_poly.coeffs[0] == single.min_poly.coeffs[0]

@@ -78,6 +78,42 @@ def test_usage_error():
     assert run(["nope"]) == 64
 
 
+def test_verify_unreadable_path_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert run(["verify", str(missing)]) == 64
+    err = capsys.readouterr().err
+    assert f"error: cannot read certificate file {missing}: No such file or directory" in err
+    assert run(["verify", str(tmp_path)]) == 64
+    # a file that opens but is not a certificate is still a refuted claim
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": ')
+    assert run(["verify", str(bad)]) == 2
+    assert "cannot load certificate file" in capsys.readouterr().err
+
+
+_COMMAND_ARGV = {
+    "field": ["field", "--base", "fp_t", "--p", "2"],
+    "distance": ["distance", "--base", "fp_t", "--p", "2"],
+    "semitame": ["semitame", "--base", "fp_t", "--p", "2"],
+    "asfamily": ["asfamily", "--base", "fp_t", "--p", "2", "--n", "2"],
+    "kummerfamily": ["kummerfamily", "--base", "qp_pdiv_tower", "--p", "2", "--n", "1"],
+    "sigma": ["sigma", "--base", "pdiv_tower", "--p", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, ["--budget", v]) for c in _COMMAND_ARGV for v in ("0", "-1")]
+    + [(c, ["--n", v]) for c in ("asfamily", "kummerfamily") for v in ("0", "-1")],
+    ids=lambda v: v if isinstance(v, str) else "".join(v).lstrip("-"),
+)
+def test_counts_below_one_are_rejected_before_any_work(command, flag, capsys):
+    assert run(_COMMAND_ARGV[command] + flag) == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "must be at least 1" in out.err
+
+
 def test_kummerfamily_budget_shortfall_is_inconclusive(capsys):
     # three admissible deep elements at budget 4: a larger budget may
     # find a fourth, so this is exit 3, not a usage error

@@ -12,16 +12,19 @@ from defectlab.cuts import (
     MINUS_INF,
     PLUS_INF,
     ValueGroupDesc,
-    cut_compare,
     cut_of_sample,
-    dist_translate,
     segment_affine,
 )
-from defectlab.fields import PRESET_NAMES, preset_field, tower_field
+from defectlab.fields import PRESET_NAMES, preset_field
 
 
 def q(n, d=1):
     return Fraction(n, d)
+
+
+def cut_compare(x, y):
+    """The order of two cuts as one of less / equal / greater."""
+    return "less" if x < y else "greater" if x > y else "equal"
 
 
 class TestExtRat:
@@ -128,29 +131,6 @@ class TestCutOfSample:
             assert plus > minus
 
 
-class TestDistTranslate:
-    def test_examples(self):
-        r = dist_translate(Cut(ExtRat.of(0), False), 0)
-        assert r.lt_alpha and not r.lt_strict_gap
-        r = dist_translate(Cut(ExtRat.of(-1), True), 0)
-        assert r.lt_alpha and r.lt_strict_gap
-        r = dist_translate(Cut(ExtRat.of(q(1, 2)), False), q(1, 2))
-        assert r.lt_alpha and not r.lt_strict_gap
-
-    def test_strict_gap_matches_beta_search(self):
-        # brute-force the defining condition: some rational beta with
-        # cut <= beta+ and beta < alpha
-        rng = random.Random(3)
-        betas = [Fraction(n, d) for d in range(1, 9) for n in range(-40, 41)]
-        for _ in range(150):
-            b = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-            att = rng.random() < 0.5
-            alpha = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
-            d = Cut(ExtRat.of(b), att)
-            expected = any(d <= Cut(ExtRat.of(beta), True) and beta < alpha for beta in betas)
-            assert dist_translate(d, alpha).lt_strict_gap == expected
-
-
 class TestEnclosure:
     def test_invariant(self):
         lo = Cut(ExtRat.of(0), False)
@@ -197,12 +177,13 @@ def _grid_ks(D, p):
 
 
 def _groups(p, D):
-    fields = [preset_field(name, p, D=D) for name in PRESET_NAMES]
-    fields += [tower_field(p, level, D=D) for level in range(4)]
     groups = {}  # equal groups are checked once, under their first name
-    for K in fields:
-        groups.setdefault(K.value_group, f"{K.name}.value_group")
-        groups.setdefault(K.support_lattice, f"{K.name}.support_lattice")
+    for name in PRESET_NAMES:
+        K = preset_field(name, p, D=D)
+        groups.setdefault(K.value_group, f"{name}.value_group")
+        groups.setdefault(K.support_lattice, f"{name}.support_lattice")
+    for level in range(4):
+        groups.setdefault(ValueGroupDesc((q(1, p ** level),)), f"1/p^{level}")
     groups[ValueGroupDesc((q(2, 3), q(1, 2)))] = "gcd"
     groups[ValueGroupDesc((q(2, 3), q(1, 2)), True, p)] = "gcd-closure"
     return [(name, g) for g, name in groups.items()]

@@ -7,7 +7,6 @@ from defectlab.fields import (
     enumerate_elements,
     member_witness,
     preset_field,
-    tower_field,
     field_from_json,
 )
 from defectlab.series import Series
@@ -35,10 +34,14 @@ def test_fp_t_height_one_contains_basics():
 
 
 def test_enumeration_monotone_in_height():
+    # each height computes to its own precision, so compare the elements
+    # truncated to one that every listed element reaches
     K = preset_field("fp_t", 2)
-    prec = ExtRat.of(q(8))
-    small = {x.terms for x in enumerate_elements(K, 1, prec)}
-    big = {x.terms for x in enumerate_elements(K, 2, prec)}
+    prec = ExtRat.of(q(6))
+    low, high = enumerate_elements(K, 1), enumerate_elements(K, 2)
+    assert all(x.precision >= prec for x in low + high)
+    small = {x.truncate(prec).terms for x in low}
+    big = {x.truncate(prec).terms for x in high}
     assert small <= big
 
 
@@ -85,19 +88,11 @@ def test_member_witness():
     assert not member_witness(T, Series.monomial(T.ctx, q(1, 3)))
 
 
-def test_tower_field():
-    T = tower_field(2, 2)
-    els = enumerate_elements(T, 1)
-    assert any(x.terms == ((q(1, 4), 1),) for x in els)
-    assert T.value_group.contains(q(1, 4))
-    assert not T.value_group.contains(q(1, 8))
-
-
 def test_enumerated_supports_lie_in_lattice():
     for name in ("fp_t", "laurent", "pdiv_tower", "qp", "qp_pdiv_tower"):
         K = preset_field(name, 2)
         for el in enumerate_elements(K, 2):
-            assert all(K.support_lattice.contains(e) for e in el.support()), (name, el)
+            assert all(K.support_lattice.contains(e) for e, _ in el.terms), (name, el)
 
 
 def test_json_roundtrip():

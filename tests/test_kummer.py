@@ -12,7 +12,6 @@ from defectlab.kummer import (
     is_one_unit,
     kummer_family,
     lab_superdependent_unit,
-    normalize_to_1unit,
     pth_power_difference_check,
     transform_mixed,
 )
@@ -72,35 +71,6 @@ class TestPthPowerCheck:
             rep = pth_power_difference_check(eta, a)
             assert rep.precondition_holds
             assert rep.equation_holds, (eta, a, rep)
-
-
-class TestNormalize:
-    def test_already_unit(self):
-        ctx = QT2.ctx
-        eta = Series.make(ctx, {q(0): 1, q(1, 4): 1}, ExtRat.of(q(8)))
-        res = normalize_to_1unit(eta, QT2, 3)
-        assert res.unit == eta
-
-    def test_value_match(self):
-        ctx = QT2.ctx
-        eta = Series.make(ctx, {q(1, 2): 1, q(3, 4): 1}, ExtRat.of(q(8)))
-        res = normalize_to_1unit(eta, QT2, 3)
-        assert is_one_unit(res.unit)
-        assert res.c.valuation() == ExtRat.of(q(-1, 2))
-
-    def test_residue_inversion_p3(self):
-        K = preset_field("qp", 3)
-        ctx = K.ctx
-        eta = Series.make(ctx, {q(0): 2, q(1, 3): 1}, ExtRat.of(q(8)))
-        res = normalize_to_1unit(eta, K, 3)
-        assert is_one_unit(res.unit)
-        assert res.d.leading_coeff() == 2  # 2^(-1) = 2 in F_3
-
-    def test_unmatched_value_errors(self):
-        ctx = QP2.ctx
-        eta = Series.monomial(ctx, q(1, 2), 1, ExtRat.of(q(8)))
-        with pytest.raises(ValueError):
-            normalize_to_1unit(eta, QP2, 2)
 
 
 class TestLabWitness:

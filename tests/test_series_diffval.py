@@ -1,6 +1,5 @@
-"""Series.diff_k and its value wrapper diff_valuation: v(a - c) from the
-first differing term, checked against the full subtraction a - c in both
-modes."""
+"""Series.diff_k: v(a - c) from the first differing term, checked against
+the full subtraction a - c in both modes."""
 
 import math
 from fractions import Fraction
@@ -30,6 +29,18 @@ CONTEXTS = {
     for p in (2, 3, 5)
     for m in (1, 2)
 }
+
+
+def diff_k(a, c):
+    """``a.diff_k(c)`` with the cap every caller passes."""
+    return a.diff_k(c, a.ctx.kcap(a.precision))
+
+
+def diff_valuation(a, c):
+    """``diff_k`` as a value: k/D, ``PLUS_INF`` for an exact zero, or None
+    when the difference is uncertified."""
+    k = diff_k(a, c)
+    return None if k is None else a.ctx.value_of(k)
 
 
 def reference(a, c):
@@ -87,13 +98,12 @@ def test_diff_valuation_matches_subtraction(pair):
         # negative difference: a - c is undefined there, so there is
         # nothing to compare against
         assume(False)
-    assert a.diff_valuation(c) == want
-    assert c.diff_valuation(a) == want
+    assert diff_valuation(a, c) == want
+    assert diff_valuation(c, a) == want
     want_k = reference_k(a, c)
     ctx = a.ctx
     for x, y in ((a, c), (c, a)):
-        assert x.diff_k(y) == want_k
-        assert x.diff_k(y, ctx.kcap(x.precision)) == want_k
+        assert diff_k(x, y) == want_k
     assert type(want_k) is int or want_k is None or want_k == math.inf
     if want_k is not None:
         assert ctx.value_of(want_k) == want
@@ -104,51 +114,50 @@ def test_diff_valuation_matches_subtraction(pair):
 def test_identical_at_infinite_precision_is_plus_inf(ctx):
     a = Series.make(ctx, {q(-1): 1, q(1, 3): 2, q(2): 1})
     b = Series.make(ctx, dict(a.terms))
-    assert a.diff_valuation(b) is PLUS_INF
-    assert Series.zero(ctx).diff_valuation(Series.zero(ctx)) is PLUS_INF
+    assert diff_valuation(a, b) is PLUS_INF
+    assert diff_valuation(Series.zero(ctx), Series.zero(ctx)) is PLUS_INF
 
 
 @pytest.mark.parametrize("ctx", [make_equal_context(2), make_mixed_context(2)])
 def test_identical_to_finite_precision_is_none(ctx):
     a = Series.make(ctx, {q(0): 1, q(1, 2): 1}, q(3))
-    assert a.diff_valuation(Series.make(ctx, dict(a.terms))) is None
-    assert a.diff_valuation(a) is None
+    assert diff_valuation(a, Series.make(ctx, dict(a.terms))) is None
+    assert diff_valuation(a, a) is None
 
 
 @pytest.mark.parametrize("ctx", [make_equal_context(2), make_mixed_context(2)])
 def test_first_difference_at_or_beyond_precision_is_none(ctx):
     a = Series.make(ctx, {q(0): 1, q(3): 1, q(5): 1})
-    assert a.diff_valuation(Series.make(ctx, {q(0): 1}, q(3))) is None
-    assert a.diff_valuation(Series.make(ctx, {q(0): 1}, q(2))) is None
-    assert Series.make(ctx, {q(0): 1}, q(3)).diff_valuation(a) is None
+    assert diff_valuation(a, Series.make(ctx, {q(0): 1}, q(3))) is None
+    assert diff_valuation(a, Series.make(ctx, {q(0): 1}, q(2))) is None
+    assert diff_valuation(Series.make(ctx, {q(0): 1}, q(3)), a) is None
     # one step below the precision the difference is certified
-    assert a.diff_valuation(Series.make(ctx, {q(0): 1}, q(4))) == ExtRat.of(q(3))
+    assert diff_valuation(a, Series.make(ctx, {q(0): 1}, q(4))) == ExtRat.of(q(3))
 
 
 def test_prefix_walk_reports_the_longer_tail():
     ctx = make_equal_context(2)
     a = Series.make(ctx, {q(-2): 1, q(0): 1, q(3, 2): 1})
-    assert a.diff_valuation(Series.make(ctx, {q(-2): 1, q(0): 1})) == ExtRat.of(q(3, 2))
-    assert Series.make(ctx, {q(-2): 1}).diff_valuation(a) == ExtRat.of(q(0))
+    assert diff_valuation(a, Series.make(ctx, {q(-2): 1, q(0): 1})) == ExtRat.of(q(3, 2))
+    assert diff_valuation(Series.make(ctx, {q(-2): 1}), a) == ExtRat.of(q(0))
 
 
 def test_context_mismatch_raises():
     a = Series.one(make_equal_context(2))
     with pytest.raises(ValueError, match="different sessions"):
-        a.diff_valuation(Series.one(make_equal_context(3)))
+        diff_valuation(a, Series.one(make_equal_context(3)))
     with pytest.raises(ValueError, match="different sessions"):
-        a.diff_valuation(Series.one(make_mixed_context(2)))
+        diff_valuation(a, Series.one(make_mixed_context(2)))
     # an equal context built separately is the same session
-    assert a.diff_valuation(Series.one(make_equal_context(2))) is PLUS_INF
+    assert diff_valuation(a, Series.one(make_equal_context(2))) is PLUS_INF
 
 
 @pytest.mark.parametrize("ctx", [make_equal_context(3), make_mixed_context(3)])
 def test_diff_k_exact_zero_sentinel(ctx):
     a = Series.make(ctx, {q(-1): 1, q(1, 3): 2, q(2): 1})
     b = Series.make(ctx, dict(a.terms))
-    assert a.diff_k(b) == math.inf
-    assert a.diff_k(b, ctx.kcap(a.precision)) == math.inf
-    assert Series.zero(ctx).diff_k(Series.zero(ctx)) == math.inf
+    assert diff_k(a, b) == math.inf
+    assert diff_k(Series.zero(ctx), Series.zero(ctx)) == math.inf
     assert ctx.value_of(math.inf) is PLUS_INF
 
 
@@ -158,17 +167,16 @@ def test_diff_k_uncertified_is_none(ctx):
     a = Series.make(ctx, {q(0): 1, q(3): 1, q(5): 1})
     # equal only up to a finite precision
     b = Series.make(ctx, {q(0): 1, q(1, 2): 1}, q(3))
-    assert b.diff_k(Series.make(ctx, dict(b.terms))) is None
-    assert b.diff_k(b, ctx.kcap(b.precision)) is None
+    assert diff_k(b, Series.make(ctx, dict(b.terms))) is None
+    assert diff_k(b, b) is None
     # first difference at or beyond either precision
     for prec in (q(3), q(2)):
         c = Series.make(ctx, {q(0): 1}, prec)
-        assert a.diff_k(c) is None
-        assert c.diff_k(a) is None
-        assert c.diff_k(a, ctx.kcap(c.precision)) is None
+        assert diff_k(a, c) is None
+        assert diff_k(c, a) is None
     # one step below the precision the grid index is certified
-    assert a.diff_k(Series.make(ctx, {q(0): 1}, q(4))) == 3 * D
-    assert a.diff_k(Series.make(ctx, {q(0): 1, q(3): 1})) == 5 * D
+    assert diff_k(a, Series.make(ctx, {q(0): 1}, q(4))) == 3 * D
+    assert diff_k(a, Series.make(ctx, {q(0): 1, q(3): 1})) == 5 * D
 
 
 def test_grid_index_round_trip_and_off_grid():

@@ -13,7 +13,6 @@ from defectlab.series import (
     make_equal_context,
     newton_root,
     pth_root,
-    valuation_residue,
 )
 
 
@@ -92,15 +91,6 @@ def test_pth_root_respects_D_bound():
     deep = Series.monomial(ctx, q(1, 4))
     with pytest.raises(DenominatorBoundError):
         pth_root(deep)
-
-
-def test_valuation_residue():
-    a = Series.make(CTX2, {q(-1): 1, q(0): 1})
-    v, r = valuation_residue(a)
-    assert v == ExtRat.of(q(-1)) and r == 1
-    z = Series.zero(CTX2)
-    v, r = valuation_residue(z)
-    assert v == PLUS_INF and r == 0
 
 
 def test_invert_monomial_exact():
