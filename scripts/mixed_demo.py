@@ -13,7 +13,7 @@ from defectlab.kummer import (
     pth_power_difference_check,
 )
 from defectlab.fields import preset_field
-from defectlab.series import Series, make_mixed_context, zeta_p
+from defectlab.series import MIXED, Series, make_context, zeta_p
 
 
 def main(argv=None):
@@ -23,10 +23,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     print("p-th roots of unity")
-    ctx2 = make_mixed_context(2)
+    ctx2 = make_context(MIXED, 2)
     z2 = zeta_p(ctx2, ExtRat.of(Fraction(8)))
     print(f"  p = 2: zeta = {z2}")
-    ctx9 = make_mixed_context(3, 2)
+    ctx9 = make_context(MIXED, 3, 2)
     z3 = zeta_p(ctx9, ExtRat.of(Fraction(5)))
     print(f"  p = 3 (residue F_9): v(zeta - 1) = {(z3 - Series.one(ctx9)).valuation()}")
 

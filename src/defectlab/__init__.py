@@ -35,7 +35,6 @@ from .cuts import (
     ExtRat,
     MINUS_INF,
     PLUS_INF,
-    ValueGroupDesc,
     cut_of_sample,
     segment_affine,
 )
@@ -52,8 +51,7 @@ from .series import (
     Series,
     SeriesContext,
     invert,
-    make_equal_context,
-    make_mixed_context,
+    make_context,
     newton_root,
     pth_root,
     zeta_p,

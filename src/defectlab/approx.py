@@ -10,8 +10,8 @@ leveled union).  Nothing heuristic is ever labelled proved.
 Elements that truncate an exact object with an infinite tail (roots
 produced by the solvers, laboratory witnesses) carry a TailSchema: the
 exact object is the stored series plus a tail whose exponents lie in
-[low, sup), accumulate at sup, and have unbounded denominators when the
-flag says so.  Differences v(a - c) are certified only below ``low``.
+[low, sup), accumulate at sup, and have unbounded denominators.
+Differences v(a - c) are certified only below ``low``.
 
 The sample contract: ``value_set`` is the one place that samples
 v(a - K).  Everything downstream that needs v(a - K) (distances, the
@@ -36,56 +36,46 @@ REFUTED = "refuted"
 UNKNOWN = "unknown"
 
 
+# schema v1 flags that every tail this toolkit builds has, stored as true
+TAIL_FLAGS = ("cofinal_at_sup", "denominators_unbounded", "partials_in_field")
+
+
 @dataclass(frozen=True)
 class TailSchema:
     """Certificate describing the un-materialized tail of an exact object.
 
     The exact element equals the stored truncation plus a tail supported
     in [low, sup); nothing below ``low`` is missing, so valuations of
-    differences are exact whenever they land below ``low``.
+    differences are exact whenever they land below ``low``.  The tail's
+    exponents accumulate at ``sup`` with unbounded denominators, and its
+    partial sums lie in K.
     """
 
     sup: Fraction
     low: Fraction
-    cofinal_at_sup: bool
-    denominators_unbounded: bool
-    partials_in_field: bool
-    note: str = ""
+    note: str
 
     def __post_init__(self):
         if self.low > self.sup:
             raise ValueError("tail region [low, sup) is empty")
 
     def shift(self, delta: Fraction) -> "TailSchema":
-        return TailSchema(
-            self.sup + delta,
-            self.low + delta,
-            self.cofinal_at_sup,
-            self.denominators_unbounded,
-            self.partials_in_field,
-            self.note,
-        )
+        return TailSchema(self.sup + delta, self.low + delta, self.note)
 
     def to_json(self) -> dict:
         return {
             "sup": f"{self.sup.numerator}/{self.sup.denominator}",
             "low": f"{self.low.numerator}/{self.low.denominator}",
-            "cofinal_at_sup": self.cofinal_at_sup,
-            "denominators_unbounded": self.denominators_unbounded,
-            "partials_in_field": self.partials_in_field,
             "note": self.note,
+            **dict.fromkeys(TAIL_FLAGS, True),
         }
 
     @staticmethod
     def from_json(obj: dict) -> "TailSchema":
-        return TailSchema(
-            Fraction(obj["sup"]),
-            Fraction(obj["low"]),
-            bool(obj["cofinal_at_sup"]),
-            bool(obj["denominators_unbounded"]),
-            bool(obj["partials_in_field"]),
-            obj.get("note", ""),
-        )
+        for flag in TAIL_FLAGS:
+            if obj[flag] is not True:
+                raise ValueError(f"generator_tail {flag} is {obj[flag]!r}, not True")
+        return TailSchema(Fraction(obj["sup"]), Fraction(obj["low"]), obj["note"])
 
 
 @dataclass(frozen=True)
@@ -120,21 +110,20 @@ def support_upper_cut(a: Series, K: FieldDesc, tail: Optional[TailSchema]) -> Cu
     """The certified upper cut on v(a - K) from support-lattice reasoning.
 
     An exponent of a outside the support lattice of K bounds v(a - K) by
-    that exponent (attained); unbounded tail denominators bound it by the
-    tail's sup over a leveled union.  With a tail present, only stored
-    exponents below tail.low count, since stored terms inside the tail
-    region may be corrected by the un-materialized tail.
+    that exponent (attained); the unbounded denominators of a tail bound
+    it by the tail's sup over a leveled union.  With a tail present, only
+    stored exponents below tail.low count, since stored terms inside the
+    tail region may be corrected by the un-materialized tail.
     """
     candidates: List[Cut] = []
-    if K.support_lattice is not None:
-        ctx = a.ctx
-        step = K.support_lattice.grid_step(ctx.D)
-        klow = math.inf if tail is None else ctx.kcap(ExtRat.of(tail.low))
-        # kterms are sorted, so the first index off the lattice is the least
-        k = next((k for k, _ in a.kterms if k % step), None)
-        if k is not None and k < klow:
-            candidates.append(Cut(ctx.value_of(k), True))
-    if tail is not None and tail.denominators_unbounded and K.leveled:
+    ctx = a.ctx
+    step = K.grid_step
+    klow = math.inf if tail is None else ctx.kcap(ExtRat.of(tail.low))
+    # kterms are sorted, so the first index off the lattice is the least
+    k = next((k for k, _ in a.kterms if k % step), None)
+    if k is not None and k < klow:
+        candidates.append(Cut(ctx.value_of(k), True))
+    if tail is not None and K.leveled:
         candidates.append(Cut(ExtRat.of(tail.sup), False))
     return min(candidates) if candidates else Cut(PLUS_INF, False)
 
@@ -156,6 +145,15 @@ def sample_shape_error(realized, upper: Cut) -> Optional[str]:
         if v > upper.bound or (v == upper.bound and not upper.attained):
             return f"realized value {v} escapes the certified upper cut {upper}"
     return None
+
+
+def no_max_refuted(realized, upper: Cut) -> bool:
+    """Whether the sample shows that v(a - K) has a maximum: an exact
+    member of K is realized (+inf), or the top realized value sits at an
+    attained upper bound."""
+    if any(not v.is_finite for v, _ in realized):
+        return True
+    return bool(realized) and upper.attained and realized[-1][0] == upper.bound
 
 
 def value_set(
@@ -208,17 +206,13 @@ def value_set(
         raise AssertionError(err)
 
     # no-maximum verdict: proved only from accepted truncation witnesses
-    # over a leveled union, where the schema guarantees strictly better
+    # over a leveled union, where the tail guarantees strictly better
     # truncations cofinally below sup
     no_max = UNKNOWN
-    if any(not v.is_finite for v, _ in realized):
-        no_max = REFUTED
-    elif realized and upper.attained and realized[-1][0] == upper.bound:
+    if no_max_refuted(realized, upper):
         no_max = REFUTED
     elif (
         tail is not None
-        and tail.cofinal_at_sup
-        and tail.partials_in_field
         and K.leveled
         and any(Fraction(k, ctx.D) < tail.sup for k in partial_ks)
     ):
@@ -275,7 +269,6 @@ def distance(
     if (
         sample.no_max == PROVED
         and tail is not None
-        and tail.cofinal_at_sup
         and hi.bound.is_finite
         and hi == Cut(ExtRat.of(tail.sup), False)
     ):
@@ -321,14 +314,15 @@ def semitame_report(K: FieldDesc, budget: int) -> Dict[str, ConditionVerdict]:
     p = K.ctx.p
     out: Dict[str, ConditionVerdict] = {}
 
-    wit = K.value_group.divisibility_witness(p)
-    if wit is None:
-        out["drst"] = ConditionVerdict(PROVED, None, "closure flag certifies p-divisibility")
+    # the table's value group: Z[1/p] for a tower, else Z, where 1 is a
+    # member and 1/p is not
+    if K.leveled:
+        out["drst"] = ConditionVerdict(PROVED, None, f"the value group Z[1/{p}] is p-divisible")
     else:
         out["drst"] = ConditionVerdict(
             REFUTED,
-            Series.monomial(K.ctx, wit),
-            f"group element {wit} with {wit}/{p} outside the group",
+            Series.monomial(K.ctx, Fraction(1)),
+            f"group element 1 with 1/{p} outside the group",
         )
 
     out["residue_perfect"] = ConditionVerdict(PROVED, None, "finite fields are perfect")
@@ -382,7 +376,6 @@ def imperfection_witness(K: FieldDesc, budget: int) -> Optional[Series]:
     """
     if K.perfect:
         return None
-    assert K.support_lattice is not None
     for c in enumerate_elements(K, budget):
         if c.is_zero:
             continue

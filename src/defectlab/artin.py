@@ -178,12 +178,7 @@ def as_root(b: Series, precision) -> ASRoot:
         floor = last.valuation()
         first_dropped = Fraction(floor.fraction, p)
         tail = TailSchema(
-            Fraction(0),
-            first_dropped,
-            True,
-            True,
-            True,
-            "fractional telescoping tail of an Artin-Schreier root",
+            Fraction(0), first_dropped, "fractional telescoping tail of an Artin-Schreier root"
         )
 
     if not b_pos.is_zero:
@@ -537,16 +532,16 @@ def defect_criteria(cert: ExtensionCert) -> ExtensionCert:
             claims, immediate=PROVED, immediate_rule="ueGp1", defect=p, defect_rule="ueGp1"
         )
     else:
-        outside = [
-            v.fraction
-            for v, _ in s.realized
-            if v.is_finite and not cert.base.value_group.contains(v.fraction)
-        ]
-        if outside:
-            alpha = outside[0]
-            if not cert.base.value_group.contains(p * alpha):
+        # the first grid value off the value group; a value off the grid
+        # (which no witness realizes) certifies nothing
+        ctx, step = cert.base.ctx, cert.base.grid_step
+        ks = (ctx.grid_index(v) for v, _ in s.realized if v.is_finite)
+        k = next((k for k in ks if k is not None and k % step), None)
+        if k is not None:
+            if (p * k) % step:
                 raise AssertionError(
-                    f"realized value {alpha} does not generate a degree-{p} group extension"
+                    f"realized value {Fraction(k, ctx.D)} does not generate a "
+                    f"degree-{p} group extension"
                 )
             defect = defect_of(p, p, 1, p)
             claims = replace(

@@ -20,10 +20,12 @@ from json.encoder import encode_basestring_ascii
 from typing import List, Tuple
 
 from .approx import (
+    REFUTED,
     InitialSegmentSample,
     TailSchema,
     difference_horizon,
     distance,
+    no_max_refuted,
     sample_shape_error,
     support_upper_cut,
 )
@@ -43,6 +45,10 @@ from .series import Polynomial, Series, SeriesContext
 SCHEMA_VERSION = 1
 
 
+# schema v1 field of every session snapshot, which no program varies
+SESSION_PRECISION = "8/1"
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Session parameters snapshotted into every certificate file."""
@@ -51,7 +57,6 @@ class SessionConfig:
     p: int
     m: int
     D: int
-    precision: Fraction
     budget: int
 
     def to_json(self) -> dict:
@@ -60,21 +65,21 @@ class SessionConfig:
             "p": self.p,
             "m": self.m,
             "D": self.D,
-            "precision": f"{self.precision.numerator}/{self.precision.denominator}",
+            "precision": SESSION_PRECISION,
             "budget": self.budget,
         }
 
     @staticmethod
     def from_json(obj: dict) -> "SessionConfig":
-        return SessionConfig(
-            obj["mode"], obj["p"], obj["m"], obj["D"], Fraction(obj["precision"]), obj["budget"]
-        )
+        if obj["precision"] != SESSION_PRECISION:
+            raise ValueError(
+                f"config precision is {obj['precision']!r}, not {SESSION_PRECISION!r}"
+            )
+        return SessionConfig(obj["mode"], obj["p"], obj["m"], obj["D"], obj["budget"])
 
     @staticmethod
     def for_field(K: FieldDesc, budget: int) -> "SessionConfig":
-        # ``precision`` is a schema v1 field that nothing reads back; it
-        # is always written as 8/1
-        return SessionConfig(K.ctx.mode, K.ctx.p, K.ctx.m, K.ctx.D, Fraction(8), budget)
+        return SessionConfig(K.ctx.mode, K.ctx.p, K.ctx.m, K.ctx.D, budget)
 
 
 def series_to_json(s: Series) -> dict:
@@ -149,7 +154,7 @@ def cert_to_json(cert: ExtensionCert) -> dict:
 
 
 def cert_from_json(obj: dict) -> ExtensionCert:
-    base = field_from_json(obj["base"])
+    base = field_from_json(obj["base"], "base")
     ctx = base.ctx
     return ExtensionCert(
         obj["kind"],
@@ -267,8 +272,14 @@ def read_certificate_file(path: str) -> CertificateFile:
     if obj["version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {obj['version']}")
     config = SessionConfig.from_json(obj["config"])
-    certs = tuple(cert_from_json(c) for c in obj["certs"])
-    return CertificateFile(obj["version"], config, obj["field"], certs, tuple(obj["log"]))
+    field_from_json(obj["field"], "field")
+    certs = []
+    for i, c in enumerate(obj["certs"]):
+        try:
+            certs.append(cert_from_json(c))
+        except ValueError as exc:
+            raise ValueError(f"certs[{i}]: {exc}") from exc
+    return CertificateFile(obj["version"], config, obj["field"], tuple(certs), tuple(obj["log"]))
 
 
 @dataclass
@@ -339,14 +350,20 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
         if got != ctx.grid_index(v) or not got < khorizon:
             report.add(f"{tag}: witness re-evaluation gives {ctx.value_of(got)}, stored {v}")
 
-    # 2. upper cut from the stored support and tail flags, and the shape
-    # of the sample under it
+    # 2. upper cut from the stored support and tail, the shape of the
+    # sample under it, and whether the sample refutes "no maximum"
     upper = support_upper_cut(gen, cert.base, tail)
     if upper != cert.sample.upper:
         report.add(f"{tag}: upper cut re-derivation gives {upper}, stored {cert.sample.upper}")
     err = sample_shape_error(cert.sample.realized, upper)
     if err is not None:
         report.add(f"{tag}: sample shape: {err}")
+    refuted = no_max_refuted(cert.sample.realized, upper)
+    if refuted != (cert.sample.no_max == REFUTED):
+        report.add(
+            f"{tag}: no_max re-derives to {'refuted' if refuted else 'not refuted'}, "
+            f"stored {cert.sample.no_max!r}"
+        )
 
     # 3. minimal polynomial residual within the recorded exception window
     floor = cert.residual_floor

@@ -66,8 +66,7 @@ def cmd_field(args) -> int:
     K = _build_field(args)
     print(f"preset {K.name}: kind={K.kind}, residue field F_{K.residue_q}, "
           f"mode={K.ctx.mode}, D={K.ctx.D}")
-    print(f"  value group: generated by {[str(g) for g in K.value_group.generators]}"
-          f"{' (p-divisible closure)' if K.value_group.p_divisible_closure else ''}")
+    print(f"  value group: {f'Z[1/{K.ctx.p}]' if K.leveled else 'Z'}")
     print(f"  flags: leveled={K.leveled} perfect={K.perfect} complete={K.complete}")
     els = enumerate_elements(K, 1)
     shown = ", ".join(str(e) for e in els[:6])
@@ -243,18 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    for name in ("field", "distance", "semitame", "asfamily", "kummerfamily", "sigma"):
+        sp = sub.add_parser(name)
         sp.add_argument("--p", type=int, default=2, dest="p")
         sp.add_argument("--q", type=int, default=None,
                         help="residue field size p^m (default p)")
         sp.add_argument("--base", choices=PRESET_NAMES, default="fp_t")
-        sp.add_argument("--budget", type=_positive_int, default=3,
-                        help="enumeration height")
-        sp.add_argument("--out", type=str, default=None)
-
-    for name in ("field", "distance", "semitame", "asfamily", "kummerfamily", "sigma"):
-        sp = sub.add_parser(name)
-        common(sp)
+        if name != "field":
+            sp.add_argument("--budget", type=_positive_int, default=3,
+                            help="enumeration height")
+            sp.add_argument("--out", type=str, default=None)
         if name in ("asfamily", "kummerfamily"):
             sp.add_argument("--n", type=_positive_int, default=5, help="family size")
 

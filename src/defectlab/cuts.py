@@ -1,5 +1,4 @@
-"""Exact rationals with infinities, cuts in ordered abelian groups, and
-rank-1 value group descriptions.
+"""Exact rationals with infinities and cuts in ordered abelian groups.
 
 All arithmetic is exact: finite values are arbitrary-precision reduced
 fractions, and the two infinities compare correctly against everything.
@@ -11,10 +10,9 @@ inclusion of lower sets, which makes the order total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 
 RatLike = Union[int, Fraction, "ExtRat"]
@@ -288,101 +286,3 @@ class CutEnclosure:
     @staticmethod
     def from_json(obj: dict) -> "CutEnclosure":
         return CutEnclosure(Cut.from_json(obj["lo"]), Cut.from_json(obj["hi"]))
-
-
-@dataclass(frozen=True)
-class ValueGroupDesc:
-    """A finitely described subgroup of the rationals (rank 1).
-
-    The group is generated by ``generators``; with ``p_divisible_closure``
-    set it is additionally closed under division by ``p``.  Membership is
-    decidable: the base group is cyclic, generated by the gcd of the
-    generators, which is computed once.
-    """
-
-    generators: tuple
-    p_divisible_closure: bool = False
-    p: Optional[int] = None
-    _g0: Fraction = field(init=False, repr=False, compare=False)
-    _steps: Dict[int, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        gens = tuple(Fraction(g) for g in self.generators)
-        if not gens or any(g <= 0 for g in gens):
-            raise ValueError("generators must be positive rationals")
-        object.__setattr__(self, "generators", gens)
-        if self.p_divisible_closure and (self.p is None or self.p < 2):
-            raise ValueError("p-divisible closure needs the prime p")
-        # gcd of fractions: gcd of numerators over a common denominator
-        l = 1
-        for g in gens:
-            l = lcm(l, g.denominator)
-        n = 0
-        for g in gens:
-            n = gcd(n, g.numerator * (l // g.denominator))
-        object.__setattr__(self, "_g0", Fraction(n, l))
-        object.__setattr__(self, "_steps", {})
-
-    def base_generator(self) -> Fraction:
-        return self._g0
-
-    def grid_step(self, D: int) -> int:
-        """The step s with k/D in the group exactly when ``k % s == 0``.
-
-        With g0 = n/l, k/D is in g0*Z iff D*n divides k*l, iff
-        s = D*n / gcd(D*n, l) divides k; the p-divisible closure admits
-        every power of p in the quotient, so p leaves s.
-        """
-        s = self._steps.get(D)
-        if s is None:
-            dn = D * self._g0.numerator
-            s = dn // gcd(dn, self._g0.denominator)
-            if self.p_divisible_closure:
-                while s % self.p == 0:
-                    s //= self.p
-            self._steps[D] = s
-        return s
-
-    def contains(self, q) -> bool:
-        q = Fraction(q)
-        if q == 0:
-            return True
-        r = q / self._g0
-        if not self.p_divisible_closure:
-            return r.denominator == 1
-        # allow denominator to be a power of p
-        d = r.denominator
-        p = self.p
-        while d % p == 0:
-            d //= p
-        return d == 1
-
-    def is_p_divisible(self, p: int) -> bool:
-        """Whether the described group equals its own p-divisions."""
-        if self.p_divisible_closure and self.p == p:
-            return True
-        # cyclic group g0*Z: g0/p is never a member for p >= 2
-        return False
-
-    def divisibility_witness(self, p: int) -> Optional[Fraction]:
-        """A member g with g/p outside the group, when one exists."""
-        if self.is_p_divisible(p):
-            return None
-        return self.base_generator()
-
-    def to_json(self) -> dict:
-        out = {
-            "generators": [f"{g.numerator}/{g.denominator}" for g in self.generators],
-            "p_divisible_closure": self.p_divisible_closure,
-        }
-        if self.p is not None:
-            out["p"] = self.p
-        return out
-
-    @staticmethod
-    def from_json(obj: dict) -> "ValueGroupDesc":
-        return ValueGroupDesc(
-            tuple(Fraction(g) for g in obj["generators"]),
-            bool(obj["p_divisible_closure"]),
-            obj.get("p"),
-        )

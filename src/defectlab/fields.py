@@ -1,14 +1,14 @@
-"""Finitely described base fields inside the ambient series field.
+"""The five laboratory base fields inside the ambient series field.
 
-A FieldDesc pins down a base field K by shape: rational functions F_q(t),
-truncated Laurent series F_q((t)), the directed union
-F_q(t)(t^(1/p^i) : i >= 1), the p-adic base field, or the p-adic analogue
-of the directed union.  The description carries the value group, a
-certified support lattice (every element's expansion is supported
-there), and structural flags used by one-sided certificates:
-``leveled`` means each single element lives at some finite denominator
-level even though the union is deep, ``perfect`` and ``complete`` record
-facts provable from the shape.
+A base field K is a preset of the closed table ``PRESETS``: rational
+functions F_q(t), truncated Laurent series F_q((t)), the directed union
+F_q(t)(t^(1/p^i) : i >= 1), the p-adic base field, and the p-adic analogue
+of the directed union.  A preset's value group is Z, or Z[1/p] for the
+two towers, and is also its support lattice (every element's expansion
+is supported there), so ``FieldDesc.grid_step`` decides membership.  The
+table's flags serve one-sided certificates: ``leveled`` means each single
+element lives at some finite denominator level even though the union is
+deep, ``perfect`` and ``complete`` record facts provable from the shape.
 
 Elements are enumerated deterministically and monotonically in a height
 parameter; witnesses found this way are stored in certificates and can be
@@ -22,15 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional
 
-from .cuts import ExtRat, PLUS_INF, ValueGroupDesc
-from .series import (
-    EQUAL,
-    Series,
-    SeriesContext,
-    invert,
-    make_equal_context,
-    make_mixed_context,
-)
+from .cuts import ExtRat, PLUS_INF
+from .series import EQUAL, MIXED, Series, SeriesContext, invert, make_context
 
 RATIONAL_FUNCTION = "rational_function"
 LAURENT = "laurent"
@@ -38,7 +31,16 @@ DIRECTED_UNION = "directed_union"
 PADIC_BASE = "padic_base"
 PADIC_TOWER = "padic_tower"
 
-PRESET_NAMES = ("fp_t", "laurent", "pdiv_tower", "qp", "qp_pdiv_tower")
+# name -> (kind, mode, tower, perfect, complete).  A tower is leveled and
+# has value group Z[1/p]; the other presets have value group Z.
+PRESETS = {
+    "fp_t": (RATIONAL_FUNCTION, EQUAL, False, False, False),
+    "laurent": (LAURENT, EQUAL, False, False, True),
+    "pdiv_tower": (DIRECTED_UNION, EQUAL, True, True, False),
+    "qp": (PADIC_BASE, MIXED, False, False, True),
+    "qp_pdiv_tower": (PADIC_TOWER, MIXED, True, False, False),
+}
+PRESET_NAMES = tuple(PRESETS)
 
 
 class BudgetTooSmall(RuntimeError):
@@ -48,26 +50,41 @@ class BudgetTooSmall(RuntimeError):
 
 @dataclass(frozen=True)
 class FieldDesc:
-    kind: str
+    """A preset by name, in a session context; the rest is its table row."""
+
     name: str
     ctx: SeriesContext
-    value_group: ValueGroupDesc
-    support_lattice: Optional[ValueGroupDesc]
-    leveled: bool
-    perfect: bool
-    complete: bool
+
+    kind = property(lambda self: PRESETS[self.name][0])
+    leveled = property(lambda self: PRESETS[self.name][2])
+    perfect = property(lambda self: PRESETS[self.name][3])
+    complete = property(lambda self: PRESETS[self.name][4])
 
     @property
     def residue_q(self) -> int:
         return self.ctx.q
 
+    @functools.cached_property
+    def grid_step(self) -> int:
+        """The step s with k/D in the value group exactly when
+        ``k % s == 0``: D for Z, and D without its factors p for Z[1/p]."""
+        s = self.ctx.D
+        while self.leveled and s % self.ctx.p == 0:
+            s //= self.ctx.p
+        return s
+
     def to_json(self) -> dict:
+        # schema v1 describes the value group by generators and stores it
+        # twice, as the group and as the support lattice
+        group = {"generators": ["1/1"], "p_divisible_closure": self.leveled}
+        if self.leveled:
+            group["p"] = self.ctx.p
         return {
             "kind": self.kind,
             "name": self.name,
             "ctx": self.ctx.to_json(),
-            "value_group": self.value_group.to_json(),
-            "support_lattice": self.support_lattice.to_json() if self.support_lattice else None,
+            "value_group": group,
+            "support_lattice": dict(group),
             "leveled": self.leveled,
             "perfect": self.perfect,
             "complete": self.complete,
@@ -77,45 +94,23 @@ class FieldDesc:
 
 def preset_field(name: str, p: int, m: int = 1, D: Optional[int] = None) -> FieldDesc:
     """One of the built-in laboratory fields, by preset name."""
-    if name == "fp_t":
-        ctx = make_equal_context(p, m, D)
-        z = ValueGroupDesc((Fraction(1),))
-        return FieldDesc(RATIONAL_FUNCTION, name, ctx, z, z, False, False, False)
-    if name == "laurent":
-        ctx = make_equal_context(p, m, D)
-        z = ValueGroupDesc((Fraction(1),))
-        return FieldDesc(LAURENT, name, ctx, z, z, False, False, True)
-    if name == "pdiv_tower":
-        ctx = make_equal_context(p, m, D)
-        g = ValueGroupDesc((Fraction(1),), True, p)
-        return FieldDesc(DIRECTED_UNION, name, ctx, g, g, True, True, False)
-    if name == "qp":
-        ctx = make_mixed_context(p, m, D)
-        z = ValueGroupDesc((Fraction(1),))
-        return FieldDesc(PADIC_BASE, name, ctx, z, z, False, False, True)
-    if name == "qp_pdiv_tower":
-        ctx = make_mixed_context(p, m, D)
-        g = ValueGroupDesc((Fraction(1),), True, p)
-        return FieldDesc(PADIC_TOWER, name, ctx, g, g, True, False, False)
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return FieldDesc(name, make_context(PRESETS[name][1], p, m, D))
 
 
-def field_from_json(obj: dict) -> FieldDesc:
-    ctx_obj = obj["ctx"]
-    if ctx_obj["mode"] == EQUAL:
-        ctx = make_equal_context(ctx_obj["p"], ctx_obj["m"], ctx_obj["D"])
-    else:
-        ctx = make_mixed_context(ctx_obj["p"], ctx_obj["m"], ctx_obj["D"])
-    return FieldDesc(
-        obj["kind"],
-        obj["name"],
-        ctx,
-        ValueGroupDesc.from_json(obj["value_group"]),
-        ValueGroupDesc.from_json(obj["support_lattice"]) if obj["support_lattice"] else None,
-        bool(obj["leveled"]),
-        bool(obj["perfect"]),
-        bool(obj["complete"]),
-    )
+def field_from_json(obj: dict, where: str) -> FieldDesc:
+    """The preset a stored field description names, which the description
+    must equal key for key; ``where`` names it in the error."""
+    ctx = obj["ctx"]
+    K = preset_field(obj["name"], ctx["p"], ctx["m"], ctx["D"])
+    want = K.to_json()
+    differ = sorted(k for k in want.keys() | obj.keys() if obj.get(k) != want.get(k))
+    if differ:
+        raise ValueError(
+            f"{where} differs from the preset {K.name!r} in {', '.join(differ)}"
+        )
+    return K
 
 
 # --------------------------------------------------------------------------
@@ -234,9 +229,7 @@ def member_witness(K: FieldDesc, s: Series) -> bool:
     level-n root polynomials lie in the level-n tower field, and finite
     digit sums are rationals.)  False only means this certificate does
     not apply.  The test runs on the grid: k/D is in the lattice exactly
-    when k is a multiple of its ``grid_step(D)``.
+    when k is a multiple of ``K.grid_step``.
     """
-    if K.support_lattice is None:
-        return False
-    step = K.support_lattice.grid_step(s.ctx.D)
+    step = K.grid_step
     return all(k % step == 0 for k, _ in s.kterms)

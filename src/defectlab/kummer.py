@@ -355,11 +355,6 @@ def lab_superdependent_unit(K: FieldDesc, sup: Optional[Fraction] = None) -> Tup
         terms[s * (1 - Fraction(1, p ** i))] = 1
     eta = Series.make(ctx, terms, ExtRat.of(Fraction(8)))
     tail = TailSchema(
-        s,
-        s * (1 - Fraction(1, p ** (stored + 1))),
-        True,
-        True,
-        True,
-        "laboratory super-dependent witness",
+        s, s * (1 - Fraction(1, p ** (stored + 1))), "laboratory super-dependent witness"
     )
     return eta, tail

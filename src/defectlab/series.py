@@ -119,14 +119,6 @@ def make_context(mode: str, p: int, m: int = 1, D: Optional[int] = None) -> Seri
     return SeriesContext(mode, p, m, D, finite_field(p, m))
 
 
-def make_equal_context(p: int, m: int = 1, D: Optional[int] = None) -> SeriesContext:
-    return make_context(EQUAL, p, m, D)
-
-
-def make_mixed_context(p: int, m: int = 1, D: Optional[int] = None) -> SeriesContext:
-    return make_context(MIXED, p, m, D)
-
-
 # --------------------------------------------------------------------------
 
 

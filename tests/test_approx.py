@@ -68,7 +68,7 @@ def test_tailed_value_set_partial_sums():
     ctx = T2.ctx
     exps = [q(-1, 2 ** i) for i in range(1, 6)]
     a = Series.make(ctx, {e: 1 for e in exps}, ExtRat.of(q(8)))
-    tail = TailSchema(q(0), q(-1, 64), True, True, True, "root tail")
+    tail = TailSchema(q(0), q(-1, 64), "root tail")
     s = value_set(a, T2, 2, tail)
     vals = set(s.finite_values())
     assert {q(-1, 2), q(-1, 4), q(-1, 8), q(-1, 16), q(-1, 32)} <= vals

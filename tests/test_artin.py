@@ -21,7 +21,7 @@ from defectlab.artin import (
 from defectlab.cuts import PLUS_INF, Cut, ExtRat
 from defectlab.fields import preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
-from defectlab.series import Series, make_equal_context
+from defectlab.series import EQUAL, Series, make_context
 
 
 def q(n, d=1):
@@ -144,7 +144,7 @@ class TestGeneratorTransform:
         assert (lhs - rhs).is_zero
 
     def test_rejects_non_prime_subfield(self):
-        ctx4 = make_equal_context(2, 2)
+        ctx4 = make_context(EQUAL, 2, 2)
         theta = Series.monomial(ctx4, -1)
         with pytest.raises(ValueError):
             as_generator_transform(theta, 2, Series.zero(ctx4))

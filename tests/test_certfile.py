@@ -22,7 +22,7 @@ from defectlab.cli import main
 from defectlab.cuts import MINUS_INF, PLUS_INF, ExtRat
 from defectlab.fields import preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
-from defectlab.series import Series, make_equal_context, make_mixed_context
+from defectlab.series import EQUAL, MIXED, Series, make_context
 
 
 def q(n, d=1):
@@ -41,7 +41,7 @@ def _as_certs():
 
 
 def test_series_json_roundtrip():
-    ctx = make_equal_context(2, 2)
+    ctx = make_context(EQUAL, 2, 2)
     s = Series.make(ctx, {q(1, 2): 2, q(3): 3}, q(5))
     back = series_from_json(series_to_json(s), ctx)
     assert back == s
@@ -195,11 +195,16 @@ def _flip_denominators_unbounded(cert):
 
 
 @pytest.mark.parametrize(
-    "tamper",
-    [_flip_upper_attained, _flip_denominators_unbounded],
+    "tamper, refusal",
+    [
+        (_flip_upper_attained, None),
+        # every stored tail has unbounded denominators, so the reader refuses
+        (_flip_denominators_unbounded,
+         "certs[0]: generator_tail denominators_unbounded is False, not True"),
+    ],
     ids=["upper-attained", "tail-denominators-unbounded"],
 )
-def test_kummer_upper_cut_named_diff(tmp_path, tamper):
+def test_kummer_upper_cut_named_diff(tmp_path, tamper, refusal):
     eta, tail = lab_superdependent_unit(QT2)
     certs = kummer_family(eta, QT2, 2, 5, tail)
     cf = make_certificate_file(QT2, SessionConfig.for_field(QT2, 5), certs)
@@ -208,6 +213,11 @@ def test_kummer_upper_cut_named_diff(tmp_path, tamper):
     obj = json.loads(path.read_text())
     tamper(obj["certs"][0])
     path.write_text(json.dumps(obj))
+    if refusal is not None:
+        with pytest.raises(ValueError) as exc:
+            read_certificate_file(str(path))
+        assert str(exc.value) == refusal
+        return
     report = verify_certificate(read_certificate_file(str(path)))
     assert not report.ok
     assert any(
@@ -294,6 +304,81 @@ def test_witness_outside_k_named_diff(tmp_path, capsys):
     assert "verification error" not in out, out
 
 
+def test_no_max_is_rederived(tmp_path, capsys):
+    # the sample's top value -1/2 sits at its attained upper cut, so the
+    # sample refutes "no maximum"; the forged verdict and the claims built
+    # on it agree with each other, so only the re-derivation can refuse them
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
+    cert = obj["certs"][0]
+    cert["sample"]["no_max"] = "proved"
+    cert["claims"]["immediate"] = ["proved", "uniqextv"]
+    cert["claims"]["defect"] = [2, "uniqextv"]
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == ["  cert[0]: no_max re-derives to refuted, stored 'proved'"], out
+
+
+def test_no_max_refuted_without_grounds_named_diff(tmp_path, capsys):
+    # dropping the top value leaves a sample that refutes nothing
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
+    obj["certs"][0]["sample"]["realized"].pop()
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert "  cert[0]: no_max re-derives to not refuted, stored 'refuted'" in out, out
+    assert "verification error" not in out, out
+
+
+def _rename_to_pdiv_tower(obj):
+    for desc in [obj["field"]] + [c["base"] for c in obj["certs"]]:
+        desc["name"] = "pdiv_tower"
+
+
+def _perfect_base(obj):
+    obj["certs"][0]["base"]["perfect"] = True
+
+
+def _tail_flag_false(flag):
+    def forge(obj):
+        obj["certs"][0]["generator_tail"][flag] = False
+    return forge
+
+
+def _config_precision(obj):
+    obj["config"]["precision"] = "16/1"
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [
+        (_rename_to_pdiv_tower, "field differs from the preset 'pdiv_tower' in "
+                                "kind, leveled, perfect, support_lattice, value_group"),
+        (_perfect_base, "certs[0]: base differs from the preset 'fp_t' in perfect"),
+        (_tail_flag_false("cofinal_at_sup"),
+         "certs[0]: generator_tail cofinal_at_sup is False, not True"),
+        (_tail_flag_false("denominators_unbounded"),
+         "certs[0]: generator_tail denominators_unbounded is False, not True"),
+        (_tail_flag_false("partials_in_field"),
+         "certs[0]: generator_tail partials_in_field is False, not True"),
+        (_config_precision, "config precision is '16/1', not '8/1'"),
+    ],
+    ids=["renamed-field", "perfect-base", "tail-cofinal", "tail-denominators",
+         "tail-partials", "config-precision"],
+)
+def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message):
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
+    forge(obj)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"cannot load certificate file: {message}\n"
+
+
 # --- the reader against the string-parsing reader it replaced -------------
 
 
@@ -323,7 +408,7 @@ def _outcome(fn, *args):
     return ("value", str(r))
 
 
-READER_CTXS = [make_equal_context(2), make_equal_context(3), make_mixed_context(2)]
+READER_CTXS = [make_context(EQUAL, 2), make_context(EQUAL, 3), make_context(MIXED, 2)]
 ODD_RATIOS = ["2/4", "-0/3", "0.5", " 1/2", "1/0", "7", "1/3", "-1/3", "+1/2", "1/-2",
               "01/2", "-", "/2", "1/", "", "abc", "1 /2", "1/ 2", "1/2 ", "1/+2", "1_0/3",
               "\u0661/2", "\u00b2/3", "2/512", 7, 0.5, None]

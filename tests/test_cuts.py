@@ -11,7 +11,6 @@ from defectlab.cuts import (
     InfinityArithmeticError,
     MINUS_INF,
     PLUS_INF,
-    ValueGroupDesc,
     cut_of_sample,
     segment_affine,
 )
@@ -141,29 +140,6 @@ class TestEnclosure:
             CutEnclosure(hi, lo)
 
 
-class TestValueGroupDesc:
-    def test_integer_lattice(self):
-        z = ValueGroupDesc((Fraction(1),))
-        assert z.contains(5) and z.contains(-3) and not z.contains(q(1, 2))
-        assert not z.is_p_divisible(2)
-        w = z.divisibility_witness(2)
-        assert z.contains(w) and not z.contains(w / 2)
-
-    def test_p_divisible_closure(self):
-        g = ValueGroupDesc((Fraction(1),), True, 2)
-        assert g.contains(q(3, 8)) and not g.contains(q(1, 3))
-        assert g.is_p_divisible(2)
-
-    def test_gcd_generator(self):
-        g = ValueGroupDesc((q(2, 3), q(1, 2)))
-        assert g.base_generator() == q(1, 6)
-        assert g.contains(q(5, 6)) and not g.contains(q(1, 12))
-
-    def test_json_roundtrip(self):
-        g = ValueGroupDesc((q(1, 4),), True, 3)
-        assert ValueGroupDesc.from_json(g.to_json()) == g
-
-
 def _grid_ks(D, p):
     """Every k with |k| <= 3D for the small grid; for the large one the
     multiples of D/p^i (i <= 16) and their neighbours, plus a seeded
@@ -176,17 +152,13 @@ def _grid_ks(D, p):
     return sorted(ks)
 
 
-def _groups(p, D):
-    groups = {}  # equal groups are checked once, under their first name
-    for name in PRESET_NAMES:
-        K = preset_field(name, p, D=D)
-        groups.setdefault(K.value_group, f"{name}.value_group")
-        groups.setdefault(K.support_lattice, f"{name}.support_lattice")
-    for level in range(4):
-        groups.setdefault(ValueGroupDesc((q(1, p ** level),)), f"1/p^{level}")
-    groups[ValueGroupDesc((q(2, 3), q(1, 2)))] = "gcd"
-    groups[ValueGroupDesc((q(2, 3), q(1, 2)), True, p)] = "gcd-closure"
-    return [(name, g) for g, name in groups.items()]
+def _in_value_group(name, p, x):
+    """The oracle: x lies in Z, or in Z[1/p] for the two towers, exactly
+    when its denominator is 1, or a power of p for the towers."""
+    d = Fraction(x).denominator
+    while name in ("pdiv_tower", "qp_pdiv_tower") and d % p == 0:
+        d //= p
+    return d == 1
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -194,7 +166,7 @@ def _groups(p, D):
 def test_grid_step_matches_contains(p, e):
     D = p ** e
     ks = _grid_ks(D, p)
-    for name, g in _groups(p, D):
-        step = g.grid_step(D)
-        bad = [k for k in ks if (k % step == 0) != g.contains(Fraction(k, D))]
+    for name in PRESET_NAMES:
+        step = preset_field(name, p, D=D).grid_step
+        bad = [k for k in ks if (k % step == 0) != _in_value_group(name, p, Fraction(k, D))]
         assert not bad, (name, D, step, bad[:5])

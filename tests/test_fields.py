@@ -88,17 +88,24 @@ def test_member_witness():
     assert not member_witness(T, Series.monomial(T.ctx, q(1, 3)))
 
 
+def _denominator_in(name, d):
+    while name in ("pdiv_tower", "qp_pdiv_tower") and d % 2 == 0:
+        d //= 2
+    return d == 1
+
+
 def test_enumerated_supports_lie_in_lattice():
     for name in ("fp_t", "laurent", "pdiv_tower", "qp", "qp_pdiv_tower"):
         K = preset_field(name, 2)
         for el in enumerate_elements(K, 2):
-            assert all(K.support_lattice.contains(e) for e, _ in el.terms), (name, el)
+            # Z, or Z[1/2] for the towers
+            assert all(_denominator_in(name, e.denominator) for e, _ in el.terms), (name, el)
 
 
 def test_json_roundtrip():
     for name in ("fp_t", "laurent", "pdiv_tower", "qp", "qp_pdiv_tower"):
         K = preset_field(name, 2)
-        assert field_from_json(K.to_json()) == K
+        assert field_from_json(K.to_json(), "field") == K
 
 
 def test_bad_preset():

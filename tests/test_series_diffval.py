@@ -14,8 +14,6 @@ from defectlab.series import (
     PrecisionError,
     Series,
     make_context,
-    make_equal_context,
-    make_mixed_context,
 )
 
 
@@ -110,7 +108,7 @@ def test_diff_valuation_matches_subtraction(pair):
         assert ctx.grid_index(want) == want_k
 
 
-@pytest.mark.parametrize("ctx", [make_equal_context(3), make_mixed_context(3)])
+@pytest.mark.parametrize("ctx", [make_context(EQUAL, 3), make_context(MIXED, 3)])
 def test_identical_at_infinite_precision_is_plus_inf(ctx):
     a = Series.make(ctx, {q(-1): 1, q(1, 3): 2, q(2): 1})
     b = Series.make(ctx, dict(a.terms))
@@ -118,14 +116,14 @@ def test_identical_at_infinite_precision_is_plus_inf(ctx):
     assert diff_valuation(Series.zero(ctx), Series.zero(ctx)) is PLUS_INF
 
 
-@pytest.mark.parametrize("ctx", [make_equal_context(2), make_mixed_context(2)])
+@pytest.mark.parametrize("ctx", [make_context(EQUAL, 2), make_context(MIXED, 2)])
 def test_identical_to_finite_precision_is_none(ctx):
     a = Series.make(ctx, {q(0): 1, q(1, 2): 1}, q(3))
     assert diff_valuation(a, Series.make(ctx, dict(a.terms))) is None
     assert diff_valuation(a, a) is None
 
 
-@pytest.mark.parametrize("ctx", [make_equal_context(2), make_mixed_context(2)])
+@pytest.mark.parametrize("ctx", [make_context(EQUAL, 2), make_context(MIXED, 2)])
 def test_first_difference_at_or_beyond_precision_is_none(ctx):
     a = Series.make(ctx, {q(0): 1, q(3): 1, q(5): 1})
     assert diff_valuation(a, Series.make(ctx, {q(0): 1}, q(3))) is None
@@ -136,23 +134,23 @@ def test_first_difference_at_or_beyond_precision_is_none(ctx):
 
 
 def test_prefix_walk_reports_the_longer_tail():
-    ctx = make_equal_context(2)
+    ctx = make_context(EQUAL, 2)
     a = Series.make(ctx, {q(-2): 1, q(0): 1, q(3, 2): 1})
     assert diff_valuation(a, Series.make(ctx, {q(-2): 1, q(0): 1})) == ExtRat.of(q(3, 2))
     assert diff_valuation(Series.make(ctx, {q(-2): 1}), a) == ExtRat.of(q(0))
 
 
 def test_context_mismatch_raises():
-    a = Series.one(make_equal_context(2))
+    a = Series.one(make_context(EQUAL, 2))
     with pytest.raises(ValueError, match="different sessions"):
-        diff_valuation(a, Series.one(make_equal_context(3)))
+        diff_valuation(a, Series.one(make_context(EQUAL, 3)))
     with pytest.raises(ValueError, match="different sessions"):
-        diff_valuation(a, Series.one(make_mixed_context(2)))
+        diff_valuation(a, Series.one(make_context(MIXED, 2)))
     # an equal context built separately is the same session
-    assert diff_valuation(a, Series.one(make_equal_context(2))) is PLUS_INF
+    assert diff_valuation(a, Series.one(make_context(EQUAL, 2))) is PLUS_INF
 
 
-@pytest.mark.parametrize("ctx", [make_equal_context(3), make_mixed_context(3)])
+@pytest.mark.parametrize("ctx", [make_context(EQUAL, 3), make_context(MIXED, 3)])
 def test_diff_k_exact_zero_sentinel(ctx):
     a = Series.make(ctx, {q(-1): 1, q(1, 3): 2, q(2): 1})
     b = Series.make(ctx, dict(a.terms))
@@ -161,7 +159,7 @@ def test_diff_k_exact_zero_sentinel(ctx):
     assert ctx.value_of(math.inf) is PLUS_INF
 
 
-@pytest.mark.parametrize("ctx", [make_equal_context(2), make_mixed_context(2)])
+@pytest.mark.parametrize("ctx", [make_context(EQUAL, 2), make_context(MIXED, 2)])
 def test_diff_k_uncertified_is_none(ctx):
     D = ctx.D
     a = Series.make(ctx, {q(0): 1, q(3): 1, q(5): 1})
@@ -180,7 +178,7 @@ def test_diff_k_uncertified_is_none(ctx):
 
 
 def test_grid_index_round_trip_and_off_grid():
-    ctx = make_equal_context(2)
+    ctx = make_context(EQUAL, 2)
     for k in (-3 * ctx.D, -1, 0, 7, ctx.D):
         assert ctx.grid_index(ctx.value_of(k)) == k
     assert ctx.grid_index(PLUS_INF) == math.inf

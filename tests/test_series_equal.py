@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from defectlab.cuts import ExtRat, PLUS_INF
 from defectlab.series import (
+    EQUAL,
     DenominatorBoundError,
     Polynomial,
     Series,
     invert,
-    make_equal_context,
+    make_context,
     newton_root,
     pth_root,
 )
@@ -20,8 +21,8 @@ def q(n, d=1):
     return Fraction(n, d)
 
 
-CTX2 = make_equal_context(2)
-CTX3 = make_equal_context(3)
+CTX2 = make_context(EQUAL, 2)
+CTX3 = make_context(EQUAL, 3)
 
 
 def mono(ctx, e, c=1):
@@ -78,7 +79,7 @@ def test_pth_root_examples():
     r = pth_root(a)
     assert r * r == a
 
-    ctx4 = make_equal_context(2, 2)
+    ctx4 = make_context(EQUAL, 2, 2)
     c = 2  # a generator of F_4
     a4 = Series.monomial(ctx4, q(1), c)
     r4 = pth_root(a4)
@@ -87,7 +88,7 @@ def test_pth_root_examples():
 
 
 def test_pth_root_respects_D_bound():
-    ctx = make_equal_context(2, 1, D=4)
+    ctx = make_context(EQUAL, 2, 1, D=4)
     deep = Series.monomial(ctx, q(1, 4))
     with pytest.raises(DenominatorBoundError):
         pth_root(deep)

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from defectlab.cuts import ExtRat, PLUS_INF
 from defectlab.series import (
+    MIXED,
     Polynomial,
     PrecisionError,
     Series,
     invert,
-    make_mixed_context,
+    make_context,
     newton_root,
     zeta_p,
 )
@@ -20,8 +21,8 @@ def q(n, d=1):
     return Fraction(n, d)
 
 
-M2 = make_mixed_context(2)
-M3 = make_mixed_context(3)
+M2 = make_context(MIXED, 2)
+M3 = make_context(MIXED, 3)
 
 
 def test_carry_identity_p2():
@@ -116,7 +117,7 @@ def test_zeta_3_needs_extension_field():
         zeta_p(M3, ExtRat.of(q(4)))
 
 
-M9 = make_mixed_context(3, 2)
+M9 = make_context(MIXED, 3, 2)
 
 
 def test_zeta_3_valuation_and_order():
@@ -134,7 +135,7 @@ def test_zeta_3_valuation_and_order():
 @pytest.mark.parametrize("p", [5, 7])
 def test_zeta_p_beyond_exact_lifts(p):
     # p >= 5 has no exact integer lifts; the Newton steps must not need them
-    ctx = make_mixed_context(p, 2)
+    ctx = make_context(MIXED, p, 2)
     z = zeta_p(ctx, ExtRat.of(q(3)))
     one = Series.one(ctx)
     assert (z - one).valuation() == ExtRat.of(q(1, p - 1))
@@ -161,7 +162,7 @@ def test_newton_sqrt_one_plus_p_cubed():
     assert (r - Series.one(M2)).valuation() >= ExtRat.of(q(1))
 
 
-M4 = make_mixed_context(2, 2)
+M4 = make_context(MIXED, 2, 2)
 
 
 @st.composite
@@ -189,7 +190,7 @@ def test_mixed_ring_laws(abc):
 
 # --- differential oracles: integer exponents against Python integers ---
 
-PRIME_CTXS = {p: make_mixed_context(p) for p in (2, 3, 5, 7)}
+PRIME_CTXS = {p: make_context(MIXED, p) for p in (2, 3, 5, 7)}
 
 
 def _value_mod(s, n):

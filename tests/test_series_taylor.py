@@ -9,16 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from defectlab.cuts import ExtRat, PLUS_INF
 from defectlab.series import (
+    EQUAL,
+    MIXED,
     ConvergenceError,
     Polynomial,
     Series,
     int_scale,
-    make_equal_context,
-    make_mixed_context,
+    make_context,
     newton_root,
 )
 
-CTXS = [make_equal_context(2), make_equal_context(3), make_mixed_context(2), make_mixed_context(3)]
+CTXS = [make_context(mode, p) for mode in (EQUAL, MIXED) for p in (2, 3)]
 
 
 def binomial_shift(f, a):
