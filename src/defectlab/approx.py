@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .cuts import Cut, CutEnclosure, ExtRat, PLUS_INF, cut_of_sample
-from .fields import FieldDesc, enumerate_elements, member_witness
+from .fields import FieldDesc, element_stream, enumerate_elements, member_witness
 from .series import EQUAL, Series, pth_root
 
 PROVED = "proved"
@@ -376,7 +376,9 @@ def imperfection_witness(K: FieldDesc, budget: int) -> Optional[Series]:
     """
     if K.perfect:
         return None
-    for c in enumerate_elements(K, budget):
+    # a repeat never precedes its first occurrence, so the stream's first
+    # hit is the first hit of enumerate_elements(K, budget)
+    for c in element_stream(K, budget):
         if c.is_zero:
             continue
         root = pth_root(c)

@@ -16,7 +16,6 @@ sampling stays sound.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -50,6 +49,8 @@ KUMMER = "kummer"
 
 
 def _short_hash(*parts) -> str:
+    import hashlib  # loads OpenSSL; imported here so that start-up skips it
+
     h = hashlib.sha256()
     for p in parts:
         h.update(str(p).encode())

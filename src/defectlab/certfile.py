@@ -303,15 +303,18 @@ def verify_certificate(cf: CertificateFile) -> VerifyReport:
     family, whose members must be pairwise distinct.
     """
     report = VerifyReport(True, [])
+    config = cf.config
+    session = (config.mode, config.p, config.m, config.D)
+    fctx = cf.field["ctx"]
+    if (fctx["mode"], fctx["p"], fctx["m"], fctx["D"]) != session:
+        report.add("field: config-mismatch between the field and the session snapshot")
     for idx, cert in enumerate(cf.certs):
         tag = f"cert[{idx}]"
+        if cert.sample.budget != config.budget:
+            report.add(f"{tag}: budget-mismatch: the sample's budget is "
+                       f"{cert.sample.budget}, the session's {config.budget}")
         ctx = cert.base.ctx
-        if (ctx.mode, ctx.p, ctx.m, ctx.D) != (
-            cf.config.mode,
-            cf.config.p,
-            cf.config.m,
-            cf.config.D,
-        ):
+        if (ctx.mode, ctx.p, ctx.m, ctx.D) != session:
             report.add(f"{tag}: config-mismatch between the field and the session snapshot")
             continue
         try:

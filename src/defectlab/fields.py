@@ -130,50 +130,78 @@ def _poly_series(ctx: SeriesContext, code: int, height: int, kstep: int) -> Seri
 
 
 def _ratfunc_elements(ctx: SeriesContext, height: int, scale: Fraction, precision: ExtRat) -> Iterator[Series]:
+    """num / den over the polynomials of degree up to ``height`` in
+    t^scale, den-major in base-q code order; den = 1 lists num exactly.
+
+    num * den_inv runs by Horner over num's base-q digits,
+    x(code) = d0 * den_inv + t^scale * x(code // q), with the digit
+    multiples of den_inv computed once per den.  Since num is exact, x
+    carries the product precision v(num) + prec(den_inv), and each step
+    keeps the terms of the product below it."""
     q = ctx.q
     n_polys = q ** (height + 1)
     kstep = ctx.grid_k(scale)
     for den_code in range(1, n_polys):
         den = _poly_series(ctx, den_code, height, kstep)
-        if den.is_zero:
+        if den.kterms == ((0, 1),):
+            for num_code in range(n_polys):
+                yield _poly_series(ctx, num_code, height, kstep)
             continue
-        is_one = den.kterms == ((0, 1),)
-        den_inv = None
-        if not is_one:
-            vden = den.valuation().fraction
-            den_inv = invert(den, ExtRat.of(precision.fraction + 2 * vden + 1))
-        for num_code in range(n_polys):
-            num = _poly_series(ctx, num_code, height, kstep)
-            if num.is_zero or is_one:
-                yield num
-                continue
-            yield num * den_inv
+        vden = den.valuation().fraction
+        den_inv = invert(den, ExtRat.of(precision.fraction + 2 * vden + 1))
+        digit_inv = [den_inv.scale(d) for d in range(q)]
+        # precs[j]: the precision of x(code) when num's lowest term is t^(j*scale)
+        precs = [ExtRat(den_inv.precision.fraction + j * scale) for j in range(height + 1)]
+        xs = [Series.zero(ctx)]
+        lows = [0]
+        yield xs[0]
+        for code in range(1, n_polys):
+            d0, rest = code % q, code // q
+            if not rest:
+                x, low = digit_inv[d0], 0
+            else:
+                r, low = xs[rest], lows[rest] + 1
+                x = Series(ctx, tuple([(k + kstep, c) for k, c in r.kterms]), precs[low])
+                if d0:
+                    x, low = digit_inv[d0] + x, 0
+            xs.append(x)
+            lows.append(low)
+            yield x
 
 
 @functools.lru_cache(maxsize=16)
 def enumerate_elements(K: FieldDesc, height: int) -> List[Series]:
-    """Deterministic, monotone-in-height element enumeration.
+    """Deterministic, monotone-in-height element enumeration: the
+    elements of ``element_stream(K, height)``, each listed once, at its
+    first occurrence.
+
+    Results are cached (the 16 most recent (K, height) pairs); a
+    repeated call returns the same list object, which callers must not
+    mutate.
+    """
+    return list(dict.fromkeys(element_stream(K, height)))
+
+
+def element_stream(K: FieldDesc, height: int) -> Iterator[Series]:
+    """The elements of K at ``height``, lazily and with repeats.
 
     Rational-function shapes list ratios of polynomials of degree up to
     ``height`` (in the deepest generator available at that height);
     Laurent shapes list Laurent polynomials with exponents in
     [-height, height]; p-adic shapes list small rationals and digit
-    monomials per tower level.  Zero is always included, and each
-    element is listed once, at its first occurrence in that order.
+    monomials per tower level.  Zero is always included.
 
     Infinite expansions (inverted denominators, p-adic digits of
     rationals) are computed to the working precision ``height + 4``.
-    Results are cached (the 16 most recent (K, height) pairs); a
-    repeated call returns the same list object, which callers must not
-    mutate.
+    A search that stops at its first hit reads this stream, not the
+    cached list, so it builds only the prefix it reads.
     """
     if height < 0:
         raise ValueError("height must be >= 0")
     ctx = K.ctx
     precision = ExtRat.of(Fraction(height + 4))
-    out: List[Series] = []
     if K.kind == RATIONAL_FUNCTION:
-        out.extend(_ratfunc_elements(ctx, height, Fraction(1), precision))
+        yield from _ratfunc_elements(ctx, height, Fraction(1), precision)
     elif K.kind == LAURENT:
         q = ctx.q
         width = 2 * height + 1
@@ -191,14 +219,14 @@ def enumerate_elements(K: FieldDesc, height: int) -> List[Series]:
                 c //= q
                 if d:
                     terms[exps[i]] = d
-            out.append(Series.make(ctx, terms))
+            yield Series.make(ctx, terms)
     elif K.kind == DIRECTED_UNION:
         for lvl in range(height + 1):
-            out.extend(_ratfunc_elements(ctx, height, Fraction(1, ctx.p ** lvl), precision))
+            yield from _ratfunc_elements(ctx, height, Fraction(1, ctx.p ** lvl), precision)
     elif K.kind == PADIC_BASE:
-        out.extend(_padic_rationals(ctx, height, precision))
+        yield from _padic_rationals(ctx, height, precision)
     elif K.kind == PADIC_TOWER:
-        out.extend(_padic_rationals(ctx, height, precision))
+        yield from _padic_rationals(ctx, height, precision)
         for lvl in range(height + 1):
             scale = Fraction(1, ctx.p ** lvl)
             ctx.check_exponent(scale)
@@ -206,10 +234,9 @@ def enumerate_elements(K: FieldDesc, height: int) -> List[Series]:
                 if j == 0:
                     continue
                 for c in range(1, ctx.q):
-                    out.append(Series.monomial(ctx, j * scale, c))
+                    yield Series.monomial(ctx, j * scale, c)
     else:
         raise ValueError(f"unknown field kind {K.kind!r}")
-    return list(dict.fromkeys(out))
 
 
 def _padic_rationals(ctx: SeriesContext, height: int, precision: ExtRat) -> Iterator[Series]:

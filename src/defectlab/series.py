@@ -30,6 +30,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import teichmueller
@@ -110,7 +111,11 @@ class SeriesContext:
         return {"mode": self.mode, "p": self.p, "m": self.m, "D": self.D}
 
 
+@lru_cache(maxsize=None)
 def make_context(mode: str, p: int, m: int = 1, D: Optional[int] = None) -> SeriesContext:
+    """The session context; one object per argument tuple, so that series
+    built for the same field in separate calls pass the identity check of
+    ``_require_same_mode``."""
     if D is None:
         D = p ** 8
         if mode == MIXED and p > 2:
@@ -312,15 +317,27 @@ class Series:
         ctx = self.ctx
         prec = min(self.precision, other.precision)
         if ctx.mode == EQUAL:
+            # one merge of the sorted term tuples, cut below kcap
             add = ctx.field.add
-            acc = dict(self.kterms)
-            for k, c in other.kterms:
-                r = add(acc.get(k, 0), c)
-                if r:
-                    acc[k] = r
-                elif k in acc:
-                    del acc[k]
-            return Series(ctx, _below(sorted(acc.items()), ctx.kcap(prec)), prec)
+            out = []
+            ia, ib = iter(self.kterms), iter(other.kterms)
+            x, y = next(ia, None), next(ib, None)
+            while x and y:
+                if x[0] < y[0]:
+                    out.append(x)
+                    x = next(ia, None)
+                elif y[0] < x[0]:
+                    out.append(y)
+                    y = next(ib, None)
+                else:
+                    r = add(x[1], y[1])
+                    if r:
+                        out.append((x[0], r))
+                    x, y = next(ia, None), next(ib, None)
+            if x or y:
+                out.append(x or y)
+                out.extend(ia if x else ib)
+            return Series(ctx, _below(out, ctx.kcap(prec)), prec)
         parts = [(k, c, 1) for k, c in self.kterms] + [(k, c, 1) for k, c in other.kterms]
         return Series(ctx, teichmueller.normalize(ctx, parts, prec), prec)
 
@@ -484,10 +501,15 @@ def pth_root(a: Series) -> Series:
 
 
 def invert(a: Series, target_precision: ExtRat) -> Series:
-    """Multiplicative inverse by geometric expansion.
+    """Multiplicative inverse of a = lc * t^va * (1 + y), v(y) > 0.
 
     Returns s with v(a*s - 1) >= target_precision - v(a); the certified
-    precision of s is recorded on the result.
+    precision of s is recorded on the result.  In equal characteristic
+    1/(1 + y) comes from the power-series recurrence s_0 = 1,
+    s_n = -sum_{i>=1} y_i s_{n-i} on the gcd step of y's exponents; in
+    mixed characteristic, whose sums carry, from the geometric series
+    sum (-y)^k.  Both give every term of 1/(1 + y) below the relative
+    precision.
     """
     if a.is_zero:
         raise ZeroDivisionError("zero series has no inverse")
@@ -510,9 +532,23 @@ def invert(a: Series, target_precision: ExtRat) -> Series:
     vy = y.kterms[0][0]
     if vy <= 0:
         raise PrecisionError("inversion requires a dominant leading term")
+    rel_cap = ctx.kcap(ExtRat(rel))
+    if ctx.mode == EQUAL:
+        add, mul, neg = ctx.field.add, ctx.field.mul, ctx.field.neg
+        g = math.gcd(*(k for k, _ in y.kterms))
+        ys = [(k // g, c) for k, c in y.kterms]
+        coeffs = [1]
+        for n in range(1, -(-rel_cap // g)):
+            acc = 0
+            for i, c in ys:
+                if i > n:
+                    break
+                acc = add(acc, mul(c, coeffs[n - i]))
+            coeffs.append(neg(acc))
+        kterms = tuple((n * g, c) for n, c in enumerate(coeffs) if c)
+        return Series(ctx, kterms, ExtRat(rel)).scale(lc_inv).shift(-va)
     s = Series.one(ctx, ExtRat(rel))
     power = Series.one(ctx, ExtRat(rel))
-    rel_cap = ctx.kcap(ExtRat(rel))
     k = 1
     neg_y = y.neg()
     while k * vy < rel_cap:

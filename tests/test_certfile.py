@@ -332,6 +332,35 @@ def test_no_max_refuted_without_grounds_named_diff(tmp_path, capsys):
     assert "verification error" not in out, out
 
 
+def test_session_checked_against_field_without_certs(tmp_path, capsys):
+    # a distance file stores no certificate, so only the top-level field
+    # can disagree with the session snapshot
+    obj = json.loads((CORPUS / "distance-base-pdiv_tower-p-2-budget-2.json").read_text())
+    assert obj["certs"] == []
+    obj["config"]["mode"] = "mixed"
+    obj["config"]["D"] = 128
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == [
+        "  field: config-mismatch between the field and the session snapshot"
+    ], out
+
+
+def test_session_budget_checked_against_samples(tmp_path, capsys):
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
+    obj["config"]["budget"] = 99
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == [
+        f"  cert[{i}]: budget-mismatch: the sample's budget is 2, the session's 99"
+        for i in range(2)
+    ], out
+
+
 def _rename_to_pdiv_tower(obj):
     for desc in [obj["field"]] + [c["base"] for c in obj["certs"]]:
         desc["name"] = "pdiv_tower"

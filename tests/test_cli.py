@@ -195,6 +195,21 @@ def test_subprocess_entry(tmp_path):
     assert "refuted" in proc.stdout
 
 
+def test_cli_import_skips_openssl():
+    # hashlib loads OpenSSL's _hashlib; only provenance hashing needs it,
+    # so importing the command line must not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, defectlab.cli; print('_hashlib' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=Path(defectlab.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_command_patched_after_first_call_is_run(monkeypatch, capsys):
     # the cached parser names the command; the function is looked up per call
     assert run(["field", "--base", "fp_t", "--p", "2"]) == 0
