@@ -23,9 +23,8 @@ the same element twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cuts import Cut, CutEnclosure, ExtRat, PLUS_INF, cut_of_sample
 from .fields import FieldDesc, element_stream, enumerate_elements, member_witness
@@ -40,7 +39,6 @@ UNKNOWN = "unknown"
 TAIL_FLAGS = ("cofinal_at_sup", "denominators_unbounded", "partials_in_field")
 
 
-@dataclass(frozen=True)
 class TailSchema:
     """Certificate describing the un-materialized tail of an exact object.
 
@@ -51,13 +49,22 @@ class TailSchema:
     partial sums lie in K.
     """
 
-    sup: Fraction
-    low: Fraction
-    note: str
+    __slots__ = ("sup", "low", "note")
 
-    def __post_init__(self):
-        if self.low > self.sup:
+    def __init__(self, sup: Fraction, low: Fraction, note: str):
+        if low > sup:
             raise ValueError("tail region [low, sup) is empty")
+        self.sup = sup
+        self.low = low
+        self.note = note
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not TailSchema:
+            return NotImplemented
+        return (self.sup, self.low, self.note) == (other.sup, other.low, other.note)
+
+    def __hash__(self):
+        return hash((self.sup, self.low, self.note))
 
     def shift(self, delta: Fraction) -> "TailSchema":
         return TailSchema(self.sup + delta, self.low + delta, self.note)
@@ -78,8 +85,7 @@ class TailSchema:
         return TailSchema(Fraction(obj["sup"]), Fraction(obj["low"]), obj["note"])
 
 
-@dataclass(frozen=True)
-class InitialSegmentSample:
+class InitialSegmentSample(NamedTuple):
     """A finite certified sample of v(a - K): witnessed values, a
     certified upper cut, and a no-maximum verdict."""
 
@@ -280,8 +286,7 @@ def distance(
 # semitame / deeply ramified condition checks
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     status: str  # proved | refuted | unknown
     witness: Optional[Series] = None
     note: str = ""

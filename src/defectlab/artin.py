@@ -17,9 +17,8 @@ sampling stays sound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .approx import (
     InitialSegmentSample,
@@ -57,8 +56,7 @@ def _short_hash(*parts) -> str:
     return h.hexdigest()[:10]
 
 
-@dataclass(frozen=True)
-class Claims:
+class Claims(NamedTuple):
     unique_extension: str = UNKNOWN
     unique_rule: str = "none"
     immediate: str = UNKNOWN
@@ -93,8 +91,7 @@ class Claims:
         )
 
 
-@dataclass(frozen=True)
-class ExtensionCert:
+class ExtensionCert(NamedTuple):
     """A persisted degree-p extension record: generator, minimal
     polynomial, certified value-set sample, distance enclosure, and the
     claims together with the rules that produced them."""
@@ -115,8 +112,7 @@ class ExtensionCert:
         return self.min_poly.degree
 
 
-@dataclass(frozen=True)
-class ASRoot:
+class ASRoot(NamedTuple):
     theta: Series
     tail: Optional[TailSchema]
     residual_floor: ExtRat
@@ -421,8 +417,7 @@ def admissible_twist(eta: Series, sample_eta: InitialSegmentSample) -> Series:
     return Series.monomial(eta.ctx, Fraction(max(1, math.floor(need) + 1)))
 
 
-@dataclass(frozen=True)
-class SigmaSample:
+class SigmaSample(NamedTuple):
     """Sampled values v((sigma f - f)/f) for the Galois generator sigma,
     with the f witnesses retained."""
 
@@ -519,8 +514,7 @@ def defect_criteria(cert: ExtensionCert) -> ExtensionCert:
     if s.no_max == PROVED and bounded:
         rule = "uniqextv" if cert.dist.hi <= Cut(ExtRat.of(0), False) else "c2"
         assert defect_of(p, 1, 1, p) == p
-        claims = replace(
-            claims,
+        claims = claims._replace(
             unique_extension=PROVED,
             unique_rule=rule if claims.unique_extension != PROVED else claims.unique_rule,
             immediate=PROVED,
@@ -529,8 +523,8 @@ def defect_criteria(cert: ExtensionCert) -> ExtensionCert:
             defect_rule=rule,
         )
     elif claims.unique_extension == PROVED and s.no_max == PROVED:
-        claims = replace(
-            claims, immediate=PROVED, immediate_rule="ueGp1", defect=p, defect_rule="ueGp1"
+        claims = claims._replace(
+            immediate=PROVED, immediate_rule="ueGp1", defect=p, defect_rule="ueGp1"
         )
     else:
         # the first grid value off the value group; a value off the grid
@@ -545,14 +539,13 @@ def defect_criteria(cert: ExtensionCert) -> ExtensionCert:
                     f"degree-{p} group extension"
                 )
             defect = defect_of(p, p, 1, p)
-            claims = replace(
-                claims,
+            claims = claims._replace(
                 immediate=REFUTED,
                 immediate_rule="ramified",
                 defect=defect,
                 defect_rule="ramified",
             )
-    return replace(cert, claims=claims)
+    return cert._replace(claims=claims)
 
 
 def as_extension(b: Series, K: FieldDesc, budget: int) -> ExtensionCert:

@@ -14,10 +14,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .approx import (
     REFUTED,
@@ -49,8 +48,7 @@ SCHEMA_VERSION = 1
 SESSION_PRECISION = "8/1"
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(NamedTuple):
     """Session parameters snapshotted into every certificate file."""
 
     mode: str
@@ -170,8 +168,7 @@ def cert_from_json(obj: dict) -> ExtensionCert:
     )
 
 
-@dataclass(frozen=True)
-class CertificateFile:
+class CertificateFile(NamedTuple):
     version: int
     config: SessionConfig
     field: dict
@@ -282,10 +279,12 @@ def read_certificate_file(path: str) -> CertificateFile:
     return CertificateFile(obj["version"], config, obj["field"], tuple(certs), tuple(obj["log"]))
 
 
-@dataclass
 class VerifyReport:
-    ok: bool
-    diffs: List[str]
+    """The outcome of ``verify_certificate``: ``ok`` until a diff is added."""
+
+    def __init__(self):
+        self.ok = True
+        self.diffs: List[str] = []
 
     def add(self, msg: str):
         self.ok = False
@@ -302,7 +301,7 @@ def verify_certificate(cf: CertificateFile) -> VerifyReport:
     on the reconstructed sample.  A file with several certificates is a
     family, whose members must be pairwise distinct.
     """
-    report = VerifyReport(True, [])
+    report = VerifyReport()
     config = cf.config
     session = (config.mode, config.p, config.m, config.D)
     fctx = cf.field["ctx"]
@@ -383,9 +382,8 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
         report.add(f"{tag}: distance re-derivation failed: {exc}")
 
     # 5. claims from the pure rule functions
-    blank = replace(cert, claims=replace(cert.claims,
-                                         immediate="unknown", immediate_rule="none",
-                                         defect=None, defect_rule="none"))
+    blank = cert._replace(claims=cert.claims._replace(
+        immediate="unknown", immediate_rule="none", defect=None, defect_rule="none"))
     try:
         rederived = defect_criteria(blank)
         if cert.kind == KUMMER and cert.claims.classification != "unknown":

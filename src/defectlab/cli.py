@@ -33,7 +33,7 @@ from .certfile import (
 from .cuts import ExtRat
 from .fields import PRESET_NAMES, BudgetTooSmall, FieldDesc, enumerate_elements, preset_field
 from .kummer import kummer_family, lab_superdependent_unit
-from .series import ConvergenceError, PrecisionError, Series
+from .series import MIXED, ConvergenceError, PrecisionError, Series, grid_bound
 
 EX_OK = 0
 EX_REFUTED = 2
@@ -43,7 +43,7 @@ EX_USAGE = 64
 
 def _build_field(args) -> FieldDesc:
     # deep root refinement over qp_pdiv_tower needs a finer exponent grid
-    D = args.p ** 16 if args.base == "qp_pdiv_tower" else None
+    D = grid_bound(MIXED, args.p, 16) if args.base == "qp_pdiv_tower" else None
     return preset_field(args.base, args.p, args.q_power, D)
 
 

@@ -10,7 +10,6 @@ inclusion of lower sets, which makes the order total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
 
@@ -40,25 +39,25 @@ def parse_ratio(s) -> Tuple[int, int]:
     return f.numerator, f.denominator
 
 
-@dataclass(frozen=True, order=False)
 class ExtRat:
     """An exact rational number or one of the symbols -inf / +inf.
 
     ``sign`` is 0 for finite values (stored in ``num``), +1 for +inf and
     -1 for -inf.  Finite arithmetic never rounds; mixing the two
-    infinities raises :class:`InfinityArithmeticError`.
+    infinities raises :class:`InfinityArithmeticError`.  Values are never
+    mutated after ``__init__``.
     """
 
-    num: Optional[Fraction]
-    sign: int = 0
+    __slots__ = ("num", "sign")
 
-    def __post_init__(self):
-        if self.sign == 0:
-            if not isinstance(self.num, Fraction):
+    def __init__(self, num: Optional[Fraction], sign: int = 0):
+        if sign == 0:
+            if not isinstance(num, Fraction):
                 raise TypeError("finite ExtRat requires a Fraction")
-        else:
-            if self.sign not in (-1, 1) or self.num is not None:
-                raise ValueError("infinite ExtRat carries no fraction")
+        elif sign not in (-1, 1) or num is not None:
+            raise ValueError("infinite ExtRat carries no fraction")
+        self.num = num
+        self.sign = sign
 
     @staticmethod
     def of(x: RatLike) -> "ExtRat":
@@ -180,7 +179,6 @@ PLUS_INF = ExtRat(None, 1)
 MINUS_INF = ExtRat(None, -1)
 
 
-@dataclass(frozen=True)
 class Cut:
     """A cut in the divisible hull of a rank-1 value group.
 
@@ -189,17 +187,25 @@ class Cut:
     lower set is then everything or nothing).
     """
 
-    bound: ExtRat
-    attained: bool
+    __slots__ = ("bound", "attained")
 
-    def __post_init__(self):
-        if not isinstance(self.bound, ExtRat):
-            object.__setattr__(self, "bound", ExtRat.of(self.bound))
-        if not self.bound.is_finite and self.attained:
+    def __init__(self, bound: RatLike, attained: bool):
+        bound = ExtRat.of(bound)
+        if bound.sign and attained:
             raise ValueError("infinite cut bounds are never attained")
+        self.bound = bound
+        self.attained = attained
 
     def _key(self):
         return (self.bound._key(), self.attained)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Cut:
+            return NotImplemented
+        return self.bound == other.bound and self.attained == other.attained
+
+    def __hash__(self):
+        return hash((self.bound, self.attained))
 
     def __lt__(self, other: "Cut") -> bool:
         return self._key() < other._key()
@@ -264,17 +270,25 @@ def cut_of_sample(values: Iterable[RatLike], side: str) -> Cut:
     raise ValueError(f"unknown side {side!r}")
 
 
-@dataclass(frozen=True)
 class CutEnclosure:
     """Certified bracket [lo, hi] around a cut that may not be computed
     exactly within budget."""
 
-    lo: Cut
-    hi: Cut
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Cut, hi: Cut):
+        if lo > hi:
             raise ValueError("enclosure requires lo <= hi")
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CutEnclosure:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @property
     def is_exact(self) -> bool:

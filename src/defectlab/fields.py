@@ -18,7 +18,6 @@ re-checked without repeating the search.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional
 
@@ -48,12 +47,21 @@ class BudgetTooSmall(RuntimeError):
     a construction needs; a larger budget may succeed."""
 
 
-@dataclass(frozen=True)
 class FieldDesc:
-    """A preset by name, in a session context; the rest is its table row."""
+    """A preset by name, in a session context; the rest is its table row.
 
-    name: str
-    ctx: SeriesContext
+    ``grid_step`` is the step s with k/D in the value group exactly when
+    ``k % s == 0``: D for Z, and D without its factors p for Z[1/p]."""
+
+    __slots__ = ("name", "ctx", "grid_step")
+
+    def __init__(self, name: str, ctx: SeriesContext):
+        self.name = name
+        self.ctx = ctx
+        s = ctx.D
+        while self.leveled and s % ctx.p == 0:
+            s //= ctx.p
+        self.grid_step = s
 
     kind = property(lambda self: PRESETS[self.name][0])
     leveled = property(lambda self: PRESETS[self.name][2])
@@ -64,14 +72,13 @@ class FieldDesc:
     def residue_q(self) -> int:
         return self.ctx.q
 
-    @functools.cached_property
-    def grid_step(self) -> int:
-        """The step s with k/D in the value group exactly when
-        ``k % s == 0``: D for Z, and D without its factors p for Z[1/p]."""
-        s = self.ctx.D
-        while self.leveled and s % self.ctx.p == 0:
-            s //= self.ctx.p
-        return s
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FieldDesc:
+            return NotImplemented
+        return self.name == other.name and self.ctx == other.ctx
+
+    def __hash__(self):
+        return hash((self.name, self.ctx))
 
     def to_json(self) -> dict:
         # schema v1 describes the value group by generators and stores it

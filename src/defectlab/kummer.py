@@ -20,9 +20,8 @@ certified region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .approx import (
     InitialSegmentSample,
@@ -65,8 +64,7 @@ def is_one_unit(eta: Series) -> bool:
     return d.valuation() > ExtRat.of(0)
 
 
-@dataclass(frozen=True)
-class PthPowerReport:
+class PthPowerReport(NamedTuple):
     precondition_holds: bool
     equation_holds: Optional[bool]
     lhs: Optional[ExtRat]
@@ -331,8 +329,8 @@ def classify_kummer_defect(cert: ExtensionCert) -> ExtensionCert:
         cls, rule = "dependent", f"dist below (v(p)/{p - 1})^-"
     else:
         cls, rule = UNKNOWN, "boundary enclosure certifies nothing"
-    claims = replace(cert.claims, classification=cls, classification_rule=rule)
-    return replace(cert, claims=claims)
+    claims = cert.claims._replace(classification=cls, classification_rule=rule)
+    return cert._replace(claims=claims)
 
 
 def lab_superdependent_unit(K: FieldDesc, sup: Optional[Fraction] = None) -> Tuple[Series, TailSchema]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
@@ -54,22 +53,33 @@ EQUAL = "equal"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
 class SeriesContext:
     """Immutable session parameters: mode, residue field F_{p^m}, and the
     exponent denominator bound D.  Compared and hashed by (mode, p, m, D)."""
 
-    mode: str
-    p: int
-    m: int
-    D: int
-    field: FiniteField = dataclass_field(compare=False)
+    __slots__ = ("mode", "p", "m", "D", "field")
 
-    def __post_init__(self):
-        if self.mode not in (EQUAL, MIXED):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.D < 1:
+    def __init__(self, mode: str, p: int, m: int, D: int, field: FiniteField):
+        if mode not in (EQUAL, MIXED):
+            raise ValueError(f"unknown mode {mode!r}")
+        if D < 1:
             raise ValueError("D must be positive")
+        self.mode = mode
+        self.p = p
+        self.m = m
+        self.D = D
+        self.field = field
+
+    def _key(self):
+        return (self.mode, self.p, self.m, self.D)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SeriesContext:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def q(self) -> int:
@@ -111,23 +121,29 @@ class SeriesContext:
         return {"mode": self.mode, "p": self.p, "m": self.m, "D": self.D}
 
 
+def grid_bound(mode: str, p: int, depth: int) -> int:
+    """The bound D of a session that refines exponents to 1/p^depth: p^depth,
+    times p - 1 in mixed mode for p > 2, for the exponent 1/(p-1) of the
+    p-th roots of unity."""
+    D = p ** depth
+    if mode == MIXED and p > 2:
+        D *= p - 1
+    return D
+
+
 @lru_cache(maxsize=None)
 def make_context(mode: str, p: int, m: int = 1, D: Optional[int] = None) -> SeriesContext:
-    """The session context; one object per argument tuple, so that series
-    built for the same field in separate calls pass the identity check of
-    ``_require_same_mode``."""
+    """The session context, with ``D = grid_bound(mode, p, 8)`` by default;
+    one object per argument tuple, so that series built for the same field
+    in separate calls pass the identity check of ``_require_same_mode``."""
     if D is None:
-        D = p ** 8
-        if mode == MIXED and p > 2:
-            # room for the exponent 1/(p-1) of p-th roots of unity
-            D *= p - 1
+        D = grid_bound(mode, p, 8)
     return SeriesContext(mode, p, m, D, finite_field(p, m))
 
 
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Series:
     """A truncated generalized power series (immutable value).
 
@@ -135,9 +151,12 @@ class Series:
     by k, codes nonzero, exponents below ``precision``.
     """
 
-    ctx: SeriesContext
-    kterms: Tuple[Tuple[int, int], ...]
-    precision: ExtRat
+    __slots__ = ("ctx", "kterms", "precision")
+
+    def __init__(self, ctx: SeriesContext, kterms: Tuple[Tuple[int, int], ...], precision: ExtRat):
+        self.ctx = ctx
+        self.kterms = kterms
+        self.precision = precision
 
     # --- constructors ---
 
@@ -561,16 +580,24 @@ def invert(a: Series, target_precision: ExtRat) -> Series:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Polynomial:
     """Dense univariate polynomial with Series coefficients (degree <= p
     throughout this toolkit)."""
 
-    coeffs: Tuple[Series, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, coeffs: Tuple[Series, ...]):
+        if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
+        self.coeffs = coeffs
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Polynomial:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @staticmethod
     def make(coeffs: Sequence[Series]) -> "Polynomial":

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -259,7 +258,7 @@ class TestPairwiseDistinct:
         check_pairwise_distinct(certs)
         with pytest.raises(AssertionError, match="members 1 and 2 have equal samples"):
             check_pairwise_distinct([certs[0], certs[0]])
-        same_poly = replace(certs[1], min_poly=certs[0].min_poly)
+        same_poly = certs[1]._replace(min_poly=certs[0].min_poly)
         with pytest.raises(AssertionError, match="members 1 and 2 share a minimal polynomial"):
             check_pairwise_distinct([certs[0], same_poly])
 
@@ -268,7 +267,7 @@ class TestPairwiseDistinct:
         eta, tail = lab_superdependent_unit(QT2)
         certs = kummer_family(eta, QT2, 2, 5, tail)
         with pytest.raises(AssertionError, match="members 1 and 2 share a minimal polynomial"):
-            check_pairwise_distinct([certs[0], replace(certs[1], min_poly=certs[0].min_poly)])
+            check_pairwise_distinct([certs[0], certs[1]._replace(min_poly=certs[0].min_poly)])
 
 
 class TestClassicalDefectExtension:
@@ -329,15 +328,13 @@ class TestClassicalDefectExtension:
 
 class TestDefectCriteriaEdges:
     def test_unknown_sample_gives_unknown_claims(self):
-        from dataclasses import replace
         from defectlab.artin import defect_criteria
 
         b = Series.monomial(K2.ctx, -1)
         cert = as_extension(b, K2, 2)
         # strip the sample down to an inconclusive one
-        probe = replace(
-            cert,
-            sample=replace(cert.sample, no_max="unknown", realized=()),
+        probe = cert._replace(
+            sample=cert.sample._replace(no_max="unknown", realized=()),
             claims=type(cert.claims)(),
         )
         out = defect_criteria(probe)

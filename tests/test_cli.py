@@ -58,6 +58,19 @@ def test_kummerfamily(tmp_path, capsys):
     assert run(["verify", str(out_path)]) == 0
 
 
+@pytest.mark.parametrize("p, D", [(2, 2 ** 16), (3, 2 * 3 ** 16)])
+def test_qp_pdiv_tower_grid_has_room_for_roots_of_unity(p, D, capsys):
+    # the grid keeps the factor p - 1 of the mixed default at odd p, where
+    # the exponent 1/(p-1) of the p-th roots of unity lives
+    assert run(["field", "--base", "qp_pdiv_tower", "--p", str(p)]) == 0
+    assert f"D={D}\n" in capsys.readouterr().out
+
+
+def test_distance_qp_pdiv_tower_p3(capsys):
+    assert run(["distance", "--base", "qp_pdiv_tower", "--p", "3", "--budget", "3"]) == 0
+    assert "distance enclosure: [1/18+, 1/18+]  (exact)" in capsys.readouterr().out
+
+
 def test_sigma(capsys):
     assert run(["sigma", "--base", "pdiv_tower", "--p", "2", "--budget", "3"]) == 0
     out = capsys.readouterr().out
@@ -208,6 +221,21 @@ def test_cli_import_skips_openssl():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses imports inspect (and with it ast, dis and tokenize) and
+    # each decoration runs code; start-up of every process would pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, defectlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=Path(defectlab.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_command_patched_after_first_call_is_run(monkeypatch, capsys):

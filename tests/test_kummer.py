@@ -177,18 +177,15 @@ class TestClassify:
         certs = kummer_family(eta, QT2, 1, 5, tail)
         cert = certs[0]
         boundary = CutEnclosure(Cut(ExtRat.of(q(1, 100)), True), Cut(ExtRat.of(q(1)), False))
-        from dataclasses import replace
-
-        probe = replace(cert, dist=boundary)
+        probe = cert._replace(dist=boundary)
         assert classify_kummer_defect(probe).claims.classification == "unknown"
 
     def test_bad_enclosure_rejected(self):
         eta, tail = lab_superdependent_unit(QT2)
         certs = kummer_family(eta, QT2, 1, 5, tail)
-        from dataclasses import replace
         from defectlab.cuts import PLUS_INF
 
         bad = CutEnclosure(Cut(ExtRat.of(0), True), Cut(PLUS_INF, False))
-        probe = replace(certs[0], dist=bad)
+        probe = certs[0]._replace(dist=bad)
         with pytest.raises(ValueError):
             classify_kummer_defect(probe)
