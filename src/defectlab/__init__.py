@@ -10,7 +10,6 @@ certificates and search-free re-verification.
 from .approx import (
     InitialSegmentSample,
     TailSchema,
-    defect_of,
     distance,
     imperfection_witness,
     semitame_report,

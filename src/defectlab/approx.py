@@ -232,10 +232,12 @@ def translate_sample(
     a_new: Series,
     shift: Fraction,
     witness_map,
-    horizon: Optional[ExtRat] = None,
+    horizon: ExtRat,
 ) -> InitialSegmentSample:
     """Re-witness a sample for a_new = (transform of a), checking each
-    translated witness exactly: v(a_new - map(c)) must equal v + shift."""
+    translated witness exactly: v(a_new - map(c)) must equal v + shift.
+    Values at or beyond ``horizon``, where a_new is not certified, are
+    dropped."""
     ctx = a_new.ctx
     kprec = ctx.kcap(a_new.precision)
     out = []
@@ -244,7 +246,7 @@ def translate_sample(
             continue
         w2 = witness_map(w)
         target = ExtRat.of(v.fraction + shift)
-        if horizon is not None and not (target < horizon):
+        if not target < horizon:
             continue
         got = a_new.diff_k(w2, kprec)
         if got is None or got != ctx.grid_index(target):
@@ -270,7 +272,7 @@ def distance(
         return CutEnclosure(top, top)
     if not sample.realized:
         raise ValueError("no realized values at this budget; cannot bracket the distance")
-    lo = cut_of_sample(sample.finite_values(), "plus")
+    lo = cut_of_sample(sample.finite_values())
     hi = sample.upper
     if (
         sample.no_max == PROVED
@@ -391,23 +393,3 @@ def imperfection_witness(K: FieldDesc, budget: int) -> Optional[Series]:
             return root
     return None
 
-
-def defect_of(degree: int, ram_index: int, res_degree: int, p: int) -> int:
-    """The defect p^nu from degree = p^nu * ram_index * res_degree.
-
-    Raises ValueError when the quotient is not a nonnegative power of p,
-    which signals inconsistent certificate invariants.
-    """
-    if min(degree, ram_index, res_degree) < 1:
-        raise ValueError("all invariants must be >= 1")
-    q, r = divmod(degree, ram_index * res_degree)
-    if r != 0:
-        raise ValueError(
-            f"degree {degree} is not divisible by e*f = {ram_index * res_degree}"
-        )
-    d = q
-    while d % p == 0:
-        d //= p
-    if d != 1:
-        raise ValueError(f"defect candidate {q} is not a power of p = {p}")
-    return q

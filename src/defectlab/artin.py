@@ -26,7 +26,6 @@ from .approx import (
     REFUTED,
     TailSchema,
     UNKNOWN,
-    defect_of,
     distance,
     translate_sample,
     value_set,
@@ -40,7 +39,6 @@ from .series import (
     Series,
     invert,
     pth_root,
-    zeta_p,
 )
 
 ARTIN_SCHREIER = "artin_schreier"
@@ -106,10 +104,6 @@ class ExtensionCert(NamedTuple):
     dist: CutEnclosure
     claims: Claims
     provenance: Tuple[str, ...]
-
-    @property
-    def degree(self) -> int:
-        return self.min_poly.degree
 
 
 class ASRoot(NamedTuple):
@@ -426,70 +420,47 @@ class SigmaSample(NamedTuple):
 
 
 def sigma_sample(cert: ExtensionCert, budget: int) -> SigmaSample:
-    """Sample the Galois-twist values of the extension.
+    """Sample the Galois-twist values of an Artin-Schreier extension.
 
-    sigma acts by theta -> theta + 1 on Artin-Schreier generators and by
-    eta -> zeta eta on Kummer generators; f ranges over the witness
+    sigma acts by theta -> theta + 1; f ranges over the witness
     differences theta - c and the monomials c theta^j.  In rank 1 an
     independent defect forces the values to fill {alpha > 0}, so
     accumulation at 0+ is consistent with independence while a certified
     positive gap below the values is evidence of dependence.
     """
+    if cert.kind != ARTIN_SCHREIER:
+        raise ValueError(f"sigma is sampled on Artin-Schreier extensions, not {cert.kind!r}")
     theta = cert.generator
     ctx = theta.ctx
     p = ctx.p
     found = {}
 
-    if cert.kind == ARTIN_SCHREIER:
-        for v, w in cert.sample.realized:
-            if not v.is_finite:
+    for v, w in cert.sample.realized:
+        if not v.is_finite:
+            continue
+        f = theta - w
+        found.setdefault(-v, f)
+    shifted = theta + Series.one(ctx)
+    # (theta^j, (sigma theta)^j) for j = 1..p-1, shared by every c
+    powers = [(theta.pow_int(j), shifted.pow_int(j)) for j in range(1, p)]
+    for c in enumerate_elements(cert.base, min(budget, 1)):
+        if c.is_zero:
+            continue
+        for tj, sj in powers:
+            f = c * tj
+            sf = c * sj
+            num = sf - f
+            if num.is_zero:
                 continue
-            f = theta - w
-            found.setdefault(-v, f)
-        shifted = theta + Series.one(ctx)
-        # (theta^j, (sigma theta)^j) for j = 1..p-1, shared by every c
-        powers = [(theta.pow_int(j), shifted.pow_int(j)) for j in range(1, p)]
-        for c in enumerate_elements(cert.base, min(budget, 1)):
-            if c.is_zero:
-                continue
-            for tj, sj in powers:
-                f = c * tj
-                sf = c * sj
-                num = sf - f
-                if num.is_zero:
-                    continue
-                val = num.valuation() - f.valuation()
-                found.setdefault(val, f)
-    elif cert.kind == KUMMER:
-        zeta = zeta_p(ctx, ExtRat.of(Fraction(budget + 6)))
-        zm1 = zeta - Series.one(ctx)
-        vz = zm1.valuation()
-        for v, w in cert.sample.realized:
-            if not v.is_finite:
-                continue
-            f = theta - w
-            # (zeta eta - eta)/(eta - c) has value v(zeta-1) + v(eta) - v(eta-c)
-            found.setdefault(vz + theta.valuation() - v, f)
-        for j in range(1, p):
-            zj = zeta.pow_int(j) - Series.one(ctx)
-            found.setdefault(zj.valuation(), theta.pow_int(j))
-    else:
-        raise ValueError(f"sigma is not defined for kind {cert.kind!r}")
+            val = num.valuation() - f.valuation()
+            found.setdefault(val, f)
 
     values = tuple(sorted(found.items(), key=lambda kv: kv[0]._key()))
     verdict = UNKNOWN
     positive = all(v > ExtRat.of(0) for v, _ in values)
-    if cert.kind == ARTIN_SCHREIER:
-        accumulates_at_zero = (
-            cert.sample.no_max == PROVED and cert.dist.hi == Cut(ExtRat.of(0), False)
-        )
-        gap_below = cert.dist.hi < Cut(ExtRat.of(0), False)
-    else:
-        thr = Fraction(1, p - 1)
-        accumulates_at_zero = (
-            cert.sample.no_max == PROVED and cert.dist.hi == Cut(ExtRat.of(thr), False)
-        )
-        gap_below = cert.dist.hi < Cut(ExtRat.of(thr), False)
+    zero_cut = Cut(ExtRat.of(0), False)
+    accumulates_at_zero = cert.sample.no_max == PROVED and cert.dist.hi == zero_cut
+    gap_below = cert.dist.hi < zero_cut
     if positive and accumulates_at_zero:
         verdict = "independent_consistent"
     elif positive and gap_below and cert.sample.no_max == PROVED:
@@ -502,18 +473,17 @@ def defect_criteria(cert: ExtensionCert) -> ExtensionCert:
 
     Bounded value set with proved no-maximum gives a unique valuation
     extension, immediacy, and defect p (recorded under the distance-below-
-    zero rule when it applies); an already-proved unique extension plus
-    proved no-maximum gives the same conclusion; a realized value outside
-    the base value group certifies ramification and defect 1.
+    zero rule when it applies); a realized value outside the base value
+    group certifies ramification and defect 1.  The degree p is
+    defect * e * f, so e = f = 1 in the first case and e = p, f = 1 in
+    the second.
     """
     claims = cert.claims
     s = cert.sample
     p = cert.base.ctx.p
-    bounded = s.upper.bound.is_finite
 
-    if s.no_max == PROVED and bounded:
+    if s.no_max == PROVED and s.upper.bound.is_finite:
         rule = "uniqextv" if cert.dist.hi <= Cut(ExtRat.of(0), False) else "c2"
-        assert defect_of(p, 1, 1, p) == p
         claims = claims._replace(
             unique_extension=PROVED,
             unique_rule=rule if claims.unique_extension != PROVED else claims.unique_rule,
@@ -521,10 +491,6 @@ def defect_criteria(cert: ExtensionCert) -> ExtensionCert:
             immediate_rule=rule,
             defect=p,
             defect_rule=rule,
-        )
-    elif claims.unique_extension == PROVED and s.no_max == PROVED:
-        claims = claims._replace(
-            immediate=PROVED, immediate_rule="ueGp1", defect=p, defect_rule="ueGp1"
         )
     else:
         # the first grid value off the value group; a value off the grid
@@ -538,11 +504,10 @@ def defect_criteria(cert: ExtensionCert) -> ExtensionCert:
                     f"realized value {Fraction(k, ctx.D)} does not generate a "
                     f"degree-{p} group extension"
                 )
-            defect = defect_of(p, p, 1, p)
             claims = claims._replace(
                 immediate=REFUTED,
                 immediate_rule="ramified",
-                defect=defect,
+                defect=1,
                 defect_rule="ramified",
             )
     return cert._replace(claims=claims)

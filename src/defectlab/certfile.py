@@ -381,18 +381,22 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     except ValueError as exc:
         report.add(f"{tag}: distance re-derivation failed: {exc}")
 
-    # 5. claims from the pure rule functions
-    blank = cert._replace(claims=cert.claims._replace(
-        immediate="unknown", immediate_rule="none", defect=None, defect_rule="none"))
+    # 5. claims from the pure rule functions, with the six derived fields
+    # reset to their Claims() defaults first; a Kummer certificate is
+    # classified by its enclosure, and an Artin-Schreier one keeps the
+    # default classification that every writer stores
+    c = cert.claims
+    blank = cert._replace(claims=Claims(c.unique_extension, c.unique_rule, bounds=c.bounds))
     try:
         rederived = defect_criteria(blank)
-        if cert.kind == KUMMER and cert.claims.classification != "unknown":
+        if cert.kind == KUMMER:
             rederived = classify_kummer_defect(rederived)
     except (ValueError, AssertionError) as exc:
         report.add(f"{tag}: claim re-derivation failed: {exc}")
         return
     got, want = rederived.claims, cert.claims
-    for fieldname in ("immediate", "defect", "defect_rule", "classification"):
+    for fieldname in ("immediate", "immediate_rule", "defect", "defect_rule",
+                      "classification", "classification_rule"):
         if getattr(got, fieldname) != getattr(want, fieldname):
             report.add(
                 f"{tag}: claim {fieldname} re-derives to {getattr(got, fieldname)!r}, "

@@ -64,7 +64,7 @@ def _canonical_element(K: FieldDesc, budget: int):
 
 def cmd_field(args) -> int:
     K = _build_field(args)
-    print(f"preset {K.name}: kind={K.kind}, residue field F_{K.residue_q}, "
+    print(f"preset {K.name}: kind={K.kind}, residue field F_{K.ctx.q}, "
           f"mode={K.ctx.mode}, D={K.ctx.D}")
     print(f"  value group: {f'Z[1/{K.ctx.p}]' if K.leveled else 'Z'}")
     print(f"  flags: leveled={K.leveled} perfect={K.perfect} complete={K.complete}")

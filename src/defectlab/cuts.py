@@ -252,22 +252,15 @@ def self_mul(x: ExtRat, n: int) -> ExtRat:
     return ExtRat(x.fraction * n)
 
 
-def cut_of_sample(values: Iterable[RatLike], side: str) -> Cut:
-    """Least upper cut ``S^+`` or greatest disjoint lower cut ``S^-``.
-
-    ``side="plus"`` returns (max(S), attained); ``side="minus"`` returns
-    (min(S), not attained).  The sample must be nonempty and finite.
-    """
+def cut_of_sample(values: Iterable[RatLike]) -> Cut:
+    """The least upper cut ``S^+`` of a sample: (max(S), attained).  The
+    sample must be nonempty and finite."""
     vals = [ExtRat.of(v) for v in values]
     if not vals:
         raise ValueError("empty sample has no cut")
     if any(not v.is_finite for v in vals):
         raise ValueError("sample values must be finite")
-    if side == "plus":
-        return Cut(max(vals), True)
-    if side == "minus":
-        return Cut(min(vals), False)
-    raise ValueError(f"unknown side {side!r}")
+    return Cut(max(vals), True)
 
 
 class CutEnclosure:

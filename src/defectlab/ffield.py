@@ -144,8 +144,7 @@ class FiniteField:
         return r
 
     def pow_(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.pow_(self.inv(a), -n)
+        """a^n for n >= 0."""
         r, base = 1, a
         while n:
             if n & 1:
@@ -165,9 +164,6 @@ class FiniteField:
     def from_int(self, n: int) -> int:
         """Image of an ordinary integer in the prime subfield."""
         return n % self.p
-
-    def coeffs(self, a: int) -> Tuple[int, ...]:
-        return self._coeffs[a]
 
     def in_prime_field(self, a: int) -> bool:
         return self._frob[a] == a

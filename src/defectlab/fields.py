@@ -68,10 +68,6 @@ class FieldDesc:
     perfect = property(lambda self: PRESETS[self.name][3])
     complete = property(lambda self: PRESETS[self.name][4])
 
-    @property
-    def residue_q(self) -> int:
-        return self.ctx.q
-
     def __eq__(self, other) -> bool:
         if other.__class__ is not FieldDesc:
             return NotImplemented

@@ -105,7 +105,7 @@ def transform_mixed(
     K: FieldDesc,
     d: Series,
     sample: InitialSegmentSample,
-    tail: Optional[TailSchema] = None,
+    tail: TailSchema,
 ) -> Series:
     """Solve X^p + h_d(X) = eta^p near eta, verify the value-set
     transfer witness by witness, and return the root.
@@ -174,9 +174,8 @@ def transform_mixed(
     if not Cut(gap, True) > upper:
         raise AssertionError("v(root - eta) does not clear the sample")
 
-    horizon = ExtRat.of(tail.low) if tail is not None else min(eta.precision, theta_tilde.precision)
     # raises unless every witness of the sample transfers to the root
-    translate_sample(sample, theta_tilde, Fraction(0), lambda w: w, horizon)
+    translate_sample(sample, theta_tilde, Fraction(0), lambda w: w, ExtRat.of(tail.low))
     return theta_tilde
 
 
@@ -185,19 +184,29 @@ def kummer_family(
     K: FieldDesc,
     n_members: int,
     budget: int,
-    tail: Optional[TailSchema] = None,
+    tail: TailSchema,
 ) -> List[ExtensionCert]:
-    """Certified pairwise-distinct Kummer extensions from one 1-unit.
+    """Certified pairwise-distinct Kummer extensions from one 1-unit
+    eta, the truncation of an exact object whose tail is ``tail``.
 
     For each admissible deep element td (negative value, value set of
     eta certifiably below v(p)/p + 2 v(td)), the twisted root divided by
     td plus 1 is a new 1-unit generator whose p-th power is
     eta^p / td^p + 1 in K, with value set translated by -v(td); distinct
     translations give distinct extensions.
+
+    Kummer theory of degree p needs a primitive p-th root of unity in K;
+    raises ValueError when v(zeta_p - 1) = 1/(p-1) lies outside the
+    value group of K.
     """
     ctx = eta.ctx
     _require_mixed(ctx)
     p = ctx.p
+    if not member_witness(K, Series.monomial(ctx, Fraction(1, p - 1))):
+        raise ValueError(
+            f"{K.name} contains no primitive p-th root of unity zeta_{p}: "
+            f"v(zeta_{p} - 1) = 1/{p - 1} lies outside its value group"
+        )
     if n_members < 1:
         raise ValueError("need at least one family member")
     if not is_one_unit(eta):
@@ -253,10 +262,10 @@ def kummer_family(
         if not is_one_unit(power_formula):
             raise AssertionError("the new p-th power is not a 1-unit")
 
-        tail_new = tail.shift(-vt) if tail is not None else None
-        horizon = ExtRat.of(tail_new.low) if tail_new is not None else eta_new.precision
+        tail_new = tail.shift(-vt)
         sample_new = translate_sample(
-            sample, eta_new, -vt, lambda w, _ti=td_inv: w * _ti + Series.one(ctx), horizon
+            sample, eta_new, -vt, lambda w, _ti=td_inv: w * _ti + Series.one(ctx),
+            ExtRat.of(tail_new.low),
         )
         bound_new = sd_threshold + vt
         if not sample_new.upper <= Cut(ExtRat.of(bound_new), False):

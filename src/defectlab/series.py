@@ -202,22 +202,12 @@ class Series:
 
     @staticmethod
     def from_rational(ctx: SeriesContext, r: Fraction, precision: ExtRat = PLUS_INF) -> "Series":
-        """The image of a rational number in the ambient field.
-
-        In equal characteristic only the residue image of the prime field
-        makes sense, so r must have p-free denominator and the result is
-        a constant.  In mixed characteristic this is the digit expansion
-        of r, exact when it terminates.
-        """
+        """The image of a rational number in the mixed ambient: the digit
+        expansion of r, exact when it terminates."""
+        if ctx.mode == EQUAL:
+            raise ValueError("rational numbers embed in the mixed-characteristic ambient")
         r = Fraction(r)
         precision = ExtRat.of(precision)
-        if ctx.mode == EQUAL:
-            if r.denominator % ctx.p == 0:
-                raise ZeroDivisionError("denominator divisible by p has no residue")
-            num = r.numerator % ctx.p
-            den_inv = pow(r.denominator % ctx.p, -1, ctx.p) if r.denominator % ctx.p != 1 else 1
-            code = ctx.field.from_int(num * den_inv)
-            return Series.make(ctx, {0: code}, precision)
         if r == 0:
             return Series.zero(ctx, precision)
         p = ctx.p

@@ -29,8 +29,6 @@ def _precision_error(msg: str) -> ArithmeticError:
 
 @lru_cache(maxsize=None)
 def tau_int(p: int, c: int, k: int) -> int:
-    if c == 0:
-        return 0
     return pow(c, p ** k, p ** (k + 1))
 
 
@@ -41,8 +39,6 @@ EXACT_LIFTS = {2: {0: 0, 1: 1}, 3: {0: 0, 1: 1, 2: -1}}
 def tau_poly(p: int, m: int, modulus: Tuple[int, ...], code: int, k: int) -> Tuple[int, ...]:
     """Teichmueller lift of a digit of F_{p^m}, modulo p^(k+1), as a
     coefficient tuple in the unramified ring."""
-    if code == 0:
-        return (0,) * m
     pk1 = p ** (k + 1)
     x = tuple(code // (p ** i) % p for i in range(m))
     acc = x

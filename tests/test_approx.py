@@ -4,7 +4,6 @@ import pytest
 
 from defectlab.approx import (
     TailSchema,
-    defect_of,
     distance,
     semitame_report,
     translate_sample,
@@ -106,18 +105,6 @@ def test_semitame_consistency():
         assert not ({"proved", "refuted"} <= statuses)
 
 
-def test_defect_of():
-    assert defect_of(2, 2, 1, 2) == 1
-    assert defect_of(2, 1, 1, 2) == 2
-    assert defect_of(6, 2, 3, 5) == 1
-    with pytest.raises(ValueError):
-        defect_of(6, 2, 2, 5)
-    with pytest.raises(ValueError):
-        defect_of(12, 2, 3, 5)  # quotient 2 is not a power of 5
-    with pytest.raises(ValueError):
-        defect_of(0, 1, 1, 2)
-
-
 def _reference_realized(a, K, budget, tail=None):
     """value_set's realized tuple, with v(a - c) from the full subtraction."""
     horizon = a.precision if tail is None else min(a.precision, ExtRat.of(tail.low))
@@ -188,6 +175,6 @@ def test_translate_sample_failure_messages():
     a = Series.monomial(K2.ctx, q(1, 2))
     sample = value_set(a, K2, 2)
     with pytest.raises(ValueError, match="got zero"):
-        translate_sample(sample, a, q(0), lambda w: a)
+        translate_sample(sample, a, q(0), lambda w: a, PLUS_INF)
     with pytest.raises(ValueError, match=r"expected value -1/1, got -2/1"):
-        translate_sample(sample, a, q(1), lambda w: w)
+        translate_sample(sample, a, q(1), lambda w: w, PLUS_INF)

@@ -332,6 +332,35 @@ def test_no_max_refuted_without_grounds_named_diff(tmp_path, capsys):
     assert "verification error" not in out, out
 
 
+@pytest.mark.parametrize(
+    "name, claim, forged, diffs",
+    [
+        # the enclosure certifies super-dependence whatever the file says
+        ("kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-1-budget-5.json", "classification",
+         ["unknown", "none"],
+         ["claim classification re-derives to 'super_dependent', stored 'unknown'",
+          "claim classification_rule re-derives to 'dist below (v(p)/2)^-', stored 'none'"]),
+        # no rule classifies an Artin-Schreier extension
+        ("asfamily-base-fp_t-p-2-n-2-budget-2.json", "classification",
+         ["independent", "dist = 0-"],
+         ["claim classification re-derives to 'unknown', stored 'independent'",
+          "claim classification_rule re-derives to 'none', stored 'dist = 0-'"]),
+        # dist(theta, K) = 0- selects the uniqextv rule, not c2
+        ("sigma-base-pdiv_tower-p-2-budget-2.json", "immediate", ["proved", "c2"],
+         ["claim immediate_rule re-derives to 'uniqextv', stored 'c2'"]),
+    ],
+    ids=["kummer-classification-unknown", "as-classification-independent", "immediate-rule"],
+)
+def test_every_derived_claim_is_compared(tmp_path, capsys, name, claim, forged, diffs):
+    obj = json.loads((CORPUS / name).read_text())
+    obj["certs"][0]["claims"][claim] = forged
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == [f"  cert[0]: {d}" for d in diffs], out
+
+
 def test_session_checked_against_field_without_certs(tmp_path, capsys):
     # a distance file stores no certificate, so only the top-level field
     # can disagree with the session snapshot

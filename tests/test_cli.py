@@ -136,6 +136,29 @@ def test_kummerfamily_budget_shortfall_is_inconclusive(capsys):
     assert run(argv + ["--n", "0"]) == 64
 
 
+def test_kummerfamily_at_odd_p_is_a_usage_error(capsys):
+    # Kummer theory of degree 3 needs zeta_3, which qp_pdiv_tower lacks
+    argv = ["kummerfamily", "--base", "qp_pdiv_tower", "--p", "3", "--n", "1", "--budget", "3"]
+    assert run(argv) == 64
+    err = capsys.readouterr().err
+    assert "no primitive p-th root of unity zeta_3" in err, err
+    assert "claim check failed" not in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[c, "--base", b, "--p", "2"] for c in ("sigma", "asfamily") for b in ("qp", "qp_pdiv_tower")]
+    + [["kummerfamily", "--base", b, "--p", "2", "--n", "1"] for b in ("fp_t", "pdiv_tower")],
+    ids=lambda argv: f"{argv[0]}-{argv[2]}",
+)
+def test_commands_refuse_the_other_characteristic(argv, capsys):
+    # sigma and asfamily build Artin-Schreier extensions (equal
+    # characteristic), kummerfamily Kummer ones (mixed): each refuses the
+    # other side before any work, with nothing on stdout
+    assert run(argv) == 64
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "flag", [["--seed", "1"], ["--mode", "equal"], ["--height", "2"]],
     ids=["seed", "mode", "height"],

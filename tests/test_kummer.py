@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from defectlab.approx import translate_sample, value_set
-from defectlab.artin import sigma_sample
 from defectlab.cuts import Cut, CutEnclosure, ExtRat
 from defectlab.fields import preset_field
 from defectlab.kummer import (
@@ -142,13 +141,6 @@ class TestKummerFamily:
             assert gen_minus_one.valuation() > ExtRat.of(0)
             assert cert.dist.is_exact
 
-    def test_sigma_on_kummer(self):
-        eta, tail = lab_superdependent_unit(QT2)
-        certs = kummer_family(eta, QT2, 1, 5, tail)
-        sig = sigma_sample(certs[0], 2)
-        assert all(v > ExtRat.of(0) for v, _ in sig.values)
-        assert sig.verdict == "dependent_evidence"
-
     def test_family_of_ten(self):
         # the family size is limited only by the budget
         eta, tail = lab_superdependent_unit(QT2)
@@ -169,6 +161,15 @@ class TestKummerFamily:
         assert offsets <= {q(1, 16), q(1, 8), q(3, 32), q(1, 4), q(1, 32)}
         for c in certs:
             assert not c.sample.upper.attained
+
+    def test_base_without_pth_roots_of_unity_is_refused(self):
+        # v(zeta_3 - 1) = 1/2 is not in Z[1/3]: the refusal comes before
+        # any sampling, not as a failed claim check afterwards
+        K = preset_field("qp_pdiv_tower", 3)
+        eta, tail = lab_superdependent_unit(K)
+        with pytest.raises(ValueError, match=r"no primitive p-th root of unity zeta_3: "
+                                             r"v\(zeta_3 - 1\) = 1/2 lies outside"):
+            kummer_family(eta, K, 1, 3, tail)
 
 
 class TestClassify:

@@ -87,6 +87,14 @@ def test_pth_root_examples():
     assert r4.leading_coeff() == ctx4.field.mul(c, c)
 
 
+def test_rationals_are_refused_in_equal_mode():
+    # Q does not embed in characteristic p; only the mixed ambient has from_rational
+    with pytest.raises(ValueError, match="mixed-characteristic ambient"):
+        Series.from_rational(CTX3, q(1, 2))
+    with pytest.raises(ValueError, match="mixed-characteristic ambient"):
+        Series.from_int(CTX2, 3)
+
+
 def test_pth_root_respects_D_bound():
     ctx = make_context(EQUAL, 2, 1, D=4)
     deep = Series.monomial(ctx, q(1, 4))
