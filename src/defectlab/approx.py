@@ -23,11 +23,12 @@ the same element twice.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cuts import Cut, CutEnclosure, ExtRat, PLUS_INF, cut_of_sample
-from .fields import FieldDesc, element_stream, enumerate_elements, member_witness
+from .fields import FieldDesc, element_stream, listing_index, member_witness
 from .series import EQUAL, Series, pth_root
 
 PROVED = "proved"
@@ -175,10 +176,19 @@ def value_set(
     and the deterministic element enumeration at height ``budget``.  The
     upper cut comes from support-lattice reasoning only.
 
-    The scan stays on the grid: witnesses are keyed by the grid index k
-    of the value k/D (``math.inf`` for an exact zero, see
-    ``Series.diff_k``), and an ``ExtRat`` is built only for the values
-    realized.
+    Each value's witness is a truncation if one realizes it, else the
+    first listed element that does.  The listing is read through its
+    ``listing_index``, never scanned.  Let ka be the leading exponent of
+    a (+inf when a has no terms).  A listed c led by another term than
+    a's has v(a - c) = min(ka, kc), so each leading exponent kc < ka is
+    realized, first by the first element listed there.  The value ka
+    itself is realized first by a's empty truncation.  ``Series.diff_k``
+    runs only on the elements led by a's leading term, or, when a has no
+    terms, on the listed elements without terms.
+
+    Witnesses are keyed by the grid index k of the value k/D
+    (``math.inf`` for an exact zero, see ``Series.diff_k``), and an
+    ``ExtRat`` is built only for the values realized.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -196,11 +206,20 @@ def value_set(
                 found.setdefault(k, partial)
                 partial_ks.append(k)
 
-    # enumeration witnesses
-    for c in enumerate_elements(K, budget):
-        k = a.diff_k(c, kprec)
+    # enumeration witnesses, as first listing indices (see the docstring)
+    if ctx is not K.ctx and ctx != K.ctx:
+        raise ValueError("series from different sessions cannot be combined")
+    index = listing_index(K, budget)
+    elements = index.elements
+    lead = a.kterms[0] if a.kterms else None
+    j = bisect_left(index.lead_ks, min(lead[0] if lead else math.inf, khorizon))
+    first: Dict[int, int] = dict(zip(index.lead_ks[:j], index.first_at))
+    for i in index.by_lead.get(lead, ()) if lead else index.termless:
+        k = a.diff_k(elements[i], kprec)
         if k is not None and (k == math.inf or k < khorizon):
-            found.setdefault(k, c)
+            first.setdefault(k, i)
+    for k, i in first.items():
+        found.setdefault(k, elements[i])
 
     realized = tuple((ctx.value_of(k), found[k]) for k in sorted(found))
 

@@ -124,10 +124,10 @@ class ExtRat:
     __rmul__ = __mul__
 
     def _key(self):
-        if self.sign < 0:
-            return (-1, Fraction(0))
-        if self.sign > 0:
-            return (1, Fraction(0))
+        # an infinity's key compares on its sign alone; its 0 hashes as
+        # Fraction(0) does
+        if self.sign:
+            return (self.sign, 0)
         return (0, self.num)
 
     def __lt__(self, other: RatLike) -> bool:

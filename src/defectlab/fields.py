@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .cuts import ExtRat, PLUS_INF
 from .series import EQUAL, MIXED, Series, SeriesContext, invert, make_context
@@ -183,6 +183,50 @@ def enumerate_elements(K: FieldDesc, height: int) -> List[Series]:
     mutate.
     """
     return list(dict.fromkeys(element_stream(K, height)))
+
+
+class ListingIndex(NamedTuple):
+    """The listing ``enumerate_elements(K, height)`` indexed by leading
+    term, so that a value-set search finds the first element at each
+    value without reading the rest.
+
+    Every listed element keeps the ``Series`` invariant (codes nonzero,
+    grid indices strictly increasing and below ``kcap(precision)``), so
+    for an element c whose leading term differs from a's, v(a - c) is
+    the lesser of the two leading exponents.
+
+    ``by_lead`` maps each leading term (k0, code) to its listing indices
+    in order; ``lead_ks`` holds the distinct leading exponents, sorted,
+    and ``first_at`` the first listing index at each; ``termless`` lists
+    the elements without terms.
+    """
+
+    elements: List[Series]
+    by_lead: Dict[Tuple[int, int], List[int]]
+    lead_ks: List[int]
+    first_at: List[int]
+    termless: List[int]
+
+
+@functools.lru_cache(maxsize=16)
+def listing_index(K: FieldDesc, height: int) -> ListingIndex:
+    """The ``ListingIndex`` of ``enumerate_elements(K, height)``, cached
+    like it (the 16 most recent (K, height) pairs)."""
+    elements = enumerate_elements(K, height)
+    by_lead: Dict[Tuple[int, int], List[int]] = {}
+    termless: List[int] = []
+    for i, c in enumerate(elements):
+        if c.kterms:
+            by_lead.setdefault(c.kterms[0], []).append(i)
+        else:
+            termless.append(i)
+    # by_lead is in order of first index, so an exponent's first lead
+    # holds its first index
+    first: Dict[int, int] = {}
+    for (k0, _), at in by_lead.items():
+        first.setdefault(k0, at[0])
+    lead_ks = sorted(first)
+    return ListingIndex(elements, by_lead, lead_ks, [first[k0] for k0 in lead_ks], termless)
 
 
 def element_stream(K: FieldDesc, height: int) -> Iterator[Series]:

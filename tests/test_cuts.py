@@ -39,6 +39,20 @@ class TestExtRat:
         assert PLUS_INF + 5 == PLUS_INF
         assert MINUS_INF + q(7, 2) == MINUS_INF
 
+    def test_infinity_hash_and_order_against_ints_and_fractions(self):
+        # an infinity's key is (sign, 0), which hashes as (sign, Fraction(0))
+        assert hash(PLUS_INF) == hash((1, 0)) == hash((1, Fraction(0)))
+        assert hash(MINUS_INF) == hash((-1, 0)) == hash((-1, Fraction(0)))
+        assert hash(ExtRat.of(q(2, 3))) == hash((0, q(2, 3)))
+        assert len({PLUS_INF, ExtRat(None, 1), MINUS_INF, ExtRat.of(0)}) == 3
+        for x in (0, -10 ** 30, 10 ** 30, q(-7, 3), q(10 ** 12, 7)):
+            assert MINUS_INF < x < PLUS_INF and MINUS_INF <= x <= PLUS_INF
+            assert PLUS_INF > x and not PLUS_INF <= x and not PLUS_INF == x
+            assert MINUS_INF < ExtRat.of(x) < PLUS_INF
+        assert PLUS_INF == PLUS_INF and PLUS_INF <= PLUS_INF and not PLUS_INF < PLUS_INF
+        assert MINUS_INF == MINUS_INF and MINUS_INF >= MINUS_INF and not MINUS_INF > MINUS_INF
+        assert MINUS_INF < PLUS_INF and PLUS_INF != MINUS_INF
+
     def test_inf_minus_inf_errors(self):
         with pytest.raises(InfinityArithmeticError):
             PLUS_INF + MINUS_INF

@@ -118,3 +118,19 @@ def test_enumeration_lists_each_element_once(name):
     els = enumerate_elements(preset_field(name, 2), 2)
     assert len(set(els)) == len(els)
     assert any(x.is_zero for x in els)
+
+
+_LISTINGS = [(name, p, 1, h) for name in PRESET_NAMES for p in (2, 3) for h in (1, 2, 3)]
+_LISTINGS += [(name, 2, 2, h) for name in PRESET_NAMES for h in (1, 2)]
+
+
+@pytest.mark.parametrize("name, p, m, height", _LISTINGS)
+def test_listed_elements_keep_the_series_invariant(name, p, m, height):
+    # value_set's listing index reads v(a - c) off the leading terms,
+    # which is exact only under this invariant
+    K = preset_field(name, p, m)
+    for c in enumerate_elements(K, height):
+        ks = [k for k, _ in c.kterms]
+        assert all(x < y for x, y in zip(ks, ks[1:])), c.kterms
+        assert all(code for _, code in c.kterms), c.kterms
+        assert all(k < K.ctx.kcap(c.precision) for k in ks), (c.kterms, c.precision)
