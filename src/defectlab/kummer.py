@@ -106,6 +106,7 @@ def transform_mixed(
     d: Series,
     sample: InitialSegmentSample,
     tail: TailSchema,
+    neg_eta_p: Series,
 ) -> Series:
     """Solve X^p + h_d(X) = eta^p near eta, verify the value-set
     transfer witness by witness, and return the root.
@@ -116,7 +117,9 @@ def transform_mixed(
     root's distance v(root - eta) lies above the sample; a failed check
     raises ``AssertionError``.
 
-    ``sample`` is the sample of v(eta - K) and ``tail`` the tail of eta.
+    ``sample`` is the sample of v(eta - K), ``tail`` the tail of eta and
+    ``neg_eta_p`` is -eta^p, the constant coefficient, which a family
+    computes once for all of its members.
     """
     ctx = eta.ctx
     _require_mixed(ctx)
@@ -138,10 +141,9 @@ def transform_mixed(
             f"(v(p) + (p-1)v(d))/p = {threshold}"
         )
 
-    b_eta = eta.pow_int(p)
     coeff_bound = ExtRat.of(Fraction(1 + (p - 1) * vd))
     p_upper = segment_affine(upper, p, 0)
-    coeffs: List[Series] = [b_eta.neg()]
+    coeffs: List[Series] = [neg_eta_p]
     for i in range(1, p):
         ci = int_scale(d.pow_int(p - i), math.comb(p, i))
         vci = ci.valuation()
@@ -163,7 +165,7 @@ def transform_mixed(
     base = Fraction(1 + (p - 1) * vd)
     margin = abs(vd) / p
     target = ExtRat.of(base + Fraction(base, p) + margin)
-    if b_eta.precision.is_finite and b_eta.precision.fraction <= target.fraction:
+    if neg_eta_p.precision.is_finite and neg_eta_p.precision.fraction <= target.fraction:
         raise ValueError("eta is too imprecise for the requested transformation")
     theta_tilde = newton_root(Polynomial.make(tuple(coeffs)), eta, target)
 
@@ -241,10 +243,11 @@ def kummer_family(
         )
 
     b_eta = eta.pow_int(p)
+    neg_b_eta = b_eta.neg()
     work = ExtRat.of(Fraction(budget + 6))
     certs: List[ExtensionCert] = []
     for vt, td in candidates[:n_members]:
-        theta_tilde = transform_mixed(eta, K, td, sample, tail)
+        theta_tilde = transform_mixed(eta, K, td, sample, tail, neg_b_eta)
         td_inv = invert(td, work)
         theta = theta_tilde * td_inv
         eta_new = theta + Series.one(ctx)

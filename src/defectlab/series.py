@@ -739,7 +739,7 @@ def newton_root(f: Polynomial, start: Series, target_precision: ExtRat) -> Serie
             nxt = _declare(x + mono, work)
             move = mono if x.precision == work and nxt.vlow() == x.vlow() else None
             x = nxt
-    raise ConvergenceError("iteration budget exhausted")
+    raise ConvergenceError(f"iteration budget exhausted: NEWTON_MAX_STEPS = {NEWTON_MAX_STEPS} steps")
 
 
 def _declare(s: Series, precision: ExtRat) -> Series:

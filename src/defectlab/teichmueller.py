@@ -65,17 +65,28 @@ def digits(ctx: SeriesContext, u, k0: int, n: Optional[int]) -> List[Tuple[int, 
     is kept reduced, so the walk stops once the remaining digits are zero.
     With ``n`` None the expansion is exact (an int, p in {2, 3}, lifts
     ``EXACT_LIFTS``): the balanced lifts for p = 3 shrink |u| to 0, and
-    for p = 2 a negative u never reaches 0 and is refused.
+    for p = 2 a negative u never reaches 0 and is refused.  For an int at
+    p = 2 the lifts are 0 and 1, so the digits are the set bits of u
+    (modulo 2^n).
     """
     p, D = ctx.p, ctx.D
     out: List[Tuple[int, int]] = []
     i = 0
     if isinstance(u, int):
-        if n is None and p == 2 and u < 0:
-            raise _precision_error(
-                "negative values have non-terminating 2-adic expansions; "
-                "pass a finite precision"
-            )
+        if p == 2:
+            if n is not None:
+                u &= (1 << n) - 1
+            elif u < 0:
+                raise _precision_error(
+                    "negative values have non-terminating 2-adic expansions; "
+                    "pass a finite precision"
+                )
+            while u:
+                low = u & -u
+                out.append((k0 + (low.bit_length() - 1) * D, 1))
+                u ^= low
+            return out
+        mod = None if n is None else p ** n
         while u:
             d = u % p
             if d:
@@ -83,18 +94,24 @@ def digits(ctx: SeriesContext, u, k0: int, n: Optional[int]) -> List[Tuple[int, 
                 u -= EXACT_LIFTS[p][d] if n is None else tau_int(p, d, n - 1)
             i += 1
             u //= p
-            if n is not None:
-                u %= p ** (n - i)
+            if mod is not None:
+                mod //= p
+                u %= mod
         return out
-    fld = ctx.field
+    modulus = ctx.field.modulus
+    mod = p ** n
     while any(u):
-        d = fld.parse_code(u)
+        d = 0  # the code of u mod p
+        for x in reversed(u):
+            d = d * p + x % p
+        mod //= p
         if d:
             out.append((k0 + i * D, d))
-            u = [x - y for x, y in zip(u, tau_poly(p, ctx.m, fld.modulus, d, n - 1))]
+            tau = tau_poly(p, ctx.m, modulus, d, n - 1)
+            u = [(x - y) // p % mod for x, y in zip(u, tau)]
+        else:
+            u = [x // p % mod for x in u]
         i += 1
-        mod = p ** (n - i)
-        u = [x // p % mod for x in u]
     return out
 
 
@@ -109,26 +126,29 @@ def normalize(
     ``parts`` yields (k, digit code, sign).  Signs other than +1 are folded
     into the code for odd p (where -tau(c) = tau(-c) exactly); for p = 2
     they stay on the integer lifts.  Only exponents in one class mod 1
-    (k mod D) carry into each other: per class, ``sum sign * tau(code) *
-    p^((k - k0)/D)`` (k0 the least numerator) is one ring element, whose
-    ``digits`` are read off once, up to ``precision``.  With infinite
-    precision that sum must be exact, which needs m = 1 and p in {2, 3};
-    otherwise terms are merged only where no carry arises.
+    (k mod D) carry into each other, so one pass over the parts keeps, per
+    class, the least k // D seen (fl0) and the ring element
+    ``acc = sum sign * tau(code) * p^(k // D - fl0)``: an int for m = 1, a
+    coefficient list for m > 1.  A part below fl0 first rescales acc by a
+    power of p.  Below the precision only p^n matters, n the class's digit
+    count, so a part at k is lifted modulo p^ceil((kcap - k) / D) alone.
+    Each class's ``digits`` are then read off once (for p = 2, m = 1 as
+    the set bits of acc mod 2^n); a class whose only part is a positive
+    digit is already canonical.  With infinite precision the sum must be
+    exact, which needs m = 1 and p in {2, 3}; otherwise terms are merged
+    only where no carry arises.
     """
     fld = ctx.field
-    p, D = ctx.p, ctx.D
+    p, D, m = ctx.p, ctx.D, ctx.m
     exact = not precision.is_finite
-    merge_only = exact and not (ctx.m == 1 and p in EXACT_LIFTS)
     kcap = ctx.kcap(precision)
-    merged: Dict[int, int] = {}
-    # k mod D -> [(k // D, code, sign)]
-    classes: Dict[int, List[Tuple[int, int, int]]] = {}
-    for k, code, sign in parts:
-        if code == 0 or k >= kcap:
-            continue
-        if p != 2 and sign < 0:
-            code, sign = fld.neg(code), 1
-        if merge_only:
+    if exact and not (m == 1 and p in EXACT_LIFTS):
+        merged: Dict[int, int] = {}
+        for k, code, sign in parts:
+            if code == 0:
+                continue
+            if p != 2 and sign < 0:
+                code, sign = fld.neg(code), 1
             if sign < 0 or k in merged:
                 raise _precision_error(
                     "exact (infinite-precision) digit carries are only "
@@ -136,33 +156,51 @@ def normalize(
                     "finite precision"
                 )
             merged[k] = code
-        else:
-            fl, r = divmod(k, D)
-            classes.setdefault(r, []).append((fl, code, sign))
+        return tuple(sorted(merged.items()))
 
-    out = list(merged.items())
-    for r, group in classes.items():
-        if len(group) == 1 and group[0][2] > 0:
-            # a lone Teichmueller digit is already canonical
-            fl, code, _ = group[0]
-            out.append((r + fl * D, code))
+    # k mod D -> [fl0, acc, code of the class's only part while it is
+    # positive, else 0]
+    classes: Dict[int, list] = {}
+    fold, binary = p != 2, p == 2 and m == 1
+    for k, code, sign in parts:
+        if code == 0 or k >= kcap:
             continue
-        fl0 = min(fl for fl, _, _ in group)
+        if fold and sign < 0:
+            code, sign = fld.neg(code), 1
+        # sign * tau(code), needed only modulo p^ceil((kcap - k) / D)
+        if binary:
+            term = sign
+        elif m > 1:
+            term = tau_poly(p, m, fld.modulus, code, (kcap - k - 1) // D)
+            if sign < 0:
+                term = [-y for y in term]
+        elif exact:
+            term = EXACT_LIFTS[p][code]
+        else:
+            term = tau_int(p, code, (kcap - k - 1) // D)
+        fl, r = k // D, k % D
+        rec = classes.get(r)
+        if rec is None:
+            classes[r] = [fl, term, code if sign > 0 else 0]
+            continue
+        rec[2] = 0
+        shift = fl - rec[0]
+        if shift >= 0:
+            s = p ** shift
+            rec[1] = rec[1] + s * term if m == 1 else [x + s * y for x, y in zip(rec[1], term)]
+        else:
+            # a lower exponent: rescale the total to it
+            s = p ** -shift
+            rec[0] = fl
+            rec[1] = rec[1] * s + term if m == 1 else [x * s + y for x, y in zip(rec[1], term)]
+
+    out = []
+    for r, (fl0, acc, lone) in classes.items():
         k0 = r + fl0 * D
-        if exact:
-            n = None
-            total = sum(sign * EXACT_LIFTS[p][code] * p ** (fl - fl0) for fl, code, sign in group)
+        if lone:
+            out.append((k0, lone))
         else:
             # digits k0 + i*D below kcap, i.e. i < ceil((kcap - k0) / D)
-            n = -((k0 - kcap) // D)
-            if ctx.m == 1:
-                total = sum(sign * p ** (fl - fl0) * tau_int(p, code, n - 1) for fl, code, sign in group)
-            else:
-                total = [0] * ctx.m
-                for fl, code, sign in group:
-                    s = sign * p ** (fl - fl0)
-                    tau = tau_poly(p, ctx.m, fld.modulus, code, n - 1)
-                    total = [x + s * y for x, y in zip(total, tau)]
-        out.extend(digits(ctx, total, k0, n))
+            out.extend(digits(ctx, acc, k0, None if exact else -((k0 - kcap) // D)))
     out.sort()
     return tuple(out)

@@ -99,14 +99,14 @@ class TestTransformMixed:
         d = Series.monomial(ctx, q(-1, 4), 1)
         sample = value_set(eta, QT2, 4, tail)
         with pytest.raises(ValueError):
-            transform_mixed(eta, QT2, d, sample, tail)
+            transform_mixed(eta, QT2, d, sample, tail, eta.pow_int(2).neg())
 
     def test_transform_runs(self):
         ctx = QT2.ctx
         eta, tail = lab_superdependent_unit(QT2)
         d = Series.monomial(ctx, q(-1, 16), 1)
         sample = value_set(eta, QT2, 4, tail)
-        root = transform_mixed(eta, QT2, d, sample, tail)
+        root = transform_mixed(eta, QT2, d, sample, tail, eta.pow_int(2).neg())
         assert root.valuation() == ExtRat.of(0)
         gap = (root - eta).valuation()
         # the root correction enters at (v(p) + v(d))/p = 15/32
@@ -122,7 +122,7 @@ class TestTransformMixed:
         eta, tail = lab_superdependent_unit(QT2)
         d = Series.monomial(ctx, q(-1, 4), 1)
         assert (d + d).valuation() == ExtRat.of(q(3, 4))
-        root = transform_mixed(eta, QT2, d, value_set(eta, QT2, 4, tail), tail)
+        root = transform_mixed(eta, QT2, d, value_set(eta, QT2, 4, tail), tail, eta.pow_int(2).neg())
         assert (root - eta).valuation() == ExtRat.of(q(3, 8))
 
 

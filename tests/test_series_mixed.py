@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from defectlab import teichmueller
 from defectlab.cuts import ExtRat, PLUS_INF
 from defectlab.series import (
     MIXED,
@@ -308,3 +309,126 @@ def test_extension_field_carries():
     minus_p = Series.from_rational(M9, q(-3), ExtRat.of(q(8)))
     diff = sq - minus_p
     assert diff.is_zero or diff.vlow() >= ExtRat.of(q(6))
+
+
+# --- the carry rule against the grouping normalization it replaced ---
+
+
+def _digits_by_divmod(ctx, u, k0, n):
+    """``teichmueller.digits`` as it was: one divmod per digit and a fresh
+    modulus p^(n - i) per step."""
+    p, D = ctx.p, ctx.D
+    out = []
+    i = 0
+    if isinstance(u, int):
+        if n is None and p == 2 and u < 0:
+            raise PrecisionError(
+                "negative values have non-terminating 2-adic expansions; "
+                "pass a finite precision"
+            )
+        while u:
+            d = u % p
+            if d:
+                out.append((k0 + i * D, d))
+                u -= teichmueller.EXACT_LIFTS[p][d] if n is None else teichmueller.tau_int(p, d, n - 1)
+            i += 1
+            u //= p
+            if n is not None:
+                u %= p ** (n - i)
+        return out
+    fld = ctx.field
+    while any(u):
+        d = fld.parse_code(u)
+        if d:
+            out.append((k0 + i * D, d))
+            u = [x - y for x, y in zip(u, teichmueller.tau_poly(p, ctx.m, fld.modulus, d, n - 1))]
+        i += 1
+        mod = p ** (n - i)
+        u = [x // p % mod for x in u]
+    return out
+
+
+def _normalize_by_classes(ctx, parts, precision):
+    """``teichmueller.normalize`` as it was: group the parts per class,
+    sum each group with every part lifted to the class's digit count, then
+    read the digits."""
+    fld = ctx.field
+    p, D = ctx.p, ctx.D
+    exact = not precision.is_finite
+    merge_only = exact and not (ctx.m == 1 and p in teichmueller.EXACT_LIFTS)
+    kcap = ctx.kcap(precision)
+    merged = {}
+    classes = {}
+    for k, code, sign in parts:
+        if code == 0 or k >= kcap:
+            continue
+        if p != 2 and sign < 0:
+            code, sign = fld.neg(code), 1
+        if merge_only:
+            if sign < 0 or k in merged:
+                raise PrecisionError(
+                    "exact (infinite-precision) digit carries are only "
+                    "available for prime fields with p in {2, 3}; pass a "
+                    "finite precision"
+                )
+            merged[k] = code
+        else:
+            fl, r = divmod(k, D)
+            classes.setdefault(r, []).append((fl, code, sign))
+    out = list(merged.items())
+    for r, group in classes.items():
+        if len(group) == 1 and group[0][2] > 0:
+            fl, code, _ = group[0]
+            out.append((r + fl * D, code))
+            continue
+        fl0 = min(fl for fl, _, _ in group)
+        k0 = r + fl0 * D
+        if exact:
+            n = None
+            total = sum(sign * teichmueller.EXACT_LIFTS[p][code] * p ** (fl - fl0) for fl, code, sign in group)
+        else:
+            n = -((k0 - kcap) // D)
+            if ctx.m == 1:
+                total = sum(sign * p ** (fl - fl0) * teichmueller.tau_int(p, code, n - 1) for fl, code, sign in group)
+            else:
+                total = [0] * ctx.m
+                for fl, code, sign in group:
+                    s = sign * p ** (fl - fl0)
+                    tau = teichmueller.tau_poly(p, ctx.m, fld.modulus, code, n - 1)
+                    total = [x + s * y for x, y in zip(total, tau)]
+        out.extend(_digits_by_divmod(ctx, total, k0, n))
+    out.sort()
+    return tuple(out)
+
+
+@st.composite
+def _normalize_case(draw):
+    # D in {1, p}: several parts share a class, and k repeats often
+    p = draw(st.sampled_from([2, 3, 5]))
+    ctx = make_context(MIXED, p, draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, p])))
+    D = ctx.D
+    part = st.tuples(st.integers(-2 * D, 6 * D), st.integers(0, ctx.q - 1), st.sampled_from([1, -1]))
+    parts = draw(st.lists(part, max_size=12))
+    if draw(st.booleans()):
+        prec = PLUS_INF
+    else:
+        # a cap inside the drawn range, so that some parts lie at or past it
+        prec = ExtRat.of(Fraction(draw(st.integers(-D, 7 * D)), D))
+    return ctx, parts, prec
+
+
+def _outcome(normalize, ctx, parts, prec):
+    try:
+        return normalize(ctx, parts, prec)
+    except PrecisionError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_normalize_case())
+# 1 + 1 = 2 carries to k = 1, past the cap: run first, it fails fast where
+# reading 2-adic digits without the 2^n mask would loop on a negative sum
+@example((make_context(MIXED, 2, 1, 1), [(0, 1, 1), (0, 1, 1)], ExtRat.of(1)))
+def test_normalize_matches_grouping_by_classes(case):
+    ctx, parts, prec = case
+    assert _outcome(teichmueller.normalize, ctx, parts, prec) == _outcome(_normalize_by_classes, ctx, parts, prec)

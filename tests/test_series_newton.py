@@ -87,7 +87,7 @@ def newton_root_full_shift(f, start, target_precision, max_steps=200):
             if not roots:
                 raise ConvergenceError("residue equation has no root in F_q")
             x = declare(x + Series.monomial(ctx, Fraction(ks, D), roots[0], work), work)
-    raise ConvergenceError("iteration budget exhausted")
+    raise ConvergenceError(f"iteration budget exhausted: NEWTON_MAX_STEPS = {max_steps} steps")
 
 
 def outcome(solver, f, start, target):
@@ -219,3 +219,23 @@ def test_kummer_roots_move_the_shift(monkeypatch, tmp_path, capsys):
     assert main(argv) == 0
     assert full_shifts
     assert all(1 <= n <= 2 for _, n in full_shifts), [n for _, n in full_shifts]
+
+
+def test_budget_message_names_the_step_limit(monkeypatch, tmp_path, capsys):
+    # sqrt(9) from 1 needs more than one step; with a budget of one step
+    # the error names the limit, and a Kummer family is inconclusive
+    monkeypatch.setattr(series, "NEWTON_MAX_STEPS", 1)
+    ctx = make_context("mixed", 2)
+    nine = Series.from_int(ctx, 9).truncate(ExtRat.of(10))
+    f = Polynomial.make((nine.neg(), Series.zero(ctx), Series.one(ctx)))
+    try:
+        newton_root(f, Series.one(ctx, ExtRat.of(10)), ExtRat.of(8))
+    except ConvergenceError as exc:
+        assert str(exc) == "iteration budget exhausted: NEWTON_MAX_STEPS = 1 steps"
+    else:
+        raise AssertionError("newton_root returned within one step")
+    argv = ["kummerfamily", "--base", "qp_pdiv_tower", "--p", "2", "--q", "2",
+            "--n", "1", "--budget", "5", "--out", str(tmp_path / "k.json")]
+    assert main(argv) == 3
+    assert "NEWTON_MAX_STEPS = 1 steps" in capsys.readouterr().err
+    assert not (tmp_path / "k.json").exists()
