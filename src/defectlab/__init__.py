@@ -24,7 +24,7 @@ from .artin import (
     as_family,
     as_generator_transform,
     as_root,
-    defect_criteria,
+    derive_claims,
     sigma_sample,
     transform_inseparable,
 )
@@ -39,7 +39,6 @@ from .cuts import (
 )
 from .fields import FieldDesc, enumerate_elements, preset_field
 from .kummer import (
-    classify_kummer_defect,
     kummer_family,
     lab_superdependent_unit,
     pth_power_difference_check,

@@ -1,6 +1,7 @@
 """Degree-p extension certificates in equal characteristic: the
 Artin-Schreier root solver, generator changes, the inseparable-to-
-separable transformation, certified families, and defect criteria.
+separable transformation, certified families, and the one claim rule
+(``derive_claims``) of both certificate kinds.
 
 The solver writes a root of X^p - X - b as
 
@@ -325,7 +326,7 @@ def transform_inseparable(
             ("v_eta_minus_theta_tilde", str(gap)),
         ),
     )
-    return ExtensionCert(
+    return derive_claims(ExtensionCert(
         ARTIN_SCHREIER,
         K,
         theta,
@@ -339,7 +340,7 @@ def transform_inseparable(
             f"transform_inseparable eta={_short_hash(eta)} d={_short_hash(d)} "
             f"budget={budget}",
         ),
-    )
+    ))
 
 
 def _merge_samples(a: InitialSegmentSample, b: InitialSegmentSample) -> InitialSegmentSample:
@@ -380,7 +381,7 @@ def as_family(
 
     certs: List[ExtensionCert] = []
     for n in range(1, n_members + 1):
-        certs.append(defect_criteria(transform_inseparable(eta, K, d.pow_int(n), sample_eta)))
+        certs.append(transform_inseparable(eta, K, d.pow_int(n), sample_eta))
 
     check_pairwise_distinct(certs)
     return certs
@@ -468,17 +469,27 @@ def sigma_sample(cert: ExtensionCert, budget: int) -> SigmaSample:
     return SigmaSample(values, verdict)
 
 
-def defect_criteria(cert: ExtensionCert) -> ExtensionCert:
-    """Apply the decidable rank-1 defect rules to a certificate.
+def derive_claims(cert: ExtensionCert) -> ExtensionCert:
+    """The certificate with its six derived claim fields (immediacy,
+    defect and classification, each with its rule) re-derived from its
+    sample and enclosure; the other claims are kept.  Every builder
+    returns its certificate through this rule, and ``verify`` re-runs it.
 
-    Bounded value set with proved no-maximum gives a unique valuation
-    extension, immediacy, and defect p (recorded under the distance-below-
-    zero rule when it applies); a realized value outside the base value
-    group certifies ramification and defect 1.  The degree p is
-    defect * e * f, so e = f = 1 in the first case and e = p, f = 1 in
-    the second.
+    Rank-1 defect rules: a bounded value set with proved no-maximum gives
+    a unique valuation extension, immediacy and defect p, so e = f = 1
+    (under the distance-below-zero rule when it applies); a realized
+    value outside the base value group certifies ramification, defect 1
+    and e = p.
+
+    A Kummer certificate is classified by its distance enclosure, which
+    must satisfy 0 < dist <= (v(p)/(p-1))^- or the certificate is broken:
+    strictly below (v(p)/p)^- is super-dependent, strictly below
+    (v(p)/(p-1))^- dependent; independence is never certified from an
+    enclosure alone.  An Artin-Schreier certificate keeps the default
+    classification.
     """
-    claims = cert.claims
+    c = cert.claims
+    claims = Claims(c.unique_extension, c.unique_rule, bounds=c.bounds)
     s = cert.sample
     p = cert.base.ctx.p
 
@@ -510,6 +521,22 @@ def defect_criteria(cert: ExtensionCert) -> ExtensionCert:
                 defect=1,
                 defect_rule="ramified",
             )
+
+    if cert.kind == KUMMER:
+        lo, hi = cert.dist.lo, cert.dist.hi
+        dep_cut = Cut(ExtRat.of(Fraction(1, p - 1)), False)
+        sd_cut = Cut(ExtRat.of(Fraction(1, p)), False)
+        if not (lo > Cut(ExtRat.of(0), False) and hi <= dep_cut):
+            raise ValueError(
+                f"distance enclosure [{lo}, {hi}] violates 0 < dist <= (v(p)/(p-1))^-"
+            )
+        if hi < sd_cut:
+            cls, rule = "super_dependent", f"dist below (v(p)/{p})^-"
+        elif hi < dep_cut:
+            cls, rule = "dependent", f"dist below (v(p)/{p - 1})^-"
+        else:
+            cls, rule = UNKNOWN, "boundary enclosure certifies nothing"
+        claims = claims._replace(classification=cls, classification_rule=rule)
     return cert._replace(claims=claims)
 
 
@@ -530,4 +557,4 @@ def as_extension(b: Series, K: FieldDesc, budget: int) -> ExtensionCert:
         Claims(),
         (f"as_extension b={_short_hash(b)} budget={budget}",),
     )
-    return defect_criteria(cert)
+    return derive_claims(cert)

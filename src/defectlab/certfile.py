@@ -29,16 +29,16 @@ from .approx import (
     support_upper_cut,
 )
 from .artin import (
+    ARTIN_SCHREIER,
+    KUMMER,
     Claims,
     ExtensionCert,
-    KUMMER,
     check_pairwise_distinct,
-    defect_criteria,
+    derive_claims,
     residual_window_violations,
 )
 from .cuts import Cut, CutEnclosure, ExtRat, parse_ratio
 from .fields import FieldDesc, field_from_json, member_witness
-from .kummer import classify_kummer_defect
 from .series import Polynomial, Series, SeriesContext
 
 SCHEMA_VERSION = 1
@@ -152,6 +152,8 @@ def cert_to_json(cert: ExtensionCert) -> dict:
 
 
 def cert_from_json(obj: dict) -> ExtensionCert:
+    if obj["kind"] not in (ARTIN_SCHREIER, KUMMER):
+        raise ValueError(f"kind {obj['kind']!r} is neither {ARTIN_SCHREIER!r} nor {KUMMER!r}")
     base = field_from_json(obj["base"], "base")
     ctx = base.ctx
     return ExtensionCert(
@@ -312,6 +314,9 @@ def verify_certificate(cf: CertificateFile) -> VerifyReport:
         if cert.sample.budget != config.budget:
             report.add(f"{tag}: budget-mismatch: the sample's budget is "
                        f"{cert.sample.budget}, the session's {config.budget}")
+        if cert.base.to_json() != cf.field:
+            report.add(f"{tag}: base-mismatch: the certificate's base {cert.base.name!r} "
+                       f"differs from the file's field {cf.field['name']!r}")
         ctx = cert.base.ctx
         if (ctx.mode, ctx.p, ctx.m, ctx.D) != session:
             report.add(f"{tag}: config-mismatch between the field and the session snapshot")
@@ -381,16 +386,9 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     except ValueError as exc:
         report.add(f"{tag}: distance re-derivation failed: {exc}")
 
-    # 5. claims from the pure rule functions, with the six derived fields
-    # reset to their Claims() defaults first; a Kummer certificate is
-    # classified by its enclosure, and an Artin-Schreier one keeps the
-    # default classification that every writer stores
-    c = cert.claims
-    blank = cert._replace(claims=Claims(c.unique_extension, c.unique_rule, bounds=c.bounds))
+    # 5. the six derived claim fields, from the one rule every builder uses
     try:
-        rederived = defect_criteria(blank)
-        if cert.kind == KUMMER:
-            rederived = classify_kummer_defect(rederived)
+        rederived = derive_claims(cert)
     except (ValueError, AssertionError) as exc:
         report.add(f"{tag}: claim re-derivation failed: {exc}")
         return

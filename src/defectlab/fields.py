@@ -172,15 +172,13 @@ def _ratfunc_elements(ctx: SeriesContext, height: int, scale: Fraction, precisio
             yield x
 
 
-@functools.lru_cache(maxsize=16)
 def enumerate_elements(K: FieldDesc, height: int) -> List[Series]:
     """Deterministic, monotone-in-height element enumeration: the
     elements of ``element_stream(K, height)``, each listed once, at its
     first occurrence.
 
-    Results are cached (the 16 most recent (K, height) pairs); a
-    repeated call returns the same list object, which callers must not
-    mutate.
+    Each call builds a new list.  The cached listing is
+    ``listing_index(K, height).elements``, which calls this on a miss.
     """
     return list(dict.fromkeys(element_stream(K, height)))
 
@@ -210,8 +208,10 @@ class ListingIndex(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def listing_index(K: FieldDesc, height: int) -> ListingIndex:
-    """The ``ListingIndex`` of ``enumerate_elements(K, height)``, cached
-    like it (the 16 most recent (K, height) pairs)."""
+    """The ``ListingIndex`` of ``enumerate_elements(K, height)``: the one
+    cache of listings (the 16 most recent (K, height) pairs).  A repeated
+    call returns the same index object, whose lists callers must not
+    mutate."""
     elements = enumerate_elements(K, height)
     by_lead: Dict[Tuple[int, int], List[int]] = {}
     termless: List[int] = []

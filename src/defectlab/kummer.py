@@ -15,6 +15,10 @@ denominator bound, so laboratory inputs are truncations carrying a
 TailSchema plus the hypothesis that their p-th power lies in K; every
 equality the construction claims is still verified exactly on the
 certified region.
+
+The deep elements are the first listed elements at each leading exponent
+(``fields.listing_index``).  Each member's claims, its classification
+included, come from ``artin.derive_claims``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import List, NamedTuple, Optional, Tuple
 from .approx import (
     InitialSegmentSample,
     TailSchema,
-    UNKNOWN,
     distance,
     translate_sample,
     value_set,
@@ -37,10 +40,10 @@ from .artin import (
     ExtensionCert,
     _short_hash,
     check_pairwise_distinct,
-    defect_criteria,
+    derive_claims,
 )
 from .cuts import Cut, ExtRat, segment_affine
-from .fields import BudgetTooSmall, FieldDesc, enumerate_elements, member_witness
+from .fields import BudgetTooSmall, FieldDesc, listing_index, member_witness
 from .series import (
     MIXED,
     Polynomial,
@@ -224,18 +227,14 @@ def kummer_family(
             f"v(p)/p = {sd_threshold}; no certified gap"
         )
 
+    # the first listed element at each admissible negative exponent, in
+    # increasing |v(td)|
+    index = listing_index(K, budget)
     candidates: List[Tuple[Fraction, Series]] = []
-    seen = set()
-    for x in enumerate_elements(K, budget):
-        if x.is_zero:
-            continue
-        v = x.valuation().fraction
-        if v >= 0 or v in seen:
-            continue
-        if upper <= Cut(ExtRat.of(sd_threshold + 2 * v), False):
-            seen.add(v)
-            candidates.append((v, x))
-    candidates.sort(key=lambda t: -t[0])  # increasing |v(td)|
+    for k, at in zip(reversed(index.lead_ks), reversed(index.first_at)):
+        v = Fraction(k, ctx.D)
+        if k < 0 and upper <= Cut(ExtRat.of(sd_threshold + 2 * v), False):
+            candidates.append((v, index.elements[at]))
     if len(candidates) < n_members:
         raise BudgetTooSmall(
             f"only {len(candidates)} admissible deep elements at budget {budget}, "
@@ -299,8 +298,7 @@ def kummer_family(
                 f"budget={budget}",
             ),
         )
-        cert = defect_criteria(cert)
-        certs.append(classify_kummer_defect(cert))
+        certs.append(derive_claims(cert))
 
     check_pairwise_distinct(certs)
     return certs
@@ -313,36 +311,6 @@ def _kummer_poly(rhs: Series) -> Polynomial:
     coeffs += [Series.zero(ctx) for _ in range(p - 1)]
     coeffs.append(Series.one(ctx))
     return Polynomial.make(tuple(coeffs))
-
-
-def classify_kummer_defect(cert: ExtensionCert) -> ExtensionCert:
-    """Classify by where the distance enclosure sits against the two
-    thresholds v(p)/p and v(p)/(p-1).
-
-    The sanity inequality 0 < dist <= (v(p)/(p-1))^- must hold for any
-    1-unit Kummer generator; violating it signals a broken certificate.
-    A certified enclosure strictly below (v(p)/p)^- is super-dependent;
-    strictly below (v(p)/(p-1))^- is dependent; independence is never
-    certified from an enclosure alone.
-    """
-    if cert.kind != KUMMER:
-        raise ValueError("classification applies to Kummer certificates")
-    p = cert.base.ctx.p
-    lo, hi = cert.dist.lo, cert.dist.hi
-    dep_cut = Cut(ExtRat.of(Fraction(1, p - 1)), False)
-    sd_cut = Cut(ExtRat.of(Fraction(1, p)), False)
-    if not (lo > Cut(ExtRat.of(0), False) and hi <= dep_cut):
-        raise ValueError(
-            f"distance enclosure [{lo}, {hi}] violates 0 < dist <= (v(p)/(p-1))^-"
-        )
-    if hi < sd_cut:
-        cls, rule = "super_dependent", f"dist below (v(p)/{p})^-"
-    elif hi < dep_cut:
-        cls, rule = "dependent", f"dist below (v(p)/{p - 1})^-"
-    else:
-        cls, rule = UNKNOWN, "boundary enclosure certifies nothing"
-    claims = cert.claims._replace(classification=cls, classification_rule=rule)
-    return cert._replace(claims=claims)
 
 
 def lab_superdependent_unit(K: FieldDesc, sup: Optional[Fraction] = None) -> Tuple[Series, TailSchema]:

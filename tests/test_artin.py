@@ -326,9 +326,9 @@ class TestClassicalDefectExtension:
                 assert s2.no_max == base.no_max
 
 
-class TestDefectCriteriaEdges:
+class TestDeriveClaimsEdges:
     def test_unknown_sample_gives_unknown_claims(self):
-        from defectlab.artin import defect_criteria
+        from defectlab.artin import derive_claims
 
         b = Series.monomial(K2.ctx, -1)
         cert = as_extension(b, K2, 2)
@@ -337,7 +337,7 @@ class TestDefectCriteriaEdges:
             sample=cert.sample._replace(no_max="unknown", realized=()),
             claims=type(cert.claims)(),
         )
-        out = defect_criteria(probe)
+        out = derive_claims(probe)
         assert out.claims.defect is None
         assert out.claims.immediate == "unknown"
 

@@ -390,6 +390,24 @@ def test_session_budget_checked_against_samples(tmp_path, capsys):
     ], out
 
 
+def test_base_checked_against_the_field(tmp_path, capsys):
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
+    obj["field"] = preset_field("laurent", 2).to_json()
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == [
+        f"  cert[{i}]: base-mismatch: the certificate's base 'fp_t' differs from "
+        f"the file's field 'laurent'"
+        for i in range(2)
+    ], out
+
+
+def _unknown_kind(obj):
+    obj["certs"][0]["kind"] = "foo"
+
+
 def _rename_to_pdiv_tower(obj):
     for desc in [obj["field"]] + [c["base"] for c in obj["certs"]]:
         desc["name"] = "pdiv_tower"
@@ -422,9 +440,10 @@ def _config_precision(obj):
         (_tail_flag_false("partials_in_field"),
          "certs[0]: generator_tail partials_in_field is False, not True"),
         (_config_precision, "config precision is '16/1', not '8/1'"),
+        (_unknown_kind, "certs[0]: kind 'foo' is neither 'artin_schreier' nor 'kummer'"),
     ],
     ids=["renamed-field", "perfect-base", "tail-cofinal", "tail-denominators",
-         "tail-partials", "config-precision"],
+         "tail-partials", "config-precision", "unknown-kind"],
 )
 def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message):
     obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())

@@ -19,6 +19,7 @@ from defectlab.fields import (
     _poly_series,
     _ratfunc_elements,
     enumerate_elements,
+    listing_index,
     member_witness,
     preset_field,
 )
@@ -220,8 +221,8 @@ def test_invert_error_messages_unchanged():
 @pytest.mark.parametrize("name, p, budget", [("fp_t", 3, 3), ("laurent", 2, 3), ("fp_t", 2, 2)])
 def test_imperfection_witness_is_first_hit_without_listing(name, p, budget):
     K = preset_field(name, p)
-    enumerate_elements.cache_clear()
+    listing_index.cache_clear()
     w = imperfection_witness(K, budget)
-    assert enumerate_elements.cache_info().currsize == 0
+    assert listing_index.cache_info().currsize == 0
     roots = (pth_root(c) for c in enumerate_elements(K, budget) if not c.is_zero)
     assert w == next(r for r in roots if not member_witness(K, r))

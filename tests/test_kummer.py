@@ -4,17 +4,17 @@ from fractions import Fraction
 import pytest
 
 from defectlab.approx import translate_sample, value_set
+from defectlab.artin import _short_hash, derive_claims
 from defectlab.cuts import Cut, CutEnclosure, ExtRat
-from defectlab.fields import preset_field
+from defectlab.fields import enumerate_elements, preset_field
 from defectlab.kummer import (
-    classify_kummer_defect,
     is_one_unit,
     kummer_family,
     lab_superdependent_unit,
     pth_power_difference_check,
     transform_mixed,
 )
-from defectlab.series import Series
+from defectlab.series import MIXED, Series, grid_bound
 
 
 def q(n, d=1):
@@ -179,7 +179,7 @@ class TestClassify:
         cert = certs[0]
         boundary = CutEnclosure(Cut(ExtRat.of(q(1, 100)), True), Cut(ExtRat.of(q(1)), False))
         probe = cert._replace(dist=boundary)
-        assert classify_kummer_defect(probe).claims.classification == "unknown"
+        assert derive_claims(probe).claims.classification == "unknown"
 
     def test_bad_enclosure_rejected(self):
         eta, tail = lab_superdependent_unit(QT2)
@@ -189,4 +189,39 @@ class TestClassify:
         bad = CutEnclosure(Cut(ExtRat.of(0), True), Cut(PLUS_INF, False))
         probe = certs[0]._replace(dist=bad)
         with pytest.raises(ValueError):
-            classify_kummer_defect(probe)
+            derive_claims(probe)
+
+
+# --- the deep elements against the listing scan they replaced -------------
+
+
+def _scan_deep_elements(K, budget, upper):
+    """The first listed element at each admissible negative value, in
+    increasing |v|: the scan of the whole listing that ``kummer_family``
+    ran before it read ``listing_index``."""
+    sd_threshold = Fraction(1, K.ctx.p)
+    candidates = []
+    seen = set()
+    for x in enumerate_elements(K, budget):
+        if x.is_zero:
+            continue
+        v = x.valuation().fraction
+        if v >= 0 or v in seen:
+            continue
+        if upper <= Cut(ExtRat.of(sd_threshold + 2 * v), False):
+            seen.add(v)
+            candidates.append((v, x))
+    candidates.sort(key=lambda t: -t[0])
+    return candidates
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["q2", "q4"])
+def test_deep_elements_match_the_listing_scan(m):
+    K = preset_field("qp_pdiv_tower", 2, m, grid_bound(MIXED, 2, 16))
+    eta, tail = lab_superdependent_unit(K)
+    for budget in range(3, 10):
+        # 1, 3, 6, 9, 14, 18 and 26 admissible elements at budgets 3..9
+        want = _scan_deep_elements(K, budget, value_set(eta, K, budget, tail).upper)
+        certs = kummer_family(eta, K, len(want), budget, tail)
+        got = [(dict(c.claims.bounds)["v_td"], c.provenance[0].split()[2]) for c in certs]
+        assert got == [(str(v), f"td={_short_hash(x)}") for v, x in want], budget

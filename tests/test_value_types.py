@@ -12,7 +12,7 @@ from defectlab.artin import Claims
 from defectlab.certfile import SessionConfig, _dumps
 from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from defectlab.ffield import finite_field
-from defectlab.fields import FieldDesc, enumerate_elements, preset_field
+from defectlab.fields import FieldDesc, listing_index, preset_field
 from defectlab.series import EQUAL, MIXED, Polynomial, Series, SeriesContext, make_context
 
 K2 = preset_field("fp_t", 2)
@@ -117,11 +117,11 @@ def test_cut_converts_its_bound():
     assert type(c.bound) is ExtRat and c.bound == Fraction(1, 3)
 
 
-def test_equal_field_description_hits_the_enumeration_cache():
-    first = enumerate_elements(K2, 1)
-    hits = enumerate_elements.cache_info().hits
-    again = enumerate_elements(FieldDesc("fp_t", _fresh_ctx()), 1)
-    assert enumerate_elements.cache_info().hits == hits + 1
+def test_equal_field_description_hits_the_listing_cache():
+    first = listing_index(K2, 1)
+    hits = listing_index.cache_info().hits
+    again = listing_index(FieldDesc("fp_t", _fresh_ctx()), 1)
+    assert listing_index.cache_info().hits == hits + 1
     assert again is first
 
 
