@@ -36,10 +36,6 @@ REFUTED = "refuted"
 UNKNOWN = "unknown"
 
 
-# schema v1 flags that every tail this toolkit builds has, stored as true
-TAIL_FLAGS = ("cofinal_at_sup", "denominators_unbounded", "partials_in_field")
-
-
 class TailSchema:
     """Certificate describing the un-materialized tail of an exact object.
 
@@ -69,21 +65,6 @@ class TailSchema:
 
     def shift(self, delta: Fraction) -> "TailSchema":
         return TailSchema(self.sup + delta, self.low + delta, self.note)
-
-    def to_json(self) -> dict:
-        return {
-            "sup": f"{self.sup.numerator}/{self.sup.denominator}",
-            "low": f"{self.low.numerator}/{self.low.denominator}",
-            "note": self.note,
-            **dict.fromkeys(TAIL_FLAGS, True),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "TailSchema":
-        for flag in TAIL_FLAGS:
-            if obj[flag] is not True:
-                raise ValueError(f"generator_tail {flag} is {obj[flag]!r}, not True")
-        return TailSchema(Fraction(obj["sup"]), Fraction(obj["low"]), obj["note"])
 
 
 class InitialSegmentSample(NamedTuple):

@@ -66,29 +66,6 @@ class Claims(NamedTuple):
     classification_rule: str = "none"
     bounds: Tuple[Tuple[str, str], ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "unique_extension": [self.unique_extension, self.unique_rule],
-            "immediate": [self.immediate, self.immediate_rule],
-            "defect": [self.defect, self.defect_rule],
-            "classification": [self.classification, self.classification_rule],
-            "bounds": [[n, v] for n, v in self.bounds],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Claims":
-        return Claims(
-            obj["unique_extension"][0],
-            obj["unique_extension"][1],
-            obj["immediate"][0],
-            obj["immediate"][1],
-            obj["defect"][0],
-            obj["defect"][1],
-            obj["classification"][0],
-            obj["classification"][1],
-            tuple((n, v) for n, v in obj["bounds"]),
-        )
-
 
 class ExtensionCert(NamedTuple):
     """A persisted degree-p extension record: generator, minimal
@@ -390,7 +367,13 @@ def as_family(
 def check_pairwise_distinct(certs: Sequence[ExtensionCert]) -> None:
     """Raise AssertionError unless the family members are pairwise
     distinct: no two share a value-set sample or the constant term of
-    their minimal polynomial."""
+    their minimal polynomial, and two Artin-Schreier members have disjoint
+    distance enclosures.
+
+    Only the last is an invariant: every Artin-Schreier generator of one
+    extension is i*theta + c with i in F_p^x and c in K, and
+    v(i*theta + c - K) = v(theta - K), so members whose certified
+    enclosures of dist(theta, K) overlap may be one extension."""
     value_sets = [frozenset(c.sample.finite_values()) for c in certs]
     for i in range(len(certs)):
         for j in range(i + 1, len(certs)):
@@ -398,6 +381,16 @@ def check_pairwise_distinct(certs: Sequence[ExtensionCert]) -> None:
                 raise AssertionError(f"members {i + 1} and {j + 1} have equal samples")
             if certs[i].min_poly.coeffs[0].kterms == certs[j].min_poly.coeffs[0].kterms:
                 raise AssertionError(f"members {i + 1} and {j + 1} share a minimal polynomial")
+    # sorted by lo, the enclosures are pairwise disjoint exactly when each
+    # one's hi lies below the next one's lo
+    order = sorted((i for i, c in enumerate(certs) if c.kind == ARTIN_SCHREIER),
+                   key=lambda i: certs[i].dist.lo)
+    for i, j in zip(order, order[1:]):
+        if not certs[i].dist.hi < certs[j].dist.lo:
+            i, j = sorted((i, j))
+            raise AssertionError(
+                f"members {i + 1} and {j + 1} have overlapping distance enclosures"
+            )
 
 
 def admissible_twist(eta: Series, sample_eta: InitialSegmentSample) -> Series:
@@ -420,14 +413,15 @@ class SigmaSample(NamedTuple):
     verdict: str  # independent_consistent | dependent_evidence | unknown
 
 
-def sigma_sample(cert: ExtensionCert, budget: int) -> SigmaSample:
+def sigma_sample(cert: ExtensionCert) -> SigmaSample:
     """Sample the Galois-twist values of an Artin-Schreier extension.
 
     sigma acts by theta -> theta + 1; f ranges over the witness
-    differences theta - c and the monomials c theta^j.  In rank 1 an
-    independent defect forces the values to fill {alpha > 0}, so
-    accumulation at 0+ is consistent with independence while a certified
-    positive gap below the values is evidence of dependence.
+    differences theta - c and the monomials c theta^j, c of height 1 in
+    K's enumeration.  In rank 1 an independent defect forces the values
+    to fill {alpha > 0}, so accumulation at 0+ is consistent with
+    independence while a certified positive gap below the values is
+    evidence of dependence.
     """
     if cert.kind != ARTIN_SCHREIER:
         raise ValueError(f"sigma is sampled on Artin-Schreier extensions, not {cert.kind!r}")
@@ -444,7 +438,7 @@ def sigma_sample(cert: ExtensionCert, budget: int) -> SigmaSample:
     shifted = theta + Series.one(ctx)
     # (theta^j, (sigma theta)^j) for j = 1..p-1, shared by every c
     powers = [(theta.pow_int(j), shifted.pow_int(j)) for j in range(1, p)]
-    for c in enumerate_elements(cert.base, min(budget, 1)):
+    for c in enumerate_elements(cert.base, 1):
         if c.is_zero:
             continue
         for tj, sj in powers:

@@ -1,4 +1,5 @@
-"""Certificate files: canonical JSON serialization, atomic writes, and
+"""Certificate files: schema v1, which no other module spells (the value
+types carry no JSON), canonical serialization, atomic writes, and
 search-free re-verification.
 
 Certificates carry their witnesses, so verification re-derives every
@@ -37,8 +38,8 @@ from .artin import (
     derive_claims,
     residual_window_violations,
 )
-from .cuts import Cut, CutEnclosure, ExtRat, parse_ratio
-from .fields import FieldDesc, field_from_json, member_witness
+from .cuts import MINUS_INF, PLUS_INF, Cut, CutEnclosure, ExtRat
+from .fields import FieldDesc, member_witness, preset_field
 from .series import Polynomial, Series, SeriesContext
 
 SCHEMA_VERSION = 1
@@ -46,6 +47,9 @@ SCHEMA_VERSION = 1
 
 # schema v1 field of every session snapshot, which no program varies
 SESSION_PRECISION = "8/1"
+
+# schema v1 flags that every tail this toolkit builds has, stored as true
+_TAIL_FLAGS = ("cofinal_at_sup", "denominators_unbounded", "partials_in_field")
 
 
 class SessionConfig(NamedTuple):
@@ -80,13 +84,124 @@ class SessionConfig(NamedTuple):
         return SessionConfig(K.ctx.mode, K.ctx.p, K.ctx.m, K.ctx.D, budget)
 
 
+def _parse_ratio(s) -> Tuple[int, int]:
+    """A numerator and a positive denominator of a rational read from a file.
+
+    The form ``"n/d"`` that the writers produce (``n`` an optional minus
+    sign and ASCII digits, ``d`` positive ASCII digits) is read with int
+    operations and need not be reduced; anything else goes through
+    ``Fraction(s)``, with its value and its errors.
+    """
+    if type(s) is str and s.isascii():
+        num, _, den = s.partition("/")
+        if den.isdigit() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()):
+            d = int(den)
+            if d:
+                return int(num), d
+    f = Fraction(s)
+    return f.numerator, f.denominator
+
+
+def _parse_extrat(s: str) -> ExtRat:
+    s = s.strip()
+    if s == "+inf":
+        return PLUS_INF
+    if s == "-inf":
+        return MINUS_INF
+    return ExtRat(Fraction(*_parse_ratio(s)))
+
+
+def _cut_to_json(c: Cut) -> dict:
+    return {"bound": str(c.bound), "attained": c.attained}
+
+
+def _cut_from_json(obj: dict) -> Cut:
+    return Cut(_parse_extrat(obj["bound"]), bool(obj["attained"]))
+
+
+def _enclosure_to_json(e: CutEnclosure) -> dict:
+    return {"lo": _cut_to_json(e.lo), "hi": _cut_to_json(e.hi)}
+
+
+def _enclosure_from_json(obj: dict) -> CutEnclosure:
+    return CutEnclosure(_cut_from_json(obj["lo"]), _cut_from_json(obj["hi"]))
+
+
+def _field_to_json(K: FieldDesc) -> dict:
+    # schema v1 describes the value group by generators and stores it
+    # twice, as the group and as the support lattice
+    ctx = K.ctx
+    group = {"generators": ["1/1"], "p_divisible_closure": K.leveled}
+    if K.leveled:
+        group["p"] = ctx.p
+    return {
+        "kind": K.kind,
+        "name": K.name,
+        "ctx": {"mode": ctx.mode, "p": ctx.p, "m": ctx.m, "D": ctx.D},
+        "value_group": group,
+        "support_lattice": dict(group),
+        "leveled": K.leveled,
+        "perfect": K.perfect,
+        "complete": K.complete,
+        "level": 0,  # schema v1 field, always 0 for the preset shapes
+    }
+
+
+def field_from_json(obj: dict, where: str) -> FieldDesc:
+    """The preset a stored field description names, which the description
+    must equal key for key; ``where`` names it in the error."""
+    ctx = obj["ctx"]
+    K = preset_field(obj["name"], ctx["p"], ctx["m"], ctx["D"])
+    want = _field_to_json(K)
+    differ = sorted(k for k in want.keys() | obj.keys() if obj.get(k) != want.get(k))
+    if differ:
+        raise ValueError(
+            f"{where} differs from the preset {K.name!r} in {', '.join(differ)}"
+        )
+    return K
+
+
+def _tail_to_json(tail: TailSchema) -> dict:
+    return {
+        "sup": str(ExtRat.of(tail.sup)),
+        "low": str(ExtRat.of(tail.low)),
+        "note": tail.note,
+        **dict.fromkeys(_TAIL_FLAGS, True),
+    }
+
+
+def _tail_from_json(obj: dict) -> TailSchema:
+    for flag in _TAIL_FLAGS:
+        if obj[flag] is not True:
+            raise ValueError(f"generator_tail {flag} is {obj[flag]!r}, not True")
+    return TailSchema(
+        Fraction(*_parse_ratio(obj["sup"])), Fraction(*_parse_ratio(obj["low"])), obj["note"]
+    )
+
+
+def _claims_to_json(c: Claims) -> dict:
+    return {
+        "unique_extension": [c.unique_extension, c.unique_rule],
+        "immediate": [c.immediate, c.immediate_rule],
+        "defect": [c.defect, c.defect_rule],
+        "classification": [c.classification, c.classification_rule],
+        "bounds": [[n, v] for n, v in c.bounds],
+    }
+
+
+def _claims_from_json(obj: dict) -> Claims:
+    pairs = ("unique_extension", "immediate", "defect", "classification")
+    verdicts = [obj[k][i] for k in pairs for i in (0, 1)]
+    return Claims(*verdicts, tuple((n, v) for n, v in obj["bounds"]))
+
+
 def series_to_json(s: Series) -> dict:
     D = s.ctx.D
     terms = []
     for k, c in s.kterms:
         g = math.gcd(k, D)  # the exponent k/D as a reduced fraction
         terms.append({"exp": f"{k // g}/{D // g}", "coeff": s.ctx.field.repr_code(c)})
-    return {"mode": s.ctx.mode, "terms": terms, "precision": s.precision.to_json()}
+    return {"mode": s.ctx.mode, "terms": terms, "precision": str(s.precision)}
 
 
 def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
@@ -98,8 +213,8 @@ def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
     if obj["mode"] != ctx.mode:
         raise ValueError(f"series mode {obj['mode']!r} does not match the session")
     D = ctx.D
-    terms = [(parse_ratio(t["exp"]), ctx.field.parse_code(t["coeff"])) for t in obj["terms"]]
-    precision = ExtRat.parse(obj["precision"])
+    terms = [(_parse_ratio(t["exp"]), ctx.field.parse_code(t["coeff"])) for t in obj["terms"]]
+    precision = _parse_extrat(obj["precision"])
     if any(D % d for (_, d), _ in terms):
         return Series.make(ctx, {Fraction(n, d): c for (n, d), c in terms}, precision)
     kcap = ctx.kcap(precision)
@@ -118,9 +233,9 @@ def poly_from_json(obj: list, ctx: SeriesContext) -> Polynomial:
 def sample_to_json(s: InitialSegmentSample) -> dict:
     return {
         "realized": [
-            {"value": v.to_json(), "witness": series_to_json(w)} for v, w in s.realized
+            {"value": str(v), "witness": series_to_json(w)} for v, w in s.realized
         ],
-        "upper": s.upper.to_json(),
+        "upper": _cut_to_json(s.upper),
         "no_max": s.no_max,
         "budget": s.budget,
     }
@@ -128,25 +243,25 @@ def sample_to_json(s: InitialSegmentSample) -> dict:
 
 def sample_from_json(obj: dict, ctx: SeriesContext) -> InitialSegmentSample:
     realized = tuple(
-        (ExtRat.parse(r["value"]), series_from_json(r["witness"], ctx))
+        (_parse_extrat(r["value"]), series_from_json(r["witness"], ctx))
         for r in obj["realized"]
     )
     return InitialSegmentSample(
-        realized, Cut.from_json(obj["upper"]), obj["no_max"], obj["budget"]
+        realized, _cut_from_json(obj["upper"]), obj["no_max"], obj["budget"]
     )
 
 
 def cert_to_json(cert: ExtensionCert) -> dict:
     return {
         "kind": cert.kind,
-        "base": cert.base.to_json(),
+        "base": _field_to_json(cert.base),
         "generator": series_to_json(cert.generator),
-        "generator_tail": cert.generator_tail.to_json() if cert.generator_tail else None,
+        "generator_tail": _tail_to_json(cert.generator_tail) if cert.generator_tail else None,
         "min_poly": poly_to_json(cert.min_poly),
-        "residual_floor": cert.residual_floor.to_json(),
+        "residual_floor": str(cert.residual_floor),
         "sample": sample_to_json(cert.sample),
-        "dist": cert.dist.to_json(),
-        "claims": cert.claims.to_json(),
+        "dist": _enclosure_to_json(cert.dist),
+        "claims": _claims_to_json(cert.claims),
         "provenance": list(cert.provenance),
     }
 
@@ -160,12 +275,12 @@ def cert_from_json(obj: dict) -> ExtensionCert:
         obj["kind"],
         base,
         series_from_json(obj["generator"], ctx),
-        TailSchema.from_json(obj["generator_tail"]) if obj["generator_tail"] else None,
+        _tail_from_json(obj["generator_tail"]) if obj["generator_tail"] else None,
         poly_from_json(obj["min_poly"], ctx),
-        ExtRat.parse(obj["residual_floor"]),
+        _parse_extrat(obj["residual_floor"]),
         sample_from_json(obj["sample"], ctx),
-        CutEnclosure.from_json(obj["dist"]),
-        Claims.from_json(obj["claims"]),
+        _enclosure_from_json(obj["dist"]),
+        _claims_from_json(obj["claims"]),
         tuple(obj["provenance"]),
     )
 
@@ -173,7 +288,7 @@ def cert_from_json(obj: dict) -> ExtensionCert:
 class CertificateFile(NamedTuple):
     version: int
     config: SessionConfig
-    field: dict
+    field: FieldDesc
     certs: Tuple[ExtensionCert, ...]
     log: Tuple[str, ...]
 
@@ -181,7 +296,7 @@ class CertificateFile(NamedTuple):
         return {
             "version": self.version,
             "config": self.config.to_json(),
-            "field": self.field,
+            "field": _field_to_json(self.field),
             "certs": [cert_to_json(c) for c in self.certs],
             "log": list(self.log),
         }
@@ -190,7 +305,7 @@ class CertificateFile(NamedTuple):
 def make_certificate_file(
     K: FieldDesc, config: SessionConfig, certs, log=()
 ) -> CertificateFile:
-    return CertificateFile(SCHEMA_VERSION, config, K.to_json(), tuple(certs), tuple(log))
+    return CertificateFile(SCHEMA_VERSION, config, K, tuple(certs), tuple(log))
 
 
 def _dumps(obj) -> str:
@@ -271,14 +386,14 @@ def read_certificate_file(path: str) -> CertificateFile:
     if obj["version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {obj['version']}")
     config = SessionConfig.from_json(obj["config"])
-    field_from_json(obj["field"], "field")
+    field = field_from_json(obj["field"], "field")
     certs = []
     for i, c in enumerate(obj["certs"]):
         try:
             certs.append(cert_from_json(c))
         except ValueError as exc:
             raise ValueError(f"certs[{i}]: {exc}") from exc
-    return CertificateFile(obj["version"], config, obj["field"], tuple(certs), tuple(obj["log"]))
+    return CertificateFile(obj["version"], config, field, tuple(certs), tuple(obj["log"]))
 
 
 class VerifyReport:
@@ -306,17 +421,17 @@ def verify_certificate(cf: CertificateFile) -> VerifyReport:
     report = VerifyReport()
     config = cf.config
     session = (config.mode, config.p, config.m, config.D)
-    fctx = cf.field["ctx"]
-    if (fctx["mode"], fctx["p"], fctx["m"], fctx["D"]) != session:
+    fctx = cf.field.ctx
+    if (fctx.mode, fctx.p, fctx.m, fctx.D) != session:
         report.add("field: config-mismatch between the field and the session snapshot")
     for idx, cert in enumerate(cf.certs):
         tag = f"cert[{idx}]"
         if cert.sample.budget != config.budget:
             report.add(f"{tag}: budget-mismatch: the sample's budget is "
                        f"{cert.sample.budget}, the session's {config.budget}")
-        if cert.base.to_json() != cf.field:
+        if cert.base != cf.field:
             report.add(f"{tag}: base-mismatch: the certificate's base {cert.base.name!r} "
-                       f"differs from the file's field {cf.field['name']!r}")
+                       f"differs from the file's field {cf.field.name!r}")
         ctx = cert.base.ctx
         if (ctx.mode, ctx.p, ctx.m, ctx.D) != session:
             report.add(f"{tag}: config-mismatch between the field and the session snapshot")
@@ -382,7 +497,7 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     try:
         dist = distance(cert.sample, tail)
         if dist != cert.dist:
-            report.add(f"{tag}: distance enclosure differs: {dist.to_json()} vs stored")
+            report.add(f"{tag}: distance enclosure differs: {_enclosure_to_json(dist)} vs stored")
     except ValueError as exc:
         report.add(f"{tag}: distance re-derivation failed: {exc}")
 

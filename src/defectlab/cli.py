@@ -188,7 +188,7 @@ def cmd_sigma(args) -> int:
         return EX_USAGE
     b = Series.monomial(K.ctx, -1)
     cert = as_extension(b, K, args.budget)
-    sig = sigma_sample(cert, args.budget)
+    sig = sigma_sample(cert)
     vals = ", ".join(str(v) for v, _ in sig.values)
     print(f"extension: X^{K.ctx.p} - X - t^(-1) over {K.name}")
     print(f"sigma values: {vals}")

@@ -11,7 +11,7 @@ inclusion of lower sets, which makes the order total.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple, Union
+from typing import Iterable, Optional, Union
 
 
 RatLike = Union[int, Fraction, "ExtRat"]
@@ -19,24 +19,6 @@ RatLike = Union[int, Fraction, "ExtRat"]
 
 class InfinityArithmeticError(ArithmeticError):
     """Raised on undefined expressions such as (+inf) + (-inf)."""
-
-
-def parse_ratio(s) -> Tuple[int, int]:
-    """A numerator and a positive denominator of a rational read from a file.
-
-    The form ``"n/d"`` that the writers produce (``n`` an optional minus
-    sign and ASCII digits, ``d`` positive ASCII digits) is read with int
-    operations and need not be reduced; anything else goes through
-    ``Fraction(s)``, with its value and its errors.
-    """
-    if type(s) is str and s.isascii():
-        num, _, den = s.partition("/")
-        if den.isdigit() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()):
-            d = int(den)
-            if d:
-                return int(num), d
-    f = Fraction(s)
-    return f.numerator, f.denominator
 
 
 class ExtRat:
@@ -162,18 +144,6 @@ class ExtRat:
     def __repr__(self) -> str:
         return f"ExtRat({self})"
 
-    def to_json(self) -> str:
-        return str(self)
-
-    @staticmethod
-    def parse(s: str) -> "ExtRat":
-        s = s.strip()
-        if s == "+inf":
-            return PLUS_INF
-        if s == "-inf":
-            return MINUS_INF
-        return ExtRat(Fraction(*parse_ratio(s)))
-
 
 PLUS_INF = ExtRat(None, 1)
 MINUS_INF = ExtRat(None, -1)
@@ -222,13 +192,6 @@ class Cut:
     def __str__(self) -> str:
         mark = "+" if self.attained else "-"
         return f"{self.bound}{mark}"
-
-    def to_json(self) -> dict:
-        return {"bound": self.bound.to_json(), "attained": self.attained}
-
-    @staticmethod
-    def from_json(obj: dict) -> "Cut":
-        return Cut(ExtRat.parse(obj["bound"]), bool(obj["attained"]))
 
 
 def segment_affine(s: Cut, n: int, alpha: RatLike) -> Cut:
@@ -286,10 +249,3 @@ class CutEnclosure:
     @property
     def is_exact(self) -> bool:
         return self.lo == self.hi
-
-    def to_json(self) -> dict:
-        return {"lo": self.lo.to_json(), "hi": self.hi.to_json()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "CutEnclosure":
-        return CutEnclosure(Cut.from_json(obj["lo"]), Cut.from_json(obj["hi"]))

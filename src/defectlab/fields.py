@@ -76,44 +76,12 @@ class FieldDesc:
     def __hash__(self):
         return hash((self.name, self.ctx))
 
-    def to_json(self) -> dict:
-        # schema v1 describes the value group by generators and stores it
-        # twice, as the group and as the support lattice
-        group = {"generators": ["1/1"], "p_divisible_closure": self.leveled}
-        if self.leveled:
-            group["p"] = self.ctx.p
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "ctx": self.ctx.to_json(),
-            "value_group": group,
-            "support_lattice": dict(group),
-            "leveled": self.leveled,
-            "perfect": self.perfect,
-            "complete": self.complete,
-            "level": 0,  # schema v1 field, always 0 for the preset shapes
-        }
-
 
 def preset_field(name: str, p: int, m: int = 1, D: Optional[int] = None) -> FieldDesc:
     """One of the built-in laboratory fields, by preset name."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     return FieldDesc(name, make_context(PRESETS[name][1], p, m, D))
-
-
-def field_from_json(obj: dict, where: str) -> FieldDesc:
-    """The preset a stored field description names, which the description
-    must equal key for key; ``where`` names it in the error."""
-    ctx = obj["ctx"]
-    K = preset_field(obj["name"], ctx["p"], ctx["m"], ctx["D"])
-    want = K.to_json()
-    differ = sorted(k for k in want.keys() | obj.keys() if obj.get(k) != want.get(k))
-    if differ:
-        raise ValueError(
-            f"{where} differs from the preset {K.name!r} in {', '.join(differ)}"
-        )
-    return K
 
 
 # --------------------------------------------------------------------------

@@ -120,15 +120,15 @@ def transform_mixed(
     root's distance v(root - eta) lies above the sample; a failed check
     raises ``AssertionError``.
 
-    ``sample`` is the sample of v(eta - K), ``tail`` the tail of eta and
-    ``neg_eta_p`` is -eta^p, the constant coefficient, which a family
-    computes once for all of its members.
+    ``eta`` must be a 1-unit, which the caller checks once for all
+    members (``kummer_family`` does); ``sample`` is the sample of
+    v(eta - K), ``tail`` the tail of eta and ``neg_eta_p`` is -eta^p, the
+    constant coefficient, which a family computes once for all of its
+    members.
     """
     ctx = eta.ctx
     _require_mixed(ctx)
     p = ctx.p
-    if not is_one_unit(eta):
-        raise ValueError("eta must be a 1-unit")
     if not member_witness(K, d) or d.is_zero:
         raise ValueError("d must be a nonzero element of K")
     vd = d.valuation().fraction

@@ -117,9 +117,6 @@ class SeriesContext:
         """The value k/D of a grid index; ``PLUS_INF`` for ``math.inf``."""
         return PLUS_INF if k == math.inf else ExtRat(Fraction(k, self.D))
 
-    def to_json(self) -> dict:
-        return {"mode": self.mode, "p": self.p, "m": self.m, "D": self.D}
-
 
 def grid_bound(mode: str, p: int, depth: int) -> int:
     """The bound D of a session that refines exponents to 1/p^depth: p^depth,

@@ -277,7 +277,7 @@ def test_c07_classical_defect_extension():
         assert cert.sample.no_max == "proved"
         assert cert.claims.defect == p
         assert cert.claims.defect_rule == "uniqextv"
-        sig = sigma_sample(cert, 2)
+        sig = sigma_sample(cert)
         vals = {v.fraction for v, _ in sig.values if v.is_finite}
         assert {q(1, p ** k) for k in range(1, 5)} <= vals
         assert sig.verdict == "independent_consistent"

@@ -288,7 +288,7 @@ class TestClassicalDefectExtension:
         p = K.ctx.p
         b = Series.monomial(K.ctx, -1)
         cert = as_extension(b, K, 3 if p == 2 else 2)
-        sig = sigma_sample(cert, 2)
+        sig = sigma_sample(cert)
         vals = {v.fraction for v, _ in sig.values if v.is_finite}
         assert {q(1, p), q(1, p ** 2), q(1, p ** 3)} <= vals
         assert all(v > ExtRat.of(0) for v, _ in sig.values)

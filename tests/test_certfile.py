@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectlab.approx import value_set
-from defectlab.artin import as_extension, as_family
+from defectlab.artin import as_extension, as_family, as_generator_transform
 from defectlab.certfile import (
     SessionConfig,
+    _field_to_json,
+    _parse_extrat,
     cert_from_json,
     cert_to_json,
     make_certificate_file,
@@ -22,7 +24,7 @@ from defectlab.cli import main
 from defectlab.cuts import MINUS_INF, PLUS_INF, ExtRat
 from defectlab.fields import preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
-from defectlab.series import EQUAL, MIXED, Series, make_context
+from defectlab.series import EQUAL, MIXED, Polynomial, Series, make_context
 
 
 def q(n, d=1):
@@ -252,6 +254,35 @@ def test_duplicated_family_member_named_diff(tmp_path, capsys, family):
     assert "  family: members 1 and 2 have equal samples" in capsys.readouterr().out
 
 
+def test_forged_artin_schreier_member_named_diff(tmp_path, capsys):
+    # theta + t is another generator of member 1's extension: it is a root
+    # of X^2 - X - (b + t^2 - t), and theta + t - (w + t) = theta - w keeps
+    # every witness.  With the value -1 dropped, the copy shares neither
+    # the sample nor the minimal polynomial of member 1; only the
+    # invariant dist(theta, K) shows that it is the same extension.
+    path = tmp_path / "fam.json"
+    argv = ["asfamily", "--base", "fp_t", "--p", "2", "--n", "3", "--budget", "3"]
+    assert main(argv + ["--out", str(path)]) == 0
+    cf = read_certificate_file(str(path))
+    cert = cf.certs[0]
+    t = Series.monomial(cert.base.ctx, 1)
+    coeffs = cert.min_poly.coeffs
+    realized = tuple((v, w + t) for v, w in cert.sample.realized if v != ExtRat.of(-1))
+    assert len(realized) < len(cert.sample.realized)
+    forged = cert._replace(
+        generator=as_generator_transform(cert.generator, 1, t),
+        min_poly=Polynomial.make((coeffs[0] - (t * t - t),) + coeffs[1:]),
+        sample=cert.sample._replace(realized=realized),
+    )
+    write_certificate_file(str(path), cf._replace(certs=cf.certs + (forged,)))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == [
+        "  family: members 1 and 4 have overlapping distance enclosures"
+    ], out
+
+
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
@@ -392,7 +423,7 @@ def test_session_budget_checked_against_samples(tmp_path, capsys):
 
 def test_base_checked_against_the_field(tmp_path, capsys):
     obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
-    obj["field"] = preset_field("laurent", 2).to_json()
+    obj["field"] = _field_to_json(preset_field("laurent", 2))
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(obj))
     assert main(["verify", str(path)]) == 2
@@ -523,4 +554,4 @@ def test_series_from_json_matches_fraction_reader(case):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_ratio(2 ** 8), st.sampled_from(["+inf", "-inf", " -inf", "inf", "+inf/1"])))
 def test_extrat_parse_matches_fraction_reader(s):
-    assert _outcome(ExtRat.parse, s) == _outcome(_oracle_extrat_parse, s)
+    assert _outcome(_parse_extrat, s) == _outcome(_oracle_extrat_parse, s)
