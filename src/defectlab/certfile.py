@@ -73,37 +73,53 @@ class SessionConfig(NamedTuple):
 
     @staticmethod
     def from_json(obj: dict) -> "SessionConfig":
-        if obj["precision"] != SESSION_PRECISION:
-            raise ValueError(
-                f"config precision is {obj['precision']!r}, not {SESSION_PRECISION!r}"
-            )
-        return SessionConfig(obj["mode"], obj["p"], obj["m"], obj["D"], obj["budget"])
+        D, budget, m, mode, p, precision = _read(obj, "config", {
+            "D": int, "budget": int, "m": int, "mode": str, "p": int, "precision": str})
+        if precision != SESSION_PRECISION:
+            raise ValueError(f"config precision is {precision!r}, not {SESSION_PRECISION!r}")
+        return SessionConfig(mode, p, m, D, budget)
 
     @staticmethod
     def for_field(K: FieldDesc, budget: int) -> "SessionConfig":
         return SessionConfig(K.ctx.mode, K.ctx.p, K.ctx.m, K.ctx.D, budget)
 
 
-def _parse_ratio(s) -> Tuple[int, int]:
-    """A numerator and a positive denominator of a rational read from a file.
+def _read(obj, record: str, spec: dict) -> list:
+    """The values of ``obj``, one ``record`` of the file, in the order of ``spec``: a
+    JSON object with exactly the keys of ``spec``, each value of the type (or in the
+    tuple of types) named for its key, so that 1, 1.0 and true differ."""
+    if type(obj) is not dict:
+        raise ValueError(f"{record} {obj!r} is not an object")
+    values = []
+    try:
+        if len(obj) != len(spec):
+            raise KeyError  # another key set, as a missing key is
+        for key, t in spec.items():
+            v = obj[key]
+            if type(v) is not t and (type(t) is not tuple or type(v) not in t):
+                raise ValueError(f"{record} {key} {v!r} is not of the writer's type")
+            values.append(v)
+    except KeyError:
+        raise ValueError(
+            f"{record} keys differ from the writer's in {sorted(obj.keys() ^ spec)}") from None
+    return values
 
-    The form ``"n/d"`` that the writers produce (``n`` an optional minus
-    sign and ASCII digits, ``d`` positive ASCII digits) is read with int
-    operations and need not be reduced; anything else goes through
-    ``Fraction(s)``, with its value and its errors.
-    """
+
+def _parse_ratio(s) -> Tuple[int, int]:
+    """The numerator and denominator of a rational as ``str(Fraction)``
+    writes it: ``"n/d"`` reduced, ``d >= 1``, no sign but a leading minus,
+    no leading zeros, and ``"0/1"`` for zero."""
     if type(s) is str and s.isascii():
         num, _, den = s.partition("/")
         if den.isdigit() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()):
-            d = int(den)
-            if d:
-                return int(num), d
-    f = Fraction(s)
-    return f.numerator, f.denominator
+            n, d = int(num), int(den)
+            # no leading zero (num[n < 0] is the first digit of |n|), and zero only as 0/1
+            if den[0] != "0" and (num[n < 0] != "0" if n else s == "0/1") and math.gcd(n, d) == 1:
+                return n, d
+    raise ValueError(f"{s!r} is not a reduced ratio n/d as the writer writes it")
 
 
 def _parse_extrat(s: str) -> ExtRat:
-    s = s.strip()
     if s == "+inf":
         return PLUS_INF
     if s == "-inf":
@@ -116,15 +132,12 @@ def _cut_to_json(c: Cut) -> dict:
 
 
 def _cut_from_json(obj: dict) -> Cut:
-    return Cut(_parse_extrat(obj["bound"]), bool(obj["attained"]))
+    attained, bound = _read(obj, "cut", {"attained": bool, "bound": str})
+    return Cut(_parse_extrat(bound), attained)
 
 
 def _enclosure_to_json(e: CutEnclosure) -> dict:
     return {"lo": _cut_to_json(e.lo), "hi": _cut_to_json(e.hi)}
-
-
-def _enclosure_from_json(obj: dict) -> CutEnclosure:
-    return CutEnclosure(_cut_from_json(obj["lo"]), _cut_from_json(obj["hi"]))
 
 
 def _field_to_json(K: FieldDesc) -> dict:
@@ -149,15 +162,16 @@ def _field_to_json(K: FieldDesc) -> dict:
 
 def field_from_json(obj: dict, where: str) -> FieldDesc:
     """The preset a stored field description names, which the description
-    must equal key for key; ``where`` names it in the error."""
-    ctx = obj["ctx"]
-    K = preset_field(obj["name"], ctx["p"], ctx["m"], ctx["D"])
+    must equal key for key, type for type; ``where`` names it in the error."""
+    _, p, m, D = _read(obj.get("ctx"), f"{where} ctx", {"mode": str, "p": int, "m": int, "D": int})
+    K = preset_field(str(obj.get("name")), p, m, D)  # a name that is no string names no preset
     want = _field_to_json(K)
-    differ = sorted(k for k in want.keys() | obj.keys() if obj.get(k) != want.get(k))
+    # 0 == 0.0 == False, so types are compared too, one level into the writer's dicts
+    differ = sorted(k for k in want.keys() | obj.keys() if obj.get(k) != want.get(k)
+                    or type(obj[k]) is not type(want[k]) or type(want[k]) is dict
+                    and any(type(x) is not type(want[k][j]) for j, x in obj[k].items()))
     if differ:
-        raise ValueError(
-            f"{where} differs from the preset {K.name!r} in {', '.join(differ)}"
-        )
+        raise ValueError(f"{where} differs from the preset {K.name!r} in {', '.join(differ)}")
     return K
 
 
@@ -171,12 +185,13 @@ def _tail_to_json(tail: TailSchema) -> dict:
 
 
 def _tail_from_json(obj: dict) -> TailSchema:
-    for flag in _TAIL_FLAGS:
-        if obj[flag] is not True:
-            raise ValueError(f"generator_tail {flag} is {obj[flag]!r}, not True")
-    return TailSchema(
-        Fraction(*_parse_ratio(obj["sup"])), Fraction(*_parse_ratio(obj["low"])), obj["note"]
-    )
+    *flags, low, note, sup = _read(obj, "generator_tail", {
+        "cofinal_at_sup": bool, "denominators_unbounded": bool, "partials_in_field": bool,
+        "low": str, "note": str, "sup": str})
+    for flag, value in zip(_TAIL_FLAGS, flags):
+        if value is not True:
+            raise ValueError(f"generator_tail {flag} is {value!r}, not True")
+    return TailSchema(Fraction(*_parse_ratio(sup)), Fraction(*_parse_ratio(low)), note)
 
 
 def _claims_to_json(c: Claims) -> dict:
@@ -190,9 +205,15 @@ def _claims_to_json(c: Claims) -> dict:
 
 
 def _claims_from_json(obj: dict) -> Claims:
-    pairs = ("unique_extension", "immediate", "defect", "classification")
-    verdicts = [obj[k][i] for k in pairs for i in (0, 1)]
-    return Claims(*verdicts, tuple((n, v) for n, v in obj["bounds"]))
+    *pairs, bounds = _read(obj, "claims", {
+        "unique_extension": list, "immediate": list, "defect": list, "classification": list,
+        "bounds": list})
+    for i, pair in enumerate(pairs + bounds):  # only the defect verdict is an int or null
+        first = (int, type(None)) if i == 2 else (str,)
+        if type(pair) is not list or len(pair) != 2 or type(pair[0]) not in first \
+                or type(pair[1]) is not str:
+            raise ValueError(f"claims pair {pair!r} is not a pair the writer writes")
+    return Claims(*pairs[0], *pairs[1], *pairs[2], *pairs[3], tuple(map(tuple, bounds)))
 
 
 def series_to_json(s: Series) -> dict:
@@ -206,20 +227,29 @@ def series_to_json(s: Series) -> dict:
 
 def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
     """The series of a stored object, read on the grid: each exponent n/d
-    is the index k = n*(D/d), a repeated exponent keeps its last code, and
-    zero codes and indices at or beyond the precision are dropped.  An
-    exponent off the grid sends the whole series through ``Series.make``,
-    which drops it at or beyond the precision and refuses it below."""
-    if obj["mode"] != ctx.mode:
-        raise ValueError(f"series mode {obj['mode']!r} does not match the session")
-    D = ctx.D
-    terms = [(_parse_ratio(t["exp"]), ctx.field.parse_code(t["coeff"])) for t in obj["terms"]]
-    precision = _parse_extrat(obj["precision"])
-    if any(D % d for (_, d), _ in terms):
-        return Series.make(ctx, {Fraction(n, d): c for (n, d), c in terms}, precision)
-    kcap = ctx.kcap(precision)
-    kcodes = {n * (D // d): c for (n, d), c in terms}
-    return Series(ctx, tuple(sorted((k, c) for k, c in kcodes.items() if c and k < kcap)), precision)
+    is the index k = n*(D/d), above the one before it and below the
+    precision, and each coefficient a nonzero code as ``repr_code`` writes it."""
+    mode, prec, terms = _read(obj, "series", {"mode": str, "precision": str, "terms": list})
+    if mode != ctx.mode:
+        raise ValueError(f"series mode {mode!r} does not match the session")
+    F, D, precision = ctx.field, ctx.D, _parse_extrat(prec)
+    p, m, kcap, k, kterms = F.p, F.m, ctx.kcap(precision), -math.inf, []
+    ctype = int if m == 1 else list
+    for t in terms:  # _read's check, inline: a call per term costs 3% of a verify job
+        if type(t) is not dict or len(t) != 2 or type(t.get("exp")) is not str \
+                or type(t.get("coeff")) is not ctype:
+            _read(t, "series term", {"coeff": ctype, "exp": str})  # refuses, naming why
+        coeff, exp = t["coeff"], t["exp"]
+        n, d = _parse_ratio(exp)
+        last, k = k, n * (D // d)
+        if D % d or not last < k < kcap:
+            raise ValueError(f"series exponent {exp!r} is off the grid, not above the one "
+                             f"before it, or not below the precision {prec}")
+        if not (0 < coeff < p if m == 1 else len(coeff) == m and any(coeff)
+                and all(type(c) is int and 0 <= c < p for c in coeff)):
+            raise ValueError(f"series code {coeff!r} at {exp!r} is zero or not the writer's form")
+        kterms.append((k, coeff if m == 1 else F.parse_code(coeff)))  # 0 < coeff < p: its own code
+    return Series(ctx, tuple(kterms), precision)
 
 
 def poly_to_json(f: Polynomial) -> list:
@@ -227,7 +257,10 @@ def poly_to_json(f: Polynomial) -> list:
 
 
 def poly_from_json(obj: list, ctx: SeriesContext) -> Polynomial:
-    return Polynomial.make(tuple(series_from_json(c, ctx) for c in obj))
+    f = Polynomial.make(tuple(series_from_json(c, ctx) for c in obj))
+    if not obj or len(f.coeffs) != len(obj):
+        raise ValueError(f"min_poly of {len(obj)} coefficients is empty or ends in a zero one")
+    return f
 
 
 def sample_to_json(s: InitialSegmentSample) -> dict:
@@ -242,13 +275,13 @@ def sample_to_json(s: InitialSegmentSample) -> dict:
 
 
 def sample_from_json(obj: dict, ctx: SeriesContext) -> InitialSegmentSample:
-    realized = tuple(
-        (_parse_extrat(r["value"]), series_from_json(r["witness"], ctx))
-        for r in obj["realized"]
-    )
-    return InitialSegmentSample(
-        realized, _cut_from_json(obj["upper"]), obj["no_max"], obj["budget"]
-    )
+    budget, no_max, realized, upper = _read(obj, "sample", {
+        "budget": int, "no_max": str, "realized": list, "upper": dict})
+    entries = []
+    for r in realized:
+        value, witness = _read(r, "realized entry", {"value": str, "witness": dict})
+        entries.append((_parse_extrat(value), series_from_json(witness, ctx)))
+    return InitialSegmentSample(tuple(entries), _cut_from_json(upper), no_max, budget)
 
 
 def cert_to_json(cert: ExtensionCert) -> dict:
@@ -267,21 +300,21 @@ def cert_to_json(cert: ExtensionCert) -> dict:
 
 
 def cert_from_json(obj: dict) -> ExtensionCert:
-    if obj["kind"] not in (ARTIN_SCHREIER, KUMMER):
-        raise ValueError(f"kind {obj['kind']!r} is neither {ARTIN_SCHREIER!r} nor {KUMMER!r}")
-    base = field_from_json(obj["base"], "base")
+    kind, base, gen, tail, min_poly, floor, sample, dist, claims, provenance = _read(obj, "cert", {
+        "kind": str, "base": dict, "generator": dict, "generator_tail": (dict, type(None)),
+        "min_poly": list, "residual_floor": str, "sample": dict, "dist": dict, "claims": dict,
+        "provenance": list})
+    if kind not in (ARTIN_SCHREIER, KUMMER):
+        raise ValueError(f"kind {kind!r} is neither {ARTIN_SCHREIER!r} nor {KUMMER!r}")
+    if any(type(s) is not str for s in provenance):
+        raise ValueError(f"cert provenance {provenance!r} is not a list of strings")
+    base = field_from_json(base, "base")
     ctx = base.ctx
     return ExtensionCert(
-        obj["kind"],
-        base,
-        series_from_json(obj["generator"], ctx),
-        _tail_from_json(obj["generator_tail"]) if obj["generator_tail"] else None,
-        poly_from_json(obj["min_poly"], ctx),
-        _parse_extrat(obj["residual_floor"]),
-        sample_from_json(obj["sample"], ctx),
-        _enclosure_from_json(obj["dist"]),
-        _claims_from_json(obj["claims"]),
-        tuple(obj["provenance"]),
+        kind, base, series_from_json(gen, ctx), None if tail is None else _tail_from_json(tail),
+        poly_from_json(min_poly, ctx), _parse_extrat(floor), sample_from_json(sample, ctx),
+        CutEnclosure(*map(_cut_from_json, _read(dist, "enclosure", {"lo": dict, "hi": dict}))),
+        _claims_from_json(claims), tuple(provenance),
     )
 
 
@@ -383,17 +416,21 @@ def write_certificate_file(path: str, cf: CertificateFile) -> None:
 def read_certificate_file(path: str) -> CertificateFile:
     with open(path) as fh:
         obj = json.load(fh)
-    if obj["version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {obj['version']}")
-    config = SessionConfig.from_json(obj["config"])
-    field = field_from_json(obj["field"], "field")
+    stored, config, field, log, version = _read(obj, "file", {
+        "certs": list, "config": dict, "field": dict, "log": list, "version": int})
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {version}")
+    if any(type(s) is not str for s in log):
+        raise ValueError(f"file log {log!r} is not a list of strings")
+    config = SessionConfig.from_json(config)
+    field = field_from_json(field, "field")
     certs = []
-    for i, c in enumerate(obj["certs"]):
+    for i, c in enumerate(stored):
         try:
             certs.append(cert_from_json(c))
         except ValueError as exc:
             raise ValueError(f"certs[{i}]: {exc}") from exc
-    return CertificateFile(obj["version"], config, field, tuple(certs), tuple(obj["log"]))
+    return CertificateFile(version, config, field, tuple(certs), tuple(log))
 
 
 class VerifyReport:

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -439,9 +442,32 @@ def _unknown_kind(obj):
     obj["certs"][0]["kind"] = "foo"
 
 
-def _rename_to_pdiv_tower(obj):
-    for desc in [obj["field"]] + [c["base"] for c in obj["certs"]]:
-        desc["name"] = "pdiv_tower"
+def _every_field(key, value):
+    def forge(obj):
+        for desc in [obj["field"]] + [c["base"] for c in obj["certs"]]:
+            desc[key] = value
+    return forge
+
+
+def _get(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _edit(path, change):
+    """A forgery that applies ``change`` to the container at the dotted ``path``."""
+    keys = [int(key) if key.isdigit() else key for key in filter(None, path.split("."))]
+    return lambda obj: change(_get(obj, keys))
+
+
+def _bound(spelling):
+    return _edit("certs.0.dist.hi", lambda cut: cut.update(bound=spelling))
+
+
+_GENERATOR = "certs.0.generator.terms"
+_OUT_OF_ORDER = ("certs[0]: series exponent {!r} is off the grid, not above the one before it, "
+                 "or not below the precision 17/2")
 
 
 def _perfect_base(obj):
@@ -461,8 +487,8 @@ def _config_precision(obj):
 @pytest.mark.parametrize(
     "forge, message",
     [
-        (_rename_to_pdiv_tower, "field differs from the preset 'pdiv_tower' in "
-                                "kind, leveled, perfect, support_lattice, value_group"),
+        (_every_field("name", "pdiv_tower"), "field differs from the preset 'pdiv_tower' in "
+                                             "kind, leveled, perfect, support_lattice, value_group"),
         (_perfect_base, "certs[0]: base differs from the preset 'fp_t' in perfect"),
         (_tail_flag_false("cofinal_at_sup"),
          "certs[0]: generator_tail cofinal_at_sup is False, not True"),
@@ -472,9 +498,48 @@ def _config_precision(obj):
          "certs[0]: generator_tail partials_in_field is False, not True"),
         (_config_precision, "config precision is '16/1', not '8/1'"),
         (_unknown_kind, "certs[0]: kind 'foo' is neither 'artin_schreier' nor 'kummer'"),
+        # the same values, spelled as no writer spells them
+        (_every_field("level", 0.0), "field differs from the preset 'fp_t' in level"),
+        (_every_field("leveled", 0), "field differs from the preset 'fp_t' in leveled"),
+        (_bound("-2/4"), "certs[0]: '-2/4' is not a reduced ratio n/d as the writer writes it"),
+        (_bound(" -1/2 "), "certs[0]: ' -1/2 ' is not a reduced ratio n/d as the writer writes it"),
+        (_bound("-0.5"), "certs[0]: '-0.5' is not a reduced ratio n/d as the writer writes it"),
+        (_bound("-5.000000e-01"),
+         "certs[0]: '-5.000000e-01' is not a reduced ratio n/d as the writer writes it"),
+        (_edit("certs.0.dist.hi", lambda cut: cut.update(attained=1)),
+         "certs[0]: cut attained 1 is not of the writer's type"),
+        (_edit(_GENERATOR, lambda terms: terms.insert(1, dict(terms[0]))),
+         _OUT_OF_ORDER.format("-1/2")),
+        (_edit(_GENERATOR, lambda terms: terms.append({"coeff": 0, "exp": "1/1"})),
+         "certs[0]: series code 0 at '1/1' is zero or not the writer's form"),
+        (_edit(_GENERATOR, lambda terms: terms.append({"coeff": 1, "exp": "9/1"})),
+         _OUT_OF_ORDER.format("9/1")),
+        (_edit(_GENERATOR, list.reverse), _OUT_OF_ORDER.format("-1/128")),
+        (_edit(_GENERATOR + ".0", lambda term: term.update(coeff=3)),
+         "certs[0]: series code 3 at '-1/2' is zero or not the writer's form"),
+        (_edit(_GENERATOR + ".0", lambda term: term.update(coeff=True)),
+         "certs[0]: series term coeff True is not of the writer's type"),
+        (_edit("certs.0.min_poly",
+               lambda f: f.append({"mode": "equal", "precision": "+inf", "terms": []})),
+         "certs[0]: min_poly of 4 coefficients is empty or ends in a zero one"),
+        (_edit("", lambda obj: obj.update(version=1.0)),
+         "file version 1.0 is not of the writer's type"),
+        (_edit("config", lambda config: config.update(budget=2.0)),
+         "config budget 2.0 is not of the writer's type"),
+        (_edit("certs.0", lambda cert: cert.update(note="")),
+         "certs[0]: cert keys differ from the writer's in ['note']"),
+        (_edit("certs.0.claims", lambda claims: claims.update(note="")),
+         "certs[0]: claims keys differ from the writer's in ['note']"),
+        (_edit("certs.0.claims.immediate", lambda pair: pair.append("ramified")),
+         "certs[0]: claims pair ['refuted', 'ramified', 'ramified'] is not a pair the writer writes"),
     ],
     ids=["renamed-field", "perfect-base", "tail-cofinal", "tail-denominators",
-         "tail-partials", "config-precision", "unknown-kind"],
+         "tail-partials", "config-precision", "unknown-kind",
+         "level-float", "leveled-int", "bound-unreduced", "bound-padded", "bound-decimal",
+         "bound-exponent", "attained-int", "term-duplicated", "term-zero-code",
+         "term-beyond-precision", "terms-reversed", "coeff-plus-p", "coeff-bool",
+         "min-poly-trailing-zero", "version-float", "budget-float", "cert-extra-key",
+         "claims-extra-key", "pair-of-three"],
 )
 def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message):
     obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
@@ -485,6 +550,110 @@ def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"cannot load certificate file: {message}\n"
+
+
+# --- value-preserving respellings of one leaf of a writer's file ----------
+
+UNTAMPERED = sorted(p.name for p in CORPUS.glob("*.json") if not p.name.startswith("tampered-"))
+RATIO = re.compile(r"-?[0-9]+/[0-9]+|[+-]inf")
+
+
+def _nodes(obj, path=()):
+    """Every (path, value) of a JSON tree, containers and leaves."""
+    yield path, obj
+    items = obj.items() if type(obj) is dict else enumerate(obj) if type(obj) is list else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _ratio_respellings(s):
+    if s.endswith("inf"):
+        return [f" {s}", f"{s} "]
+    f = Fraction(s)
+    n, d = f.numerator, f.denominator
+    spellings = [f"{2 * n}/{2 * d}", f" {s}", f"{s} ", f"{'-' if n < 0 else ''}0{abs(n)}/{d}",
+                 f"{n}/0{d}"]
+    if n >= 0:
+        spellings.append(f"+{s}")
+    if Fraction(repr(n / d)) == f:  # a float spelling of the same value
+        spellings.append(repr(n / d))
+    return spellings
+
+
+@st.composite
+def _respelled(draw):
+    """An untampered corpus file with one leaf respelled or retyped, or one
+    container grown, keeping every value; and the strings of which the
+    refusal must name one: the key, or the stored value as ``repr`` quotes it."""
+    name = draw(st.sampled_from(UNTAMPERED))
+    obj = json.loads((CORPUS / name).read_text())
+    nodes = list(_nodes(obj))
+
+    def field_key(path):  # a field description is refused by its top-level key
+        return [path[i + 1] for i in range(len(path) - 1) if path[i] in ("field", "base")][:1]
+
+    kinds = ["ratio", "int", "bool", "extra-key"]
+    if obj["certs"]:
+        kinds += ["duplicated-term", "reversed-terms", "zero-term", "min-poly-zero",
+                  "pair-of-three"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ratio":  # claims bounds are cut names, stored and never read as ratios
+        cands = [(p, v) for p, v in nodes if type(v) is str and RATIO.fullmatch(v)
+                 and "bounds" not in p]
+        path, value = draw(st.sampled_from(cands))
+        new = draw(st.sampled_from(_ratio_respellings(value)))
+    elif kind == "int":
+        path, value = draw(st.sampled_from([(p, v) for p, v in nodes if type(v) is int]))
+        new = draw(st.sampled_from([float(value)] + ([bool(value)] if value in (0, 1) else [])))
+    elif kind == "bool":
+        path, value = draw(st.sampled_from([(p, v) for p, v in nodes if type(v) is bool]))
+        new = int(value)
+    if kind in ("ratio", "int", "bool"):
+        _get(obj, path[:-1])[path[-1]] = new
+        keys = [k for k in path if type(k) is str][-1:] + field_key(path)
+        return obj, keys + [repr(new)]
+    if kind == "extra-key":
+        path = draw(st.sampled_from([p for p, v in nodes if type(v) is dict]))
+        _get(obj, path)["extra"] = 0
+        return obj, ["extra"] + field_key(path)
+    if kind == "min-poly-zero":
+        cert = draw(st.sampled_from(obj["certs"]))
+        cert["min_poly"].append({"mode": cert["generator"]["mode"], "precision": "+inf",
+                                 "terms": []})
+        return obj, ["min_poly"]
+    if kind == "pair-of-three":
+        claims = draw(st.sampled_from(obj["certs"]))["claims"]
+        pair = claims[draw(st.sampled_from(["unique_extension", "immediate", "defect",
+                                            "classification"]))]
+        pair.append(pair[1])
+        return obj, [repr(pair)]
+    terms = draw(st.sampled_from([v for p, v in nodes if p[-1:] == ("terms",) and len(v) >= 2]))
+    if kind == "duplicated-term":
+        i = draw(st.integers(0, len(terms) - 1))
+        terms.insert(i + 1, dict(terms[i]))
+        return obj, [repr(terms[i]["exp"])]
+    if kind == "reversed-terms":
+        terms.reverse()
+        return obj, [repr(terms[1]["exp"])]
+    exps = {t["exp"] for t in terms}
+    exp = next(f"{k}/1" for k in range(-5, 10) if f"{k}/1" not in exps)
+    zero = 0 if type(terms[0]["coeff"]) is int else [0] * len(terms[0]["coeff"])
+    terms.insert(draw(st.integers(0, len(terms))), {"coeff": zero, "exp": exp})
+    return obj, [repr(exp)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_respelled())
+def test_no_respelling_verifies(tmp_path_factory, case):
+    obj, names = case
+    path = tmp_path_factory.mktemp("respelled") / "respelled.json"
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["verify", str(path)]) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("cannot load certificate file: "), err.getvalue()
+    assert any(n in err.getvalue() for n in names), (names, err.getvalue())
 
 
 # --- the reader against the string-parsing reader it replaced -------------
@@ -544,14 +713,30 @@ def _stored_series(draw):
     return ctx, {"mode": mode, "terms": terms, "precision": prec}
 
 
+# On the writer's spellings the reader gives what the Fraction reader gives;
+# every other input is refused with a ValueError that quotes a stored value.
+
+
 @settings(max_examples=400, deadline=None)
 @given(_stored_series())
 def test_series_from_json_matches_fraction_reader(case):
     ctx, obj = case
-    assert _outcome(series_from_json, obj, ctx) == _outcome(_oracle_series_from_json, obj, ctx)
+    want = _outcome(_oracle_series_from_json, obj, ctx)
+    if want[0] == "series" and series_to_json(_oracle_series_from_json(obj, ctx)) == obj:
+        assert _outcome(series_from_json, obj, ctx) == want
+        return
+    with pytest.raises(ValueError) as exc:
+        series_from_json(obj, ctx)
+    leaves = [obj["mode"], obj["precision"]] + [v for t in obj["terms"] for v in t.values()]
+    assert any(repr(v) in str(exc.value) for v in leaves), (obj, str(exc.value))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_ratio(2 ** 8), st.sampled_from(["+inf", "-inf", " -inf", "inf", "+inf/1"])))
 def test_extrat_parse_matches_fraction_reader(s):
-    assert _outcome(_parse_extrat, s) == _outcome(_oracle_extrat_parse, s)
+    want = _outcome(_oracle_extrat_parse, s)
+    if want == ("value", s):
+        assert _outcome(_parse_extrat, s) == want
+        return
+    with pytest.raises(ValueError, match=re.escape(repr(s))):
+        _parse_extrat(s)

@@ -2,8 +2,9 @@
 
 Each job runs in-process through ``cli.main(argv + ["--out", path])`` and
 must give the exit code and the certificate sha256 recorded in the
-benchmark's ``perfbench/golden.json`` (read here, never written).  A change
-of representation that moves one byte of a certificate fails here.
+benchmark's ``perfbench/golden.json`` (read here, never written), and the
+file it writes must verify.  A change of representation that moves one
+byte of a certificate fails here.
 """
 
 import hashlib
@@ -30,6 +31,8 @@ def test_certificate_matches_golden(job, golden, tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(job.split() + ["--out", str(out)]) == want["rc"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
+    # the reader accepts only what the writer writes, so every output must verify
+    assert main(["verify", str(out)]) == 0
 
 
 CORPUS = GOLDEN.parent / "corpus"
