@@ -86,12 +86,13 @@ class InitialSegmentSample(NamedTuple):
         return self.realized[-1][0] if self.realized else None
 
 
-def difference_horizon(a: Series, tail: Optional[TailSchema]) -> ExtRat:
-    """Exponent below which v(a - c) is certified: the precision of a,
-    lowered to the tail floor when a truncates an exact object."""
+def difference_horizon(a: Series, tail: Optional[TailSchema]):
+    """Grid index k such that v(a - c) is certified below k/D: the
+    precision of a, lowered to the tail floor when a truncates an exact
+    object."""
     if tail is None:
-        return a.precision
-    return min(a.precision, ExtRat.of(tail.low))
+        return a.kprec
+    return min(a.kprec, a.ctx.kcap(ExtRat.of(tail.low)))
 
 
 def support_upper_cut(a: Series, K: FieldDesc, tail: Optional[TailSchema]) -> Cut:
@@ -174,15 +175,15 @@ def value_set(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     ctx = a.ctx
-    khorizon = ctx.kcap(difference_horizon(a, tail))
-    kprec = ctx.kcap(a.precision)
+    khorizon = difference_horizon(a, tail)
+    kprec = a.kprec
     found: Dict[int, Series] = {}
 
     # partial-sum witnesses at the element's own support exponents
     partial_ks: List[int] = []
     for i, (k, _) in enumerate(a.kterms):
         if k < khorizon:
-            partial = Series(ctx, a.kterms[:i], a.precision)
+            partial = Series(ctx, a.kterms[:i], kprec)
             if member_witness(K, partial):
                 found.setdefault(k, partial)
                 partial_ks.append(k)
@@ -237,24 +238,25 @@ def translate_sample(
     """Re-witness a sample for a_new = (transform of a), checking each
     translated witness exactly: v(a_new - map(c)) must equal v + shift.
     Values at or beyond ``horizon``, where a_new is not certified, are
-    dropped."""
+    dropped.  The values and the shift lie on the grid, so the check runs
+    on grid indices."""
     ctx = a_new.ctx
-    kprec = ctx.kcap(a_new.precision)
+    kprec, khorizon, dk = a_new.kprec, ctx.kcap(horizon), ctx.grid_k(shift)
     out = []
     for v, w in sample.realized:
         if not v.is_finite:
             continue
         w2 = witness_map(w)
-        target = ExtRat.of(v.fraction + shift)
-        if not target < horizon:
+        target = ctx.grid_index(v) + dk
+        if not target < khorizon:
             continue
         got = a_new.diff_k(w2, kprec)
-        if got is None or got != ctx.grid_index(target):
+        if got != target:
             raise ValueError(
-                f"translated witness fails: expected value {target}, "
+                f"translated witness fails: expected value {ctx.value_of(target)}, "
                 f"got {'zero' if got is None or got == math.inf else ctx.value_of(got)}"
             )
-        out.append((target, w2))
+        out.append((ctx.value_of(target), w2))
     ub = sample.upper
     new_upper = Cut(ub.bound + shift, ub.attained) if ub.bound.is_finite else ub
     return InitialSegmentSample(tuple(out), new_upper, sample.no_max, sample.budget)

@@ -107,9 +107,7 @@ def as_root(b: Series, precision) -> ASRoot:
     if ctx.mode != EQUAL:
         raise ValueError("Artin-Schreier roots are an equal-characteristic construction")
     p = ctx.p
-    precision = ExtRat.of(precision)
-    if b.precision.is_finite:
-        precision = min(precision, b.precision)
+    precision = min(ExtRat.of(precision), b.precision)
 
     r0 = b.coeff_at(0)
 
@@ -122,8 +120,8 @@ def as_root(b: Series, precision) -> ASRoot:
     rho = roots[0]
 
     # the stored negative terms are exact regardless of b's horizon
-    b_neg = Series(ctx, tuple(t for t in b.kterms if t[0] < 0), PLUS_INF)
-    b_pos = Series(ctx, tuple(t for t in b.kterms if t[0] > 0), b.precision)
+    b_neg = Series(ctx, tuple(t for t in b.kterms if t[0] < 0), math.inf)
+    b_pos = Series(ctx, tuple(t for t in b.kterms if t[0] > 0), b.kprec)
 
     acc = {Fraction(0): rho} if rho else {}
     theta = Series.make(ctx, acc, precision)

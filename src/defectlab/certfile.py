@@ -105,18 +105,28 @@ def _read(obj, record: str, spec: dict) -> list:
     return values
 
 
+# CPython's default limit on int/str conversions, which the writer's own
+# f-strings obey: no writer spells a longer digit string
+_MAX_DIGITS = 4300
+
+
 def _parse_ratio(s) -> Tuple[int, int]:
     """The numerator and denominator of a rational as ``str(Fraction)``
     writes it: ``"n/d"`` reduced, ``d >= 1``, no sign but a leading minus,
-    no leading zeros, and ``"0/1"`` for zero."""
+    no leading zeros, at most ``_MAX_DIGITS`` digits each, and ``"0/1"``
+    for zero."""
     if type(s) is str and s.isascii():
         num, _, den = s.partition("/")
-        if den.isdigit() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()):
+        if den.isdigit() and (num.isdigit() or num[:1] == "-" and num[1:].isdigit()) \
+                and len(den) <= _MAX_DIGITS and len(num.lstrip("-")) <= _MAX_DIGITS:
             n, d = int(num), int(den)
             # no leading zero (num[n < 0] is the first digit of |n|), and zero only as 0/1
             if den[0] != "0" and (num[n < 0] != "0" if n else s == "0/1") and math.gcd(n, d) == 1:
                 return n, d
-    raise ValueError(f"{s!r} is not a reduced ratio n/d as the writer writes it")
+    quoted = repr(s)
+    if len(quoted) > 64:
+        quoted = quoted[:60] + "..."
+    raise ValueError(f"{quoted} is not a reduced ratio n/d as the writer writes it")
 
 
 def _parse_extrat(s: str) -> ExtRat:
@@ -222,18 +232,28 @@ def series_to_json(s: Series) -> dict:
     for k, c in s.kterms:
         g = math.gcd(k, D)  # the exponent k/D as a reduced fraction
         terms.append({"exp": f"{k // g}/{D // g}", "coeff": s.ctx.field.repr_code(c)})
-    return {"mode": s.ctx.mode, "terms": terms, "precision": str(s.precision)}
+    k = s.kprec
+    if k == math.inf:
+        return {"mode": s.ctx.mode, "terms": terms, "precision": "+inf"}
+    g = math.gcd(k, D)
+    return {"mode": s.ctx.mode, "terms": terms, "precision": f"{k // g}/{D // g}"}
 
 
 def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
-    """The series of a stored object, read on the grid: each exponent n/d
-    is the index k = n*(D/d), above the one before it and below the
-    precision, and each coefficient a nonzero code as ``repr_code`` writes it."""
+    """The series of a stored object, read on the grid: the precision is
+    ``+inf`` or a ratio n/d on it, read as the index n*(D/d); each exponent
+    is such an index, above the one before it and below the precision, and
+    each coefficient a nonzero code as ``repr_code`` writes it."""
     mode, prec, terms = _read(obj, "series", {"mode": str, "precision": str, "terms": list})
     if mode != ctx.mode:
         raise ValueError(f"series mode {mode!r} does not match the session")
-    F, D, precision = ctx.field, ctx.D, _parse_extrat(prec)
-    p, m, kcap, k, kterms = F.p, F.m, ctx.kcap(precision), -math.inf, []
+    F, D, kcap = ctx.field, ctx.D, math.inf
+    if prec != "+inf":
+        n, d = _parse_ratio(prec)
+        if D % d:
+            raise ValueError(f"series precision {prec!r} is off the grid (1/D)Z, D={D}")
+        kcap = n * (D // d)
+    p, m, k, kterms = F.p, F.m, -math.inf, []
     ctype = int if m == 1 else list
     for t in terms:  # _read's check, inline: a call per term costs 3% of a verify job
         if type(t) is not dict or len(t) != 2 or type(t.get("exp")) is not str \
@@ -249,7 +269,7 @@ def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
                 and all(type(c) is int and 0 <= c < p for c in coeff)):
             raise ValueError(f"series code {coeff!r} at {exp!r} is zero or not the writer's form")
         kterms.append((k, coeff if m == 1 else F.parse_code(coeff)))  # 0 < coeff < p: its own code
-    return Series(ctx, tuple(kterms), precision)
+    return Series(ctx, tuple(kterms), kcap)
 
 
 def poly_to_json(f: Polynomial) -> list:
@@ -493,8 +513,8 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
 
     # 1. witness membership and re-evaluation, on the grid: a stored value
     # off the grid has no index and so never matches
-    khorizon = ctx.kcap(difference_horizon(gen, tail))
-    kprec = ctx.kcap(gen.precision)
+    khorizon = difference_horizon(gen, tail)
+    kprec = gen.kprec
     for v, w in cert.sample.realized:
         if not member_witness(cert.base, w):
             report.add(f"{tag}: witness for {v} is not in K")

@@ -18,10 +18,11 @@ re-checked without repeating the search.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .cuts import ExtRat, PLUS_INF
+from .cuts import ExtRat
 from .series import EQUAL, MIXED, Series, SeriesContext, invert, make_context
 
 RATIONAL_FUNCTION = "rational_function"
@@ -97,7 +98,7 @@ def _poly_series(ctx: SeriesContext, code: int, height: int, kstep: int) -> Seri
         code //= q
         if d:
             terms.append((i * kstep, d))
-    return Series(ctx, tuple(terms), PLUS_INF)
+    return Series(ctx, tuple(terms), math.inf)
 
 
 def _ratfunc_elements(ctx: SeriesContext, height: int, scale: Fraction, precision: ExtRat) -> Iterator[Series]:
@@ -122,7 +123,7 @@ def _ratfunc_elements(ctx: SeriesContext, height: int, scale: Fraction, precisio
         den_inv = invert(den, ExtRat.of(precision.fraction + 2 * vden + 1))
         digit_inv = [den_inv.scale(d) for d in range(q)]
         # precs[j]: the precision of x(code) when num's lowest term is t^(j*scale)
-        precs = [ExtRat(den_inv.precision.fraction + j * scale) for j in range(height + 1)]
+        precs = [den_inv.kprec + j * kstep for j in range(height + 1)]
         xs = [Series.zero(ctx)]
         lows = [0]
         yield xs[0]

@@ -168,7 +168,7 @@ def transform_mixed(
     base = Fraction(1 + (p - 1) * vd)
     margin = abs(vd) / p
     target = ExtRat.of(base + Fraction(base, p) + margin)
-    if neg_eta_p.precision.is_finite and neg_eta_p.precision.fraction <= target.fraction:
+    if neg_eta_p.precision <= target:
         raise ValueError("eta is too imprecise for the requested transformation")
     theta_tilde = newton_root(Polynomial.make(tuple(coeffs)), eta, target)
 

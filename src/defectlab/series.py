@@ -2,9 +2,10 @@
 
 Two ambient modes share one term representation: a sorted tuple of
 (k, code) pairs, the exponent k/D on the grid (1/D)Z of the session bound
-D and the code a nonzero finite-field element, plus a precision horizon.
-Exponents leave this layer as reduced fractions (``terms``,
-``valuation``, ``str``).
+D and the code a nonzero finite-field element, plus a precision horizon,
+itself a grid index (or ``math.inf`` for an exact series).  Exponents and
+precisions leave this layer as reduced fractions (``terms``,
+``precision``, ``valuation``, ``str``).
 
 * ``equal``: coefficients in F_q, characteristic p; addition is
   coefficient-wise (no carries) and ``(a+b)^p = a^p + b^p`` holds on the
@@ -19,9 +20,10 @@ Exponents leave this layer as reduced fractions (``terms``,
 
 Every operation computes the exact precision of its result; nothing is
 ever rounded, and comparisons are only meaningful up to the common
-precision of their operands.  Exponent denominators are capped by the
-session bound D so that all supports stay finite; operations that would
-need finer exponents fail loudly rather than silently truncate.
+precision of their operands.  Exponent and precision denominators are
+capped by the session bound D so that all supports stay finite;
+operations that would need finer exponents or precisions fail loudly
+rather than silently truncate.
 """
 
 from __future__ import annotations
@@ -113,6 +115,22 @@ class SeriesContext:
         q, r = divmod(self.D, x.num.denominator)
         return None if r else x.num.numerator * q
 
+    def prec_k(self, x):
+        """The grid index k of a precision x = k/D, ``math.inf`` for +inf.
+        A precision off the grid (1/D)Z is refused, never rounded (rounding
+        up would claim unknown terms); -inf certifies nothing and has no
+        fraction."""
+        x = ExtRat.of(x)
+        if x.sign > 0:
+            return math.inf
+        f = x.fraction
+        q, r = divmod(self.D, f.denominator)
+        if r:
+            raise DenominatorBoundError(
+                f"precision {f} needs denominator {f.denominator}, bound is D={self.D}"
+            )
+        return f.numerator * q
+
     def value_of(self, k) -> ExtRat:
         """The value k/D of a grid index; ``PLUS_INF`` for ``math.inf``."""
         return PLUS_INF if k == math.inf else ExtRat(Fraction(k, self.D))
@@ -145,25 +163,28 @@ class Series:
     """A truncated generalized power series (immutable value).
 
     ``kterms`` holds (k, code) pairs for the terms code * t^(k/D): sorted
-    by k, codes nonzero, exponents below ``precision``.
+    by k, codes nonzero, k below ``kprec``.  ``kprec`` is the precision
+    horizon kprec/D as a grid index, ``math.inf`` for an exact series;
+    ``precision`` reads it as an ``ExtRat``.  The value-level constructors
+    take an ``ExtRat`` precision and refuse one off the grid.
     """
 
-    __slots__ = ("ctx", "kterms", "precision")
+    __slots__ = ("ctx", "kterms", "kprec")
 
-    def __init__(self, ctx: SeriesContext, kterms: Tuple[Tuple[int, int], ...], precision: ExtRat):
+    def __init__(self, ctx: SeriesContext, kterms: Tuple[Tuple[int, int], ...], kprec):
         self.ctx = ctx
         self.kterms = kterms
-        self.precision = precision
+        self.kprec = kprec
 
     # --- constructors ---
 
     @staticmethod
     def make(ctx: SeriesContext, mapping: Dict[Fraction, int], precision: ExtRat = PLUS_INF) -> "Series":
         """From exponent -> code; zero codes and exponents at or beyond
-        ``precision`` are dropped, others must lie on the grid (1/D)Z."""
-        precision = ExtRat.of(precision)
+        ``precision`` are dropped, others must lie on the grid (1/D)Z, as
+        must ``precision``."""
         D = ctx.D
-        kcap = ctx.kcap(precision)
+        kcap = ctx.prec_k(precision)
         items = []
         for e, c in mapping.items():
             if c == 0:
@@ -172,18 +193,18 @@ class Series:
                 e = Fraction(e)
             q, r = divmod(D, e.denominator)
             if r:
-                if precision.is_finite and e >= precision.fraction:
+                if e * D >= kcap:
                     continue
                 ctx.check_exponent(e)
             k = e.numerator * q
             if k < kcap:
                 items.append((k, c))
         items.sort()
-        return Series(ctx, tuple(items), precision)
+        return Series(ctx, tuple(items), kcap)
 
     @staticmethod
     def zero(ctx: SeriesContext, precision: ExtRat = PLUS_INF) -> "Series":
-        return Series(ctx, (), ExtRat.of(precision))
+        return Series(ctx, (), ctx.prec_k(precision))
 
     @staticmethod
     def monomial(ctx: SeriesContext, exp, code: int = 1, precision: ExtRat = PLUS_INF) -> "Series":
@@ -204,9 +225,9 @@ class Series:
         if ctx.mode == EQUAL:
             raise ValueError("rational numbers embed in the mixed-characteristic ambient")
         r = Fraction(r)
-        precision = ExtRat.of(precision)
+        kprec = ctx.prec_k(precision)
         if r == 0:
-            return Series.zero(ctx, precision)
+            return Series(ctx, (), kprec)
         p = ctx.p
         v = 0
         num, den = r.numerator, r.denominator
@@ -216,21 +237,26 @@ class Series:
         while den % p == 0:
             den //= p
             v -= 1
-        if not precision.is_finite:
+        if kprec == math.inf:
             # integer lifts are exact for p in {2, 3}; the digits land in
             # the prime subfield, so any m is fine
             if den != 1 or ctx.p not in teichmueller.EXACT_LIFTS or (p == 2 and num < 0):
                 raise PrecisionError(
                     f"{r} has a non-terminating digit expansion; pass a finite precision"
                 )
-            return Series(ctx, tuple(teichmueller.digits(ctx, num, v * ctx.D, None)), precision)
-        n = math.ceil(precision.fraction - v)
+            return Series(ctx, tuple(teichmueller.digits(ctx, num, v * ctx.D, None)), kprec)
+        n = -(-kprec // ctx.D) - v
         if n <= 0:
-            return Series.zero(ctx, precision)
+            return Series(ctx, (), kprec)
         u = num * pow(den, -1, p ** n)
-        return Series(ctx, tuple(teichmueller.digits(ctx, u, v * ctx.D, n)), precision)
+        return Series(ctx, tuple(teichmueller.digits(ctx, u, v * ctx.D, n)), kprec)
 
     # --- inspection ---
+
+    @property
+    def precision(self) -> ExtRat:
+        """``kprec`` as a value."""
+        return self.ctx.value_of(self.kprec)
 
     @property
     def terms(self) -> Tuple[Tuple[Fraction, int], ...]:
@@ -252,7 +278,7 @@ class Series:
     def valuation(self) -> ExtRat:
         if self.kterms:
             return ExtRat(Fraction(self.kterms[0][0], self.ctx.D))
-        if not self.precision.is_finite:
+        if self.kprec == math.inf:
             return PLUS_INF
         raise PrecisionError(
             f"series is zero to precision {self.precision}; valuation not certified"
@@ -289,8 +315,7 @@ class Series:
         precisions are infinite (an exact zero); ``None`` when they agree
         only up to a finite precision, or first differ at or beyond one
         (the difference is zero to that precision, its valuation
-        uncertified).  ``kcap`` must be ``ctx.kcap(self.precision)``; a
-        scan computes it once and passes it to every call.
+        uncertified).  ``kcap`` must be ``self.kprec``.
 
         In equal characteristic this is the valuation of ``self - other``
         term by term.  In mixed characteristic it is too: the terms below
@@ -308,20 +333,20 @@ class Series:
                 break
         else:
             if len(ta) == len(tc):
-                if self.precision.is_finite or other.precision.is_finite:
-                    return None
-                return math.inf
+                if self.kprec == other.kprec == math.inf:
+                    return math.inf
+                return None
             # one term tuple is a prefix of the other; the longer one's
             # next term is the first difference
             k = (ta[len(tc):] or tc[len(ta):])[0][0]
-        if k >= kcap or k >= ctx.kcap(other.precision):
+        if k >= kcap or k >= other.kprec:
             return None
         return k
 
     def __add__(self, other: "Series") -> "Series":
         self._require_same_mode(other)
         ctx = self.ctx
-        prec = min(self.precision, other.precision)
+        prec = min(self.kprec, other.kprec)
         if ctx.mode == EQUAL:
             # one merge of the sorted term tuples, cut below kcap
             add = ctx.field.add
@@ -343,13 +368,13 @@ class Series:
             if x or y:
                 out.append(x or y)
                 out.extend(ia if x else ib)
-            return Series(ctx, _below(out, ctx.kcap(prec)), prec)
+            return Series(ctx, _below(out, prec), prec)
         parts = [(k, c, 1) for k, c in self.kterms] + [(k, c, 1) for k, c in other.kterms]
         return Series(ctx, teichmueller.normalize(ctx, parts, prec), prec)
 
     def __sub__(self, other: "Series") -> "Series":
         self._require_same_mode(other)
-        prec = min(self.precision, other.precision)
+        prec = min(self.kprec, other.kprec)
         if self.ctx.mode == EQUAL:
             return self + other.neg()
         parts = [(k, c, 1) for k, c in self.kterms] + [(k, c, -1) for k, c in other.kterms]
@@ -358,8 +383,8 @@ class Series:
     def neg(self) -> "Series":
         if self.ctx.mode == EQUAL or self.ctx.p != 2:
             neg = self.ctx.field.neg
-            return Series(self.ctx, tuple((k, neg(c)) for k, c in self.kterms), self.precision)
-        return Series.zero(self.ctx, self.precision) - self
+            return Series(self.ctx, tuple((k, neg(c)) for k, c in self.kterms), self.kprec)
+        return Series(self.ctx, (), self.kprec) - self
 
     def __neg__(self) -> "Series":
         return self.neg()
@@ -367,8 +392,7 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         self._require_same_mode(other)
         ctx = self.ctx
-        prec = _product_precision(self, other)
-        kcap = ctx.kcap(prec)
+        prec = kcap = _product_precision(self, other)
         mul = ctx.field.mul
         tb = other.kterms
         if ctx.mode == EQUAL:
@@ -398,17 +422,14 @@ class Series:
         """Multiply by a single coefficient (a Teichmueller digit in mixed
         mode); exact, no carries."""
         if code == 0:
-            return Series.zero(self.ctx, self.precision)
+            return Series(self.ctx, (), self.kprec)
         mul = self.ctx.field.mul
-        return Series(self.ctx, tuple((k, mul(c, code)) for k, c in self.kterms), self.precision)
+        return Series(self.ctx, tuple((k, mul(c, code)) for k, c in self.kterms), self.kprec)
 
     def shift(self, delta) -> "Series":
         """Multiply by the exponent-delta monomial."""
-        delta = Fraction(delta)
         dk = self.ctx.grid_k(delta)
-        terms = tuple((k + dk, c) for k, c in self.kterms)
-        prec = self.precision if not self.precision.is_finite else ExtRat(self.precision.fraction + delta)
-        return Series(self.ctx, terms, prec)
+        return Series(self.ctx, tuple((k + dk, c) for k, c in self.kterms), self.kprec + dk)
 
     def pow_int(self, n: int) -> "Series":
         if n < 0:
@@ -424,10 +445,10 @@ class Series:
         return result
 
     def truncate(self, new_precision) -> "Series":
-        prec = min(self.precision, ExtRat.of(new_precision))
-        if not prec.is_finite:
+        prec = min(self.kprec, self.ctx.prec_k(new_precision))
+        if prec == math.inf:
             return self
-        return Series(self.ctx, _below(self.kterms, self.ctx.kcap(prec)), prec)
+        return _declare(self, prec)
 
     # --- mode-specific ---
 
@@ -438,21 +459,19 @@ class Series:
             raise ValueError("frobenius shortcut is an equal-characteristic identity")
         frob = self.ctx.field.frob
         p = self.ctx.p
-        terms = tuple((k * p, frob(c)) for k, c in self.kterms)
-        prec = self.precision if not self.precision.is_finite else ExtRat(self.precision.fraction * p)
-        return Series(self.ctx, terms, prec)
+        return Series(self.ctx, tuple((k * p, frob(c)) for k, c in self.kterms), self.kprec * p)
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
         return (
             self.kterms == other.kterms
-            and self.precision == other.precision
+            and self.kprec == other.kprec
             and (self.ctx is other.ctx or self.ctx == other.ctx)
         )
 
     def __hash__(self):
-        return hash((self.kterms, self.precision))
+        return hash((self.kterms, self.kprec))
 
     def __str__(self):
         sym = "t" if self.ctx.mode == EQUAL else "p"
@@ -477,17 +496,11 @@ def _below(kterms, kcap) -> Tuple[Tuple[int, int], ...]:
     return tuple(kterms[:bisect_left(kterms, (kcap,))])
 
 
-def _product_precision(a: Series, b: Series) -> ExtRat:
-    # prec(a) + prec(b) is never the least: vlow(a) <= prec(a)
-    pa, pb = a.precision, b.precision
-    if not pa.is_finite and not pb.is_finite:
-        return PLUS_INF
-    cands = []
-    if pb.is_finite:
-        cands.append(a.vlow() + pb)
-    if pa.is_finite:
-        cands.append(b.vlow() + pa)
-    return min(cands)
+def _product_precision(a: Series, b: Series):
+    # vlow(a) + prec(b) and vlow(b) + prec(a) on the grid; prec(a) + prec(b)
+    # is never the least, since vlow(a) <= prec(a)
+    pa, pb = a.kprec, b.kprec
+    return min((a.kterms[0][0] if a.kterms else pa) + pb, (b.kterms[0][0] if b.kterms else pb) + pa)
 
 
 def pth_root(a: Series) -> Series:
@@ -502,7 +515,11 @@ def pth_root(a: Series) -> Series:
         if k % p:
             ctx.check_exponent(Fraction(k, ctx.D * p))
         terms.append((k // p, ifrob(c)))
-    prec = a.precision if not a.precision.is_finite else ExtRat(a.precision.fraction / p)
+    prec = a.kprec
+    if prec != math.inf:
+        if prec % p:
+            ctx.prec_k(Fraction(prec, ctx.D * p))  # off the grid: refused
+        prec //= p
     return Series(ctx, tuple(terms), prec)
 
 
@@ -523,28 +540,29 @@ def invert(a: Series, target_precision: ExtRat) -> Series:
     if not target_precision.is_finite:
         raise PrecisionError("inversion needs a finite target precision")
     ctx = a.ctx
-    va = Fraction(a.kterms[0][0], ctx.D)
-    rel = target_precision.fraction - va
-    if a.precision.is_finite:
-        # cannot certify beyond what is known of a
-        rel = min(rel, a.precision.fraction - va)
+    kva = a.kterms[0][0]
+    va = Fraction(kva, ctx.D)
+    # the relative precision rel/D, capped by what is known of a
+    kt = ctx.kcap(target_precision)
+    rel = min(kt, a.kprec) - kva
     if rel <= 0:
         raise PrecisionError("target precision is below the leading term of the input")
+    if kt <= a.kprec and ctx.grid_index(target_precision) is None:
+        ctx.prec_k(target_precision - va)  # an off-grid relative precision: refused
     lc_inv = ctx.field.inv(a.leading_coeff())
-    w = a.shift(-va).scale(lc_inv).truncate(ExtRat(rel))
-    y = w - Series.one(ctx, ExtRat(rel))
+    w = _declare(a.shift(-va).scale(lc_inv), rel)
+    y = w - Series(ctx, ((0, 1),), rel)
     if y.is_zero:
-        return Series.monomial(ctx, -va, lc_inv, ExtRat(rel - va))
+        return Series(ctx, ((-kva, lc_inv),), rel - kva)
     vy = y.kterms[0][0]
     if vy <= 0:
         raise PrecisionError("inversion requires a dominant leading term")
-    rel_cap = ctx.kcap(ExtRat(rel))
     if ctx.mode == EQUAL:
         add, mul, neg = ctx.field.add, ctx.field.mul, ctx.field.neg
         g = math.gcd(*(k for k, _ in y.kterms))
         ys = [(k // g, c) for k, c in y.kterms]
         coeffs = [1]
-        for n in range(1, -(-rel_cap // g)):
+        for n in range(1, -(-rel // g)):
             acc = 0
             for i, c in ys:
                 if i > n:
@@ -552,12 +570,11 @@ def invert(a: Series, target_precision: ExtRat) -> Series:
                 acc = add(acc, mul(c, coeffs[n - i]))
             coeffs.append(neg(acc))
         kterms = tuple((n * g, c) for n, c in enumerate(coeffs) if c)
-        return Series(ctx, kterms, ExtRat(rel)).scale(lc_inv).shift(-va)
-    s = Series.one(ctx, ExtRat(rel))
-    power = Series.one(ctx, ExtRat(rel))
+        return Series(ctx, kterms, rel).scale(lc_inv).shift(-va)
+    s = power = Series(ctx, ((0, 1),), rel)
     k = 1
     neg_y = y.neg()
-    while k * vy < rel_cap:
+    while k * vy < rel:
         power = power * neg_y
         s = s + power
         k += 1
@@ -589,7 +606,7 @@ class Polynomial:
     @staticmethod
     def make(coeffs: Sequence[Series]) -> "Polynomial":
         cs = list(coeffs)
-        while len(cs) > 1 and cs[-1].is_zero and not cs[-1].precision.is_finite:
+        while len(cs) > 1 and cs[-1].is_zero and cs[-1].kprec == math.inf:
             cs.pop()
         return Polynomial(tuple(cs))
 
@@ -629,7 +646,7 @@ def int_scale(a: Series, n: int) -> Series:
     if ctx.mode == EQUAL:
         return a.scale(ctx.field.from_int(n))
     if n == 0:
-        return Series.zero(ctx, a.precision)
+        return Series(ctx, (), a.kprec)
     if n == 1:
         return a
     return Series.from_int(ctx, n) * a
@@ -665,12 +682,12 @@ def newton_root(f: Polynomial, start: Series, target_precision: ExtRat) -> Serie
     The iteration takes at most ``NEWTON_MAX_STEPS`` steps; running out
     raises ``ConvergenceError`` (inconclusive), never a hang.
     """
-    target_precision = ExtRat.of(target_precision)
-    if not target_precision.is_finite:
+    ctx = f.ctx
+    target = ctx.prec_k(target_precision)
+    if target == math.inf:
         raise PrecisionError("newton_root needs a finite target precision")
     if f.degree == 0:
         raise ValueError("newton_root needs a polynomial of degree at least 1")
-    ctx = f.ctx
     D = ctx.D
     x = start
     last_vf: Optional[int] = None
@@ -678,18 +695,17 @@ def newton_root(f: Polynomial, start: Series, target_precision: ExtRat) -> Serie
     for _ in range(NEWTON_MAX_STEPS):
         shifted = f.shifted(x) if move is None else Polynomial(shifted).shifted(move)
         fx, fpx = shifted[0], shifted[1]
-        if fx.vlow() >= target_precision:
+        if (fx.kterms[0][0] if fx.kterms else fx.kprec) >= target:
             # a term-free f'(x) at finite precision has no certified
             # valuation, so the loss is unknown; an exact zero loses nothing
-            if fpx.is_zero and fpx.precision.is_finite:
+            if fpx.is_zero and fpx.kprec != math.inf:
                 raise ConvergenceError("derivative vanishes to precision at the root")
-            loss = fpx.vlow()
-            cap = target_precision - loss if loss.is_finite else target_precision
-            return x.truncate(min(x.precision, cap))
+            loss = fpx.kterms[0][0] if fpx.kterms else 0
+            return _declare(x, min(x.kprec, target - loss))
         if fx.is_zero:
             raise ConvergenceError(
                 f"residual is zero only to precision {fx.precision}, below the "
-                f"target {target_precision}; supply more input precision"
+                f"target {ctx.value_of(target)}; supply more input precision"
             )
         vf = fx.kterms[0][0]
         if last_vf is not None and vf <= last_vf:
@@ -702,9 +718,9 @@ def newton_root(f: Polynomial, start: Series, target_precision: ExtRat) -> Serie
         # exact finite series, and only the final residual certifies how
         # well it approximates the root.  Working at a fixed horizon W
         # keeps precision bookkeeping from eroding along the orbit.
-        work = ExtRat(target_precision.fraction + Fraction(2 * abs(vfp), D) + 4)
+        work = target + 2 * abs(vfp) + 4 * D
         if vf > 2 * vfp:
-            step = fx * invert(fpx, work)
+            step = fx * invert(fpx, ctx.value_of(work))
             x = _declare(x - step, work)
             move = None
         else:
@@ -732,21 +748,22 @@ def newton_root(f: Polynomial, start: Series, target_precision: ExtRat) -> Serie
             roots = [r for r in ctx.field.roots_of(res_coeffs) if r != 0]
             if not roots:
                 raise ConvergenceError("residue equation has no root in F_q")
-            mono = Series.monomial(ctx, Fraction(ks, D), roots[0], work)
+            mono = Series(ctx, ((ks, roots[0]),) if ks < work else (), work)
             nxt = _declare(x + mono, work)
-            move = mono if x.precision == work and nxt.vlow() == x.vlow() else None
+            move = mono if x.kprec == work and nxt.vlow() == x.vlow() else None
             x = nxt
     raise ConvergenceError(f"iteration budget exhausted: NEWTON_MAX_STEPS = {NEWTON_MAX_STEPS} steps")
 
 
-def _declare(s: Series, precision: ExtRat) -> Series:
+def _declare(s: Series, kprec) -> Series:
     """Re-declare the horizon of a candidate whose stored terms are exact.
 
-    Used by root refinement only: the orbit is self-correcting, so the
+    Used by root refinement: the orbit is self-correcting, so the
     candidate is treated as the exact finite sum of its terms and the
-    returned claim is established by the residual check alone.
+    returned claim is established by the residual check alone.  Also the
+    cut below a horizon that ``truncate`` and ``invert`` take.
     """
-    return Series(s.ctx, _below(s.kterms, s.ctx.kcap(precision)), precision)
+    return Series(s.ctx, _below(s.kterms, kprec), kprec)
 
 
 def zeta_p(ctx: SeriesContext, target_precision: ExtRat) -> Series:

@@ -10,10 +10,10 @@ grid numerators k (exponent k/D) of a ``series.SeriesContext``.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-from .cuts import ExtRat
 from .ffield import _poly_mul_mod
 
 if TYPE_CHECKING:
@@ -118,10 +118,11 @@ def digits(ctx: SeriesContext, u, k0: int, n: Optional[int]) -> List[Tuple[int, 
 def normalize(
     ctx: SeriesContext,
     parts: Iterable[Tuple[int, int, int]],
-    precision: ExtRat,
+    kcap,
 ) -> Tuple[Tuple[int, int], ...]:
     """Normalize signed Teichmueller contributions into canonical digits,
-    as sorted (k, code) terms.
+    as sorted (k, code) terms below the precision kcap/D, a grid index
+    (``math.inf`` for an exact sum).
 
     ``parts`` yields (k, digit code, sign).  Signs other than +1 are folded
     into the code for odd p (where -tau(c) = tau(-c) exactly); for p = 2
@@ -140,8 +141,7 @@ def normalize(
     """
     fld = ctx.field
     p, D, m = ctx.p, ctx.D, ctx.m
-    exact = not precision.is_finite
-    kcap = ctx.kcap(precision)
+    exact = kcap == math.inf
     if exact and not (m == 1 and p in EXACT_LIFTS):
         merged: Dict[int, int] = {}
         for k, code, sign in parts:

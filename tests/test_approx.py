@@ -163,7 +163,7 @@ def _plus_term(c, e):
     """c plus the monomial t^e, for an e above c's leading exponent."""
     k = c.ctx.grid_k(e)
     assert c.kterms[0][0] < k < c.ctx.kcap(c.precision)
-    return Series(c.ctx, tuple(sorted(c.kterms + ((k, 1),))), c.precision)
+    return Series(c.ctx, tuple(sorted(c.kterms + ((k, 1),))), c.kprec)
 
 
 _CALL_SITE_CASES = {
@@ -220,12 +220,12 @@ def _scan_realized(a, K, budget, tail, listing):
     """value_set's realized pairs by a diff_k scan of the whole listing,
     each with whether its witness is a listed element."""
     ctx = a.ctx
-    khorizon = ctx.kcap(difference_horizon(a, tail))
+    khorizon = difference_horizon(a, tail)
     kprec = ctx.kcap(a.precision)
     found = {}
     for i, (k, _) in enumerate(a.kterms):
         if k < khorizon:
-            partial = Series(ctx, a.kterms[:i], a.precision)
+            partial = Series(ctx, a.kterms[:i], a.kprec)
             if member_witness(K, partial):
                 found.setdefault(k, (partial, False))
     for c in listing:
@@ -254,7 +254,7 @@ def _probes(draw, K, listing):
         [PLUS_INF, ExtRat.of(Fraction(grid_k(), ctx.D))]
         + ([listing[base].precision] if base is not None else [])))
     kcap = ctx.kcap(precision)
-    a = Series(ctx, tuple(sorted((k, c) for k, c in terms.items() if c and k < kcap)), precision)
+    a = Series(ctx, tuple(sorted((k, c) for k, c in terms.items() if c and k < kcap)), kcap)
     tail = None
     if draw(st.booleans()):
         low = Fraction(grid_k(), ctx.D)

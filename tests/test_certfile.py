@@ -532,6 +532,12 @@ def _config_precision(obj):
          "certs[0]: claims keys differ from the writer's in ['note']"),
         (_edit("certs.0.claims.immediate", lambda pair: pair.append("ramified")),
          "certs[0]: claims pair ['refuted', 'ramified', 'ramified'] is not a pair the writer writes"),
+        # a value no writer produces: a precision off the grid (1/D)Z
+        (_edit("certs.0.generator", lambda gen: gen.update(precision="1/3")),
+         "certs[0]: series precision '1/3' is off the grid (1/D)Z, D=256"),
+        # more digits than int() converts: refused by name, the value shortened
+        (_edit(_GENERATOR + ".0", lambda term: term.update(exp="-1/" + "2" * 5000)),
+         "certs[0]: '-1/" + "2" * 56 + "... is not a reduced ratio n/d as the writer writes it"),
     ],
     ids=["renamed-field", "perfect-base", "tail-cofinal", "tail-denominators",
          "tail-partials", "config-precision", "unknown-kind",
@@ -539,7 +545,7 @@ def _config_precision(obj):
          "bound-exponent", "attained-int", "term-duplicated", "term-zero-code",
          "term-beyond-precision", "terms-reversed", "coeff-plus-p", "coeff-bool",
          "min-poly-trailing-zero", "version-float", "budget-float", "cert-extra-key",
-         "claims-extra-key", "pair-of-three"],
+         "claims-extra-key", "pair-of-three", "precision-off-grid", "exp-over-digit-limit"],
 )
 def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message):
     obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())

@@ -431,4 +431,5 @@ def _outcome(normalize, ctx, parts, prec):
 @example((make_context(MIXED, 2, 1, 1), [(0, 1, 1), (0, 1, 1)], ExtRat.of(1)))
 def test_normalize_matches_grouping_by_classes(case):
     ctx, parts, prec = case
-    assert _outcome(teichmueller.normalize, ctx, parts, prec) == _outcome(_normalize_by_classes, ctx, parts, prec)
+    got = _outcome(teichmueller.normalize, ctx, parts, ctx.kcap(prec))
+    assert got == _outcome(_normalize_by_classes, ctx, parts, prec)

@@ -6,6 +6,7 @@ terms and precision, or the same exception."""
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectlab import series
@@ -13,6 +14,7 @@ from defectlab.cli import main
 from defectlab.cuts import ExtRat, PLUS_INF
 from defectlab.series import (
     ConvergenceError,
+    DenominatorBoundError,
     Polynomial,
     PrecisionError,
     Series,
@@ -37,7 +39,7 @@ def newton_root_full_shift(f, start, target_precision, max_steps=200):
 
     def declare(s, precision):
         kcap = ctx.kcap(precision)
-        return Series(ctx, tuple(t for t in s.kterms if t[0] < kcap), precision)
+        return Series(ctx, tuple(t for t in s.kterms if t[0] < kcap), kcap)
 
     x = start
     last_vf = None
@@ -102,11 +104,12 @@ def assert_same_as_full_shift(f, start, target):
     assert outcome(newton_root, f, start, target) == outcome(newton_root_full_shift, f, start, target)
 
 
+# precisions and targets n/p^j lie on the grid of every context
 @st.composite
-def _precision(draw):
+def _precision(draw, ctx):
     if draw(st.booleans()):
         return PLUS_INF
-    return ExtRat.of(Fraction(draw(st.integers(2, 28)), draw(st.sampled_from([1, 2]))))
+    return ExtRat.of(Fraction(draw(st.integers(2, 28)), draw(st.sampled_from([1, ctx.p]))))
 
 
 @st.composite
@@ -115,20 +118,20 @@ def _series(draw, ctx, lo=-1, hi=6, most=3, exact=True):
     for _ in range(draw(st.integers(0, most))):
         e = Fraction(draw(st.integers(4 * lo, 4 * hi)), draw(st.sampled_from([1, ctx.p, ctx.p ** 2])))
         terms[e] = draw(st.integers(1, ctx.q - 1))
-    prec = draw(_precision()) if exact else ExtRat.of(Fraction(draw(st.integers(4, 28))))
+    prec = draw(_precision(ctx)) if exact else ExtRat.of(Fraction(draw(st.integers(4, 28))))
     return Series.make(ctx, terms, prec)
 
 
 @st.composite
-def _target(draw):
-    return ExtRat.of(Fraction(draw(st.integers(2, 12)), draw(st.sampled_from([1, 2, 3]))))
+def _target(draw, ctx):
+    return ExtRat.of(Fraction(draw(st.integers(2, 12)), draw(st.sampled_from([1, ctx.p, ctx.p ** 2]))))
 
 
 @st.composite
 def _random_case(draw):
     ctx = draw(st.sampled_from(CTXS))
     coeffs = [draw(_series(ctx)) for _ in range(draw(st.integers(1, 4)))]
-    return Polynomial.make(coeffs + [Series.one(ctx)]), draw(_series(ctx, 0, 4)), draw(_target())
+    return Polynomial.make(coeffs + [Series.one(ctx)]), draw(_series(ctx, 0, 4)), draw(_target(ctx))
 
 
 @st.composite
@@ -143,8 +146,8 @@ def _planted_case(draw):
     if draw(st.booleans()):
         coeffs[0] = coeffs[0] + draw(_series(ctx, 4, 12, 2))
     cut = ExtRat.of(Fraction(draw(st.integers(0, 12)), draw(st.sampled_from([1, ctx.p, ctx.p ** 2]))))
-    start = Series(ctx, r.truncate(cut).kterms, draw(_precision()))
-    return Polynomial.make(coeffs), start, draw(_target())
+    start = Series(ctx, r.truncate(cut).kterms, ctx.kcap(draw(_precision(ctx))))
+    return Polynomial.make(coeffs), start, draw(_target(ctx))
 
 
 @st.composite
@@ -157,13 +160,13 @@ def _kummer_case(draw):
         ctx,
         Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from([1, p, p * p]))),
         draw(st.integers(1, ctx.q - 1)),
-        draw(_precision()),
+        draw(_precision(ctx)),
     )
     eta = draw(_series(ctx, 0, 4, 5, exact=False))
     eta = Series.one(ctx, eta.precision) + eta
     coeffs = [Series.zero(ctx, eta.precision) - eta.pow_int(p)]
     coeffs += [int_scale(d.pow_int(p - i), math.comb(p, i)) for i in range(1, p)]
-    return Polynomial.make(coeffs + [Series.one(ctx)]), eta, draw(_target())
+    return Polynomial.make(coeffs + [Series.one(ctx)]), eta, draw(_target(ctx))
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,6 +198,15 @@ def test_pinned_start_below_the_horizon_keeps_the_full_shift():
     start, target = Series.make(ctx, {0: code([0, 1])}, ExtRat.of(7)), ExtRat.of(10)
     assert str(newton_root(f, start, target)) == "[1, 1] + t^7 [prec 10/1]"
     assert_same_as_full_shift(f, start, target)
+
+
+def test_off_grid_target_is_refused():
+    # 10/3 is off the grid (1/D)Z of D = 2^8; rounding the target up would
+    # certify a horizon the residual never reached
+    ctx = make_context("equal", 2)
+    f = Polynomial.make((Series.monomial(ctx, 1), Series.one(ctx)))
+    with pytest.raises(DenominatorBoundError, match="^precision 10/3 needs denominator 3, bound is D=256$"):
+        newton_root(f, Series.zero(ctx), ExtRat.of(Fraction(10, 3)))
 
 
 def test_kummer_roots_move_the_shift(monkeypatch, tmp_path, capsys):
