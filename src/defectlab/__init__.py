@@ -22,7 +22,6 @@ from .artin import (
     admissible_twist,
     as_extension,
     as_family,
-    as_generator_transform,
     as_root,
     derive_claims,
     sigma_sample,

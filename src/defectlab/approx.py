@@ -197,7 +197,7 @@ def value_set(
     j = bisect_left(index.lead_ks, min(lead[0] if lead else math.inf, khorizon))
     first: Dict[int, int] = dict(zip(index.lead_ks[:j], index.first_at))
     for i in index.by_lead.get(lead, ()) if lead else index.termless:
-        k = a.diff_k(elements[i], kprec)
+        k = a.diff_k(elements[i])
         if k is not None and (k == math.inf or k < khorizon):
             first.setdefault(k, i)
     for k, i in first.items():
@@ -241,7 +241,7 @@ def translate_sample(
     dropped.  The values and the shift lie on the grid, so the check runs
     on grid indices."""
     ctx = a_new.ctx
-    kprec, khorizon, dk = a_new.kprec, ctx.kcap(horizon), ctx.grid_k(shift)
+    khorizon, dk = ctx.kcap(horizon), ctx.grid_k(shift)
     out = []
     for v, w in sample.realized:
         if not v.is_finite:
@@ -250,7 +250,7 @@ def translate_sample(
         target = ctx.grid_index(v) + dk
         if not target < khorizon:
             continue
-        got = a_new.diff_k(w2, kprec)
+        got = a_new.diff_k(w2)
         if got != target:
             raise ValueError(
                 f"translated witness fails: expected value {ctx.value_of(target)}, "

@@ -1,7 +1,7 @@
 """Degree-p extension certificates in equal characteristic: the
-Artin-Schreier root solver, generator changes, the inseparable-to-
-separable transformation, certified families, and the one claim rule
-(``derive_claims``) of both certificate kinds.
+Artin-Schreier root solver and the tail rule of its roots, the
+inseparable-to-separable transformation, certified families, and the
+one claim rule (``derive_claims``) of both certificate kinds.
 
 The solver writes a root of X^p - X - b as
 
@@ -126,7 +126,6 @@ def as_root(b: Series, precision) -> ASRoot:
     acc = {Fraction(0): rho} if rho else {}
     theta = Series.make(ctx, acc, precision)
 
-    tail: Optional[TailSchema] = None
     floor = PLUS_INF
     if not b_neg.is_zero:
         parts: List[Series] = []
@@ -141,12 +140,7 @@ def as_root(b: Series, precision) -> ASRoot:
             )
         for part in parts:
             theta = theta + part
-        last = parts[-1]
-        floor = last.valuation()
-        first_dropped = Fraction(floor.fraction, p)
-        tail = TailSchema(
-            Fraction(0), first_dropped, "fractional telescoping tail of an Artin-Schreier root"
-        )
+        floor = parts[-1].valuation()
 
     if not b_pos.is_zero:
         neg_one = ctx.field.neg(1)
@@ -156,7 +150,19 @@ def as_root(b: Series, precision) -> ASRoot:
             y = y.frobenius()
 
     theta = theta.truncate(precision)
-    return ASRoot(theta, tail, floor)
+    return ASRoot(theta, root_tail(floor, p), floor)
+
+
+def root_tail(floor: ExtRat, p: int) -> Optional[TailSchema]:
+    """The tail schema of an Artin-Schreier root whose residual floor is
+    ``floor``, +inf or negative: none for +inf (no fractional term was
+    dropped), else the dropped fractional terms, from floor/p up and
+    accumulating at 0.  ``verify`` re-derives a stored tail by this rule."""
+    if floor == PLUS_INF:
+        return None
+    return TailSchema(
+        Fraction(0), floor.fraction / p, "fractional telescoping tail of an Artin-Schreier root"
+    )
 
 
 def residual_window_violations(resid: Series, floor: ExtRat) -> List[Fraction]:
@@ -176,20 +182,6 @@ def residual_window_violations(resid: Series, floor: ExtRat) -> List[Fraction]:
     else:
         bad = [k for k, _ in resid.kterms if k < kfloor]
     return [Fraction(k, ctx.D) for k in bad]
-
-
-def as_generator_transform(theta: Series, i_code: int, c: Series) -> Series:
-    """The generator change theta -> i*theta + c, i in the prime field.
-
-    Any two generators of the same extension are related this way, so
-    value-set invariants must agree across the orbit.
-    """
-    fld = theta.ctx.field
-    if i_code == 0:
-        raise ValueError("i must be a nonzero element of the prime field")
-    if not fld.in_prime_field(i_code):
-        raise ValueError("i must lie in the prime field")
-    return theta.scale(i_code) + c
 
 
 def artin_schreier_poly(b: Series) -> Polynomial:

@@ -37,8 +37,9 @@ from .artin import (
     check_pairwise_distinct,
     derive_claims,
     residual_window_violations,
+    root_tail,
 )
-from .cuts import MINUS_INF, PLUS_INF, Cut, CutEnclosure, ExtRat
+from .cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from .fields import FieldDesc, member_witness, preset_field
 from .series import Polynomial, Series, SeriesContext
 
@@ -130,10 +131,9 @@ def _parse_ratio(s) -> Tuple[int, int]:
 
 
 def _parse_extrat(s: str) -> ExtRat:
+    # no writer writes -inf
     if s == "+inf":
         return PLUS_INF
-    if s == "-inf":
-        return MINUS_INF
     return ExtRat(Fraction(*_parse_ratio(s)))
 
 
@@ -510,15 +510,28 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     ctx = cert.base.ctx
     gen = cert.generator
     tail = cert.generator_tail
+    floor = cert.residual_floor
+
+    # 0. an Artin-Schreier root's tail is the one its floor implies
+    if cert.kind == ARTIN_SCHREIER:
+        if floor != PLUS_INF and floor.fraction >= 0:
+            report.add(f"{tag}: residual_floor {floor} is neither +inf nor negative, "
+                       f"as an Artin-Schreier root's is")
+        else:
+            want = root_tail(floor, ctx.p)
+            if want != tail:
+                texts = ("null" if t is None else
+                         f"low {ExtRat.of(t.low)}, sup {ExtRat.of(t.sup)}, note {t.note!r}"
+                         for t in (want, tail))
+                report.add(f"{tag}: generator_tail re-derives to " + ", stored ".join(texts))
 
     # 1. witness membership and re-evaluation, on the grid: a stored value
     # off the grid has no index and so never matches
     khorizon = difference_horizon(gen, tail)
-    kprec = gen.kprec
     for v, w in cert.sample.realized:
         if not member_witness(cert.base, w):
             report.add(f"{tag}: witness for {v} is not in K")
-        got = gen.diff_k(w, kprec)
+        got = gen.diff_k(w)
         if not v.is_finite:
             if got != math.inf:
                 report.add(f"{tag}: witness for +inf does not reproduce an exact zero")
@@ -545,7 +558,6 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
         )
 
     # 3. minimal polynomial residual within the recorded exception window
-    floor = cert.residual_floor
     bad = residual_window_violations(cert.min_poly.evaluate(gen), floor)
     if bad:
         report.add(f"{tag}: residual terms at {bad} violate the recorded floor {floor}")

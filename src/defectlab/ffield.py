@@ -161,13 +161,6 @@ class FiniteField:
         """The inverse of Frobenius: the unique p-th root."""
         return self._ifrob[a]
 
-    def from_int(self, n: int) -> int:
-        """Image of an ordinary integer in the prime subfield."""
-        return n % self.p
-
-    def in_prime_field(self, a: int) -> bool:
-        return self._frob[a] == a
-
     def artin_schreier_roots(self, r: int) -> List[int]:
         """Solutions of x^p - x = r in F_q (possibly empty)."""
         return [x for x in range(self.q) if self.sub(self._frob[x], x) == r]
@@ -198,18 +191,6 @@ class FiniteField:
         if len(cs) != self.m:
             raise ValueError("bad coordinate length")
         return sum((c % self.p) * self.p ** i for i, c in enumerate(cs))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and (self.p, self.m, self.modulus) == (other.p, other.m, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
-
-    def __repr__(self):
-        return f"FiniteField(p={self.p}, m={self.m})"
 
 
 @lru_cache(maxsize=None)

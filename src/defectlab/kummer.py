@@ -49,7 +49,6 @@ from .series import (
     Polynomial,
     PrecisionError,
     Series,
-    int_scale,
     invert,
     newton_root,
 )
@@ -148,7 +147,7 @@ def transform_mixed(
     p_upper = segment_affine(upper, p, 0)
     coeffs: List[Series] = [neg_eta_p]
     for i in range(1, p):
-        ci = int_scale(d.pow_int(p - i), math.comb(p, i))
+        ci = Series.from_int(ctx, math.comb(p, i)) * d.pow_int(p - i)
         vci = ci.valuation()
         if not vci >= coeff_bound:
             raise AssertionError(f"coefficient {i} has value {vci}, below {coeff_bound}")

@@ -306,7 +306,7 @@ class Series:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("series from different sessions cannot be combined")
 
-    def diff_k(self, other: "Series", kcap):
+    def diff_k(self, other: "Series"):
         """v(self - other) on the grid, read off the first differing term.
 
         Walks the two sorted term tuples together and returns the grid
@@ -315,7 +315,7 @@ class Series:
         precisions are infinite (an exact zero); ``None`` when they agree
         only up to a finite precision, or first differ at or beyond one
         (the difference is zero to that precision, its valuation
-        uncertified).  ``kcap`` must be ``self.kprec``.
+        uncertified).
 
         In equal characteristic this is the valuation of ``self - other``
         term by term.  In mixed characteristic it is too: the terms below
@@ -324,7 +324,6 @@ class Series:
         by a unit, so ``tau(a_e) - tau(c_e)`` has valuation 0 and
         v(self - other) = e whenever e lies below the precision.
         """
-        ctx = self.ctx
         self._require_same_mode(other)
         ta, tc = self.kterms, other.kterms
         for x, y in zip(ta, tc):
@@ -339,7 +338,7 @@ class Series:
             # one term tuple is a prefix of the other; the longer one's
             # next term is the first difference
             k = (ta[len(tc):] or tc[len(ta):])[0][0]
-        if k >= kcap or k >= other.kprec:
+        if k >= self.kprec or k >= other.kprec:
             return None
         return k
 
@@ -385,9 +384,6 @@ class Series:
             neg = self.ctx.field.neg
             return Series(self.ctx, tuple((k, neg(c)) for k, c in self.kterms), self.kprec)
         return Series(self.ctx, (), self.kprec) - self
-
-    def __neg__(self) -> "Series":
-        return self.neg()
 
     def __mul__(self, other: "Series") -> "Series":
         self._require_same_mode(other)
@@ -636,20 +632,6 @@ class Polynomial:
             for j in range(n - 1, i - 1, -1):
                 c[j] = c[j + 1] * a + c[j]
         return tuple(c)
-
-
-def int_scale(a: Series, n: int) -> Series:
-    """n*a for an ordinary nonnegative integer n."""
-    if n < 0:
-        raise ValueError("int_scale takes nonnegative n")
-    ctx = a.ctx
-    if ctx.mode == EQUAL:
-        return a.scale(ctx.field.from_int(n))
-    if n == 0:
-        return Series(ctx, (), a.kprec)
-    if n == 1:
-        return a
-    return Series.from_int(ctx, n) * a
 
 
 NEWTON_MAX_STEPS = 200

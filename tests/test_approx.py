@@ -221,7 +221,6 @@ def _scan_realized(a, K, budget, tail, listing):
     each with whether its witness is a listed element."""
     ctx = a.ctx
     khorizon = difference_horizon(a, tail)
-    kprec = ctx.kcap(a.precision)
     found = {}
     for i, (k, _) in enumerate(a.kterms):
         if k < khorizon:
@@ -229,7 +228,7 @@ def _scan_realized(a, K, budget, tail, listing):
             if member_witness(K, partial):
                 found.setdefault(k, (partial, False))
     for c in listing:
-        k = a.diff_k(c, kprec)
+        k = a.diff_k(c)
         if k is not None and (k == math.inf or k < khorizon):
             found.setdefault(k, (c, True))
     return [(ctx.value_of(k),) + found[k] for k in sorted(found)]

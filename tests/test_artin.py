@@ -10,7 +10,6 @@ from defectlab.artin import (
     artin_schreier_poly,
     as_extension,
     as_family,
-    as_generator_transform,
     as_root,
     check_pairwise_distinct,
     residual_window_violations,
@@ -21,6 +20,7 @@ from defectlab.cuts import PLUS_INF, Cut, ExtRat
 from defectlab.fields import preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
 from defectlab.series import EQUAL, Series, make_context
+from helpers import as_generator_transform
 
 
 def q(n, d=1):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectlab.approx import value_set
-from defectlab.artin import as_extension, as_family, as_generator_transform
+from defectlab.artin import as_extension, as_family
 from defectlab.certfile import (
     SessionConfig,
     _field_to_json,
@@ -24,10 +24,11 @@ from defectlab.certfile import (
     write_certificate_file,
 )
 from defectlab.cli import main
-from defectlab.cuts import MINUS_INF, PLUS_INF, ExtRat
+from defectlab.cuts import PLUS_INF, ExtRat
 from defectlab.fields import preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
 from defectlab.series import EQUAL, MIXED, Polynomial, Series, make_context
+from helpers import as_generator_transform
 
 
 def q(n, d=1):
@@ -538,6 +539,9 @@ def _config_precision(obj):
         # more digits than int() converts: refused by name, the value shortened
         (_edit(_GENERATOR + ".0", lambda term: term.update(exp="-1/" + "2" * 5000)),
          "certs[0]: '-1/" + "2" * 56 + "... is not a reduced ratio n/d as the writer writes it"),
+        # no writer writes -inf, where the floor's window rule would be empty
+        (_edit("certs.0", lambda cert: cert.update(residual_floor="-inf")),
+         "certs[0]: '-inf' is not a reduced ratio n/d as the writer writes it"),
     ],
     ids=["renamed-field", "perfect-base", "tail-cofinal", "tail-denominators",
          "tail-partials", "config-precision", "unknown-kind",
@@ -545,7 +549,8 @@ def _config_precision(obj):
          "bound-exponent", "attained-int", "term-duplicated", "term-zero-code",
          "term-beyond-precision", "terms-reversed", "coeff-plus-p", "coeff-bool",
          "min-poly-trailing-zero", "version-float", "budget-float", "cert-extra-key",
-         "claims-extra-key", "pair-of-three", "precision-off-grid", "exp-over-digit-limit"],
+         "claims-extra-key", "pair-of-three", "precision-off-grid", "exp-over-digit-limit",
+         "floor-minus-inf"],
 )
 def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message):
     obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
@@ -556,6 +561,45 @@ def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"cannot load certificate file: {message}\n"
+
+
+_AS_NOTE = "note 'fractional telescoping tail of an Artin-Schreier root'"
+_AS_TAIL = f"low -1/512, sup 0/1, {_AS_NOTE}"
+
+
+@pytest.mark.parametrize(
+    "forge, diff",
+    [
+        (_edit("certs.0", lambda cert: cert.update(generator_tail=None)),
+         f"generator_tail re-derives to {_AS_TAIL}, stored null"),
+        (_edit("certs.0.generator_tail", lambda tail: tail.update(low="-1/4")),
+         f"generator_tail re-derives to {_AS_TAIL}, stored low -1/4, sup 0/1, {_AS_NOTE}"),
+        (_edit("certs.0.generator_tail", lambda tail: tail.update(sup="1/1")),
+         f"generator_tail re-derives to {_AS_TAIL}, stored low -1/512, sup 1/1, {_AS_NOTE}"),
+        (_edit("certs.0.generator_tail", lambda tail: tail.update(note="x")),
+         f"generator_tail re-derives to {_AS_TAIL}, stored low -1/512, sup 0/1, note 'x'"),
+        (_edit("certs.0", lambda cert: cert.update(residual_floor="-1/2")),
+         f"generator_tail re-derives to low -1/4, sup 0/1, {_AS_NOTE}, stored {_AS_TAIL}"),
+        # a finite floor >= 0 has no tail to re-derive: its own diff, not an error
+        (_edit("certs.0", lambda cert: cert.update(residual_floor="0/1")),
+         "residual_floor 0/1 is neither +inf nor negative, as an Artin-Schreier root's is"),
+        (_edit("certs.0", lambda cert: cert.update(residual_floor="1/2")),
+         "residual_floor 1/2 is neither +inf nor negative, as an Artin-Schreier root's is"),
+    ],
+    ids=["tail-null", "tail-low", "tail-sup", "tail-note", "floor-moved", "floor-zero",
+         "floor-positive"],
+)
+def test_artin_schreier_tail_rederives_from_the_floor(tmp_path, capsys, forge, diff):
+    # as_root's rule: floor +inf gives no tail, a negative floor the tail
+    # [floor/p, 0) with the root's note
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
+    forge(obj)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["verification FAILED:", f"  cert[0]: {diff}"], lines
+    assert not any("verification error" in line for line in lines), lines
 
 
 # --- value-preserving respellings of one leaf of a writer's file ----------
@@ -666,11 +710,10 @@ def test_no_respelling_verifies(tmp_path_factory, case):
 
 
 def _oracle_extrat_parse(s):
+    # "-inf", which no writer writes, is refused as Fraction refuses it
     s = s.strip()
     if s == "+inf":
         return PLUS_INF
-    if s == "-inf":
-        return MINUS_INF
     return ExtRat(Fraction(s))
 
 

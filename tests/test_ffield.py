@@ -66,8 +66,9 @@ def test_artin_schreier_roots():
 
 
 def test_in_prime_field():
+    # the prime field is the fixed field of Frobenius
     f9 = finite_field(3, 2)
-    primes = [a for a in range(f9.q) if f9.in_prime_field(a)]
+    primes = [a for a in range(f9.q) if f9.frob(a) == a]
     assert primes == [0, 1, 2]
 
 

@@ -29,15 +29,10 @@ CONTEXTS = {
 }
 
 
-def diff_k(a, c):
-    """``a.diff_k(c)`` with the cap every caller passes."""
-    return a.diff_k(c, a.ctx.kcap(a.precision))
-
-
 def diff_valuation(a, c):
     """``diff_k`` as a value: k/D, ``PLUS_INF`` for an exact zero, or None
     when the difference is uncertified."""
-    k = diff_k(a, c)
+    k = a.diff_k(c)
     return None if k is None else a.ctx.value_of(k)
 
 
@@ -101,7 +96,7 @@ def test_diff_valuation_matches_subtraction(pair):
     want_k = reference_k(a, c)
     ctx = a.ctx
     for x, y in ((a, c), (c, a)):
-        assert diff_k(x, y) == want_k
+        assert x.diff_k(y) == want_k
     assert type(want_k) is int or want_k is None or want_k == math.inf
     if want_k is not None:
         assert ctx.value_of(want_k) == want
@@ -154,8 +149,8 @@ def test_context_mismatch_raises():
 def test_diff_k_exact_zero_sentinel(ctx):
     a = Series.make(ctx, {q(-1): 1, q(1, 3): 2, q(2): 1})
     b = Series.make(ctx, dict(a.terms))
-    assert diff_k(a, b) == math.inf
-    assert diff_k(Series.zero(ctx), Series.zero(ctx)) == math.inf
+    assert a.diff_k(b) == math.inf
+    assert Series.zero(ctx).diff_k(Series.zero(ctx)) == math.inf
     assert ctx.value_of(math.inf) is PLUS_INF
 
 
@@ -165,16 +160,16 @@ def test_diff_k_uncertified_is_none(ctx):
     a = Series.make(ctx, {q(0): 1, q(3): 1, q(5): 1})
     # equal only up to a finite precision
     b = Series.make(ctx, {q(0): 1, q(1, 2): 1}, q(3))
-    assert diff_k(b, Series.make(ctx, dict(b.terms))) is None
-    assert diff_k(b, b) is None
+    assert b.diff_k(Series.make(ctx, dict(b.terms))) is None
+    assert b.diff_k(b) is None
     # first difference at or beyond either precision
     for prec in (q(3), q(2)):
         c = Series.make(ctx, {q(0): 1}, prec)
-        assert diff_k(a, c) is None
-        assert diff_k(c, a) is None
+        assert a.diff_k(c) is None
+        assert c.diff_k(a) is None
     # one step below the precision the grid index is certified
-    assert diff_k(a, Series.make(ctx, {q(0): 1}, q(4))) == 3 * D
-    assert diff_k(a, Series.make(ctx, {q(0): 1, q(3): 1})) == 5 * D
+    assert a.diff_k(Series.make(ctx, {q(0): 1}, q(4))) == 3 * D
+    assert a.diff_k(Series.make(ctx, {q(0): 1, q(3): 1})) == 5 * D
 
 
 def test_grid_index_round_trip_and_off_grid():

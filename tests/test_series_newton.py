@@ -18,11 +18,11 @@ from defectlab.series import (
     Polynomial,
     PrecisionError,
     Series,
-    int_scale,
     invert,
     make_context,
     newton_root,
 )
+from helpers import int_scale
 
 CTXS = [make_context(mode, p, m) for mode in ("equal", "mixed") for p in (2, 3) for m in (1, 2)]
 

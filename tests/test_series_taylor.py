@@ -14,10 +14,10 @@ from defectlab.series import (
     ConvergenceError,
     Polynomial,
     Series,
-    int_scale,
     make_context,
     newton_root,
 )
+from helpers import int_scale
 
 CTXS = [make_context(mode, p) for mode in (EQUAL, MIXED) for p in (2, 3)]
 

@@ -1,111 +1,202 @@
-"""Every definition in the package is reached from program code.
+"""Every function and method of the package is entered by a program run.
 
-The scan parses ``src/defectlab/*.py`` and ``scripts/*.py`` with ``ast``
-and asks, for each top-level function and class of the package and each
-method, whether its name is referenced (as a name or an attribute) in
-that program code outside the definition itself.  The re-exports in
-``__init__.py`` and the tests do not count: a helper that only tests call
-belongs in the tests.  A reference made inside a definition that is
-itself unreferenced does not count either, so a dead helper cannot keep
-the helpers it calls alive.
+The gate runs the programs in one fresh interpreter (this file, run as a
+script) under a ``sys.settrace`` hook that records the code object of
+every frame it sees, and then asks, for each top-level function of
+``src/defectlab`` and each method of its top-level classes (dunders
+included), whether a frame of it was ever entered.  The programs are the
+commands and the scripts, on the inputs the benchmark, the corpus and CI
+give them:
 
-Dunder methods are called by the language (operators, dataclass hooks),
-not by name, and are not checked.
+* every ``perfbench/golden.json`` job with ``--out``, and ``verify`` of
+  the file it writes;
+* ``verify`` of every ``perfbench/corpus`` file;
+* the preset grid: each command on each preset at p in {2, 3}, with
+  ``--budget 2 --n 1`` where the command takes them, and
+  ``field --base fp_t --p 2 --q 16``;
+* ``scripts/family_survey.py`` and ``scripts/mixed_demo.py`` with the
+  arguments CI runs them with.
+
+The interpreter is a fresh one because the package caches listings,
+contexts, lifts and its parser: a call an earlier test made must not
+stand in for a program's.  The tests do not count, so a helper that only
+tests call belongs in the tests.  A definition no program enters fails
+the gate unless ``ALLOWED`` names it with the reason it stays; prefer
+adding a program run to adding an entry.
+
+The gate is kept at function level: many functions hold a statement no
+program reaches that is not a ``raise`` (verify's diff branches, the
+command-line error exits, infinite ``ExtRat`` arithmetic), so an
+allow-list per line would outgrow the code it guards.  Classes without a
+method of their own (the ``NamedTuple`` records, the exception types) have
+no frame to enter and are not checked.
 """
 
 import ast
-from collections import defaultdict
+import contextlib
+import functools
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "defectlab"
 
-# Definitions that are reached in a way the scan cannot see, with the reason.
-EXEMPT_PREFIXES = {
-    "cmd_": "cli.main dispatches to cmd_<command> through globals()",
-}
-EXEMPT = {
-    "as_generator_transform": (
-        "the generator change theta -> i*theta + c, under which dist(theta, K) "
-        "is invariant; no program changes a generator, only the tests call "
-        "it, to check the value set across the orbit and to forge a family "
-        "member that the distinctness check must refuse"
+# Definitions that stay although no program enters them, with the reason.
+_HASHES_AS_IT_COMPARES = (
+    "a value type hashes as it compares, so that equal values are one set "
+    "member or dict key (tests/test_value_types.py)"
+)
+_TRACED_OP = (
+    "perfbench/tracer.py counts ExtRat operators by wrapping "
+    "ExtRat.__dict__[name] for each name in its EXTRAT_OPS; without this "
+    "entry --trace 1 cannot install"
+)
+ALLOWED = {
+    "approx.TailSchema.__hash__": _HASHES_AS_IT_COMPARES,
+    "cuts.Cut.__hash__": _HASHES_AS_IT_COMPARES,
+    "cuts.CutEnclosure.__hash__": _HASHES_AS_IT_COMPARES,
+    "series.Polynomial.__hash__": _HASHES_AS_IT_COMPARES,
+    "series.Polynomial.__eq__": (
+        "a polynomial compares by its coefficients, as every value type does; "
+        "the programs compare minimal polynomials by their constant terms "
+        "(tests/test_value_types.py)"
+    ),
+    "cuts.Cut.__ge__": (
+        "a cut is totally ordered and defines all four comparisons, as "
+        "ExtRat does (tests/test_cuts.py)"
+    ),
+    "cuts.ExtRat.__repr__": "the form a value takes in an assertion message or at a prompt",
+    "cuts.ExtRat.__rsub__": _TRACED_OP,
+    "cuts.ExtRat.__mul__": _TRACED_OP,
+    "teichmueller._precision_error": (
+        "builds the PrecisionError of an exact (infinite-precision) sum that "
+        "has no finite digit expansion; no program sums exactly, and "
+        "tests/test_series_mixed.py::test_exact_p2_negative_difference_is_refused "
+        "and ::test_exact_p5_carry_is_refused feed it"
     ),
 }
 
 
-def _program_files():
-    package = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
-    return package + sorted((ROOT / "scripts").glob("*.py"))
-
-
 def _definitions(tree):
-    """(qualified name, name, first line, last line) of each top-level
-    function and class and of each method."""
+    """(qualified name, name, first lines) of each top-level function and
+    of each method of a top-level class.  A code object's
+    ``co_firstlineno`` is the line of the first decorator on some
+    interpreters and of ``def`` on others, so both count as first lines."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def firsts(node):
+        return {node.lineno} | {d.lineno for d in node.decorator_list[:1]}
+
     for node in tree.body:
-        if isinstance(node, funcs + (ast.ClassDef,)):
-            yield node.name, node.name, node.lineno, node.end_lineno
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, funcs):
+            yield node.name, node.name, firsts(node)
+        elif isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, funcs):
-                    yield f"{node.name}.{sub.name}", sub.name, sub.lineno, sub.end_lineno
+                    yield f"{node.name}.{sub.name}", sub.name, firsts(sub)
 
 
-def _checked(name):
-    if name.startswith("__") and name.endswith("__"):
-        return False
-    return name not in EXEMPT and not any(name.startswith(p) for p in EXEMPT_PREFIXES)
+@functools.cache
+def _functions():
+    """module.qualified name -> (module, name, first lines) of each
+    function and method of the package."""
+    return {
+        f"{path.stem}.{qual}": (path.stem, name, lines)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qual, name, lines in _definitions(ast.parse(path.read_text(), str(path)))
+    }
 
 
-def unreached():
-    """Qualified names of the checked definitions that no program code
-    reaches, sorted."""
-    defs = []  # (path, qualified name, name, first line, last line)
-    refs = defaultdict(list)  # name -> [(path, line)]
-    for path in _program_files():
-        tree = ast.parse(path.read_text(), str(path))
-        if path.parent == PACKAGE:
-            defs += [(path, *d) for d in _definitions(tree) if _checked(d[1])]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs[node.id].append((path, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                refs[node.attr].append((path, node.lineno))
+def _program_runs(tmp):
+    """The argument lists of the ``cli.main`` runs, in order; the golden
+    jobs write their files under ``tmp``."""
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+    for i, job in enumerate(sorted(golden["jobs"])):
+        out = os.path.join(tmp, f"{i}.json")
+        yield job.split() + ["--out", out]
+        yield ["verify", out]
+    for name in sorted(golden["corpus"]):
+        yield ["verify", str(ROOT / "perfbench" / "corpus" / name)]
+    from defectlab.fields import PRESET_NAMES
 
-    def inside(path, line, spans):
-        return any(p == path and lo <= line <= hi for p, lo, hi in spans)
+    for command in ("field", "distance", "semitame", "asfamily", "kummerfamily", "sigma"):
+        for base in PRESET_NAMES:
+            for p in ("2", "3"):
+                argv = [command, "--base", base, "--p", p]
+                if command != "field":
+                    argv += ["--budget", "2"]
+                if command in ("asfamily", "kummerfamily"):
+                    argv += ["--n", "1"]
+                yield argv
+    yield ["field", "--base", "fp_t", "--p", "2", "--q", "16"]
 
-    dead = set()
-    while True:
-        dead_spans = [(p, lo, hi) for p, q, _, lo, hi in defs if q in dead]
-        found = {
-            q
-            for path, q, name, lo, hi in defs
-            if not any(
-                not (rp == path and lo <= line <= hi) and not inside(rp, line, dead_spans)
-                for rp, line in refs[name]
-            )
-        }
-        if found == dead:
-            return sorted(dead)
-        dead = found
+
+SCRIPT_RUNS = (
+    ("family_survey.py", ["--budget", "2", "--n", "2"]),
+    ("family_survey.py", ["--p", "3", "--budget", "2", "--n", "3"]),
+    ("mixed_demo.py", []),
+)
+
+
+def _trace_programs():
+    """Run every program under the trace and print the entered package
+    functions as JSON [module, first line, name] triples."""
+    import runpy
+    import tempfile
+
+    sys.path.insert(0, str(ROOT / "src"))
+    codes = {}
+
+    def trace(frame, event, arg):
+        codes[id(frame.f_code)] = frame.f_code  # no local trace: entries only
+
+    sys.settrace(trace)
+    from defectlab.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null, \
+            contextlib.redirect_stdout(null), contextlib.redirect_stderr(null):
+        for argv in _program_runs(tmp):
+            main(argv)
+        for script, args in SCRIPT_RUNS:
+            sys.argv = [script] + args
+            runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
+    sys.settrace(None)
+    prefix = str(PACKAGE) + os.sep
+    entered = sorted(
+        {(Path(c.co_filename).stem, c.co_firstlineno, c.co_name)
+         for c in codes.values() if c.co_filename.startswith(prefix)}
+    )
+    print(json.dumps(entered))
+
+
+@functools.cache
+def never_entered():
+    """Module.qualified names of the package functions no program enters,
+    sorted; the programs run once per test session, in a fresh interpreter."""
+    run = subprocess.run(
+        [sys.executable, __file__], capture_output=True, text=True, cwd=ROOT, timeout=600
+    )
+    assert run.returncode == 0, run.stderr
+    entered = {tuple(e) for e in json.loads(run.stdout)}
+    return sorted(
+        qual for qual, (module, name, lines) in _functions().items()
+        if not any((module, line, name) in entered for line in lines)
+    )
 
 
 def test_every_definition_is_reached_from_program_code():
-    missing = unreached()
-    assert not missing, f"only tests reach {len(missing)} definition(s): {missing}"
+    missing = [q for q in never_entered() if q not in ALLOWED]
+    assert not missing, f"no program enters {len(missing)} definition(s): {missing}"
 
 
 def test_exemptions_name_existing_definitions():
-    names = set()
-    for path in _program_files():
-        if path.parent == PACKAGE:
-            names |= {d[1] for d in _definitions(ast.parse(path.read_text()))}
-    for name in EXEMPT:
-        assert name in names, name
-    for prefix in EXEMPT_PREFIXES:
-        assert any(n.startswith(prefix) for n in names), prefix
+    # an entry names a definition that exists, that no program enters, and why
+    stale = [q for q in ALLOWED if q not in _functions() or q not in never_entered()]
+    assert not stale, f"allowed but entered or gone: {stale}"
+    assert all(isinstance(r, str) and r for r in ALLOWED.values())
 
 
 def test_only_certfile_spells_the_file():
@@ -118,7 +209,11 @@ def test_only_certfile_spells_the_file():
         f"{path.name}: {qual}"
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "certfile.py"
-        for qual, name, _, _ in _definitions(ast.parse(path.read_text()))
+        for qual, name, _ in _definitions(ast.parse(path.read_text()))
         if spells(name)
     ]
     assert not found, found
+
+
+if __name__ == "__main__":
+    _trace_programs()
