@@ -1,6 +1,10 @@
 """Certificate files: schema v1, which no other module spells (the value
-types carry no JSON), canonical serialization, atomic writes, and
-search-free re-verification.
+types carry no JSON), atomic writes of the canonical text, and search-free
+re-verification.
+
+The canonical text of a file is ``json.dumps(tree, sort_keys=True,
+indent=1)`` of its records as a tree of dicts and lists; the writer renders
+each record straight to that text and builds no tree.
 
 Certificates carry their witnesses, so verification re-derives every
 recorded claim from stored data alone: witness valuations are recomputed,
@@ -16,6 +20,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import List, NamedTuple, Tuple
 
@@ -40,6 +45,7 @@ from .artin import (
     root_tail,
 )
 from .cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
+from .ffield import FiniteField
 from .fields import FieldDesc, member_witness, preset_field
 from .series import Polynomial, Series, SeriesContext
 
@@ -61,16 +67,6 @@ class SessionConfig(NamedTuple):
     m: int
     D: int
     budget: int
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "p": self.p,
-            "m": self.m,
-            "D": self.D,
-            "precision": SESSION_PRECISION,
-            "budget": self.budget,
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "SessionConfig":
@@ -185,15 +181,6 @@ def field_from_json(obj: dict, where: str) -> FieldDesc:
     return K
 
 
-def _tail_to_json(tail: TailSchema) -> dict:
-    return {
-        "sup": str(ExtRat.of(tail.sup)),
-        "low": str(ExtRat.of(tail.low)),
-        "note": tail.note,
-        **dict.fromkeys(_TAIL_FLAGS, True),
-    }
-
-
 def _tail_from_json(obj: dict) -> TailSchema:
     *flags, low, note, sup = _read(obj, "generator_tail", {
         "cofinal_at_sup": bool, "denominators_unbounded": bool, "partials_in_field": bool,
@@ -202,16 +189,6 @@ def _tail_from_json(obj: dict) -> TailSchema:
         if value is not True:
             raise ValueError(f"generator_tail {flag} is {value!r}, not True")
     return TailSchema(Fraction(*_parse_ratio(sup)), Fraction(*_parse_ratio(low)), note)
-
-
-def _claims_to_json(c: Claims) -> dict:
-    return {
-        "unique_extension": [c.unique_extension, c.unique_rule],
-        "immediate": [c.immediate, c.immediate_rule],
-        "defect": [c.defect, c.defect_rule],
-        "classification": [c.classification, c.classification_rule],
-        "bounds": [[n, v] for n, v in c.bounds],
-    }
 
 
 def _claims_from_json(obj: dict) -> Claims:
@@ -224,19 +201,6 @@ def _claims_from_json(obj: dict) -> Claims:
                 or type(pair[1]) is not str:
             raise ValueError(f"claims pair {pair!r} is not a pair the writer writes")
     return Claims(*pairs[0], *pairs[1], *pairs[2], *pairs[3], tuple(map(tuple, bounds)))
-
-
-def series_to_json(s: Series) -> dict:
-    D = s.ctx.D
-    terms = []
-    for k, c in s.kterms:
-        g = math.gcd(k, D)  # the exponent k/D as a reduced fraction
-        terms.append({"exp": f"{k // g}/{D // g}", "coeff": s.ctx.field.repr_code(c)})
-    k = s.kprec
-    if k == math.inf:
-        return {"mode": s.ctx.mode, "terms": terms, "precision": "+inf"}
-    g = math.gcd(k, D)
-    return {"mode": s.ctx.mode, "terms": terms, "precision": f"{k // g}/{D // g}"}
 
 
 def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
@@ -272,26 +236,11 @@ def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
     return Series(ctx, tuple(kterms), kcap)
 
 
-def poly_to_json(f: Polynomial) -> list:
-    return [series_to_json(c) for c in f.coeffs]
-
-
 def poly_from_json(obj: list, ctx: SeriesContext) -> Polynomial:
     f = Polynomial.make(tuple(series_from_json(c, ctx) for c in obj))
     if not obj or len(f.coeffs) != len(obj):
         raise ValueError(f"min_poly of {len(obj)} coefficients is empty or ends in a zero one")
     return f
-
-
-def sample_to_json(s: InitialSegmentSample) -> dict:
-    return {
-        "realized": [
-            {"value": str(v), "witness": series_to_json(w)} for v, w in s.realized
-        ],
-        "upper": _cut_to_json(s.upper),
-        "no_max": s.no_max,
-        "budget": s.budget,
-    }
 
 
 def sample_from_json(obj: dict, ctx: SeriesContext) -> InitialSegmentSample:
@@ -302,21 +251,6 @@ def sample_from_json(obj: dict, ctx: SeriesContext) -> InitialSegmentSample:
         value, witness = _read(r, "realized entry", {"value": str, "witness": dict})
         entries.append((_parse_extrat(value), series_from_json(witness, ctx)))
     return InitialSegmentSample(tuple(entries), _cut_from_json(upper), no_max, budget)
-
-
-def cert_to_json(cert: ExtensionCert) -> dict:
-    return {
-        "kind": cert.kind,
-        "base": _field_to_json(cert.base),
-        "generator": series_to_json(cert.generator),
-        "generator_tail": _tail_to_json(cert.generator_tail) if cert.generator_tail else None,
-        "min_poly": poly_to_json(cert.min_poly),
-        "residual_floor": str(cert.residual_floor),
-        "sample": sample_to_json(cert.sample),
-        "dist": _enclosure_to_json(cert.dist),
-        "claims": _claims_to_json(cert.claims),
-        "provenance": list(cert.provenance),
-    }
 
 
 def cert_from_json(obj: dict) -> ExtensionCert:
@@ -345,15 +279,6 @@ class CertificateFile(NamedTuple):
     certs: Tuple[ExtensionCert, ...]
     log: Tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config.to_json(),
-            "field": _field_to_json(self.field),
-            "certs": [cert_to_json(c) for c in self.certs],
-            "log": list(self.log),
-        }
-
 
 def make_certificate_file(
     K: FieldDesc, config: SessionConfig, certs, log=()
@@ -361,64 +286,122 @@ def make_certificate_file(
     return CertificateFile(SCHEMA_VERSION, config, K, tuple(certs), tuple(log))
 
 
-def _dumps(obj) -> str:
-    """Canonical JSON text of ``obj``: byte-identical to
-    ``json.dumps(obj, sort_keys=True, indent=1)`` on the shapes ``to_json``
-    produces (dicts with str keys, lists, tuples, str, int, bool, None).
-
-    ``json.dumps`` cannot use CPython's C encoder when ``indent`` is set;
-    this writer keeps the C string escaper and drops the rest of the
-    pure-Python encoder's generality.  Any other type raises ``TypeError``.
-    """
-    chunks: List[str] = []
-    _emit(obj, chunks.append, "\n")
-    return "".join(chunks)
+# --------------------------------------------------------------------------
+# The writer: one function per record, each giving the record's text with
+# its keys in sorted order.  ``nl`` is a newline followed by the indent of
+# the line the record ends on, one space per level.  Free strings go through
+# the C string escaper, which refuses anything but a str with TypeError.
 
 
-def _emit(obj, write, nl: str) -> None:
-    # ``nl`` is a newline followed by the indent of the line ``obj`` ends on
-    t = type(obj)
-    if t is str:
-        write(encode_basestring_ascii(obj))
-    elif t is int:
-        write(int.__repr__(obj))  # never a bool: type(True) is bool
-    elif t is dict or t is list or t is tuple:
-        if not obj:
-            write("{}" if t is dict else "[]")
-            return
-        inner = nl + " "
-        sep = inner
-        if t is dict:
-            write("{")
-            for key, value in sorted(obj.items()):
-                if type(key) is not str:
-                    raise TypeError(f"certificate JSON keys must be str, not {type(key).__name__}")
-                write(f"{sep}{encode_basestring_ascii(key)}: ")
-                sep = "," + inner
-                _emit(value, write, inner)
-            write(nl + "}")
-        else:
-            write("[")
-            for value in obj:
-                write(sep)
-                sep = "," + inner
-                _emit(value, write, inner)
-            write(nl + "]")
-    elif obj is True:
-        write("true")
-    elif obj is False:
-        write("false")
-    elif obj is None:
-        write("null")
+def _array(texts: list, nl: str) -> str:
+    # the elements' texts end on lines indented by nl + " "
+    if not texts:
+        return "[]"
+    inner = nl + " "
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
+
+
+def _object(nl: str, keys: str, *texts: str) -> str:
+    # ``keys`` names the texts, space-separated, in sorted order.  It costs a
+    # split and a format per key, so series and realized entries, most of a
+    # file's bytes, are f-strings of their own.
+    inner = nl + " "
+    return "{" + inner + ("," + inner).join(map('"{}": {}'.format, keys.split(), texts)) + nl + "}"
+
+
+@lru_cache(maxsize=None)
+def _term_format(F: FiniteField, nl: str) -> tuple:
+    # a term of F that ends on ``nl``: its text up to the exponent, for
+    # each code (a plain int for a prime field), and after the exponent
+    n1 = nl + " "
+    codes = [str(c) if F.m == 1 else _array([str(x) for x in F.repr_code(c)], n1)
+             for c in range(F.q)]
+    return tuple(f'{{{n1}"coeff": {t},{n1}"exp": "' for t in codes), f'"{nl}}}'
+
+
+def _series_text(s: Series, nl: str) -> str:
+    # most of a file's bytes: one format for every term
+    ctx, n1 = s.ctx, nl + " "
+    D, (heads, end) = ctx.D, _term_format(ctx.field, n1 + " ")
+    terms = []
+    for k, c in s.kterms:
+        g = math.gcd(k, D)  # the exponent k/D as a reduced fraction
+        terms.append(f"{heads[c]}{k // g}/{D // g}{end}")
+    k = s.kprec
+    if k == math.inf:
+        prec = "+inf"
     else:
-        raise TypeError(f"cannot write {t.__name__} into a certificate file")
+        g = math.gcd(k, D)
+        prec = f"{k // g}/{D // g}"
+    return (f'{{{n1}"mode": {encode_basestring_ascii(ctx.mode)},{n1}"precision": "{prec}",'
+            f'{n1}"terms": {_array(terms, n1)}{nl}}}')
+
+
+def _cut_text(c: Cut, nl: str) -> str:
+    return _object(nl, "attained bound", "true" if c.attained else "false", f'"{c.bound}"')
+
+
+def _sample_text(s: InitialSegmentSample, nl: str) -> str:
+    n1, n2, n3 = nl + " ", nl + "  ", nl + "   "
+    realized = [f'{{{n3}"value": "{v}",{n3}"witness": {_series_text(w, n3)}{n2}}}'
+                for v, w in s.realized]
+    return _object(nl, "budget no_max realized upper", str(s.budget),
+                   encode_basestring_ascii(s.no_max), _array(realized, n1), _cut_text(s.upper, n1))
+
+
+def _claims_text(c: Claims, nl: str) -> str:
+    n1, n2, q = nl + " ", nl + "  ", encode_basestring_ascii
+    defect = "null" if c.defect is None else str(c.defect)
+    pairs = [_array([v, q(rule)], n1) for v, rule in zip(
+        (q(c.classification), defect, q(c.immediate), q(c.unique_extension)),
+        (c.classification_rule, c.defect_rule, c.immediate_rule, c.unique_rule))]
+    bounds = [_array([q(n), q(v)], n2) for n, v in c.bounds]
+    return _object(nl, "bounds classification defect immediate unique_extension",
+                   _array(bounds, n1), *pairs)
+
+
+def _tail_text(tail: TailSchema, nl: str) -> str:
+    # the flags of _TAIL_FLAGS are true
+    return _object(nl, "cofinal_at_sup denominators_unbounded low note partials_in_field sup",
+                   "true", "true", f'"{ExtRat.of(tail.low)}"', encode_basestring_ascii(tail.note),
+                   "true", f'"{ExtRat.of(tail.sup)}"')
+
+
+@lru_cache(maxsize=None)
+def _field_text(K: FieldDesc, nl: str) -> str:
+    # the same few fields in every file of a process, each rendered once by
+    # the encoder that defines the canonical text
+    return json.dumps(_field_to_json(K), sort_keys=True, indent=1).replace("\n", nl)
+
+
+def _cert_text(cert: ExtensionCert, nl: str) -> str:
+    n1, n2, q = nl + " ", nl + "  ", encode_basestring_ascii
+    tail = cert.generator_tail
+    return _object(nl, "base claims dist generator generator_tail kind min_poly provenance "
+                   "residual_floor sample", _field_text(cert.base, n1),
+                   _claims_text(cert.claims, n1),
+                   _object(n1, "hi lo", _cut_text(cert.dist.hi, n2), _cut_text(cert.dist.lo, n2)),
+                   _series_text(cert.generator, n1), "null" if tail is None else _tail_text(tail, n1),
+                   q(cert.kind), _array([_series_text(c, n2) for c in cert.min_poly.coeffs], n1),
+                   _array([q(s) for s in cert.provenance], n1), f'"{cert.residual_floor}"',
+                   _sample_text(cert.sample, n1))
+
+
+def _file_text(cf: CertificateFile) -> str:
+    config, q = cf.config, encode_basestring_ascii
+    return _object("\n", "certs config field log version",
+                   _array([_cert_text(c, "\n  ") for c in cf.certs], "\n "),
+                   _object("\n ", "D budget m mode p precision", str(config.D), str(config.budget),
+                           str(config.m), q(config.mode), str(config.p), f'"{SESSION_PRECISION}"'),
+                   _field_text(cf.field, "\n "), _array([q(s) for s in cf.log], "\n "),
+                   str(cf.version))
 
 
 def write_certificate_file(path: str, cf: CertificateFile) -> None:
     """Write ``cf`` to ``path`` atomically: a temporary file in the same
     directory, created with mode 0666 less the umask (what a plain
     ``open(path, "w")`` gives), renamed over ``path``."""
-    payload = _dumps(cf.to_json())
+    payload = _file_text(cf)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".cert-{os.urandom(6).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

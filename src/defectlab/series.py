@@ -526,9 +526,10 @@ def invert(a: Series, target_precision: ExtRat) -> Series:
     precision of s is recorded on the result.  In equal characteristic
     1/(1 + y) comes from the power-series recurrence s_0 = 1,
     s_n = -sum_{i>=1} y_i s_{n-i} on the gcd step of y's exponents; in
-    mixed characteristic, whose sums carry, from the geometric series
-    sum (-y)^k.  Both give every term of 1/(1 + y) below the relative
-    precision.
+    mixed characteristic, whose sums carry, from the product
+    (1 - y)(1 + y^2)(1 + y^4)..., one squaring per doubling of the number
+    of terms of the geometric series sum (-y)^k.  Both give every term of
+    1/(1 + y) below the relative precision.
     """
     if a.is_zero:
         raise ZeroDivisionError("zero series has no inverse")
@@ -567,13 +568,15 @@ def invert(a: Series, target_precision: ExtRat) -> Series:
             coeffs.append(neg(acc))
         kterms = tuple((n * g, c) for n, c in enumerate(coeffs) if c)
         return Series(ctx, kterms, rel).scale(lc_inv).shift(-va)
-    s = power = Series(ctx, ((0, 1),), rel)
-    k = 1
-    neg_y = y.neg()
-    while k * vy < rel:
-        power = power * neg_y
-        s = s + power
-        k += 1
+    # s is the sum of (-y)^i over i < 2e and w is (-y)^e; e doubles until
+    # (-y)^(2e) lies at or above rel
+    w = y.neg()
+    s = Series(ctx, ((0, 1),), rel) + w
+    e = 1
+    while 2 * e * vy < rel:
+        w = w * w
+        s = s + s * w
+        e *= 2
     return s.scale(lc_inv).shift(-va)
 
 

@@ -2,14 +2,13 @@
 and hashing give them, and records stay plain immutable tuples that never
 reach a certificate file on their own."""
 
-import re
 from fractions import Fraction
 
 import pytest
 
 from defectlab.approx import TailSchema
-from defectlab.artin import Claims
-from defectlab.certfile import SessionConfig, _dumps
+from defectlab.artin import Claims, as_extension
+from defectlab.certfile import SessionConfig, make_certificate_file, write_certificate_file
 from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from defectlab.ffield import finite_field
 from defectlab.fields import FieldDesc, listing_index, preset_field
@@ -134,10 +133,19 @@ def test_records_are_immutable_tuples():
     assert cfg._replace(budget=4).budget == 4 and cfg.budget == 3
 
 
+@pytest.mark.parametrize("where", ["log", "provenance"])
 @pytest.mark.parametrize(
-    "record", [SessionConfig.for_field(K2, 3), {"claims": Claims()}, [Claims()]],
-    ids=["top", "in-dict", "in-list"],
+    "record", [SessionConfig.for_field(K2, 3), Claims()], ids=["config", "claims"]
 )
-def test_records_never_reach_a_certificate_file(record):
-    with pytest.raises(TypeError, match=re.escape("into a certificate file")):
-        _dumps(record)
+def test_records_never_reach_a_certificate_file(tmp_path, where, record):
+    # the text is built before the temporary file is opened: a refused
+    # record leaves neither the target nor a .cert-* file behind
+    cert = as_extension(Series.monomial(K2.ctx, -1), K2, 2)
+    if where == "provenance":
+        cf = make_certificate_file(K2, SessionConfig.for_field(K2, 2),
+                                   [cert._replace(provenance=("ok", record))])
+    else:
+        cf = make_certificate_file(K2, SessionConfig.for_field(K2, 2), [cert], log=("ok", record))
+    with pytest.raises(TypeError):
+        write_certificate_file(str(tmp_path / "out.json"), cf)
+    assert list(tmp_path.iterdir()) == []
