@@ -31,7 +31,6 @@ from .cuts import (
     Cut,
     CutEnclosure,
     ExtRat,
-    MINUS_INF,
     PLUS_INF,
     cut_of_sample,
     segment_affine,

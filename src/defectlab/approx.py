@@ -80,7 +80,7 @@ class InitialSegmentSample(NamedTuple):
         return tuple(v for v, _ in self.realized)
 
     def finite_values(self) -> Tuple[Fraction, ...]:
-        return tuple(v.fraction for v, _ in self.realized if v.is_finite)
+        return tuple(v.fraction for v, _ in self.realized)
 
     def max_realized(self) -> Optional[ExtRat]:
         return self.realized[-1][0] if self.realized else None
@@ -119,29 +119,23 @@ def support_upper_cut(a: Series, K: FieldDesc, tail: Optional[TailSchema]) -> Cu
 
 def sample_shape_error(realized, upper: Cut) -> Optional[str]:
     """Why ``realized`` is not a well-formed sample under the certified
-    upper cut, or None: the values must be strictly increasing, a +inf
-    value (an exact member) needs an infinite bound, and every finite
+    upper cut, or None: the values must be strictly increasing, and every
     value must lie in the cut's lower set."""
     prev = None
     for v, _ in realized:
         if prev is not None and not prev < v:
             return f"realized values are not strictly increasing: {prev} then {v}"
         prev = v
-        if not v.is_finite:
-            if upper.bound.is_finite:
-                return "a witnessed exact member contradicts the finite upper bound"
-            continue
         if v > upper.bound or (v == upper.bound and not upper.attained):
             return f"realized value {v} escapes the certified upper cut {upper}"
     return None
 
 
 def no_max_refuted(realized, upper: Cut) -> bool:
-    """Whether the sample shows that v(a - K) has a maximum: an exact
-    member of K is realized (+inf), or the top realized value sits at an
-    attained upper bound."""
-    if any(not v.is_finite for v, _ in realized):
-        return True
+    """Whether the sample shows that v(a - K) has a maximum: the top
+    realized value sits at an attained upper bound.  An element of K
+    realizes no value at +inf; its sample is bounded by +inf-, so its
+    maximum stays unknown."""
     return bool(realized) and upper.attained and realized[-1][0] == upper.bound
 
 
@@ -168,8 +162,8 @@ def value_set(
     runs only on the elements led by a's leading term, or, when a has no
     terms, on the listed elements without terms.
 
-    Witnesses are keyed by the grid index k of the value k/D
-    (``math.inf`` for an exact zero, see ``Series.diff_k``), and an
+    Witnesses are keyed by the grid index k of the value k/D (an exact
+    zero, ``None`` from ``Series.diff_k``, realizes nothing), and an
     ``ExtRat`` is built only for the values realized.
     """
     if budget < 1:
@@ -198,7 +192,7 @@ def value_set(
     first: Dict[int, int] = dict(zip(index.lead_ks[:j], index.first_at))
     for i in index.by_lead.get(lead, ()) if lead else index.termless:
         k = a.diff_k(elements[i])
-        if k is not None and (k == math.inf or k < khorizon):
+        if k is not None and k < khorizon:
             first.setdefault(k, i)
     for k, i in first.items():
         found.setdefault(k, elements[i])
@@ -244,8 +238,6 @@ def translate_sample(
     khorizon, dk = ctx.kcap(horizon), ctx.grid_k(shift)
     out = []
     for v, w in sample.realized:
-        if not v.is_finite:
-            continue
         w2 = witness_map(w)
         target = ctx.grid_index(v) + dk
         if not target < khorizon:
@@ -254,11 +246,11 @@ def translate_sample(
         if got != target:
             raise ValueError(
                 f"translated witness fails: expected value {ctx.value_of(target)}, "
-                f"got {'zero' if got is None or got == math.inf else ctx.value_of(got)}"
+                f"got {'zero' if got is None else ctx.value_of(got)}"
             )
         out.append((ctx.value_of(target), w2))
     ub = sample.upper
-    new_upper = Cut(ub.bound + shift, ub.attained) if ub.bound.is_finite else ub
+    new_upper = Cut(ub.bound + shift, ub.attained)  # +inf- stays +inf-
     return InitialSegmentSample(tuple(out), new_upper, sample.no_max, sample.budget)
 
 
@@ -269,9 +261,6 @@ def distance(
     """Certified enclosure of dist(a, K) from a sample of v(a - K) and the
     tail of a, collapsing to an exact cut when the sample is provably
     cofinal in it."""
-    if any(not v.is_finite for v, _ in sample.realized):
-        top = Cut(PLUS_INF, False)
-        return CutEnclosure(top, top)
     if not sample.realized:
         raise ValueError("no realized values at this budget; cannot bracket the distance")
     lo = cut_of_sample(sample.finite_values())
@@ -279,7 +268,6 @@ def distance(
     if (
         sample.no_max == PROVED
         and tail is not None
-        and hi.bound.is_finite
         and hi == Cut(ExtRat.of(tail.sup), False)
     ):
         return CutEnclosure(hi, hi)

@@ -421,8 +421,6 @@ def sigma_sample(cert: ExtensionCert) -> SigmaSample:
     found = {}
 
     for v, w in cert.sample.realized:
-        if not v.is_finite:
-            continue
         f = theta - w
         found.setdefault(-v, f)
     shifted = theta + Series.one(ctx)
@@ -491,7 +489,7 @@ def derive_claims(cert: ExtensionCert) -> ExtensionCert:
         # the first grid value off the value group; a value off the grid
         # (which no witness realizes) certifies nothing
         ctx, step = cert.base.ctx, cert.base.grid_step
-        ks = (ctx.grid_index(v) for v, _ in s.realized if v.is_finite)
+        ks = (ctx.grid_index(v) for v, _ in s.realized)
         k = next((k for k in ks if k is not None and k % step), None)
         if k is not None:
             if (p * k) % step:

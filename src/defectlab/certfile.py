@@ -127,7 +127,8 @@ def _parse_ratio(s) -> Tuple[int, int]:
 
 
 def _parse_extrat(s: str) -> ExtRat:
-    # no writer writes -inf
+    # a cut bound or a residual floor: "+inf" or a ratio, as the writer
+    # writes them
     if s == "+inf":
         return PLUS_INF
     return ExtRat(Fraction(*_parse_ratio(s)))
@@ -217,7 +218,7 @@ def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
         if D % d:
             raise ValueError(f"series precision {prec!r} is off the grid (1/D)Z, D={D}")
         kcap = n * (D // d)
-    p, m, k, kterms = F.p, F.m, -math.inf, []
+    p, m, kterms = F.p, F.m, []
     ctype = int if m == 1 else list
     for t in terms:  # _read's check, inline: a call per term costs 3% of a verify job
         if type(t) is not dict or len(t) != 2 or type(t.get("exp")) is not str \
@@ -225,8 +226,8 @@ def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
             _read(t, "series term", {"coeff": ctype, "exp": str})  # refuses, naming why
         coeff, exp = t["coeff"], t["exp"]
         n, d = _parse_ratio(exp)
-        last, k = k, n * (D // d)
-        if D % d or not last < k < kcap:
+        k = n * (D // d)
+        if D % d or not k < kcap or kterms and not kterms[-1][0] < k:
             raise ValueError(f"series exponent {exp!r} is off the grid, not above the one "
                              f"before it, or not below the precision {prec}")
         if not (0 < coeff < p if m == 1 else len(coeff) == m and any(coeff)
@@ -249,7 +250,8 @@ def sample_from_json(obj: dict, ctx: SeriesContext) -> InitialSegmentSample:
     entries = []
     for r in realized:
         value, witness = _read(r, "realized entry", {"value": str, "witness": dict})
-        entries.append((_parse_extrat(value), series_from_json(witness, ctx)))
+        # a realized value is finite: +inf is written for bounds only
+        entries.append((ExtRat(Fraction(*_parse_ratio(value))), series_from_json(witness, ctx)))
     return InitialSegmentSample(tuple(entries), _cut_from_json(upper), no_max, budget)
 
 
@@ -515,11 +517,7 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
         if not member_witness(cert.base, w):
             report.add(f"{tag}: witness for {v} is not in K")
         got = gen.diff_k(w)
-        if not v.is_finite:
-            if got != math.inf:
-                report.add(f"{tag}: witness for +inf does not reproduce an exact zero")
-            continue
-        if got is None or got == math.inf:
+        if got is None:
             report.add(f"{tag}: witness for {v} gives a zero difference")
             continue
         if got != ctx.grid_index(v) or not got < khorizon:

@@ -1,10 +1,13 @@
-"""Exact rationals with infinities and cuts in ordered abelian groups.
+"""Exact rationals, the bound +inf, and cuts in ordered abelian groups.
 
-All arithmetic is exact: finite values are arbitrary-precision reduced
-fractions, and the two infinities compare correctly against everything.
-Cuts are represented by a rational-or-infinite bound together with an
-``attained`` flag; ``attained=True`` means the lower set is ``{q <= bound}``
-and ``attained=False`` means ``{q < bound}``.  Comparison of cuts is by
+All arithmetic is exact: values are arbitrary-precision reduced
+fractions.  +inf is a bound, never a value: an exact series' precision,
+the upper cut ``+inf-`` where no support argument bounds v(a - K), an
+Artin-Schreier root's floor when it has no residual.  It compares above
+every value, and the one sum it enters is ``+inf + x = +inf``.  Cuts are
+represented by a rational-or-+inf bound together with an ``attained``
+flag; ``attained=True`` means the lower set is ``{q <= bound}`` and
+``attained=False`` means ``{q < bound}``.  Comparison of cuts is by
 inclusion of lower sets, which makes the order total.
 """
 
@@ -18,16 +21,17 @@ RatLike = Union[int, Fraction, "ExtRat"]
 
 
 class InfinityArithmeticError(ArithmeticError):
-    """Raised on undefined expressions such as (+inf) + (-inf)."""
+    """Raised when +inf enters arithmetic other than ``+inf + x``: it has
+    no fraction, so -(+inf), +inf * n and x - (+inf) are refused."""
 
 
 class ExtRat:
-    """An exact rational number or one of the symbols -inf / +inf.
+    """An exact rational number or the bound +inf.
 
-    ``sign`` is 0 for finite values (stored in ``num``), +1 for +inf and
-    -1 for -inf.  Finite arithmetic never rounds; mixing the two
-    infinities raises :class:`InfinityArithmeticError`.  Values are never
-    mutated after ``__init__``.
+    ``sign`` is 0 for finite values (stored in ``num``) and +1 for +inf.
+    Finite arithmetic never rounds; arithmetic reads ``fraction``, which
+    raises :class:`InfinityArithmeticError` on +inf, except that
+    ``+inf + x`` is +inf.  Values are never mutated after ``__init__``.
     """
 
     __slots__ = ("num", "sign")
@@ -36,7 +40,7 @@ class ExtRat:
         if sign == 0:
             if not isinstance(num, Fraction):
                 raise TypeError("finite ExtRat requires a Fraction")
-        elif sign not in (-1, 1) or num is not None:
+        elif sign != 1 or num is not None:
             raise ValueError("infinite ExtRat carries no fraction")
         self.num = num
         self.sign = sign
@@ -59,27 +63,17 @@ class ExtRat:
 
     @property
     def fraction(self) -> Fraction:
-        if self.sign != 0:
-            raise InfinityArithmeticError("infinite value has no fraction")
-        assert self.num is not None
+        if self.sign:
+            raise InfinityArithmeticError("+inf has no fraction")
         return self.num
 
     def __neg__(self) -> "ExtRat":
-        if self.sign != 0:
-            return MINUS_INF if self.sign > 0 else PLUS_INF
-        return ExtRat(-self.num)
+        return ExtRat(-self.fraction)
 
     def __add__(self, other: RatLike) -> "ExtRat":
-        other = ExtRat.of(other)
-        if self.sign != 0 and other.sign != 0:
-            if self.sign != other.sign:
-                raise InfinityArithmeticError("inf - inf is undefined")
+        if self.sign:
             return self
-        if self.sign != 0:
-            return self
-        if other.sign != 0:
-            return other
-        return ExtRat(self.num + other.num)
+        return ExtRat(self.num + ExtRat.of(other).fraction)
 
     __radd__ = __add__
 
@@ -90,24 +84,13 @@ class ExtRat:
         return ExtRat.of(other) + (-self)
 
     def __mul__(self, other: RatLike) -> "ExtRat":
-        other = ExtRat.of(other)
-        if self.sign == 0 and other.sign == 0:
-            return ExtRat(self.num * other.num)
-        a, b = self, other
-        if a.sign == 0:
-            a, b = b, a
-        # a is infinite
-        if b.sign == 0:
-            if b.num == 0:
-                raise InfinityArithmeticError("0 * inf is undefined")
-            return a if b.num > 0 else -a
-        return a if b.sign > 0 else -a
+        return ExtRat(self.fraction * ExtRat.of(other).fraction)
 
     __rmul__ = __mul__
 
     def _key(self):
-        # an infinity's key compares on its sign alone; its 0 hashes as
-        # Fraction(0) does
+        # +inf's key compares on its sign alone; its 0 hashes as Fraction(0)
+        # does
         if self.sign:
             return (self.sign, 0)
         return (0, self.num)
@@ -135,10 +118,8 @@ class ExtRat:
         return hash(self._key())
 
     def __str__(self) -> str:
-        if self.sign > 0:
+        if self.sign:
             return "+inf"
-        if self.sign < 0:
-            return "-inf"
         return f"{self.num.numerator}/{self.num.denominator}"
 
     def __repr__(self) -> str:
@@ -146,15 +127,14 @@ class ExtRat:
 
 
 PLUS_INF = ExtRat(None, 1)
-MINUS_INF = ExtRat(None, -1)
 
 
 class Cut:
     """A cut in the divisible hull of a rank-1 value group.
 
     ``attained=True``: lower set {q <= bound}; ``attained=False``:
-    lower set {q < bound}.  Infinite bounds force ``attained=False`` (the
-    lower set is then everything or nothing).
+    lower set {q < bound}.  The bound +inf forces ``attained=False`` (the
+    lower set is then everything).
     """
 
     __slots__ = ("bound", "attained")
@@ -198,31 +178,21 @@ def segment_affine(s: Cut, n: int, alpha: RatLike) -> Cut:
     """Image of an initial segment under T -> nT + alpha.
 
     The lower set {q (<|<=) b} maps to {q (<|<=) n*b + alpha}; the
-    attained flag is preserved.  ``alpha`` must be finite and ``n``
-    a positive integer.
+    attained flag is preserved.  The bound and ``alpha`` must be finite
+    and ``n`` a positive integer.
     """
     if not isinstance(n, int) or n <= 0:
         raise ValueError("n must be a positive integer")
-    alpha = ExtRat.of(alpha)
-    if not alpha.is_finite:
-        raise InfinityArithmeticError("affine shift must be finite")
-    return Cut(alpha + self_mul(s.bound, n), s.attained)
-
-
-def self_mul(x: ExtRat, n: int) -> ExtRat:
-    if not x.is_finite:
-        return x
-    return ExtRat(x.fraction * n)
+    return Cut(s.bound * n + alpha, s.attained)
 
 
 def cut_of_sample(values: Iterable[RatLike]) -> Cut:
     """The least upper cut ``S^+`` of a sample: (max(S), attained).  The
-    sample must be nonempty and finite."""
+    sample must be nonempty; its values are finite, since an attained
+    cut's bound is."""
     vals = [ExtRat.of(v) for v in values]
     if not vals:
         raise ValueError("empty sample has no cut")
-    if any(not v.is_finite for v in vals):
-        raise ValueError("sample values must be finite")
     return Cut(max(vals), True)
 
 

@@ -38,9 +38,8 @@ def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p:
 
 
 def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
+    # degree >= 2: find_irreducible answers m = 1 itself
     deg = len(poly) - 1
-    if deg == 1:
-        return True
     # no roots
     for x in range(p):
         acc = 0

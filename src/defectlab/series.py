@@ -100,28 +100,27 @@ class SeriesContext:
         return e.numerator * (self.D // e.denominator)
 
     def kcap(self, x: ExtRat):
-        """ceil(x*D), so that k/D < x exactly when k < kcap(x); +-inf for
-        an infinite x."""
+        """ceil(x*D), so that k/D < x exactly when k < kcap(x);
+        ``math.inf`` for +inf."""
         if x.sign:
-            return math.inf if x.sign > 0 else -math.inf
+            return math.inf
         f = x.num
         return -(-f.numerator * self.D // f.denominator)
 
     def grid_index(self, x: ExtRat):
-        """The k with x = k/D: ``math.inf`` for +inf, None for -inf or a
-        finite x off the grid (1/D)Z."""
+        """The k with x = k/D: ``math.inf`` for +inf, None for an x off
+        the grid (1/D)Z."""
         if x.sign:
-            return math.inf if x.sign > 0 else None
+            return math.inf
         q, r = divmod(self.D, x.num.denominator)
         return None if r else x.num.numerator * q
 
     def prec_k(self, x):
         """The grid index k of a precision x = k/D, ``math.inf`` for +inf.
         A precision off the grid (1/D)Z is refused, never rounded (rounding
-        up would claim unknown terms); -inf certifies nothing and has no
-        fraction."""
+        up would claim unknown terms)."""
         x = ExtRat.of(x)
-        if x.sign > 0:
+        if x.sign:
             return math.inf
         f = x.fraction
         q, r = divmod(self.D, f.denominator)
@@ -311,11 +310,10 @@ class Series:
 
         Walks the two sorted term tuples together and returns the grid
         index k of the first exponent k/D below both precisions where the
-        coefficients differ; ``math.inf`` when the terms agree and both
-        precisions are infinite (an exact zero); ``None`` when they agree
-        only up to a finite precision, or first differ at or beyond one
-        (the difference is zero to that precision, its valuation
-        uncertified).
+        coefficients differ; ``None`` when no such exponent exists: the
+        terms agree (an exact zero, or a zero up to a finite precision),
+        or first differ at or beyond a precision.  The samples hold finite
+        values only, so an exact zero realizes nothing either.
 
         In equal characteristic this is the valuation of ``self - other``
         term by term.  In mixed characteristic it is too: the terms below
@@ -332,8 +330,6 @@ class Series:
                 break
         else:
             if len(ta) == len(tc):
-                if self.kprec == other.kprec == math.inf:
-                    return math.inf
                 return None
             # one term tuple is a prefix of the other; the longer one's
             # next term is the first difference
@@ -552,8 +548,6 @@ def invert(a: Series, target_precision: ExtRat) -> Series:
     if y.is_zero:
         return Series(ctx, ((-kva, lc_inv),), rel - kva)
     vy = y.kterms[0][0]
-    if vy <= 0:
-        raise PrecisionError("inversion requires a dominant leading term")
     if ctx.mode == EQUAL:
         add, mul, neg = ctx.field.add, ctx.field.mul, ctx.field.neg
         g = math.gcd(*(k for k, _ in y.kterms))

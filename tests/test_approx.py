@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -16,9 +15,16 @@ from defectlab.approx import (
 )
 from defectlab.artin import as_root
 from defectlab.cuts import Cut, ExtRat, PLUS_INF
-from defectlab.fields import enumerate_elements, listing_index, member_witness, preset_field
+from defectlab.fields import (
+    PRESET_NAMES,
+    PRESETS,
+    enumerate_elements,
+    listing_index,
+    member_witness,
+    preset_field,
+)
 from defectlab.kummer import lab_superdependent_unit
-from defectlab.series import Series
+from defectlab.series import EQUAL, Series
 
 
 def q(n, d=1):
@@ -44,9 +50,13 @@ def test_value_set_sqrt_t_over_fp_t():
 
 
 def test_value_set_element_of_K():
+    # t is in K, yet its sample holds finite values only: the exact zero
+    # t - t realizes nothing, and +inf- bounds the sample
     a = Series.monomial(K2.ctx, 1)
     s = value_set(a, K2, 2)
-    assert any(not v.is_finite for v in s.values())
+    assert s.values() == tuple(ExtRat.of(k) for k in range(-2, 4))
+    assert s.upper == Cut(PLUS_INF, False)
+    assert s.no_max == "unknown"
 
 
 def test_value_set_rejects_zero_budget():
@@ -69,9 +79,11 @@ def test_distance_sqrt_t_exact():
 
 
 def test_distance_element_degenerate():
+    # the sound enclosure [max realized+, +inf-], not the exact top cut
     a = Series.monomial(K2.ctx, 1)
     enc = distance(value_set(a, K2, 2))
-    assert enc.lo == Cut(PLUS_INF, False) and enc.is_exact
+    assert (enc.lo, enc.hi) == (Cut(ExtRat.of(3), True), Cut(PLUS_INF, False))
+    assert not enc.is_exact
 
 
 def test_tailed_value_set_partial_sums():
@@ -136,8 +148,6 @@ def _reference_realized(a, K, budget, tail=None):
     for c in _listing(K, budget):
         d = a - c
         if d.is_zero:
-            if not d.precision.is_finite:
-                found.setdefault(PLUS_INF, c)
             continue
         if d.valuation() < horizon:
             found.setdefault(d.valuation(), c)
@@ -188,7 +198,8 @@ _CALL_SITE_CASES = {
         K2, _plus_term(_listed(K2, 2, lambda c: len(c.kterms) > 2), q(5, 2)), None, 2),
     "pdiv_tower-p3-listed-plus-term": lambda: (
         T3, _plus_term(_listed(T3, 2, lambda c: c.precision.is_finite), q(1, 9)), None, 2),
-    # a listed exact element is its own +inf witness
+    # a listed exact element is no witness for itself: an exact zero
+    # realizes no value
     "laurent-p3-listed-exact": lambda: (
         L3, _listed(L3, 2, lambda c: len(c.kterms) == 3), None, 2),
     "pdiv_tower-listed-exact": lambda: (
@@ -229,7 +240,7 @@ def _scan_realized(a, K, budget, tail, listing):
                 found.setdefault(k, (partial, False))
     for c in listing:
         k = a.diff_k(c)
-        if k is not None and (k == math.inf or k < khorizon):
+        if k is not None and k < khorizon:
             found.setdefault(k, (c, True))
     return [(ctx.value_of(k),) + found[k] for k in sorted(found)]
 
@@ -300,3 +311,18 @@ def test_translate_sample_failure_messages():
         translate_sample(sample, a, q(0), lambda w: a, PLUS_INF)
     with pytest.raises(ValueError, match=r"expected value -1/1, got -2/1"):
         translate_sample(sample, a, q(1), lambda w: w, PLUS_INF)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if PRESETS[n][1] == EQUAL])
+def test_listed_member_samples_finite_values_under_plus_inf(name, p, budget):
+    # a member of K realizes no +inf: its sample is bounded by the cut
+    # +inf-, and its distance enclosure ends there
+    K = preset_field(name, p)
+    top = Cut(PLUS_INF, False)
+    a = _listed(K, budget, lambda c: c.kterms and not c.precision.is_finite)
+    s = value_set(a, K, budget)
+    assert s.realized and all(v.is_finite for v in s.values())
+    assert s.upper == top
+    assert distance(s).hi == top

@@ -109,13 +109,12 @@ def _witness_is_generator(cert):
 @pytest.mark.parametrize(
     "tamper, diff",
     [
-        (_set_value("+inf"), "witness for +inf does not reproduce an exact zero"),
         (_witness_is_generator, "gives a zero difference"),
         (_set_value("-77/1"), "witness re-evaluation gives"),
         # off the grid (1/D)Z and outside the value group
         (_set_value("1/3"), "witness re-evaluation gives"),
     ],
-    ids=["plus-inf", "zero-difference", "re-evaluation", "off-grid"],
+    ids=["zero-difference", "re-evaluation", "off-grid"],
 )
 def test_witness_step_named_diffs(tmp_path, tamper, diff):
     certs = _as_certs()
@@ -539,6 +538,10 @@ def _config_precision(obj):
         # no writer writes -inf, where the floor's window rule would be empty
         (_edit("certs.0", lambda cert: cert.update(residual_floor="-inf")),
          "certs[0]: '-inf' is not a reduced ratio n/d as the writer writes it"),
+        # +inf is written for bounds, floors and precisions, never for a
+        # realized value
+        (_edit("certs.0.sample.realized.0", lambda entry: entry.update(value="+inf")),
+         "certs[0]: '+inf' is not a reduced ratio n/d as the writer writes it"),
     ],
     ids=["renamed-field", "perfect-base", "tail-cofinal", "tail-denominators",
          "tail-partials", "config-precision", "unknown-kind",
@@ -547,7 +550,7 @@ def _config_precision(obj):
          "term-beyond-precision", "terms-reversed", "coeff-plus-p", "coeff-bool",
          "min-poly-trailing-zero", "version-float", "budget-float", "cert-extra-key",
          "claims-extra-key", "pair-of-three", "precision-off-grid", "exp-over-digit-limit",
-         "floor-minus-inf"],
+         "floor-minus-inf", "value-plus-inf"],
 )
 def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message):
     obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())

@@ -10,7 +10,6 @@ from defectlab.cuts import (
     CutEnclosure,
     ExtRat,
     InfinityArithmeticError,
-    MINUS_INF,
     PLUS_INF,
     cut_of_sample,
     segment_affine,
@@ -36,29 +35,31 @@ class TestExtRat:
         assert (a * 3).fraction == 1
 
     def test_infinities_compare(self):
-        assert MINUS_INF < ExtRat.of(q(-10 ** 9)) < PLUS_INF
-        assert PLUS_INF + 5 == PLUS_INF
-        assert MINUS_INF + q(7, 2) == MINUS_INF
+        assert ExtRat.of(q(-10 ** 9)) < ExtRat.of(q(10 ** 9)) < PLUS_INF
 
     def test_infinity_hash_and_order_against_ints_and_fractions(self):
-        # an infinity's key is (sign, 0), which hashes as (sign, Fraction(0))
+        # +inf's key is (1, 0), which hashes as (1, Fraction(0))
         assert hash(PLUS_INF) == hash((1, 0)) == hash((1, Fraction(0)))
-        assert hash(MINUS_INF) == hash((-1, 0)) == hash((-1, Fraction(0)))
         assert hash(ExtRat.of(q(2, 3))) == hash((0, q(2, 3)))
-        assert len({PLUS_INF, ExtRat(None, 1), MINUS_INF, ExtRat.of(0)}) == 3
+        assert len({PLUS_INF, ExtRat(None, 1), ExtRat.of(0)}) == 2
         for x in (0, -10 ** 30, 10 ** 30, q(-7, 3), q(10 ** 12, 7)):
-            assert MINUS_INF < x < PLUS_INF and MINUS_INF <= x <= PLUS_INF
+            assert x < PLUS_INF and x <= PLUS_INF
             assert PLUS_INF > x and not PLUS_INF <= x and not PLUS_INF == x
-            assert MINUS_INF < ExtRat.of(x) < PLUS_INF
+            assert ExtRat.of(x) < PLUS_INF
         assert PLUS_INF == PLUS_INF and PLUS_INF <= PLUS_INF and not PLUS_INF < PLUS_INF
-        assert MINUS_INF == MINUS_INF and MINUS_INF >= MINUS_INF and not MINUS_INF > MINUS_INF
-        assert MINUS_INF < PLUS_INF and PLUS_INF != MINUS_INF
 
     def test_inf_minus_inf_errors(self):
-        with pytest.raises(InfinityArithmeticError):
-            PLUS_INF + MINUS_INF
-        with pytest.raises(InfinityArithmeticError):
-            PLUS_INF - PLUS_INF
+        # +inf + x = +inf is the one sum +inf enters; everything else
+        # reads a fraction, which +inf has not
+        assert PLUS_INF + 1 is PLUS_INF
+        assert PLUS_INF + q(7, 2) is PLUS_INF
+        for undefined in (lambda: -PLUS_INF, lambda: PLUS_INF * 2, lambda: 1 - PLUS_INF,
+                          lambda: PLUS_INF - PLUS_INF, lambda: ExtRat.of(1) + PLUS_INF):
+            with pytest.raises(InfinityArithmeticError):
+                undefined()
+        # there is no -inf
+        with pytest.raises(ValueError, match="infinite ExtRat carries no fraction"):
+            ExtRat(None, -1)
 
     def test_parse_roundtrip(self):
         for s in ["3/4", "-2/1", "+inf"]:
@@ -72,7 +73,7 @@ class TestCutOrder:
     def test_trivial_examples(self):
         assert cut_compare(Cut(ExtRat.of(0), False), Cut(ExtRat.of(0), True)) == "less"
         assert cut_compare(Cut(ExtRat.of(q(1, 2)), True), Cut(ExtRat.of(q(1, 2)), True)) == "equal"
-        assert cut_compare(Cut(ExtRat.of(0), False), Cut(MINUS_INF, False)) == "greater"
+        assert cut_compare(Cut(ExtRat.of(0), True), Cut(PLUS_INF, False)) == "less"
 
     def test_infinite_bound_never_attained(self):
         with pytest.raises(ValueError):

@@ -199,9 +199,6 @@ def test_invert_error_messages_unchanged():
         (Series.monomial(ctx, 4), target),
         (Series.monomial(ctx, 3), target),
         (Series.monomial(ctx, 0), PLUS_INF),
-        # terms out of order: the first term is not the least, so 1 + y
-        # has a term below 1 and no geometric series converges
-        (Series(ctx, ((2, 1), (0, 1)), math.inf), target),
     ]
     messages = [_outcome(invert, a, t) for a, t in cases]
     assert messages == [_outcome(oracle_invert, a, t) for a, t in cases]
@@ -210,7 +207,6 @@ def test_invert_error_messages_unchanged():
         (PrecisionError, "target precision is below the leading term of the input"),
         (PrecisionError, "target precision is below the leading term of the input"),
         (PrecisionError, "inversion needs a finite target precision"),
-        (PrecisionError, "inversion requires a dominant leading term"),
     ]
 
 

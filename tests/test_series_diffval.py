@@ -30,8 +30,8 @@ CONTEXTS = {
 
 
 def diff_valuation(a, c):
-    """``diff_k`` as a value: k/D, ``PLUS_INF`` for an exact zero, or None
-    when the difference is uncertified."""
+    """``diff_k`` as a value: k/D, or None when the difference is zero,
+    exactly or up to a precision."""
     k = a.diff_k(c)
     return None if k is None else a.ctx.value_of(k)
 
@@ -40,7 +40,7 @@ def reference(a, c):
     """v(a - c) by building the difference, in diff_valuation's encoding."""
     d = a - c
     if d.is_zero:
-        return None if d.precision.is_finite else PLUS_INF
+        return None
     return d.valuation()
 
 
@@ -48,7 +48,7 @@ def reference_k(a, c):
     """v(a - c) by building the difference, in diff_k's encoding."""
     d = a - c
     if d.is_zero:
-        return None if d.precision.is_finite else math.inf
+        return None
     return a.ctx.grid_k(d.valuation().fraction)
 
 
@@ -97,18 +97,19 @@ def test_diff_valuation_matches_subtraction(pair):
     ctx = a.ctx
     for x, y in ((a, c), (c, a)):
         assert x.diff_k(y) == want_k
-    assert type(want_k) is int or want_k is None or want_k == math.inf
+    assert type(want_k) is int or want_k is None
     if want_k is not None:
         assert ctx.value_of(want_k) == want
         assert ctx.grid_index(want) == want_k
 
 
 @pytest.mark.parametrize("ctx", [make_context(EQUAL, 3), make_context(MIXED, 3)])
-def test_identical_at_infinite_precision_is_plus_inf(ctx):
+def test_identical_at_infinite_precision_is_none(ctx):
+    # an exact zero realizes no value: +inf is never a sample value
     a = Series.make(ctx, {q(-1): 1, q(1, 3): 2, q(2): 1})
     b = Series.make(ctx, dict(a.terms))
-    assert diff_valuation(a, b) is PLUS_INF
-    assert diff_valuation(Series.zero(ctx), Series.zero(ctx)) is PLUS_INF
+    assert diff_valuation(a, b) is None
+    assert diff_valuation(Series.zero(ctx), Series.zero(ctx)) is None
 
 
 @pytest.mark.parametrize("ctx", [make_context(EQUAL, 2), make_context(MIXED, 2)])
@@ -142,15 +143,16 @@ def test_context_mismatch_raises():
     with pytest.raises(ValueError, match="different sessions"):
         diff_valuation(a, Series.one(make_context(MIXED, 2)))
     # an equal context built separately is the same session
-    assert diff_valuation(a, Series.one(make_context(EQUAL, 2))) is PLUS_INF
+    assert diff_valuation(a, Series.one(make_context(EQUAL, 2))) is None
 
 
 @pytest.mark.parametrize("ctx", [make_context(EQUAL, 3), make_context(MIXED, 3)])
 def test_diff_k_exact_zero_sentinel(ctx):
     a = Series.make(ctx, {q(-1): 1, q(1, 3): 2, q(2): 1})
     b = Series.make(ctx, dict(a.terms))
-    assert a.diff_k(b) == math.inf
-    assert Series.zero(ctx).diff_k(Series.zero(ctx)) == math.inf
+    assert a.diff_k(b) is None
+    assert Series.zero(ctx).diff_k(Series.zero(ctx)) is None
+    # math.inf stays the grid index of an exact precision
     assert ctx.value_of(math.inf) is PLUS_INF
 
 
@@ -177,6 +179,5 @@ def test_grid_index_round_trip_and_off_grid():
     for k in (-3 * ctx.D, -1, 0, 7, ctx.D):
         assert ctx.grid_index(ctx.value_of(k)) == k
     assert ctx.grid_index(PLUS_INF) == math.inf
-    assert ctx.grid_index(-PLUS_INF) is None
     assert ctx.grid_index(ExtRat.of(q(1, 3))) is None
     assert ctx.grid_index(ExtRat.of(q(1, 2 * ctx.D))) is None

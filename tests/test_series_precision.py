@@ -121,7 +121,8 @@ def _step(data, ctx, x, px):
         return got, (_below(ctx, x, prec), prec)
     if op == "frobenius":
         frob = ctx.field.frob
-        return x.frobenius(), (tuple((k * ctx.p, frob(c)) for k, c in x.kterms), px * ctx.p)
+        prec = px if not px.is_finite else px * ctx.p
+        return x.frobenius(), (tuple((k * ctx.p, frob(c)) for k, c in x.kterms), prec)
     if op == "pth_root":
         got = _outcome(pth_root, x)
         off = [k for k, _ in x.kterms if k % ctx.p]
