@@ -32,7 +32,6 @@ from .cuts import (
     CutEnclosure,
     ExtRat,
     PLUS_INF,
-    cut_of_sample,
     segment_affine,
 )
 from .fields import FieldDesc, enumerate_elements, preset_field

@@ -17,7 +17,9 @@ The sample contract: ``value_set`` is the one place that samples
 v(a - K).  Everything downstream that needs v(a - K) (distances, the
 transformations, the families) takes that sample as an argument and
 reads the enumeration budget from ``sample.budget``; nothing samples
-the same element twice.
+the same element twice.  A realized value is the grid index k of k/D
+that ``Series.diff_k`` finds; only cut bounds, which may lie off the
+grid, are ``ExtRat`` values.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .cuts import Cut, CutEnclosure, ExtRat, PLUS_INF, cut_of_sample
+from .cuts import Cut, CutEnclosure, ExtRat, PLUS_INF
 from .fields import FieldDesc, element_stream, listing_index, member_witness
 from .series import EQUAL, Series, pth_root
 
@@ -68,22 +70,14 @@ class TailSchema:
 
 
 class InitialSegmentSample(NamedTuple):
-    """A finite certified sample of v(a - K): witnessed values, a
-    certified upper cut, and a no-maximum verdict."""
+    """A finite certified sample of v(a - K): (k, witness) pairs for the
+    values k/D on the witnesses' grid, a certified upper cut, and a
+    no-maximum verdict."""
 
-    realized: Tuple[Tuple[ExtRat, Series], ...]
+    realized: Tuple[Tuple[int, Series], ...]
     upper: Cut
     no_max: str
     budget: int
-
-    def values(self) -> Tuple[ExtRat, ...]:
-        return tuple(v for v, _ in self.realized)
-
-    def finite_values(self) -> Tuple[Fraction, ...]:
-        return tuple(v.fraction for v, _ in self.realized)
-
-    def max_realized(self) -> Optional[ExtRat]:
-        return self.realized[-1][0] if self.realized else None
 
 
 def difference_horizon(a: Series, tail: Optional[TailSchema]):
@@ -117,26 +111,25 @@ def support_upper_cut(a: Series, K: FieldDesc, tail: Optional[TailSchema]) -> Cu
     return min(candidates) if candidates else Cut(PLUS_INF, False)
 
 
-def sample_shape_error(realized, upper: Cut) -> Optional[str]:
+def sample_shape_error(realized, upper: Cut, ctx) -> Optional[str]:
     """Why ``realized`` is not a well-formed sample under the certified
     upper cut, or None: the values must be strictly increasing, and every
-    value must lie in the cut's lower set."""
-    prev = None
-    for v, _ in realized:
-        if prev is not None and not prev < v:
-            return f"realized values are not strictly increasing: {prev} then {v}"
-        prev = v
-        if v > upper.bound or (v == upper.bound and not upper.attained):
-            return f"realized value {v} escapes the certified upper cut {upper}"
+    value must lie in the cut's lower set, whose bound may lie off the grid."""
+    kout, prev, val = ctx.kout(upper), None, ctx.value_of
+    for k, _ in realized:
+        if prev is not None and not prev < k:
+            return f"realized values are not strictly increasing: {val(prev)} then {val(k)}"
+        prev = k
+        if not k < kout:
+            return f"realized value {val(k)} escapes the certified upper cut {upper}"
     return None
 
 
-def no_max_refuted(realized, upper: Cut) -> bool:
+def no_max_refuted(realized, upper: Cut, ctx) -> bool:
     """Whether the sample shows that v(a - K) has a maximum: the top
-    realized value sits at an attained upper bound.  An element of K
-    realizes no value at +inf; its sample is bounded by +inf-, so its
-    maximum stays unknown."""
-    return bool(realized) and upper.attained and realized[-1][0] == upper.bound
+    realized value sits at an attained upper bound.  An element of K realizes
+    no value at +inf, and +inf- keeps its maximum unknown."""
+    return bool(realized) and upper.attained and realized[-1][0] == ctx.grid_index(upper.bound)
 
 
 def value_set(
@@ -162,9 +155,9 @@ def value_set(
     runs only on the elements led by a's leading term, or, when a has no
     terms, on the listed elements without terms.
 
-    Witnesses are keyed by the grid index k of the value k/D (an exact
-    zero, ``None`` from ``Series.diff_k``, realizes nothing), and an
-    ``ExtRat`` is built only for the values realized.
+    Witnesses are keyed by the grid index k of the value k/D, which is
+    the realized value (an exact zero, ``None`` from ``Series.diff_k``,
+    realizes nothing).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -197,12 +190,12 @@ def value_set(
     for k, i in first.items():
         found.setdefault(k, elements[i])
 
-    realized = tuple((ctx.value_of(k), found[k]) for k in sorted(found))
+    realized = tuple((k, found[k]) for k in sorted(found))
 
     upper = support_upper_cut(a, K, tail)
 
     # realized values must be increasing and respect the certified upper cut
-    err = sample_shape_error(realized, upper)
+    err = sample_shape_error(realized, upper, ctx)
     if err is not None:
         raise AssertionError(err)
 
@@ -210,7 +203,7 @@ def value_set(
     # over a leveled union, where the tail guarantees strictly better
     # truncations cofinally below sup
     no_max = UNKNOWN
-    if no_max_refuted(realized, upper):
+    if no_max_refuted(realized, upper, ctx):
         no_max = REFUTED
     elif (
         tail is not None
@@ -232,14 +225,14 @@ def translate_sample(
     """Re-witness a sample for a_new = (transform of a), checking each
     translated witness exactly: v(a_new - map(c)) must equal v + shift.
     Values at or beyond ``horizon``, where a_new is not certified, are
-    dropped.  The values and the shift lie on the grid, so the check runs
-    on grid indices."""
+    dropped.  The shift lies on the grid, so the check runs on grid
+    indices."""
     ctx = a_new.ctx
     khorizon, dk = ctx.kcap(horizon), ctx.grid_k(shift)
     out = []
-    for v, w in sample.realized:
+    for k, w in sample.realized:
         w2 = witness_map(w)
-        target = ctx.grid_index(v) + dk
+        target = k + dk
         if not target < khorizon:
             continue
         got = a_new.diff_k(w2)
@@ -248,7 +241,7 @@ def translate_sample(
                 f"translated witness fails: expected value {ctx.value_of(target)}, "
                 f"got {'zero' if got is None else ctx.value_of(got)}"
             )
-        out.append((ctx.value_of(target), w2))
+        out.append((target, w2))
     ub = sample.upper
     new_upper = Cut(ub.bound + shift, ub.attained)  # +inf- stays +inf-
     return InitialSegmentSample(tuple(out), new_upper, sample.no_max, sample.budget)
@@ -260,11 +253,12 @@ def distance(
 ) -> CutEnclosure:
     """Certified enclosure of dist(a, K) from a sample of v(a - K) and the
     tail of a, collapsing to an exact cut when the sample is provably
-    cofinal in it."""
+    cofinal in it.  The lower end S^+ is at the largest value, wherever a
+    sample of unchecked order holds it."""
     if not sample.realized:
         raise ValueError("no realized values at this budget; cannot bracket the distance")
-    lo = cut_of_sample(sample.finite_values())
-    hi = sample.upper
+    k, w = max(sample.realized, key=lambda r: r[0])
+    lo, hi = Cut(w.ctx.value_of(k), True), sample.upper
     if (
         sample.no_max == PROVED
         and tail is not None

@@ -311,10 +311,8 @@ def transform_inseparable(
 
 
 def _merge_samples(a: InitialSegmentSample, b: InitialSegmentSample) -> InitialSegmentSample:
-    found = {v: w for v, w in a.realized}
-    for v, w in b.realized:
-        found.setdefault(v, w)
-    realized = tuple(sorted(found.items(), key=lambda kv: kv[0]._key()))
+    found = dict(b.realized) | dict(a.realized)  # a's witness where both have one
+    realized = tuple(sorted(found.items()))  # the keys differ, so no witness is compared
     no_max = a.no_max if a.no_max != UNKNOWN else b.no_max
     return InitialSegmentSample(realized, min(a.upper, b.upper), no_max, max(a.budget, b.budget))
 
@@ -336,12 +334,11 @@ def as_family(
         raise ValueError("need at least one family member")
     if not sample_eta.upper.bound.is_finite:
         raise ValueError("v(eta - K) has no certified finite upper bound")
-    vd = d.valuation().fraction
-    finite_vals = sample_eta.finite_values()
-    if not finite_vals:
+    if not sample_eta.realized:
         raise ValueError("no realized values at this budget")
-    alpha = max(finite_vals)
-    if not sample_eta.upper <= Cut(ExtRat.of(alpha + vd), False):
+    # upper <= (alpha + v(d))^-, read on the grid
+    alpha = max(k for k, _ in sample_eta.realized)
+    if d.ctx.kout(sample_eta.upper) > alpha + d.valuation_k():
         raise ValueError(
             "family hypothesis fails: no realized alpha with alpha + v(d) above the sample"
         )
@@ -364,7 +361,8 @@ def check_pairwise_distinct(certs: Sequence[ExtensionCert]) -> None:
     extension is i*theta + c with i in F_p^x and c in K, and
     v(i*theta + c - K) = v(theta - K), so members whose certified
     enclosures of dist(theta, K) overlap may be one extension."""
-    value_sets = [frozenset(c.sample.finite_values()) for c in certs]
+    L = math.lcm(*(c.base.ctx.D for c in certs))  # one grid, for a tampered member's D
+    value_sets = [frozenset(k * L // c.base.ctx.D for k, _ in c.sample.realized) for c in certs]
     for i in range(len(certs)):
         for j in range(i + 1, len(certs)):
             if value_sets[i] == value_sets[j]:
@@ -397,9 +395,9 @@ def admissible_twist(eta: Series, sample_eta: InitialSegmentSample) -> Series:
 
 class SigmaSample(NamedTuple):
     """Sampled values v((sigma f - f)/f) for the Galois generator sigma,
-    with the f witnesses retained."""
+    as grid indices, with the f witnesses retained."""
 
-    values: Tuple[Tuple[ExtRat, Series], ...]
+    values: Tuple[Tuple[int, Series], ...]
     verdict: str  # independent_consistent | dependent_evidence | unknown
 
 
@@ -418,11 +416,7 @@ def sigma_sample(cert: ExtensionCert) -> SigmaSample:
     theta = cert.generator
     ctx = theta.ctx
     p = ctx.p
-    found = {}
-
-    for v, w in cert.sample.realized:
-        f = theta - w
-        found.setdefault(-v, f)
+    found = {-k: theta - w for k, w in cert.sample.realized}
     shifted = theta + Series.one(ctx)
     # (theta^j, (sigma theta)^j) for j = 1..p-1, shared by every c
     powers = [(theta.pow_int(j), shifted.pow_int(j)) for j in range(1, p)]
@@ -435,12 +429,11 @@ def sigma_sample(cert: ExtensionCert) -> SigmaSample:
             num = sf - f
             if num.is_zero:
                 continue
-            val = num.valuation() - f.valuation()
-            found.setdefault(val, f)
+            found.setdefault(num.valuation_k() - f.valuation_k(), f)
 
-    values = tuple(sorted(found.items(), key=lambda kv: kv[0]._key()))
+    values = tuple(sorted(found.items()))  # the keys differ, so no witness is compared
     verdict = UNKNOWN
-    positive = all(v > ExtRat.of(0) for v, _ in values)
+    positive = all(k > 0 for k, _ in values)
     zero_cut = Cut(ExtRat.of(0), False)
     accumulates_at_zero = cert.sample.no_max == PROVED and cert.dist.hi == zero_cut
     gap_below = cert.dist.hi < zero_cut
@@ -486,11 +479,9 @@ def derive_claims(cert: ExtensionCert) -> ExtensionCert:
             defect_rule=rule,
         )
     else:
-        # the first grid value off the value group; a value off the grid
-        # (which no witness realizes) certifies nothing
+        # the first value off the value group
         ctx, step = cert.base.ctx, cert.base.grid_step
-        ks = (ctx.grid_index(v) for v, _ in s.realized)
-        k = next((k for k in ks if k is not None and k % step), None)
+        k = next((k for k, _ in s.realized if k % step), None)
         if k is not None:
             if (p * k) % step:
                 raise AssertionError(

@@ -39,6 +39,7 @@ from .artin import (
     KUMMER,
     Claims,
     ExtensionCert,
+    artin_schreier_poly,
     check_pairwise_distinct,
     derive_claims,
     residual_window_violations,
@@ -47,7 +48,7 @@ from .artin import (
 from .cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from .ffield import FiniteField
 from .fields import FieldDesc, member_witness, preset_field
-from .series import Polynomial, Series, SeriesContext
+from .series import EQUAL, Polynomial, Series, SeriesContext
 
 SCHEMA_VERSION = 1
 
@@ -124,6 +125,14 @@ def _parse_ratio(s) -> Tuple[int, int]:
     if len(quoted) > 64:
         quoted = quoted[:60] + "..."
     raise ValueError(f"{quoted} is not a reduced ratio n/d as the writer writes it")
+
+
+def _parse_k(s, D: int, what: str) -> int:
+    # the grid index n*(D/d) of a ratio n/d on the grid (1/D)Z
+    n, d = _parse_ratio(s)
+    if D % d:
+        raise ValueError(f"{what} {s!r} is off the grid (1/D)Z, D={D}")
+    return n * (D // d)
 
 
 def _parse_extrat(s: str) -> ExtRat:
@@ -212,12 +221,8 @@ def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
     mode, prec, terms = _read(obj, "series", {"mode": str, "precision": str, "terms": list})
     if mode != ctx.mode:
         raise ValueError(f"series mode {mode!r} does not match the session")
-    F, D, kcap = ctx.field, ctx.D, math.inf
-    if prec != "+inf":
-        n, d = _parse_ratio(prec)
-        if D % d:
-            raise ValueError(f"series precision {prec!r} is off the grid (1/D)Z, D={D}")
-        kcap = n * (D // d)
+    F, D = ctx.field, ctx.D
+    kcap = math.inf if prec == "+inf" else _parse_k(prec, D, "series precision")
     p, m, kterms = F.p, F.m, []
     ctype = int if m == 1 else list
     for t in terms:  # _read's check, inline: a call per term costs 3% of a verify job
@@ -250,8 +255,8 @@ def sample_from_json(obj: dict, ctx: SeriesContext) -> InitialSegmentSample:
     entries = []
     for r in realized:
         value, witness = _read(r, "realized entry", {"value": str, "witness": dict})
-        # a realized value is finite: +inf is written for bounds only
-        entries.append((ExtRat(Fraction(*_parse_ratio(value))), series_from_json(witness, ctx)))
+        # a grid index, never +inf: +inf is written for bounds only
+        entries.append((_parse_k(value, ctx.D, "realized value"), series_from_json(witness, ctx)))
     return InitialSegmentSample(tuple(entries), _cut_from_json(upper), no_max, budget)
 
 
@@ -321,6 +326,12 @@ def _term_format(F: FiniteField, nl: str) -> tuple:
     return tuple(f'{{{n1}"coeff": {t},{n1}"exp": "' for t in codes), f'"{nl}}}'
 
 
+def _k_text(k: int, D: int) -> str:
+    # the grid value k/D as a reduced ratio
+    g = math.gcd(k, D)
+    return f"{k // g}/{D // g}"
+
+
 def _series_text(s: Series, nl: str) -> str:
     # most of a file's bytes: one format for every term
     ctx, n1 = s.ctx, nl + " "
@@ -329,12 +340,7 @@ def _series_text(s: Series, nl: str) -> str:
     for k, c in s.kterms:
         g = math.gcd(k, D)  # the exponent k/D as a reduced fraction
         terms.append(f"{heads[c]}{k // g}/{D // g}{end}")
-    k = s.kprec
-    if k == math.inf:
-        prec = "+inf"
-    else:
-        g = math.gcd(k, D)
-        prec = f"{k // g}/{D // g}"
+    prec = "+inf" if s.kprec == math.inf else _k_text(s.kprec, D)
     return (f'{{{n1}"mode": {encode_basestring_ascii(ctx.mode)},{n1}"precision": "{prec}",'
             f'{n1}"terms": {_array(terms, n1)}{nl}}}')
 
@@ -345,8 +351,8 @@ def _cut_text(c: Cut, nl: str) -> str:
 
 def _sample_text(s: InitialSegmentSample, nl: str) -> str:
     n1, n2, n3 = nl + " ", nl + "  ", nl + "   "
-    realized = [f'{{{n3}"value": "{v}",{n3}"witness": {_series_text(w, n3)}{n2}}}'
-                for v, w in s.realized]
+    realized = [f'{{{n3}"value": "{_k_text(k, w.ctx.D)}",'
+                f'{n3}"witness": {_series_text(w, n3)}{n2}}}' for k, w in s.realized]
     return _object(nl, "budget no_max realized upper", str(s.budget),
                    encode_basestring_ascii(s.no_max), _array(realized, n1), _cut_text(s.upper, n1))
 
@@ -510,36 +516,44 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
                          for t in (want, tail))
                 report.add(f"{tag}: generator_tail re-derives to " + ", stored ".join(texts))
 
-    # 1. witness membership and re-evaluation, on the grid: a stored value
-    # off the grid has no index and so never matches
+    # 1. witness membership and re-evaluation, on the grid
     khorizon = difference_horizon(gen, tail)
-    for v, w in cert.sample.realized:
+    for k, w in cert.sample.realized:
         if not member_witness(cert.base, w):
-            report.add(f"{tag}: witness for {v} is not in K")
+            report.add(f"{tag}: witness for {ctx.value_of(k)} is not in K")
         got = gen.diff_k(w)
         if got is None:
-            report.add(f"{tag}: witness for {v} gives a zero difference")
-            continue
-        if got != ctx.grid_index(v) or not got < khorizon:
-            report.add(f"{tag}: witness re-evaluation gives {ctx.value_of(got)}, stored {v}")
+            report.add(f"{tag}: witness for {ctx.value_of(k)} gives a zero difference")
+        elif got != k or not got < khorizon:
+            report.add(f"{tag}: witness re-evaluation gives {ctx.value_of(got)}, "
+                       f"stored {ctx.value_of(k)}")
 
     # 2. upper cut from the stored support and tail, the shape of the
     # sample under it, and whether the sample refutes "no maximum"
     upper = support_upper_cut(gen, cert.base, tail)
     if upper != cert.sample.upper:
         report.add(f"{tag}: upper cut re-derivation gives {upper}, stored {cert.sample.upper}")
-    err = sample_shape_error(cert.sample.realized, upper)
+    err = sample_shape_error(cert.sample.realized, upper, ctx)
     if err is not None:
         report.add(f"{tag}: sample shape: {err}")
-    refuted = no_max_refuted(cert.sample.realized, upper)
+    refuted = no_max_refuted(cert.sample.realized, upper, ctx)
     if refuted != (cert.sample.no_max == REFUTED):
         report.add(
             f"{tag}: no_max re-derives to {'refuted' if refuted else 'not refuted'}, "
             f"stored {cert.sample.no_max!r}"
         )
 
-    # 3. minimal polynomial residual within the recorded exception window
-    bad = residual_window_violations(cert.min_poly.evaluate(gen), floor)
+    # 3. minimal polynomial residual within the recorded exception window,
+    # for Artin-Schreier as theta^p - theta - b by the exact Frobenius: the
+    # product theta * theta keeps only the precision v(theta) + prec(theta)
+    f = cert.min_poly
+    if cert.kind == KUMMER:
+        bad = residual_window_violations(f.evaluate(gen), floor)
+    elif ctx.mode == EQUAL and f.coeffs[1:] == artin_schreier_poly(Series.zero(ctx)).coeffs[1:]:
+        bad = residual_window_violations(gen.frobenius() - gen + f.coeffs[0], floor)
+    else:
+        bad = None
+        report.add(f"{tag}: min_poly is not X^{ctx.p} - X - b over an equal-characteristic base")
     if bad:
         report.add(f"{tag}: residual terms at {bad} violate the recorded floor {floor}")
 

@@ -97,7 +97,7 @@ def cmd_distance(args) -> int:
     sample = value_set(a, K, args.budget, tail)
     enc = distance(sample, tail)
     print(f"element: {desc}")
-    vals = ", ".join(str(v) for v in sample.values())
+    vals = ", ".join(str(K.ctx.value_of(k)) for k, _ in sample.realized)
     print(f"realized values ({len(sample.realized)}): {vals}")
     print(f"upper cut: {sample.upper}, no_max: {sample.no_max}")
     print(f"distance enclosure: [{enc.lo}, {enc.hi}]"
@@ -132,7 +132,7 @@ def _print_cert_table(certs) -> None:
     print(f"{'#':>2} {'kind':<14} {'v-set max':>10} {'upper':>12} {'no_max':>8} "
           f"{'defect':>6} {'rule':>10} {'class':>15}")
     for i, cert in enumerate(certs, start=1):
-        mx = cert.sample.max_realized()
+        mx = cert.base.ctx.value_of(cert.sample.realized[-1][0]) if cert.sample.realized else None
         print(
             f"{i:>2} {cert.kind:<14} {str(mx):>10} {str(cert.sample.upper):>12} "
             f"{cert.sample.no_max:>8} {str(cert.claims.defect):>6} "
@@ -189,7 +189,7 @@ def cmd_sigma(args) -> int:
     b = Series.monomial(K.ctx, -1)
     cert = as_extension(b, K, args.budget)
     sig = sigma_sample(cert)
-    vals = ", ".join(str(v) for v, _ in sig.values)
+    vals = ", ".join(str(K.ctx.value_of(k)) for k, _ in sig.values)
     print(f"extension: X^{K.ctx.p} - X - t^(-1) over {K.name}")
     print(f"sigma values: {vals}")
     print(f"verdict: {sig.verdict}")

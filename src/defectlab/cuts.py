@@ -14,7 +14,7 @@ inclusion of lower sets, which makes the order total.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 
 RatLike = Union[int, Fraction, "ExtRat"]
@@ -184,16 +184,6 @@ def segment_affine(s: Cut, n: int, alpha: RatLike) -> Cut:
     if not isinstance(n, int) or n <= 0:
         raise ValueError("n must be a positive integer")
     return Cut(s.bound * n + alpha, s.attained)
-
-
-def cut_of_sample(values: Iterable[RatLike]) -> Cut:
-    """The least upper cut ``S^+`` of a sample: (max(S), attained).  The
-    sample must be nonempty; its values are finite, since an attained
-    cut's bound is."""
-    vals = [ExtRat.of(v) for v in values]
-    if not vals:
-        raise ValueError("empty sample has no cut")
-    return Cut(max(vals), True)
 
 
 class CutEnclosure:

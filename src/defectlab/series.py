@@ -107,6 +107,13 @@ class SeriesContext:
         f = x.num
         return -(-f.numerator * self.D // f.denominator)
 
+    def kout(self, c) -> int:
+        """The least grid index k with k/D outside the lower set of the cut
+        ``c``: ``kcap`` of the bound b of {q < b}, floor(b*D) + 1 for {q <= b}."""
+        if c.attained:
+            return c.bound.num.numerator * self.D // c.bound.num.denominator + 1
+        return self.kcap(c.bound)
+
     def grid_index(self, x: ExtRat):
         """The k with x = k/D: ``math.inf`` for +inf, None for an x off
         the grid (1/D)Z."""
@@ -274,14 +281,17 @@ class Series:
             return ExtRat(Fraction(self.kterms[0][0], self.ctx.D))
         return self.precision
 
-    def valuation(self) -> ExtRat:
+    def valuation_k(self) -> int:
+        """The grid index of the valuation, which a zero has not: +inf is
+        a bound, never a value."""
         if self.kterms:
-            return ExtRat(Fraction(self.kterms[0][0], self.ctx.D))
+            return self.kterms[0][0]
         if self.kprec == math.inf:
-            return PLUS_INF
-        raise PrecisionError(
-            f"series is zero to precision {self.precision}; valuation not certified"
-        )
+            raise PrecisionError("an exact zero has valuation +inf, which is not a value")
+        raise PrecisionError(f"series is zero to precision {self.precision}; valuation not certified")
+
+    def valuation(self) -> ExtRat:
+        return ExtRat(Fraction(self.valuation_k(), self.ctx.D))
 
     def leading_coeff(self) -> int:
         return self.kterms[0][1] if self.kterms else 0

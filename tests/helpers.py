@@ -4,6 +4,7 @@ file as a tree of dicts (the writer renders the records as text)."""
 
 import json
 import math
+from fractions import Fraction
 
 from defectlab.certfile import (
     _TAIL_FLAGS,
@@ -12,7 +13,7 @@ from defectlab.certfile import (
     _enclosure_to_json,
     _field_to_json,
 )
-from defectlab.cuts import ExtRat
+from defectlab.cuts import Cut, ExtRat
 from defectlab.series import EQUAL, Series
 
 
@@ -28,6 +29,28 @@ def as_generator_transform(theta: Series, i_code: int, c: Series) -> Series:
     if fld.frob(i_code) != i_code:  # the prime field is fixed by Frobenius
         raise ValueError("i must lie in the prime field")
     return theta.scale(i_code) + c
+
+
+# The Fraction view of a sample, the oracle for its grid indices: a
+# realized value k is the value k/D on its witness's session grid.
+
+
+def realized(sample) -> tuple:
+    """The (value, witness) pairs of ``sample``, each value a Fraction."""
+    return tuple((Fraction(k, w.ctx.D), w) for k, w in sample.realized)
+
+
+def values(sample) -> tuple:
+    """The realized values of ``sample`` as Fractions, in stored order."""
+    return tuple(v for v, _ in realized(sample))
+
+
+def cut_of_sample(vals) -> Cut:
+    """The least upper cut S^+ of a nonempty sample S of Fractions:
+    (max(S), attained)."""
+    if not vals:
+        raise ValueError("empty sample has no cut")
+    return Cut(ExtRat.of(max(vals)), True)
 
 
 def int_scale(a: Series, n: int) -> Series:
@@ -78,7 +101,8 @@ def _claims_tree(c) -> dict:
 
 def _sample_tree(s) -> dict:
     return {
-        "realized": [{"value": str(v), "witness": series_tree(w)} for v, w in s.realized],
+        "realized": [{"value": f"{v.numerator}/{v.denominator}", "witness": series_tree(w)}
+                     for v, w in realized(s)],
         "upper": _cut_to_json(s.upper),
         "no_max": s.no_max,
         "budget": s.budget,

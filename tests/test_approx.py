@@ -7,6 +7,7 @@ from defectlab.approx import (
     TailSchema,
     difference_horizon,
     distance,
+    no_max_refuted,
     sample_shape_error,
     semitame_report,
     support_upper_cut,
@@ -24,7 +25,8 @@ from defectlab.fields import (
     preset_field,
 )
 from defectlab.kummer import lab_superdependent_unit
-from defectlab.series import EQUAL, Series
+from defectlab.series import EQUAL, Series, make_context
+from helpers import realized, values
 
 
 def q(n, d=1):
@@ -40,13 +42,13 @@ QT2 = preset_field("qp_pdiv_tower", 2, D=2 ** 16)
 def test_value_set_sqrt_t_over_fp_t():
     a = Series.monomial(K2.ctx, q(1, 2))
     s = value_set(a, K2, 3)
-    vals = set(s.finite_values())
+    vals = set(values(s))
     assert {q(-3), q(-2), q(-1), q(0), q(1, 2)} <= vals
     assert s.upper == Cut(ExtRat.of(q(1, 2)), True)
     assert s.no_max == "refuted"
-    witnesses = dict(s.realized)
-    assert witnesses[ExtRat.of(q(1, 2))].is_zero
-    assert ExtRat.of(q(-2)) in witnesses
+    witnesses = dict(realized(s))
+    assert witnesses[q(1, 2)].is_zero
+    assert q(-2) in witnesses
 
 
 def test_value_set_element_of_K():
@@ -54,7 +56,7 @@ def test_value_set_element_of_K():
     # t - t realizes nothing, and +inf- bounds the sample
     a = Series.monomial(K2.ctx, 1)
     s = value_set(a, K2, 2)
-    assert s.values() == tuple(ExtRat.of(k) for k in range(-2, 4))
+    assert values(s) == tuple(q(k) for k in range(-2, 4))
     assert s.upper == Cut(PLUS_INF, False)
     assert s.no_max == "unknown"
 
@@ -93,7 +95,7 @@ def test_tailed_value_set_partial_sums():
     a = Series.make(ctx, {e: 1 for e in exps}, ExtRat.of(q(8)))
     tail = TailSchema(q(0), q(-1, 64), "root tail")
     s = value_set(a, T2, 2, tail)
-    vals = set(s.finite_values())
+    vals = set(values(s))
     assert {q(-1, 2), q(-1, 4), q(-1, 8), q(-1, 16), q(-1, 32)} <= vals
     assert s.no_max == "proved"
     assert s.upper == Cut(ExtRat.of(0), False)
@@ -135,7 +137,8 @@ def _listing(K, budget):
 
 
 def _reference_realized(a, K, budget, tail=None):
-    """value_set's realized tuple, with v(a - c) from the full subtraction."""
+    """value_set's realized tuple in the Fraction view, with v(a - c) from
+    the full subtraction."""
     horizon = a.precision if tail is None else min(a.precision, ExtRat.of(tail.low))
     found = {}
     prefix = {}
@@ -143,15 +146,15 @@ def _reference_realized(a, K, budget, tail=None):
         if ExtRat.of(e) < horizon:
             partial = Series.make(a.ctx, dict(prefix), a.precision)
             if member_witness(K, partial):
-                found.setdefault(ExtRat.of(e), partial)
+                found.setdefault(e, partial)
         prefix[e] = c
     for c in _listing(K, budget):
         d = a - c
         if d.is_zero:
             continue
         if d.valuation() < horizon:
-            found.setdefault(d.valuation(), c)
-    return tuple(sorted(found.items(), key=lambda kv: kv[0]._key()))
+            found.setdefault(d.valuation().fraction, c)
+    return tuple(sorted(found.items(), key=lambda kv: kv[0]))
 
 
 def _tower_root(budget, K=T2):
@@ -216,7 +219,7 @@ _CALL_SITE_CASES = {
 @pytest.mark.parametrize("case", sorted(_CALL_SITE_CASES))
 def test_value_set_matches_subtraction_reference(case):
     K, a, tail, budget = _CALL_SITE_CASES[case]()
-    got = value_set(a, K, budget, tail).realized
+    got = realized(value_set(a, K, budget, tail))
     want = _reference_realized(a, K, budget, tail)
     assert [v for v, _ in got] == [v for v, _ in want]
     enumerated = {id(c) for c in _listing(K, budget)}
@@ -242,7 +245,7 @@ def _scan_realized(a, K, budget, tail, listing):
         k = a.diff_k(c)
         if k is not None and k < khorizon:
             found.setdefault(k, (c, True))
-    return [(ctx.value_of(k),) + found[k] for k in sorted(found)]
+    return [(k,) + found[k] for k in sorted(found)]
 
 
 @st.composite
@@ -291,7 +294,8 @@ def test_value_set_matches_listing_scan(name, p, budget):
     def check(probe):
         a, tail = probe
         want = _scan_realized(a, K, budget, tail, listing)
-        if sample_shape_error([(v, w) for v, w, _ in want], support_upper_cut(a, K, tail)):
+        upper = support_upper_cut(a, K, tail)
+        if sample_shape_error([(k, w) for k, w, _ in want], upper, K.ctx):
             # a tail on an element the listing holds exactly: refused
             with pytest.raises(AssertionError):
                 value_set(a, K, budget, tail)
@@ -302,6 +306,26 @@ def test_value_set_matches_listing_scan(name, p, budget):
             assert w is rw if listed else w == rw
 
     check()
+
+
+_GRID4 = make_context(EQUAL, 2, 1, 4)
+
+
+@pytest.mark.parametrize("bound", [q(1, 3), q(1, 2)], ids=["off-grid", "on-grid"])
+@pytest.mark.parametrize("attained", [True, False], ids=["attained", "open"])
+def test_sample_shape_decides_a_cut_bound_exactly(bound, attained):
+    # on the grid (1/4)Z, 1/3 lies between 1/4 and 1/2, so both cuts at 1/3
+    # hold 1/4 and not 1/2; a cut at 1/2 holds 1/2 exactly when attained
+    ctx, w = _GRID4, Series.zero(_GRID4)
+    upper = Cut(ExtRat.of(bound), attained)
+    at_top = bound == q(1, 2) and attained
+    kout = 3 if at_top else 2
+    assert ctx.kout(upper) == kout
+    below = [(kout - 2, w), (kout - 1, w)]
+    assert sample_shape_error(below, upper, ctx) is None
+    assert sample_shape_error(below + [(kout, w)], upper, ctx) == (
+        f"realized value {ctx.value_of(kout)} escapes the certified upper cut {upper}")
+    assert no_max_refuted(below, upper, ctx) == at_top
 
 
 def test_translate_sample_failure_messages():
@@ -323,6 +347,6 @@ def test_listed_member_samples_finite_values_under_plus_inf(name, p, budget):
     top = Cut(PLUS_INF, False)
     a = _listed(K, budget, lambda c: c.kterms and not c.precision.is_finite)
     s = value_set(a, K, budget)
-    assert s.realized and all(v.is_finite for v in s.values())
+    assert s.realized and all(type(k) is int for k, _ in s.realized)
     assert s.upper == top
     assert distance(s).hi == top

@@ -17,6 +17,7 @@ from defectlab.certfile import (
     cert_from_json,
     make_certificate_file,
     read_certificate_file,
+    sample_from_json,
     series_from_json,
     verify_certificate,
     write_certificate_file,
@@ -111,10 +112,8 @@ def _witness_is_generator(cert):
     [
         (_witness_is_generator, "gives a zero difference"),
         (_set_value("-77/1"), "witness re-evaluation gives"),
-        # off the grid (1/D)Z and outside the value group
-        (_set_value("1/3"), "witness re-evaluation gives"),
     ],
-    ids=["zero-difference", "re-evaluation", "off-grid"],
+    ids=["zero-difference", "re-evaluation"],
 )
 def test_witness_step_named_diffs(tmp_path, tamper, diff):
     certs = _as_certs()
@@ -267,7 +266,7 @@ def test_forged_artin_schreier_member_named_diff(tmp_path, capsys):
     cert = cf.certs[0]
     t = Series.monomial(cert.base.ctx, 1)
     coeffs = cert.min_poly.coeffs
-    realized = tuple((v, w + t) for v, w in cert.sample.realized if v != ExtRat.of(-1))
+    realized = tuple((k, w + t) for k, w in cert.sample.realized if k != -cert.base.ctx.D)
     assert len(realized) < len(cert.sample.realized)
     forged = cert._replace(
         generator=as_generator_transform(cert.generator, 1, t),
@@ -318,6 +317,83 @@ def test_sample_shape_named_diff(tmp_path, capsys, forge, diff):
     out = capsys.readouterr().out
     assert f"  cert[0]: sample shape: {diff}" in out, out
     assert "verification error" not in out, out
+
+
+def test_distance_reads_the_largest_value_of_an_unordered_sample(tmp_path, capsys):
+    # the top value -1/2 moved to the front: the shape check refuses the
+    # order, and the re-derived enclosure still starts at the largest value,
+    # as the stored one does, not at the last
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
+    realized = obj["certs"][0]["sample"]["realized"]
+    realized.insert(0, realized.pop())
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  cert[0]: sample shape: realized values are not strictly increasing: -1/2 then -3/1",
+        "  cert[0]: no_max re-derives to not refuted, stored 'refuted'",
+    ]
+
+
+def test_family_samples_compare_across_grids(tmp_path, capsys):
+    # member 2 is member 1 with its base on a grid twice as fine: the same
+    # values have other grid indices, and the samples are still equal
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
+    member = json.loads(json.dumps(obj["certs"][0]))
+    member["base"]["ctx"]["D"] *= 2
+    obj["certs"][1] = member
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["  cert[1]: config-mismatch between the field and the session snapshot",
+                        "  family: members 1 and 2 have equal samples"], out
+
+
+def test_artin_schreier_residual_is_checked_by_frobenius(tmp_path, capsys):
+    # b -> b + t^-3 in member 10: another polynomial, whose root differs
+    # from the stored theta at valuation -3/2.  Horner's theta * theta
+    # keeps only the precision v(theta) + prec(theta) = -9, below the whole
+    # window [floor, 0), so that residual had no term to check; theta^2 by
+    # Frobenius is exact
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-10-budget-3.json").read_text())
+    obj["certs"][9]["min_poly"][0]["terms"].append({"coeff": 1, "exp": "-3/1"})
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "verification FAILED:",
+        "  cert[9]: residual terms at [Fraction(-3, 1)] violate the recorded floor -19/256",
+    ]
+
+
+def _forge_x_coefficient(obj):
+    obj["certs"][0]["min_poly"][1]["terms"].append({"coeff": 1, "exp": "1/1"})
+
+
+def _artin_schreier_kind(obj):
+    obj["certs"][0]["kind"] = "artin_schreier"
+
+
+@pytest.mark.parametrize(
+    "name, forge",
+    [
+        # the Frobenius residual reads only the constant coefficient, so
+        # every other one is checked against X^p - X
+        ("asfamily-base-fp_t-p-2-n-2-budget-2.json", _forge_x_coefficient),
+        ("kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json", _artin_schreier_kind),
+    ],
+    ids=["x-coefficient", "mixed-base"],
+)
+def test_artin_schreier_min_poly_shape_named_diff(tmp_path, capsys, name, forge):
+    obj = json.loads((CORPUS / name).read_text())
+    forge(obj)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "  cert[0]: min_poly is not X^2 - X - b over an equal-characteristic base" in out, out
+    assert not any("verification error" in line for line in out), out
 
 
 def test_witness_outside_k_named_diff(tmp_path, capsys):
@@ -542,6 +618,9 @@ def _config_precision(obj):
         # realized value
         (_edit("certs.0.sample.realized.0", lambda entry: entry.update(value="+inf")),
          "certs[0]: '+inf' is not a reduced ratio n/d as the writer writes it"),
+        # a realized value is a grid index: off the grid (1/D)Z it has none
+        (_edit("certs.0.sample.realized.0", lambda entry: entry.update(value="1/3")),
+         "certs[0]: realized value '1/3' is off the grid (1/D)Z, D=256"),
     ],
     ids=["renamed-field", "perfect-base", "tail-cofinal", "tail-denominators",
          "tail-partials", "config-precision", "unknown-kind",
@@ -550,7 +629,7 @@ def _config_precision(obj):
          "term-beyond-precision", "terms-reversed", "coeff-plus-p", "coeff-bool",
          "min-poly-trailing-zero", "version-float", "budget-float", "cert-extra-key",
          "claims-extra-key", "pair-of-three", "precision-off-grid", "exp-over-digit-limit",
-         "floor-minus-inf", "value-plus-inf"],
+         "floor-minus-inf", "value-plus-inf", "value-off-grid"],
 )
 def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message):
     obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
@@ -789,3 +868,27 @@ def test_extrat_parse_matches_fraction_reader(s):
         return
     with pytest.raises(ValueError, match=re.escape(repr(s))):
         _parse_extrat(s)
+
+
+def _stored_values():
+    # a context and a value spelled on its grid, off it, or as no writer does
+    return st.sampled_from(READER_CTXS).flatmap(
+        lambda ctx: st.tuples(st.just(ctx), st.one_of(_ratio(ctx.D), st.just("+inf"))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stored_values())
+def test_realized_value_parse_matches_fraction_reader(case):
+    # the value the Fraction reader gives, as its grid index, when the
+    # writer spells it so and it lies on the grid; else a refusal that
+    # quotes it (a realized value is never +inf)
+    ctx, s = case
+    obj = {"budget": 1, "no_max": "unknown", "upper": {"attained": False, "bound": "+inf"},
+           "realized": [{"value": s, "witness": series_tree(Series.zero(ctx))}]}
+    want = _outcome(_oracle_extrat_parse, s)
+    if want == ("value", s) and s != "+inf" and ctx.D % Fraction(s).denominator == 0:
+        (k, _), = sample_from_json(obj, ctx).realized
+        assert type(k) is int and Fraction(k, ctx.D) == Fraction(s)
+        return
+    with pytest.raises(ValueError, match=re.escape(repr(s))):
+        sample_from_json(obj, ctx)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from defectlab.approx import InitialSegmentSample, distance
 from defectlab.certfile import _parse_extrat
 from defectlab.cuts import (
     Cut,
@@ -11,10 +12,10 @@ from defectlab.cuts import (
     ExtRat,
     InfinityArithmeticError,
     PLUS_INF,
-    cut_of_sample,
     segment_affine,
 )
 from defectlab.fields import PRESET_NAMES, preset_field
+from defectlab.series import EQUAL, Series, make_context
 
 
 def q(n, d=1):
@@ -130,14 +131,24 @@ class TestSegmentAffine:
             assert rel_before == rel_after
 
 
+def _sample_cut(vals):
+    """S^+, the least upper cut of a sample S of values on the grid: the
+    lower end of the distance enclosure of a sample bounded by +inf-."""
+    ctx = make_context(EQUAL, 2)
+    realized = tuple((ctx.grid_k(v), Series.zero(ctx)) for v in vals)
+    return distance(InitialSegmentSample(realized, Cut(PLUS_INF, False), "unknown", 1)).lo
+
+
 class TestCutOfSample:
     def test_examples(self):
-        assert cut_of_sample([q(-1), q(-1, 2), q(1, 2)]) == Cut(ExtRat.of(q(1, 2)), True)
-        assert cut_of_sample([q(0), q(1), q(2)]) == Cut(ExtRat.of(2), True)
+        assert _sample_cut([q(-1), q(-1, 2), q(1, 2)]) == Cut(ExtRat.of(q(1, 2)), True)
+        assert _sample_cut([q(0), q(1), q(2)]) == Cut(ExtRat.of(2), True)
+        # the largest value, wherever a sample of unchecked order holds it
+        assert _sample_cut([q(2), q(0), q(1)]) == Cut(ExtRat.of(2), True)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cut_of_sample([])
+            _sample_cut([])
 
 
 class TestEnclosure:

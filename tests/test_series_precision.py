@@ -184,3 +184,19 @@ def test_off_grid_precision_is_refused(build, value):
     with pytest.raises(DenominatorBoundError, match=f"^precision {value} needs denominator "
                                                     f"{value.split('/')[1]}, bound is D=256$"):
         build(ctx)
+
+
+def test_a_zero_has_no_valuation():
+    # +inf is a bound, never a value: an exact zero has no valuation, and a
+    # zero to a finite precision no certified one, each with its message
+    for ctx in CTXS:
+        exact, finite = Series.zero(ctx), Series.zero(ctx, ExtRat.of(3))
+        for s, message in ((exact, r"an exact zero has valuation \+inf, which is not a value"),
+                           (finite, "series is zero to precision 3/1; valuation not certified")):
+            with pytest.raises(PrecisionError, match=message):
+                s.valuation()
+            with pytest.raises(PrecisionError, match=message):
+                s.valuation_k()
+        root = Series.monomial(ctx, Fraction(1, ctx.p))
+        assert (root.valuation(), root.valuation_k()) == (
+            ExtRat.of(Fraction(1, ctx.p)), ctx.D // ctx.p)

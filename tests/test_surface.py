@@ -70,6 +70,9 @@ ALLOWED = {
         "ExtRat does (tests/test_cuts.py)"
     ),
     "cuts.ExtRat.__repr__": "the form a value takes in an assertion message or at a prompt",
+    "cuts.ExtRat.__hash__": _HASHES_AS_IT_COMPARES,
+    "cuts.ExtRat.__neg__": _TRACED_OP,
+    "cuts.ExtRat.__sub__": _TRACED_OP,
     "cuts.ExtRat.__rsub__": _TRACED_OP,
     "teichmueller._precision_error": (
         "builds the PrecisionError of an exact (infinite-precision) sum that "
