@@ -220,15 +220,15 @@ def translate_sample(
     a_new: Series,
     shift: Fraction,
     witness_map,
-    horizon: ExtRat,
+    tail: Optional[TailSchema],
 ) -> InitialSegmentSample:
-    """Re-witness a sample for a_new = (transform of a), checking each
-    translated witness exactly: v(a_new - map(c)) must equal v + shift.
-    Values at or beyond ``horizon``, where a_new is not certified, are
-    dropped.  The shift lies on the grid, so the check runs on grid
-    indices."""
+    """Re-witness a sample for a_new = (transform of a), whose tail is
+    ``tail``, checking each translated witness exactly: v(a_new - map(c))
+    must equal v + shift.  Values at or beyond the ``difference_horizon``
+    of a_new, where it is not certified, are dropped.  The shift lies on
+    the grid, so the check runs on grid indices."""
     ctx = a_new.ctx
-    khorizon, dk = ctx.kcap(horizon), ctx.grid_k(shift)
+    khorizon, dk = difference_horizon(a_new, tail), ctx.grid_k(shift)
     out = []
     for k, w in sample.realized:
         w2 = witness_map(w)

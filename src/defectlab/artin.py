@@ -184,15 +184,13 @@ def residual_window_violations(resid: Series, floor: ExtRat) -> List[Fraction]:
     return [Fraction(k, ctx.D) for k in bad]
 
 
-def artin_schreier_poly(b: Series) -> Polynomial:
-    """X^p - X - b."""
-    ctx = b.ctx
-    p = ctx.p
-    neg_one = Series.monomial(ctx, 0, ctx.field.neg(1))
-    coeffs = [b.scale(ctx.field.neg(1)), neg_one]
-    coeffs += [Series.zero(ctx) for _ in range(p - 2)]
-    coeffs.append(Series.one(ctx))
-    return Polynomial.make(tuple(coeffs))
+def degree_p_poly(kind: str, c0: Series) -> Polynomial:
+    """The minimal polynomial of a certificate of ``kind`` with constant
+    term c0: X^p - X + c0 for Artin-Schreier, X^p + c0 for Kummer."""
+    ctx = c0.ctx
+    zero = Series.zero(ctx)
+    x1 = Series.monomial(ctx, 0, ctx.field.neg(1)) if kind == ARTIN_SCHREIER else zero
+    return Polynomial.make((c0, x1, *[zero] * (ctx.p - 2), Series.one(ctx)))
 
 
 def transform_inseparable(
@@ -206,9 +204,9 @@ def transform_inseparable(
     its certificate: generator theta, minimal polynomial
     X^p - X - eta^p / d^p.
 
-    Requires v(eta - K) certifiably bounded and the twist condition
-    (p-1) v(d) > p sup v(eta - K) - v(eta), checked on the certified
-    upper cut.  Verifies the full chain of equalities:
+    Requires the twist condition (p-1) v(d) > p sup v(eta - K) - v(eta),
+    checked on the certified upper cut, which an unbounded v(eta - K)
+    (the cut +inf-) fails.  Verifies the full chain of equalities:
     v(d theta) = v(eta), v(eta - d theta) = ((p-1)v(d) + v(eta))/p above
     the sample, v(d theta - c) = v(eta - c) witness by witness, and
     v(theta - c/d) = v(eta - c) - v(d) witness by witness.
@@ -230,8 +228,6 @@ def transform_inseparable(
 
     budget = sample_eta.budget
     upper = sample_eta.upper
-    if not upper.bound.is_finite:
-        raise ValueError("v(eta - K) has no certified finite upper bound")
     veta = eta.valuation().fraction
     vd = d.valuation().fraction
     threshold = Fraction((p - 1) * vd + veta, p)
@@ -261,13 +257,8 @@ def transform_inseparable(
         )
 
     # witness-by-witness equality of the two value sets
-    tilde_horizon = ExtRat.of(tilde_tail.low) if tilde_tail else theta_tilde.precision
-    translate_sample(sample_eta, theta_tilde, Fraction(0), lambda w: w, tilde_horizon)
-
-    theta_horizon = ExtRat.of(tail.low) if tail else theta.precision
-    sample_theta_tr = translate_sample(
-        sample_eta, theta, -vd, lambda w: w * d_inv, theta_horizon
-    )
+    translate_sample(sample_eta, theta_tilde, Fraction(0), lambda w: w, tilde_tail)
+    sample_theta_tr = translate_sample(sample_eta, theta, -vd, lambda w: w * d_inv, tail)
 
     fresh = value_set(theta, K, budget, tail)
     if fresh.upper != sample_theta_tr.upper:
@@ -298,7 +289,7 @@ def transform_inseparable(
         K,
         theta,
         tail,
-        artin_schreier_poly(b),
+        degree_p_poly(ARTIN_SCHREIER, b.neg()),
         root.residual_floor,
         merged,
         dist_enc,
@@ -332,8 +323,6 @@ def as_family(
     member."""
     if n_members < 1:
         raise ValueError("need at least one family member")
-    if not sample_eta.upper.bound.is_finite:
-        raise ValueError("v(eta - K) has no certified finite upper bound")
     if not sample_eta.realized:
         raise ValueError("no realized values at this budget")
     # upper <= (alpha + v(d))^-, read on the grid
@@ -523,7 +512,7 @@ def as_extension(b: Series, K: FieldDesc, budget: int) -> ExtensionCert:
         K,
         root.theta,
         root.tail,
-        artin_schreier_poly(b),
+        degree_p_poly(ARTIN_SCHREIER, b.neg()),
         root.residual_floor,
         sample,
         dist_enc,

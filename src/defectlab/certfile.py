@@ -39,8 +39,8 @@ from .artin import (
     KUMMER,
     Claims,
     ExtensionCert,
-    artin_schreier_poly,
     check_pairwise_distinct,
+    degree_p_poly,
     derive_claims,
     residual_window_violations,
     root_tail,
@@ -543,17 +543,21 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
             f"stored {cert.sample.no_max!r}"
         )
 
-    # 3. minimal polynomial residual within the recorded exception window,
-    # for Artin-Schreier as theta^p - theta - b by the exact Frobenius: the
+    # 3. the minimal polynomial has its kind's shape over its kind's base,
+    # and its residual lies within the recorded exception window; for
+    # Artin-Schreier as theta^p - theta - b by the exact Frobenius: the
     # product theta * theta keeps only the precision v(theta) + prec(theta)
     f = cert.min_poly
-    if cert.kind == KUMMER:
-        bad = residual_window_violations(f.evaluate(gen), floor)
-    elif ctx.mode == EQUAL and f.coeffs[1:] == artin_schreier_poly(Series.zero(ctx)).coeffs[1:]:
+    equal = cert.kind == ARTIN_SCHREIER
+    shape = degree_p_poly(cert.kind, Series.zero(ctx)).coeffs[1:]
+    if (ctx.mode == EQUAL) != equal or f.coeffs[1:] != shape:
+        bad = None
+        want = "X - b over an equal-characteristic" if equal else "c over a mixed-characteristic"
+        report.add(f"{tag}: min_poly is not X^{ctx.p} - {want} base")
+    elif equal:
         bad = residual_window_violations(gen.frobenius() - gen + f.coeffs[0], floor)
     else:
-        bad = None
-        report.add(f"{tag}: min_poly is not X^{ctx.p} - X - b over an equal-characteristic base")
+        bad = residual_window_violations(f.evaluate(gen), floor)
     if bad:
         report.add(f"{tag}: residual terms at {bad} violate the recorded floor {floor}")
 

@@ -40,6 +40,7 @@ from .artin import (
     ExtensionCert,
     _short_hash,
     check_pairwise_distinct,
+    degree_p_poly,
     derive_claims,
 )
 from .cuts import Cut, ExtRat, segment_affine
@@ -134,8 +135,6 @@ def transform_mixed(
     if vd >= 0:
         raise ValueError("d must have negative value")
     upper = sample.upper
-    if not upper.bound.is_finite:
-        raise ValueError("v(eta - K) has no certified finite upper bound")
     threshold = Fraction(1 + (p - 1) * vd, p)
     if not upper <= Cut(ExtRat.of(threshold), False):
         raise ValueError(
@@ -179,7 +178,7 @@ def transform_mixed(
         raise AssertionError("v(root - eta) does not clear the sample")
 
     # raises unless every witness of the sample transfers to the root
-    translate_sample(sample, theta_tilde, Fraction(0), lambda w: w, ExtRat.of(tail.low))
+    translate_sample(sample, theta_tilde, Fraction(0), lambda w: w, tail)
     return theta_tilde
 
 
@@ -217,10 +216,8 @@ def kummer_family(
         raise ValueError("eta must be a 1-unit")
     sample = value_set(eta, K, budget, tail)
     upper = sample.upper
-    if not upper.bound.is_finite:
-        raise ValueError("v(eta - K) has no certified finite upper bound")
     sd_threshold = Fraction(1, p)
-    if not upper.bound.fraction < sd_threshold:
+    if not upper.bound < ExtRat.of(sd_threshold):
         raise ValueError(
             f"the certified upper bound {upper.bound} is not strictly below "
             f"v(p)/p = {sd_threshold}; no certified gap"
@@ -265,15 +262,14 @@ def kummer_family(
 
         tail_new = tail.shift(-vt)
         sample_new = translate_sample(
-            sample, eta_new, -vt, lambda w, _ti=td_inv: w * _ti + Series.one(ctx),
-            ExtRat.of(tail_new.low),
+            sample, eta_new, -vt, lambda w, _ti=td_inv: w * _ti + Series.one(ctx), tail_new
         )
         bound_new = sd_threshold + vt
         if not sample_new.upper <= Cut(ExtRat.of(bound_new), False):
             raise AssertionError("super-dependent bound fails after translation")
 
         dist_enc = distance(sample_new, tail_new)
-        min_poly = _kummer_poly(power_formula)
+        min_poly = degree_p_poly(KUMMER, power_formula.neg())
         resid_floor = resid.vlow()
         claims = Claims(
             bounds=(
@@ -301,15 +297,6 @@ def kummer_family(
 
     check_pairwise_distinct(certs)
     return certs
-
-
-def _kummer_poly(rhs: Series) -> Polynomial:
-    ctx = rhs.ctx
-    p = ctx.p
-    coeffs = [rhs.neg()]
-    coeffs += [Series.zero(ctx) for _ in range(p - 1)]
-    coeffs.append(Series.one(ctx))
-    return Polynomial.make(tuple(coeffs))
 
 
 def lab_superdependent_unit(K: FieldDesc, sup: Optional[Fraction] = None) -> Tuple[Series, TailSchema]:

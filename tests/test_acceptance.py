@@ -12,9 +12,10 @@ import pytest
 
 from defectlab.approx import imperfection_witness, semitame_report, value_set
 from defectlab.artin import (
-    artin_schreier_poly,
+    ARTIN_SCHREIER,
     as_extension,
     as_root,
+    degree_p_poly,
     residual_window_violations,
     sigma_sample,
     transform_inseparable,
@@ -200,7 +201,7 @@ def test_c04_artin_schreier_solver():
                 terms[Fraction(0)] = rng.choice(image)
                 b = Series.make(ctx, terms)
                 res = as_root(b, ExtRat.of(q(4 * p * p + 8)))
-                resid = artin_schreier_poly(b).evaluate(res.theta)
+                resid = degree_p_poly(ARTIN_SCHREIER, b.neg()).evaluate(res.theta)
                 assert residual_window_violations(resid, res.residual_floor) == []
                 # the exception window [floor, 0) is fully certified and
                 # at least p^4 refinement levels deep (so no wider than

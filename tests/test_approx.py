@@ -332,9 +332,30 @@ def test_translate_sample_failure_messages():
     a = Series.monomial(K2.ctx, q(1, 2))
     sample = value_set(a, K2, 2)
     with pytest.raises(ValueError, match="got zero"):
-        translate_sample(sample, a, q(0), lambda w: a, PLUS_INF)
+        translate_sample(sample, a, q(0), lambda w: a, None)
     with pytest.raises(ValueError, match=r"expected value -1/1, got -2/1"):
-        translate_sample(sample, a, q(1), lambda w: w, PLUS_INF)
+        translate_sample(sample, a, q(1), lambda w: w, None)
+
+
+def test_translate_sample_drops_values_at_the_difference_horizon():
+    # a = t^-3 + t^(1/2) realizes -3 (witness 0) and 1/2 (witness t^-3);
+    # a value is kept below min(prec, tail floor) and dropped from there on
+    ctx = K2.ctx
+    a = Series.make(ctx, {q(-3): 1, q(1, 2): 1})
+    sample = value_set(a, K2, 2)
+    assert values(sample) == (q(-3), q(1, 2))
+
+    def kept(a_new, tail):
+        return values(translate_sample(sample, a_new, q(0), lambda w: w, tail))
+
+    # a tail floor below the precision bounds the horizon
+    assert kept(a, TailSchema(q(1), q(0), "floor 0")) == (q(-3),)
+    # a precision below the tail floor bounds it too: 1/2 lies between the
+    # two, where t^-3 [prec 0] certifies nothing, and is dropped, not refused
+    assert kept(a.truncate(q(0)), TailSchema(q(2), q(1), "floor 1")) == (q(-3),)
+    # without a tail the horizon is the precision
+    assert kept(a.truncate(q(1)), None) == (q(-3), q(1, 2))
+    assert kept(a.truncate(q(1, 2)), None) == (q(-3),)
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3])

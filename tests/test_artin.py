@@ -6,12 +6,13 @@ import pytest
 import defectlab.artin as artin_mod
 from defectlab.approx import imperfection_witness, value_set
 from defectlab.artin import (
+    ARTIN_SCHREIER,
     admissible_twist,
-    artin_schreier_poly,
     as_extension,
     as_family,
     as_root,
     check_pairwise_distinct,
+    degree_p_poly,
     residual_window_violations,
     sigma_sample,
     transform_inseparable,
@@ -29,7 +30,7 @@ def q(n, d=1):
 
 def residual(res, b):
     """theta^p - theta - b for an Artin-Schreier root of X^p - X - b."""
-    return artin_schreier_poly(b).evaluate(res.theta)
+    return degree_p_poly(ARTIN_SCHREIER, b.neg()).evaluate(res.theta)
 
 
 K2 = preset_field("fp_t", 2)
@@ -207,6 +208,24 @@ class TestAsFamily:
         certs = as_family(eta, K3, d, 3, value_set(eta, K3, 2))
         for n, cert in enumerate(certs, start=1):
             assert cert.sample.upper == Cut(ExtRat.of(q(1, 3) - n), True)
+
+
+@pytest.mark.parametrize(
+    "build, condition",
+    [
+        (lambda eta, d, s: transform_inseparable(eta, K2, d, s), "twist condition fails"),
+        (lambda eta, d, s: as_family(eta, K2, d, 2, s), "family hypothesis fails"),
+        (lambda eta, d, s: admissible_twist(eta, s), "no certified finite upper bound"),
+    ],
+    ids=["transform_inseparable", "as_family", "admissible_twist"],
+)
+def test_unbounded_sample_fails_the_named_condition(build, condition):
+    # the cut +inf- lies above every finite one, so each function's own
+    # comparison refuses it; only admissible_twist does arithmetic on it
+    eta = Series.monomial(K2.ctx, q(1, 2))
+    sample = value_set(eta, K2, 2)._replace(upper=Cut(PLUS_INF, False))
+    with pytest.raises(ValueError, match=condition):
+        build(eta, Series.monomial(K2.ctx, 1), sample)
 
 
 class TestImperfectionWitness:

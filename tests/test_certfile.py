@@ -396,6 +396,40 @@ def test_artin_schreier_min_poly_shape_named_diff(tmp_path, capsys, name, forge)
     assert not any("verification error" in line for line in out), out
 
 
+def _kummer_term(coeff, exp):
+    def forge(obj):
+        obj["certs"][0]["min_poly"][coeff]["terms"].append({"coeff": 1, "exp": exp})
+    return forge
+
+
+def _kummer_kind(obj):
+    obj["certs"][0]["kind"] = "kummer"
+
+
+@pytest.mark.parametrize(
+    "name, forge",
+    [
+        # a Kummer floor is its residual's own lowest value, so Horner's
+        # residual of a forged coefficient deeper than that stays in its
+        # window; only the shape X^p - c refuses it
+        ("kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json", _kummer_term(1, "3/4")),
+        ("kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json", _kummer_term(1, "5/1")),
+        ("kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json", _kummer_term(2, "1/1")),
+        ("asfamily-base-fp_t-p-2-n-2-budget-2.json", _kummer_kind),
+    ],
+    ids=["x-coefficient", "deep-x-coefficient", "x-squared-coefficient", "equal-base"],
+)
+def test_kummer_min_poly_shape_named_diff(tmp_path, capsys, name, forge):
+    obj = json.loads((CORPUS / name).read_text())
+    forge(obj)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "  cert[0]: min_poly is not X^2 - c over a mixed-characteristic base" in out, out
+    assert not any("verification error" in line for line in out), out
+
+
 def test_witness_outside_k_named_diff(tmp_path, capsys):
     # t^(-4) + t^(7/2) differs from the generator where t^(-4) alone does,
     # so the re-evaluation still gives the stored value; only the

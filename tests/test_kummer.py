@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from defectlab.approx import translate_sample, value_set
+from defectlab.approx import TailSchema, translate_sample, value_set
 from defectlab.artin import _short_hash, derive_claims
-from defectlab.cuts import Cut, CutEnclosure, ExtRat
+from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from defectlab.fields import enumerate_elements, preset_field
 from defectlab.kummer import (
     is_one_unit,
@@ -102,6 +102,13 @@ class TestTransformMixed:
         with pytest.raises(ValueError):
             transform_mixed(eta, QT2, d, sample, tail, eta.pow_int(2).neg())
 
+    def test_unbounded_sample_fails_the_depth_condition(self):
+        eta, tail = lab_superdependent_unit(QT2)
+        d = Series.monomial(QT2.ctx, q(-1, 16), 1)
+        sample = value_set(eta, QT2, 4, tail)._replace(upper=Cut(PLUS_INF, False))
+        with pytest.raises(ValueError, match=r"depth condition fails: certified upper cut \+inf-"):
+            transform_mixed(eta, QT2, d, sample, tail, eta.pow_int(2).neg())
+
     def test_transform_runs(self):
         ctx = QT2.ctx
         eta, tail = lab_superdependent_unit(QT2)
@@ -113,7 +120,7 @@ class TestTransformMixed:
         # the root correction enters at (v(p) + v(d))/p = 15/32
         assert gap == ExtRat.of(q(15, 32))
         # the sample's witnesses transfer to the root
-        transferred = translate_sample(sample, root, q(0), lambda w: w, ExtRat.of(tail.low))
+        transferred = translate_sample(sample, root, q(0), lambda w: w, tail)
         assert len(transferred.realized) >= 2
 
     def test_quarter_depth_instance(self):
@@ -171,6 +178,15 @@ class TestKummerFamily:
         with pytest.raises(ValueError, match=r"no primitive p-th root of unity zeta_3: "
                                              r"v\(zeta_3 - 1\) = 1/2 lies outside"):
             kummer_family(eta, K, 1, 3, tail)
+
+    def test_unbounded_sample_has_no_certified_gap(self):
+        # 3 lies in Q_2, whose support lattice Z bounds nothing, and the
+        # tail bounds nothing outside a leveled union: the upper cut is +inf-
+        eta = Series.from_int(QP2.ctx, 3, q(8))
+        tail = TailSchema(q(4), q(2), "no bound off a leveled union")
+        with pytest.raises(ValueError, match=r"upper bound \+inf is not strictly below "
+                                             r"v\(p\)/p = 1/2; no certified gap"):
+            kummer_family(eta, QP2, 1, 2, tail)
 
 
 class TestClassify:
