@@ -6,7 +6,6 @@ difference law, and a certified super-dependent Kummer family.
 import argparse
 from fractions import Fraction
 
-from defectlab.cuts import ExtRat
 from defectlab.kummer import (
     kummer_family,
     lab_superdependent_unit,
@@ -24,15 +23,15 @@ def main(argv=None):
 
     print("p-th roots of unity")
     ctx2 = make_context(MIXED, 2)
-    z2 = zeta_p(ctx2, ExtRat.of(Fraction(8)))
+    z2 = zeta_p(ctx2, 8)
     print(f"  p = 2: zeta = {z2}")
     ctx9 = make_context(MIXED, 3, 2)
-    z3 = zeta_p(ctx9, ExtRat.of(Fraction(5)))
+    z3 = zeta_p(ctx9, 5)
     print(f"  p = 3 (residue F_9): v(zeta - 1) = {(z3 - Series.one(ctx9)).valuation()}")
 
     print("\np-th power differences at p = 2")
-    unit = Series.make(ctx2, {Fraction(0): 1, Fraction(1, 2): 1}, ExtRat.of(Fraction(10)))
-    one = Series.one(ctx2, ExtRat.of(Fraction(10)))
+    unit = Series.make(ctx2, {Fraction(0): 1, Fraction(1, 2): 1}, 10)
+    one = Series.one(ctx2, 10)
     rep = pth_power_difference_check(unit, one)
     print(f"  v((1 + p^(1/2))^2 - 1) = {rep.lhs} = 2 * {Fraction(1, 2)}"
           f"   (precondition {'holds' if rep.precondition_holds else 'fails'})")

@@ -107,7 +107,7 @@ def support_upper_cut(a: Series, K: FieldDesc, tail: Optional[TailSchema]) -> Cu
     if k is not None and k < klow:
         candidates.append(Cut(ctx.value_of(k), True))
     if tail is not None and K.leveled:
-        candidates.append(Cut(ExtRat.of(tail.sup), False))
+        candidates.append(Cut(tail.sup, False))
     return min(candidates) if candidates else Cut(PLUS_INF, False)
 
 
@@ -129,7 +129,7 @@ def no_max_refuted(realized, upper: Cut, ctx) -> bool:
     """Whether the sample shows that v(a - K) has a maximum: the top
     realized value sits at an attained upper bound.  An element of K realizes
     no value at +inf, and +inf- keeps its maximum unknown."""
-    return bool(realized) and upper.attained and realized[-1][0] == ctx.grid_index(upper.bound)
+    return bool(realized) and upper.attained and upper.bound.num * ctx.D == realized[-1][0]
 
 
 def value_set(
@@ -262,7 +262,7 @@ def distance(
     if (
         sample.no_max == PROVED
         and tail is not None
-        and hi == Cut(ExtRat.of(tail.sup), False)
+        and hi == Cut(tail.sup, False)
     ):
         return CutEnclosure(hi, hi)
     return CutEnclosure(lo, hi)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .approx import (
     InitialSegmentSample,
@@ -31,7 +31,7 @@ from .approx import (
     translate_sample,
     value_set,
 )
-from .cuts import Cut, CutEnclosure, ExtRat, PLUS_INF
+from .cuts import Cut, CutEnclosure, ExtRat
 from .fields import FieldDesc, enumerate_elements, member_witness
 from .series import (
     EQUAL,
@@ -77,7 +77,7 @@ class ExtensionCert(NamedTuple):
     generator: Series
     generator_tail: Optional[TailSchema]
     min_poly: Polynomial
-    residual_floor: ExtRat
+    residual_floor: Union[int, float]  # a grid index; math.inf for no residual
     sample: InitialSegmentSample
     dist: CutEnclosure
     claims: Claims
@@ -87,7 +87,7 @@ class ExtensionCert(NamedTuple):
 class ASRoot(NamedTuple):
     theta: Series
     tail: Optional[TailSchema]
-    residual_floor: ExtRat
+    residual_floor: Union[int, float]  # a grid index; math.inf for no residual
 
 
 def as_root(b: Series, precision) -> ASRoot:
@@ -109,7 +109,7 @@ def as_root(b: Series, precision) -> ASRoot:
     p = ctx.p
     precision = min(ExtRat.of(precision), b.precision)
 
-    r0 = b.coeff_at(0)
+    r0 = dict(b.kterms).get(0, 0)
 
     roots = ctx.field.artin_schreier_roots(r0)
     if not roots:
@@ -126,7 +126,7 @@ def as_root(b: Series, precision) -> ASRoot:
     acc = {Fraction(0): rho} if rho else {}
     theta = Series.make(ctx, acc, precision)
 
-    floor = PLUS_INF
+    kfloor = math.inf
     if not b_neg.is_zero:
         parts: List[Series] = []
         x = b_neg
@@ -140,7 +140,7 @@ def as_root(b: Series, precision) -> ASRoot:
             )
         for part in parts:
             theta = theta + part
-        floor = parts[-1].valuation()
+        kfloor = parts[-1].valuation_k()
 
     if not b_pos.is_zero:
         neg_one = ctx.field.neg(1)
@@ -150,38 +150,39 @@ def as_root(b: Series, precision) -> ASRoot:
             y = y.frobenius()
 
     theta = theta.truncate(precision)
-    return ASRoot(theta, root_tail(floor, p), floor)
+    return ASRoot(theta, root_tail(kfloor, ctx), kfloor)
 
 
-def root_tail(floor: ExtRat, p: int) -> Optional[TailSchema]:
+def root_tail(kfloor, ctx) -> Optional[TailSchema]:
     """The tail schema of an Artin-Schreier root whose residual floor is
-    ``floor``, +inf or negative: none for +inf (no fractional term was
-    dropped), else the dropped fractional terms, from floor/p up and
-    accumulating at 0.  ``verify`` re-derives a stored tail by this rule."""
-    if floor == PLUS_INF:
+    the grid index ``kfloor``, ``math.inf`` or negative: none for
+    ``math.inf`` (no fractional term was dropped), else the dropped
+    fractional terms, from floor/p up and accumulating at 0.  floor/p may
+    lie off the grid, so the tail keeps it as a ``Fraction``.  ``verify``
+    re-derives a stored tail by this rule."""
+    if kfloor == math.inf:
         return None
-    return TailSchema(
-        Fraction(0), floor.fraction / p, "fractional telescoping tail of an Artin-Schreier root"
-    )
+    return TailSchema(Fraction(0), Fraction(kfloor, ctx.D * ctx.p),
+                      "fractional telescoping tail of an Artin-Schreier root")
 
 
-def residual_window_violations(resid: Series, floor: ExtRat) -> List[Fraction]:
+def residual_window_violations(resid: Series, kfloor) -> List[Fraction]:
     """The exponents of the terms of a minimal-polynomial residual f(theta)
-    that lie outside the window its recorded floor allows, in order.
+    that lie outside the window its recorded floor allows, in order; the
+    floor is a grid index, or ``math.inf``.
 
     A negative floor allows terms in [floor, 0) only: the fractional
     residual -(b_-)^(1/p^I) of an Artin-Schreier root, which ``as_root``
-    records as a negative floor (or +inf when there is none).  Any other
-    floor allows no term below it.  Terms at or beyond the residual's own
-    precision are not stored, so they are certified neither way.
+    records as a negative floor (or ``math.inf`` when there is none).  Any
+    other floor allows no term below it.  Terms at or beyond the
+    residual's own precision are not stored, so they are certified
+    neither way.
     """
-    ctx = resid.ctx
-    kfloor = ctx.kcap(floor)
-    if floor.is_finite and floor.fraction < 0:
+    if kfloor < 0:
         bad = [k for k, _ in resid.kterms if not kfloor <= k < 0]
     else:
         bad = [k for k, _ in resid.kterms if k < kfloor]
-    return [Fraction(k, ctx.D) for k in bad]
+    return [Fraction(k, resid.ctx.D) for k in bad]
 
 
 def degree_p_poly(kind: str, c0: Series) -> Polynomial:
@@ -231,13 +232,13 @@ def transform_inseparable(
     veta = eta.valuation().fraction
     vd = d.valuation().fraction
     threshold = Fraction((p - 1) * vd + veta, p)
-    if not upper <= Cut(ExtRat.of(threshold), False):
+    if not upper <= Cut(threshold, False):
         raise ValueError(
             f"twist condition fails: need (p-1)v(d) > p v(eta-K) - v(eta), "
             f"but the certified upper cut {upper} is not below {threshold}"
         )
 
-    work = ExtRat.of(Fraction(budget + 6) + 2 * abs(vd) + abs(veta))
+    work = budget + 6 + 2 * abs(vd) + abs(veta)
     d_inv = invert(d, work)
     ratio = eta * d_inv
     b = ratio.pow_int(p)
@@ -272,7 +273,7 @@ def transform_inseparable(
     # eta/d is purely inseparable over K and sits strictly closer to theta
     # than K does
     ratio_gap = (ratio - theta).valuation().fraction
-    if not Cut(ExtRat.of(ratio_gap), True) > merged.upper:
+    if not Cut(ratio_gap, True) > merged.upper:
         raise AssertionError("comparison element is not strictly closer than K")
 
     claims = Claims(
@@ -423,7 +424,7 @@ def sigma_sample(cert: ExtensionCert) -> SigmaSample:
     values = tuple(sorted(found.items()))  # the keys differ, so no witness is compared
     verdict = UNKNOWN
     positive = all(k > 0 for k, _ in values)
-    zero_cut = Cut(ExtRat.of(0), False)
+    zero_cut = Cut(0, False)
     accumulates_at_zero = cert.sample.no_max == PROVED and cert.dist.hi == zero_cut
     gap_below = cert.dist.hi < zero_cut
     if positive and accumulates_at_zero:
@@ -458,7 +459,7 @@ def derive_claims(cert: ExtensionCert) -> ExtensionCert:
     p = cert.base.ctx.p
 
     if s.no_max == PROVED and s.upper.bound.is_finite:
-        rule = "uniqextv" if cert.dist.hi <= Cut(ExtRat.of(0), False) else "c2"
+        rule = "uniqextv" if cert.dist.hi <= Cut(0, False) else "c2"
         claims = claims._replace(
             unique_extension=PROVED,
             unique_rule=rule if claims.unique_extension != PROVED else claims.unique_rule,
@@ -486,9 +487,9 @@ def derive_claims(cert: ExtensionCert) -> ExtensionCert:
 
     if cert.kind == KUMMER:
         lo, hi = cert.dist.lo, cert.dist.hi
-        dep_cut = Cut(ExtRat.of(Fraction(1, p - 1)), False)
-        sd_cut = Cut(ExtRat.of(Fraction(1, p)), False)
-        if not (lo > Cut(ExtRat.of(0), False) and hi <= dep_cut):
+        dep_cut = Cut(Fraction(1, p - 1), False)
+        sd_cut = Cut(Fraction(1, p), False)
+        if not (lo > Cut(0, False) and hi <= dep_cut):
             raise ValueError(
                 f"distance enclosure [{lo}, {hi}] violates 0 < dist <= (v(p)/(p-1))^-"
             )
@@ -504,7 +505,7 @@ def derive_claims(cert: ExtensionCert) -> ExtensionCert:
 
 def as_extension(b: Series, K: FieldDesc, budget: int) -> ExtensionCert:
     """Certificate for the extension generated by a root of X^p - X - b."""
-    root = as_root(b, ExtRat.of(Fraction(budget + 6)))
+    root = as_root(b, budget + 6)
     sample = value_set(root.theta, K, budget, root.tail)
     dist_enc = distance(sample, root.tail)
     cert = ExtensionCert(

@@ -136,8 +136,7 @@ def _parse_k(s, D: int, what: str) -> int:
 
 
 def _parse_extrat(s: str) -> ExtRat:
-    # a cut bound or a residual floor: "+inf" or a ratio, as the writer
-    # writes them
+    # a cut bound: "+inf" or a ratio, as the writer writes it
     if s == "+inf":
         return PLUS_INF
     return ExtRat(Fraction(*_parse_ratio(s)))
@@ -273,7 +272,9 @@ def cert_from_json(obj: dict) -> ExtensionCert:
     ctx = base.ctx
     return ExtensionCert(
         kind, base, series_from_json(gen, ctx), None if tail is None else _tail_from_json(tail),
-        poly_from_json(min_poly, ctx), _parse_extrat(floor), sample_from_json(sample, ctx),
+        poly_from_json(min_poly, ctx),
+        math.inf if floor == "+inf" else _parse_k(floor, ctx.D, "residual_floor"),
+        sample_from_json(sample, ctx),
         CutEnclosure(*map(_cut_from_json, _read(dist, "enclosure", {"lo": dict, "hi": dict}))),
         _claims_from_json(claims), tuple(provenance),
     )
@@ -326,8 +327,10 @@ def _term_format(F: FiniteField, nl: str) -> tuple:
     return tuple(f'{{{n1}"coeff": {t},{n1}"exp": "' for t in codes), f'"{nl}}}'
 
 
-def _k_text(k: int, D: int) -> str:
-    # the grid value k/D as a reduced ratio
+def _k_text(k, D: int) -> str:
+    # the grid value k/D as a reduced ratio, "+inf" for math.inf
+    if k == math.inf:
+        return "+inf"
     g = math.gcd(k, D)
     return f"{k // g}/{D // g}"
 
@@ -340,7 +343,7 @@ def _series_text(s: Series, nl: str) -> str:
     for k, c in s.kterms:
         g = math.gcd(k, D)  # the exponent k/D as a reduced fraction
         terms.append(f"{heads[c]}{k // g}/{D // g}{end}")
-    prec = "+inf" if s.kprec == math.inf else _k_text(s.kprec, D)
+    prec = _k_text(s.kprec, D)
     return (f'{{{n1}"mode": {encode_basestring_ascii(ctx.mode)},{n1}"precision": "{prec}",'
             f'{n1}"terms": {_array(terms, n1)}{nl}}}')
 
@@ -384,14 +387,14 @@ def _field_text(K: FieldDesc, nl: str) -> str:
 
 def _cert_text(cert: ExtensionCert, nl: str) -> str:
     n1, n2, q = nl + " ", nl + "  ", encode_basestring_ascii
-    tail = cert.generator_tail
+    tail, floor = cert.generator_tail, _k_text(cert.residual_floor, cert.base.ctx.D)
     return _object(nl, "base claims dist generator generator_tail kind min_poly provenance "
                    "residual_floor sample", _field_text(cert.base, n1),
                    _claims_text(cert.claims, n1),
                    _object(n1, "hi lo", _cut_text(cert.dist.hi, n2), _cut_text(cert.dist.lo, n2)),
                    _series_text(cert.generator, n1), "null" if tail is None else _tail_text(tail, n1),
                    q(cert.kind), _array([_series_text(c, n2) for c in cert.min_poly.coeffs], n1),
-                   _array([q(s) for s in cert.provenance], n1), f'"{cert.residual_floor}"',
+                   _array([q(s) for s in cert.provenance], n1), f'"{floor}"',
                    _sample_text(cert.sample, n1))
 
 
@@ -501,15 +504,15 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     ctx = cert.base.ctx
     gen = cert.generator
     tail = cert.generator_tail
-    floor = cert.residual_floor
+    kfloor = cert.residual_floor
 
     # 0. an Artin-Schreier root's tail is the one its floor implies
     if cert.kind == ARTIN_SCHREIER:
-        if floor != PLUS_INF and floor.fraction >= 0:
-            report.add(f"{tag}: residual_floor {floor} is neither +inf nor negative, "
-                       f"as an Artin-Schreier root's is")
+        if 0 <= kfloor < math.inf:
+            report.add(f"{tag}: residual_floor {ctx.value_of(kfloor)} is neither +inf nor "
+                       f"negative, as an Artin-Schreier root's is")
         else:
-            want = root_tail(floor, ctx.p)
+            want = root_tail(kfloor, ctx)
             if want != tail:
                 texts = ("null" if t is None else
                          f"low {ExtRat.of(t.low)}, sup {ExtRat.of(t.sup)}, note {t.note!r}"
@@ -555,11 +558,12 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
         want = "X - b over an equal-characteristic" if equal else "c over a mixed-characteristic"
         report.add(f"{tag}: min_poly is not X^{ctx.p} - {want} base")
     elif equal:
-        bad = residual_window_violations(gen.frobenius() - gen + f.coeffs[0], floor)
+        bad = residual_window_violations(gen.frobenius() - gen + f.coeffs[0], kfloor)
     else:
-        bad = residual_window_violations(f.evaluate(gen), floor)
+        bad = residual_window_violations(f.evaluate(gen), kfloor)
     if bad:
-        report.add(f"{tag}: residual terms at {bad} violate the recorded floor {floor}")
+        report.add(f"{tag}: residual terms at {bad} violate the recorded floor "
+                   f"{ctx.value_of(kfloor)}")
 
     # 4. distance enclosure re-derivation
     try:

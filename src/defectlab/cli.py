@@ -30,7 +30,6 @@ from .certfile import (
     verify_certificate,
     write_certificate_file,
 )
-from .cuts import ExtRat
 from .fields import PRESET_NAMES, BudgetTooSmall, FieldDesc, enumerate_elements, preset_field
 from .kummer import kummer_family, lab_superdependent_unit
 from .series import MIXED, ConvergenceError, PrecisionError, Series, grid_bound
@@ -52,7 +51,7 @@ def _canonical_element(K: FieldDesc, budget: int):
     if K.ctx.mode == "equal":
         if K.perfect:
             b = Series.monomial(K.ctx, -1)
-            root = as_root(b, ExtRat.of(Fraction(budget + 6)))
+            root = as_root(b, budget + 6)
             return root.theta, root.tail, "root of X^p - X - t^(-1)"
         w = imperfection_witness(K, budget)
         return w, None, "p-th root of the first imperfect element"

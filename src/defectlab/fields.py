@@ -22,7 +22,6 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .cuts import ExtRat
 from .series import EQUAL, MIXED, Series, SeriesContext, invert, make_context
 
 RATIONAL_FUNCTION = "rational_function"
@@ -101,7 +100,7 @@ def _poly_series(ctx: SeriesContext, code: int, height: int, kstep: int) -> Seri
     return Series(ctx, tuple(terms), math.inf)
 
 
-def _ratfunc_elements(ctx: SeriesContext, height: int, scale: Fraction, precision: ExtRat) -> Iterator[Series]:
+def _ratfunc_elements(ctx: SeriesContext, height: int, scale: Fraction, precision: Fraction) -> Iterator[Series]:
     """num / den over the polynomials of degree up to ``height`` in
     t^scale, den-major in base-q code order; den = 1 lists num exactly.
 
@@ -120,7 +119,7 @@ def _ratfunc_elements(ctx: SeriesContext, height: int, scale: Fraction, precisio
                 yield _poly_series(ctx, num_code, height, kstep)
             continue
         vden = den.valuation().fraction
-        den_inv = invert(den, ExtRat.of(precision.fraction + 2 * vden + 1))
+        den_inv = invert(den, precision + 2 * vden + 1)
         digit_inv = [den_inv.scale(d) for d in range(q)]
         # precs[j]: the precision of x(code) when num's lowest term is t^(j*scale)
         precs = [den_inv.kprec + j * kstep for j in range(height + 1)]
@@ -215,7 +214,7 @@ def element_stream(K: FieldDesc, height: int) -> Iterator[Series]:
     if height < 0:
         raise ValueError("height must be >= 0")
     ctx = K.ctx
-    precision = ExtRat.of(Fraction(height + 4))
+    precision = Fraction(height + 4)
     if K.kind == RATIONAL_FUNCTION:
         yield from _ratfunc_elements(ctx, height, Fraction(1), precision)
     elif K.kind == LAURENT:
@@ -245,7 +244,7 @@ def element_stream(K: FieldDesc, height: int) -> Iterator[Series]:
         yield from _padic_rationals(ctx, height, precision)
         for lvl in range(height + 1):
             scale = Fraction(1, ctx.p ** lvl)
-            ctx.check_exponent(scale)
+            ctx.grid_k(scale)
             for j in range(-height, height + 1):
                 if j == 0:
                     continue
@@ -255,7 +254,7 @@ def element_stream(K: FieldDesc, height: int) -> Iterator[Series]:
         raise ValueError(f"unknown field kind {K.kind!r}")
 
 
-def _padic_rationals(ctx: SeriesContext, height: int, precision: ExtRat) -> Iterator[Series]:
+def _padic_rationals(ctx: SeriesContext, height: int, precision: Fraction) -> Iterator[Series]:
     bound = height + 1
     for den in range(1, bound + 1):
         for num in range(-bound, bound + 1):

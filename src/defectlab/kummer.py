@@ -64,7 +64,7 @@ def is_one_unit(eta: Series) -> bool:
     d = eta - Series.one(eta.ctx, eta.precision)
     if d.is_zero:
         return True
-    return d.valuation() > ExtRat.of(0)
+    return d.valuation() > 0
 
 
 class PthPowerReport(NamedTuple):
@@ -86,7 +86,7 @@ def pth_power_difference_check(eta: Series, a: Series) -> PthPowerReport:
     p = eta.ctx.p
     if eta.is_zero or a.is_zero:
         raise ValueError("both elements must be nonzero")
-    threshold = ExtRat.of(Fraction(1, p - 1)) + eta.valuation()
+    threshold = eta.valuation() + Fraction(1, p - 1)
     diff = eta - a
     if diff.is_zero:
         return PthPowerReport(False, None, None, None, threshold)
@@ -136,13 +136,13 @@ def transform_mixed(
         raise ValueError("d must have negative value")
     upper = sample.upper
     threshold = Fraction(1 + (p - 1) * vd, p)
-    if not upper <= Cut(ExtRat.of(threshold), False):
+    if not upper <= Cut(threshold, False):
         raise ValueError(
             f"depth condition fails: certified upper cut {upper} is not below "
             f"(v(p) + (p-1)v(d))/p = {threshold}"
         )
 
-    coeff_bound = ExtRat.of(Fraction(1 + (p - 1) * vd))
+    coeff_bound = ExtRat(1 + (p - 1) * vd)
     p_upper = segment_affine(upper, p, 0)
     coeffs: List[Series] = [neg_eta_p]
     for i in range(1, p):
@@ -165,13 +165,13 @@ def transform_mixed(
     # past its leading correction, which is all the checks need.
     base = Fraction(1 + (p - 1) * vd)
     margin = abs(vd) / p
-    target = ExtRat.of(base + Fraction(base, p) + margin)
+    target = base + Fraction(base, p) + margin
     if neg_eta_p.precision <= target:
         raise ValueError("eta is too imprecise for the requested transformation")
     theta_tilde = newton_root(Polynomial.make(tuple(coeffs)), eta, target)
 
     vtt = theta_tilde.valuation()
-    if vtt != ExtRat.of(0):
+    if vtt != 0:
         raise AssertionError(f"the root has value {vtt}, expected 0")
     gap = (theta_tilde - eta).vlow()
     if not Cut(gap, True) > upper:
@@ -217,7 +217,7 @@ def kummer_family(
     sample = value_set(eta, K, budget, tail)
     upper = sample.upper
     sd_threshold = Fraction(1, p)
-    if not upper.bound < ExtRat.of(sd_threshold):
+    if not upper.bound < sd_threshold:
         raise ValueError(
             f"the certified upper bound {upper.bound} is not strictly below "
             f"v(p)/p = {sd_threshold}; no certified gap"
@@ -229,7 +229,7 @@ def kummer_family(
     candidates: List[Tuple[Fraction, Series]] = []
     for k, at in zip(reversed(index.lead_ks), reversed(index.first_at)):
         v = Fraction(k, ctx.D)
-        if k < 0 and upper <= Cut(ExtRat.of(sd_threshold + 2 * v), False):
+        if k < 0 and upper <= Cut(sd_threshold + 2 * v, False):
             candidates.append((v, index.elements[at]))
     if len(candidates) < n_members:
         raise BudgetTooSmall(
@@ -239,7 +239,7 @@ def kummer_family(
 
     b_eta = eta.pow_int(p)
     neg_b_eta = b_eta.neg()
-    work = ExtRat.of(Fraction(budget + 6))
+    work = budget + 6
     certs: List[ExtensionCert] = []
     for vt, td in candidates[:n_members]:
         theta_tilde = transform_mixed(eta, K, td, sample, tail, neg_b_eta)
@@ -248,15 +248,15 @@ def kummer_family(
         eta_new = theta + Series.one(ctx)
 
         vnew = (eta_new - Series.one(ctx)).valuation()
-        if not (vnew > ExtRat.of(0) and vnew == ExtRat.of(-vt)):
+        if not (vnew > 0 and vnew == -vt):
             raise AssertionError(f"new generator is not a 1-unit at value {-vt}")
 
         power_formula = b_eta * td_inv.pow_int(p) + Series.one(ctx)
         resid = eta_new.pow_int(p) - power_formula
-        if not resid.is_zero:
-            floor = resid.valuation()
-            if not floor > ExtRat.of(Fraction(0)):
-                raise AssertionError("p-th power formula fails on certified terms")
+        # the residual's lowest grid index, its horizon when term-free
+        kfloor = resid.kterms[0][0] if resid.kterms else resid.kprec
+        if resid.kterms and kfloor <= 0:
+            raise AssertionError("p-th power formula fails on certified terms")
         if not is_one_unit(power_formula):
             raise AssertionError("the new p-th power is not a 1-unit")
 
@@ -265,12 +265,11 @@ def kummer_family(
             sample, eta_new, -vt, lambda w, _ti=td_inv: w * _ti + Series.one(ctx), tail_new
         )
         bound_new = sd_threshold + vt
-        if not sample_new.upper <= Cut(ExtRat.of(bound_new), False):
+        if not sample_new.upper <= Cut(bound_new, False):
             raise AssertionError("super-dependent bound fails after translation")
 
         dist_enc = distance(sample_new, tail_new)
         min_poly = degree_p_poly(KUMMER, power_formula.neg())
-        resid_floor = resid.vlow()
         claims = Claims(
             bounds=(
                 ("upper_eta", str(upper)),
@@ -284,7 +283,7 @@ def kummer_family(
             eta_new,
             tail_new,
             min_poly,
-            resid_floor,
+            kfloor,
             sample_new,
             dist_enc,
             claims,
@@ -317,7 +316,7 @@ def lab_superdependent_unit(K: FieldDesc, sup: Optional[Fraction] = None) -> Tup
     terms = {Fraction(0): 1}
     for i in range(1, stored + 1):
         terms[s * (1 - Fraction(1, p ** i))] = 1
-    eta = Series.make(ctx, terms, ExtRat.of(Fraction(8)))
+    eta = Series.make(ctx, terms, 8)
     tail = TailSchema(
         s, s * (1 - Fraction(1, p ** (stored + 1))), "laboratory super-dependent witness"
     )

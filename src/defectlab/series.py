@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from . import teichmueller
-from .cuts import ExtRat, PLUS_INF
+from .cuts import ExtRat, PLUS_INF, RatLike
 from .ffield import FiniteField, finite_field
 
 
@@ -87,17 +87,23 @@ class SeriesContext:
     def q(self) -> int:
         return self.p ** self.m
 
-    def check_exponent(self, e: Fraction) -> Fraction:
-        if self.D % e.denominator:
+    def grid_k(self, x, what: str = "exponent"):
+        """The grid index k of a value x = k/D (an int, ``Fraction`` or
+        ``ExtRat``), ``math.inf`` for +inf.  A value off the grid (1/D)Z is
+        refused, never rounded: rounding a precision up would claim
+        unknown terms.  ``what`` names the value in the refusal."""
+        if x.__class__ is ExtRat:
+            if x.sign:
+                return math.inf
+            x = x.num
+        elif x.__class__ is not Fraction:
+            x = Fraction(x)
+        q, r = divmod(self.D, x.denominator)
+        if r:
             raise DenominatorBoundError(
-                f"exponent {e} needs denominator {e.denominator}, bound is D={self.D}"
+                f"{what} {x} needs denominator {x.denominator}, bound is D={self.D}"
             )
-        return e
-
-    def grid_k(self, e) -> int:
-        """The k with e = k/D."""
-        e = self.check_exponent(Fraction(e))
-        return e.numerator * (self.D // e.denominator)
+        return x.numerator * q
 
     def kcap(self, x: ExtRat):
         """ceil(x*D), so that k/D < x exactly when k < kcap(x);
@@ -113,29 +119,6 @@ class SeriesContext:
         if c.attained:
             return c.bound.num.numerator * self.D // c.bound.num.denominator + 1
         return self.kcap(c.bound)
-
-    def grid_index(self, x: ExtRat):
-        """The k with x = k/D: ``math.inf`` for +inf, None for an x off
-        the grid (1/D)Z."""
-        if x.sign:
-            return math.inf
-        q, r = divmod(self.D, x.num.denominator)
-        return None if r else x.num.numerator * q
-
-    def prec_k(self, x):
-        """The grid index k of a precision x = k/D, ``math.inf`` for +inf.
-        A precision off the grid (1/D)Z is refused, never rounded (rounding
-        up would claim unknown terms)."""
-        x = ExtRat.of(x)
-        if x.sign:
-            return math.inf
-        f = x.fraction
-        q, r = divmod(self.D, f.denominator)
-        if r:
-            raise DenominatorBoundError(
-                f"precision {f} needs denominator {f.denominator}, bound is D={self.D}"
-            )
-        return f.numerator * q
 
     def value_of(self, k) -> ExtRat:
         """The value k/D of a grid index; ``PLUS_INF`` for ``math.inf``."""
@@ -172,7 +155,8 @@ class Series:
     by k, codes nonzero, k below ``kprec``.  ``kprec`` is the precision
     horizon kprec/D as a grid index, ``math.inf`` for an exact series;
     ``precision`` reads it as an ``ExtRat``.  The value-level constructors
-    take an ``ExtRat`` precision and refuse one off the grid.
+    take a precision value (an int, ``Fraction`` or ``ExtRat``) and refuse
+    one off the grid.
     """
 
     __slots__ = ("ctx", "kterms", "kprec")
@@ -185,12 +169,12 @@ class Series:
     # --- constructors ---
 
     @staticmethod
-    def make(ctx: SeriesContext, mapping: Dict[Fraction, int], precision: ExtRat = PLUS_INF) -> "Series":
+    def make(ctx: SeriesContext, mapping: Dict[Fraction, int], precision: RatLike = PLUS_INF) -> "Series":
         """From exponent -> code; zero codes and exponents at or beyond
         ``precision`` are dropped, others must lie on the grid (1/D)Z, as
         must ``precision``."""
         D = ctx.D
-        kcap = ctx.prec_k(precision)
+        kcap = ctx.grid_k(precision, "precision")
         items = []
         for e, c in mapping.items():
             if c == 0:
@@ -201,7 +185,7 @@ class Series:
             if r:
                 if e * D >= kcap:
                     continue
-                ctx.check_exponent(e)
+                ctx.grid_k(e)
             k = e.numerator * q
             if k < kcap:
                 items.append((k, c))
@@ -209,29 +193,29 @@ class Series:
         return Series(ctx, tuple(items), kcap)
 
     @staticmethod
-    def zero(ctx: SeriesContext, precision: ExtRat = PLUS_INF) -> "Series":
-        return Series(ctx, (), ctx.prec_k(precision))
+    def zero(ctx: SeriesContext, precision: RatLike = PLUS_INF) -> "Series":
+        return Series(ctx, (), ctx.grid_k(precision, "precision"))
 
     @staticmethod
-    def monomial(ctx: SeriesContext, exp, code: int = 1, precision: ExtRat = PLUS_INF) -> "Series":
+    def monomial(ctx: SeriesContext, exp, code: int = 1, precision: RatLike = PLUS_INF) -> "Series":
         return Series.make(ctx, {exp: code}, precision)
 
     @staticmethod
-    def one(ctx: SeriesContext, precision: ExtRat = PLUS_INF) -> "Series":
+    def one(ctx: SeriesContext, precision: RatLike = PLUS_INF) -> "Series":
         return Series.monomial(ctx, 0, 1, precision)
 
     @staticmethod
-    def from_int(ctx: SeriesContext, n: int, precision: ExtRat = PLUS_INF) -> "Series":
+    def from_int(ctx: SeriesContext, n: int, precision: RatLike = PLUS_INF) -> "Series":
         return Series.from_rational(ctx, Fraction(n), precision)
 
     @staticmethod
-    def from_rational(ctx: SeriesContext, r: Fraction, precision: ExtRat = PLUS_INF) -> "Series":
+    def from_rational(ctx: SeriesContext, r: Fraction, precision: RatLike = PLUS_INF) -> "Series":
         """The image of a rational number in the mixed ambient: the digit
         expansion of r, exact when it terminates."""
         if ctx.mode == EQUAL:
             raise ValueError("rational numbers embed in the mixed-characteristic ambient")
         r = Fraction(r)
-        kprec = ctx.prec_k(precision)
+        kprec = ctx.grid_k(precision, "precision")
         if r == 0:
             return Series(ctx, (), kprec)
         p = ctx.p
@@ -295,19 +279,6 @@ class Series:
 
     def leading_coeff(self) -> int:
         return self.kterms[0][1] if self.kterms else 0
-
-    def coeff_at(self, e) -> int:
-        e = Fraction(e)
-        q, r = divmod(self.ctx.D, e.denominator)
-        if r:
-            return 0
-        k = e.numerator * q
-        for kk, c in self.kterms:
-            if kk == k:
-                return c
-            if kk > k:
-                break
-        return 0
 
     # --- arithmetic ---
 
@@ -447,7 +418,7 @@ class Series:
         return result
 
     def truncate(self, new_precision) -> "Series":
-        prec = min(self.kprec, self.ctx.prec_k(new_precision))
+        prec = min(self.kprec, self.ctx.grid_k(new_precision, "precision"))
         if prec == math.inf:
             return self
         return _declare(self, prec)
@@ -515,17 +486,17 @@ def pth_root(a: Series) -> Series:
     terms = []
     for k, c in a.kterms:
         if k % p:
-            ctx.check_exponent(Fraction(k, ctx.D * p))
+            ctx.grid_k(Fraction(k, ctx.D * p))
         terms.append((k // p, ifrob(c)))
     prec = a.kprec
     if prec != math.inf:
         if prec % p:
-            ctx.prec_k(Fraction(prec, ctx.D * p))  # off the grid: refused
+            ctx.grid_k(Fraction(prec, ctx.D * p), "precision")  # off the grid: refused
         prec //= p
     return Series(ctx, tuple(terms), prec)
 
 
-def invert(a: Series, target_precision: ExtRat) -> Series:
+def invert(a: Series, target_precision: RatLike) -> Series:
     """Multiplicative inverse of a = lc * t^va * (1 + y), v(y) > 0.
 
     Returns s with v(a*s - 1) >= target_precision - v(a); the certified
@@ -550,8 +521,8 @@ def invert(a: Series, target_precision: ExtRat) -> Series:
     rel = min(kt, a.kprec) - kva
     if rel <= 0:
         raise PrecisionError("target precision is below the leading term of the input")
-    if kt <= a.kprec and ctx.grid_index(target_precision) is None:
-        ctx.prec_k(target_precision - va)  # an off-grid relative precision: refused
+    if kt <= a.kprec:  # an off-grid relative precision: refused
+        ctx.grid_k(target_precision.fraction - va, "precision")
     lc_inv = ctx.field.inv(a.leading_coeff())
     w = _declare(a.shift(-va).scale(lc_inv), rel)
     y = w - Series(ctx, ((0, 1),), rel)
@@ -644,7 +615,7 @@ class Polynomial:
 NEWTON_MAX_STEPS = 200
 
 
-def newton_root(f: Polynomial, start: Series, target_precision: ExtRat) -> Series:
+def newton_root(f: Polynomial, start: Series, target_precision: RatLike) -> Series:
     """Refine a root of f from ``start`` until v(f(x)) >= target_precision.
 
     Each step reads one Taylor shift f(x + X) (``Polynomial.shifted``);
@@ -672,7 +643,7 @@ def newton_root(f: Polynomial, start: Series, target_precision: ExtRat) -> Serie
     raises ``ConvergenceError`` (inconclusive), never a hang.
     """
     ctx = f.ctx
-    target = ctx.prec_k(target_precision)
+    target = ctx.grid_k(target_precision, "precision")
     if target == math.inf:
         raise PrecisionError("newton_root needs a finite target precision")
     if f.degree == 0:
@@ -725,7 +696,7 @@ def newton_root(f: Polynomial, start: Series, target_precision: ExtRat) -> Serie
             if slope is None:
                 raise ConvergenceError("degenerate polygon: no higher coefficients")
             if slope.denominator != 1:
-                ctx.check_exponent(slope / D)
+                ctx.grid_k(slope / D)
             ks = slope.numerator
             # residue equation along the initial segment
             res_coeffs = [0] * (len(shifted))
@@ -755,7 +726,7 @@ def _declare(s: Series, kprec) -> Series:
     return Series(s.ctx, _below(s.kterms, kprec), kprec)
 
 
-def zeta_p(ctx: SeriesContext, target_precision: ExtRat) -> Series:
+def zeta_p(ctx: SeriesContext, target_precision: RatLike) -> Series:
     """A primitive p-th root of unity to the requested precision.
 
     For p = 2 this is the digit expansion of -1 (every digit 1).  For odd
@@ -783,10 +754,10 @@ def zeta_p(ctx: SeriesContext, target_precision: ExtRat) -> Series:
             f"use the quadratic extension (q = {p * p})"
         )
     e0 = Fraction(1, p - 1)
-    ctx.check_exponent(e0)
-    work = ExtRat(target_precision.fraction + 2)
+    ctx.grid_k(e0)
+    work = target_precision.fraction + 2
     x0 = Series.make(ctx, {0: 1, e0: c}, work)
     one = Series.one(ctx)
     f = Polynomial.make(tuple(one for _ in range(p)))
-    target_f = ExtRat(target_precision.fraction + Fraction(p - 2, p - 1))
+    target_f = target_precision.fraction + Fraction(p - 2, p - 1)
     return newton_root(f, x0, target_f)

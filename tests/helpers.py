@@ -109,6 +109,14 @@ def _sample_tree(s) -> dict:
     }
 
 
+def _floor_text(cert) -> str:
+    # the floor's value k/D, from the Fraction, not from the writer
+    if cert.residual_floor == math.inf:
+        return "+inf"
+    f = Fraction(cert.residual_floor, cert.base.ctx.D)
+    return f"{f.numerator}/{f.denominator}"
+
+
 def cert_tree(cert) -> dict:
     return {
         "kind": cert.kind,
@@ -116,7 +124,7 @@ def cert_tree(cert) -> dict:
         "generator": series_tree(cert.generator),
         "generator_tail": _tail_tree(cert.generator_tail) if cert.generator_tail else None,
         "min_poly": [series_tree(c) for c in cert.min_poly.coeffs],
-        "residual_floor": str(cert.residual_floor),
+        "residual_floor": _floor_text(cert),
         "sample": _sample_tree(cert.sample),
         "dist": _enclosure_to_json(cert.dist),
         "claims": _claims_tree(cert.claims),

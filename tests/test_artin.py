@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -52,7 +53,8 @@ class TestAsRoot:
         resid = residual(res, b)
         assert residual_window_violations(resid, res.residual_floor) == []
         assert resid.terms == ((q(-1, 256), 1),)
-        assert res.residual_floor == ExtRat.of(q(-1, 256))
+        # the floor -1/256 as its grid index at D = 256
+        assert res.residual_floor == -1
         assert res.tail is not None and res.tail.sup == 0
         assert res.tail.low == q(-1, 512)
 
@@ -75,7 +77,7 @@ class TestAsRoot:
         assert len(calls) == 8
         assert len(res.theta.terms) == 8
         assert res.tail.low == q(-1, 512)
-        assert res.residual_floor == ExtRat.of(q(-1, 256))
+        assert res.residual_floor == -1
         assert raised == []
 
     def test_positive_part(self):
@@ -115,14 +117,19 @@ class TestAsRoot:
 
 def test_residual_window_rule():
     resid = Series.make(K2.ctx, {q(-1, 4): 1, q(-1, 8): 1, q(0): 1, q(3): 1})
-    # a negative floor allows terms in [floor, 0) only
-    assert residual_window_violations(resid, ExtRat.of(q(-1, 4))) == [q(0), q(3)]
-    assert residual_window_violations(resid, ExtRat.of(q(-1, 8))) == [q(-1, 4), q(0), q(3)]
+
+    def k(v):  # the floor v as its grid index
+        return int(v * K2.ctx.D)
+
+    # a negative floor allows terms in [floor, 0) only, the floor included
+    assert residual_window_violations(resid, k(q(-1, 4))) == [q(0), q(3)]
+    assert residual_window_violations(resid, k(q(-1, 4)) + 1) == [q(-1, 4), q(0), q(3)]
+    assert residual_window_violations(resid, k(q(-1, 8))) == [q(-1, 4), q(0), q(3)]
     # any other floor allows no term below it
-    assert residual_window_violations(resid, ExtRat.of(q(0))) == [q(-1, 4), q(-1, 8)]
-    assert residual_window_violations(resid, ExtRat.of(q(1))) == [q(-1, 4), q(-1, 8), q(0)]
-    assert residual_window_violations(resid, PLUS_INF) == [q(-1, 4), q(-1, 8), q(0), q(3)]
-    assert residual_window_violations(Series.zero(K2.ctx), PLUS_INF) == []
+    assert residual_window_violations(resid, k(q(0))) == [q(-1, 4), q(-1, 8)]
+    assert residual_window_violations(resid, k(q(1))) == [q(-1, 4), q(-1, 8), q(0)]
+    assert residual_window_violations(resid, math.inf) == [q(-1, 4), q(-1, 8), q(0), q(3)]
+    assert residual_window_violations(Series.zero(K2.ctx), math.inf) == []
 
 
 class TestGeneratorTransform:

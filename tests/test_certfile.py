@@ -648,6 +648,9 @@ def _config_precision(obj):
         # no writer writes -inf, where the floor's window rule would be empty
         (_edit("certs.0", lambda cert: cert.update(residual_floor="-inf")),
          "certs[0]: '-inf' is not a reduced ratio n/d as the writer writes it"),
+        # a floor is a grid index: off the grid (1/D)Z it has none
+        (_edit("certs.0", lambda cert: cert.update(residual_floor="-1/3")),
+         "certs[0]: residual_floor '-1/3' is off the grid (1/D)Z, D=256"),
         # +inf is written for bounds, floors and precisions, never for a
         # realized value
         (_edit("certs.0.sample.realized.0", lambda entry: entry.update(value="+inf")),
@@ -663,7 +666,7 @@ def _config_precision(obj):
          "term-beyond-precision", "terms-reversed", "coeff-plus-p", "coeff-bool",
          "min-poly-trailing-zero", "version-float", "budget-float", "cert-extra-key",
          "claims-extra-key", "pair-of-three", "precision-off-grid", "exp-over-digit-limit",
-         "floor-minus-inf", "value-plus-inf", "value-off-grid"],
+         "floor-minus-inf", "floor-off-grid", "value-plus-inf", "value-off-grid"],
 )
 def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message):
     obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
@@ -674,6 +677,20 @@ def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"cannot load certificate file: {message}\n"
+
+
+def test_kummer_floor_off_the_grid_is_refused_at_load(tmp_path, capsys):
+    # a Kummer floor bounds no tail, so it is refused at load or not at all
+    obj = json.loads((CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json").read_text())
+    assert obj["config"]["D"] == 2 ** 16
+    obj["certs"][0]["residual_floor"] = "1/3"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("cannot load certificate file: certs[0]: residual_floor '1/3' is off "
+                       "the grid (1/D)Z, D=65536\n")
 
 
 _AS_NOTE = "note 'fractional telescoping tail of an Artin-Schreier root'"

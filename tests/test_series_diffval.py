@@ -11,6 +11,7 @@ from defectlab.cuts import ExtRat, PLUS_INF
 from defectlab.series import (
     EQUAL,
     MIXED,
+    DenominatorBoundError,
     PrecisionError,
     Series,
     make_context,
@@ -100,7 +101,7 @@ def test_diff_valuation_matches_subtraction(pair):
     assert type(want_k) is int or want_k is None
     if want_k is not None:
         assert ctx.value_of(want_k) == want
-        assert ctx.grid_index(want) == want_k
+        assert ctx.grid_k(want) == want_k
 
 
 @pytest.mark.parametrize("ctx", [make_context(EQUAL, 3), make_context(MIXED, 3)])
@@ -174,10 +175,21 @@ def test_diff_k_uncertified_is_none(ctx):
     assert a.diff_k(Series.make(ctx, {q(0): 1, q(3): 1})) == 5 * D
 
 
-def test_grid_index_round_trip_and_off_grid():
+def test_grid_k_round_trip_and_off_grid():
     ctx = make_context(EQUAL, 2)
     for k in (-3 * ctx.D, -1, 0, 7, ctx.D):
-        assert ctx.grid_index(ctx.value_of(k)) == k
-    assert ctx.grid_index(PLUS_INF) == math.inf
-    assert ctx.grid_index(ExtRat.of(q(1, 3))) is None
-    assert ctx.grid_index(ExtRat.of(q(1, 2 * ctx.D))) is None
+        v = ctx.value_of(k)
+        assert ctx.grid_k(v) == k
+        assert ctx.grid_k(v.fraction) == k
+    assert ctx.grid_k(-3) == -3 * ctx.D
+    assert ctx.grid_k(PLUS_INF) == math.inf
+    for off in (q(1, 3), q(-1, 2 * ctx.D)):
+        for what in ("exponent", "precision"):
+            want = f"^{what} {off} needs denominator {off.denominator}, bound is D=256$"
+            with pytest.raises(DenominatorBoundError, match=want):
+                ctx.grid_k(ExtRat.of(off), what)
+            with pytest.raises(DenominatorBoundError, match=want):
+                ctx.grid_k(off, what)
+    # "exponent" by default
+    with pytest.raises(DenominatorBoundError, match="^exponent 1/3 needs"):
+        ctx.grid_k(q(1, 3))

@@ -79,7 +79,7 @@ def newton_root_full_shift(f, start, target_precision, max_steps=200):
             if slope is None:
                 raise ConvergenceError("degenerate polygon: no higher coefficients")
             if slope.denominator != 1:
-                ctx.check_exponent(slope / D)
+                ctx.grid_k(slope / D)
             ks = slope.numerator
             res_coeffs = [0] * len(shifted)
             for i, ci in enumerate(shifted):

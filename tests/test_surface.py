@@ -26,9 +26,9 @@ adding a program run to adding an entry.
 
 The gate is kept at function level: many functions hold a statement no
 program reaches that is not a ``raise`` (verify's diff branches, the
-command-line error exits, the ``+inf`` branches of ``ExtRat.__add__``,
-``SeriesContext.kcap`` and ``grid_index`` that only the tests' oracles
-take), so an allow-list per line would outgrow the code it guards.  Classes without a
+command-line error exits, the ``+inf`` branches of ``ExtRat.__add__``
+and ``SeriesContext.kcap`` that only the tests' oracles take), so an
+allow-list per line would outgrow the code it guards.  Classes without a
 method of their own (the ``NamedTuple`` records, the exception types) have
 no frame to enter and are not checked.
 """
