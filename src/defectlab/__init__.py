@@ -23,7 +23,7 @@ from .artin import (
     as_extension,
     as_family,
     as_root,
-    derive_claims,
+    certify,
     sigma_sample,
     transform_inseparable,
 )

@@ -101,10 +101,9 @@ def support_upper_cut(a: Series, K: FieldDesc, tail: Optional[TailSchema]) -> Cu
     candidates: List[Cut] = []
     ctx = a.ctx
     step = K.grid_step
-    klow = math.inf if tail is None else ctx.kcap(ExtRat.of(tail.low))
     # kterms are sorted, so the first index off the lattice is the least
     k = next((k for k, _ in a.kterms if k % step), None)
-    if k is not None and k < klow:
+    if k is not None and k < difference_horizon(a, tail):
         candidates.append(Cut(ctx.value_of(k), True))
     if tail is not None and K.leveled:
         candidates.append(Cut(tail.sup, False))

@@ -1,7 +1,8 @@
 """Degree-p extension certificates in equal characteristic: the
 Artin-Schreier root solver and the tail rule of its roots, the
 inseparable-to-separable transformation, certified families, and the
-one claim rule (``derive_claims``) of both certificate kinds.
+one rule (``certify``) that builds a certificate of either kind from its
+stored inputs: minimal polynomial, distance enclosure and claims.
 
 The solver writes a root of X^p - X - b as
 
@@ -267,7 +268,6 @@ def transform_inseparable(
             f"upper cuts disagree: fresh {fresh.upper} vs translated {sample_theta_tr.upper}"
         )
     merged = _merge_samples(fresh, sample_theta_tr)
-    dist_enc = distance(merged, tail)
 
     # uniqueness of the extension of v via the purely inseparable comparison:
     # eta/d is purely inseparable over K and sits strictly closer to theta
@@ -285,21 +285,10 @@ def transform_inseparable(
             ("v_eta_minus_theta_tilde", str(gap)),
         ),
     )
-    return derive_claims(ExtensionCert(
-        ARTIN_SCHREIER,
-        K,
-        theta,
-        tail,
-        degree_p_poly(ARTIN_SCHREIER, b.neg()),
-        root.residual_floor,
-        merged,
-        dist_enc,
-        claims,
-        (
-            f"transform_inseparable eta={_short_hash(eta)} d={_short_hash(d)} "
-            f"budget={budget}",
-        ),
-    ))
+    return certify(
+        ARTIN_SCHREIER, K, theta, tail, b.neg(), root.residual_floor, merged, claims,
+        (f"transform_inseparable eta={_short_hash(eta)} d={_short_hash(d)} budget={budget}",),
+    )
 
 
 def _merge_samples(a: InitialSegmentSample, b: InitialSegmentSample) -> InitialSegmentSample:
@@ -434,11 +423,16 @@ def sigma_sample(cert: ExtensionCert) -> SigmaSample:
     return SigmaSample(values, verdict)
 
 
-def derive_claims(cert: ExtensionCert) -> ExtensionCert:
-    """The certificate with its six derived claim fields (immediacy,
-    defect and classification, each with its rule) re-derived from its
-    sample and enclosure; the other claims are kept.  Every builder
-    returns its certificate through this rule, and ``verify`` re-runs it.
+def certify(kind: str, K: FieldDesc, generator: Series, tail: Optional[TailSchema],
+            c0: Series, residual_floor: Union[int, float], sample: InitialSegmentSample,
+            claims: Claims, provenance: Tuple[str, ...]) -> ExtensionCert:
+    """The certificate of ``kind`` over K built from its stored inputs:
+    the minimal polynomial ``degree_p_poly(kind, c0)``, the distance
+    enclosure ``distance(sample, tail)``, and the six derived claim fields
+    (immediacy, defect and classification, each with its rule) from that
+    enclosure and the sample; the other fields of ``claims`` are kept.
+    Every builder returns its certificate through this rule, and
+    ``verify`` rebuilds each stored certificate by it.
 
     Rank-1 defect rules: a bounded value set with proved no-maximum gives
     a unique valuation extension, immediacy and defect p, so e = f = 1
@@ -453,13 +447,12 @@ def derive_claims(cert: ExtensionCert) -> ExtensionCert:
     enclosure alone.  An Artin-Schreier certificate keeps the default
     classification.
     """
-    c = cert.claims
-    claims = Claims(c.unique_extension, c.unique_rule, bounds=c.bounds)
-    s = cert.sample
-    p = cert.base.ctx.p
+    dist = distance(sample, tail)
+    claims = Claims(claims.unique_extension, claims.unique_rule, bounds=claims.bounds)
+    p = K.ctx.p
 
-    if s.no_max == PROVED and s.upper.bound.is_finite:
-        rule = "uniqextv" if cert.dist.hi <= Cut(0, False) else "c2"
+    if sample.no_max == PROVED and sample.upper.bound.is_finite:
+        rule = "uniqextv" if dist.hi <= Cut(0, False) else "c2"
         claims = claims._replace(
             unique_extension=PROVED,
             unique_rule=rule if claims.unique_extension != PROVED else claims.unique_rule,
@@ -470,12 +463,12 @@ def derive_claims(cert: ExtensionCert) -> ExtensionCert:
         )
     else:
         # the first value off the value group
-        ctx, step = cert.base.ctx, cert.base.grid_step
-        k = next((k for k, _ in s.realized if k % step), None)
+        step = K.grid_step
+        k = next((k for k, _ in sample.realized if k % step), None)
         if k is not None:
             if (p * k) % step:
                 raise AssertionError(
-                    f"realized value {Fraction(k, ctx.D)} does not generate a "
+                    f"realized value {Fraction(k, K.ctx.D)} does not generate a "
                     f"degree-{p} group extension"
                 )
             claims = claims._replace(
@@ -485,39 +478,25 @@ def derive_claims(cert: ExtensionCert) -> ExtensionCert:
                 defect_rule="ramified",
             )
 
-    if cert.kind == KUMMER:
-        lo, hi = cert.dist.lo, cert.dist.hi
+    if kind == KUMMER:
         dep_cut = Cut(Fraction(1, p - 1), False)
         sd_cut = Cut(Fraction(1, p), False)
-        if not (lo > Cut(0, False) and hi <= dep_cut):
-            raise ValueError(
-                f"distance enclosure [{lo}, {hi}] violates 0 < dist <= (v(p)/(p-1))^-"
-            )
-        if hi < sd_cut:
+        if not (dist.lo > Cut(0, False) and dist.hi <= dep_cut):
+            raise ValueError(f"distance enclosure {dist} violates 0 < dist <= (v(p)/(p-1))^-")
+        if dist.hi < sd_cut:
             cls, rule = "super_dependent", f"dist below (v(p)/{p})^-"
-        elif hi < dep_cut:
+        elif dist.hi < dep_cut:
             cls, rule = "dependent", f"dist below (v(p)/{p - 1})^-"
         else:
             cls, rule = UNKNOWN, "boundary enclosure certifies nothing"
         claims = claims._replace(classification=cls, classification_rule=rule)
-    return cert._replace(claims=claims)
+    return ExtensionCert(kind, K, generator, tail, degree_p_poly(kind, c0), residual_floor,
+                         sample, dist, claims, provenance)
 
 
 def as_extension(b: Series, K: FieldDesc, budget: int) -> ExtensionCert:
     """Certificate for the extension generated by a root of X^p - X - b."""
     root = as_root(b, budget + 6)
     sample = value_set(root.theta, K, budget, root.tail)
-    dist_enc = distance(sample, root.tail)
-    cert = ExtensionCert(
-        ARTIN_SCHREIER,
-        K,
-        root.theta,
-        root.tail,
-        degree_p_poly(ARTIN_SCHREIER, b.neg()),
-        root.residual_floor,
-        sample,
-        dist_enc,
-        Claims(),
-        (f"as_extension b={_short_hash(b)} budget={budget}",),
-    )
-    return derive_claims(cert)
+    return certify(ARTIN_SCHREIER, K, root.theta, root.tail, b.neg(), root.residual_floor,
+                   sample, Claims(), (f"as_extension b={_short_hash(b)} budget={budget}",))

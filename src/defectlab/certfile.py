@@ -29,7 +29,6 @@ from .approx import (
     InitialSegmentSample,
     TailSchema,
     difference_horizon,
-    distance,
     no_max_refuted,
     sample_shape_error,
     support_upper_cut,
@@ -39,9 +38,9 @@ from .artin import (
     KUMMER,
     Claims,
     ExtensionCert,
+    certify,
     check_pairwise_distinct,
     degree_p_poly,
-    derive_claims,
     residual_window_violations,
     root_tail,
 )
@@ -142,17 +141,9 @@ def _parse_extrat(s: str) -> ExtRat:
     return ExtRat(Fraction(*_parse_ratio(s)))
 
 
-def _cut_to_json(c: Cut) -> dict:
-    return {"bound": str(c.bound), "attained": c.attained}
-
-
 def _cut_from_json(obj: dict) -> Cut:
     attained, bound = _read(obj, "cut", {"attained": bool, "bound": str})
     return Cut(_parse_extrat(bound), attained)
-
-
-def _enclosure_to_json(e: CutEnclosure) -> dict:
-    return {"lo": _cut_to_json(e.lo), "hi": _cut_to_json(e.hi)}
 
 
 def _field_to_json(K: FieldDesc) -> dict:
@@ -465,9 +456,10 @@ def verify_certificate(cf: CertificateFile) -> VerifyReport:
     No searches are repeated: realized values come from recomputing the
     stored witness differences, the upper cut from the recorded support
     and tail data, the residual from re-evaluating the stored minimal
-    polynomial, and the claims from re-running the (pure) rule functions
-    on the reconstructed sample.  A file with several certificates is a
-    family, whose members must be pairwise distinct.
+    polynomial, and the enclosure and the claims from rebuilding the
+    certificate with ``artin.certify``, the rule every builder uses.  A
+    file with several certificates is a family, whose members must be
+    pairwise distinct.
     """
     report = VerifyReport()
     config = cf.config
@@ -546,40 +538,39 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
             f"stored {cert.sample.no_max!r}"
         )
 
-    # 3. the minimal polynomial has its kind's shape over its kind's base,
-    # and its residual lies within the recorded exception window; for
-    # Artin-Schreier as theta^p - theta - b by the exact Frobenius: the
-    # product theta * theta keeps only the precision v(theta) + prec(theta)
+    # 3. the minimal polynomial is its kind's over its kind's base, and its
+    # residual is the recorded one: for Artin-Schreier, theta^p - theta - b
+    # by the exact Frobenius lies within the window of the recorded floor
+    # (the product theta * theta keeps only the precision v(theta) +
+    # prec(theta)); for Kummer, f(theta) starts at the recorded floor
     f = cert.min_poly
     equal = cert.kind == ARTIN_SCHREIER
-    shape = degree_p_poly(cert.kind, Series.zero(ctx)).coeffs[1:]
-    if (ctx.mode == EQUAL) != equal or f.coeffs[1:] != shape:
-        bad = None
+    if (ctx.mode == EQUAL) != equal or degree_p_poly(cert.kind, f.coeffs[0]) != f:
         want = "X - b over an equal-characteristic" if equal else "c over a mixed-characteristic"
         report.add(f"{tag}: min_poly is not X^{ctx.p} - {want} base")
     elif equal:
         bad = residual_window_violations(gen.frobenius() - gen + f.coeffs[0], kfloor)
+        if bad:
+            report.add(f"{tag}: residual terms at {bad} violate the recorded floor "
+                       f"{ctx.value_of(kfloor)}")
     else:
-        bad = residual_window_violations(f.evaluate(gen), kfloor)
-    if bad:
-        report.add(f"{tag}: residual terms at {bad} violate the recorded floor "
-                   f"{ctx.value_of(kfloor)}")
+        k = f.evaluate(gen).vlow_k()
+        if k != kfloor:
+            report.add(f"{tag}: residual_floor re-derives to {ctx.value_of(k)}, "
+                       f"stored {ctx.value_of(kfloor)}")
 
-    # 4. distance enclosure re-derivation
+    # 4. the distance enclosure and the six derived claim fields, rebuilt by
+    # the one rule every builder returns its certificate through
     try:
-        dist = distance(cert.sample, tail)
-        if dist != cert.dist:
-            report.add(f"{tag}: distance enclosure differs: {_enclosure_to_json(dist)} vs stored")
-    except ValueError as exc:
-        report.add(f"{tag}: distance re-derivation failed: {exc}")
-
-    # 5. the six derived claim fields, from the one rule every builder uses
-    try:
-        rederived = derive_claims(cert)
+        rebuilt = certify(cert.kind, cert.base, gen, tail, f.coeffs[0], kfloor, cert.sample,
+                          cert.claims, cert.provenance)
     except (ValueError, AssertionError) as exc:
         report.add(f"{tag}: claim re-derivation failed: {exc}")
         return
-    got, want = rederived.claims, cert.claims
+    if rebuilt.dist != cert.dist:
+        report.add(f"{tag}: distance enclosure differs: re-derives to {rebuilt.dist}, "
+                   f"stored {cert.dist}")
+    got, want = rebuilt.claims, cert.claims
     for fieldname in ("immediate", "immediate_rule", "defect", "defect_rule",
                       "classification", "classification_rule"):
         if getattr(got, fieldname) != getattr(want, fieldname):

@@ -206,6 +206,9 @@ class CutEnclosure:
     def __hash__(self):
         return hash((self.lo, self.hi))
 
+    def __str__(self) -> str:
+        return f"[{self.lo}, {self.hi}]"
+
     @property
     def is_exact(self) -> bool:
         return self.lo == self.hi

@@ -17,8 +17,9 @@ equality the construction claims is still verified exactly on the
 certified region.
 
 The deep elements are the first listed elements at each leading exponent
-(``fields.listing_index``).  Each member's claims, its classification
-included, come from ``artin.derive_claims``.
+(``fields.listing_index``).  Each member is built by ``artin.certify``,
+which gives its minimal polynomial, its distance enclosure and its claims,
+the classification included.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import List, NamedTuple, Optional, Tuple
 from .approx import (
     InitialSegmentSample,
     TailSchema,
-    distance,
     translate_sample,
     value_set,
 )
@@ -39,9 +39,8 @@ from .artin import (
     Claims,
     ExtensionCert,
     _short_hash,
+    certify,
     check_pairwise_distinct,
-    degree_p_poly,
-    derive_claims,
 )
 from .cuts import Cut, ExtRat, segment_affine
 from .fields import BudgetTooSmall, FieldDesc, listing_index, member_witness
@@ -253,8 +252,7 @@ def kummer_family(
 
         power_formula = b_eta * td_inv.pow_int(p) + Series.one(ctx)
         resid = eta_new.pow_int(p) - power_formula
-        # the residual's lowest grid index, its horizon when term-free
-        kfloor = resid.kterms[0][0] if resid.kterms else resid.kprec
+        kfloor = resid.vlow_k()
         if resid.kterms and kfloor <= 0:
             raise AssertionError("p-th power formula fails on certified terms")
         if not is_one_unit(power_formula):
@@ -268,8 +266,6 @@ def kummer_family(
         if not sample_new.upper <= Cut(bound_new, False):
             raise AssertionError("super-dependent bound fails after translation")
 
-        dist_enc = distance(sample_new, tail_new)
-        min_poly = degree_p_poly(KUMMER, power_formula.neg())
         claims = Claims(
             bounds=(
                 ("upper_eta", str(upper)),
@@ -277,22 +273,10 @@ def kummer_family(
                 ("super_dependent_bound", str(bound_new)),
             ),
         )
-        cert = ExtensionCert(
-            KUMMER,
-            K,
-            eta_new,
-            tail_new,
-            min_poly,
-            kfloor,
-            sample_new,
-            dist_enc,
-            claims,
-            (
-                f"kummer_family eta={_short_hash(eta)} td={_short_hash(td)} "
-                f"budget={budget}",
-            ),
-        )
-        certs.append(derive_claims(cert))
+        certs.append(certify(
+            KUMMER, K, eta_new, tail_new, power_formula.neg(), kfloor, sample_new, claims,
+            (f"kummer_family eta={_short_hash(eta)} td={_short_hash(td)} budget={budget}",),
+        ))
 
     check_pairwise_distinct(certs)
     return certs

@@ -258,12 +258,15 @@ class Series:
     def is_zero(self) -> bool:
         return not self.kterms
 
+    def vlow_k(self):
+        """The grid index of ``vlow``: the least stored exponent, or
+        ``kprec`` for a term-free series."""
+        return self.kterms[0][0] if self.kterms else self.kprec
+
     def vlow(self) -> ExtRat:
         """Certified lower bound for the valuation: the least certified
         exponent, or the precision horizon for a term-free series."""
-        if self.kterms:
-            return ExtRat(Fraction(self.kterms[0][0], self.ctx.D))
-        return self.precision
+        return self.ctx.value_of(self.vlow_k())
 
     def valuation_k(self) -> int:
         """The grid index of the valuation, which a zero has not: +inf is

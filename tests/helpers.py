@@ -6,13 +6,7 @@ import json
 import math
 from fractions import Fraction
 
-from defectlab.certfile import (
-    _TAIL_FLAGS,
-    SESSION_PRECISION,
-    _cut_to_json,
-    _enclosure_to_json,
-    _field_to_json,
-)
+from defectlab.certfile import _TAIL_FLAGS, SESSION_PRECISION, _field_to_json
 from defectlab.cuts import Cut, ExtRat
 from defectlab.series import EQUAL, Series
 
@@ -99,11 +93,19 @@ def _claims_tree(c) -> dict:
     }
 
 
+def _cut_tree(c) -> dict:
+    return {"bound": str(c.bound), "attained": c.attained}
+
+
+def _enclosure_tree(e) -> dict:
+    return {"lo": _cut_tree(e.lo), "hi": _cut_tree(e.hi)}
+
+
 def _sample_tree(s) -> dict:
     return {
         "realized": [{"value": f"{v.numerator}/{v.denominator}", "witness": series_tree(w)}
                      for v, w in realized(s)],
-        "upper": _cut_to_json(s.upper),
+        "upper": _cut_tree(s.upper),
         "no_max": s.no_max,
         "budget": s.budget,
     }
@@ -126,7 +128,7 @@ def cert_tree(cert) -> dict:
         "min_poly": [series_tree(c) for c in cert.min_poly.coeffs],
         "residual_floor": _floor_text(cert),
         "sample": _sample_tree(cert.sample),
-        "dist": _enclosure_to_json(cert.dist),
+        "dist": _enclosure_tree(cert.dist),
         "claims": _claims_tree(cert.claims),
         "provenance": list(cert.provenance),
     }

@@ -8,17 +8,19 @@ import defectlab.artin as artin_mod
 from defectlab.approx import imperfection_witness, value_set
 from defectlab.artin import (
     ARTIN_SCHREIER,
+    Claims,
     admissible_twist,
     as_extension,
     as_family,
     as_root,
+    certify,
     check_pairwise_distinct,
     degree_p_poly,
     residual_window_violations,
     sigma_sample,
     transform_inseparable,
 )
-from defectlab.cuts import PLUS_INF, Cut, ExtRat
+from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from defectlab.fields import preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
 from defectlab.series import EQUAL, Series, make_context
@@ -352,20 +354,20 @@ class TestClassicalDefectExtension:
                 assert s2.no_max == base.no_max
 
 
-class TestDeriveClaimsEdges:
+class TestCertifyEdges:
     def test_unknown_sample_gives_unknown_claims(self):
-        from defectlab.artin import derive_claims
-
         b = Series.monomial(K2.ctx, -1)
         cert = as_extension(b, K2, 2)
-        # strip the sample down to an inconclusive one
-        probe = cert._replace(
-            sample=cert.sample._replace(no_max="unknown", realized=()),
-            claims=type(cert.claims)(),
-        )
-        out = derive_claims(probe)
-        assert out.claims.defect is None
-        assert out.claims.immediate == "unknown"
+        assert cert.claims.defect == 1  # -1/2 lies off the value group Z
+        # an inconclusive sample: its values lie in Z, its maximum unknown
+        inside = tuple((k, w) for k, w in cert.sample.realized if k % K2.grid_step == 0)
+        assert inside
+        sample = cert.sample._replace(no_max="unknown", realized=inside)
+        out = certify(cert.kind, K2, cert.generator, cert.generator_tail,
+                      cert.min_poly.coeffs[0], cert.residual_floor, sample, Claims(), ())
+        assert out.claims == Claims()
+        assert out.dist == CutEnclosure(Cut(ExtRat.of(-1), True), cert.sample.upper)
+        assert out.min_poly == cert.min_poly
 
     def test_family_of_one_matches_transform(self):
         eta = Series.monomial(K2.ctx, q(1, 2))

@@ -693,6 +693,36 @@ def test_kummer_floor_off_the_grid_is_refused_at_load(tmp_path, capsys):
                        "the grid (1/D)Z, D=65536\n")
 
 
+@pytest.mark.parametrize("floor", ["+inf", "0/1", "-1/2", "1/2", "1/64"])
+def test_kummer_floor_is_rederived(tmp_path, capsys, floor):
+    # f(theta) of member 1 is term-free below its precision 33/64, so a
+    # forged floor on the grid leaves no residual term outside any window;
+    # only re-deriving the floor refuses it
+    obj = json.loads((CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json").read_text())
+    assert obj["certs"][0]["residual_floor"] == "33/64"
+    obj["certs"][0]["residual_floor"] = floor
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == [
+        f"  cert[0]: residual_floor re-derives to 33/64, stored {floor}"], out
+
+
+def test_forged_kummer_enclosure_is_one_diff(tmp_path, capsys):
+    # the claims are re-derived from the rebuilt enclosure, not the stored
+    # one, so a forged hi that breaks 0 < dist <= 1- is named once
+    obj = json.loads((CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-1-budget-5.json").read_text())
+    obj["certs"][0]["dist"]["hi"] = {"attained": False, "bound": "+inf"}
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == [
+        "  cert[0]: distance enclosure differs: re-derives to [5/32-, 5/32-], "
+        "stored [5/32-, +inf-]"], out
+
+
 _AS_NOTE = "note 'fractional telescoping tail of an Artin-Schreier root'"
 _AS_TAIL = f"low -1/512, sup 0/1, {_AS_NOTE}"
 

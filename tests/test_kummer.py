@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from defectlab.approx import TailSchema, translate_sample, value_set
-from defectlab.artin import _short_hash, derive_claims
+from defectlab.artin import Claims, _short_hash, certify
 from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from defectlab.fields import enumerate_elements, preset_field
 from defectlab.kummer import (
@@ -190,23 +190,36 @@ class TestKummerFamily:
 
 
 class TestClassify:
-    def test_boundary_is_unknown(self):
+    # ``certify`` classifies by the enclosure it builds from the sample, so
+    # each case crafts a sample: one value k/D, D = 2^16, under an upper cut
+
+    @staticmethod
+    def _certify_at(k, upper):
         eta, tail = lab_superdependent_unit(QT2)
-        certs = kummer_family(eta, QT2, 1, 5, tail)
-        cert = certs[0]
-        boundary = CutEnclosure(Cut(ExtRat.of(q(1, 100)), True), Cut(ExtRat.of(q(1)), False))
-        probe = cert._replace(dist=boundary)
-        assert derive_claims(probe).claims.classification == "unknown"
+        cert = kummer_family(eta, QT2, 1, 5, tail)[0]
+        assert QT2.ctx.D == 2 ** 16
+        sample = cert.sample._replace(realized=((k, cert.sample.realized[0][1]),), upper=upper)
+        return certify(cert.kind, QT2, cert.generator, cert.generator_tail,
+                       cert.min_poly.coeffs[0], cert.residual_floor, sample, Claims(),
+                       cert.provenance)
+
+    def test_boundary_is_unknown(self):
+        # [1/64+, 1-]: v(p)/(p-1) = 1 bounds it, nothing below 1- does
+        out = self._certify_at(2 ** 10, Cut(ExtRat.of(1), False))
+        assert out.dist == CutEnclosure(Cut(ExtRat.of(q(1, 64)), True), Cut(ExtRat.of(1), False))
+        assert out.claims.classification == "unknown"
+        assert out.claims.classification_rule == "boundary enclosure certifies nothing"
+
+    def test_super_dependent_boundary_is_dependent(self):
+        # hi = (v(p)/p)^- is not strictly below itself
+        out = self._certify_at(2 ** 10, Cut(ExtRat.of(q(1, 2)), False))
+        assert out.claims.classification == "dependent"
+        assert out.claims.classification_rule == "dist below (v(p)/1)^-"
 
     def test_bad_enclosure_rejected(self):
-        eta, tail = lab_superdependent_unit(QT2)
-        certs = kummer_family(eta, QT2, 1, 5, tail)
-        from defectlab.cuts import PLUS_INF
-
-        bad = CutEnclosure(Cut(ExtRat.of(0), True), Cut(PLUS_INF, False))
-        probe = certs[0]._replace(dist=bad)
-        with pytest.raises(ValueError):
-            derive_claims(probe)
+        with pytest.raises(ValueError, match=r"distance enclosure \[0/1\+, \+inf-\] violates "
+                                             r"0 < dist <= \(v\(p\)/\(p-1\)\)\^-"):
+            self._certify_at(0, Cut(PLUS_INF, False))
 
 
 # --- the deep elements against the listing scan they replaced -------------

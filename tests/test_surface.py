@@ -60,11 +60,6 @@ ALLOWED = {
     "cuts.Cut.__hash__": _HASHES_AS_IT_COMPARES,
     "cuts.CutEnclosure.__hash__": _HASHES_AS_IT_COMPARES,
     "series.Polynomial.__hash__": _HASHES_AS_IT_COMPARES,
-    "series.Polynomial.__eq__": (
-        "a polynomial compares by its coefficients, as every value type does; "
-        "the programs compare minimal polynomials by their constant terms "
-        "(tests/test_value_types.py)"
-    ),
     "cuts.Cut.__ge__": (
         "a cut is totally ordered and defines all four comparisons, as "
         "ExtRat does (tests/test_cuts.py)"
