@@ -238,19 +238,21 @@ def kummer_family(
 
     b_eta = eta.pow_int(p)
     neg_b_eta = b_eta.neg()
+    one = Series.one(ctx)
+    eta_hash = _short_hash(eta)
     work = budget + 6
     certs: List[ExtensionCert] = []
     for vt, td in candidates[:n_members]:
         theta_tilde = transform_mixed(eta, K, td, sample, tail, neg_b_eta)
         td_inv = invert(td, work)
         theta = theta_tilde * td_inv
-        eta_new = theta + Series.one(ctx)
+        eta_new = theta + one
 
-        vnew = (eta_new - Series.one(ctx)).valuation()
+        vnew = (eta_new - one).valuation()
         if not (vnew > 0 and vnew == -vt):
             raise AssertionError(f"new generator is not a 1-unit at value {-vt}")
 
-        power_formula = b_eta * td_inv.pow_int(p) + Series.one(ctx)
+        power_formula = b_eta * td_inv.pow_int(p) + one
         resid = eta_new.pow_int(p) - power_formula
         kfloor = resid.vlow_k()
         if resid.kterms and kfloor <= 0:
@@ -260,7 +262,7 @@ def kummer_family(
 
         tail_new = tail.shift(-vt)
         sample_new = translate_sample(
-            sample, eta_new, -vt, lambda w, _ti=td_inv: w * _ti + Series.one(ctx), tail_new
+            sample, eta_new, -vt, lambda w, _ti=td_inv: w * _ti + one, tail_new
         )
         bound_new = sd_threshold + vt
         if not sample_new.upper <= Cut(bound_new, False):
@@ -275,7 +277,7 @@ def kummer_family(
         )
         certs.append(certify(
             KUMMER, K, eta_new, tail_new, power_formula.neg(), kfloor, sample_new, claims,
-            (f"kummer_family eta={_short_hash(eta)} td={_short_hash(td)} budget={budget}",),
+            (f"kummer_family eta={eta_hash} td={_short_hash(td)} budget={budget}",),
         ))
 
     check_pairwise_distinct(certs)

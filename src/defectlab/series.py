@@ -14,9 +14,14 @@ precisions leave this layer as reduced fractions (``terms``,
 * ``mixed``: a p-adic ambient with rational exponents of p.  A term with
   coefficient code c at exponent e stands for ``tau(c) * p^e`` where
   ``tau`` is the multiplicative (Teichmueller) lift of the residue digit.
-  Sums are normalized per exponent class mod 1 (``teichmueller``): the
-  class is summed into one p-adic integer and its digits are read off,
-  so carries move from e to e+1 (the normalization fixes v(p) = 1).
+  Carries move from e to e+1 (the normalization fixes v(p) = 1), so
+  they stay inside one exponent class mod 1, and digits at distinct
+  exponents already form the unique Teichmueller expansion.  A sum
+  therefore normalizes (``teichmueller``) only the classes both operands
+  hold, summing each into one p-adic integer and reading its digits off;
+  every other term passes through.  tau is multiplicative and F_q has no
+  zero divisors, so a product by a one-term factor is the digit-wise
+  product and carries nothing.
 
 Every operation computes the exact precision of its result; nothing is
 ever rounded, and comparisons are only meaningful up to the common
@@ -348,8 +353,22 @@ class Series:
                 out.append(x or y)
                 out.extend(ia if x else ib)
             return Series(ctx, _below(out, prec), prec)
-        parts = [(k, c, 1) for k, c in self.kterms] + [(k, c, 1) for k, c in other.kterms]
-        return Series(ctx, teichmueller.normalize(ctx, parts, prec), prec)
+        # carries stay inside a class k mod D, and digits at distinct
+        # exponents are already canonical: only the classes both operands
+        # hold are normalized
+        ta, tb, D = self.kterms, other.kterms, ctx.D
+        shared = {k % D for k, _ in ta}.intersection([k % D for k, _ in tb])
+        if not shared:
+            return Series(ctx, _below(sorted(ta + tb), prec), prec)
+        parts, out = [], []
+        for k, c in ta + tb:
+            if k % D in shared:
+                parts.append((k, c, 1))
+            elif k < prec:
+                out.append((k, c))
+        out.extend(teichmueller.normalize(ctx, parts, prec))
+        out.sort()
+        return Series(ctx, tuple(out), prec)
 
     def __sub__(self, other: "Series") -> "Series":
         self._require_same_mode(other)
@@ -370,11 +389,24 @@ class Series:
         ctx = self.ctx
         prec = kcap = _product_precision(self, other)
         mul = ctx.field.mul
-        tb = other.kterms
+        ta, tb = self.kterms, other.kterms
+        if len(ta) == 1 or len(tb) == 1:
+            # one digit times a series: tau is multiplicative and F_q has
+            # no zero divisors, so each product is one digit and none carry
+            if len(ta) != 1:
+                ta, tb = tb, ta
+            k0, c0 = ta[0]
+            out = []
+            for k, c in tb:
+                k += k0
+                if k >= kcap:
+                    break
+                out.append((k, mul(c, c0)))
+            return Series(ctx, tuple(out), prec)
         if ctx.mode == EQUAL:
             add = ctx.field.add
             acc: Dict[int, int] = {}
-            for k1, c1 in self.kterms:
+            for k1, c1 in ta:
                 for k2, c2 in tb:
                     k = k1 + k2
                     if k >= kcap:
@@ -386,7 +418,7 @@ class Series:
                         del acc[k]
             return Series(ctx, tuple(sorted(acc.items())), prec)
         parts = []
-        for k1, c1 in self.kterms:
+        for k1, c1 in ta:
             for k2, c2 in tb:
                 k = k1 + k2
                 if k >= kcap:

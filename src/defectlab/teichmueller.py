@@ -122,7 +122,9 @@ def normalize(
 ) -> Tuple[Tuple[int, int], ...]:
     """Normalize signed Teichmueller contributions into canonical digits,
     as sorted (k, code) terms below the precision kcap/D, a grid index
-    (``math.inf`` for an exact sum).
+    (``math.inf`` for an exact sum).  ``Series`` calls it for the classes
+    both summands hold, for differences and for products of two series of
+    several terms each; elsewhere the digits are already canonical.
 
     ``parts`` yields (k, digit code, sign).  Signs other than +1 are folded
     into the code for odd p (where -tau(c) = tau(-c) exactly); for p = 2

@@ -709,6 +709,19 @@ def test_kummer_floor_is_rederived(tmp_path, capsys, floor):
         f"  cert[0]: residual_floor re-derives to 33/64, stored {floor}"], out
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the forged term lies above the residual's precision 33/64, so neither the "
+    "residual nor its floor moves; it closes with a Hensel floor (ROADMAP item 1 step 2)"))
+def test_forged_kummer_constant_term_is_refused(tmp_path):
+    obj = json.loads((CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json").read_text())
+    terms = obj["certs"][0]["min_poly"][0]["terms"]
+    at = next(i for i, t in enumerate(terms) if Fraction(t["exp"]) > Fraction(3, 4))
+    terms.insert(at, {"coeff": 1, "exp": "3/4"})
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+
+
 def test_forged_kummer_enclosure_is_one_diff(tmp_path, capsys):
     # the claims are re-derived from the rebuilt enclosure, not the stored
     # one, so a forged hi that breaks 0 < dist <= 1- is named once

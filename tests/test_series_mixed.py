@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -433,3 +434,76 @@ def test_normalize_matches_grouping_by_classes(case):
     ctx, parts, prec = case
     got = _outcome(teichmueller.normalize, ctx, parts, ctx.kcap(prec))
     assert got == _outcome(_normalize_by_classes, ctx, parts, prec)
+
+
+# --- sums and products against normalizing every part ---
+
+
+def _all_parts_sum(a, b):
+    """``a + b`` by the rule that normalizes every term of both operands."""
+    prec = min(a.kprec, b.kprec)
+    parts = [(k, c, 1) for k, c in a.kterms + b.kterms]
+    return Series(a.ctx, teichmueller.normalize(a.ctx, parts, prec), prec)
+
+
+def _all_parts_product(a, b):
+    """``a * b`` by the rule that normalizes every pairwise product."""
+    kcap = min(a.vlow_k() + b.kprec, b.vlow_k() + a.kprec)
+    mul = a.ctx.field.mul
+    parts = [(k1 + k2, mul(c1, c2), 1) for k1, c1 in a.kterms for k2, c2 in b.kterms if k1 + k2 < kcap]
+    return Series(a.ctx, teichmueller.normalize(a.ctx, parts, kcap), kcap)
+
+
+def _result(op, a, b):
+    try:
+        s = op(a, b)
+    except PrecisionError as exc:
+        return type(exc), str(exc)
+    return s.kterms, s.kprec
+
+
+@st.composite
+def _class_series(draw, ctx, residues):
+    D = ctx.D
+    kind = draw(st.sampled_from(["terms", "terms", "digit", "one", "free"]))
+    if kind == "one":
+        return Series.one(ctx)
+    kprec = draw(st.one_of(st.just(math.inf), st.integers(-D, 6 * D)))
+    # several terms per class: k = r + fl*D for a drawn class r
+    n = {"free": 0, "digit": 1, "terms": draw(st.integers(2, 6))}[kind]
+    ks = draw(st.lists(st.tuples(st.sampled_from(residues), st.integers(-2, 5)), min_size=n,
+                       max_size=n, unique=True))
+    terms = sorted((r + fl * D, draw(st.integers(1, ctx.q - 1))) for r, fl in ks)
+    return Series(ctx, tuple(t for t in terms if t[0] < kprec), kprec)
+
+
+@st.composite
+def _class_pair(draw):
+    # exponents over a few classes mod D, so that the operands share some
+    # classes and not others; class 0 is the class of 1
+    p = draw(st.sampled_from([2, 3, 5]))
+    ctx = make_context(MIXED, p, draw(st.sampled_from([1, 2])), draw(st.sampled_from([p, p * p, 2 ** 16])))
+    residues = draw(st.lists(st.sampled_from([0, 1, ctx.D // 2, ctx.D - 1]), min_size=1, max_size=3,
+                             unique=True))
+    return draw(_class_series(ctx, residues)), draw(_class_series(ctx, residues))
+
+
+P2_D4 = make_context(MIXED, 2, 1, 4)
+
+
+def _exact(ctx, terms):
+    return Series(ctx, tuple(terms), math.inf)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(_class_pair())
+# 1 + p^(1/4) plus 1 + p^(1/2): class 0 carries, classes 1 and 2 pass
+@example((_exact(P2_D4, [(0, 1), (1, 1)]), _exact(P2_D4, [(0, 1), (2, 1)])))
+# a shared class 0, and a term at p^(5/4) past the other operand's precision 1
+@example((_exact(P2_D4, [(0, 1), (5, 1)]), Series(P2_D4, ((0, 1),), 4)))
+# one digit known to precision 1 times 1 + p^2: the product is known below 1
+@example((Series(P2_D4, ((0, 1),), 4), _exact(P2_D4, [(0, 1), (8, 1)])))
+def test_sum_and_product_match_normalizing_all_parts(ab):
+    a, b = ab
+    assert _result(Series.__add__, a, b) == _result(_all_parts_sum, a, b)
+    assert _result(Series.__mul__, a, b) == _result(_all_parts_product, a, b)
