@@ -108,7 +108,7 @@ def transform_mixed(
     d: Series,
     sample: InitialSegmentSample,
     tail: TailSchema,
-    neg_eta_p: Series,
+    eta_p: Series,
 ) -> Series:
     """Solve X^p + h_d(X) = eta^p near eta, verify the value-set
     transfer witness by witness, and return the root.
@@ -121,9 +121,30 @@ def transform_mixed(
 
     ``eta`` must be a 1-unit, which the caller checks once for all
     members (``kummer_family`` does); ``sample`` is the sample of
-    v(eta - K), ``tail`` the tail of eta and ``neg_eta_p`` is -eta^p, the
-    constant coefficient, which a family computes once for all of its
-    members.
+    v(eta - K), ``tail`` the tail of eta and ``eta_p`` is eta^p, which a
+    family computes once for all of its members.
+
+    The horizon rule: Newton's constant coefficient is -eta^p cut at the
+    Newton target T, so the refinement's cost follows T, not the
+    precision of eta^p.  The cut leaves every decision of ``newton_root``
+    and the returned root as they are:
+    * The constant is only ever added, never multiplied (Horner's rule
+      adds it last, and a Taylor shift of f(x + X) by a monomial adds to
+      it), and carries only move upward.  So f(x) changes only at or past
+      T, and the other Taylor coefficients not at all.  The target test
+      reads f(x)'s lead against T and the polygon reads the leads below
+      T; both decide as before.  A cut f(x) with no term below T has
+      precision T, since every other summand is known past T, so it
+      passes the target test as the uncut one does.
+    * A Hensel step divides f(x) by f'(x), whose value is
+      b = v(p) + (p-1)v(d) at every unit x (the linear coefficient
+      p d^(p-1) has the least value).  So it moves the iterate only at
+      or past T - b, f(x) again only at or past T (the branch runs only
+      when T > 2b) and, at p = 2, f'(x) = 2x + 2d only at or past
+      T - b + 1, past its lead b.  The root is returned at precision
+      T - b, below every moved term.
+    The "too imprecise" guard reads the precision of the uncut eta^p; the
+    cut constant has precision T whatever eta^p knows.
     """
     ctx = eta.ctx
     _require_mixed(ctx)
@@ -143,7 +164,7 @@ def transform_mixed(
 
     coeff_bound = ExtRat(1 + (p - 1) * vd)
     p_upper = segment_affine(upper, p, 0)
-    coeffs: List[Series] = [neg_eta_p]
+    coeffs: List[Series] = []
     for i in range(1, p):
         ci = Series.from_int(ctx, math.comb(p, i)) * d.pow_int(p - i)
         vci = ci.valuation()
@@ -165,9 +186,10 @@ def transform_mixed(
     base = Fraction(1 + (p - 1) * vd)
     margin = abs(vd) / p
     target = base + Fraction(base, p) + margin
-    if neg_eta_p.precision <= target:
+    if eta_p.precision <= target:
         raise ValueError("eta is too imprecise for the requested transformation")
-    theta_tilde = newton_root(Polynomial.make(tuple(coeffs)), eta, target)
+    f = Polynomial.make((eta_p.truncate(target).neg(), *coeffs))
+    theta_tilde = newton_root(f, eta, target)
 
     vtt = theta_tilde.valuation()
     if vtt != 0:
@@ -237,13 +259,12 @@ def kummer_family(
         )
 
     b_eta = eta.pow_int(p)
-    neg_b_eta = b_eta.neg()
     one = Series.one(ctx)
     eta_hash = _short_hash(eta)
     work = budget + 6
     certs: List[ExtensionCert] = []
     for vt, td in candidates[:n_members]:
-        theta_tilde = transform_mixed(eta, K, td, sample, tail, neg_b_eta)
+        theta_tilde = transform_mixed(eta, K, td, sample, tail, b_eta)
         td_inv = invert(td, work)
         theta = theta_tilde * td_inv
         eta_new = theta + one

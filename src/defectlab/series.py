@@ -388,21 +388,12 @@ class Series:
         self._require_same_mode(other)
         ctx = self.ctx
         prec = kcap = _product_precision(self, other)
-        mul = ctx.field.mul
         ta, tb = self.kterms, other.kterms
-        if len(ta) == 1 or len(tb) == 1:
-            # one digit times a series: tau is multiplicative and F_q has
-            # no zero divisors, so each product is one digit and none carry
-            if len(ta) != 1:
-                ta, tb = tb, ta
-            k0, c0 = ta[0]
-            out = []
-            for k, c in tb:
-                k += k0
-                if k >= kcap:
-                    break
-                out.append((k, mul(c, c0)))
-            return Series(ctx, tuple(out), prec)
+        if len(ta) == 1:
+            return _digit_product(other, *ta[0], prec)
+        if len(tb) == 1:
+            return _digit_product(self, *tb[0], prec)
+        mul = ctx.field.mul
         if ctx.mode == EQUAL:
             add = ctx.field.add
             acc: Dict[int, int] = {}
@@ -431,13 +422,12 @@ class Series:
         mode); exact, no carries."""
         if code == 0:
             return Series(self.ctx, (), self.kprec)
-        mul = self.ctx.field.mul
-        return Series(self.ctx, tuple((k, mul(c, code)) for k, c in self.kterms), self.kprec)
+        return _digit_product(self, 0, code, self.kprec)
 
     def shift(self, delta) -> "Series":
         """Multiply by the exponent-delta monomial."""
         dk = self.ctx.grid_k(delta)
-        return Series(self.ctx, tuple((k + dk, c) for k, c in self.kterms), self.kprec + dk)
+        return _digit_product(self, dk, 1, self.kprec + dk)
 
     def pow_int(self, n: int) -> "Series":
         if n < 0:
@@ -502,6 +492,20 @@ class Series:
 def _below(kterms, kcap) -> Tuple[Tuple[int, int], ...]:
     """The sorted terms whose numerator lies below ``kcap``."""
     return tuple(kterms[:bisect_left(kterms, (kcap,))])
+
+
+def _digit_product(s: Series, k0: int, c0: int, kprec) -> Series:
+    """s times the one-digit series c0 * t^(k0/D), cut below ``kprec``: tau
+    is multiplicative and F_q has no zero divisors, so each product is one
+    digit and none carry."""
+    mul = s.ctx.field.mul
+    out = []
+    for k, c in s.kterms:
+        k += k0
+        if k >= kprec:
+            break
+        out.append((k, mul(c, c0)))
+    return Series(s.ctx, tuple(out), kprec)
 
 
 def _product_precision(a: Series, b: Series):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from defectlab import kummer
 from defectlab.approx import TailSchema, translate_sample, value_set
 from defectlab.artin import Claims, _short_hash, certify
 from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
@@ -14,7 +15,14 @@ from defectlab.kummer import (
     pth_power_difference_check,
     transform_mixed,
 )
-from defectlab.series import MIXED, Series, grid_bound
+from defectlab.series import (
+    MIXED,
+    ConvergenceError,
+    Polynomial,
+    Series,
+    grid_bound,
+    newton_root,
+)
 from helpers import values
 
 
@@ -100,21 +108,21 @@ class TestTransformMixed:
         d = Series.monomial(ctx, q(-1, 4), 1)
         sample = value_set(eta, QT2, 4, tail)
         with pytest.raises(ValueError):
-            transform_mixed(eta, QT2, d, sample, tail, eta.pow_int(2).neg())
+            transform_mixed(eta, QT2, d, sample, tail, eta.pow_int(2))
 
     def test_unbounded_sample_fails_the_depth_condition(self):
         eta, tail = lab_superdependent_unit(QT2)
         d = Series.monomial(QT2.ctx, q(-1, 16), 1)
         sample = value_set(eta, QT2, 4, tail)._replace(upper=Cut(PLUS_INF, False))
         with pytest.raises(ValueError, match=r"depth condition fails: certified upper cut \+inf-"):
-            transform_mixed(eta, QT2, d, sample, tail, eta.pow_int(2).neg())
+            transform_mixed(eta, QT2, d, sample, tail, eta.pow_int(2))
 
     def test_transform_runs(self):
         ctx = QT2.ctx
         eta, tail = lab_superdependent_unit(QT2)
         d = Series.monomial(ctx, q(-1, 16), 1)
         sample = value_set(eta, QT2, 4, tail)
-        root = transform_mixed(eta, QT2, d, sample, tail, eta.pow_int(2).neg())
+        root = transform_mixed(eta, QT2, d, sample, tail, eta.pow_int(2))
         assert root.valuation() == ExtRat.of(0)
         gap = (root - eta).valuation()
         # the root correction enters at (v(p) + v(d))/p = 15/32
@@ -123,6 +131,21 @@ class TestTransformMixed:
         transferred = translate_sample(sample, root, q(0), lambda w: w, tail)
         assert len(transferred.realized) >= 2
 
+    def test_imprecise_eta_p_is_refused_by_its_own_precision(self):
+        # the Newton target is 3/2 + v(d) = 23/16 at p = 2, v(d) = -1/16; the
+        # guard reads eta^p's precision, not that of the constant cut at the
+        # target: one grid step past the target is enough, at it is not
+        eta, tail = lab_superdependent_unit(QT2)
+        d = Series.monomial(QT2.ctx, q(-1, 16), 1)
+        sample = value_set(eta, QT2, 4, tail)
+        eta_p = eta.pow_int(2)
+        target = q(23, 16)
+        with pytest.raises(ValueError, match="eta is too imprecise for the requested transformation"):
+            transform_mixed(eta, QT2, d, sample, tail, eta_p.truncate(target))
+        step = q(1, QT2.ctx.D)
+        root = transform_mixed(eta, QT2, d, sample, tail, eta_p.truncate(target + step))
+        assert root == transform_mixed(eta, QT2, d, sample, tail, eta_p)
+
     def test_quarter_depth_instance(self):
         # upper bound 1/8 sits below (v(p) + v(d))/p = 3/8 for v(d) = -1/4,
         # and the linear coefficient 2d has value 3/4 > 2 * (1/8)
@@ -130,7 +153,7 @@ class TestTransformMixed:
         eta, tail = lab_superdependent_unit(QT2)
         d = Series.monomial(ctx, q(-1, 4), 1)
         assert (d + d).valuation() == ExtRat.of(q(3, 4))
-        root = transform_mixed(eta, QT2, d, value_set(eta, QT2, 4, tail), tail, eta.pow_int(2).neg())
+        root = transform_mixed(eta, QT2, d, value_set(eta, QT2, 4, tail), tail, eta.pow_int(2))
         assert (root - eta).valuation() == ExtRat.of(q(3, 8))
 
 
@@ -255,3 +278,42 @@ def test_deep_elements_match_the_listing_scan(m):
         certs = kummer_family(eta, K, len(want), budget, tail)
         got = [(dict(c.claims.bounds)["v_td"], c.provenance[0].split()[2]) for c in certs]
         assert got == [(str(v), f"td={_short_hash(x)}") for v, x in want], budget
+
+
+# --- Newton's constant cut at its target against the full -eta^p ----------
+
+# the (q = 2^m, budget, members) jobs of the kummer-family benchmark pool,
+# each key with its most members: every transform_mixed input a pool round
+# makes
+KUMMER_POOL = ((1, 5, 5), (1, 6, 3), (1, 7, 5), (1, 8, 1), (2, 5, 3), (2, 7, 1))
+
+
+def test_newton_constant_cut_at_the_target_changes_no_root(monkeypatch):
+    # the (f, start, target) of every newton_root call of transform_mixed
+    calls = []
+    real = kummer.newton_root
+
+    def record(f, start, target):
+        calls.append((f, start, target))
+        return real(f, start, target)
+
+    monkeypatch.setattr(kummer, "newton_root", record)
+    for m, budget, n in KUMMER_POOL:
+        K = preset_field("qp_pdiv_tower", 2, m, grid_bound(MIXED, 2, 16))
+        eta, tail = lab_superdependent_unit(K)
+        kummer_family(eta, K, n, budget, tail)
+    assert len(calls) == 18
+    for f, eta, target in calls:
+        # the family refines from eta itself, so its constant is -eta^2 cut
+        # at the target, a strict cut of the full one
+        eta_p = eta.pow_int(2)
+        cut, *rest = f.coeffs
+        assert cut == eta_p.truncate(target).neg()
+        assert eta_p.precision > ExtRat.of(target)
+        want = newton_root(Polynomial.make((eta_p.neg(), *rest)), eta, target)
+        got = newton_root(f, eta, target)
+        assert (got.kterms, got.kprec) == (want.kterms, want.kprec)
+        # the horizon is tight: one grid step short, the residual runs out
+        short = eta_p.truncate(target - Fraction(1, eta.ctx.D)).neg()
+        with pytest.raises(ConvergenceError, match="residual is zero only to precision"):
+            newton_root(Polynomial.make((short, *rest)), eta, target)
