@@ -11,6 +11,7 @@ import argparse
 
 from defectlab.approx import semitame_report, value_set
 from defectlab.artin import admissible_twist, as_family
+from defectlab.cli import _positive_int
 from defectlab.fields import preset_field
 
 
@@ -21,10 +22,10 @@ def survey(preset: str, p: int, n: int, budget: int) -> None:
     line = ", ".join(f"({k}) {rep[k].status}" for k in ("a", "c", "d", "e", "f"))
     print(f"conditions: {line}")
 
-    # condition (e) carries the imperfection witness when one was found
+    # condition (e) carries the imperfection witness of an imperfect field
     eta = rep["e"].witness
     if eta is None:
-        print("imperfection witness: none" + (" (perfect)" if K.perfect else ""))
+        print("imperfection witness: none (perfect)")
         return
     print(f"imperfection witness: {eta}")
     sample = value_set(eta, K, budget)
@@ -34,12 +35,12 @@ def survey(preset: str, p: int, n: int, budget: int) -> None:
               f"({cert.claims.defect_rule})")
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--p", type=int, default=2)
-    ap.add_argument("--n", type=int, default=5)
-    ap.add_argument("--budget", type=int, default=3)
-    args = ap.parse_args()
+    ap.add_argument("--n", type=_positive_int, default=5)
+    ap.add_argument("--budget", type=_positive_int, default=3)
+    args = ap.parse_args(argv)
     for preset in ("fp_t", "laurent", "pdiv_tower"):
         survey(preset, args.p, args.n, args.budget)
 

@@ -6,6 +6,7 @@ difference law, and a certified super-dependent Kummer family.
 import argparse
 from fractions import Fraction
 
+from defectlab.cli import _positive_int
 from defectlab.kummer import (
     kummer_family,
     lab_superdependent_unit,
@@ -17,8 +18,8 @@ from defectlab.series import MIXED, Series, make_context, zeta_p
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=5)
-    ap.add_argument("--budget", type=int, default=5)
+    ap.add_argument("--n", type=_positive_int, default=5)
+    ap.add_argument("--budget", type=_positive_int, default=5)
     args = ap.parse_args(argv)
 
     print("p-th roots of unity")

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .cuts import Cut, CutEnclosure, ExtRat, PLUS_INF
-from .fields import FieldDesc, element_stream, listing_index, member_witness
+from .fields import BudgetTooSmall, FieldDesc, element_stream, listing_index, member_witness
 from .series import EQUAL, Series, pth_root
 
 PROVED = "proved"
@@ -272,7 +272,7 @@ def distance(
 
 
 class ConditionVerdict(NamedTuple):
-    status: str  # proved | refuted | unknown
+    status: str  # proved | refuted
     witness: Optional[Series] = None
     note: str = ""
 
@@ -297,7 +297,9 @@ def semitame_report(K: FieldDesc, budget: int) -> Dict[str, ConditionVerdict]:
     cannot be approximated because its exponent sits outside the
     relevant lattice).  Proofs are structural, from the shape flags of
     the description (a perfect directed union stays perfect in the
-    completion).  Everything else is unknown-at-budget.
+    completion).  An imperfect field whose listing at ``budget`` holds
+    no imperfection witness raises ``BudgetTooSmall`` (exit 3 from the
+    command line); no verdict is left unknown.
     """
     if K.ctx.mode != EQUAL:
         raise ValueError("the condition circle is checked in equal characteristic")
@@ -323,32 +325,25 @@ def semitame_report(K: FieldDesc, budget: int) -> Dict[str, ConditionVerdict]:
             out[key] = ConditionVerdict(PROVED, None, note)
     else:
         root = imperfection_witness(K, budget)
-        if root is None:
-            for key in ("c", "d", "e", "f"):
-                out[key] = ConditionVerdict(UNKNOWN, None, "no witness at this budget")
-        else:
-            a0 = root.frobenius()
-            lattice_note = (
-                "the p-th root's exponent lies outside the support lattice, so "
-                "v(root - K) is bounded and the root misses the completion"
-            )
-            out["e"] = ConditionVerdict(REFUTED, root, lattice_note)
-            out["d"] = ConditionVerdict(REFUTED, root, lattice_note)
-            power_note = (
-                "p-th powers are supported on the scaled lattice, so this element "
-                "is boundedly far from all of them"
-            )
-            out["f"] = ConditionVerdict(REFUTED, a0, power_note)
-            out["c"] = ConditionVerdict(REFUTED, a0, power_note)
+        a0 = root.frobenius()
+        lattice_note = (
+            "the p-th root's exponent lies outside the support lattice, so "
+            "v(root - K) is bounded and the root misses the completion"
+        )
+        out["e"] = ConditionVerdict(REFUTED, root, lattice_note)
+        out["d"] = ConditionVerdict(REFUTED, root, lattice_note)
+        power_note = (
+            "p-th powers are supported on the scaled lattice, so this element "
+            "is boundedly far from all of them"
+        )
+        out["f"] = ConditionVerdict(REFUTED, a0, power_note)
+        out["c"] = ConditionVerdict(REFUTED, a0, power_note)
 
-    pieces = [out["drst"], out["c"]]
-    if any(v.status == REFUTED for v in pieces):
-        bad = next(v for v in pieces if v.status == REFUTED)
+    bad = next((v for v in (out["drst"], out["c"]) if v.status == REFUTED), None)
+    if bad is not None:
         out["a"] = ConditionVerdict(REFUTED, bad.witness, "a failing sub-condition refutes semitameness")
-    elif all(v.status == PROVED for v in pieces):
-        out["a"] = ConditionVerdict(PROVED, None, "both sub-conditions proved")
     else:
-        out["a"] = ConditionVerdict(UNKNOWN, None, "sub-conditions unresolved")
+        out["a"] = ConditionVerdict(PROVED, None, "both sub-conditions proved")
     out["b"] = ConditionVerdict(out["a"].status, out["a"].witness,
                                 "equivalent to semitameness in positive characteristic")
     return out
@@ -357,7 +352,9 @@ def semitame_report(K: FieldDesc, budget: int) -> Dict[str, ConditionVerdict]:
 def imperfection_witness(K: FieldDesc, budget: int) -> Optional[Series]:
     """First enumerated eta with eta^p in K and v(eta - K) certifiably
     bounded (hence eta outside the completion); None when the field is
-    certified perfect or the budget finds nothing.
+    certified perfect.  Raises ``BudgetTooSmall`` (exit 3 from the
+    command line) when no element listed at ``budget`` has such a root;
+    at every budget >= 1 the listing holds t, whose root is one.
 
     The root of an enumerated element escapes K when it has an exponent
     outside the support lattice of K.  The candidates have eta^p in K on
@@ -374,5 +371,5 @@ def imperfection_witness(K: FieldDesc, budget: int) -> Optional[Series]:
         root = pth_root(c)
         if not member_witness(K, root):
             return root
-    return None
+    raise BudgetTooSmall(f"no imperfection witness among the elements at height {budget}")
 

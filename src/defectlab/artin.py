@@ -4,13 +4,15 @@ inseparable-to-separable transformation, certified families, and the
 one rule (``certify``) that builds a certificate of either kind from its
 stored inputs: minimal polynomial, distance enclosure and claims.
 
-The solver writes a root of X^p - X - b as
+The solver takes b with no positive exponent (every b the commands
+solve, t^(-1) and (eta/d)^p after the twist, is one) and writes a root
+of X^p - X - b as
 
-    sum_{i>=1} (b_-)^(1/p^i)  -  sum_{i>=0} (b_+)^(p^i)  +  rho
+    sum_{i>=1} (b_-)^(1/p^i)  +  rho
 
-where b_- / b_0 / b_+ split b by the sign of the exponent and rho solves
-the residue equation x^p - x = b_0 in F_q.  Both sums telescope under
-x -> x^p - x; truncating the first after I steps leaves the exact
+where b_- is the negative part of b and rho solves the residue equation
+x^p - x = b_0 in F_q for its constant term b_0.  The sum telescopes
+under x -> x^p - x; truncating it after I steps leaves the exact
 residual -(b_-)^(1/p^I), which is recorded as a certified floor, and the
 dropped tail is described by a TailSchema so that downstream value-set
 sampling stays sound.
@@ -92,21 +94,28 @@ class ASRoot(NamedTuple):
 
 
 def as_root(b: Series, precision) -> ASRoot:
-    """A root of X^p - X - b in the ambient field, by telescoping sums.
+    """A root of X^p - X - b in the ambient field, by a telescoping sum.
 
-    The fractional (negative-exponent) sum is truncated when the session
-    denominator bound D is reached; the positive sum is truncated at
-    ``precision``, or at b's own horizon when that is lower.  The
-    returned residual floor certifies v(theta^p - theta - b) (see
+    The sum of the (b_-)^(1/p^i) is truncated when the session
+    denominator bound D is reached, and theta is cut at ``precision``,
+    or at b's own precision when that is lower.  The returned residual
+    floor certifies v(theta^p - theta - b) (see
     ``residual_window_violations``), and the tail schema describes the
     dropped fractional terms.
 
-    Raises ValueError when the residue equation x^p - x = b_0 has no
-    root in F_q (a residue extension would be needed).
+    Raises ValueError when b stores a term at a positive exponent (the
+    solver builds no sum over the Frobenius powers of b_+), or when the
+    residue equation x^p - x = b_0 has no root in F_q (a residue
+    extension would be needed).
     """
     ctx = b.ctx
     if ctx.mode != EQUAL:
         raise ValueError("Artin-Schreier roots are an equal-characteristic construction")
+    if b.kterms and b.kterms[-1][0] > 0:
+        raise ValueError(
+            f"b has a term at exponent {ctx.value_of(b.kterms[-1][0])} > 0; "
+            f"the Artin-Schreier solver takes b without positive exponents"
+        )
     p = ctx.p
     precision = min(ExtRat.of(precision), b.precision)
 
@@ -122,7 +131,6 @@ def as_root(b: Series, precision) -> ASRoot:
 
     # the stored negative terms are exact regardless of b's horizon
     b_neg = Series(ctx, tuple(t for t in b.kterms if t[0] < 0), math.inf)
-    b_pos = Series(ctx, tuple(t for t in b.kterms if t[0] > 0), b.kprec)
 
     acc = {Fraction(0): rho} if rho else {}
     theta = Series.make(ctx, acc, precision)
@@ -142,13 +150,6 @@ def as_root(b: Series, precision) -> ASRoot:
         for part in parts:
             theta = theta + part
         kfloor = parts[-1].valuation_k()
-
-    if not b_pos.is_zero:
-        neg_one = ctx.field.neg(1)
-        y = b_pos
-        while y.vlow() < precision:
-            theta = theta + y.truncate(precision).scale(neg_one)
-            y = y.frobenius()
 
     theta = theta.truncate(precision)
     return ASRoot(theta, root_tail(kfloor, ctx), kfloor)

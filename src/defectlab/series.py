@@ -175,23 +175,18 @@ class Series:
 
     @staticmethod
     def make(ctx: SeriesContext, mapping: Dict[Fraction, int], precision: RatLike = PLUS_INF) -> "Series":
-        """From exponent -> code; zero codes and exponents at or beyond
-        ``precision`` are dropped, others must lie on the grid (1/D)Z, as
-        must ``precision``."""
+        """From exponent (an int or ``Fraction``) -> code; every exponent
+        must lie on the grid (1/D)Z, as must ``precision``, and zero codes
+        and exponents at or beyond ``precision`` are dropped."""
         D = ctx.D
         kcap = ctx.grid_k(precision, "precision")
         items = []
         for e, c in mapping.items():
             if c == 0:
                 continue
-            if type(e) is not int and type(e) is not Fraction:
-                e = Fraction(e)
             q, r = divmod(D, e.denominator)
-            if r:
-                if e * D >= kcap:
-                    continue
-                ctx.grid_k(e)
-            k = e.numerator * q
+            # grid_k refuses an exponent off the grid
+            k = ctx.grid_k(e) if r else e.numerator * q
             if k < kcap:
                 items.append((k, c))
         items.sort()
@@ -443,10 +438,7 @@ class Series:
         return result
 
     def truncate(self, new_precision) -> "Series":
-        prec = min(self.kprec, self.ctx.grid_k(new_precision, "precision"))
-        if prec == math.inf:
-            return self
-        return _declare(self, prec)
+        return _declare(self, min(self.kprec, self.ctx.grid_k(new_precision, "precision")))
 
     # --- mode-specific ---
 

@@ -17,6 +17,7 @@ from defectlab.approx import (
 from defectlab.artin import as_root
 from defectlab.cuts import Cut, ExtRat, PLUS_INF
 from defectlab.fields import (
+    BudgetTooSmall,
     PRESET_NAMES,
     PRESETS,
     enumerate_elements,
@@ -122,6 +123,13 @@ def test_semitame_pdiv_tower_all_proved():
     rep = semitame_report(T2, 2)
     for key in ("drst", "residue_perfect", "a", "b", "c", "d", "e", "f"):
         assert rep[key].status == "proved", key
+
+
+def test_semitame_budget_zero_is_inconclusive_not_unknown():
+    # an imperfect field with no witness listed raises, as kummer_family
+    # does on too few deep elements; no condition is reported unknown
+    with pytest.raises(BudgetTooSmall, match="no imperfection witness"):
+        semitame_report(preset_field("fp_t", 2), 0)
 
 
 def test_semitame_consistency():

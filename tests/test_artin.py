@@ -21,7 +21,7 @@ from defectlab.artin import (
     transform_inseparable,
 )
 from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
-from defectlab.fields import preset_field
+from defectlab.fields import BudgetTooSmall, preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
 from defectlab.series import EQUAL, Series, make_context
 from helpers import as_generator_transform, values
@@ -82,12 +82,12 @@ class TestAsRoot:
         assert res.residual_floor == -1
         assert raised == []
 
-    def test_positive_part(self):
-        b = Series.monomial(K2.ctx, 1)
-        res = as_root(b, ExtRat.of(q(9)))
-        assert res.theta.terms == ((q(1), 1), (q(2), 1), (q(4), 1), (q(8), 1))
-        resid = residual(res, b)
-        assert resid.vlow() >= ExtRat.of(q(9))
+    def test_positive_exponent_is_refused(self):
+        # every b the commands solve has only negative exponents, so the
+        # solver builds no sum over the Frobenius powers of b_+
+        b = Series.make(K2.ctx, {q(1): 1, q(-1): 1})
+        with pytest.raises(ValueError, match="b has a term at exponent 1/1 > 0"):
+            as_root(b, ExtRat.of(q(9)))
 
     def test_zero(self):
         res = as_root(Series.zero(K2.ctx), ExtRat.of(q(5)))
@@ -107,7 +107,7 @@ class TestAsRoot:
             for _ in range(25):
                 terms = {}
                 for _ in range(rng.randint(1, 3)):
-                    terms[Fraction(rng.randint(-6, 6))] = rng.randint(1, p - 1)
+                    terms[Fraction(rng.randint(-6, 0))] = rng.randint(1, p - 1)
                 terms[Fraction(0)] = rng.choice(image)
                 b = Series.make(ctx, terms)
                 res = as_root(b, ExtRat.of(q(16)))
@@ -248,6 +248,12 @@ class TestImperfectionWitness:
 
     def test_perfect_tower(self):
         assert imperfection_witness(T2, 3) is None
+
+    def test_budget_zero_lists_no_witness(self):
+        # height 0 lists only the constants, whose p-th roots lie in K
+        with pytest.raises(BudgetTooSmall, match="no imperfection witness among the "
+                                                 "elements at height 0"):
+            imperfection_witness(preset_field("fp_t", 2), 0)
 
 
 class TestAdmissibleTwist:

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "mixed_demo.py"
 
 
@@ -25,3 +27,13 @@ def test_mixed_demo_in_process(capsys):
     for line in expected:
         assert line in lines
     assert not any(line.startswith("  member 2:") for line in lines)
+
+
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--budget", "0"]])
+def test_count_below_one_is_refused_by_the_parser(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load_demo().main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be at least 1, got 0" in captured.err
+    assert captured.out == ""
