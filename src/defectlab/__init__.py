@@ -42,7 +42,6 @@ from .kummer import (
     transform_mixed,
 )
 from .series import (
-    Polynomial,
     Series,
     SeriesContext,
     invert,

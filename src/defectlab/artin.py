@@ -39,7 +39,6 @@ from .fields import FieldDesc, enumerate_elements, member_witness
 from .series import (
     EQUAL,
     DenominatorBoundError,
-    Polynomial,
     Series,
     invert,
     pth_root,
@@ -79,7 +78,7 @@ class ExtensionCert(NamedTuple):
     base: FieldDesc
     generator: Series
     generator_tail: Optional[TailSchema]
-    min_poly: Polynomial
+    min_poly: Tuple[Series, ...]  # coefficients, constant term first
     residual_floor: Union[int, float]  # a grid index; math.inf for no residual
     sample: InitialSegmentSample
     dist: CutEnclosure
@@ -187,13 +186,14 @@ def residual_window_violations(resid: Series, kfloor) -> List[Fraction]:
     return [Fraction(k, resid.ctx.D) for k in bad]
 
 
-def degree_p_poly(kind: str, c0: Series) -> Polynomial:
-    """The minimal polynomial of a certificate of ``kind`` with constant
-    term c0: X^p - X + c0 for Artin-Schreier, X^p + c0 for Kummer."""
+def degree_p_poly(kind: str, c0: Series) -> Tuple[Series, ...]:
+    """The coefficients, constant term first, of the minimal polynomial of
+    a certificate of ``kind`` with constant term c0: X^p - X + c0 for
+    Artin-Schreier, X^p + c0 for Kummer."""
     ctx = c0.ctx
     zero = Series.zero(ctx)
     x1 = Series.monomial(ctx, 0, ctx.field.neg(1)) if kind == ARTIN_SCHREIER else zero
-    return Polynomial.make((c0, x1, *[zero] * (ctx.p - 2), Series.one(ctx)))
+    return (c0, x1, *[zero] * (ctx.p - 2), Series.one(ctx))
 
 
 def transform_inseparable(
@@ -347,7 +347,7 @@ def check_pairwise_distinct(certs: Sequence[ExtensionCert]) -> None:
         for j in range(i + 1, len(certs)):
             if value_sets[i] == value_sets[j]:
                 raise AssertionError(f"members {i + 1} and {j + 1} have equal samples")
-            if certs[i].min_poly.coeffs[0].kterms == certs[j].min_poly.coeffs[0].kterms:
+            if certs[i].min_poly[0].kterms == certs[j].min_poly[0].kterms:
                 raise AssertionError(f"members {i + 1} and {j + 1} share a minimal polynomial")
     # sorted by lo, the enclosures are pairwise disjoint exactly when each
     # one's hi lies below the next one's lo

@@ -8,7 +8,7 @@ each record straight to that text and builds no tree.
 
 Certificates carry their witnesses, so verification re-derives every
 recorded claim from stored data alone: witness valuations are recomputed,
-minimal-polynomial residuals are re-evaluated against the recorded floor,
+minimal-polynomial residuals are re-derived against the recorded floor,
 cuts and defect arithmetic are recomputed, and the claim rules are
 re-applied.  A verified file reproduces the stored verdicts bit for bit;
 any divergence is reported as a structured diff.
@@ -47,7 +47,7 @@ from .artin import (
 from .cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from .ffield import FiniteField
 from .fields import FieldDesc, member_witness, preset_field
-from .series import EQUAL, Polynomial, Series, SeriesContext
+from .series import EQUAL, Series, SeriesContext
 
 SCHEMA_VERSION = 1
 
@@ -232,9 +232,9 @@ def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
     return Series(ctx, tuple(kterms), kcap)
 
 
-def poly_from_json(obj: list, ctx: SeriesContext) -> Polynomial:
-    f = Polynomial.make(tuple(series_from_json(c, ctx) for c in obj))
-    if not obj or len(f.coeffs) != len(obj):
+def poly_from_json(obj: list, ctx: SeriesContext) -> Tuple[Series, ...]:
+    f = tuple(series_from_json(c, ctx) for c in obj)
+    if not f or f[-1].is_zero and f[-1].kprec == math.inf:
         raise ValueError(f"min_poly of {len(obj)} coefficients is empty or ends in a zero one")
     return f
 
@@ -384,7 +384,7 @@ def _cert_text(cert: ExtensionCert, nl: str) -> str:
                    _claims_text(cert.claims, n1),
                    _object(n1, "hi lo", _cut_text(cert.dist.hi, n2), _cut_text(cert.dist.lo, n2)),
                    _series_text(cert.generator, n1), "null" if tail is None else _tail_text(tail, n1),
-                   q(cert.kind), _array([_series_text(c, n2) for c in cert.min_poly.coeffs], n1),
+                   q(cert.kind), _array([_series_text(c, n2) for c in cert.min_poly], n1),
                    _array([q(s) for s in cert.provenance], n1), f'"{floor}"',
                    _sample_text(cert.sample, n1))
 
@@ -542,19 +542,19 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     # residual is the recorded one: for Artin-Schreier, theta^p - theta - b
     # by the exact Frobenius lies within the window of the recorded floor
     # (the product theta * theta keeps only the precision v(theta) +
-    # prec(theta)); for Kummer, f(theta) starts at the recorded floor
+    # prec(theta)); for Kummer, theta^p + c0 starts at the recorded floor
     f = cert.min_poly
     equal = cert.kind == ARTIN_SCHREIER
-    if (ctx.mode == EQUAL) != equal or degree_p_poly(cert.kind, f.coeffs[0]) != f:
+    if (ctx.mode == EQUAL) != equal or degree_p_poly(cert.kind, f[0]) != f:
         want = "X - b over an equal-characteristic" if equal else "c over a mixed-characteristic"
         report.add(f"{tag}: min_poly is not X^{ctx.p} - {want} base")
     elif equal:
-        bad = residual_window_violations(gen.frobenius() - gen + f.coeffs[0], kfloor)
+        bad = residual_window_violations(gen.frobenius() - gen + f[0], kfloor)
         if bad:
             report.add(f"{tag}: residual terms at {bad} violate the recorded floor "
                        f"{ctx.value_of(kfloor)}")
     else:
-        k = f.evaluate(gen).vlow_k()
+        k = (gen.pow_int(ctx.p) + f[0]).vlow_k()
         if k != kfloor:
             report.add(f"{tag}: residual_floor re-derives to {ctx.value_of(k)}, "
                        f"stored {ctx.value_of(kfloor)}")
@@ -562,7 +562,7 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     # 4. the distance enclosure and the six derived claim fields, rebuilt by
     # the one rule every builder returns its certificate through
     try:
-        rebuilt = certify(cert.kind, cert.base, gen, tail, f.coeffs[0], kfloor, cert.sample,
+        rebuilt = certify(cert.kind, cert.base, gen, tail, f[0], kfloor, cert.sample,
                           cert.claims, cert.provenance)
     except (ValueError, AssertionError) as exc:
         report.add(f"{tag}: claim re-derivation failed: {exc}")

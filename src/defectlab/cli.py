@@ -255,7 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EX_USAGE if exc.code not in (0, None) else 0
     if hasattr(args, "q") and args.q is not None:
         p, q, m = args.p, args.q, 0
-        while q > 1 and q % p == 0:
+        while p > 1 and q > 1 and q % p == 0:
             q //= p
             m += 1
         if q != 1 or m < 1:

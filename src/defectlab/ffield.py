@@ -2,16 +2,18 @@
 
 Elements are integer codes 0..q-1: the code is the base-p encoding of the
 coefficient vector of a residue polynomial modulo a fixed irreducible
-monic modulus (for m = 1 the code is just the canonical residue).  All
-fields used here are tiny, so full operation tables are precomputed once
-per field.  The modulus is the lexicographically first irreducible monic
-polynomial of the requested degree, which keeps sessions reproducible.
+monic modulus (for m = 1 the code is just the canonical residue).  Full
+q x q tables are built once per field, so q above ``MAX_Q`` is refused.
+The modulus is the lexicographically first irreducible monic polynomial
+of the requested degree, which keeps sessions reproducible.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
+
+MAX_Q = 256  # q = 256 builds its tables in under a second
 
 
 def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> Tuple[int, ...]:
@@ -88,10 +90,10 @@ class FiniteField:
     """F_{p^m} with element codes 0..q-1 and precomputed tables."""
 
     def __init__(self, p: int, m: int = 1):
+        if m < 1 or p ** m > MAX_Q:
+            raise ValueError(f"q = {p}^{m} needs m >= 1 and q <= MAX_Q = {MAX_Q}")
         if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
             raise ValueError(f"p = {p} is not prime")
-        if m < 1:
-            raise ValueError("m must be >= 1")
         self.p = p
         self.m = m
         self.q = p ** m

@@ -46,7 +46,6 @@ from .cuts import Cut, ExtRat, segment_affine
 from .fields import BudgetTooSmall, FieldDesc, listing_index, member_witness
 from .series import (
     MIXED,
-    Polynomial,
     PrecisionError,
     Series,
     invert,
@@ -188,8 +187,7 @@ def transform_mixed(
     target = base + Fraction(base, p) + margin
     if eta_p.precision <= target:
         raise ValueError("eta is too imprecise for the requested transformation")
-    f = Polynomial.make((eta_p.truncate(target).neg(), *coeffs))
-    theta_tilde = newton_root(f, eta, target)
+    theta_tilde = newton_root((eta_p.truncate(target).neg(), *coeffs), eta, target)
 
     vtt = theta_tilde.valuation()
     if vtt != 0:
@@ -273,8 +271,11 @@ def kummer_family(
         if not (vnew > 0 and vnew == -vt):
             raise AssertionError(f"new generator is not a 1-unit at value {-vt}")
 
+        # X^p + c0 is the member's minimal polynomial; verify re-derives the
+        # floor from the same residual eta_new^p + c0
         power_formula = b_eta * td_inv.pow_int(p) + one
-        resid = eta_new.pow_int(p) - power_formula
+        c0 = power_formula.neg()
+        resid = eta_new.pow_int(p) + c0
         kfloor = resid.vlow_k()
         if resid.kterms and kfloor <= 0:
             raise AssertionError("p-th power formula fails on certified terms")
@@ -297,7 +298,7 @@ def kummer_family(
             ),
         )
         certs.append(certify(
-            KUMMER, K, eta_new, tail_new, power_formula.neg(), kfloor, sample_new, claims,
+            KUMMER, K, eta_new, tail_new, c0, kfloor, sample_new, claims,
             (f"kummer_family eta={eta_hash} td={_short_hash(td)} budget={budget}",),
         ))
 

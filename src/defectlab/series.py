@@ -37,7 +37,7 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import teichmueller
 from .cuts import ExtRat, PLUS_INF, RatLike
@@ -589,67 +589,26 @@ def invert(a: Series, target_precision: RatLike) -> Series:
 # --------------------------------------------------------------------------
 
 
-class Polynomial:
-    """Dense univariate polynomial with Series coefficients (degree <= p
-    throughout this toolkit)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Tuple[Series, ...]):
-        if not coeffs:
-            raise ValueError("polynomial needs at least one coefficient")
-        self.coeffs = coeffs
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Polynomial:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    @staticmethod
-    def make(coeffs: Sequence[Series]) -> "Polynomial":
-        cs = list(coeffs)
-        while len(cs) > 1 and cs[-1].is_zero and cs[-1].kprec == math.inf:
-            cs.pop()
-        return Polynomial(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def ctx(self) -> SeriesContext:
-        return self.coeffs[0].ctx
-
-    def evaluate(self, x: Series) -> Series:
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
-
-    def shifted(self, a: Series) -> Tuple[Series, ...]:
-        """Coefficients of f(a + X), by repeated Horner division.
-
-        Pass i divides by X - a and leaves the i-th Taylor coefficient in
-        place; the first pass runs exactly the operations of
-        ``evaluate``, so coefficient 0 is ``self.evaluate(a)``."""
-        c = list(self.coeffs)
-        n = self.degree
-        for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                c[j] = c[j + 1] * a + c[j]
-        return tuple(c)
+def _taylor_shift(f: Tuple[Series, ...], a: Series) -> Tuple[Series, ...]:
+    """Coefficients of f(a + X) for a coefficient tuple f, constant term
+    first: pass i of repeated Horner division by X - a leaves the i-th in
+    place, so coefficient 0 is Horner's f(a)."""
+    c = list(f)
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] = c[j + 1] * a + c[j]
+    return tuple(c)
 
 
 NEWTON_MAX_STEPS = 200
 
 
-def newton_root(f: Polynomial, start: Series, target_precision: RatLike) -> Series:
-    """Refine a root of f from ``start`` until v(f(x)) >= target_precision.
+def newton_root(f: Tuple[Series, ...], start: Series, target_precision: RatLike) -> Series:
+    """Refine a root of f, a coefficient tuple with its constant term
+    first, from ``start`` until v(f(x)) >= target_precision.
 
-    Each step reads one Taylor shift f(x + X) (``Polynomial.shifted``);
+    Each step reads one Taylor shift f(x + X) (``_taylor_shift``);
     its coefficients 0 and 1 are f(x) and f'(x), and all of them give the
     Newton polygon.  When the classical Hensel condition
     v(f(x)) > 2 v(f'(x)) holds the iteration is the quadratic Newton step.
@@ -673,18 +632,18 @@ def newton_root(f: Polynomial, start: Series, target_precision: RatLike) -> Seri
     The iteration takes at most ``NEWTON_MAX_STEPS`` steps; running out
     raises ``ConvergenceError`` (inconclusive), never a hang.
     """
-    ctx = f.ctx
+    if len(f) < 2:
+        raise ValueError("newton_root needs a polynomial of degree at least 1")
+    ctx = f[0].ctx
     target = ctx.grid_k(target_precision, "precision")
     if target == math.inf:
         raise PrecisionError("newton_root needs a finite target precision")
-    if f.degree == 0:
-        raise ValueError("newton_root needs a polynomial of degree at least 1")
     D = ctx.D
     x = start
     last_vf: Optional[int] = None
     move: Optional[Series] = None
     for _ in range(NEWTON_MAX_STEPS):
-        shifted = f.shifted(x) if move is None else Polynomial(shifted).shifted(move)
+        shifted = _taylor_shift(f, x) if move is None else _taylor_shift(shifted, move)
         fx, fpx = shifted[0], shifted[1]
         if (fx.kterms[0][0] if fx.kterms else fx.kprec) >= target:
             # a term-free f'(x) at finite precision has no certified
@@ -788,7 +747,5 @@ def zeta_p(ctx: SeriesContext, target_precision: RatLike) -> Series:
     ctx.grid_k(e0)
     work = target_precision.fraction + 2
     x0 = Series.make(ctx, {0: 1, e0: c}, work)
-    one = Series.one(ctx)
-    f = Polynomial.make(tuple(one for _ in range(p)))
     target_f = target_precision.fraction + Fraction(p - 2, p - 1)
-    return newton_root(f, x0, target_f)
+    return newton_root((Series.one(ctx),) * p, x0, target_f)

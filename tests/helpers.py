@@ -1,6 +1,7 @@
-"""Constructions that only the tests need: no program changes a generator
-or multiplies a series by an integer, and no program builds a certificate
-file as a tree of dicts (the writer renders the records as text)."""
+"""Constructions that only the tests need: no program changes a generator,
+multiplies a series by an integer or evaluates a polynomial by Horner,
+and no program builds a certificate file as a tree of dicts (the writer
+renders the records as text)."""
 
 import json
 import math
@@ -23,6 +24,14 @@ def as_generator_transform(theta: Series, i_code: int, c: Series) -> Series:
     if fld.frob(i_code) != i_code:  # the prime field is fixed by Frobenius
         raise ValueError("i must lie in the prime field")
     return theta.scale(i_code) + c
+
+
+def horner(f, a: Series) -> Series:
+    """f(a) for a coefficient tuple f, constant term first, by Horner."""
+    acc = f[-1]
+    for c in reversed(f[:-1]):
+        acc = acc * a + c
+    return acc
 
 
 # The Fraction view of a sample, the oracle for its grid indices: a
@@ -125,7 +134,7 @@ def cert_tree(cert) -> dict:
         "base": _field_to_json(cert.base),
         "generator": series_tree(cert.generator),
         "generator_tail": _tail_tree(cert.generator_tail) if cert.generator_tail else None,
-        "min_poly": [series_tree(c) for c in cert.min_poly.coeffs],
+        "min_poly": [series_tree(c) for c in cert.min_poly],
         "residual_floor": _floor_text(cert),
         "sample": _sample_tree(cert.sample),
         "dist": _enclosure_tree(cert.dist),

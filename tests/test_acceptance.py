@@ -27,7 +27,7 @@ from defectlab.cuts import Cut, ExtRat, segment_affine
 from defectlab.fields import preset_field
 from defectlab.kummer import pth_power_difference_check
 from defectlab.series import MIXED, Series, invert, make_context, zeta_p
-from helpers import cut_of_sample, realized, values
+from helpers import cut_of_sample, horner, realized, values
 
 
 def q(n, d=1):
@@ -202,7 +202,7 @@ def test_c04_artin_schreier_solver():
                 terms[Fraction(0)] = rng.choice(image)
                 b = Series.make(ctx, terms)
                 res = as_root(b, ExtRat.of(q(4 * p * p + 8)))
-                resid = degree_p_poly(ARTIN_SCHREIER, b.neg()).evaluate(res.theta)
+                resid = horner(degree_p_poly(ARTIN_SCHREIER, b.neg()), res.theta)
                 assert residual_window_violations(resid, res.residual_floor) == []
                 # the exception window [floor, 0) is fully certified and
                 # at least p^4 refinement levels deep (so no wider than
@@ -249,7 +249,7 @@ def test_c06_family_pipeline(tmp_path):
         assert len(cf.certs) == 10
         sets = [frozenset(values(c.sample)) for c in cf.certs]
         assert len(set(sets)) == 10
-        consts = [c.min_poly.coeffs[0].terms for c in cf.certs]
+        consts = [c.min_poly[0].terms for c in cf.certs]
         assert len(set(consts)) == 10
         # degree 2 = defect * e * f with e = 2 (ramified) and f = 1
         for cert in cf.certs:
@@ -352,7 +352,7 @@ def test_c10_kummer_family_pipeline(tmp_path):
     for cert in cf.certs:
         one = Series.one(cert.base.ctx)
         assert (cert.generator - one).valuation() > ExtRat.of(0)
-        rhs = cert.min_poly.coeffs[0].neg()
+        rhs = cert.min_poly[0].neg()
         assert member_witness(cert.base, rhs)
         assert cert.claims.classification == "super_dependent"
         bounds = dict(cert.claims.bounds)

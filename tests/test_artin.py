@@ -24,7 +24,7 @@ from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from defectlab.fields import BudgetTooSmall, preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
 from defectlab.series import EQUAL, Series, make_context
-from helpers import as_generator_transform, values
+from helpers import as_generator_transform, horner, values
 
 
 def q(n, d=1):
@@ -33,7 +33,7 @@ def q(n, d=1):
 
 def residual(res, b):
     """theta^p - theta - b for an Artin-Schreier root of X^p - X - b."""
-    return degree_p_poly(ARTIN_SCHREIER, b.neg()).evaluate(res.theta)
+    return horner(degree_p_poly(ARTIN_SCHREIER, b.neg()), res.theta)
 
 
 K2 = preset_field("fp_t", 2)
@@ -370,7 +370,7 @@ class TestCertifyEdges:
         assert inside
         sample = cert.sample._replace(no_max="unknown", realized=inside)
         out = certify(cert.kind, K2, cert.generator, cert.generator_tail,
-                      cert.min_poly.coeffs[0], cert.residual_floor, sample, Claims(), ())
+                      cert.min_poly[0], cert.residual_floor, sample, Claims(), ())
         assert out.claims == Claims()
         assert out.dist == CutEnclosure(Cut(ExtRat.of(-1), True), cert.sample.upper)
         assert out.min_poly == cert.min_poly
@@ -382,4 +382,4 @@ class TestCertifyEdges:
         certs = as_family(eta, K2, d, 1, sample)
         single = transform_inseparable(eta, K2, d, sample)
         assert certs[0].sample.realized == single.sample.realized
-        assert certs[0].min_poly.coeffs[0] == single.min_poly.coeffs[0]
+        assert certs[0].min_poly[0] == single.min_poly[0]

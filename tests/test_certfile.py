@@ -26,8 +26,8 @@ from defectlab.cli import main
 from defectlab.cuts import PLUS_INF, ExtRat
 from defectlab.fields import preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
-from defectlab.series import EQUAL, MIXED, Polynomial, Series, make_context
-from helpers import as_generator_transform, cert_tree, oracle_text, series_tree
+from defectlab.series import EQUAL, MIXED, Series, make_context
+from helpers import as_generator_transform, cert_tree, horner, oracle_text, series_tree
 
 
 def q(n, d=1):
@@ -265,12 +265,12 @@ def test_forged_artin_schreier_member_named_diff(tmp_path, capsys):
     cf = read_certificate_file(str(path))
     cert = cf.certs[0]
     t = Series.monomial(cert.base.ctx, 1)
-    coeffs = cert.min_poly.coeffs
+    coeffs = cert.min_poly
     realized = tuple((k, w + t) for k, w in cert.sample.realized if k != -cert.base.ctx.D)
     assert len(realized) < len(cert.sample.realized)
     forged = cert._replace(
         generator=as_generator_transform(cert.generator, 1, t),
-        min_poly=Polynomial.make((coeffs[0] - (t * t - t),) + coeffs[1:]),
+        min_poly=(coeffs[0] - (t * t - t),) + coeffs[1:],
         sample=cert.sample._replace(realized=realized),
     )
     write_certificate_file(str(path), cf._replace(certs=cf.certs + (forged,)))
@@ -693,9 +693,41 @@ def test_kummer_floor_off_the_grid_is_refused_at_load(tmp_path, capsys):
                        "the grid (1/D)Z, D=65536\n")
 
 
+@pytest.mark.parametrize(
+    "min_poly, count",
+    [([], 0), ([{"mode": "mixed", "precision": "+inf", "terms": []}], 1)],
+    ids=["empty", "exact-zero"],
+)
+def test_min_poly_without_a_leading_coefficient_is_refused_at_load(tmp_path, capsys,
+                                                                  min_poly, count):
+    # the reader's own check refuses a polynomial with no nonzero top
+    # coefficient, before the shape check could name it
+    obj = json.loads((CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json").read_text())
+    obj["certs"][0]["min_poly"] = min_poly
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"cannot load certificate file: certs[0]: min_poly of {count} "
+                       "coefficients is empty or ends in a zero one\n")
+
+
+def test_kummer_residual_is_the_horner_residual():
+    # verify reads a Kummer floor from theta^p + c0 once the shape check has
+    # proved f = X^p + c0; over the corpus that is f(theta) by Horner, terms
+    # and precision both
+    certs = [c for path in sorted(CORPUS.glob("*kummerfamily-*.json"))
+             for c in read_certificate_file(str(path)).certs]
+    assert len(certs) == 7 and all(c.kind == "kummer" for c in certs)
+    for cert in certs:
+        gen, f = cert.generator, cert.min_poly
+        assert gen.pow_int(gen.ctx.p) + f[0] == horner(f, gen)
+
+
 @pytest.mark.parametrize("floor", ["+inf", "0/1", "-1/2", "1/2", "1/64"])
 def test_kummer_floor_is_rederived(tmp_path, capsys, floor):
-    # f(theta) of member 1 is term-free below its precision 33/64, so a
+    # theta^p + c0 of member 1 is term-free below its precision 33/64, so a
     # forged floor on the grid leaves no residual term outside any window;
     # only re-deriving the floor refuses it
     obj = json.loads((CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json").read_text())

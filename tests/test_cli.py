@@ -7,6 +7,7 @@ import pytest
 
 import defectlab
 from defectlab.cli import build_parser, main
+from defectlab.ffield import MAX_Q, FiniteField
 
 
 def run(argv):
@@ -17,6 +18,37 @@ def test_field(capsys):
     assert run(["field", "--base", "fp_t", "--p", "2"]) == 0
     out = capsys.readouterr().out
     assert "rational_function" in out
+
+
+@pytest.mark.parametrize(
+    "size, q",
+    [(["--p", "2", "--q", "1024"], "2^10"), (["--p", "1000003"], "1000003^1"),
+     (["--p", "10007"], "10007^1")],
+    ids=["q-1024", "p-1000003", "p-10007"],
+)
+def test_field_above_max_q_is_a_usage_error(size, q, capsys, monkeypatch):
+    # F_q keeps q x q tables, so a q above MAX_Q is refused before the
+    # primality test and before any table is built
+    monkeypatch.setattr(FiniteField, "_build_tables", lambda self: pytest.fail("tables built"))
+    assert run(["field", "--base", "fp_t", *size]) == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: q = {q} needs m >= 1 and q <= MAX_Q = {MAX_Q}\n"
+
+
+@pytest.mark.parametrize("p", ["1", "0"])
+def test_q_over_a_p_below_two_is_a_usage_error(p):
+    # no q > 1 is a power of 1 or of 0: the search for the exponent must
+    # end (1 divides every q) and must not divide by zero; a child process,
+    # so that a search that never ends fails on its timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "defectlab", "field", "--base", "fp_t", "--p", p, "--q", "4"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=Path(defectlab.__file__).resolve().parents[1],
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (64, "", "--q must be a power of --p\n")
 
 
 def test_distance_fp_t(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from defectlab.ffield import FiniteField, finite_field
+from defectlab.ffield import MAX_Q, FiniteField, finite_field
 
 
 def test_prime_field_arithmetic():
@@ -83,3 +83,10 @@ def test_repr_and_parse():
 def test_bad_prime_rejected():
     with pytest.raises(ValueError):
         FiniteField(4)
+
+
+@pytest.mark.parametrize("p, m", [(2, 9), (257, 1), (1000003, 1)])
+def test_q_above_max_q_rejected(p, m):
+    assert p ** m > MAX_Q
+    with pytest.raises(ValueError, match=f"^q = {p}\\^{m} needs m >= 1 and q <= MAX_Q = 256$"):
+        FiniteField(p, m)

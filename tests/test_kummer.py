@@ -18,7 +18,6 @@ from defectlab.kummer import (
 from defectlab.series import (
     MIXED,
     ConvergenceError,
-    Polynomial,
     Series,
     grid_bound,
     newton_root,
@@ -223,7 +222,7 @@ class TestClassify:
         assert QT2.ctx.D == 2 ** 16
         sample = cert.sample._replace(realized=((k, cert.sample.realized[0][1]),), upper=upper)
         return certify(cert.kind, QT2, cert.generator, cert.generator_tail,
-                       cert.min_poly.coeffs[0], cert.residual_floor, sample, Claims(),
+                       cert.min_poly[0], cert.residual_floor, sample, Claims(),
                        cert.provenance)
 
     def test_boundary_is_unknown(self):
@@ -307,13 +306,13 @@ def test_newton_constant_cut_at_the_target_changes_no_root(monkeypatch):
         # the family refines from eta itself, so its constant is -eta^2 cut
         # at the target, a strict cut of the full one
         eta_p = eta.pow_int(2)
-        cut, *rest = f.coeffs
+        cut, *rest = f
         assert cut == eta_p.truncate(target).neg()
         assert eta_p.precision > ExtRat.of(target)
-        want = newton_root(Polynomial.make((eta_p.neg(), *rest)), eta, target)
+        want = newton_root((eta_p.neg(), *rest), eta, target)
         got = newton_root(f, eta, target)
         assert (got.kterms, got.kprec) == (want.kterms, want.kprec)
         # the horizon is tight: one grid step short, the residual runs out
         short = eta_p.truncate(target - Fraction(1, eta.ctx.D)).neg()
         with pytest.raises(ConvergenceError, match="residual is zero only to precision"):
-            newton_root(Polynomial.make((short, *rest)), eta, target)
+            newton_root((short, *rest), eta, target)

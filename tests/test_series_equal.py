@@ -8,7 +8,6 @@ from defectlab.cuts import ExtRat, PLUS_INF
 from defectlab.series import (
     EQUAL,
     DenominatorBoundError,
-    Polynomial,
     Series,
     invert,
     make_context,
@@ -130,11 +129,11 @@ def test_invert_random_contract():
 
 def test_newton_linear_and_exact_root():
     t = mono(CTX2, 1)
-    f = Polynomial.make((t.neg(), Series.one(CTX2)))  # X - t
+    f = (t.neg(), Series.one(CTX2))  # X - t
     assert newton_root(f, Series.zero(CTX2, ExtRat.of(q(10))), ExtRat.of(q(8))).terms == t.terms
 
     # X^2 - t^2 from start t is already exact
-    f2 = Polynomial.make(((t * t).neg(), Series.zero(CTX2), Series.one(CTX2)))
+    f2 = ((t * t).neg(), Series.zero(CTX2), Series.one(CTX2))
     r = newton_root(f2, t, ExtRat.of(q(9)))
     assert (r * r - t * t).vlow() >= ExtRat.of(q(9))
 

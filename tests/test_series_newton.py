@@ -15,9 +15,9 @@ from defectlab.cuts import ExtRat, PLUS_INF
 from defectlab.series import (
     ConvergenceError,
     DenominatorBoundError,
-    Polynomial,
     PrecisionError,
     Series,
+    _taylor_shift,
     invert,
     make_context,
     newton_root,
@@ -28,13 +28,13 @@ CTXS = [make_context(mode, p, m) for mode in ("equal", "mixed") for p in (2, 3) 
 
 
 def newton_root_full_shift(f, start, target_precision, max_steps=200):
-    """The refinement loop with one full shift ``f.shifted(x)`` per step."""
+    """The refinement loop with one full shift ``_taylor_shift(f, x)`` per step."""
+    if len(f) < 2:
+        raise ValueError("newton_root needs a polynomial of degree at least 1")
     target_precision = ExtRat.of(target_precision)
     if not target_precision.is_finite:
         raise PrecisionError("newton_root needs a finite target precision")
-    if f.degree == 0:
-        raise ValueError("newton_root needs a polynomial of degree at least 1")
-    ctx = f.ctx
+    ctx = f[0].ctx
     D = ctx.D
 
     def declare(s, precision):
@@ -44,7 +44,7 @@ def newton_root_full_shift(f, start, target_precision, max_steps=200):
     x = start
     last_vf = None
     for _ in range(max_steps):
-        shifted = f.shifted(x)
+        shifted = _taylor_shift(f, x)
         fx, fpx = shifted[0], shifted[1]
         if fx.vlow() >= target_precision:
             if fpx.is_zero and fpx.precision.is_finite:
@@ -131,7 +131,7 @@ def _target(draw, ctx):
 def _random_case(draw):
     ctx = draw(st.sampled_from(CTXS))
     coeffs = [draw(_series(ctx)) for _ in range(draw(st.integers(1, 4)))]
-    return Polynomial.make(coeffs + [Series.one(ctx)]), draw(_series(ctx, 0, 4)), draw(_target(ctx))
+    return (*coeffs, Series.one(ctx)), draw(_series(ctx, 0, 4)), draw(_target(ctx))
 
 
 @st.composite
@@ -147,7 +147,7 @@ def _planted_case(draw):
         coeffs[0] = coeffs[0] + draw(_series(ctx, 4, 12, 2))
     cut = ExtRat.of(Fraction(draw(st.integers(0, 12)), draw(st.sampled_from([1, ctx.p, ctx.p ** 2]))))
     start = Series(ctx, r.truncate(cut).kterms, ctx.kcap(draw(_precision(ctx))))
-    return Polynomial.make(coeffs), start, draw(_target(ctx))
+    return tuple(coeffs), start, draw(_target(ctx))
 
 
 @st.composite
@@ -166,7 +166,7 @@ def _kummer_case(draw):
     eta = Series.one(ctx, eta.precision) + eta
     coeffs = [Series.zero(ctx, eta.precision) - eta.pow_int(p)]
     coeffs += [int_scale(d.pow_int(p - i), math.comb(p, i)) for i in range(1, p)]
-    return Polynomial.make(coeffs + [Series.one(ctx)]), eta, draw(_target(ctx))
+    return (*coeffs, Series.one(ctx)), eta, draw(_target(ctx))
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,11 +179,11 @@ def test_pinned_cancellation_keeps_the_full_shift():
     # x + m cancels the leading term of x, so v(x + m) > v(x): the product
     # precisions of a moved shift would fall below those of the full one
     ctx = make_context("equal", 2)
-    f = Polynomial.make((
+    f = (
         Series.zero(ctx, ExtRat.of(14)),
         Series.make(ctx, {Fraction(1, 2): 1, Fraction(3, 4): 1}, ExtRat.of(4)),
         Series.one(ctx),
-    ))
+    )
     start, target = Series.one(ctx, ExtRat.of(14)), ExtRat.of(9)
     assert str(newton_root(f, start, target)) == "0 [prec 17/2]"
     assert_same_as_full_shift(f, start, target)
@@ -194,7 +194,7 @@ def test_pinned_start_below_the_horizon_keeps_the_full_shift():
     # working horizon, so the next step must shift f in full again
     ctx = make_context("equal", 2, 2)
     code = ctx.field.parse_code
-    f = Polynomial.make((Series.make(ctx, {0: code([1, 1]), 7: 1}), Series.one(ctx)))
+    f = (Series.make(ctx, {0: code([1, 1]), 7: 1}), Series.one(ctx))
     start, target = Series.make(ctx, {0: code([0, 1])}, ExtRat.of(7)), ExtRat.of(10)
     assert str(newton_root(f, start, target)) == "[1, 1] + t^7 [prec 10/1]"
     assert_same_as_full_shift(f, start, target)
@@ -204,7 +204,7 @@ def test_off_grid_target_is_refused():
     # 10/3 is off the grid (1/D)Z of D = 2^8; rounding the target up would
     # certify a horizon the residual never reached
     ctx = make_context("equal", 2)
-    f = Polynomial.make((Series.monomial(ctx, 1), Series.one(ctx)))
+    f = (Series.monomial(ctx, 1), Series.one(ctx))
     with pytest.raises(DenominatorBoundError, match="^precision 10/3 needs denominator 3, bound is D=256$"):
         newton_root(f, Series.zero(ctx), ExtRat.of(Fraction(10, 3)))
 
@@ -213,19 +213,19 @@ def test_kummer_roots_move_the_shift(monkeypatch, tmp_path, capsys):
     # each root of a Kummer family shifts f in full at most twice; the
     # other polygon steps move the previous shift
     full_shifts = []
-    solve, shift = series.newton_root, Polynomial.shifted
+    solve, shift = series.newton_root, series._taylor_shift
 
     def counting_root(f, start, target):
         full_shifts.append([f, 0])
         return solve(f, start, target)
 
-    def counting_shift(poly, a):
-        if full_shifts and poly is full_shifts[-1][0]:
+    def counting_shift(f, a):
+        if full_shifts and f is full_shifts[-1][0]:
             full_shifts[-1][1] += 1
-        return shift(poly, a)
+        return shift(f, a)
 
     monkeypatch.setattr("defectlab.kummer.newton_root", counting_root)
-    monkeypatch.setattr(Polynomial, "shifted", counting_shift)
+    monkeypatch.setattr(series, "_taylor_shift", counting_shift)
     argv = ["kummerfamily", "--base", "qp_pdiv_tower", "--p", "2", "--q", "2",
             "--n", "1", "--budget", "5", "--out", str(tmp_path / "k.json")]
     assert main(argv) == 0
@@ -239,7 +239,7 @@ def test_budget_message_names_the_step_limit(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(series, "NEWTON_MAX_STEPS", 1)
     ctx = make_context("mixed", 2)
     nine = Series.from_int(ctx, 9).truncate(ExtRat.of(10))
-    f = Polynomial.make((nine.neg(), Series.zero(ctx), Series.one(ctx)))
+    f = (nine.neg(), Series.zero(ctx), Series.one(ctx))
     try:
         newton_root(f, Series.one(ctx, ExtRat.of(10)), ExtRat.of(8))
     except ConvergenceError as exc:

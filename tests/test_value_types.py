@@ -12,7 +12,7 @@ from defectlab.certfile import SessionConfig, make_certificate_file, write_certi
 from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from defectlab.ffield import finite_field
 from defectlab.fields import FieldDesc, listing_index, preset_field
-from defectlab.series import EQUAL, MIXED, Polynomial, Series, SeriesContext, make_context
+from defectlab.series import EQUAL, MIXED, Series, SeriesContext, make_context
 
 K2 = preset_field("fp_t", 2)
 
@@ -38,10 +38,6 @@ def _equal_pairs():
             TailSchema(Fraction(0), Fraction(-1, 4), "tail"),
             TailSchema(Fraction(0), Fraction(-2, 8), "tail"),
         ),
-        "Polynomial": (
-            Polynomial((Series.monomial(ctx, 1), Series.one(ctx))),
-            Polynomial((Series.monomial(K2.ctx, 1), Series.one(K2.ctx))),
-        ),
     }
 
 
@@ -62,7 +58,6 @@ def test_unequal_values_differ():
     assert make_context(EQUAL, 2) != make_context(MIXED, 2)
     assert preset_field("fp_t", 2) != preset_field("laurent", 2)
     assert TailSchema(Fraction(0), Fraction(-1), "a") != TailSchema(Fraction(0), Fraction(-1), "b")
-    assert Polynomial((Series.one(K2.ctx),)) != Polynomial((Series.zero(K2.ctx),))
     # a value is never equal to another type's value of the same fields
     assert Cut(half, True) != (half, True)
     assert (Cut(half, True) == CutEnclosure(Cut(half, True), Cut(half, True))) is False
@@ -101,7 +96,6 @@ def test_context_equality_ignores_the_field_object():
             ValueError,
             "tail region [low, sup) is empty",
         ),
-        (lambda: Polynomial(()), ValueError, "polynomial needs at least one coefficient"),
     ],
 )
 def test_construction_errors_keep_type_and_message(build, exc, message):
