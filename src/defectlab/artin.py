@@ -35,7 +35,7 @@ from .approx import (
     value_set,
 )
 from .cuts import Cut, CutEnclosure, ExtRat
-from .fields import FieldDesc, enumerate_elements, member_witness
+from .fields import FieldDesc, listing_index, member_witness
 from .series import (
     EQUAL,
     DenominatorBoundError,
@@ -400,7 +400,7 @@ def sigma_sample(cert: ExtensionCert) -> SigmaSample:
     shifted = theta + Series.one(ctx)
     # (theta^j, (sigma theta)^j) for j = 1..p-1, shared by every c
     powers = [(theta.pow_int(j), shifted.pow_int(j)) for j in range(1, p)]
-    for c in enumerate_elements(cert.base, 1):
+    for c in listing_index(cert.base, 1).elements:
         if c.is_zero:
             continue
         for tj, sj in powers:

@@ -30,7 +30,7 @@ from .certfile import (
     verify_certificate,
     write_certificate_file,
 )
-from .fields import PRESET_NAMES, BudgetTooSmall, FieldDesc, enumerate_elements, preset_field
+from .fields import PRESET_NAMES, BudgetTooSmall, FieldDesc, element_stream, preset_field
 from .kummer import kummer_family, lab_superdependent_unit
 from .series import MIXED, ConvergenceError, PrecisionError, Series, grid_bound
 
@@ -67,8 +67,14 @@ def cmd_field(args) -> int:
           f"mode={K.ctx.mode}, D={K.ctx.D}")
     print(f"  value group: {f'Z[1/{K.ctx.p}]' if K.leveled else 'Z'}")
     print(f"  flags: leveled={K.leveled} perfect={K.perfect} complete={K.complete}")
-    els = enumerate_elements(K, 1)
-    shown = ", ".join(str(e) for e in els[:6])
+    # the first six of enumerate_elements(K, 1), read off the stream: for
+    # fp_t the whole listing holds about q^4 elements
+    first = {}
+    for e in element_stream(K, 1):
+        first[e] = None
+        if len(first) == 6:
+            break
+    shown = ", ".join(str(e) for e in first)
     print(f"  first elements at height 1: {shown}")
     return EX_OK
 

@@ -145,8 +145,8 @@ def enumerate_elements(K: FieldDesc, height: int) -> List[Series]:
     elements of ``element_stream(K, height)``, each listed once, at its
     first occurrence.
 
-    Each call builds a new list.  The cached listing is
-    ``listing_index(K, height).elements``, which calls this on a miss.
+    Each call builds a new list.  Its one caller, ``listing_index``,
+    caches it as ``listing_index(K, height).elements``.
     """
     return list(dict.fromkeys(element_stream(K, height)))
 

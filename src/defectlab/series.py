@@ -42,10 +42,7 @@ from typing import Dict, Optional, Tuple
 from . import teichmueller
 from .cuts import ExtRat, PLUS_INF, RatLike
 from .ffield import FiniteField, finite_field
-
-
-class PrecisionError(ArithmeticError):
-    """An operation would need terms beyond the certified horizon."""
+from .teichmueller import PrecisionError
 
 
 class DenominatorBoundError(ValueError):

@@ -20,11 +20,8 @@ if TYPE_CHECKING:
     from .series import SeriesContext
 
 
-def _precision_error(msg: str) -> ArithmeticError:
-    # series imports this module, so its error class is looked up on use
-    from .series import PrecisionError
-
-    return PrecisionError(msg)
+class PrecisionError(ArithmeticError):
+    """An operation would need terms beyond the certified horizon."""
 
 
 @lru_cache(maxsize=None)
@@ -77,7 +74,7 @@ def digits(ctx: SeriesContext, u, k0: int, n: Optional[int]) -> List[Tuple[int, 
             if n is not None:
                 u &= (1 << n) - 1
             elif u < 0:
-                raise _precision_error(
+                raise PrecisionError(
                     "negative values have non-terminating 2-adic expansions; "
                     "pass a finite precision"
                 )
@@ -152,7 +149,7 @@ def normalize(
             if p != 2 and sign < 0:
                 code, sign = fld.neg(code), 1
             if sign < 0 or k in merged:
-                raise _precision_error(
+                raise PrecisionError(
                     "exact (infinite-precision) digit carries are only "
                     "available for prime fields with p in {2, 3}; pass a "
                     "finite precision"

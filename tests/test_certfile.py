@@ -658,6 +658,8 @@ def _config_precision(obj):
         # a realized value is a grid index: off the grid (1/D)Z it has none
         (_edit("certs.0.sample.realized.0", lambda entry: entry.update(value="1/3")),
          "certs[0]: realized value '1/3' is off the grid (1/D)Z, D=256"),
+        (_edit("certs.0.sample.realized.0", lambda entry: entry.update(value="-1/3")),
+         "certs[0]: realized value '-1/3' is off the grid (1/D)Z, D=256"),
     ],
     ids=["renamed-field", "perfect-base", "tail-cofinal", "tail-denominators",
          "tail-partials", "config-precision", "unknown-kind",
@@ -666,7 +668,8 @@ def _config_precision(obj):
          "term-beyond-precision", "terms-reversed", "coeff-plus-p", "coeff-bool",
          "min-poly-trailing-zero", "version-float", "budget-float", "cert-extra-key",
          "claims-extra-key", "pair-of-three", "precision-off-grid", "exp-over-digit-limit",
-         "floor-minus-inf", "floor-off-grid", "value-plus-inf", "value-off-grid"],
+         "floor-minus-inf", "floor-off-grid", "value-plus-inf", "value-off-grid",
+         "value-off-grid-negative"],
 )
 def test_reader_refuses_what_no_writer_produces(tmp_path, capsys, forge, message):
     obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import defectlab
-from defectlab.cli import build_parser, main
+from defectlab.cli import _build_field, build_parser, main
 from defectlab.ffield import MAX_Q, FiniteField
+from defectlab.fields import PRESET_NAMES, enumerate_elements
 
 
 def run(argv):
@@ -18,6 +20,38 @@ def test_field(capsys):
     assert run(["field", "--base", "fp_t", "--p", "2"]) == 0
     out = capsys.readouterr().out
     assert "rational_function" in out
+
+
+_FIELD_GRID = [(base, p, m) for base in PRESET_NAMES for p, m in ((2, 1), (3, 1), (2, 2), (3, 2))]
+
+
+@pytest.mark.parametrize(
+    "base, p, m", _FIELD_GRID + [("fp_t", 2, 4)],
+    ids=[f"{base}-q{p ** m}" for base, p, m in _FIELD_GRID] + ["fp_t-q16"],
+)
+def test_field_shows_the_first_six_listed_elements(base, p, m, capsys):
+    assert run(["field", "--base", base, "--p", str(p), "--q", str(p ** m)]) == 0
+    K = _build_field(argparse.Namespace(base=base, p=p, q_power=m))
+    shown = ", ".join(str(e) for e in enumerate_elements(K, 1)[:6])
+    assert capsys.readouterr().out.splitlines()[-1] == f"  first elements at height 1: {shown}"
+
+
+def test_field_lists_no_more_than_it_shows():
+    # fp_t's height-1 listing holds about q^4 elements; field shows six of
+    # them, so it must not build the rest.  A child process, so that a
+    # listing of 64^4 elements fails on its timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "defectlab", "field", "--base", "fp_t", "--p", "2", "--q", "64"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        cwd=Path(defectlab.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    # an element of F_64 prints as its digit vector, so count precisions
+    shown = proc.stdout.splitlines()[-1]
+    assert shown.startswith("  first elements at height 1: "), proc.stdout
+    assert shown.count(" [prec ") == 6, proc.stdout
 
 
 @pytest.mark.parametrize(

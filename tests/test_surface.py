@@ -5,8 +5,8 @@ script) under a ``sys.settrace`` hook that records the code object of
 every frame it sees, and then asks, for each top-level function of
 ``src/defectlab`` and each method of its top-level classes (dunders
 included), whether a frame of it was ever entered.  The programs are the
-commands and the scripts, on the inputs the benchmark, the corpus and CI
-give them:
+commands and the scripts, on the inputs the benchmark, the corpus and
+``SCRIPT_RUNS`` give them:
 
 * every ``perfbench/golden.json`` job with ``--out``, and ``verify`` of
   the file it writes;
@@ -15,7 +15,7 @@ give them:
   ``--budget 2 --n 1`` where the command takes them, and
   ``field --base fp_t --p 2 --q 16``;
 * ``scripts/family_survey.py`` and ``scripts/mixed_demo.py`` with the
-  arguments CI runs them with.
+  arguments ``SCRIPT_RUNS`` gives them.
 
 The interpreter is a fresh one because the package caches listings,
 contexts, lifts and its parser: a call an earlier test made must not
@@ -68,12 +68,6 @@ ALLOWED = {
     "cuts.ExtRat.__neg__": _TRACED_OP,
     "cuts.ExtRat.__sub__": _TRACED_OP,
     "cuts.ExtRat.__rsub__": _TRACED_OP,
-    "teichmueller._precision_error": (
-        "builds the PrecisionError of an exact (infinite-precision) sum that "
-        "has no finite digit expansion; no program sums exactly, and "
-        "tests/test_series_mixed.py::test_exact_p2_negative_difference_is_refused "
-        "and ::test_exact_p5_carry_is_refused feed it"
-    ),
 }
 
 
@@ -194,6 +188,24 @@ def test_exemptions_name_existing_definitions():
     stale = [q for q in ALLOWED if q not in _functions() or q not in never_entered()]
     assert not stale, f"allowed but entered or gone: {stale}"
     assert all(isinstance(r, str) and r for r in ALLOWED.values())
+
+
+def test_scripts_run_as_processes():
+    # each script as a user runs it, from the checkout root in a process of
+    # its own; a count below 1 is refused by the parser (exit 2) before any work
+    runs = [(script, args, 0) for script, args in SCRIPT_RUNS] + [
+        ("family_survey.py", ["--budget", "0"], 2),
+        ("mixed_demo.py", ["--n", "0"], 2),
+    ]
+    env = dict(os.environ, PYTHONPATH="src")
+    for script, args, rc in runs:
+        proc = subprocess.run(
+            [sys.executable, str(Path("scripts", script)), *args],
+            capture_output=True, text=True, cwd=ROOT, env=env, timeout=120,
+        )
+        assert proc.returncode == rc, (script, args, proc.stderr)
+        if rc:
+            assert "must be at least 1, got 0" in proc.stderr, (script, args, proc.stderr)
 
 
 def test_only_certfile_spells_the_file():
