@@ -116,41 +116,41 @@ def as_root(b: Series, precision) -> ASRoot:
             f"the Artin-Schreier solver takes b without positive exponents"
         )
     p = ctx.p
-    precision = min(ExtRat.of(precision), b.precision)
-
+    field = ctx.field
     r0 = dict(b.kterms).get(0, 0)
 
-    roots = ctx.field.artin_schreier_roots(r0)
+    roots = field.artin_schreier_roots(r0)
     if not roots:
         raise ValueError(
-            f"residue equation x^{p} - x = {ctx.field.repr_code(r0)} has no root in "
+            f"residue equation x^{p} - x = {field.repr_code(r0)} has no root in "
             f"F_{ctx.q}; extend the residue field"
         )
     rho = roots[0]
+    kcap = ctx.grid_k(min(ExtRat.of(precision), b.precision), "precision")
 
+    # theta as grid index -> code: rho plus every part, summed in one pass
+    acc = {0: rho} if rho else {}
+    kfloor = math.inf
     # the stored negative terms are exact regardless of b's horizon
     b_neg = Series(ctx, tuple(t for t in b.kterms if t[0] < 0), math.inf)
-
-    acc = {Fraction(0): rho} if rho else {}
-    theta = Series.make(ctx, acc, precision)
-
-    kfloor = math.inf
     if not b_neg.is_zero:
-        parts: List[Series] = []
         x = b_neg
         # x^(1/p) stays on the grid while p divides every numerator
         while all(k % p == 0 for k, _ in x.kterms):
             x = pth_root(x)
-            parts.append(x)
-        if not parts:
+            for k, c in x.kterms:
+                r = field.add(acc.get(k, 0), c)
+                if r:
+                    acc[k] = r
+                else:
+                    del acc[k]  # c is nonzero, so k held a code
+        if x is b_neg:
             raise DenominatorBoundError(
                 "the session bound D admits no fractional refinement of the exponents"
             )
-        for part in parts:
-            theta = theta + part
-        kfloor = parts[-1].valuation_k()
+        kfloor = x.valuation_k()
 
-    theta = theta.truncate(precision)
+    theta = Series(ctx, tuple(sorted(t for t in acc.items() if t[0] < kcap)), kcap)
     return ASRoot(theta, root_tail(kfloor, ctx), kfloor)
 
 
@@ -249,14 +249,16 @@ def transform_inseparable(
     theta_tilde = theta * d
     tilde_tail = tail.shift(vd) if tail is not None else None
 
-    v_tilde = theta_tilde.valuation().fraction
-    if v_tilde != veta:
-        raise AssertionError(f"v(d theta) = {v_tilde} differs from v(eta) = {veta}")
+    # the two identities, on grid indices
+    D, kveta = ctx.D, eta.valuation_k()
+    k_tilde = theta_tilde.valuation_k()
+    if k_tilde != kveta:
+        raise AssertionError(f"v(d theta) = {Fraction(k_tilde, D)} differs from v(eta) = {veta}")
 
-    gap = (eta - theta_tilde).valuation().fraction
-    if gap != threshold:
+    kgap = (eta - theta_tilde).valuation_k()
+    if p * kgap != (p - 1) * d.valuation_k() + kveta:
         raise AssertionError(
-            f"v(eta - d theta) = {gap}, expected ((p-1)v(d)+v(eta))/p = {threshold}"
+            f"v(eta - d theta) = {Fraction(kgap, D)}, expected ((p-1)v(d)+v(eta))/p = {threshold}"
         )
 
     # witness-by-witness equality of the two value sets
@@ -272,9 +274,8 @@ def transform_inseparable(
 
     # uniqueness of the extension of v via the purely inseparable comparison:
     # eta/d is purely inseparable over K and sits strictly closer to theta
-    # than K does
-    ratio_gap = (ratio - theta).valuation().fraction
-    if not Cut(ratio_gap, True) > merged.upper:
+    # than K does: v(ratio - theta) lies outside the lower set of the upper cut
+    if (ratio - theta).valuation_k() < ctx.kout(merged.upper):
         raise AssertionError("comparison element is not strictly closer than K")
 
     claims = Claims(
@@ -283,7 +284,7 @@ def transform_inseparable(
         bounds=(
             ("upper_eta", str(upper)),
             ("threshold", str(threshold)),
-            ("v_eta_minus_theta_tilde", str(gap)),
+            ("v_eta_minus_theta_tilde", str(threshold)),  # v(eta - d theta), checked above
         ),
     )
     return certify(

@@ -301,11 +301,15 @@ def _array(texts: list, nl: str) -> str:
 
 
 def _object(nl: str, keys: str, *texts: str) -> str:
-    # ``keys`` names the texts, space-separated, in sorted order.  It costs a
-    # split and a format per key, so series and realized entries, most of a
-    # file's bytes, are f-strings of their own.
+    # ``keys`` names the texts, space-separated, in sorted order
+    return _object_format(nl, keys).format(*texts)
+
+
+@lru_cache(maxsize=None)
+def _object_format(nl: str, keys: str) -> str:
+    # one format string per record shape, its keys' texts as the fields
     inner = nl + " "
-    return "{" + inner + ("," + inner).join(map('"{}": {}'.format, keys.split(), texts)) + nl + "}"
+    return "{{" + inner + ("," + inner).join(f'"{k}": {{}}' for k in keys.split()) + nl + "}}"
 
 
 @lru_cache(maxsize=None)

@@ -534,7 +534,8 @@ def invert(a: Series, target_precision: RatLike) -> Series:
     mixed characteristic, whose sums carry, from the product
     (1 - y)(1 + y^2)(1 + y^4)..., one squaring per doubling of the number
     of terms of the geometric series sum (-y)^k.  Both give every term of
-    1/(1 + y) below the relative precision.
+    1/(1 + y) below the relative precision.  When a has no second term
+    below the relative precision, y = 0 and 1/a is one term.
     """
     if a.is_zero:
         raise ZeroDivisionError("zero series has no inverse")
@@ -552,10 +553,10 @@ def invert(a: Series, target_precision: RatLike) -> Series:
     if kt <= a.kprec:  # an off-grid relative precision: refused
         ctx.grid_k(target_precision.fraction - va, "precision")
     lc_inv = ctx.field.inv(a.leading_coeff())
+    if len(a.kterms) == 1 or a.kterms[1][0] - kva >= rel:  # y = 0 below rel
+        return Series(ctx, ((-kva, lc_inv),), rel - kva)
     w = _declare(a.shift(-va).scale(lc_inv), rel)
     y = w - Series(ctx, ((0, 1),), rel)
-    if y.is_zero:
-        return Series(ctx, ((-kva, lc_inv),), rel - kva)
     vy = y.kterms[0][0]
     if ctx.mode == EQUAL:
         add, mul, neg = ctx.field.add, ctx.field.mul, ctx.field.neg

@@ -23,7 +23,7 @@ from defectlab.artin import (
 from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from defectlab.fields import BudgetTooSmall, preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
-from defectlab.series import EQUAL, Series, make_context
+from defectlab.series import EQUAL, Series, make_context, pth_root
 from helpers import as_generator_transform, horner, values
 
 
@@ -117,6 +117,46 @@ class TestAsRoot:
                 assert resid.precision >= ExtRat.of(q(0))
 
 
+def summed_root(b, precision):
+    """as_root's theta and floor by one ``+`` per p-th root in the chain of
+    b's negative part: the oracle for its one-pass sum."""
+    ctx = b.ctx
+    precision = min(ExtRat.of(precision), b.precision)
+    rho = ctx.field.artin_schreier_roots(dict(b.kterms).get(0, 0))[0]
+    theta = Series.make(ctx, {q(0): rho} if rho else {}, precision)
+    x = Series(ctx, tuple(t for t in b.kterms if t[0] < 0), math.inf)
+    while all(k % ctx.p == 0 for k, _ in x.kterms):
+        x = pth_root(x)
+        theta = theta + x
+    return theta.truncate(precision), x.valuation_k()
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_one_pass_root_sum_matches_repeated_addition(p, m):
+    # c1 t^-p^2 + c2 t^-p + c3 t^-1: the chains of the three terms meet at
+    # -1/p^i, where the codes add and, for some c, cancel to 0
+    ctx = make_context(EQUAL, p, m)
+    F = ctx.field
+    image = sorted({F.sub(F.frob(x), x) for x in range(ctx.q)})
+    cancelled = 0
+    for c1 in range(1, ctx.q):
+        for c2 in range(1, ctx.q):
+            c3 = (c1 * c2 + c2) % (ctx.q - 1) + 1
+            terms = {q(-p * p): c1, q(-p): c2, q(-1): c3, q(0): image[c1 % len(image)]}
+            for b_prec, prec in [(PLUS_INF, PLUS_INF), (PLUS_INF, q(-1, p * p)),
+                                 (q(1), q(9)), (q(-1, p), PLUS_INF)]:
+                b = Series.make(ctx, terms, b_prec)
+                got = as_root(b, prec)
+                theta, kfloor = summed_root(b, prec)
+                assert (got.theta.kterms, got.theta.kprec) == (theta.kterms, theta.kprec)
+                assert got.residual_floor == kfloor
+                if b_prec == prec == PLUS_INF:
+                    # each chain takes 8 roots, down to t^(-p^j/p^8) at D = p^8
+                    reached = {-(p ** j) * ctx.D // p ** i for j in range(3) for i in range(1, 9)}
+                    cancelled += len(reached - {k for k, _ in theta.kterms})
+    assert cancelled  # some codes summed to 0 and were dropped
+
+
 def test_residual_window_rule():
     resid = Series.make(K2.ctx, {q(-1, 4): 1, q(-1, 8): 1, q(0): 1, q(3): 1})
 
@@ -196,6 +236,60 @@ class TestTransformInseparable:
         sample = value_set(eta, K2, 2)
         with pytest.raises(ValueError):
             transform_inseparable(eta, K2, d, sample)
+
+
+class TestTransformIdentityChecks:
+    """Each identity ``transform_inseparable`` checks, reached by a
+    perturbed root or sample, for eta = t^(1/2) and d = t over F_2(t):
+    v(d theta) = 1/2, v(eta - d theta) = 3/4 and v(eta/d - theta) = -1/4."""
+
+    eta = Series.monomial(K2.ctx, q(1, 2))
+    d = Series.monomial(K2.ctx, 1)
+
+    def transform(self):
+        return transform_inseparable(self.eta, K2, self.d, value_set(self.eta, K2, 3))
+
+    def perturb_root(self, monkeypatch, exp):
+        real = artin_mod.as_root
+
+        def root(b, precision):
+            r = real(b, precision)
+            return r._replace(theta=r.theta + Series.monomial(K2.ctx, exp))
+
+        monkeypatch.setattr(artin_mod, "as_root", root)
+
+    def test_valuation_of_d_theta(self, monkeypatch):
+        self.perturb_root(monkeypatch, q(-3, 2))
+        with pytest.raises(AssertionError) as exc:
+            self.transform()
+        assert str(exc.value) == "v(d theta) = -1/2 differs from v(eta) = 1/2"
+
+    def test_valuation_of_eta_minus_d_theta(self, monkeypatch):
+        self.perturb_root(monkeypatch, q(-3, 8))
+        with pytest.raises(AssertionError) as exc:
+            self.transform()
+        assert str(exc.value) == "v(eta - d theta) = 5/8, expected ((p-1)v(d)+v(eta))/p = 3/4"
+
+    @pytest.mark.parametrize("bound, attained, passes", [
+        (q(-1, 4), True, False),  # -1/4 lies in {q <= -1/4}
+        (q(-1, 4), False, True),
+        (q(-1, 4) - q(1, 512), True, True),  # the bounds between grid points
+        (q(-1, 4) + q(1, 512), False, False),
+    ])
+    def test_comparison_element_against_the_upper_cut(self, monkeypatch, bound, attained,
+                                                      passes):
+        real = artin_mod._merge_samples
+
+        def merge(a, b):
+            return real(a, b)._replace(upper=Cut(bound, attained))
+
+        monkeypatch.setattr(artin_mod, "_merge_samples", merge)
+        if passes:
+            assert self.transform().sample.upper == Cut(bound, attained)
+        else:
+            with pytest.raises(AssertionError) as exc:
+                self.transform()
+            assert str(exc.value) == "comparison element is not strictly closer than K"
 
 
 class TestAsFamily:

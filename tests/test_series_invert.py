@@ -4,15 +4,31 @@ the number of terms.  The truncation of 1/(1 + y) below the relative
 precision is unique, so the result, precision included, is the one the
 geometric series gives term by term, one product per term; that loop is
 kept here as the oracle.
+
+An input c * t^k with no second term below the relative precision has
+y = 0, so ``invert`` returns c^-1 * t^-k directly, after the two refusals;
+the oracle for it is 1 at the relative precision, scaled and shifted back,
+as the general path gives it.
 """
 
+import math
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from defectlab.cuts import ExtRat
-from defectlab.series import MIXED, Series, _declare, invert, make_context
+from defectlab.series import (
+    EQUAL,
+    MIXED,
+    DenominatorBoundError,
+    PrecisionError,
+    Series,
+    _declare,
+    invert,
+    make_context,
+)
 
 CTXS = {(p, m): make_context(MIXED, p, m) for p in (2, 3, 5) for m in (1, 2)}
 
@@ -78,3 +94,54 @@ def test_one_grid_step_above_the_leading_term_is_fast():
     assert (s.kterms, s.kprec) == (tuple((k, 1 + k % 2) for k in range(ctx.D)), ctx.D)
     residue = a * s - Series.one(ctx, s.precision)
     assert residue.is_zero or residue.kterms[0][0] >= ctx.D
+
+
+ONE_TERM_CTXS = [make_context(EQUAL, p, m) for p in (2, 3) for m in (1, 2)] + list(CTXS.values())
+
+
+def general_invert(a, target):
+    """1/a by the general path for an a whose y is zero: 1 at the relative
+    precision, times lc^-1 * t^(-v(a))."""
+    ctx = a.ctx
+    kva, lc = a.kterms[0]
+    va, lc_inv = Fraction(kva, ctx.D), ctx.field.inv(lc)
+    rel = min(ctx.kcap(target), a.kprec) - kva
+    one = Series(ctx, ((0, 1),), rel)
+    assert (_declare(a.shift(-va).scale(lc_inv), rel) - one).is_zero  # y
+    return one.scale(lc_inv).shift(-va)
+
+
+@pytest.mark.parametrize("ctx", ONE_TERM_CTXS, ids=lambda c: f"{c.mode}-p{c.p}-m{c.m}")
+def test_one_term_inverse_matches_the_general_path(ctx):
+    D = ctx.D
+    for code in range(1, ctx.q):
+        for kva in (-3 * D, -D // ctx.p, 0, 1, 2 * D):
+            for kprec in (math.inf, kva + 1, kva + D):
+                a = Series(ctx, ((kva, code),), kprec)
+                for kt in (kva + 1, kva + D // ctx.p, kva + 5 * D):
+                    target = ExtRat(Fraction(kt, D))
+                    got, want = invert(a, target), general_invert(a, target)
+                    assert (got.kterms, got.kprec) == (want.kterms, want.kprec)
+                    assert (a * got).kterms == ((0, 1),)
+                    if kprec == math.inf:
+                        # a second term at the target is not below it
+                        a2 = Series(ctx, ((kva, code), (kt, 1)), kprec)
+                        got, want = invert(a2, target), general_invert(a2, target)
+                        assert (got.kterms, got.kprec) == (want.kterms, want.kprec)
+
+
+@pytest.mark.parametrize("ctx", ONE_TERM_CTXS, ids=lambda c: f"{c.mode}-p{c.p}-m{c.m}")
+def test_one_term_inverse_keeps_both_refusals(ctx):
+    D = ctx.D
+    for kva in (-D, 0, D // ctx.p):
+        a = Series(ctx, ((kva, ctx.q - 1),), math.inf)
+        for kt in (kva, kva - 1, kva - D):
+            with pytest.raises(PrecisionError,
+                               match="^target precision is below the leading term of the input$"):
+                invert(a, ExtRat(Fraction(kt, D)))
+        off = Fraction(kva, D) + Fraction(1, D * ctx.p)
+        with pytest.raises(DenominatorBoundError) as exc:
+            invert(a, ExtRat(off))
+        rel = off - Fraction(kva, D)
+        assert str(exc.value) == (f"precision {rel} needs denominator {rel.denominator}, "
+                                  f"bound is D={D}")
