@@ -272,7 +272,6 @@ def cert_from_json(obj: dict) -> ExtensionCert:
 
 
 class CertificateFile(NamedTuple):
-    version: int
     config: SessionConfig
     field: FieldDesc
     certs: Tuple[ExtensionCert, ...]
@@ -282,7 +281,7 @@ class CertificateFile(NamedTuple):
 def make_certificate_file(
     K: FieldDesc, config: SessionConfig, certs, log=()
 ) -> CertificateFile:
-    return CertificateFile(SCHEMA_VERSION, config, K, tuple(certs), tuple(log))
+    return CertificateFile(config, K, tuple(certs), tuple(log))
 
 
 # --------------------------------------------------------------------------
@@ -400,7 +399,7 @@ def _file_text(cf: CertificateFile) -> str:
                    _object("\n ", "D budget m mode p precision", str(config.D), str(config.budget),
                            str(config.m), q(config.mode), str(config.p), f'"{SESSION_PRECISION}"'),
                    _field_text(cf.field, "\n "), _array([q(s) for s in cf.log], "\n "),
-                   str(cf.version))
+                   str(SCHEMA_VERSION))
 
 
 def write_certificate_file(path: str, cf: CertificateFile) -> None:
@@ -439,22 +438,10 @@ def read_certificate_file(path: str) -> CertificateFile:
             certs.append(cert_from_json(c))
         except ValueError as exc:
             raise ValueError(f"certs[{i}]: {exc}") from exc
-    return CertificateFile(version, config, field, tuple(certs), tuple(log))
+    return CertificateFile(config, field, tuple(certs), tuple(log))
 
 
-class VerifyReport:
-    """The outcome of ``verify_certificate``: ``ok`` until a diff is added."""
-
-    def __init__(self):
-        self.ok = True
-        self.diffs: List[str] = []
-
-    def add(self, msg: str):
-        self.ok = False
-        self.diffs.append(msg)
-
-
-def verify_certificate(cf: CertificateFile) -> VerifyReport:
+def verify_certificate(cf: CertificateFile) -> List[str]:
     """Re-derive every recorded claim from stored witnesses alone.
 
     No searches are repeated: realized values come from recomputing the
@@ -463,40 +450,41 @@ def verify_certificate(cf: CertificateFile) -> VerifyReport:
     polynomial, and the enclosure and the claims from rebuilding the
     certificate with ``artin.certify``, the rule every builder uses.  A
     file with several certificates is a family, whose members must be
-    pairwise distinct.
+    pairwise distinct.  The result is the list of named diffs, empty when
+    every claim is reproduced.
     """
-    report = VerifyReport()
+    diffs: List[str] = []
     config = cf.config
     session = (config.mode, config.p, config.m, config.D)
     fctx = cf.field.ctx
     if (fctx.mode, fctx.p, fctx.m, fctx.D) != session:
-        report.add("field: config-mismatch between the field and the session snapshot")
+        diffs.append("field: config-mismatch between the field and the session snapshot")
     for idx, cert in enumerate(cf.certs):
         tag = f"cert[{idx}]"
         if cert.sample.budget != config.budget:
-            report.add(f"{tag}: budget-mismatch: the sample's budget is "
-                       f"{cert.sample.budget}, the session's {config.budget}")
+            diffs.append(f"{tag}: budget-mismatch: the sample's budget is "
+                         f"{cert.sample.budget}, the session's {config.budget}")
         if cert.base != cf.field:
-            report.add(f"{tag}: base-mismatch: the certificate's base {cert.base.name!r} "
-                       f"differs from the file's field {cf.field.name!r}")
+            diffs.append(f"{tag}: base-mismatch: the certificate's base {cert.base.name!r} "
+                         f"differs from the file's field {cf.field.name!r}")
         ctx = cert.base.ctx
         if (ctx.mode, ctx.p, ctx.m, ctx.D) != session:
-            report.add(f"{tag}: config-mismatch between the field and the session snapshot")
+            diffs.append(f"{tag}: config-mismatch between the field and the session snapshot")
             continue
         try:
-            _verify_one(cert, report, tag)
+            _verify_one(cert, diffs, tag)
         except Exception as exc:  # a broken certificate must not crash the run
-            report.add(f"{tag}: verification error: {exc}")
+            diffs.append(f"{tag}: verification error: {exc}")
     # only family commands write more than one certificate per file
     if len(cf.certs) >= 2:
         try:
             check_pairwise_distinct(cf.certs)
         except AssertionError as exc:
-            report.add(f"family: {exc}")
-    return report
+            diffs.append(f"family: {exc}")
+    return diffs
 
 
-def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
+def _verify_one(cert: ExtensionCert, diffs: List[str], tag: str):
     ctx = cert.base.ctx
     gen = cert.generator
     tail = cert.generator_tail
@@ -505,39 +493,39 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     # 0. an Artin-Schreier root's tail is the one its floor implies
     if cert.kind == ARTIN_SCHREIER:
         if 0 <= kfloor < math.inf:
-            report.add(f"{tag}: residual_floor {ctx.value_of(kfloor)} is neither +inf nor "
-                       f"negative, as an Artin-Schreier root's is")
+            diffs.append(f"{tag}: residual_floor {ctx.value_of(kfloor)} is neither +inf nor "
+                         f"negative, as an Artin-Schreier root's is")
         else:
             want = root_tail(kfloor, ctx)
             if want != tail:
                 texts = ("null" if t is None else
                          f"low {ExtRat.of(t.low)}, sup {ExtRat.of(t.sup)}, note {t.note!r}"
                          for t in (want, tail))
-                report.add(f"{tag}: generator_tail re-derives to " + ", stored ".join(texts))
+                diffs.append(f"{tag}: generator_tail re-derives to " + ", stored ".join(texts))
 
     # 1. witness membership and re-evaluation, on the grid
     khorizon = difference_horizon(gen, tail)
     for k, w in cert.sample.realized:
         if not member_witness(cert.base, w):
-            report.add(f"{tag}: witness for {ctx.value_of(k)} is not in K")
+            diffs.append(f"{tag}: witness for {ctx.value_of(k)} is not in K")
         got = gen.diff_k(w)
         if got is None:
-            report.add(f"{tag}: witness for {ctx.value_of(k)} gives a zero difference")
+            diffs.append(f"{tag}: witness for {ctx.value_of(k)} gives a zero difference")
         elif got != k or not got < khorizon:
-            report.add(f"{tag}: witness re-evaluation gives {ctx.value_of(got)}, "
-                       f"stored {ctx.value_of(k)}")
+            diffs.append(f"{tag}: witness re-evaluation gives {ctx.value_of(got)}, "
+                         f"stored {ctx.value_of(k)}")
 
     # 2. upper cut from the stored support and tail, the shape of the
     # sample under it, and whether the sample refutes "no maximum"
     upper = support_upper_cut(gen, cert.base, tail)
     if upper != cert.sample.upper:
-        report.add(f"{tag}: upper cut re-derivation gives {upper}, stored {cert.sample.upper}")
+        diffs.append(f"{tag}: upper cut re-derivation gives {upper}, stored {cert.sample.upper}")
     err = sample_shape_error(cert.sample.realized, upper, ctx)
     if err is not None:
-        report.add(f"{tag}: sample shape: {err}")
+        diffs.append(f"{tag}: sample shape: {err}")
     refuted = no_max_refuted(cert.sample.realized, upper, ctx)
     if refuted != (cert.sample.no_max == REFUTED):
-        report.add(
+        diffs.append(
             f"{tag}: no_max re-derives to {'refuted' if refuted else 'not refuted'}, "
             f"stored {cert.sample.no_max!r}"
         )
@@ -551,17 +539,17 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
     equal = cert.kind == ARTIN_SCHREIER
     if (ctx.mode == EQUAL) != equal or degree_p_poly(cert.kind, f[0]) != f:
         want = "X - b over an equal-characteristic" if equal else "c over a mixed-characteristic"
-        report.add(f"{tag}: min_poly is not X^{ctx.p} - {want} base")
+        diffs.append(f"{tag}: min_poly is not X^{ctx.p} - {want} base")
     elif equal:
         bad = residual_window_violations(gen.frobenius() - gen + f[0], kfloor)
         if bad:
-            report.add(f"{tag}: residual terms at {bad} violate the recorded floor "
-                       f"{ctx.value_of(kfloor)}")
+            diffs.append(f"{tag}: residual terms at {bad} violate the recorded floor "
+                         f"{ctx.value_of(kfloor)}")
     else:
         k = (gen.pow_int(ctx.p) + f[0]).vlow_k()
         if k != kfloor:
-            report.add(f"{tag}: residual_floor re-derives to {ctx.value_of(k)}, "
-                       f"stored {ctx.value_of(kfloor)}")
+            diffs.append(f"{tag}: residual_floor re-derives to {ctx.value_of(k)}, "
+                         f"stored {ctx.value_of(kfloor)}")
 
     # 4. the distance enclosure and the six derived claim fields, rebuilt by
     # the one rule every builder returns its certificate through
@@ -569,16 +557,16 @@ def _verify_one(cert: ExtensionCert, report: VerifyReport, tag: str):
         rebuilt = certify(cert.kind, cert.base, gen, tail, f[0], kfloor, cert.sample,
                           cert.claims, cert.provenance)
     except (ValueError, AssertionError) as exc:
-        report.add(f"{tag}: claim re-derivation failed: {exc}")
+        diffs.append(f"{tag}: claim re-derivation failed: {exc}")
         return
     if rebuilt.dist != cert.dist:
-        report.add(f"{tag}: distance enclosure differs: re-derives to {rebuilt.dist}, "
-                   f"stored {cert.dist}")
+        diffs.append(f"{tag}: distance enclosure differs: re-derives to {rebuilt.dist}, "
+                     f"stored {cert.dist}")
     got, want = rebuilt.claims, cert.claims
     for fieldname in ("immediate", "immediate_rule", "defect", "defect_rule",
                       "classification", "classification_rule"):
         if getattr(got, fieldname) != getattr(want, fieldname):
-            report.add(
+            diffs.append(
                 f"{tag}: claim {fieldname} re-derives to {getattr(got, fieldname)!r}, "
                 f"stored {getattr(want, fieldname)!r}"
             )

@@ -203,12 +203,12 @@ def cmd_verify(args) -> int:
     except Exception as exc:
         print(f"cannot load certificate file: {exc}", file=sys.stderr)
         return EX_REFUTED
-    report = verify_certificate(cf)
-    if report.ok:
+    diffs = verify_certificate(cf)
+    if not diffs:
         print(f"verified: {len(cf.certs)} certificate(s), all claims reproduced")
         return EX_OK
     print("verification FAILED:")
-    for d in report.diffs:
+    for d in diffs:
         print(f"  {d}")
     return EX_REFUTED
 

@@ -70,7 +70,6 @@ class PthPowerReport(NamedTuple):
     equation_holds: Optional[bool]
     lhs: Optional[ExtRat]
     rhs: Optional[ExtRat]
-    threshold: ExtRat
 
 
 def pth_power_difference_check(eta: Series, a: Series) -> PthPowerReport:
@@ -87,7 +86,7 @@ def pth_power_difference_check(eta: Series, a: Series) -> PthPowerReport:
     threshold = eta.valuation() + Fraction(1, p - 1)
     diff = eta - a
     if diff.is_zero:
-        return PthPowerReport(False, None, None, None, threshold)
+        return PthPowerReport(False, None, None, None)
     vdiff = diff.valuation()
     pre = vdiff < threshold
     power_diff = eta.pow_int(p) - a.pow_int(p)
@@ -98,7 +97,7 @@ def pth_power_difference_check(eta: Series, a: Series) -> PthPowerReport:
         )
     lhs = power_diff.valuation()
     rhs = ExtRat.of(vdiff.fraction * p)
-    return PthPowerReport(pre, lhs == rhs, lhs, rhs, threshold)
+    return PthPowerReport(pre, lhs == rhs, lhs, rhs)
 
 
 def transform_mixed(

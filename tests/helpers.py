@@ -7,7 +7,7 @@ import json
 import math
 from fractions import Fraction
 
-from defectlab.certfile import _TAIL_FLAGS, SESSION_PRECISION, _field_to_json
+from defectlab.certfile import _TAIL_FLAGS, SCHEMA_VERSION, SESSION_PRECISION, _field_to_json
 from defectlab.cuts import Cut, ExtRat
 from defectlab.series import EQUAL, Series
 
@@ -146,7 +146,7 @@ def cert_tree(cert) -> dict:
 def oracle_tree(cf) -> dict:
     config = cf.config
     return {
-        "version": cf.version,
+        "version": SCHEMA_VERSION,
         "config": {
             "mode": config.mode,
             "p": config.p,

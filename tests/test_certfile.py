@@ -69,8 +69,8 @@ def test_file_roundtrip_and_verify(tmp_path):
     path = tmp_path / "out.json"
     write_certificate_file(str(path), cf)
     loaded = read_certificate_file(str(path))
-    report = verify_certificate(loaded)
-    assert report.ok, report.diffs
+    diffs = verify_certificate(loaded)
+    assert not diffs, diffs
     assert oracle_text(loaded) == oracle_text(cf)
     assert path.read_text() == oracle_text(cf) + "\n"
 
@@ -92,9 +92,8 @@ def test_tamper_detection_value(tmp_path):
     obj = json.loads(path.read_text())
     obj["certs"][0]["sample"]["realized"][0]["value"] = "-77/1"
     path.write_text(json.dumps(obj))
-    report = verify_certificate(read_certificate_file(str(path)))
-    assert not report.ok
-    assert any("witness re-evaluation" in d for d in report.diffs)
+    diffs = verify_certificate(read_certificate_file(str(path)))
+    assert any("witness re-evaluation" in d for d in diffs)
 
 
 def _set_value(value):
@@ -123,10 +122,9 @@ def test_witness_step_named_diffs(tmp_path, tamper, diff):
     obj = json.loads(path.read_text())
     tamper(obj["certs"][0])
     path.write_text(json.dumps(obj))
-    report = verify_certificate(read_certificate_file(str(path)))
-    assert not report.ok
-    assert any(d.startswith("cert[0]: ") and diff in d for d in report.diffs), report.diffs
-    assert not any("verification error" in d for d in report.diffs), report.diffs
+    diffs = verify_certificate(read_certificate_file(str(path)))
+    assert any(d.startswith("cert[0]: ") and diff in d for d in diffs), diffs
+    assert not any("verification error" in d for d in diffs), diffs
 
 
 def test_tamper_detection_claim(tmp_path):
@@ -137,9 +135,8 @@ def test_tamper_detection_claim(tmp_path):
     obj = json.loads(path.read_text())
     obj["certs"][1]["claims"]["defect"] = [2, "ramified"]
     path.write_text(json.dumps(obj))
-    report = verify_certificate(read_certificate_file(str(path)))
-    assert not report.ok
-    assert any("defect" in d for d in report.diffs)
+    diffs = verify_certificate(read_certificate_file(str(path)))
+    assert any("defect" in d for d in diffs)
 
 
 def test_config_mismatch_rejected(tmp_path):
@@ -150,9 +147,8 @@ def test_config_mismatch_rejected(tmp_path):
     obj = json.loads(path.read_text())
     obj["config"]["D"] = 16
     path.write_text(json.dumps(obj))
-    report = verify_certificate(read_certificate_file(str(path)))
-    assert not report.ok
-    assert any("config-mismatch" in d for d in report.diffs)
+    diffs = verify_certificate(read_certificate_file(str(path)))
+    assert any("config-mismatch" in d for d in diffs)
 
 
 def test_kummer_cert_verifies(tmp_path):
@@ -161,8 +157,8 @@ def test_kummer_cert_verifies(tmp_path):
     cf = make_certificate_file(QT2, SessionConfig.for_field(QT2, 5), certs)
     path = tmp_path / "ku.json"
     write_certificate_file(str(path), cf)
-    report = verify_certificate(read_certificate_file(str(path)))
-    assert report.ok, report.diffs
+    diffs = verify_certificate(read_certificate_file(str(path)))
+    assert not diffs, diffs
 
 
 def test_classical_cert_verifies(tmp_path):
@@ -170,8 +166,8 @@ def test_classical_cert_verifies(tmp_path):
     cf = make_certificate_file(T2, SessionConfig.for_field(T2, 3), [cert])
     path = tmp_path / "cl.json"
     write_certificate_file(str(path), cf)
-    report = verify_certificate(read_certificate_file(str(path)))
-    assert report.ok, report.diffs
+    diffs = verify_certificate(read_certificate_file(str(path)))
+    assert not diffs, diffs
 
 
 def test_unsupported_version(tmp_path):
@@ -219,12 +215,11 @@ def test_kummer_upper_cut_named_diff(tmp_path, tamper, refusal):
             read_certificate_file(str(path))
         assert str(exc.value) == refusal
         return
-    report = verify_certificate(read_certificate_file(str(path)))
-    assert not report.ok
+    diffs = verify_certificate(read_certificate_file(str(path)))
     assert any(
-        d.startswith("cert[0]: ") and "upper cut re-derivation gives" in d for d in report.diffs
-    ), report.diffs
-    assert not any("verification error" in d for d in report.diffs), report.diffs
+        d.startswith("cert[0]: ") and "upper cut re-derivation gives" in d for d in diffs
+    ), diffs
+    assert not any("verification error" in d for d in diffs), diffs
 
 
 def _kummer_certs():
@@ -246,8 +241,8 @@ def test_duplicated_family_member_named_diff(tmp_path, capsys, family):
     obj = json.loads(path.read_text())
     obj["certs"][1] = obj["certs"][0]
     path.write_text(json.dumps(obj))
-    report = verify_certificate(read_certificate_file(str(path)))
-    assert report.diffs == ["family: members 1 and 2 have equal samples"]
+    diffs = verify_certificate(read_certificate_file(str(path)))
+    assert diffs == ["family: members 1 and 2 have equal samples"]
     capsys.readouterr()
     assert main(["verify", str(path)]) == 2
     assert "  family: members 1 and 2 have equal samples" in capsys.readouterr().out
@@ -471,6 +466,25 @@ def test_no_max_refuted_without_grounds_named_diff(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "  cert[0]: no_max re-derives to not refuted, stored 'refuted'" in out, out
     assert "verification error" not in out, out
+
+
+def test_generator_in_k_has_an_unbounded_upper_cut(tmp_path, capsys):
+    # t^(-1) lies in F_2(t): its support has no element outside K, so the
+    # upper cut re-derives to +inf-, and the sample's shape and no_max are
+    # read against that unbounded cut (SeriesContext.kcap of +inf)
+    obj = json.loads((CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json").read_text())
+    obj["certs"][0]["generator"]["terms"] = [{"coeff": 1, "exp": "-1/1"}]
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert out.splitlines()[1:] == [
+        "  cert[0]: witness for -1/1 gives a zero difference",
+        "  cert[0]: witness re-evaluation gives -1/1, stored -1/2",
+        "  cert[0]: upper cut re-derivation gives +inf-, stored -1/2+",
+        "  cert[0]: no_max re-derives to not refuted, stored 'refuted'",
+        "  cert[0]: residual terms at [Fraction(-2, 1)] violate the recorded floor -1/256",
+    ], out
 
 
 @pytest.mark.parametrize(
@@ -746,7 +760,7 @@ def test_kummer_floor_is_rederived(tmp_path, capsys, floor):
 
 @pytest.mark.xfail(strict=True, reason=(
     "the forged term lies above the residual's precision 33/64, so neither the "
-    "residual nor its floor moves; it closes with a Hensel floor (ROADMAP item 1 step 2)"))
+    "residual nor its floor moves; it closes with a Hensel floor (ROADMAP item 1 step B)"))
 def test_forged_kummer_constant_term_is_refused(tmp_path):
     obj = json.loads((CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json").read_text())
     terms = obj["certs"][0]["min_poly"][0]["terms"]
