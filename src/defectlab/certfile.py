@@ -24,6 +24,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import List, NamedTuple, Tuple
 
+from . import artin
 from .approx import (
     REFUTED,
     InitialSegmentSample,
@@ -32,17 +33,6 @@ from .approx import (
     no_max_refuted,
     sample_shape_error,
     support_upper_cut,
-)
-from .artin import (
-    ARTIN_SCHREIER,
-    KUMMER,
-    Claims,
-    ExtensionCert,
-    certify,
-    check_pairwise_distinct,
-    degree_p_poly,
-    residual_window_violations,
-    root_tail,
 )
 from .cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from .ffield import FiniteField
@@ -191,7 +181,7 @@ def _tail_from_json(obj: dict) -> TailSchema:
     return TailSchema(Fraction(*_parse_ratio(sup)), Fraction(*_parse_ratio(low)), note)
 
 
-def _claims_from_json(obj: dict) -> Claims:
+def _claims_from_json(obj: dict) -> artin.Claims:
     *pairs, bounds = _read(obj, "claims", {
         "unique_extension": list, "immediate": list, "defect": list, "classification": list,
         "bounds": list})
@@ -200,7 +190,7 @@ def _claims_from_json(obj: dict) -> Claims:
         if type(pair) is not list or len(pair) != 2 or type(pair[0]) not in first \
                 or type(pair[1]) is not str:
             raise ValueError(f"claims pair {pair!r} is not a pair the writer writes")
-    return Claims(*pairs[0], *pairs[1], *pairs[2], *pairs[3], tuple(map(tuple, bounds)))
+    return artin.Claims(*pairs[0], *pairs[1], *pairs[2], *pairs[3], tuple(map(tuple, bounds)))
 
 
 def series_from_json(obj: dict, ctx: SeriesContext) -> Series:
@@ -250,18 +240,18 @@ def sample_from_json(obj: dict, ctx: SeriesContext) -> InitialSegmentSample:
     return InitialSegmentSample(tuple(entries), _cut_from_json(upper), no_max, budget)
 
 
-def cert_from_json(obj: dict) -> ExtensionCert:
+def cert_from_json(obj: dict) -> artin.ExtensionCert:
     kind, base, gen, tail, min_poly, floor, sample, dist, claims, provenance = _read(obj, "cert", {
         "kind": str, "base": dict, "generator": dict, "generator_tail": (dict, type(None)),
         "min_poly": list, "residual_floor": str, "sample": dict, "dist": dict, "claims": dict,
         "provenance": list})
-    if kind not in (ARTIN_SCHREIER, KUMMER):
-        raise ValueError(f"kind {kind!r} is neither {ARTIN_SCHREIER!r} nor {KUMMER!r}")
+    if kind not in (artin.ARTIN_SCHREIER, artin.KUMMER):
+        raise ValueError(f"kind {kind!r} is neither {artin.ARTIN_SCHREIER!r} nor {artin.KUMMER!r}")
     if any(type(s) is not str for s in provenance):
         raise ValueError(f"cert provenance {provenance!r} is not a list of strings")
     base = field_from_json(base, "base")
     ctx = base.ctx
-    return ExtensionCert(
+    return artin.ExtensionCert(
         kind, base, series_from_json(gen, ctx), None if tail is None else _tail_from_json(tail),
         poly_from_json(min_poly, ctx),
         math.inf if floor == "+inf" else _parse_k(floor, ctx.D, "residual_floor"),
@@ -274,7 +264,7 @@ def cert_from_json(obj: dict) -> ExtensionCert:
 class CertificateFile(NamedTuple):
     config: SessionConfig
     field: FieldDesc
-    certs: Tuple[ExtensionCert, ...]
+    certs: Tuple[artin.ExtensionCert, ...]
     log: Tuple[str, ...]
 
 
@@ -354,7 +344,7 @@ def _sample_text(s: InitialSegmentSample, nl: str) -> str:
                    encode_basestring_ascii(s.no_max), _array(realized, n1), _cut_text(s.upper, n1))
 
 
-def _claims_text(c: Claims, nl: str) -> str:
+def _claims_text(c: artin.Claims, nl: str) -> str:
     n1, n2, q = nl + " ", nl + "  ", encode_basestring_ascii
     defect = "null" if c.defect is None else str(c.defect)
     pairs = [_array([v, q(rule)], n1) for v, rule in zip(
@@ -379,7 +369,7 @@ def _field_text(K: FieldDesc, nl: str) -> str:
     return json.dumps(_field_to_json(K), sort_keys=True, indent=1).replace("\n", nl)
 
 
-def _cert_text(cert: ExtensionCert, nl: str) -> str:
+def _cert_text(cert: artin.ExtensionCert, nl: str) -> str:
     n1, n2, q = nl + " ", nl + "  ", encode_basestring_ascii
     tail, floor = cert.generator_tail, _k_text(cert.residual_floor, cert.base.ctx.D)
     return _object(nl, "base claims dist generator generator_tail kind min_poly provenance "
@@ -478,25 +468,25 @@ def verify_certificate(cf: CertificateFile) -> List[str]:
     # only family commands write more than one certificate per file
     if len(cf.certs) >= 2:
         try:
-            check_pairwise_distinct(cf.certs)
+            artin.check_pairwise_distinct(cf.certs)
         except AssertionError as exc:
             diffs.append(f"family: {exc}")
     return diffs
 
 
-def _verify_one(cert: ExtensionCert, diffs: List[str], tag: str):
+def _verify_one(cert: artin.ExtensionCert, diffs: List[str], tag: str):
     ctx = cert.base.ctx
     gen = cert.generator
     tail = cert.generator_tail
     kfloor = cert.residual_floor
 
     # 0. an Artin-Schreier root's tail is the one its floor implies
-    if cert.kind == ARTIN_SCHREIER:
+    if cert.kind == artin.ARTIN_SCHREIER:
         if 0 <= kfloor < math.inf:
             diffs.append(f"{tag}: residual_floor {ctx.value_of(kfloor)} is neither +inf nor "
                          f"negative, as an Artin-Schreier root's is")
         else:
-            want = root_tail(kfloor, ctx)
+            want = artin.root_tail(kfloor, ctx)
             if want != tail:
                 texts = ("null" if t is None else
                          f"low {ExtRat.of(t.low)}, sup {ExtRat.of(t.sup)}, note {t.note!r}"
@@ -536,12 +526,12 @@ def _verify_one(cert: ExtensionCert, diffs: List[str], tag: str):
     # (the product theta * theta keeps only the precision v(theta) +
     # prec(theta)); for Kummer, theta^p + c0 starts at the recorded floor
     f = cert.min_poly
-    equal = cert.kind == ARTIN_SCHREIER
-    if (ctx.mode == EQUAL) != equal or degree_p_poly(cert.kind, f[0]) != f:
+    equal = cert.kind == artin.ARTIN_SCHREIER
+    if (ctx.mode == EQUAL) != equal or artin.degree_p_poly(cert.kind, f[0]) != f:
         want = "X - b over an equal-characteristic" if equal else "c over a mixed-characteristic"
         diffs.append(f"{tag}: min_poly is not X^{ctx.p} - {want} base")
     elif equal:
-        bad = residual_window_violations(gen.frobenius() - gen + f[0], kfloor)
+        bad = artin.residual_window_violations(gen.frobenius() - gen + f[0], kfloor)
         if bad:
             diffs.append(f"{tag}: residual terms at {bad} violate the recorded floor "
                          f"{ctx.value_of(kfloor)}")
@@ -554,8 +544,8 @@ def _verify_one(cert: ExtensionCert, diffs: List[str], tag: str):
     # 4. the distance enclosure and the six derived claim fields, rebuilt by
     # the one rule every builder returns its certificate through
     try:
-        rebuilt = certify(cert.kind, cert.base, gen, tail, f[0], kfloor, cert.sample,
-                          cert.claims, cert.provenance)
+        rebuilt = artin.certify(cert.kind, cert.base, gen, tail, f[0], kfloor, cert.sample,
+                                cert.claims, cert.provenance)
     except (ValueError, AssertionError) as exc:
         diffs.append(f"{tag}: claim re-derivation failed: {exc}")
         return

@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
+from . import artin, kummer
 from .approx import (
     CONDITION_NAMES,
     distance,
@@ -22,7 +23,6 @@ from .approx import (
     semitame_report,
     value_set,
 )
-from .artin import admissible_twist, as_extension, as_family, as_root, sigma_sample
 from .certfile import (
     SessionConfig,
     make_certificate_file,
@@ -31,7 +31,6 @@ from .certfile import (
     write_certificate_file,
 )
 from .fields import PRESET_NAMES, BudgetTooSmall, FieldDesc, element_stream, preset_field
-from .kummer import kummer_family, lab_superdependent_unit
 from .series import MIXED, ConvergenceError, PrecisionError, Series, grid_bound
 
 EX_OK = 0
@@ -51,13 +50,13 @@ def _canonical_element(K: FieldDesc, budget: int):
     if K.ctx.mode == "equal":
         if K.perfect:
             b = Series.monomial(K.ctx, -1)
-            root = as_root(b, budget + 6)
+            root = artin.as_root(b, budget + 6)
             return root.theta, root.tail, "root of X^p - X - t^(-1)"
         w = imperfection_witness(K, budget)
         return w, None, "p-th root of the first imperfect element"
     if K.name == "qp":
         return Series.monomial(K.ctx, Fraction(1, K.ctx.p)), None, "p^(1/p)"
-    eta, tail = lab_superdependent_unit(K)
+    eta, tail = kummer.lab_superdependent_unit(K)
     return eta, tail, "laboratory 1-unit"
 
 
@@ -148,9 +147,9 @@ def cmd_asfamily(args) -> int:
         return EX_OK
     print(f"imperfection witness: {eta}")
     sample = value_set(eta, K, args.budget)
-    d = admissible_twist(eta, sample)
+    d = artin.admissible_twist(eta, sample)
     print(f"twist element d with v(d) = {d.valuation()}")
-    certs = as_family(eta, K, d, args.n, sample)
+    certs = artin.as_family(eta, K, d, args.n, sample)
     _print_cert_table(certs)
     _write_out(args, K, certs)
     return EX_OK
@@ -161,9 +160,9 @@ def cmd_kummerfamily(args) -> int:
     if K.ctx.mode != "mixed" or not K.leveled:
         print("kummerfamily runs over the deep p-adic tower preset", file=sys.stderr)
         return EX_USAGE
-    eta, tail = lab_superdependent_unit(K)
+    eta, tail = kummer.lab_superdependent_unit(K)
     print(f"laboratory 1-unit: {eta}")
-    certs = kummer_family(eta, K, args.n, args.budget, tail)
+    certs = kummer.kummer_family(eta, K, args.n, args.budget, tail)
     _print_cert_table(certs)
     for cert in certs:
         for name, val in cert.claims.bounds:
@@ -180,8 +179,8 @@ def cmd_sigma(args) -> int:
               "extension; use kummerfamily for the mixed side", file=sys.stderr)
         return EX_USAGE
     b = Series.monomial(K.ctx, -1)
-    cert = as_extension(b, K, args.budget)
-    sig = sigma_sample(cert)
+    cert = artin.as_extension(b, K, args.budget)
+    sig = artin.sigma_sample(cert)
     vals = ", ".join(str(K.ctx.value_of(k)) for k, _ in sig.values)
     print(f"extension: X^{K.ctx.p} - X - t^(-1) over {K.name}")
     print(f"sigma values: {vals}")

@@ -42,7 +42,10 @@ from typing import Dict, Optional, Tuple
 from . import teichmueller
 from .cuts import ExtRat, PLUS_INF, RatLike
 from .ffield import FiniteField, finite_field
-from .teichmueller import PrecisionError
+
+
+class PrecisionError(ArithmeticError):
+    """An operation would need terms beyond the certified horizon."""
 
 
 class DenominatorBoundError(ValueError):

@@ -12,16 +12,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .ffield import _poly_mul_mod
-
-if TYPE_CHECKING:
-    from .series import SeriesContext
-
-
-class PrecisionError(ArithmeticError):
-    """An operation would need terms beyond the certified horizon."""
+from .series import PrecisionError, SeriesContext
 
 
 @lru_cache(maxsize=None)

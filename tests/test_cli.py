@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -325,6 +326,78 @@ def test_cli_import_skips_dataclasses():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+SUBMODULES = ("approx", "artin", "certfile", "cuts", "ffield", "fields", "kummer", "series",
+              "teichmueller")
+# the modules every command runs: cli's own imports
+CLI_RUNS = ("approx", "certfile", "cuts", "ffield", "fields", "series")
+
+# a module that has run is a plain module; a registered one that has not
+# is LazyLoader's subclass, and type() reads none of its attributes
+_EXECUTED = """
+import contextlib, io, json, sys, types
+import defectlab
+registered = all("defectlab." + n in sys.modules for n in {names!r})
+rc = None
+if {argv!r}:
+    from defectlab.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main({argv!r})
+print(json.dumps([registered, rc, [n for n in {names!r}
+                                   if type(sys.modules["defectlab." + n]) is types.ModuleType]]))
+"""
+
+
+def _executed(argv):
+    """[all submodules registered, exit code, the submodules that have run]
+    after ``import defectlab`` and ``main(argv)`` in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXECUTED.format(names=SUBMODULES, argv=argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=Path(defectlab.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv, rc, ran", [
+    ([], None, ()),
+    (["distance", "--base", "fp_t", "--p", "2", "--budget", "3"], 0, CLI_RUNS),
+    (["semitame", "--base", "pdiv_tower", "--p", "2", "--budget", "3"], 0, CLI_RUNS),
+    (["sigma", "--base", "pdiv_tower", "--p", "2", "--budget", "2"], 0, CLI_RUNS + ("artin",)),
+], ids=["import", "distance", "semitame", "sigma"])
+def test_process_runs_only_the_modules_its_command_calls(argv, rc, ran):
+    # import defectlab registers every submodule and runs none; an
+    # equal-mode command never runs kummer or teichmueller
+    assert _executed(argv) == [True, rc, sorted(ran)]
+
+
+def test_kummer_family_runs_every_module_and_writes_its_golden_bytes(tmp_path):
+    job = "kummerfamily --base qp_pdiv_tower --p 2 --q 2 --n 3 --budget 6"
+    want = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
+                      .read_text())["jobs"][job]
+    out = tmp_path / "cert.json"
+    assert _executed(job.split() + ["--out", str(out)]) == [True, want["rc"], list(SUBMODULES)]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
+
+
+def test_vars_of_an_unexecuted_module_holds_its_functions():
+    # perfbench/tracer.py reads vars() of each module after import defectlab
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, types, defectlab; m = sys.modules['defectlab.kummer']; "
+         "print(type(m) is types.ModuleType, callable(vars(m)['kummer_family']), "
+         "type(m) is types.ModuleType)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=Path(defectlab.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True True\n"
 
 
 def test_command_patched_after_first_call_is_run(monkeypatch, capsys):
