@@ -15,21 +15,7 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from . import artin, kummer
-from .approx import (
-    CONDITION_NAMES,
-    distance,
-    imperfection_witness,
-    semitame_report,
-    value_set,
-)
-from .certfile import (
-    SessionConfig,
-    make_certificate_file,
-    read_certificate_file,
-    verify_certificate,
-    write_certificate_file,
-)
+from . import approx, artin, certfile, kummer
 from .fields import PRESET_NAMES, BudgetTooSmall, FieldDesc, element_stream, preset_field
 from .series import MIXED, ConvergenceError, PrecisionError, Series, grid_bound
 
@@ -52,7 +38,7 @@ def _canonical_element(K: FieldDesc, budget: int):
             b = Series.monomial(K.ctx, -1)
             root = artin.as_root(b, budget + 6)
             return root.theta, root.tail, "root of X^p - X - t^(-1)"
-        w = imperfection_witness(K, budget)
+        w = approx.imperfection_witness(K, budget)
         return w, None, "p-th root of the first imperfect element"
     if K.name == "qp":
         return Series.monomial(K.ctx, Fraction(1, K.ctx.p)), None, "p^(1/p)"
@@ -81,9 +67,10 @@ def cmd_field(args) -> int:
 def _write_out(args, K: FieldDesc, certs, log=()) -> None:
     """Write the run's certificate file to ``--out``, when one is given."""
     if args.out:
-        cf = make_certificate_file(K, SessionConfig.for_field(K, args.budget), certs, log=log)
+        config = certfile.SessionConfig.for_field(K, args.budget)
+        cf = certfile.make_certificate_file(K, config, certs, log=log)
         try:
-            write_certificate_file(args.out, cf)
+            certfile.write_certificate_file(args.out, cf)
         except OSError as exc:
             # a ValueError, so that main reports it as a usage error (exit 64)
             raise ValueError(
@@ -95,8 +82,8 @@ def _write_out(args, K: FieldDesc, certs, log=()) -> None:
 def cmd_distance(args) -> int:
     K = _build_field(args)
     a, tail, desc = _canonical_element(K, args.budget)
-    sample = value_set(a, K, args.budget, tail)
-    enc = distance(sample, tail)
+    sample = approx.value_set(a, K, args.budget, tail)
+    enc = approx.distance(sample, tail)
     print(f"element: {desc}")
     vals = ", ".join(str(K.ctx.value_of(k)) for k, _ in sample.realized)
     print(f"realized values ({len(sample.realized)}): {vals}")
@@ -109,17 +96,16 @@ def cmd_distance(args) -> int:
 
 def cmd_semitame(args) -> int:
     K = _build_field(args)
-    report = semitame_report(K, args.budget)
-    order = ["drst", "residue_perfect", "a", "b", "c", "d", "e", "f"]
+    report = approx.semitame_report(K, args.budget)
     refuted = False
-    for key in order:
+    for key, name in approx.CONDITION_NAMES.items():
         v = report[key]
         refuted |= v.status == "refuted"
         witness = f"  witness: {v.witness}" if v.witness is not None else ""
-        print(f"({key}) {CONDITION_NAMES[key]}: {v.status}{witness}")
+        print(f"({key}) {name}: {v.status}{witness}")
         if v.note:
             print(f"      {v.note}")
-    _write_out(args, K, [], log=[f"({k}) {report[k].status}" for k in order])
+    _write_out(args, K, [], log=[f"({k}) {report[k].status}" for k in approx.CONDITION_NAMES])
     return EX_REFUTED if refuted else EX_OK
 
 
@@ -140,13 +126,13 @@ def cmd_asfamily(args) -> int:
     if K.ctx.mode != "equal":
         print("asfamily runs in equal characteristic", file=sys.stderr)
         return EX_USAGE
-    eta = imperfection_witness(K, args.budget)
+    eta = approx.imperfection_witness(K, args.budget)
     if eta is None:
         print("imperfection witness: none (field certified perfect); "
               "no Artin-Schreier family from this route")
         return EX_OK
     print(f"imperfection witness: {eta}")
-    sample = value_set(eta, K, args.budget)
+    sample = approx.value_set(eta, K, args.budget)
     d = artin.admissible_twist(eta, sample)
     print(f"twist element d with v(d) = {d.valuation()}")
     certs = artin.as_family(eta, K, d, args.n, sample)
@@ -193,7 +179,7 @@ def cmd_sigma(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        cf = read_certificate_file(args.file)
+        cf = certfile.read_certificate_file(args.file)
     except OSError as exc:
         # no file to judge: a usage error, not a refuted claim
         print(f"error: cannot read certificate file {args.file}: {exc.strerror or exc}",
@@ -202,7 +188,7 @@ def cmd_verify(args) -> int:
     except Exception as exc:
         print(f"cannot load certificate file: {exc}", file=sys.stderr)
         return EX_REFUTED
-    diffs = verify_certificate(cf)
+    diffs = certfile.verify_certificate(cf)
     if not diffs:
         print(f"verified: {len(cf.certs)} certificate(s), all claims reproduced")
         return EX_OK

@@ -40,19 +40,10 @@ def _poly_mul_mod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p:
 
 
 def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
-    # degree >= 2: find_irreducible answers m = 1 itself
+    # trial division by every monic polynomial of degree 1..deg//2; the
+    # degree-1 divisors are the roots
     deg = len(poly) - 1
-    # no roots
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    if deg <= 3:
-        return True
-    # trial division by monic polynomials of degree 2..deg//2
-    for d in range(2, deg // 2 + 1):
+    for d in range(1, deg // 2 + 1):
         for code in range(p ** d):
             div = [code // (p ** i) % p for i in range(d)] + [1]
             if _poly_divides(div, poly, p):
@@ -61,18 +52,16 @@ def _poly_is_irreducible(poly: Sequence[int], p: int) -> bool:
 
 
 def _poly_divides(div: Sequence[int], poly: Sequence[int], p: int) -> bool:
+    """Whether the monic ``div`` divides ``poly`` over F_p."""
     rem = list(poly)
     dd = len(div) - 1
-    inv_lead = pow(div[-1], -1, p)
-    while len(rem) - 1 >= dd:
-        c = rem[-1] * inv_lead % p
-        if c:
-            for j in range(dd + 1):
-                rem[len(rem) - 1 - dd + j] = (rem[len(rem) - 1 - dd + j] - c * div[j]) % p
-        rem.pop()
-        while rem and rem[-1] == 0 and len(rem) - 1 >= dd:
-            rem.pop()
-    return all(c == 0 for c in rem)
+    while len(rem) > dd:
+        # the leading term cancels against c * X^top * div
+        c = rem.pop()
+        top = len(rem) - dd
+        for j in range(dd):
+            rem[top + j] = (rem[top + j] - c * div[j]) % p
+    return not any(rem)
 
 
 def find_irreducible(p: int, m: int) -> Tuple[int, ...]:

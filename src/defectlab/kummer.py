@@ -28,19 +28,12 @@ import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
+from . import artin
 from .approx import (
     InitialSegmentSample,
     TailSchema,
     translate_sample,
     value_set,
-)
-from .artin import (
-    KUMMER,
-    Claims,
-    ExtensionCert,
-    _short_hash,
-    certify,
-    check_pairwise_distinct,
 )
 from .cuts import Cut, ExtRat, segment_affine
 from .fields import BudgetTooSmall, FieldDesc, listing_index, member_witness
@@ -206,7 +199,7 @@ def kummer_family(
     n_members: int,
     budget: int,
     tail: TailSchema,
-) -> List[ExtensionCert]:
+) -> List[artin.ExtensionCert]:
     """Certified pairwise-distinct Kummer extensions from one 1-unit
     eta, the truncation of an exact object whose tail is ``tail``.
 
@@ -257,9 +250,9 @@ def kummer_family(
 
     b_eta = eta.pow_int(p)
     one = Series.one(ctx)
-    eta_hash = _short_hash(eta)
+    eta_hash = artin._short_hash(eta)
     work = budget + 6
-    certs: List[ExtensionCert] = []
+    certs: List[artin.ExtensionCert] = []
     for vt, td in candidates[:n_members]:
         theta_tilde = transform_mixed(eta, K, td, sample, tail, b_eta)
         td_inv = invert(td, work)
@@ -289,19 +282,19 @@ def kummer_family(
         if not sample_new.upper <= Cut(bound_new, False):
             raise AssertionError("super-dependent bound fails after translation")
 
-        claims = Claims(
+        claims = artin.Claims(
             bounds=(
                 ("upper_eta", str(upper)),
                 ("v_td", str(vt)),
                 ("super_dependent_bound", str(bound_new)),
             ),
         )
-        certs.append(certify(
-            KUMMER, K, eta_new, tail_new, c0, kfloor, sample_new, claims,
-            (f"kummer_family eta={eta_hash} td={_short_hash(td)} budget={budget}",),
+        certs.append(artin.certify(
+            artin.KUMMER, K, eta_new, tail_new, c0, kfloor, sample_new, claims,
+            (f"kummer_family eta={eta_hash} td={artin._short_hash(td)} budget={budget}",),
         ))
 
-    check_pairwise_distinct(certs)
+    artin.check_pairwise_distinct(certs)
     return certs
 
 

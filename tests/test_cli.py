@@ -330,8 +330,10 @@ def test_cli_import_skips_dataclasses():
 
 SUBMODULES = ("approx", "artin", "certfile", "cuts", "ffield", "fields", "kummer", "series",
               "teichmueller")
-# the modules every command runs: cli's own imports
-CLI_RUNS = ("approx", "certfile", "cuts", "ffield", "fields", "series")
+# the modules every command runs: cli and the siblings it imports names from
+CLI_RUNS = ("cli", "cuts", "ffield", "fields", "series")
+APPROX_RUNS = CLI_RUNS + ("approx",)
+QP_TOWER_RUNS = APPROX_RUNS + ("kummer", "teichmueller")
 
 # a module that has run is a plain module; a registered one that has not
 # is LazyLoader's subclass, and type() reads none of its attributes
@@ -344,14 +346,15 @@ if {argv!r}:
     from defectlab.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         rc = main({argv!r})
-print(json.dumps([registered, rc, [n for n in {names!r}
-                                   if type(sys.modules["defectlab." + n]) is types.ModuleType]]))
+print(json.dumps([registered, rc, sorted(n.split(".")[1] for n, m in sys.modules.items()
+                                         if n.startswith("defectlab.")
+                                         and type(m) is types.ModuleType)]))
 """
 
 
 def _executed(argv):
-    """[all submodules registered, exit code, the submodules that have run]
-    after ``import defectlab`` and ``main(argv)`` in a fresh interpreter."""
+    """[all submodules registered, exit code, the package modules that have
+    run] after ``import defectlab`` and ``main(argv)`` in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", _EXECUTED.format(names=SUBMODULES, argv=argv)],
         capture_output=True,
@@ -363,16 +366,47 @@ def _executed(argv):
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("argv, rc, ran", [
-    ([], None, ()),
-    (["distance", "--base", "fp_t", "--p", "2", "--budget", "3"], 0, CLI_RUNS),
-    (["semitame", "--base", "pdiv_tower", "--p", "2", "--budget", "3"], 0, CLI_RUNS),
-    (["sigma", "--base", "pdiv_tower", "--p", "2", "--budget", "2"], 0, CLI_RUNS + ("artin",)),
-], ids=["import", "distance", "semitame", "sigma"])
-def test_process_runs_only_the_modules_its_command_calls(argv, rc, ran):
-    # import defectlab registers every submodule and runs none; an
-    # equal-mode command never runs kummer or teichmueller
+# one row per command: its argv, its exit code and the modules its process runs
+MODULE_RUNS = {
+    "import": ([], None, ()),
+    "field": (["field", "--base", "fp_t", "--p", "2"], 0, CLI_RUNS),
+    "field-qp": (["field", "--base", "qp", "--p", "2"], 0, CLI_RUNS + ("teichmueller",)),
+    "distance": (["distance", "--base", "fp_t", "--p", "2", "--budget", "3"], 0, APPROX_RUNS),
+    "semitame": (["semitame", "--base", "pdiv_tower", "--p", "2", "--budget", "2"], 0,
+                 APPROX_RUNS),
+    "distance-pdiv_tower": (["distance", "--base", "pdiv_tower", "--p", "2", "--budget", "2"], 0,
+                            APPROX_RUNS + ("artin",)),
+    "sigma": (["sigma", "--base", "pdiv_tower", "--p", "2", "--budget", "2"], 0,
+              APPROX_RUNS + ("artin",)),
+    "asfamily": (["asfamily", "--base", "fp_t", "--p", "2", "--n", "2", "--budget", "2"], 0,
+                 APPROX_RUNS + ("artin",)),
+    "distance-qp_pdiv_tower": (
+        ["distance", "--base", "qp_pdiv_tower", "--p", "2", "--budget", "2"], 0, QP_TOWER_RUNS),
+    "kummerfamily": (
+        ["kummerfamily", "--base", "qp_pdiv_tower", "--p", "2", "--n", "1", "--budget", "5"], 0,
+        QP_TOWER_RUNS + ("artin",)),
+    "verify-no-certificates": (
+        ["verify", str(CORPUS / "distance-base-pdiv_tower-p-2-budget-2.json")], 0,
+        APPROX_RUNS + ("certfile",)),
+    "verify-artin-schreier": (
+        ["verify", str(CORPUS / "asfamily-base-fp_t-p-2-n-2-budget-2.json")], 0,
+        APPROX_RUNS + ("artin", "certfile")),
+    "verify-kummer": (
+        ["verify", str(CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-1-budget-5.json")], 0,
+        APPROX_RUNS + ("artin", "certfile", "teichmueller")),
+}
+
+
+@pytest.mark.parametrize("name", MODULE_RUNS)
+def test_process_runs_only_the_modules_its_command_calls(name, tmp_path):
+    # import defectlab registers every submodule and runs none; --out adds
+    # certfile, for its writer
+    argv, rc, ran = MODULE_RUNS[name]
     assert _executed(argv) == [True, rc, sorted(ran)]
+    if argv and argv[0] not in ("field", "verify"):
+        out = tmp_path / "cert.json"
+        assert _executed(argv + ["--out", str(out)]) == [True, rc, sorted(ran + ("certfile",))]
+        assert out.is_file()
 
 
 def test_kummer_family_runs_every_module_and_writes_its_golden_bytes(tmp_path):
@@ -380,7 +414,8 @@ def test_kummer_family_runs_every_module_and_writes_its_golden_bytes(tmp_path):
     want = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
                       .read_text())["jobs"][job]
     out = tmp_path / "cert.json"
-    assert _executed(job.split() + ["--out", str(out)]) == [True, want["rc"], list(SUBMODULES)]
+    assert _executed(job.split() + ["--out", str(out)]) == [
+        True, want["rc"], sorted(SUBMODULES + ("cli",))]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want["sha256"]
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from defectlab.ffield import MAX_Q, FiniteField, finite_field
+from defectlab.ffield import MAX_Q, FiniteField, find_irreducible, finite_field
 
 
 def test_prime_field_arithmetic():
@@ -90,3 +90,34 @@ def test_q_above_max_q_rejected(p, m):
     assert p ** m > MAX_Q
     with pytest.raises(ValueError, match=f"^q = {p}\\^{m} needs m >= 1 and q <= MAX_Q = 256$"):
         FiniteField(p, m)
+
+
+# find_irreducible(p, m) for each q = p^m <= MAX_Q with m > 1 (m = 1 gives
+# X); the modulus fixes every F_q code, and so every certificate byte with m > 1
+MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (7, 2): (1, 0, 1),
+    (11, 2): (1, 0, 1),
+    (13, 2): (2, 0, 1),
+}
+
+
+def test_find_irreducible_keeps_every_modulus():
+    primes = [p for p in range(2, MAX_Q + 1) if all(p % k for k in range(2, int(p ** 0.5) + 1))]
+    got = {(p, m): find_irreducible(p, m)
+           for p in primes for m in range(1, 9) if p ** m <= MAX_Q}
+    assert len(got) == 70
+    assert {pm: f for pm, f in got.items() if pm[1] > 1} == MODULI
+    assert all(f == (0, 1) for pm, f in got.items() if pm[1] == 1)

@@ -245,6 +245,28 @@ def test_package_binds_only_its_submodules():
     assert isinstance(defectlab.__version__, str)
 
 
+# siblings that some process running an importer of theirs never calls:
+# every module binds them as modules and reaches their names by attribute
+_BOUND_AS_MODULES = ("artin", "certfile", "kummer", "teichmueller")
+# the siblings every command runs, and so the only ones cli imports names from
+_CLI_NAMES_FROM = ("fields", "series")
+
+
+def test_names_are_imported_only_from_siblings_that_always_run():
+    # a module imports names only from siblings that run whenever it runs,
+    # so that a process runs no module its command does not call
+    # (tests/test_cli.py pins the modules each command runs)
+    found = [
+        f"{path.stem}: from .{node.module} import ..."
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        and (node.module in _BOUND_AS_MODULES
+             or path.stem == "cli" and node.module not in _CLI_NAMES_FROM)
+    ]
+    assert not found, found
+
+
 def test_only_certfile_spells_the_file():
     # schema v1 is written and read in certfile.py alone; the value types
     # carry no JSON

@@ -61,6 +61,9 @@ def test_unequal_values_differ():
     # a value is never equal to another type's value of the same fields
     assert Cut(half, True) != (half, True)
     assert (Cut(half, True) == CutEnclosure(Cut(half, True), Cut(half, True))) is False
+    # nor to a value of no package type: each __eq__ returns NotImplemented
+    for value in [a for a, _ in _equal_pairs().values()] + [Series.one(K2.ctx)]:
+        assert (value == "x") is False, value
 
 
 def test_context_equality_ignores_the_field_object():
