@@ -391,6 +391,12 @@ def sigma_sample(cert: ExtensionCert) -> SigmaSample:
     to fill {alpha > 0}, so accumulation at 0+ is consistent with
     independence while a certified positive gap below the values is
     evidence of dependence.
+
+    Every difference c((theta + 1)^j - theta^j), 1 <= j < p, leads with
+    j c theta^(j-1), which lies below the products' precision for the
+    theta that ``as_extension`` solves at budget + 6 and for every c
+    listed at height 1; a difference with no term below its precision
+    raises ``PrecisionError`` (exit 3) and is not skipped.
     """
     if cert.kind != ARTIN_SCHREIER:
         raise ValueError(f"sigma is sampled on Artin-Schreier extensions, not {cert.kind!r}")
@@ -408,8 +414,6 @@ def sigma_sample(cert: ExtensionCert) -> SigmaSample:
             f = c * tj
             sf = c * sj
             num = sf - f
-            if num.is_zero:
-                continue
             found.setdefault(num.valuation_k() - f.valuation_k(), f)
 
     values = tuple(sorted(found.items()))  # the keys differ, so no witness is compared

@@ -268,12 +268,6 @@ class CertificateFile(NamedTuple):
     log: Tuple[str, ...]
 
 
-def make_certificate_file(
-    K: FieldDesc, config: SessionConfig, certs, log=()
-) -> CertificateFile:
-    return CertificateFile(config, K, tuple(certs), tuple(log))
-
-
 # --------------------------------------------------------------------------
 # The writer: one function per record, each giving the record's text with
 # its keys in sorted order.  ``nl`` is a newline followed by the indent of

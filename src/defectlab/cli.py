@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from . import approx, artin, certfile, kummer
 from .fields import PRESET_NAMES, BudgetTooSmall, FieldDesc, element_stream, preset_field
-from .series import MIXED, ConvergenceError, PrecisionError, Series, grid_bound
+from .series import EQUAL, MIXED, ConvergenceError, PrecisionError, Series, grid_bound
 
 EX_OK = 0
 EX_REFUTED = 2
@@ -33,7 +33,7 @@ def _build_field(args) -> FieldDesc:
 
 def _canonical_element(K: FieldDesc, budget: int):
     """The preset's standard demonstration element with its tail data."""
-    if K.ctx.mode == "equal":
+    if K.ctx.mode == EQUAL:
         if K.perfect:
             b = Series.monomial(K.ctx, -1)
             root = artin.as_root(b, budget + 6)
@@ -68,7 +68,7 @@ def _write_out(args, K: FieldDesc, certs, log=()) -> None:
     """Write the run's certificate file to ``--out``, when one is given."""
     if args.out:
         config = certfile.SessionConfig.for_field(K, args.budget)
-        cf = certfile.make_certificate_file(K, config, certs, log=log)
+        cf = certfile.CertificateFile(config, K, tuple(certs), tuple(log))
         try:
             certfile.write_certificate_file(args.out, cf)
         except OSError as exc:
@@ -123,7 +123,7 @@ def _print_cert_table(certs) -> None:
 
 def cmd_asfamily(args) -> int:
     K = _build_field(args)
-    if K.ctx.mode != "equal":
+    if K.ctx.mode != EQUAL:
         print("asfamily runs in equal characteristic", file=sys.stderr)
         return EX_USAGE
     eta = approx.imperfection_witness(K, args.budget)
@@ -143,7 +143,7 @@ def cmd_asfamily(args) -> int:
 
 def cmd_kummerfamily(args) -> int:
     K = _build_field(args)
-    if K.ctx.mode != "mixed" or not K.leveled:
+    if K.ctx.mode != MIXED or not K.leveled:
         print("kummerfamily runs over the deep p-adic tower preset", file=sys.stderr)
         return EX_USAGE
     eta, tail = kummer.lab_superdependent_unit(K)
@@ -160,7 +160,7 @@ def cmd_kummerfamily(args) -> int:
 
 def cmd_sigma(args) -> int:
     K = _build_field(args)
-    if K.ctx.mode != "equal":
+    if K.ctx.mode != EQUAL:
         print("the sigma survey here runs on the classical equal-characteristic "
               "extension; use kummerfamily for the mixed side", file=sys.stderr)
         return EX_USAGE
@@ -250,7 +250,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             q //= p
             m += 1
         if q != 1 or m < 1:
-            print(f"--q must be a power of --p", file=sys.stderr)
+            print("--q must be a power of --p", file=sys.stderr)
             return EX_USAGE
         args.q_power = m
     elif hasattr(args, "p"):

@@ -173,10 +173,7 @@ class FiniteField:
         return list(self._coeffs[a])
 
     def parse_code(self, obj) -> int:
-        if isinstance(obj, int):
-            if self.m != 1 and obj >= self.p:
-                raise ValueError("extension field elements need coordinates")
-            return obj % self.q if self.m == 1 else obj
+        """The code of a coefficient list, ``repr_code``'s form when m > 1."""
         cs = list(obj)
         if len(cs) != self.m:
             raise ValueError("bad coordinate length")

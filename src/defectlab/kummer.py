@@ -52,10 +52,8 @@ def _require_mixed(ctx):
 
 
 def is_one_unit(eta: Series) -> bool:
-    d = eta - Series.one(eta.ctx, eta.precision)
-    if d.is_zero:
-        return True
-    return d.valuation() > 0
+    k = eta.diff_k(Series.one(eta.ctx))
+    return k is None or k > 0
 
 
 class PthPowerReport(NamedTuple):

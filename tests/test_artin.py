@@ -397,6 +397,18 @@ class TestPairwiseDistinct:
         with pytest.raises(AssertionError, match="members 1 and 2 share a minimal polynomial"):
             check_pairwise_distinct([certs[0], certs[1]._replace(min_poly=certs[0].min_poly)])
 
+    def test_overlap_names_the_members_in_index_order(self):
+        # sorted by lo, member 2 ([-3/2+, -1/2+]) comes before member 1
+        # ([-1/2+, -1/2+]); the message still names them as 1 and 2
+        eta = imperfection_witness(K2, 2)
+        sample = value_set(eta, K2, 2)
+        m1, m2 = as_family(eta, K2, admissible_twist(eta, sample), 2, sample)
+        assert (str(m1.dist), str(m2.dist)) == ("[-1/2+, -1/2+]", "[-3/2+, -3/2+]")
+        forged = m2._replace(dist=CutEnclosure(m2.dist.lo, m1.dist.hi))
+        with pytest.raises(AssertionError,
+                           match="^members 1 and 2 have overlapping distance enclosures$"):
+            check_pairwise_distinct([m1, forged])
+
 
 class TestClassicalDefectExtension:
     @pytest.mark.parametrize("K", [T2, T3], ids=["p2", "p3"])
@@ -421,6 +433,16 @@ class TestClassicalDefectExtension:
         assert {q(1, p), q(1, p ** 2), q(1, p ** 3)} <= vals
         assert all(v > 0 for v in vals)
         assert sig.verdict == "independent_consistent"
+
+    def test_sigma_gap_below_zero_is_dependent_evidence(self):
+        # the same positive values under a proved no-maximum, with the
+        # enclosure moved to a certified gap below 0
+        cert = as_extension(Series.monomial(T2.ctx, -1), T2, 2)
+        base = sigma_sample(cert)
+        assert (cert.sample.no_max, base.verdict) == ("proved", "independent_consistent")
+        gap = cert._replace(dist=CutEnclosure(Cut(ExtRat.of(q(-1, 2)), True),
+                                              Cut(ExtRat.of(q(-1, 4)), False)))
+        assert sigma_sample(gap) == base._replace(verdict="dependent_evidence")
 
     def test_sigma_invariant_under_generator_change(self):
         b = Series.monomial(T2.ctx, -1)

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from defectlab.approx import value_set
 from defectlab.artin import as_extension, as_family
 from defectlab.certfile import (
+    CertificateFile,
     SessionConfig,
     _field_to_json,
     _parse_extrat,
     cert_from_json,
-    make_certificate_file,
     read_certificate_file,
     sample_from_json,
     series_from_json,
@@ -65,7 +65,7 @@ def test_cert_json_roundtrip():
 
 def test_file_roundtrip_and_verify(tmp_path):
     certs = _as_certs()
-    cf = make_certificate_file(K2, SessionConfig.for_field(K2, 3), certs)
+    cf = CertificateFile(SessionConfig.for_field(K2, 3), K2, tuple(certs), ())
     path = tmp_path / "out.json"
     write_certificate_file(str(path), cf)
     loaded = read_certificate_file(str(path))
@@ -79,14 +79,14 @@ def test_determinism(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     for path in (p1, p2):
         certs = _as_certs()
-        cf = make_certificate_file(K2, SessionConfig.for_field(K2, 3), certs)
+        cf = CertificateFile(SessionConfig.for_field(K2, 3), K2, tuple(certs), ())
         write_certificate_file(str(path), cf)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_tamper_detection_value(tmp_path):
     certs = _as_certs()
-    cf = make_certificate_file(K2, SessionConfig.for_field(K2, 3), certs)
+    cf = CertificateFile(SessionConfig.for_field(K2, 3), K2, tuple(certs), ())
     path = tmp_path / "out.json"
     write_certificate_file(str(path), cf)
     obj = json.loads(path.read_text())
@@ -116,7 +116,7 @@ def _witness_is_generator(cert):
 )
 def test_witness_step_named_diffs(tmp_path, tamper, diff):
     certs = _as_certs()
-    cf = make_certificate_file(K2, SessionConfig.for_field(K2, 3), certs)
+    cf = CertificateFile(SessionConfig.for_field(K2, 3), K2, tuple(certs), ())
     path = tmp_path / "out.json"
     write_certificate_file(str(path), cf)
     obj = json.loads(path.read_text())
@@ -129,7 +129,7 @@ def test_witness_step_named_diffs(tmp_path, tamper, diff):
 
 def test_tamper_detection_claim(tmp_path):
     certs = _as_certs()
-    cf = make_certificate_file(K2, SessionConfig.for_field(K2, 3), certs)
+    cf = CertificateFile(SessionConfig.for_field(K2, 3), K2, tuple(certs), ())
     path = tmp_path / "out.json"
     write_certificate_file(str(path), cf)
     obj = json.loads(path.read_text())
@@ -141,7 +141,7 @@ def test_tamper_detection_claim(tmp_path):
 
 def test_config_mismatch_rejected(tmp_path):
     certs = _as_certs()
-    cf = make_certificate_file(K2, SessionConfig.for_field(K2, 3), certs)
+    cf = CertificateFile(SessionConfig.for_field(K2, 3), K2, tuple(certs), ())
     path = tmp_path / "out.json"
     write_certificate_file(str(path), cf)
     obj = json.loads(path.read_text())
@@ -154,7 +154,7 @@ def test_config_mismatch_rejected(tmp_path):
 def test_kummer_cert_verifies(tmp_path):
     eta, tail = lab_superdependent_unit(QT2)
     certs = kummer_family(eta, QT2, 2, 5, tail)
-    cf = make_certificate_file(QT2, SessionConfig.for_field(QT2, 5), certs)
+    cf = CertificateFile(SessionConfig.for_field(QT2, 5), QT2, tuple(certs), ())
     path = tmp_path / "ku.json"
     write_certificate_file(str(path), cf)
     diffs = verify_certificate(read_certificate_file(str(path)))
@@ -163,7 +163,7 @@ def test_kummer_cert_verifies(tmp_path):
 
 def test_classical_cert_verifies(tmp_path):
     cert = as_extension(Series.monomial(T2.ctx, -1), T2, 3)
-    cf = make_certificate_file(T2, SessionConfig.for_field(T2, 3), [cert])
+    cf = CertificateFile(SessionConfig.for_field(T2, 3), T2, (cert,), ())
     path = tmp_path / "cl.json"
     write_certificate_file(str(path), cf)
     diffs = verify_certificate(read_certificate_file(str(path)))
@@ -172,7 +172,7 @@ def test_classical_cert_verifies(tmp_path):
 
 def test_unsupported_version(tmp_path):
     certs = _as_certs()
-    cf = make_certificate_file(K2, SessionConfig.for_field(K2, 3), certs)
+    cf = CertificateFile(SessionConfig.for_field(K2, 3), K2, tuple(certs), ())
     path = tmp_path / "v.json"
     write_certificate_file(str(path), cf)
     obj = json.loads(path.read_text())
@@ -204,7 +204,7 @@ def _flip_denominators_unbounded(cert):
 def test_kummer_upper_cut_named_diff(tmp_path, tamper, refusal):
     eta, tail = lab_superdependent_unit(QT2)
     certs = kummer_family(eta, QT2, 2, 5, tail)
-    cf = make_certificate_file(QT2, SessionConfig.for_field(QT2, 5), certs)
+    cf = CertificateFile(SessionConfig.for_field(QT2, 5), QT2, tuple(certs), ())
     path = tmp_path / "ku.json"
     write_certificate_file(str(path), cf)
     obj = json.loads(path.read_text())
@@ -234,7 +234,7 @@ def _kummer_certs():
 )
 def test_duplicated_family_member_named_diff(tmp_path, capsys, family):
     K, budget, certs = family()
-    cf = make_certificate_file(K, SessionConfig.for_field(K, budget), certs)
+    cf = CertificateFile(SessionConfig.for_field(K, budget), K, tuple(certs), ())
     path = tmp_path / "fam.json"
     write_certificate_file(str(path), cf)
     assert main(["verify", str(path)]) == 0
@@ -785,6 +785,35 @@ def test_forged_kummer_enclosure_is_one_diff(tmp_path, capsys):
         "stored [5/32-, +inf-]"], out
 
 
+def test_a_check_that_raises_is_a_verification_error(tmp_path, capsys):
+    # an exact generator over F_4 needs digit carries that only p in {2, 3}
+    # prime fields have: the check raises, and verify names the error
+    # instead of accepting the certificate
+    obj = json.loads((CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-4-n-1-budget-7.json").read_text())
+    obj["certs"][0]["generator"]["precision"] = "+inf"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "verification FAILED:",
+        "  cert[0]: verification error: exact (infinite-precision) digit carries are only "
+        "available for prime fields with p in {2, 3}; pass a finite precision"]
+
+
+def test_a_claim_rule_that_refuses_is_a_named_diff(tmp_path, capsys):
+    # an upper cut of 2 puts the Kummer enclosure above (v(p)/(p-1))^- = 1^-,
+    # so the claim rule refuses to classify it
+    obj = json.loads((CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-1-budget-5.json").read_text())
+    obj["certs"][0]["sample"]["upper"]["bound"] = "2/1"
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  cert[0]: upper cut re-derivation gives 5/32-, stored 2/1-",
+        "  cert[0]: claim re-derivation failed: distance enclosure [79/512+, 2/1-] "
+        "violates 0 < dist <= (v(p)/(p-1))^-"]
+
+
 _AS_NOTE = "note 'fractional telescoping tail of an Artin-Schreier root'"
 _AS_TAIL = f"low -1/512, sup 0/1, {_AS_NOTE}"
 
@@ -942,7 +971,7 @@ def _oracle_extrat_parse(s):
 def _oracle_series_from_json(obj, ctx):
     if obj["mode"] != ctx.mode:
         raise ValueError(f"series mode {obj['mode']!r} does not match the session")
-    terms = {Fraction(t["exp"]): ctx.field.parse_code(t["coeff"]) for t in obj["terms"]}
+    terms = {Fraction(t["exp"]): t["coeff"] % ctx.p for t in obj["terms"]}  # prime fields only
     return Series.make(ctx, terms, _oracle_extrat_parse(obj["precision"]))
 
 

@@ -20,11 +20,11 @@ from hypothesis import given, settings, strategies as st
 from defectlab.approx import TailSchema
 from defectlab.artin import Claims, as_extension
 from defectlab.certfile import (
+    CertificateFile,
     SessionConfig,
     _field_text,
     _field_to_json,
     _series_text,
-    make_certificate_file,
     read_certificate_file,
     write_certificate_file,
 )
@@ -97,8 +97,8 @@ def test_scalars_and_empty_containers(tmp_path):
                          claims=Claims(defect=None),
                          sample=cert.sample._replace(realized=(), upper=Cut(PLUS_INF, False)))
     assert cert.claims.defect is not None and cert.generator_tail is not None
-    for cf in (make_certificate_file(K, config, []),
-               make_certificate_file(preset_field("laurent", 3), config, [bare, cert], log=("",))):
+    for cf in (CertificateFile(config, K, (), ()),
+               CertificateFile(config, preset_field("laurent", 3), (bare, cert), ("",))):
         out = tmp_path / "out.json"
         write_certificate_file(str(out), cf)
         assert out.read_bytes() == (oracle_text(cf) + "\n").encode("ascii")
@@ -115,7 +115,7 @@ def test_free_strings_are_escaped(tmp_path):
     certs = kummer_family(eta, K, 2, 5, tail)
     odd = TailSchema(Fraction(1, 8), Fraction(-3, 16), AWKWARD)
     certs = [c._replace(provenance=(AWKWARD, "", "plain"), generator_tail=odd) for c in certs]
-    cf = make_certificate_file(K, SessionConfig.for_field(K, 5), certs, log=(AWKWARD, "x", ""))
+    cf = CertificateFile(SessionConfig.for_field(K, 5), K, tuple(certs), (AWKWARD, "x", ""))
     out = tmp_path / "odd.json"
     write_certificate_file(str(out), cf)
     data = out.read_bytes()

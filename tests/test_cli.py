@@ -212,6 +212,14 @@ def test_kummerfamily_at_odd_p_is_a_usage_error(capsys):
     assert "claim check failed" not in err, err
 
 
+def test_a_failed_claim_check_is_exit_2(monkeypatch, capsys):
+    def refuted(*args):
+        raise AssertionError("forced")
+    monkeypatch.setattr("defectlab.artin.as_family", refuted)
+    assert run(["asfamily", "--base", "fp_t", "--p", "2", "--n", "2", "--budget", "2"]) == 2
+    assert capsys.readouterr().err == "claim check failed: forced\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [[c, "--base", b, "--p", "2"] for c in ("sigma", "asfamily") for b in ("qp", "qp_pdiv_tower")]

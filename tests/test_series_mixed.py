@@ -58,6 +58,12 @@ def test_p2_negative_needs_finite_precision():
     assert (m1 + Series.one(M2)).is_zero
 
 
+def test_from_rational_with_no_digit_below_the_precision():
+    # 8 = 2^3 has its only digit at 3, above the precision 2
+    eight = Series.from_rational(M2, q(8), 2)
+    assert (eight.terms, str(eight)) == ((), "0 [prec 2/1]")
+
+
 def test_subtraction_with_borrows():
     a = Series.from_int(M2, 9)
     b = Series.from_int(M2, 1)

@@ -200,6 +200,16 @@ def test_pinned_start_below_the_horizon_keeps_the_full_shift():
     assert_same_as_full_shift(f, start, target)
 
 
+def test_pinned_zero_taylor_coefficient_is_skipped():
+    # X^3 + X + t^-3 at 0: the X^2 coefficient is an exact zero, so the
+    # polygon step takes its slope from X and X^3 alone
+    ctx = make_context("equal", 2)
+    f = (Series.monomial(ctx, -3), Series.one(ctx), Series.zero(ctx), Series.one(ctx))
+    start, target = Series.zero(ctx), ExtRat.of(4)
+    assert str(newton_root(f, start, target)) == "t^-1 + t^1 + t^5 [prec 6/1]"
+    assert_same_as_full_shift(f, start, target)
+
+
 def test_off_grid_target_is_refused():
     # 10/3 is off the grid (1/D)Z of D = 2^8; rounding the target up would
     # certify a horizon the residual never reached

@@ -42,7 +42,8 @@ A branch no program takes stays only for a reason that names who needs it:
   ``test_series_mixed.py::test_exact_p5_difference_without_carry_merges``;
 * ``artin.root_tail`` with no residual: acceptance C04, which solves a
   constant b;
-* ``artin.sigma_sample``'s ``dependent_evidence`` verdict: ROADMAP item 5;
+* ``artin.sigma_sample``'s ``dependent_evidence`` verdict: ROADMAP item 5
+  (``test_artin.py``'s ``test_sigma_gap_below_zero_is_dependent_evidence``);
 * ``artin.certify``'s Kummer classes other than super-dependent: the
   forged enclosures of ``test_kummer.py``, and ROADMAP item 10.
 """

@@ -8,7 +8,7 @@ import pytest
 
 from defectlab.approx import TailSchema
 from defectlab.artin import Claims, as_extension
-from defectlab.certfile import SessionConfig, make_certificate_file, write_certificate_file
+from defectlab.certfile import CertificateFile, SessionConfig, write_certificate_file
 from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
 from defectlab.ffield import finite_field
 from defectlab.fields import FieldDesc, listing_index, preset_field
@@ -139,10 +139,10 @@ def test_records_never_reach_a_certificate_file(tmp_path, where, record):
     # record leaves neither the target nor a .cert-* file behind
     cert = as_extension(Series.monomial(K2.ctx, -1), K2, 2)
     if where == "provenance":
-        cf = make_certificate_file(K2, SessionConfig.for_field(K2, 2),
-                                   [cert._replace(provenance=("ok", record))])
+        cf = CertificateFile(SessionConfig.for_field(K2, 2), K2,
+                             (cert._replace(provenance=("ok", record)),), ())
     else:
-        cf = make_certificate_file(K2, SessionConfig.for_field(K2, 2), [cert], log=("ok", record))
+        cf = CertificateFile(SessionConfig.for_field(K2, 2), K2, (cert,), ("ok", record))
     with pytest.raises(TypeError):
         write_certificate_file(str(tmp_path / "out.json"), cf)
     assert list(tmp_path.iterdir()) == []
