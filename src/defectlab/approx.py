@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from .cuts import Cut, CutEnclosure, ExtRat, PLUS_INF
 from .fields import BudgetTooSmall, FieldDesc, element_stream, listing_index, member_witness
@@ -146,13 +146,15 @@ def value_set(
 
     Each value's witness is a truncation if one realizes it, else the
     first listed element that does.  The listing is read through its
-    ``listing_index``, never scanned.  Let ka be the leading exponent of
-    a (+inf when a has no terms).  A listed c led by another term than
+    ``listing_index``, never built whole.  Let ka be the leading exponent
+    of a (+inf when a has no terms).  A listed c led by another term than
     a's has v(a - c) = min(ka, kc), so each leading exponent kc < ka is
     realized, first by the first element listed there.  The value ka
-    itself is realized first by a's empty truncation.  ``Series.diff_k``
-    runs only on the elements led by a's leading term, or, when a has no
-    terms, on the listed elements without terms.
+    itself is realized first by a's empty truncation.  Only the elements
+    led by a's leading term, or, when a has no terms, the listed elements
+    without terms, are built and read by ``Series.diff_k``, in listing
+    order; a repeat comes after its first occurrence, so it is never a
+    witness.
 
     Witnesses are keyed by the grid index k of the value k/D, which is
     the realized value (an exact zero, ``None`` from ``Series.diff_k``,
@@ -174,20 +176,19 @@ def value_set(
                 found.setdefault(k, partial)
                 partial_ks.append(k)
 
-    # enumeration witnesses, as first listing indices (see the docstring)
+    # enumeration witnesses, as keys of first listed elements (see the docstring)
     if ctx is not K.ctx and ctx != K.ctx:
         raise ValueError("series from different sessions cannot be combined")
     index = listing_index(K, budget)
-    elements = index.elements
     lead = a.kterms[0] if a.kterms else None
     j = bisect_left(index.lead_ks, min(lead[0] if lead else math.inf, khorizon))
-    first: Dict[int, int] = dict(zip(index.lead_ks[:j], index.first_at))
-    for i in index.by_lead.get(lead, ()) if lead else index.termless:
-        k = a.diff_k(elements[i])
+    first: Dict[int, Hashable] = dict(zip(index.lead_ks[:j], index.first_at))
+    for at in index.led_by(lead) if lead else index.termless:
+        k = a.diff_k(index.element(at))
         if k is not None and k < khorizon:
-            first.setdefault(k, i)
-    for k, i in first.items():
-        found.setdefault(k, elements[i])
+            first.setdefault(k, at)
+    for k, at in first.items():
+        found.setdefault(k, index.element(at))
 
     realized = tuple((k, found[k]) for k in sorted(found))
 

@@ -35,7 +35,7 @@ from .approx import (
     value_set,
 )
 from .cuts import Cut, CutEnclosure, ExtRat
-from .fields import FieldDesc, listing_index, member_witness
+from .fields import FieldDesc, enumerate_elements, member_witness
 from .series import (
     EQUAL,
     DenominatorBoundError,
@@ -201,6 +201,7 @@ def transform_inseparable(
     K: FieldDesc,
     d: Series,
     sample_eta: InitialSegmentSample,
+    eta_hash: Optional[str] = None,
 ) -> ExtensionCert:
     """Turn the inseparable relation eta^p in K into an Artin-Schreier
     extension whose value set is the translate of v(eta - K), and return
@@ -215,7 +216,8 @@ def transform_inseparable(
     v(theta - c/d) = v(eta - c) - v(d) witness by witness.
 
     ``sample_eta`` is the sample of v(eta - K); its budget is the one
-    used to sample theta.
+    used to sample theta.  ``eta_hash`` is ``_short_hash(eta)`` for the
+    log line, which a family computes once for all its members.
     """
     ctx = eta.ctx
     if ctx.mode != EQUAL:
@@ -289,7 +291,7 @@ def transform_inseparable(
     )
     return certify(
         ARTIN_SCHREIER, K, theta, tail, b.neg(), root.residual_floor, merged, claims,
-        (f"transform_inseparable eta={_short_hash(eta)} d={_short_hash(d)} budget={budget}",),
+        (f"transform_inseparable eta={eta_hash or _short_hash(eta)} d={_short_hash(d)} budget={budget}",),
     )
 
 
@@ -324,9 +326,10 @@ def as_family(
             "family hypothesis fails: no realized alpha with alpha + v(d) above the sample"
         )
 
+    eta_hash = _short_hash(eta)
     certs: List[ExtensionCert] = []
     for n in range(1, n_members + 1):
-        certs.append(transform_inseparable(eta, K, d.pow_int(n), sample_eta))
+        certs.append(transform_inseparable(eta, K, d.pow_int(n), sample_eta, eta_hash))
 
     check_pairwise_distinct(certs)
     return certs
@@ -407,7 +410,7 @@ def sigma_sample(cert: ExtensionCert) -> SigmaSample:
     shifted = theta + Series.one(ctx)
     # (theta^j, (sigma theta)^j) for j = 1..p-1, shared by every c
     powers = [(theta.pow_int(j), shifted.pow_int(j)) for j in range(1, p)]
-    for c in listing_index(cert.base, 1).elements:
+    for c in enumerate_elements(cert.base, 1):
         if c.is_zero:
             continue
         for tj, sj in powers:

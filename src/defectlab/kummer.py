@@ -239,7 +239,7 @@ def kummer_family(
     for k, at in zip(reversed(index.lead_ks), reversed(index.first_at)):
         v = Fraction(k, ctx.D)
         if k < 0 and upper <= Cut(sd_threshold + 2 * v, False):
-            candidates.append((v, index.elements[at]))
+            candidates.append((v, index.element(at)))
     if len(candidates) < n_members:
         raise BudgetTooSmall(
             f"only {len(candidates)} admissible deep elements at budget {budget}, "

@@ -14,6 +14,7 @@ from defectlab.approx import (
     translate_sample,
     value_set,
 )
+from defectlab import fields
 from defectlab.artin import as_root
 from defectlab.cuts import Cut, ExtRat, PLUS_INF
 from defectlab.fields import (
@@ -140,8 +141,9 @@ def test_semitame_consistency():
 
 
 def _listing(K, budget):
-    """The listing value_set reads: the one its cached index holds."""
-    return listing_index(K, budget).elements
+    """The listing value_set reads through its index, built whole: the
+    brute-force reference, independent of the index."""
+    return enumerate_elements(K, budget)
 
 
 def _reference_realized(a, K, budget, tail=None):
@@ -230,17 +232,12 @@ def test_value_set_matches_subtraction_reference(case):
     got = realized(value_set(a, K, budget, tail))
     want = _reference_realized(a, K, budget, tail)
     assert [v for v, _ in got] == [v for v, _ in want]
-    enumerated = {id(c) for c in _listing(K, budget)}
     for (_, w), (_, rw) in zip(got, want):
-        if id(rw) in enumerated:
-            assert w is rw
-        else:  # a partial-sum witness, rebuilt on every call
-            assert w == rw
+        assert w == rw
 
 
 def _scan_realized(a, K, budget, tail, listing):
-    """value_set's realized pairs by a diff_k scan of the whole listing,
-    each with whether its witness is a listed element."""
+    """value_set's realized pairs by a diff_k scan of the whole listing."""
     ctx = a.ctx
     khorizon = difference_horizon(a, tail)
     found = {}
@@ -248,12 +245,12 @@ def _scan_realized(a, K, budget, tail, listing):
         if k < khorizon:
             partial = Series(ctx, a.kterms[:i], a.kprec)
             if member_witness(K, partial):
-                found.setdefault(k, (partial, False))
+                found.setdefault(k, partial)
     for c in listing:
         k = a.diff_k(c)
         if k is not None and k < khorizon:
-            found.setdefault(k, (c, True))
-    return [(k,) + found[k] for k in sorted(found)]
+            found.setdefault(k, c)
+    return [(k, found[k]) for k in sorted(found)]
 
 
 @st.composite
@@ -283,19 +280,52 @@ def _probes(draw, K, listing):
     return a, tail
 
 
+# (p, m) of the residue field F_q, by q
+_RESIDUE = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1)}
 _ORACLE_FIELDS = [
-    (name, p, budget)
+    (name, q, budget)
     for name in ("fp_t", "laurent", "pdiv_tower", "qp", "qp_pdiv_tower")
-    for p in (2, 3)
+    for q in (2, 3)
     for budget in (1, 2, 3)
+] + [
+    (name, q, budget)
+    for name in ("fp_t", "laurent", "pdiv_tower")
+    for q, budgets in ((4, (1, 2)), (2, (4, 5)), (5, (1, 2)))
+    for budget in budgets
+    # about 2.6 s, half of the other 17 cases together
+    if (name, q, budget) != ("pdiv_tower", 5, 2)
 ]
 
 
-@pytest.mark.parametrize("name, p, budget", _ORACLE_FIELDS)
-def test_value_set_matches_listing_scan(name, p, budget):
-    K = preset_field(name, p)
+def _index_error(K, budget, listing):
+    """How the index of ``listing`` (the whole listing, in order) departs
+    from it, or None: its first element at each leading exponent, its
+    elements without terms and the elements it gives for each lead."""
+    index = listing_index(K, budget)
+    first, led, termless = {}, {}, []
+    for c in listing:
+        if c.kterms:
+            first.setdefault(c.kterms[0][0], c)
+            led.setdefault(c.kterms[0], []).append(c)
+        else:
+            termless.append(c)
+    if index.lead_ks != sorted(first):
+        return f"leading exponents {index.lead_ks}, listed {sorted(first)}"
+    if [index.element(at) for at in index.first_at] != [first[k] for k in index.lead_ks]:
+        return "a first element differs"
+    if list(dict.fromkeys(index.element(at) for at in index.termless)) != termless:
+        return "the elements without terms differ"
+    for lead, cs in led.items():
+        if list(dict.fromkeys(index.element(at) for at in index.led_by(lead))) != cs:
+            return f"the elements led by {lead} differ"
+    return None
+
+
+@pytest.mark.parametrize("name, q, budget", _ORACLE_FIELDS)
+def test_value_set_matches_listing_scan(name, q, budget):
+    K = preset_field(name, *_RESIDUE[q])
     listing = _listing(K, budget)
-    assert listing == enumerate_elements(K, budget)
+    assert _index_error(K, budget, listing) is None
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_probes(K, listing))
@@ -303,17 +333,37 @@ def test_value_set_matches_listing_scan(name, p, budget):
         a, tail = probe
         want = _scan_realized(a, K, budget, tail, listing)
         upper = support_upper_cut(a, K, tail)
-        if sample_shape_error([(k, w) for k, w, _ in want], upper, K.ctx):
+        if sample_shape_error(want, upper, K.ctx):
             # a tail on an element the listing holds exactly: refused
             with pytest.raises(AssertionError):
                 value_set(a, K, budget, tail)
             return
         got = value_set(a, K, budget, tail).realized
-        assert [v for v, _ in got] == [v for v, _, _ in want]
-        for (_, w), (_, rw, listed) in zip(got, want):
-            assert w is rw if listed else w == rw
+        assert got == tuple(want)
 
     check()
+
+
+@pytest.mark.parametrize("name", ["fp_t", "laurent", "pdiv_tower"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_value_set_builds_no_listing(name, p, monkeypatch):
+    # the index reads leading terms off the digit codes: with the listing
+    # and the stream refused, the samples are the listing scan's
+    K, budget = preset_field(name, p), 3
+    listing = enumerate_elements(K, budget)
+    canonical = (Series.monomial(K.ctx, q(1, p)), None) if name == "fp_t" else _tower_root(budget, K)
+    probes = [canonical, (Series.zero(K.ctx), None)]
+    # listed elements without their last term: led as the listed ones are
+    probes += [(Series(K.ctx, c.kterms[:-1], c.kprec), None) for c in listing[1::len(listing) // 6]]
+    want = [_scan_realized(a, K, budget, tail, listing) for a, tail in probes]
+
+    def refuse(*args):
+        raise AssertionError("the listing was built")
+
+    monkeypatch.setattr(fields, "enumerate_elements", refuse)
+    monkeypatch.setattr(fields, "element_stream", refuse)
+    listing_index.cache_clear()
+    assert [list(value_set(a, K, budget, tail).realized) for a, tail in probes] == want
 
 
 _GRID4 = make_context(EQUAL, 2, 1, 4)

@@ -55,6 +55,22 @@ def test_field_lists_no_more_than_it_shows():
     assert shown.count(" [prec ") == 6, proc.stdout
 
 
+def test_distance_at_p_251_lists_only_what_it_compares():
+    # fp_t's height-1 listing at p = 251 holds about 251^4 = 4 * 10^9
+    # elements, and distance builds only those its sample compares.  A
+    # child process, so that building the listing fails on its timeout
+    proc = subprocess.run(
+        [sys.executable, "-m", "defectlab", "distance", "--base", "fp_t", "--p", "251",
+         "--budget", "1"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        cwd=Path(defectlab.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "distance enclosure: [1/251+, 1/251+]  (exact)"
+
+
 @pytest.mark.parametrize(
     "size, q",
     [(["--p", "2", "--q", "1024"], "2^10"), (["--p", "1000003"], "1000003^1"),

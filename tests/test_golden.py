@@ -38,6 +38,26 @@ def test_certificate_matches_golden(job, golden, tmp_path, capsys):
     assert main(["verify", str(out)]) == 0
 
 
+# certificates deeper than the golden jobs reach, with the sha256 of the
+# files they write
+DEEP = {
+    "distance --base pdiv_tower --p 2 --budget 6":
+        "8cca66f630c3982d6b3ba0260660e9f0ef4f1d65a7893b3a91509d947c68199d",
+    "sigma --base pdiv_tower --p 3 --budget 3":
+        "81d95cc3de390e41a530cc23025f2c8b4df0ab776afe724d2cb43bacb10e4bb1",
+    "distance --base fp_t --p 11 --budget 2":
+        "c39229560b403bd85d9dad2c644b16b3629d534194b5d9b05973faf3fb624513",
+}
+
+
+@pytest.mark.parametrize("job", sorted(DEEP))
+def test_deep_certificate_keeps_its_bytes(job, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(job.split() + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEEP[job]
+    assert main(["verify", str(out)]) == 0
+
+
 CORPUS = GOLDEN.parent / "corpus"
 
 
