@@ -18,7 +18,7 @@ from defectlab.fields import preset_field
 def survey(preset: str, p: int, n: int, budget: int) -> None:
     K = preset_field(preset, p)
     print(f"\n=== {preset} (p = {p}) ===")
-    rep = semitame_report(K, budget)
+    rep = semitame_report(K)
     line = ", ".join(f"({k}) {rep[k].status}" for k in ("a", "c", "d", "e", "f"))
     print(f"conditions: {line}")
 

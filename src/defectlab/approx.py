@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, Hashable, List, NamedTuple, Optional, Tuple
 
 from .cuts import Cut, CutEnclosure, ExtRat, PLUS_INF
-from .fields import BudgetTooSmall, FieldDesc, element_stream, listing_index, member_witness
+from .fields import FieldDesc, listing_index, member_witness
 from .series import EQUAL, Series, pth_root
 
 PROVED = "proved"
@@ -290,17 +290,15 @@ CONDITION_NAMES = {
 }
 
 
-def semitame_report(K: FieldDesc, budget: int) -> Dict[str, ConditionVerdict]:
+def semitame_report(K: FieldDesc) -> Dict[str, ConditionVerdict]:
     """Per-condition verdicts for the semitame / deeply ramified circle.
 
-    Refutations carry explicit witnesses found by enumeration plus a
-    support-lattice argument (an element whose p-th root, or itself,
-    cannot be approximated because its exponent sits outside the
-    relevant lattice).  Proofs are structural, from the shape flags of
-    the description (a perfect directed union stays perfect in the
-    completion).  An imperfect field whose listing at ``budget`` holds
-    no imperfection witness raises ``BudgetTooSmall`` (exit 3 from the
-    command line); no verdict is left unknown.
+    Refutations carry explicit witnesses plus a support-lattice argument:
+    the ``imperfection_witness`` t^(1/p), whose exponent lies outside
+    the lattice, and its p-th power t, boundedly far from every p-th power.
+    Proofs are structural, from the shape flags of the description (a
+    perfect directed union stays perfect in the completion).  No verdict
+    is left unknown, and none depends on a budget.
     """
     if K.ctx.mode != EQUAL:
         raise ValueError("the condition circle is checked in equal characteristic")
@@ -325,7 +323,7 @@ def semitame_report(K: FieldDesc, budget: int) -> Dict[str, ConditionVerdict]:
         for key in ("c", "d", "e", "f"):
             out[key] = ConditionVerdict(PROVED, None, note)
     else:
-        root = imperfection_witness(K, budget)
+        root = imperfection_witness(K)
         a0 = root.frobenius()
         lattice_note = (
             "the p-th root's exponent lies outside the support lattice, so "
@@ -350,27 +348,21 @@ def semitame_report(K: FieldDesc, budget: int) -> Dict[str, ConditionVerdict]:
     return out
 
 
-def imperfection_witness(K: FieldDesc, budget: int) -> Optional[Series]:
-    """First enumerated eta with eta^p in K and v(eta - K) certifiably
-    bounded (hence eta outside the completion); None when the field is
-    certified perfect.  Raises ``BudgetTooSmall`` (exit 3 from the
-    command line) when no element listed at ``budget`` has such a root;
-    at every budget >= 1 the listing holds t, whose root is one.
+def imperfection_witness(K: FieldDesc) -> Optional[Series]:
+    """An eta with eta^p in K and v(eta - K) certifiably bounded (hence
+    eta outside the completion), or None when the field is certified
+    perfect: the p-th root of t.
 
-    The root of an enumerated element escapes K when it has an exponent
-    outside the support lattice of K.  The candidates have eta^p in K on
-    the nose, so the replacement step (trading a near-miss for an exact
-    p-th power) is built into the search.
+    t lies in K, and its root t^(1/p) has an exponent outside the support
+    lattice Z of every imperfect equal-characteristic preset, so
+    ``member_witness`` refuses it and ``support_upper_cut`` bounds
+    v(eta - K) by 1/p, attained.  The root is t^(1/p) exactly, so eta^p = t
+    on the nose.  A root that ``member_witness`` accepts witnesses nothing
+    and raises ValueError.
     """
     if K.perfect:
         return None
-    # a repeat never precedes its first occurrence, so the stream's first
-    # hit is the first hit of enumerate_elements(K, budget)
-    for c in element_stream(K, budget):
-        if c.is_zero:
-            continue
-        root = pth_root(c)
-        if not member_witness(K, root):
-            return root
-    raise BudgetTooSmall(f"no imperfection witness among the elements at height {budget}")
-
+    root = pth_root(Series.monomial(K.ctx, 1))
+    if member_witness(K, root):
+        raise ValueError(f"the p-th root of t lies in {K.name}; it witnesses no imperfection")
+    return root

@@ -35,7 +35,7 @@ from .approx import (
     value_set,
 )
 from .cuts import Cut, CutEnclosure, ExtRat
-from .fields import FieldDesc, enumerate_elements, member_witness
+from .fields import FieldDesc, member_witness
 from .series import (
     EQUAL,
     DenominatorBoundError,
@@ -386,39 +386,30 @@ class SigmaSample(NamedTuple):
 
 
 def sigma_sample(cert: ExtensionCert) -> SigmaSample:
-    """Sample the Galois-twist values of an Artin-Schreier extension.
+    """Sample the Galois-twist values of an Artin-Schreier extension,
+    read off the certificate: no element of K is built.
 
-    sigma acts by theta -> theta + 1; f ranges over the witness
-    differences theta - c and the monomials c theta^j, c of height 1 in
-    K's enumeration.  In rank 1 an independent defect forces the values
-    to fill {alpha > 0}, so accumulation at 0+ is consistent with
-    independence while a certified positive gap below the values is
-    evidence of dependence.
+    sigma acts by theta -> theta + 1.  In rank 1 an independent defect
+    forces the values to fill {alpha > 0}, so accumulation at 0+ is
+    consistent with independence while a certified positive gap below
+    the values is evidence of dependence.
 
-    Every difference c((theta + 1)^j - theta^j), 1 <= j < p, leads with
-    j c theta^(j-1), which lies below the products' precision for the
-    theta that ``as_extension`` solves at budget + 6 and for every c
-    listed at height 1; a difference with no term below its precision
-    raises ``PrecisionError`` (exit 3) and is not skipped.
+    f = theta - c, c a witness of the sample, has sigma f - f = 1 and gives
+    -v(theta - c).  f = c theta^j, c in K^x and 1 <= j < p, gives -v(theta)
+    when v(theta) < 0: (theta + 1)^j - theta^j leads with j theta^(j-1),
+    since j is nonzero in F_p and each other term C(j, i) theta^i, i < j - 1,
+    lies above it.  Its witness is theta: c = 1, the first nonzero element
+    listed at height 1 on every equal-characteristic preset, and j = 1.  A
+    generator with v(theta) >= 0, or with no term, is refused with a
+    ValueError: the monomials then give other values.
     """
     if cert.kind != ARTIN_SCHREIER:
         raise ValueError(f"sigma is sampled on Artin-Schreier extensions, not {cert.kind!r}")
     theta = cert.generator
-    ctx = theta.ctx
-    p = ctx.p
+    if not theta.kterms or theta.kterms[0][0] >= 0:
+        raise ValueError("sigma values are read off v(theta), which needs v(theta) < 0")
     found = {-k: theta - w for k, w in cert.sample.realized}
-    shifted = theta + Series.one(ctx)
-    # (theta^j, (sigma theta)^j) for j = 1..p-1, shared by every c
-    powers = [(theta.pow_int(j), shifted.pow_int(j)) for j in range(1, p)]
-    for c in enumerate_elements(cert.base, 1):
-        if c.is_zero:
-            continue
-        for tj, sj in powers:
-            f = c * tj
-            sf = c * sj
-            num = sf - f
-            found.setdefault(num.valuation_k() - f.valuation_k(), f)
-
+    found.setdefault(-theta.valuation_k(), theta)
     values = tuple(sorted(found.items()))  # the keys differ, so no witness is compared
     verdict = UNKNOWN
     positive = all(k > 0 for k, _ in values)

@@ -38,7 +38,7 @@ def _canonical_element(K: FieldDesc, budget: int):
             b = Series.monomial(K.ctx, -1)
             root = artin.as_root(b, budget + 6)
             return root.theta, root.tail, "root of X^p - X - t^(-1)"
-        w = approx.imperfection_witness(K, budget)
+        w = approx.imperfection_witness(K)
         return w, None, "p-th root of the first imperfect element"
     if K.name == "qp":
         return Series.monomial(K.ctx, Fraction(1, K.ctx.p)), None, "p^(1/p)"
@@ -96,7 +96,7 @@ def cmd_distance(args) -> int:
 
 def cmd_semitame(args) -> int:
     K = _build_field(args)
-    report = approx.semitame_report(K, args.budget)
+    report = approx.semitame_report(K)
     refuted = False
     for key, name in approx.CONDITION_NAMES.items():
         v = report[key]
@@ -126,7 +126,7 @@ def cmd_asfamily(args) -> int:
     if K.ctx.mode != EQUAL:
         print("asfamily runs in equal characteristic", file=sys.stderr)
         return EX_USAGE
-    eta = approx.imperfection_witness(K, args.budget)
+    eta = approx.imperfection_witness(K)
     if eta is None:
         print("imperfection witness: none (field certified perfect); "
               "no Artin-Schreier family from this route")

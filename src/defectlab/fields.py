@@ -180,8 +180,8 @@ def enumerate_elements(K: FieldDesc, height: int) -> List[Series]:
     elements of ``element_stream(K, height)``, each listed once, at its
     first occurrence.
 
-    Each call builds a new list: ``listing_index`` indexes it for the
-    p-adic presets, and ``artin.sigma_sample`` reads it at height 1.
+    Each call builds a new list; ``listing_index`` indexes it for the
+    p-adic presets, and the benchmark's tracer counts it by this name.
     """
     return list(dict.fromkeys(element_stream(K, height)))
 
@@ -334,8 +334,8 @@ def element_stream(K: FieldDesc, height: int) -> Iterator[Series]:
 
     Infinite expansions (inverted denominators, p-adic digits of
     rationals) are computed to the working precision ``height + 4``.
-    A search that stops at its first hit reads this stream, not a
-    listing, so it builds only the prefix it reads.
+    ``field`` reads its first six distinct elements at height 1, and so
+    builds only the prefix it reads.
     """
     if height < 0:
         raise ValueError("height must be >= 0")

@@ -20,6 +20,15 @@ The deep elements are the first listed elements at each leading exponent
 (``fields.listing_index``).  Each member is built by ``artin.certify``,
 which gives its minimal polynomial, its distance enclosure and its claims,
 the classification included.
+
+The class these certificates store is refuted.  A member over
+``qp_pdiv_tower`` is X^2 - c, c a finite 1-unit of K, called
+super-dependent for a stored dist below v(2)/2 = 1/2.  Frobenius is
+surjective on O_K/2: halving the exponents of c's terms below 1 and
+passing their digits through the inverse Frobenius of F_q gives b in K
+with v(c - b^2) > 1.  f(b + X) = X^2 + 2bX + (b^2 - c) has one Newton
+segment, so both roots xi have v(xi - b) = v(c - b^2)/2 > 1/2.
+``verify`` does not check this yet.
 """
 
 from __future__ import annotations

@@ -256,8 +256,8 @@ def test_c06_family_pipeline(tmp_path):
             assert cert.claims.defect == 1
     # the perfect tower yields no witness, matching its condition verdicts
     T = preset_field("pdiv_tower", 2)
-    assert imperfection_witness(T, 3) is None
-    rep = semitame_report(T, 3)
+    assert imperfection_witness(T) is None
+    rep = semitame_report(T)
     assert all(rep[k].status == "proved" for k in ("a", "b", "c", "d", "e", "f"))
     _report(6, "families of 10 over fp_t and laurent; perfect tower yields none")
 
@@ -288,11 +288,11 @@ def test_c07_classical_defect_extension():
 def test_c08_condition_circle_consistency():
     for preset in ("fp_t", "laurent", "pdiv_tower"):
         K = preset_field(preset, 2)
-        rep = semitame_report(K, 2)
+        rep = semitame_report(K)
         statuses = {rep[k].status for k in ("a", "b", "c", "d", "e", "f")}
         assert not ({"proved", "refuted"} <= statuses), preset
     L = preset_field("laurent", 2)
-    rep = semitame_report(L, 2)
+    rep = semitame_report(L)
     assert rep["e"].status == "refuted"
     assert rep["e"].witness.terms == ((q(1, 2), 1),)
     _report(8, "condition circle consistent on all presets; witness stored")

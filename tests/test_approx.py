@@ -18,7 +18,6 @@ from defectlab import fields
 from defectlab.artin import as_root
 from defectlab.cuts import Cut, ExtRat, PLUS_INF
 from defectlab.fields import (
-    BudgetTooSmall,
     PRESET_NAMES,
     PRESETS,
     enumerate_elements,
@@ -106,7 +105,7 @@ def test_tailed_value_set_partial_sums():
 
 
 def test_semitame_fp_t_all_refuted():
-    rep = semitame_report(K2, 2)
+    rep = semitame_report(K2)
     assert rep["drst"].status == "refuted"
     for key in ("a", "b", "c", "d", "e", "f"):
         assert rep[key].status == "refuted", key
@@ -115,27 +114,20 @@ def test_semitame_fp_t_all_refuted():
 
 
 def test_semitame_laurent_witness():
-    rep = semitame_report(L2, 2)
+    rep = semitame_report(L2)
     assert rep["e"].status == "refuted"
     assert rep["e"].witness.terms == ((q(1, 2), 1),)
 
 
 def test_semitame_pdiv_tower_all_proved():
-    rep = semitame_report(T2, 2)
+    rep = semitame_report(T2)
     for key in ("drst", "residue_perfect", "a", "b", "c", "d", "e", "f"):
         assert rep[key].status == "proved", key
 
 
-def test_semitame_budget_zero_is_inconclusive_not_unknown():
-    # an imperfect field with no witness listed raises, as kummer_family
-    # does on too few deep elements; no condition is reported unknown
-    with pytest.raises(BudgetTooSmall, match="no imperfection witness"):
-        semitame_report(preset_field("fp_t", 2), 0)
-
-
 def test_semitame_consistency():
     for K in (K2, L2, T2):
-        rep = semitame_report(K, 2)
+        rep = semitame_report(K)
         statuses = {rep[k].status for k in ("a", "b", "c", "d", "e", "f")}
         assert not ({"proved", "refuted"} <= statuses)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import defectlab.approx as approx_mod
 import defectlab.artin as artin_mod
 from defectlab.approx import imperfection_witness, value_set
 from defectlab.artin import (
@@ -21,7 +22,7 @@ from defectlab.artin import (
     transform_inseparable,
 )
 from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
-from defectlab.fields import BudgetTooSmall, preset_field
+from defectlab.fields import enumerate_elements, preset_field
 from defectlab.kummer import kummer_family, lab_superdependent_unit
 from defectlab.series import EQUAL, Series, make_context, pth_root
 from helpers import as_generator_transform, horner, values
@@ -333,21 +334,22 @@ def test_unbounded_sample_fails_the_named_condition(build, condition):
 
 class TestImperfectionWitness:
     def test_fp_t(self):
-        w = imperfection_witness(K2, 2)
+        w = imperfection_witness(K2)
         assert w is not None and w.terms == ((q(1, 2), 1),)
 
     def test_laurent(self):
-        w = imperfection_witness(L2, 2)
+        w = imperfection_witness(L2)
         assert w is not None and w.terms == ((q(1, 2), 1),)
 
     def test_perfect_tower(self):
-        assert imperfection_witness(T2, 3) is None
+        assert imperfection_witness(T2) is None
 
-    def test_budget_zero_lists_no_witness(self):
-        # height 0 lists only the constants, whose p-th roots lie in K
-        with pytest.raises(BudgetTooSmall, match="no imperfection witness among the "
-                                                 "elements at height 0"):
-            imperfection_witness(preset_field("fp_t", 2), 0)
+    def test_a_root_in_k_is_refused(self, monkeypatch):
+        # t^(1/p) lies off every imperfect preset's lattice; a membership
+        # rule that accepted it would make the witness prove nothing
+        monkeypatch.setattr(approx_mod, "member_witness", lambda K, s: True)
+        with pytest.raises(ValueError, match="^the p-th root of t lies in fp_t; it witnesses"):
+            imperfection_witness(K2)
 
 
 class TestAdmissibleTwist:
@@ -358,7 +360,7 @@ class TestAdmissibleTwist:
     def test_matches_cli_choice(self, preset, p):
         # asfamily --budget 2 prints "v(d) = 1/1" for all four presets
         K = preset_field(preset, p)
-        eta = imperfection_witness(K, 2)
+        eta = imperfection_witness(K)
         d = admissible_twist(eta, value_set(eta, K, 2))
         assert d.terms == ((q(1), 1),)
 
@@ -400,7 +402,7 @@ class TestPairwiseDistinct:
     def test_overlap_names_the_members_in_index_order(self):
         # sorted by lo, member 2 ([-3/2+, -1/2+]) comes before member 1
         # ([-1/2+, -1/2+]); the message still names them as 1 and 2
-        eta = imperfection_witness(K2, 2)
+        eta = imperfection_witness(K2)
         sample = value_set(eta, K2, 2)
         m1, m2 = as_family(eta, K2, admissible_twist(eta, sample), 2, sample)
         assert (str(m1.dist), str(m2.dist)) == ("[-1/2+, -1/2+]", "[-3/2+, -3/2+]")
@@ -474,6 +476,60 @@ class TestClassicalDefectExtension:
                 assert values(s2) == values(base)
                 assert s2.upper == base.upper
                 assert s2.no_max == base.no_max
+
+
+def _sigma_monomial_keys(cert):
+    """The sigma values of every f = c theta^j, c nonzero at height 1 of
+    ``enumerate_elements`` and 1 <= j < p, as v(sigma f - f) - v(f) by
+    ``Series`` arithmetic: the brute-force reference for the one value
+    -v(theta) that ``sigma_sample`` reads off theta."""
+    theta = cert.generator
+    keys = set()
+    shifted = theta + Series.one(theta.ctx)
+    powers = [(theta.pow_int(j), shifted.pow_int(j)) for j in range(1, theta.ctx.p)]
+    for c in enumerate_elements(cert.base, 1):
+        if not c.is_zero:
+            for tj, sj in powers:
+                f = c * tj
+                keys.add((c * sj - f).valuation_k() - f.valuation_k())
+    return keys
+
+
+# pdiv_tower at p = 5 (about 1.4 s of listing) is left out
+_SIGMA_CASES = (
+    [(name, p, 1, b) for name in ("fp_t", "laurent", "pdiv_tower") for p in (2, 3)
+     for b in (1, 2, 3)]
+    + [(name, p, 2, 1) for name in ("fp_t", "laurent", "pdiv_tower") for p in (2, 3)]
+    + [("fp_t", 5, 1, 1), ("laurent", 5, 1, 1)]
+)
+
+
+@pytest.mark.parametrize("name, p, m, budget", _SIGMA_CASES,
+                         ids=[f"{n}-q{p ** m}-b{b}" for n, p, m, b in _SIGMA_CASES])
+def test_sigma_values_match_the_listing_scan(name, p, m, budget):
+    K = preset_field(name, p, m)
+    cert = as_extension(Series.monomial(K.ctx, -1), K, budget)
+    monomial = _sigma_monomial_keys(cert)
+    # the sample realizes v(theta) by its empty truncation; without that
+    # value, only the monomials give -v(theta)
+    kt = cert.generator.valuation_k()
+    thinned = cert._replace(sample=cert.sample._replace(
+        realized=tuple(r for r in cert.sample.realized if r[0] != kt)))
+    for case in (cert, thinned):
+        sig = sigma_sample(case)
+        assert {k for k, _ in sig.values} == {-k for k, _ in case.sample.realized} | monomial
+        # every witness is theta - c with c in K or c = 0, so sigma f - f = 1
+        assert all(k == -f.valuation_k() for k, f in sig.values)
+        assert dict(sig.values)[-kt] == cert.generator
+
+
+@pytest.mark.parametrize("exp", [0, 1], ids=["v0", "v1"])
+def test_sigma_refuses_a_generator_without_negative_valuation(exp):
+    # (theta + 1)^j - theta^j need not lead with j theta^(j-1) then
+    cert = as_extension(Series.monomial(T2.ctx, -1), T2, 1)
+    forged = cert._replace(generator=Series.monomial(T2.ctx, exp))
+    with pytest.raises(ValueError, match=r"needs v\(theta\) < 0"):
+        sigma_sample(forged)
 
 
 class TestCertifyEdges:

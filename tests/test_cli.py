@@ -72,6 +72,30 @@ def test_distance_at_p_251_lists_only_what_it_compares():
 
 
 @pytest.mark.parametrize(
+    "base, p, budget, rc, line",
+    [("pdiv_tower", "7", "2", 0, "verdict: independent_consistent"),
+     ("fp_t", "251", "1", 3, "sigma values: 1/251, 1/1")],
+    ids=["pdiv_tower-p7", "fp_t-p251"],
+)
+def test_sigma_builds_no_listing(base, p, budget, rc, line):
+    # sigma reads its values off the certificate; fp_t's height-1 listing
+    # at p = 251 holds about 251^4 = 4 * 10^9 elements, each to be
+    # multiplied by p - 1 powers of theta.  A child process, so that
+    # building the listing fails on its timeout.  fp_t's extension is
+    # ramified, so its verdict stays unknown (exit 3) at every budget
+    proc = subprocess.run(
+        [sys.executable, "-m", "defectlab", "sigma", "--base", base, "--p", p,
+         "--budget", budget],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        cwd=Path(defectlab.__file__).resolve().parents[1],
+    )
+    assert (proc.returncode, proc.stderr) == (rc, "")
+    assert line in proc.stdout.splitlines(), proc.stdout
+
+
+@pytest.mark.parametrize(
     "size, q",
     [(["--p", "2", "--q", "1024"], "2^10"), (["--p", "1000003"], "1000003^1"),
      (["--p", "10007"], "10007^1")],

@@ -211,14 +211,15 @@ def test_invert_error_messages_unchanged():
 
 
 # --------------------------------------------------------------------------
-# the imperfection witness reads the stream, not the cached list
+# the imperfection witness is the listing search's first hit, built
+# without the listing: the search stays here as its oracle
 
 
 @pytest.mark.parametrize("name, p, budget", [("fp_t", 3, 3), ("laurent", 2, 3), ("fp_t", 2, 2)])
 def test_imperfection_witness_is_first_hit_without_listing(name, p, budget):
     K = preset_field(name, p)
     listing_index.cache_clear()
-    w = imperfection_witness(K, budget)
+    w = imperfection_witness(K)
     assert listing_index.cache_info().currsize == 0
     roots = (pth_root(c) for c in enumerate_elements(K, budget) if not c.is_zero)
     assert w == next(r for r in roots if not member_witness(K, r))

@@ -24,8 +24,8 @@ def test_survey_fp_t_in_process(capsys):
 
 @pytest.mark.parametrize("argv", [["--budget", "0"], ["--n", "0"]])
 def test_count_below_one_is_refused_by_the_parser(argv, capsys):
-    # at budget 0 the listing holds no imperfection witness, so the survey
-    # would report fp_t without one; the parser refuses the count first
+    # value_set refuses budget 0, and as_family n = 0, with a ValueError
+    # after the first preset's report is printed; the parser refuses first
     with pytest.raises(SystemExit) as exc:
         _load_survey().main(argv)
     assert exc.value.code == 2

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from defectlab import kummer
 from defectlab.approx import TailSchema, translate_sample, value_set
 from defectlab.artin import Claims, _short_hash, certify
+from defectlab.certfile import read_certificate_file
+from defectlab.cli import main
 from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
-from defectlab.fields import enumerate_elements, preset_field
+from defectlab.fields import enumerate_elements, member_witness, preset_field
 from defectlab.kummer import (
     is_one_unit,
     kummer_family,
@@ -316,3 +319,47 @@ def test_newton_constant_cut_at_the_target_changes_no_root(monkeypatch):
         short = eta_p.truncate(target - Fraction(1, eta.ctx.D)).neg()
         with pytest.raises(ConvergenceError, match="residual is zero only to precision"):
             newton_root((short, *rest), eta, target)
+
+
+# --------------------------------------------------------------------------
+# the stored super-dependent class against the Frobenius lift (ROADMAP item 19)
+
+KUMMER_CORPUS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "corpus")
+                       .glob("kummerfamily-*.json"))
+
+
+def _frobenius_lift(c):
+    """b with b^2 = c mod 2: c's terms below 1 at half their exponents,
+    each digit through the inverse Frobenius of F_q, since
+    sum w_i 2^(e_i) = (sum w_i^(1/2) 2^(e_i/2))^2 mod 2."""
+    ctx = c.ctx
+    half = {Fraction(k, 2 * ctx.D): ctx.field.ifrob(d) for k, d in c.kterms if k < ctx.D}
+    return Series.make(ctx, half, c.precision)
+
+
+def test_frobenius_lift_puts_every_stored_generator_above_half():
+    # X^2 - c with b in K and v(c - b^2) > 1: f(b + X) = X^2 + 2bX + (b^2 - c)
+    # has the one Newton segment (0, v(c - b^2)) to (2, 0), so both roots xi
+    # have v(xi - b) = v(c - b^2)/2 > 1/2 = v(2)/2, above every stored dist;
+    # the stored class super_dependent (dist below 1/2) is refuted
+    assert len(KUMMER_CORPUS) == 4
+    measured = []
+    for path in KUMMER_CORPUS:
+        for cert in read_certificate_file(path).certs:
+            assert cert.claims.classification == "super_dependent"
+            c = cert.min_poly[0].neg()
+            b = _frobenius_lift(c)
+            assert member_witness(cert.base, b)
+            v = (c - b * b).valuation().fraction
+            assert v / 2 > cert.dist.hi.bound.fraction
+            measured.append(v)
+    assert measured == [q(33, 32), q(257, 256), q(65, 64), q(33, 32), q(67, 64), q(129, 128)]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "verify does not yet apply the Frobenius-lift rule to a Kummer "
+    "certificate (ROADMAP item 19 step B)"))
+def test_verify_refutes_the_stored_class_by_the_frobenius_lift(capsys):
+    for path in KUMMER_CORPUS:
+        assert main(["verify", str(path)]) == 2
+        assert "Frobenius lift b gives v(xi - b)" in capsys.readouterr().out
