@@ -45,7 +45,7 @@ def main(argv=None):
               f"   (precondition {'holds' if rep.precondition_holds else 'fails'})")
 
     print("\nsuper-dependent Kummer family over the deep p-adic tower")
-    K = preset_field("qp_pdiv_tower", 2, D=2 ** 16)
+    K = preset_field("qp_pdiv_tower", 2)
     eta, tail = lab_superdependent_unit(K)
     print(f"  laboratory 1-unit: {eta}")
     certs = kummer_family(eta, K, args.n, args.budget, tail)

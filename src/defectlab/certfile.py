@@ -518,7 +518,8 @@ def _verify_one(cert: artin.ExtensionCert, diffs: List[str], tag: str):
     # residual is the recorded one: for Artin-Schreier, theta^p - theta - b
     # by the exact Frobenius lies within the window of the recorded floor
     # (the product theta * theta keeps only the precision v(theta) +
-    # prec(theta)); for Kummer, theta^p + c0 starts at the recorded floor
+    # prec(theta)); for Kummer, theta^p + c0 starts at the recorded floor,
+    # and theta is a truncation, as kummer_family always stores it
     f = cert.min_poly
     equal = cert.kind == artin.ARTIN_SCHREIER
     if (ctx.mode == EQUAL) != equal or artin.degree_p_poly(cert.kind, f[0]) != f:
@@ -529,6 +530,9 @@ def _verify_one(cert: artin.ExtensionCert, diffs: List[str], tag: str):
         if bad:
             diffs.append(f"{tag}: residual terms at {bad} violate the recorded floor "
                          f"{ctx.value_of(kfloor)}")
+    elif gen.kprec == math.inf:
+        diffs.append(f"{tag}: generator is stored exact (precision +inf), "
+                     "not the truncation a Kummer family stores")
     else:
         k = (gen.pow_int(ctx.p) + f[0]).vlow_k()
         if k != kfloor:

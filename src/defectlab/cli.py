@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from . import approx, artin, certfile, kummer
 from .fields import PRESET_NAMES, BudgetTooSmall, FieldDesc, element_stream, preset_field
-from .series import EQUAL, MIXED, ConvergenceError, PrecisionError, Series, grid_bound
+from .series import EQUAL, MIXED, ConvergenceError, PrecisionError, Series
 
 EX_OK = 0
 EX_REFUTED = 2
@@ -26,9 +26,7 @@ EX_USAGE = 64
 
 
 def _build_field(args) -> FieldDesc:
-    # deep root refinement over qp_pdiv_tower needs a finer exponent grid
-    D = grid_bound(MIXED, args.p, 16) if args.base == "qp_pdiv_tower" else None
-    return preset_field(args.base, args.p, args.q_power, D)
+    return preset_field(args.base, args.p, args.q_power)
 
 
 def _canonical_element(K: FieldDesc, budget: int):

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .series import EQUAL, MIXED, Series, SeriesContext, invert, make_context
+from .series import EQUAL, MIXED, Series, SeriesContext, grid_bound, invert, make_context
 
 RATIONAL_FUNCTION = "rational_function"
 LAURENT = "laurent"
@@ -30,38 +30,44 @@ DIRECTED_UNION = "directed_union"
 PADIC_BASE = "padic_base"
 PADIC_TOWER = "padic_tower"
 
-# name -> (kind, mode, tower, perfect, complete).  A tower is leveled and
-# has value group Z[1/p]; the other presets have value group Z.
+# name -> (kind, mode, tower, perfect, complete, depth).  A tower is
+# leveled and has value group Z[1/p]; the other presets have value group Z.
+# The grid is D = grid_bound(mode, p, depth), exponents down to 1/p^depth:
+# qp_pdiv_tower's deep root refinement needs the finer 1/p^16.
 PRESETS = {
-    "fp_t": (RATIONAL_FUNCTION, EQUAL, False, False, False),
-    "laurent": (LAURENT, EQUAL, False, False, True),
-    "pdiv_tower": (DIRECTED_UNION, EQUAL, True, True, False),
-    "qp": (PADIC_BASE, MIXED, False, False, True),
-    "qp_pdiv_tower": (PADIC_TOWER, MIXED, True, False, False),
+    "fp_t": (RATIONAL_FUNCTION, EQUAL, False, False, False, 8),
+    "laurent": (LAURENT, EQUAL, False, False, True, 8),
+    "pdiv_tower": (DIRECTED_UNION, EQUAL, True, True, False, 8),
+    "qp": (PADIC_BASE, MIXED, False, False, True, 8),
+    "qp_pdiv_tower": (PADIC_TOWER, MIXED, True, False, False, 16),
 }
 PRESET_NAMES = tuple(PRESETS)
 
 
 class BudgetTooSmall(RuntimeError):
-    """The enumeration at this budget lists too few elements of the kind
-    a construction needs; a larger budget may succeed."""
+    """A budget admits too few exponents of the kind a construction needs
+    (``kummer.kummer_family``'s deep exponents); a larger budget, where
+    the grid serves one, may succeed."""
 
 
 class FieldDesc:
     """A preset by name, in a session context; the rest is its table row.
 
     ``grid_step`` is the step s with k/D in the value group exactly when
-    ``k % s == 0``: D for Z, and D without its factors p for Z[1/p]."""
+    ``k % s == 0``: D for Z, and D without its factors p for Z[1/p].
+    ``depth`` counts the factors p of D: 1/p^depth is the deepest tower
+    level on the grid."""
 
-    __slots__ = ("name", "ctx", "grid_step")
+    __slots__ = ("name", "ctx", "grid_step", "depth")
 
     def __init__(self, name: str, ctx: SeriesContext):
         self.name = name
         self.ctx = ctx
-        s = ctx.D
-        while self.leveled and s % ctx.p == 0:
+        s, self.depth = ctx.D, 0
+        while s % ctx.p == 0:
             s //= ctx.p
-        self.grid_step = s
+            self.depth += 1
+        self.grid_step = s if self.leveled else ctx.D
 
     kind = property(lambda self: PRESETS[self.name][0])
     leveled = property(lambda self: PRESETS[self.name][2])
@@ -78,10 +84,14 @@ class FieldDesc:
 
 
 def preset_field(name: str, p: int, m: int = 1, D: Optional[int] = None) -> FieldDesc:
-    """One of the built-in laboratory fields, by preset name."""
+    """One of the built-in laboratory fields, by preset name, on the grid
+    of its row unless a bound ``D`` is given (a certificate file's)."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return FieldDesc(name, make_context(PRESETS[name][1], p, m, D))
+    _, mode, *_, depth = PRESETS[name]
+    if D is None:
+        D = grid_bound(mode, p, depth)
+    return FieldDesc(name, make_context(mode, p, m, D))
 
 
 # --------------------------------------------------------------------------
@@ -189,7 +199,8 @@ def enumerate_elements(K: FieldDesc, height: int) -> List[Series]:
 class ListingIndex(NamedTuple):
     """The listing ``enumerate_elements(K, height)`` indexed by leading
     term, so that a value-set search finds the first element at each
-    value without reading the rest.
+    value without reading the rest.  ``approx.value_set`` is its only
+    reader.
 
     A key names an element, and ``element(key)`` returns it, built once.
     For ``fp_t``, ``pdiv_tower`` and ``laurent`` the keys are the digit
@@ -216,13 +227,18 @@ class ListingIndex(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def listing_index(K: FieldDesc, height: int) -> ListingIndex:
-    """The ``ListingIndex`` of ``enumerate_elements(K, height)``: the one
-    cache of indexes (the 16 most recent (K, height) pairs), which keep
-    the elements they built.  A repeated call returns the same index
-    object, whose lists callers must not mutate."""
+    """The ``ListingIndex`` of ``enumerate_elements(K, height)``, read by
+    ``approx.value_set`` alone: the one cache of indexes (the 16 most
+    recent (K, height) pairs), which keep the elements they built.  A
+    repeated call returns the same index object, whose lists callers must
+    not mutate.  A tower listed past the depth of its grid is refused by
+    name, before any element is built."""
     if height < 0:
         raise ValueError("height must be >= 0")
     ctx = K.ctx
+    if K.leveled and height > K.depth:
+        raise ValueError(f"budget {height} lists the tower to level {height}, but "
+                         f"{K.name}'s grid D={ctx.D} ends at level {K.depth}")
     if K.kind == RATIONAL_FUNCTION:
         return _ratfunc_index(ctx, height, [ctx.D])
     if K.kind == DIRECTED_UNION:

@@ -16,10 +16,11 @@ TailSchema plus the hypothesis that their p-th power lies in K; every
 equality the construction claims is still verified exactly on the
 certified region.
 
-The deep elements are the first listed elements at each leading exponent
-(``fields.listing_index``).  Each member is built by ``artin.certify``,
-which gives its minimal polynomial, its distance enclosure and its claims,
-the classification included.
+The deep elements are the exact monomials p^v at the admissible tower
+exponents v = -j/p^l, read off the grid of the base; they are the elements
+the listing gave first at each value (``kummer_family``'s docstring).  Each
+member is built by ``artin.certify``, which gives its minimal polynomial,
+its distance enclosure and its claims, the classification included.
 
 The class these certificates store is refuted.  A member over
 ``qp_pdiv_tower`` is X^2 - c, c a finite 1-unit of K, called
@@ -45,7 +46,7 @@ from .approx import (
     value_set,
 )
 from .cuts import Cut, ExtRat, segment_affine
-from .fields import BudgetTooSmall, FieldDesc, listing_index, member_witness
+from .fields import BudgetTooSmall, FieldDesc, member_witness
 from .series import (
     MIXED,
     PrecisionError,
@@ -216,9 +217,24 @@ def kummer_family(
     eta^p / td^p + 1 in K, with value set translated by -v(td); distinct
     translations give distinct extensions.
 
+    The deep elements are the monomials td = p^v at the exponents
+    v = -j/p^l of K's value group, 1 <= j <= budget and 0 <= l <= budget,
+    that pass the depth test, in decreasing v.  They are the elements
+    the listing gave first at each value:
+    * Let u be the bound of the certified upper cut of v(eta - K).  Then
+      u >= v(eta - 1) > 0, since 1 is in K and eta is a 1-unit.
+    * So an admissible v satisfies v >= (u - 1/p)/2 > -1/(2p), and v is
+      not an integer.
+    * Every rational the listing holds has an integer value, so the first
+      element listed at v is the tower monomial with digit code 1: exact,
+      and the same ``Series`` at every level where it appears.
+
     Kummer theory of degree p needs a primitive p-th root of unity in K;
     raises ValueError when v(zeta_p - 1) = 1/(p-1) lies outside the
-    value group of K.
+    value group of K.  Over a tower, the twisted roots of the exponents
+    at level l need grid level l + 2, so a budget past the grid's depth
+    minus 2 is refused, and a shortfall at that largest budget is a
+    ValueError, since no budget gives more deep elements.
     """
     ctx = eta.ctx
     _require_mixed(ctx)
@@ -232,6 +248,9 @@ def kummer_family(
         raise ValueError("need at least one family member")
     if not is_one_unit(eta):
         raise ValueError("eta must be a 1-unit")
+    if K.leveled and budget > K.depth - 2:
+        raise ValueError(f"budget {budget} needs tower level {budget + 2} for its twisted roots, "
+                         f"but {K.name}'s grid D={ctx.D} ends at level {K.depth}")
     sample = value_set(eta, K, budget, tail)
     upper = sample.upper
     sd_threshold = Fraction(1, p)
@@ -241,26 +260,24 @@ def kummer_family(
             f"v(p)/p = {sd_threshold}; no certified gap"
         )
 
-    # the first listed element at each admissible negative exponent, in
-    # increasing |v(td)|
-    index = listing_index(K, budget)
-    candidates: List[Tuple[Fraction, Series]] = []
-    for k, at in zip(reversed(index.lead_ks), reversed(index.first_at)):
-        v = Fraction(k, ctx.D)
-        if k < 0 and upper <= Cut(sd_threshold + 2 * v, False):
-            candidates.append((v, index.element(at)))
-    if len(candidates) < n_members:
-        raise BudgetTooSmall(
-            f"only {len(candidates)} admissible deep elements at budget {budget}, "
-            f"need {n_members}"
-        )
+    # the admissible exponents -j/p^l of K's value group, in decreasing v
+    levels = range(budget + 1) if K.leveled else (0,)
+    vs = sorted({Fraction(-j, p ** l) for j in range(1, budget + 1) for l in levels}, reverse=True)
+    deep = [v for v in vs if upper <= Cut(sd_threshold + 2 * v, False)]
+    if len(deep) < n_members:
+        short = (f"only {len(deep)} admissible deep elements at budget {budget}, "
+                 f"need {n_members}")
+        if K.leveled and budget == K.depth - 2:
+            raise ValueError(f"{short}; {K.name}'s grid D={ctx.D} serves no larger budget")
+        raise BudgetTooSmall(short)
 
     b_eta = eta.pow_int(p)
     one = Series.one(ctx)
     eta_hash = artin._short_hash(eta)
     work = budget + 6
     certs: List[artin.ExtensionCert] = []
-    for vt, td in candidates[:n_members]:
+    for vt in deep[:n_members]:
+        td = Series.monomial(ctx, vt)
         theta_tilde = transform_mixed(eta, K, td, sample, tail, b_eta)
         td_inv = invert(td, work)
         theta = theta_tilde * td_inv

@@ -37,7 +37,7 @@ def q(n, d=1):
 K2 = preset_field("fp_t", 2)
 T2 = preset_field("pdiv_tower", 2)
 L2 = preset_field("laurent", 2)
-QT2 = preset_field("qp_pdiv_tower", 2, D=2 ** 16)
+QT2 = preset_field("qp_pdiv_tower", 2)
 
 
 def test_value_set_sqrt_t_over_fp_t():

@@ -393,7 +393,7 @@ class TestPairwiseDistinct:
             check_pairwise_distinct([certs[0], same_poly])
 
     def test_kummer_shared_minimal_polynomial(self):
-        QT2 = preset_field("qp_pdiv_tower", 2, D=2 ** 16)
+        QT2 = preset_field("qp_pdiv_tower", 2)
         eta, tail = lab_superdependent_unit(QT2)
         certs = kummer_family(eta, QT2, 2, 5, tail)
         with pytest.raises(AssertionError, match="members 1 and 2 share a minimal polynomial"):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from defectlab import certfile
 from defectlab.approx import value_set
 from defectlab.artin import as_extension, as_family
 from defectlab.certfile import (
@@ -36,7 +37,7 @@ def q(n, d=1):
 
 K2 = preset_field("fp_t", 2)
 T2 = preset_field("pdiv_tower", 2)
-QT2 = preset_field("qp_pdiv_tower", 2, D=2 ** 16)
+QT2 = preset_field("qp_pdiv_tower", 2)
 
 
 def _as_certs():
@@ -785,19 +786,35 @@ def test_forged_kummer_enclosure_is_one_diff(tmp_path, capsys):
         "stored [5/32-, +inf-]"], out
 
 
-def test_a_check_that_raises_is_a_verification_error(tmp_path, capsys):
-    # an exact generator over F_4 needs digit carries that only p in {2, 3}
-    # prime fields have: the check raises, and verify names the error
-    # instead of accepting the certificate
-    obj = json.loads((CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-4-n-1-budget-7.json").read_text())
+def test_a_check_that_raises_is_a_verification_error(monkeypatch, capsys):
+    # a check that raises names the error instead of accepting the
+    # certificate, and the next certificate is still checked
+    def broken(*args):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(certfile, "difference_horizon", broken)
+    path = CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json"
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "verification FAILED:", *(f"  cert[{i}]: verification error: forced" for i in range(3))]
+
+
+@pytest.mark.parametrize("name", [
+    "kummerfamily-base-qp_pdiv_tower-p-2-q-4-n-1-budget-7.json",
+    "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-1-budget-5.json",
+])
+def test_an_exact_kummer_generator_is_a_named_diff(name, tmp_path, capsys):
+    # kummer_family stores a truncation; an exact one would need digit
+    # carries F_4 lacks, and over F_2 its residual has no recorded floor
+    obj = json.loads((CORPUS / name).read_text())
     obj["certs"][0]["generator"]["precision"] = "+inf"
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(obj))
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().out.splitlines() == [
         "verification FAILED:",
-        "  cert[0]: verification error: exact (infinite-precision) digit carries are only "
-        "available for prime fields with p in {2, 3}; pass a finite precision"]
+        "  cert[0]: generator is stored exact (precision +inf), not the truncation a Kummer "
+        "family stores"]
 
 
 def test_a_claim_rule_that_refuses_is_a_named_diff(tmp_path, capsys):

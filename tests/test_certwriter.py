@@ -110,7 +110,7 @@ AWKWARD = 'q"b\\s/\x00\x01\x08\t\n\x0c\r\x1f\x7f\x80é €\U0001f600'
 def test_free_strings_are_escaped(tmp_path):
     # log, provenance and the tail's note hold quotes, backslashes, control
     # characters and non-ASCII, and read back as written
-    K = preset_field("qp_pdiv_tower", 2, 2, 2 ** 16)
+    K = preset_field("qp_pdiv_tower", 2, 2)
     eta, tail = lab_superdependent_unit(K)
     certs = kummer_family(eta, K, 2, 5, tail)
     odd = TailSchema(Fraction(1, 8), Fraction(-3, 16), AWKWARD)

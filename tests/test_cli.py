@@ -10,7 +10,7 @@ import pytest
 import defectlab
 from defectlab.cli import _build_field, build_parser, main
 from defectlab.ffield import MAX_Q, FiniteField
-from defectlab.fields import PRESET_NAMES, enumerate_elements
+from defectlab.fields import PRESET_NAMES, enumerate_elements, preset_field
 
 
 def run(argv):
@@ -171,6 +171,7 @@ def test_qp_pdiv_tower_grid_has_room_for_roots_of_unity(p, D, capsys):
     # the exponent 1/(p-1) of the p-th roots of unity lives
     assert run(["field", "--base", "qp_pdiv_tower", "--p", str(p)]) == 0
     assert f"D={D}\n" in capsys.readouterr().out
+    assert preset_field("qp_pdiv_tower", p).ctx.D == D
 
 
 def test_distance_qp_pdiv_tower_p3(capsys):
@@ -241,6 +242,45 @@ def test_kummerfamily_budget_shortfall_is_inconclusive(capsys):
     assert run(argv + ["--n", "4"]) == 3
     assert "only 3 admissible deep elements at budget 4, need 4" in capsys.readouterr().err
     assert run(argv + ["--n", "0"]) == 64
+
+
+_PAST_THE_GRID = "but {}'s grid D={} ends at level {}\n"
+
+
+@pytest.mark.parametrize("command, base, budget, D, depth", [
+    ("distance", "pdiv_tower", 9, 256, 8),
+    ("sigma", "pdiv_tower", 9, 256, 8),
+    ("distance", "qp_pdiv_tower", 17, 2 ** 16, 16),
+])
+def test_a_listing_past_the_tower_grid_is_refused_by_name(command, base, budget, D, depth, capsys):
+    assert run([command, "--base", base, "--p", "2", "--budget", str(budget)]) == 64
+    assert capsys.readouterr().err == (f"error: budget {budget} lists the tower to level {budget}, "
+                                       + _PAST_THE_GRID.format(base, D, depth))
+
+
+@pytest.mark.parametrize("budget", [15, 16])
+def test_a_kummer_budget_past_the_tower_grid_is_refused_by_name(budget, capsys):
+    # the twisted roots at level l need grid level l + 2
+    argv = ["kummerfamily", "--base", "qp_pdiv_tower", "--p", "2", "--n", "1", "--budget", str(budget)]
+    assert run(argv) == 64
+    assert capsys.readouterr().err == (f"error: budget {budget} needs tower level {budget + 2} "
+                                       "for its twisted roots, "
+                                       + _PAST_THE_GRID.format("qp_pdiv_tower", 2 ** 16, 16))
+
+
+def test_a_kummer_shortfall_at_the_largest_budget_is_a_usage_error(capsys):
+    # budget 14 is the largest the grid serves, so no budget finds more
+    argv = ["kummerfamily", "--base", "qp_pdiv_tower", "--p", "2", "--budget", "14"]
+    assert run(argv + ["--n", "100"]) == 64
+    assert capsys.readouterr().err == (
+        "error: only 68 admissible deep elements at budget 14, need 100; "
+        "qp_pdiv_tower's grid D=65536 serves no larger budget\n")
+
+
+def test_semitame_past_the_tower_grid_lists_nothing(capsys):
+    # semitame reads the budget only for its --out config
+    assert run(["semitame", "--base", "pdiv_tower", "--p", "2", "--budget", "9"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_kummerfamily_at_odd_p_is_a_usage_error(capsys):

@@ -10,7 +10,7 @@ from defectlab.artin import Claims, _short_hash, certify
 from defectlab.certfile import read_certificate_file
 from defectlab.cli import main
 from defectlab.cuts import PLUS_INF, Cut, CutEnclosure, ExtRat
-from defectlab.fields import enumerate_elements, member_witness, preset_field
+from defectlab.fields import BudgetTooSmall, enumerate_elements, member_witness, preset_field
 from defectlab.kummer import (
     is_one_unit,
     kummer_family,
@@ -19,10 +19,8 @@ from defectlab.kummer import (
     transform_mixed,
 )
 from defectlab.series import (
-    MIXED,
     ConvergenceError,
     Series,
-    grid_bound,
     newton_root,
 )
 from helpers import values
@@ -33,7 +31,7 @@ def q(n, d=1):
 
 
 QP2 = preset_field("qp", 2)
-QT2 = preset_field("qp_pdiv_tower", 2, D=2 ** 16)
+QT2 = preset_field("qp_pdiv_tower", 2)
 
 
 class TestPthPowerCheck:
@@ -272,11 +270,20 @@ def _scan_deep_elements(K, budget, upper):
 
 @pytest.mark.parametrize("m", [1, 2], ids=["q2", "q4"])
 def test_deep_elements_match_the_listing_scan(m):
-    K = preset_field("qp_pdiv_tower", 2, m, grid_bound(MIXED, 2, 16))
+    K = preset_field("qp_pdiv_tower", 2, m)
     eta, tail = lab_superdependent_unit(K)
-    for budget in range(3, 10):
-        # 1, 3, 6, 9, 14, 18 and 26 admissible elements at budgets 3..9
+    for budget in range(1, 10):
+        # none at budgets 1 and 2; 1, 3, 6, 9, 14, 18 and 26 admissible
+        # elements at budgets 3..9
         want = _scan_deep_elements(K, budget, value_set(eta, K, budget, tail).upper)
+        for v, x in want:
+            td = Series.monomial(K.ctx, v)
+            assert (x.kterms, x.kprec) == (td.kterms, td.kprec), (budget, v)
+        if not want:
+            want_err = f"^only 0 admissible deep elements at budget {budget}, need 1$"
+            with pytest.raises(BudgetTooSmall, match=want_err):
+                kummer_family(eta, K, 1, budget, tail)
+            continue
         certs = kummer_family(eta, K, len(want), budget, tail)
         got = [(dict(c.claims.bounds)["v_td"], c.provenance[0].split()[2]) for c in certs]
         assert got == [(str(v), f"td={_short_hash(x)}") for v, x in want], budget
@@ -301,7 +308,7 @@ def test_newton_constant_cut_at_the_target_changes_no_root(monkeypatch):
 
     monkeypatch.setattr(kummer, "newton_root", record)
     for m, budget, n in KUMMER_POOL:
-        K = preset_field("qp_pdiv_tower", 2, m, grid_bound(MIXED, 2, 16))
+        K = preset_field("qp_pdiv_tower", 2, m)
         eta, tail = lab_superdependent_unit(K)
         kummer_family(eta, K, n, budget, tail)
     assert len(calls) == 18
