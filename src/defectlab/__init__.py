@@ -30,6 +30,7 @@ def _register(name: str):
 approx = _register("approx")
 artin = _register("artin")
 certfile = _register("certfile")
+certread = _register("certread")
 cuts = _register("cuts")
 ffield = _register("ffield")
 fields = _register("fields")

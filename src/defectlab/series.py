@@ -140,13 +140,16 @@ def grid_bound(mode: str, p: int, depth: int) -> int:
     return D
 
 
-@lru_cache(maxsize=None)
 def make_context(mode: str, p: int, m: int = 1, D: Optional[int] = None) -> SeriesContext:
     """The session context, with ``D = grid_bound(mode, p, 8)`` by default;
-    one object per argument tuple, so that series built for the same field
-    in separate calls pass the identity check of ``_require_same_mode``."""
-    if D is None:
-        D = grid_bound(mode, p, 8)
+    one object per grid (mode, p, m, D) however the arguments are spelled,
+    so that series built for the same field in separate calls pass the
+    identity check of ``_require_same_mode``."""
+    return _context(mode, p, m, grid_bound(mode, p, 8) if D is None else D)
+
+
+@lru_cache(maxsize=None)
+def _context(mode: str, p: int, m: int, D: int) -> SeriesContext:
     return SeriesContext(mode, p, m, D, finite_field(p, m))
 
 

@@ -8,21 +8,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from defectlab import certfile
+from defectlab import certread
 from defectlab.approx import value_set
 from defectlab.artin import as_extension, as_family
 from defectlab.certfile import (
     CertificateFile,
     SessionConfig,
     _field_to_json,
-    _parse_extrat,
-    cert_from_json,
     read_certificate_file,
-    sample_from_json,
-    series_from_json,
     verify_certificate,
     write_certificate_file,
 )
+from defectlab.certread import _parse_extrat, cert_from_json, sample_from_json, series_from_json
 from defectlab.cli import main
 from defectlab.cuts import PLUS_INF, ExtRat
 from defectlab.fields import preset_field
@@ -792,7 +789,7 @@ def test_a_check_that_raises_is_a_verification_error(monkeypatch, capsys):
     def broken(*args):
         raise RuntimeError("forced")
 
-    monkeypatch.setattr(certfile, "difference_horizon", broken)
+    monkeypatch.setattr(certread, "difference_horizon", broken)
     path = CORPUS / "kummerfamily-base-qp_pdiv_tower-p-2-q-2-n-3-budget-6.json"
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().out.splitlines() == [

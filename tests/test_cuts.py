@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from defectlab.approx import InitialSegmentSample, distance
-from defectlab.certfile import _parse_extrat
+from defectlab.certread import _parse_extrat
 from defectlab.cuts import (
     Cut,
     CutEnclosure,

@@ -8,8 +8,9 @@ from defectlab.fields import (
     member_witness,
     preset_field,
 )
-from defectlab.certfile import _field_to_json, field_from_json
-from defectlab.series import Series
+from defectlab.certfile import _field_to_json
+from defectlab.certread import field_from_json
+from defectlab.series import EQUAL, MIXED, Series, grid_bound, make_context
 from defectlab.cuts import ExtRat
 
 
@@ -106,6 +107,15 @@ def test_json_roundtrip():
     for name in ("fp_t", "laurent", "pdiv_tower", "qp", "qp_pdiv_tower"):
         K = preset_field(name, 2)
         assert field_from_json(_field_to_json(K), "field") == K
+
+
+def test_one_context_object_per_grid():
+    # a preset's context is the one make_context gives for its grid, however
+    # the grid is spelled, so series of both pass the identity check
+    assert preset_field("fp_t", 2).ctx is make_context(EQUAL, 2)
+    assert preset_field("qp_pdiv_tower", 2).ctx is make_context(MIXED, 2, 1, 2 ** 16)
+    assert make_context(MIXED, 2) is make_context(MIXED, 2, 1, grid_bound(MIXED, 2, 8))
+    assert make_context(EQUAL, 3, D=27) is make_context(EQUAL, 3, 1, 27)
 
 
 def test_bad_preset():

@@ -51,11 +51,14 @@ A branch no program takes stays only for a reason that names who needs it:
 import ast
 import contextlib
 import functools
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "defectlab"
@@ -248,7 +251,7 @@ def test_package_binds_only_its_submodules():
 
 # siblings that some process running an importer of theirs never calls:
 # every module binds them as modules and reaches their names by attribute
-_BOUND_AS_MODULES = ("artin", "certfile", "kummer", "teichmueller")
+_BOUND_AS_MODULES = ("artin", "certfile", "certread", "kummer", "teichmueller")
 # the siblings every command runs, and so the only ones cli imports names from
 _CLI_NAMES_FROM = ("fields", "series")
 
@@ -269,19 +272,52 @@ def test_names_are_imported_only_from_siblings_that_always_run():
 
 
 def test_only_certfile_spells_the_file():
-    # schema v1 is written and read in certfile.py alone; the value types
-    # carry no JSON
+    # schema v1 is written in certfile.py and read in certread.py alone;
+    # the value types carry no JSON
     def spells(name):
         return name.endswith(("to_json", "from_json")) or name in ("parse", "parse_ratio")
 
     found = [
         f"{path.name}: {qual}"
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "certfile.py"
+        if path.name not in ("certfile.py", "certread.py")
         for qual, name, _ in _definitions(ast.parse(path.read_text()))
         if spells(name)
     ]
     assert not found, found
+
+
+def _literal(path, name):
+    """The value of the literal assigned to ``name`` at the top of ``path``;
+    a dict's values that are no literal are read as None."""
+    for node in ast.parse((ROOT / path).read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            if isinstance(node.value, ast.Dict):
+                return {ast.literal_eval(k): None for k in node.value.keys}
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path} assigns no {name}")
+
+
+# the module functions perfbench/tracer.py wraps by name, which it finds
+# only where they are defined: a function moved, renamed or bound from
+# elsewhere leaves its benchmark row at 0 with no error
+_TRACED = sorted({
+    *_literal("perfbench/layers.py", "ENTRY_POINTS"),
+    *_literal("perfbench/tracer.py", "POST_HOOKS"),
+    "certfile.write_certificate_file", "cli.main", "cli.build_parser",
+})
+_MOVED = pytest.mark.xfail(strict=True, reason=(
+    "the search moved to approx; perfbench/layers.py still traces it in artin, so its "
+    "rows read 0 until the benchmark follows (ROADMAP items 11 and 18)"))
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(n, marks=_MOVED) if n == "artin.imperfection_witness" else n for n in _TRACED])
+def test_each_traced_name_is_defined_where_the_benchmark_looks(name):
+    module, attr = name.split(".")
+    obj = getattr(importlib.import_module(f"defectlab.{module}"), attr, None)
+    assert callable(obj) and not isinstance(obj, type), f"{name} is no function"
+    assert obj.__module__ == f"defectlab.{module}", f"{name} is defined in {obj.__module__}"
 
 
 if __name__ == "__main__":
