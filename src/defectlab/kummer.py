@@ -260,10 +260,15 @@ def kummer_family(
             f"v(p)/p = {sd_threshold}; no certified gap"
         )
 
-    # the admissible exponents -j/p^l of K's value group, in decreasing v
+    # the admissible exponents v = k/D = -j/p^l of K's value group, in
+    # decreasing v, on the grid: upper <= Cut(1/p + 2v, False) says that the
+    # index 2k + D/p of 1/p + 2v lies outside the upper cut's lower set, at
+    # or past its least outside index kout
+    D = ctx.D
     levels = range(budget + 1) if K.leveled else (0,)
-    vs = sorted({Fraction(-j, p ** l) for j in range(1, budget + 1) for l in levels}, reverse=True)
-    deep = [v for v in vs if upper <= Cut(sd_threshold + 2 * v, False)]
+    ks = sorted({-j * (D // p ** l) for j in range(1, budget + 1) for l in levels}, reverse=True)
+    kmin = ctx.kout(upper) - D // p
+    deep = [k for k in ks if 2 * k >= kmin]
     if len(deep) < n_members:
         short = (f"only {len(deep)} admissible deep elements at budget {budget}, "
                  f"need {n_members}")
@@ -276,8 +281,9 @@ def kummer_family(
     eta_hash = artin._short_hash(eta)
     work = budget + 6
     certs: List[artin.ExtensionCert] = []
-    for vt in deep[:n_members]:
-        td = Series.monomial(ctx, vt)
+    for kt in deep[:n_members]:
+        vt = Fraction(kt, D)
+        td = Series(ctx, ((kt, 1),), math.inf)
         theta_tilde = transform_mixed(eta, K, td, sample, tail, b_eta)
         td_inv = invert(td, work)
         theta = theta_tilde * td_inv
@@ -288,10 +294,14 @@ def kummer_family(
             raise AssertionError(f"new generator is not a 1-unit at value {-vt}")
 
         # X^p + c0 is the member's minimal polynomial; verify re-derives the
-        # floor from the same residual eta_new^p + c0
+        # floor from the residual eta_new^p + c0 in the file.  c0 =
+        # -power_formula keeps its precision, so eta_new^p - power_formula is
+        # that residual digit for digit, and it reads power_formula's few
+        # digits rather than the digit string of c0, which runs to the
+        # precision
         power_formula = b_eta * td_inv.pow_int(p) + one
         c0 = power_formula.neg()
-        resid = eta_new.pow_int(p) + c0
+        resid = eta_new.pow_int(p) - power_formula
         kfloor = resid.vlow_k()
         if resid.kterms and kfloor <= 0:
             raise AssertionError("p-th power formula fails on certified terms")

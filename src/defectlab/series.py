@@ -678,33 +678,31 @@ def newton_root(f: Tuple[Series, ...], start: Series, target_precision: RatLike)
             x = _declare(x - step, work)
             move = None
         else:
-            # slopes in grid units: the exponent of the correction is slope/D
-            slope: Optional[Fraction] = None
+            # the steepest slope num/den = (vf - v(c_i)) / i in grid units,
+            # compared by cross-multiplying: the exponent of the correction
+            # is num/(den*D)
+            num: Optional[int] = None
+            den = 1
             for i in range(1, len(shifted)):
-                ci = shifted[i]
-                if ci.is_zero:
-                    continue
-                s = Fraction(vf - ci.kterms[0][0], i)
-                if slope is None or s > slope:
-                    slope = s
-            if slope is None:
+                ti = shifted[i].kterms
+                if ti and (num is None or (vf - ti[0][0]) * den > num * i):
+                    num, den = vf - ti[0][0], i
+            if num is None:
                 raise ConvergenceError("degenerate polygon: no higher coefficients")
-            if slope.denominator != 1:
-                ctx.grid_k(slope / D)
-            ks = slope.numerator
+            if num % den:
+                ctx.grid_k(Fraction(num, den) / D)  # off the grid: refused
+            ks = num // den
             # residue equation along the initial segment
             res_coeffs = [0] * (len(shifted))
             for i, ci in enumerate(shifted):
-                if ci.is_zero:
-                    continue
-                if ci.kterms[0][0] + i * ks == vf:
-                    res_coeffs[i] = ci.leading_coeff()
+                if ci.kterms and ci.kterms[0][0] + i * ks == vf:
+                    res_coeffs[i] = ci.kterms[0][1]
             roots = [r for r in ctx.field.roots_of(res_coeffs) if r != 0]
             if not roots:
                 raise ConvergenceError("residue equation has no root in F_q")
             mono = Series(ctx, ((ks, roots[0]),) if ks < work else (), work)
             nxt = _declare(x + mono, work)
-            move = mono if x.kprec == work and nxt.vlow() == x.vlow() else None
+            move = mono if x.kprec == work and nxt.vlow_k() == x.vlow_k() else None
             x = nxt
     raise ConvergenceError(f"iteration budget exhausted: NEWTON_MAX_STEPS = {NEWTON_MAX_STEPS} steps")
 

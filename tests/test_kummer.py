@@ -20,6 +20,7 @@ from defectlab.kummer import (
 )
 from defectlab.series import (
     ConvergenceError,
+    DenominatorBoundError,
     Series,
     newton_root,
 )
@@ -156,6 +157,17 @@ class TestTransformMixed:
         root = transform_mixed(eta, QT2, d, value_set(eta, QT2, 4, tail), tail, eta.pow_int(2))
         assert (root - eta).valuation() == ExtRat.of(q(3, 8))
 
+    def test_an_off_grid_polygon_slope_is_refused_by_name(self):
+        # at v(d) = -5/8 the Newton polygon's steepest slope is an odd number
+        # of half grid steps, exponent 49023/131072: newton_root refuses it
+        # rather than round it onto the grid D = 2^16
+        eta, tail = lab_superdependent_unit(QT2)
+        d = Series.monomial(QT2.ctx, q(-5, 8), 1)
+        sample = value_set(eta, QT2, 6, tail)
+        want = "^exponent 49023/131072 needs denominator 131072, bound is D=65536$"
+        with pytest.raises(DenominatorBoundError, match=want):
+            transform_mixed(eta, QT2, d, sample, tail, eta.pow_int(2))
+
 
 class TestKummerFamily:
     def test_five_members(self):
@@ -268,25 +280,36 @@ def _scan_deep_elements(K, budget, upper):
     return candidates
 
 
+# the number of admissible deep elements at budgets 1..14, every budget the
+# grid D = 2^16 serves, by the sup of the lab unit.  The unit of sup 1/4 has
+# the upper cut 1/4-, which admits v = -1/8 at equality: 1/p + 2v = 1/4 is
+# the cut's own bound, so budget 3's one element is kept only by the
+# non-strict comparison
+DEEP_COUNTS = {
+    None: (0, 0, 1, 3, 6, 9, 14, 18, 26, 31, 42, 48, 61, 68),
+    Fraction(1, 4): (0, 0, 1, 2, 4, 7, 12, 16, 23, 28, 38, 44, 57, 64),
+}
+
+
 @pytest.mark.parametrize("m", [1, 2], ids=["q2", "q4"])
 def test_deep_elements_match_the_listing_scan(m):
     K = preset_field("qp_pdiv_tower", 2, m)
-    eta, tail = lab_superdependent_unit(K)
-    for budget in range(1, 10):
-        # none at budgets 1 and 2; 1, 3, 6, 9, 14, 18 and 26 admissible
-        # elements at budgets 3..9
-        want = _scan_deep_elements(K, budget, value_set(eta, K, budget, tail).upper)
-        for v, x in want:
-            td = Series.monomial(K.ctx, v)
-            assert (x.kterms, x.kprec) == (td.kterms, td.kprec), (budget, v)
-        if not want:
-            want_err = f"^only 0 admissible deep elements at budget {budget}, need 1$"
-            with pytest.raises(BudgetTooSmall, match=want_err):
-                kummer_family(eta, K, 1, budget, tail)
-            continue
-        certs = kummer_family(eta, K, len(want), budget, tail)
-        got = [(dict(c.claims.bounds)["v_td"], c.provenance[0].split()[2]) for c in certs]
-        assert got == [(str(v), f"td={_short_hash(x)}") for v, x in want], budget
+    for sup, counts in DEEP_COUNTS.items():
+        eta, tail = lab_superdependent_unit(K, sup)
+        for budget, count in enumerate(counts, start=1):
+            want = _scan_deep_elements(K, budget, value_set(eta, K, budget, tail).upper)
+            assert len(want) == count, (sup, budget)
+            for v, x in want:
+                td = Series.monomial(K.ctx, v)
+                assert (x.kterms, x.kprec) == (td.kterms, td.kprec), (sup, budget, v)
+            if not want:
+                want_err = f"^only 0 admissible deep elements at budget {budget}, need 1$"
+                with pytest.raises(BudgetTooSmall, match=want_err):
+                    kummer_family(eta, K, 1, budget, tail)
+                continue
+            certs = kummer_family(eta, K, len(want), budget, tail)
+            got = [(dict(c.claims.bounds)["v_td"], c.provenance[0].split()[2]) for c in certs]
+            assert got == [(str(v), f"td={_short_hash(x)}") for v, x in want], (sup, budget)
 
 
 # --- Newton's constant cut at its target against the full -eta^p ----------

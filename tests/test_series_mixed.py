@@ -408,6 +408,10 @@ def _normalize_by_classes(ctx, parts, precision):
     return tuple(out)
 
 
+D16 = 2 ** 16
+M2_16 = make_context(MIXED, 2, 1, D16)
+
+
 @st.composite
 def _normalize_case(draw):
     # D in {1, p}: several parts share a class, and k repeats often
@@ -436,6 +440,19 @@ def _outcome(normalize, ctx, parts, prec):
 # 1 + 1 = 2 carries to k = 1, past the cap: run first, it fails fast where
 # reading 2-adic digits without the 2^n mask would loop on a negative sum
 @example((make_context(MIXED, 2, 1, 1), [(0, 1, 1), (0, 1, 1)], ExtRat.of(1)))
+# the p = 2, m = 1 loop on qp_pdiv_tower's grid D = 2^16, one branch each:
+# a lone positive part and a lone negative one (its digits run to the cap)
+@example((M2_16, [(5, 1, 1)], ExtRat.of(3)))
+@example((M2_16, [(5, 1, -1)], ExtRat.of(3)))
+# later parts below the class's first part: the total rescales twice
+@example((M2_16, [(3 * D16 + 5, 1, 1), (D16 + 5, 1, 1), (5, 1, -1), (D16 + 5, 1, 1)], ExtRat.of(5)))
+# parts at and past kcap = 3 * D16, which are dropped
+@example((M2_16, [(5, 1, 1), (3 * D16, 1, 1), (3 * D16 + 7, 1, -1), (D16 + 5, 1, 1)], ExtRat.of(3)))
+# code-0 parts, which are dropped
+@example((M2_16, [(5, 0, 1), (5, 1, 1), (D16 + 5, 0, -1)], ExtRat.of(3)))
+# an exact sum that carries, and an exact negative sum, which is refused
+@example((M2_16, [(5, 1, 1), (5, 1, 1), (D16 + 5, 1, 1)], PLUS_INF))
+@example((M2_16, [(5, 1, 1), (5, 1, -1), (D16 + 5, 1, -1)], PLUS_INF))
 def test_normalize_matches_grouping_by_classes(case):
     ctx, parts, prec = case
     got = _outcome(teichmueller.normalize, ctx, parts, ctx.kcap(prec))
