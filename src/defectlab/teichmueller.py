@@ -47,6 +47,15 @@ def tau_poly(p: int, m: int, modulus: Tuple[int, ...], code: int, k: int) -> Tup
     return acc
 
 
+def _set_bits(u: int, k0: int, D: int, out: List[Tuple[int, int]]) -> None:
+    """Append the 2-adic digits of the int ``u >= 0``, its set bits, as
+    (k0 + i*D, 1) for each set bit i."""
+    while u:
+        low = u & -u
+        out.append((k0 + (low.bit_length() - 1) * D, 1))
+        u ^= low
+
+
 def digits(ctx: SeriesContext, u, k0: int, n: Optional[int]) -> List[Tuple[int, int]]:
     """The canonical Teichmueller digits of the p-adic integer ``u``, the
     i-th at k0 + i*D (exponent k0/D + i), as sorted (k, code) pairs.
@@ -72,10 +81,7 @@ def digits(ctx: SeriesContext, u, k0: int, n: Optional[int]) -> List[Tuple[int, 
                     "negative values have non-terminating 2-adic expansions; "
                     "pass a finite precision"
                 )
-            while u:
-                low = u & -u
-                out.append((k0 + (low.bit_length() - 1) * D, 1))
-                u ^= low
+            _set_bits(u, k0, D, out)
             return out
         mod = None if n is None else p ** n
         while u:
@@ -119,25 +125,19 @@ def normalize(
 
     ``parts`` yields (k, digit code, sign).  Signs other than +1 are folded
     into the code for odd p (where -tau(c) = tau(-c) exactly); for p = 2
-    they stay on the lifts.  Only exponents in one class mod 1
+    they stay on the integer lifts.  Only exponents in one class mod 1
     (k mod D) carry into each other, so one pass over the parts keeps, per
     class, the least k // D seen (fl0) and the ring element
     ``acc = sum sign * tau(code) * p^(k // D - fl0)``: an int for m = 1, a
     coefficient list for m > 1.  A part below fl0 first rescales acc by a
     power of p.  Below the precision only p^n matters, n the class's digit
     count, so a part at k is lifted modulo p^ceil((kcap - k) / D) alone.
-    Each class's ``digits`` are then read off once; a class whose only part
-    is a positive digit is already canonical.  With infinite precision the
-    sum must be exact, which needs m = 1 and p in {2, 3}; otherwise terms
-    are merged only where no carry arises.
-
-    For p = 2, m = 1 the one nonzero digit lifts to 1 exactly, so
-    ``_binary_sums`` runs the same pass on ints: each class total, a sum of
-    signed powers of 2, is built by shifts, and its digits are the set bits
-    of acc mod 2^n.
+    Each class's ``digits`` are then read off once (for p = 2, m = 1 below
+    the precision, directly as the set bits of acc mod 2^n); a class whose
+    only part is a positive digit is already canonical.  With infinite
+    precision the sum must be exact, which needs m = 1 and p in {2, 3};
+    otherwise terms are merged only where no carry arises.
     """
-    if ctx.p == 2 and ctx.m == 1:
-        return _binary_sums(ctx, parts, kcap)
     fld = ctx.field
     p, D, m = ctx.p, ctx.D, ctx.m
     exact = kcap == math.inf
@@ -160,14 +160,16 @@ def normalize(
     # k mod D -> [fl0, acc, code of the class's only part while it is
     # positive, else 0]
     classes: Dict[int, list] = {}
-    fold = p != 2
+    fold, binary = p != 2, p == 2 and m == 1
     for k, code, sign in parts:
         if code == 0 or k >= kcap:
             continue
         if fold and sign < 0:
             code, sign = fld.neg(code), 1
         # sign * tau(code), needed only modulo p^ceil((kcap - k) / D)
-        if m > 1:
+        if binary:
+            term = sign
+        elif m > 1:
             term = tau_poly(p, m, fld.modulus, code, (kcap - k - 1) // D)
             if sign < 0:
                 term = [-y for y in term]
@@ -196,55 +198,11 @@ def normalize(
         k0 = r + fl0 * D
         if lone:
             out.append((k0, lone))
+        elif binary and not exact:
+            # the set bits of acc mod 2^n, n = ceil((kcap - k0) / D)
+            _set_bits(acc & ((1 << -((k0 - kcap) // D)) - 1), k0, D, out)
         else:
             # digits k0 + i*D below kcap, i.e. i < ceil((kcap - k0) / D)
             out.extend(digits(ctx, acc, k0, None if exact else -((k0 - kcap) // D)))
-    out.sort()
-    return tuple(out)
-
-
-def _binary_sums(
-    ctx: SeriesContext,
-    parts: Iterable[Tuple[int, int, int]],
-    kcap,
-) -> Tuple[Tuple[int, int], ...]:
-    """``normalize`` for p = 2, m = 1: every lift is sign * 1, so a class
-    total is the sum of sign * 2^(k // D - fl0), built by shifts, and its
-    digits below kcap are the set bits of the total mod 2^n.  An exact
-    total is read by ``digits``, which refuses a negative one."""
-    D = ctx.D
-    # k mod D -> [fl0, acc, whether the class's only part is positive]
-    classes: Dict[int, list] = {}
-    for k, code, sign in parts:
-        if code == 0 or k >= kcap:
-            continue
-        fl, r = k // D, k % D
-        rec = classes.get(r)
-        if rec is None:
-            classes[r] = [fl, sign, sign > 0]
-            continue
-        rec[2] = False
-        shift = fl - rec[0]
-        if shift >= 0:
-            rec[1] += sign << shift
-        else:
-            # a lower exponent: rescale the total to it
-            rec[0] = fl
-            rec[1] = (rec[1] << -shift) + sign
-    exact = kcap == math.inf
-    out = []
-    for r, (fl0, acc, lone) in classes.items():
-        k0 = r + fl0 * D
-        if lone:
-            out.append((k0, 1))
-        elif exact:
-            out.extend(digits(ctx, acc, k0, None))
-        else:
-            # the digits k0 + i*D below kcap, i < n = ceil((kcap - k0) / D)
-            acc &= (1 << -((k0 - kcap) // D)) - 1
-            while acc:
-                low = acc & -acc
-                out.append((k0 + (low.bit_length() - 1) * D, 1))
-                acc ^= low
     out.sort()
     return tuple(out)

@@ -440,7 +440,7 @@ def _outcome(normalize, ctx, parts, prec):
 # 1 + 1 = 2 carries to k = 1, past the cap: run first, it fails fast where
 # reading 2-adic digits without the 2^n mask would loop on a negative sum
 @example((make_context(MIXED, 2, 1, 1), [(0, 1, 1), (0, 1, 1)], ExtRat.of(1)))
-# the p = 2, m = 1 loop on qp_pdiv_tower's grid D = 2^16, one branch each:
+# p = 2, m = 1 on qp_pdiv_tower's grid D = 2^16, one branch each:
 # a lone positive part and a lone negative one (its digits run to the cap)
 @example((M2_16, [(5, 1, 1)], ExtRat.of(3)))
 @example((M2_16, [(5, 1, -1)], ExtRat.of(3)))
